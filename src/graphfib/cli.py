@@ -9,8 +9,9 @@ Subcommands:
 * ``orbits``: label-pair orbits of a permutation group.
 
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 capacity bound
-hit, 4 indeterminate membership.  All output is deterministic: JSON is
-printed with sorted keys, listings are canonically ordered.
+hit, 4 indeterminate membership, 5 broken internal invariant (a bug).  All
+output is deterministic: JSON is printed with sorted keys, listings are
+canonically ordered.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .errors import CapacityError, IndeterminateError
+from .errors import CapacityError, IndeterminateError, InvariantError
 from .fibrations import (
     closure_graphs,
     fiber_generators,
@@ -207,6 +208,18 @@ def cmd_orbits(args, config):
 # entry point
 
 
+def _label_count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"label count must be a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="graphfib", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file overriding default bounds")
@@ -235,8 +248,8 @@ def build_parser():
     p = sub.add_parser("dim", help="morphism-space dimension for a group and a word closure")
     p.add_argument("group")
     p.add_argument("words")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
+    p.add_argument("k", type=_label_count)
+    p.add_argument("l", type=_label_count)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("closure", help="list the fibres of a fibration")
@@ -245,8 +258,8 @@ def build_parser():
 
     p = sub.add_parser("orbits", help="label-pair orbits of a permutation group")
     p.add_argument("group")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
+    p.add_argument("k", type=_label_count)
+    p.add_argument("l", type=_label_count)
     p.set_defaults(func=cmd_orbits)
 
     return parser
@@ -269,6 +282,9 @@ def main(argv=None):
     except IndeterminateError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return 4
+    except InvariantError as exc:
+        print(f"internal invariant broken: {exc}", file=sys.stderr)
+        return 5
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,3 +7,7 @@ class CapacityError(Exception):
 
 class IndeterminateError(Exception):
     """A tri-state membership query returned Unknown where a definite answer was required."""
+
+
+class InvariantError(Exception):
+    """An internal cross-check failed: a bug in graphfib, not bad input."""

@@ -17,7 +17,7 @@ import json
 from collections import deque
 
 from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
-from .errors import CapacityError, IndeterminateError
+from .errors import CapacityError, IndeterminateError, InvariantError
 from .freeprod import (
     DEFAULT_BFS_DEPTH,
     DEFAULT_BFS_MAX_LEN,
@@ -27,15 +27,17 @@ from .freeprod import (
     apply_letter_map,
     member,
     reduce_word,
+    strategy_from_json,
 )
 from .graphs import (
     Graph,
-    canonical_graph,
+    canonical_form,
     canonical_key,
     edgeless,
     enumerate_homomorphisms,
     enumerate_overlaps,
     f_union,
+    graph_from_mask,
     quotient,
 )
 from .partitions import enumerate_partitions
@@ -51,6 +53,7 @@ class GraphFibration:
         "bfs_max_len",
         "coset_cap",
         "_closure",
+        "_closure_keys",
         "_fiber_words",
     )
 
@@ -78,6 +81,7 @@ class GraphFibration:
         self.bfs_max_len = bfs_max_len
         self.coset_cap = coset_cap
         self._closure = None
+        self._closure_keys = None
         self._fiber_words = {}
 
     def __repr__(self):
@@ -97,6 +101,25 @@ def boundary_word(d):
 # the closure of fibres
 
 
+def _add_class(g, seen, classes):
+    """File ``g`` under its canonical key; return the representative if new.
+
+    ``seen`` holds every raw ``(n, edges)`` already filed, so each labelled
+    graph is canonicalised once.  The representative is rebuilt from the
+    canonical mask, whose own canonical key is that mask by construction.
+    """
+    raw = (g.n, g.edges)
+    if raw in seen:
+        return None
+    seen.add(raw)
+    key, _ = canonical_form(g)
+    if key in classes:
+        return None
+    rep = classes[key] = graph_from_mask(*key)
+    seen.add((rep.n, rep.edges))
+    return rep
+
+
 def _closure_units(fib):
     """Graphs whose glued unions generate the closure, deduped up to iso.
 
@@ -107,11 +130,11 @@ def _closure_units(fib):
     quotients reach everything quotients would.
     """
     units = {}
+    seen = set()
 
     def add(g):
         if 1 <= g.n <= fib.max_vertices:
-            rep, _ = canonical_graph(g)
-            units.setdefault(canonical_key(rep), rep)
+            _add_class(g, seen, units)
 
     add(edgeless(1))
     for d in fib.generators:
@@ -122,25 +145,18 @@ def _closure_units(fib):
     return [units[key] for key in sorted(units)]
 
 
-def closure_graphs(fib):
-    """All fibres up to isomorphism, canonical representatives.
-
-    Sorted by vertex count, then by canonical adjacency mask.  The closure is
-    computed by a worklist over glued unions of members with generator units;
-    intermediate results never need more vertices than the final graph, so
-    the ``max_vertices`` bound loses nothing below itself.
-    """
+def _close(fib):
+    """Compute the closure once; cache its members and their key set."""
     if fib._closure is not None:
-        return list(fib._closure)
+        return fib._closure
     units = _closure_units(fib)
     members = {}
+    seen = set()
     queue = deque()
 
     def add(g):
-        rep, _ = canonical_graph(g)
-        key = canonical_key(rep)
-        if key not in members:
-            members[key] = rep
+        rep = _add_class(g, seen, members)
+        if rep is not None:
             queue.append(rep)
 
     add(edgeless(0))
@@ -158,13 +174,20 @@ def closure_graphs(fib):
                     continue
                 union, _, _ = f_union(x, h, f)
                 add(union)
-    result = [members[key] for key in sorted(members)]
-    fib._closure = result
-    return list(result)
+    fib._closure = tuple(members[key] for key in sorted(members))
+    fib._closure_keys = frozenset(members)
+    return fib._closure
 
 
-def _closure_keys(fib):
-    return {canonical_key(g) for g in closure_graphs(fib)}
+def closure_graphs(fib):
+    """All fibres up to isomorphism, canonical representatives.
+
+    Sorted by vertex count, then by canonical adjacency mask.  The closure is
+    computed by a worklist over glued unions of members with generator units;
+    intermediate results never need more vertices than the final graph, so
+    the ``max_vertices`` bound loses nothing below itself.
+    """
+    return list(_close(fib))
 
 
 def is_fiber(fib, g):
@@ -172,7 +195,8 @@ def is_fiber(fib, g):
         raise CapacityError(
             f"fibration closure computed up to {fib.max_vertices} vertices, graph has {g.n}"
         )
-    return canonical_key(g) in _closure_keys(fib)
+    _close(fib)
+    return canonical_key(g) in fib._closure_keys
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +296,8 @@ def greatest_subgraph(fib, g):
                 a, b = phi[u], phi[v]
                 edges.add((a, b) if a <= b else (b, a))
     k = Graph(g.n, edges)
-    assert is_fiber(fib, k), "union of generator images must be a fibre"
+    if not is_fiber(fib, k):
+        raise InvariantError("union of generator images must be a fibre")
     return k
 
 
@@ -342,15 +367,7 @@ def fibration_from_json(obj, default_max_vertices=5):
         gens = [diagram_from_json(d) for d in obj["generators"]]
     except KeyError as exc:
         raise ValueError(f"fibration JSON missing key {exc}")
-    strategy = obj.get("strategy", "auto")
-    kwargs = {}
-    if isinstance(strategy, dict):
-        if list(strategy) != ["bounded-bfs"]:
-            raise ValueError(f"invalid strategy object {strategy!r}")
-        params = strategy["bounded-bfs"]
-        kwargs["bfs_depth"] = params.get("depth", DEFAULT_BFS_DEPTH)
-        kwargs["bfs_max_len"] = params.get("max_len", DEFAULT_BFS_MAX_LEN)
-        strategy = "bounded-bfs"
+    strategy, kwargs = strategy_from_json(obj.get("strategy", "auto"))
     return GraphFibration(
         gens,
         easy=obj.get("easy", False),

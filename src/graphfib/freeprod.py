@@ -416,13 +416,28 @@ def closure_from_json(obj):
     except KeyError as exc:
         raise ValueError(f"closure JSON missing key {exc}")
     gens = [word_from_json(g, alphabet) for g in raw_gens]
-    strategy = obj.get("strategy", "auto")
-    kwargs = {}
-    if isinstance(strategy, dict):
-        if list(strategy) != ["bounded-bfs"]:
-            raise ValueError(f"invalid strategy object {strategy!r}")
-        params = strategy["bounded-bfs"]
-        kwargs["bfs_depth"] = params.get("depth", DEFAULT_BFS_DEPTH)
-        kwargs["bfs_max_len"] = params.get("max_len", DEFAULT_BFS_MAX_LEN)
-        strategy = "bounded-bfs"
+    strategy, kwargs = strategy_from_json(obj.get("strategy", "auto"))
     return NormalClosureSpec(alphabet, gens, strategy=strategy, **kwargs)
+
+
+def strategy_from_json(obj):
+    """Parse a strategy name or ``{"bounded-bfs": {"depth": .., "max_len": ..}}``.
+
+    Returns ``(strategy, kwargs)`` where ``kwargs`` holds the BFS bounds as
+    keyword arguments of :class:`NormalClosureSpec`.
+    """
+    if not isinstance(obj, dict):
+        return obj, {}
+    if list(obj) != ["bounded-bfs"]:
+        raise ValueError(f"invalid strategy object {obj!r}")
+    params = obj["bounded-bfs"]
+    if not isinstance(params, dict) or set(params) - {"depth", "max_len"}:
+        raise ValueError(f"bounded-bfs takes an object with 'depth' and 'max_len', got {params!r}")
+    kwargs = {
+        "bfs_depth": params.get("depth", DEFAULT_BFS_DEPTH),
+        "bfs_max_len": params.get("max_len", DEFAULT_BFS_MAX_LEN),
+    }
+    for value in kwargs.values():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"bounded-bfs bounds must be non-negative integers, got {params!r}")
+    return "bounded-bfs", kwargs

@@ -178,9 +178,23 @@ def f_union(k, h, f):
     for u, v in f:
         if not (0 <= u < k.n and 0 <= v < h.n):
             raise ValueError("overlap pair out of range")
-    merged = generated_partition(k.n + h.n, [(u, k.n + v) for u, v in f])
-    union, vmap = quotient(disjoint_union(k, h), merged)
-    return union, tuple(vmap[: k.n]), tuple(vmap[k.n :])
+    # The numbering of quotient(disjoint_union(k, h), merged): ``k`` keeps its
+    # names, a matched vertex of ``h`` takes its partner's, and the unmatched
+    # ones follow in their own order.
+    partner = {v: u for u, v in f}
+    map_h = []
+    fresh = k.n
+    for v in range(h.n):
+        if v in partner:
+            map_h.append(partner[v])
+        else:
+            map_h.append(fresh)
+            fresh += 1
+    edges = set(k.edges)
+    for u, v in h.edges:
+        a, b = map_h[u], map_h[v]
+        edges.add((a, b) if a <= b else (b, a))
+    return Graph(fresh, edges), tuple(range(k.n)), tuple(map_h)
 
 
 def enumerate_overlaps(nk, nh):
@@ -435,7 +449,7 @@ def graph_from_json(obj):
         edges = obj["edges"]
     except KeyError as exc:
         raise ValueError(f"graph JSON missing key {exc}")
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("graph JSON field 'n' must be an integer")
     return Graph(n, [tuple(e) for e in edges])
 

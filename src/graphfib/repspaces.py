@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .errors import CapacityError, IndeterminateError
+from .errors import CapacityError, IndeterminateError, InvariantError
 from .freeprod import Membership, apply_letter_map, member, reduce_word
 from .graphs import automorphisms
 from .partitions import ker
@@ -150,7 +150,8 @@ def burnside_dim(group, k, l):
     m = k + l
     total = sum(sum(1 for i, si in enumerate(s) if si == i) ** m for s in group.elements)
     order = len(group.elements)
-    assert total % order == 0, "orbit-count average must be an integer"
+    if total % order:
+        raise InvariantError("orbit-count average must be an integer")
     return total // order
 
 
@@ -168,7 +169,8 @@ def basis_full(g, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     orbs = orbits(group, k, l, tuple_bound)
     tensors = [build_That_H(group, o.a, o.b) for o in orbs]
     rank = exact_rank([t.entries for t in tensors])
-    assert rank == len(orbs) == burnside_dim(group, k, l), "orbit tensors must be independent"
+    if not rank == len(orbs) == burnside_dim(group, k, l):
+        raise InvariantError("orbit tensors must be independent")
     return list(zip(orbs, tensors))
 
 
@@ -239,8 +241,10 @@ def dim_report(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
             )
     kept = [o for o, verdict in table if verdict is Membership.YES]
     rank = exact_rank([build_That_H(group, o.a, o.b).entries for o in kept])
-    assert rank == len(kept), "accepted orbit tensors must be independent"
-    assert len(table) == burnside_dim(group, k, l), "orbit count must match the Burnside count"
+    if rank != len(kept):
+        raise InvariantError("accepted orbit tensors must be independent")
+    if len(table) != burnside_dim(group, k, l):
+        raise InvariantError("orbit count must match the Burnside count")
     return {
         "k": k,
         "l": l,

@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -133,6 +139,29 @@ def test_dim_exits_indeterminate_when_the_strategy_is_too_shallow(capsys):
     assert code == 4 and err.startswith("indeterminate:")
 
 
+def test_dim_rejects_a_malformed_bfs_strategy(capsys, tmp_path):
+    words = write_json(
+        tmp_path,
+        "words.json",
+        {"alphabet": 3, "generators": [["a", "b", "a", "b"]], "strategy": {"bounded-bfs": 5}},
+    )
+    code, _, err = run(capsys, "dim", fx("group_swap3.json"), words, "0", "2")
+    assert code == 2 and err.startswith("error:") and "bounded-bfs" in err
+
+
+def test_dim_rejects_negative_label_counts(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", fx("group_s3.json"), fx("null.json"), "-1", "2"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_dim_reports_a_broken_invariant_with_exit_5(capsys, monkeypatch):
+    monkeypatch.setattr("graphfib.repspaces.exact_rank", lambda rows: -1)
+    code, out, err = run(capsys, "dim", fx("group_s3.json"), fx("null.json"), "1", "1")
+    assert code == 5 and out == "" and err.startswith("internal invariant broken:")
+
+
 # ---------------------------------------------------------------------------
 # closure
 
@@ -148,6 +177,16 @@ def test_closure_lists_all_fibres_with_their_generators(capsys):
     assert edge["fiber_generators"] == [[0, 1, 0, 1]]
     lonely = next(e for e in payload["graphs"] if e["n"] == 1)
     assert lonely["fiber_generators"] == []
+
+
+@pytest.mark.parametrize("params", [5, {"depth": 3, "width": 2}])
+def test_closure_rejects_a_malformed_bfs_strategy(capsys, tmp_path, params):
+    with open(fx("edge_fibration.json"), encoding="utf-8") as fh:
+        fibration = json.load(fh)
+    fibration["strategy"] = {"bounded-bfs": params}
+    path = write_json(tmp_path, "fibration.json", fibration)
+    code, out, err = run(capsys, "closure", path)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +213,13 @@ def test_orbits_respects_the_configured_tuple_bound(capsys):
     assert code == 3 and err.startswith("capacity:")
 
 
+def test_orbits_rejects_negative_label_counts(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", fx("group_s3.json"), "1", "-2"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes and flags
 
@@ -192,6 +238,12 @@ def test_bad_input_exit_codes(capsys):
     )
     assert code == 2 and "unknown config keys" in err
     assert run(capsys, "--threads", "0", "orbits", fx("group_s3.json"), "1", "1")[0] == 2
+
+
+def test_tensor_rejects_a_bool_vertex_count(capsys, tmp_path):
+    graph = write_json(tmp_path, "graph.json", {"n": True, "edges": []})
+    code, out, err = run(capsys, "tensor", graph, fx("identity_diagram.json"))
+    assert code == 2 and out == "" and "'n' must be an integer" in err
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -1,6 +1,10 @@
 """Graph fibrations: closures, fibre groups, and membership of diagrams."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfib.diagrams import BilabelledGraph, m_diagram
 from graphfib.errors import CapacityError, IndeterminateError
@@ -21,13 +25,18 @@ from graphfib.freeprod import Membership, NormalClosureSpec
 from graphfib.graphs import (
     Graph,
     add_loops_everywhere,
+    canonical_graph,
     canonical_key,
     complete,
     disjoint_union,
     edgeless,
     enumerate_graphs,
+    enumerate_overlaps,
+    generated_partition,
     path,
+    quotient,
 )
+from graphfib.partitions import enumerate_partitions
 
 
 def commutator_generator(g):
@@ -109,6 +118,69 @@ def test_is_fiber_and_capacity():
     assert not is_fiber(fib, Graph(1, [(0, 0)]))
     with pytest.raises(CapacityError):
         is_fiber(fib, edgeless(5))
+
+
+def reference_closure(fib):
+    """The closure by a plain worklist: every glued union, built as a quotient
+    of the disjoint union, is canonicalised afresh, and every overlap is tried."""
+    units = {}
+
+    def add_unit(g):
+        if 1 <= g.n <= fib.max_vertices:
+            rep, _ = canonical_graph(g)
+            units[canonical_key(rep)] = rep
+
+    add_unit(edgeless(1))
+    for d in fib.generators:
+        add_unit(d.graph)
+        if fib.easy:
+            for blocks in enumerate_partitions(d.graph.n):
+                add_unit(quotient(d.graph, blocks)[0])
+    members = {}
+    queue = deque()
+
+    def add(g):
+        rep, _ = canonical_graph(g)
+        key = canonical_key(rep)
+        if key not in members:
+            members[key] = rep
+            queue.append(rep)
+
+    for g in [edgeless(0), edgeless(1)] + list(units.values()):
+        add(g)
+    while queue:
+        x = queue.popleft()
+        for h in units.values():
+            for f in enumerate_overlaps(x.n, h.n):
+                if x.n + h.n - len(f) > fib.max_vertices:
+                    continue
+                merged = generated_partition(x.n + h.n, [(u, x.n + v) for u, v in f])
+                add(quotient(disjoint_union(x, h), merged)[0])
+    return [members[key] for key in sorted(members)]
+
+
+@st.composite
+def small_fibration(draw):
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        n = draw(st.integers(min_value=1, max_value=3))
+        cells = [(u, v) for u in range(n) for v in range(u, n)]
+        g = Graph(n, draw(st.sets(st.sampled_from(cells))))
+        gens.append(BilabelledGraph(g, (), tuple(range(n))))
+    return GraphFibration(
+        gens, easy=draw(st.booleans()), max_vertices=draw(st.integers(min_value=1, max_value=4))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_fibration())
+def test_closure_and_is_fiber_match_a_reference_worklist(fib):
+    want = reference_closure(fib)
+    assert closure_graphs(fib) == want
+    keys = {canonical_key(g) for g in want}
+    for n in range(fib.max_vertices + 1):
+        for g in enumerate_graphs(n, loops=True):
+            assert is_fiber(fib, g) == (canonical_key(g) in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +355,6 @@ def test_fibration_json_rejects_garbage():
         fibration_from_json({"generators": [], "strategy": {"dfs": {}}})
     with pytest.raises(ValueError):
         fibration_from_json([])
+    for bad in (5, {"depth": "3"}, {"depth": -1}, {"depth": 3, "width": 2}):
+        with pytest.raises(ValueError):
+            fibration_from_json({"generators": [], "strategy": {"bounded-bfs": bad}})

@@ -217,3 +217,8 @@ def test_closure_json_rejects_bad_input():
         closure_from_json({"alphabet": 2, "generators": [["z"]], "strategy": "racg"})
     with pytest.raises(ValueError):
         closure_from_json({"alphabet": 2, "generators": [], "strategy": "shuffle"})
+    for params in (5, [3], {"depth": 3, "width": 2}, {"max_len": True}):
+        with pytest.raises(ValueError):
+            closure_from_json(
+                {"alphabet": 2, "generators": [], "strategy": {"bounded-bfs": params}}
+            )

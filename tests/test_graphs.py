@@ -163,6 +163,37 @@ def test_f_union_commutes_up_to_isomorphism():
                 assert canonical_key(left) == canonical_key(right)
 
 
+def quotient_f_union(k, h, f):
+    """The glued union as a quotient of the disjoint union: the oracle for
+    the direct construction in ``f_union``."""
+    merged = generated_partition(k.n + h.n, [(u, k.n + v) for u, v in f])
+    union, vmap = quotient(disjoint_union(k, h), merged)
+    return union, tuple(vmap[: k.n]), tuple(vmap[k.n :])
+
+
+@st.composite
+def small_graph(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    return Graph(n, draw(st.sets(st.sampled_from(cells))) if cells else ())
+
+
+@st.composite
+def glue_instance(draw):
+    k, h = draw(small_graph()), draw(small_graph())
+    size = draw(st.integers(min_value=0, max_value=min(k.n, h.n)))
+    left = draw(st.permutations(range(k.n)))[:size]
+    right = draw(st.permutations(range(h.n)))[:size]
+    return k, h, tuple(zip(left, right))
+
+
+@settings(max_examples=200, deadline=None)
+@given(glue_instance())
+def test_f_union_matches_the_quotient_construction(case):
+    k, h, f = case
+    assert f_union(k, h, f) == quotient_f_union(k, h, f)
+
+
 def test_enumerate_overlaps_counts():
     assert len(enumerate_overlaps(2, 2)) == 7
     assert len(enumerate_overlaps(3, 3)) == 34
@@ -311,6 +342,11 @@ def test_graph_json_round_trip():
     assert obj == {"n": 3, "edges": [[0, 0], [1, 2]]}
     back = graph_from_json(obj)
     assert back.n == g.n and back.edges == g.edges
+
+
+def test_graph_json_rejects_a_bool_vertex_count():
+    with pytest.raises(ValueError):
+        graph_from_json({"n": True, "edges": []})
 
 
 def test_graph6_reader():
