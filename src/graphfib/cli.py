@@ -53,27 +53,14 @@ from .tensors import (
 
 
 class Config:
-    __slots__ = (
-        "max_vertices",
-        "partition_bound",
-        "tuple_bound",
-        "strategy",
-        "bfs_depth",
-        "bfs_max_len",
-        "coset_cap",
-        "bigint",
-    )
+    """Bounds read by the subcommands: ``closure`` defaults a fibration's
+    ``max_vertices``; ``dim`` and ``orbits`` cap label tuples at
+    ``tuple_bound``.  Membership strategies and their bounds belong to the
+    word-closure and fibration JSON, not to the config."""
 
-    DEFAULTS = {
-        "max_vertices": 5,
-        "partition_bound": 10,
-        "tuple_bound": 10**6,
-        "strategy": "auto",
-        "bfs_depth": 6,
-        "bfs_max_len": 24,
-        "coset_cap": 20000,
-        "bigint": True,
-    }
+    __slots__ = ("max_vertices", "tuple_bound")
+
+    DEFAULTS = {"max_vertices": 5, "tuple_bound": 10**6}
 
     def __init__(self, **overrides):
         unknown = set(overrides) - set(self.DEFAULTS)
@@ -81,9 +68,8 @@ class Config:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, default in self.DEFAULTS.items():
             value = overrides.get(key, default)
-            if isinstance(default, int) and not isinstance(default, bool):
-                if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                    raise ValueError(f"config key {key!r} must be a positive integer")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"config key {key!r} must be a positive integer")
             setattr(self, key, value)
 
 

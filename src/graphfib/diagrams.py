@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import json
 
-from .errors import CapacityError
 from .graphs import (
-    CANONICAL_VERTEX_BOUND,
     Graph,
-    _cell_index,
-    _perm_cell_tables,
+    automorphisms,
+    canonical_form,
     disjoint_union,
     edgeless,
     f_union,
     generated_partition,
     graph_from_json,
+    graph_from_mask,
     graph_to_json,
     quotient,
 )
@@ -184,26 +183,17 @@ def bl_f_compose(d1, d2, f):
 def diagram_key(d):
     """Canonical key of a diagram under label-preserving isomorphism.
 
-    Minimizes ``(adjacency mask, relabeled inputs, relabeled outputs)`` over
-    all vertex permutations.
+    The least ``(adjacency mask, relabeled inputs, relabeled outputs)`` over
+    all vertex permutations.  The relabelings reaching the least mask are
+    ``canonical_form``'s permutation followed by an automorphism of the
+    canonical graph, so only those are tried.
     """
-    g = d.graph
-    if g.n > CANONICAL_VERTEX_BOUND:
-        raise CapacityError(
-            f"diagram canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {g.n}"
-        )
-    bits = [_cell_index(g.n, u, v) for u, v in g.edges]
-    best = None
-    for sigma, tab in _perm_cell_tables(g.n):
-        m = 0
-        for c in bits:
-            m |= 1 << tab[c]
-        cand = (m, tuple(sigma[v] for v in d.inputs), tuple(sigma[v] for v in d.outputs))
-        if best is None or cand < best:
-            best = cand
-    if best is None:  # zero vertices
-        best = (0, d.inputs, d.outputs)
-    return (g.n,) + best
+    (n, mask), perm = canonical_form(d.graph)
+    labels = min(
+        (tuple(alpha[perm[v]] for v in d.inputs), tuple(alpha[perm[v]] for v in d.outputs))
+        for alpha in automorphisms(graph_from_mask(n, mask))
+    )
+    return (n, mask) + labels
 
 
 def equal_diagrams(d1, d2):

@@ -17,17 +17,16 @@ import json
 from collections import deque
 
 from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
-from .errors import CapacityError, IndeterminateError, InvariantError
+from .errors import CapacityError, InvariantError
 from .freeprod import (
-    DEFAULT_BFS_DEPTH,
-    DEFAULT_BFS_MAX_LEN,
-    DEFAULT_COSET_CAP,
     Membership,
+    MembershipPolicy,
     NormalClosureSpec,
-    apply_letter_map,
+    check_invariance,
     member,
+    policy_from_json,
+    policy_to_json,
     reduce_word,
-    strategy_from_json,
 )
 from .graphs import (
     Graph,
@@ -48,25 +47,13 @@ class GraphFibration:
         "generators",
         "easy",
         "max_vertices",
-        "membership_strategy",
-        "bfs_depth",
-        "bfs_max_len",
-        "coset_cap",
+        "policy",
         "_closure",
         "_closure_keys",
         "_fiber_words",
     )
 
-    def __init__(
-        self,
-        generators,
-        easy=False,
-        max_vertices=5,
-        membership_strategy="auto",
-        bfs_depth=DEFAULT_BFS_DEPTH,
-        bfs_max_len=DEFAULT_BFS_MAX_LEN,
-        coset_cap=DEFAULT_COSET_CAP,
-    ):
+    def __init__(self, generators, easy=False, max_vertices=5, policy=MembershipPolicy()):
         generators = tuple(generators)
         for d in generators:
             if not isinstance(d, BilabelledGraph):
@@ -76,10 +63,7 @@ class GraphFibration:
         self.generators = generators
         self.easy = bool(easy)
         self.max_vertices = max_vertices
-        self.membership_strategy = membership_strategy
-        self.bfs_depth = bfs_depth
-        self.bfs_max_len = bfs_max_len
-        self.coset_cap = coset_cap
+        self.policy = policy
         self._closure = None
         self._closure_keys = None
         self._fiber_words = {}
@@ -224,19 +208,11 @@ def fiber_generators(fib, g):
             )
             if w and w not in words:
                 words.append(w)
+    policy = fib.policy.replace(strategy="auto")
     kept = []
     for w in words:
-        if kept:
-            prev = NormalClosureSpec(
-                g.n,
-                kept,
-                strategy="auto",
-                bfs_depth=fib.bfs_depth,
-                bfs_max_len=fib.bfs_max_len,
-                coset_cap=fib.coset_cap,
-            )
-            if member(w, prev) is Membership.YES:
-                continue
+        if kept and member(w, NormalClosureSpec(g.n, kept, policy)) is Membership.YES:
+            continue
         kept.append(w)
     result = tuple(kept)
     fib._fiber_words[cache_key] = result
@@ -244,14 +220,7 @@ def fiber_generators(fib, g):
 
 
 def fiber_closure_spec(fib, g):
-    return NormalClosureSpec(
-        g.n,
-        fiber_generators(fib, g),
-        strategy=fib.membership_strategy,
-        bfs_depth=fib.bfs_depth,
-        bfs_max_len=fib.bfs_max_len,
-        coset_cap=fib.coset_cap,
-    )
+    return NormalClosureSpec(g.n, fiber_generators(fib, g), fib.policy)
 
 
 def fiber_member(fib, g, word):
@@ -317,26 +286,10 @@ def fibration_from_group(g, closure, easy=False, max_vertices=5):
     if closure.alphabet_size != g.n:
         raise ValueError("closure alphabet must match the vertex count")
     if easy:
-        for phi in enumerate_homomorphisms(g, g):
-            for w in closure.generators:
-                got = member(apply_letter_map(phi, w), closure)
-                if got is Membership.NO:
-                    raise ValueError(
-                        f"closure is not endomorphism-invariant: image of {w} under {phi} escapes"
-                    )
-                if got is Membership.UNKNOWN:
-                    raise IndeterminateError(
-                        f"cannot certify endomorphism-invariance for {w} under {phi}"
-                    )
+        check_invariance(enumerate_homomorphisms(g, g), closure)
     gens = tuple(BilabelledGraph(g, (), w) for w in closure.generators)
     fib = GraphFibration(
-        gens,
-        easy=easy,
-        max_vertices=max(max_vertices, g.n),
-        membership_strategy=closure.strategy,
-        bfs_depth=closure.bfs_depth,
-        bfs_max_len=closure.bfs_max_len,
-        coset_cap=closure.coset_cap,
+        gens, easy=easy, max_vertices=max(max_vertices, g.n), policy=closure.policy
     )
     for w in closure.generators:
         if fiber_member(fib, g, w) is not Membership.YES:
@@ -349,14 +302,11 @@ def fibration_from_group(g, closure, easy=False, max_vertices=5):
 
 
 def fibration_to_json(fib):
-    strategy = fib.membership_strategy
-    if strategy == "bounded-bfs":
-        strategy = {"bounded-bfs": {"depth": fib.bfs_depth, "max_len": fib.bfs_max_len}}
     return {
         "generators": [diagram_to_json(d) for d in fib.generators],
         "easy": fib.easy,
         "max_vertices": fib.max_vertices,
-        "strategy": strategy,
+        "strategy": policy_to_json(fib.policy),
     }
 
 
@@ -367,13 +317,11 @@ def fibration_from_json(obj, default_max_vertices=5):
         gens = [diagram_from_json(d) for d in obj["generators"]]
     except KeyError as exc:
         raise ValueError(f"fibration JSON missing key {exc}")
-    strategy, kwargs = strategy_from_json(obj.get("strategy", "auto"))
     return GraphFibration(
         gens,
         easy=obj.get("easy", False),
         max_vertices=obj.get("max_vertices", default_max_vertices),
-        membership_strategy=strategy,
-        **kwargs,
+        policy=policy_from_json(obj.get("strategy", "auto")),
     )
 
 

@@ -13,7 +13,7 @@ import json
 
 from .diagrams import BilabelledGraph
 from .errors import CapacityError
-from .graphs import edgeless
+from .graphs import edgeless, generated_partition
 
 PARTITION_POINT_BOUND = 10
 
@@ -166,25 +166,19 @@ def partition_compose(p, q):
     """
     if q.l != p.k:
         raise ValueError(f"arity mismatch: {q.l} lower points glued to {p.k} upper points")
-    total = q.num_blocks + p.num_blocks
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(p.k):
-        a = find(q.block_of[q.k + i])
-        b = find(q.num_blocks + p.block_of[i])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    classes = sorted({find(x) for x in range(total)})
-    index = {c: i for i, c in enumerate(classes)}
-    upper = tuple(index[find(b)] for b in q.block_of[: q.k])
-    lower = tuple(index[find(q.num_blocks + b)] for b in p.block_of[p.k :])
-    return SetPartition(q.k, p.l, upper + lower, len(classes))
+    # blocks of q are 0..q.num_blocks-1, blocks of p follow
+    shift = q.num_blocks
+    merged = generated_partition(
+        shift + p.num_blocks,
+        [(q.block_of[q.k + i], shift + p.block_of[i]) for i in range(p.k)],
+    )
+    index = {}
+    for i, group in enumerate(merged):
+        for b in group:
+            index[b] = i
+    upper = tuple(index[b] for b in q.block_of[: q.k])
+    lower = tuple(index[shift + b] for b in p.block_of[p.k :])
+    return SetPartition(q.k, p.l, upper + lower, len(merged))
 
 
 def partition_involution(p):

@@ -14,7 +14,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from .errors import CapacityError, IndeterminateError, InvariantError
-from .freeprod import Membership, apply_letter_map, member, reduce_word
+from .freeprod import Membership, check_invariance, member, reduce_word
 from .graphs import automorphisms
 from .partitions import ker
 from .tensors import (
@@ -174,19 +174,6 @@ def basis_full(g, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     return list(zip(orbs, tensors))
 
 
-def check_invariance(group, closure):
-    """Require the closure to be preserved by every group element."""
-    for s in group.elements:
-        for w in closure.generators:
-            got = member(apply_letter_map(s, w), closure)
-            if got is Membership.NO:
-                raise ValueError(f"closure is not invariant: image of {w} under {s} escapes")
-            if got is Membership.UNKNOWN:
-                raise IndeterminateError(
-                    f"cannot certify invariance of the closure for {w} under {s}"
-                )
-
-
 def pair_word(a, b):
     """The word ``a + reverse(b)`` tested for membership, reduced."""
     return reduce_word(tuple(a) + tuple(reversed(b)))
@@ -196,7 +183,7 @@ def semidirect_orbit_table(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND
     """Each orbit with the membership verdict of its pair word."""
     if closure.alphabet_size != group.degree:
         raise ValueError("closure alphabet must match the group degree")
-    check_invariance(group, closure)
+    check_invariance(group.elements, closure)
     return [
         (o, member(pair_word(o.a, o.b), closure))
         for o in orbits(group, k, l, tuple_bound)

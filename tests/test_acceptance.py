@@ -20,7 +20,7 @@ from graphfib.fibrations import (
     greatest_subgraph,
     is_fiber,
 )
-from graphfib.freeprod import Membership, NormalClosureSpec, apply_letter_map
+from graphfib.freeprod import Membership, MembershipPolicy, NormalClosureSpec, apply_letter_map
 from graphfib.graphs import (
     Graph,
     add_loops_everywhere,
@@ -201,7 +201,7 @@ def test_criterion_05_partition_average_identity():
 def test_criterion_06_edge_commutator_dimension_table():
     with _criterion(6, "semidirect dimension table, no unknowns"):
         group = graph_automorphism_group(disjoint_union(complete(2), edgeless(1)))
-        closure = NormalClosureSpec(3, [(0, 1, 0, 1)], strategy="racg")
+        closure = NormalClosureSpec(3, [(0, 1, 0, 1)], MembershipPolicy("racg"))
         assert dim_report(group, closure, 0, 2)["dim"] == 2
         by_m = {0: 1, 1: 0, 2: 2, 3: 0, 4: 9}
         for k in range(5):
@@ -228,7 +228,7 @@ def test_criterion_07_hyperoctahedral_character_sums():
         for n in (2, 3):
             group = symmetric_group(n)
             gens = [(i, j, i, j) for i, j in combinations(range(n), 2)]
-            closure = NormalClosureSpec(n, gens, strategy="racg")
+            closure = NormalClosureSpec(n, gens, MembershipPolicy("racg"))
             traces = signed_permutation_traces(n)
             assert len(traces) == 2**n * len(group)
             for k in range(5):
@@ -262,13 +262,13 @@ def every_edge_in_a_triangle(g):
 def test_criterion_08_closure_contents():
     with _criterion(8, "edge and triangle closures") as c:
         edge_fib = GraphFibration(
-            [commutator_diagram(complete(2))], max_vertices=5, membership_strategy="racg"
+            [commutator_diagram(complete(2))], max_vertices=5, policy=MembershipPolicy("racg")
         )
         got = {canonical_key(g) for g in closure_graphs(edge_fib)}
         assert got == all_loopless_keys(5)
 
         triangle_fib = GraphFibration(
-            [commutator_diagram(complete(3))], max_vertices=5, membership_strategy="racg"
+            [commutator_diagram(complete(3))], max_vertices=5, policy=MembershipPolicy("racg")
         )
         got = {canonical_key(g) for g in closure_graphs(triangle_fib)}
         want = set()
@@ -283,16 +283,16 @@ def test_criterion_08_closure_contents():
 def fixture_fibrations():
     return [
         GraphFibration(
-            [commutator_diagram(complete(2))], max_vertices=3, membership_strategy="racg"
+            [commutator_diagram(complete(2))], max_vertices=3, policy=MembershipPolicy("racg")
         ),
         GraphFibration(
-            [commutator_diagram(complete(3))], max_vertices=4, membership_strategy="racg"
+            [commutator_diagram(complete(3))], max_vertices=4, policy=MembershipPolicy("racg")
         ),
         GraphFibration(
             [commutator_diagram(complete(2))],
             easy=True,
             max_vertices=3,
-            membership_strategy="racg",
+            policy=MembershipPolicy("racg"),
         ),
         GraphFibration([], easy=True, max_vertices=3),
     ]

@@ -189,6 +189,16 @@ def test_closure_rejects_a_malformed_bfs_strategy(capsys, tmp_path, params):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_closure_rejects_an_unknown_strategy_name(capsys, tmp_path):
+    with open(fx("edge_fibration.json"), encoding="utf-8") as fh:
+        fibration = json.load(fh)
+    fibration["strategy"] = "shuffle"
+    path = write_json(tmp_path, "fibration.json", fibration)
+    code, out, err = run(capsys, "closure", path)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "Traceback" not in err and "shuffle" in err
+
+
 # ---------------------------------------------------------------------------
 # orbits
 
@@ -238,6 +248,25 @@ def test_bad_input_exit_codes(capsys):
     )
     assert code == 2 and "unknown config keys" in err
     assert run(capsys, "--threads", "0", "orbits", fx("group_s3.json"), "1", "1")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("strategy", "shuffle"),
+        ("bfs_depth", 6),
+        ("bfs_max_len", 24),
+        ("coset_cap", 1),
+        ("bigint", False),
+        ("partition_bound", 1),
+    ],
+)
+def test_config_rejects_keys_no_subcommand_reads(capsys, tmp_path, key, value):
+    config = write_json(tmp_path, "config.json", {key: value})
+    code, out, err = run(
+        capsys, "--config", config, "dim", fx("group_swap3.json"), fx("abab3_closure.json"), "1", "1"
+    )
+    assert code == 2 and out == "" and "unknown config keys" in err
 
 
 def test_tensor_rejects_a_bool_vertex_count(capsys, tmp_path):

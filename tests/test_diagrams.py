@@ -1,6 +1,10 @@
 """Bilabelled graph calculus: tensor, compose, involution, rotations, gluing."""
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfib.diagrams import (
     BilabelledGraph,
@@ -27,6 +31,7 @@ from graphfib.graphs import (
     enumerate_overlaps,
     f_union,
     generated_partition,
+    mask_of,
     path,
     quotient,
 )
@@ -343,6 +348,38 @@ def test_diagram_key_is_label_sensitive_and_relabel_invariant():
     assert diagram_key(d) != diagram_key(flipped)
     unlabeled = BilabelledGraph(path(3), (0,), ())
     assert diagram_key(d) != diagram_key(unlabeled)
+
+
+def brute_force_diagram_key(d):
+    """The least (adjacency mask, relabeled inputs, relabeled outputs) over
+    every vertex permutation, tried one by one."""
+    n = d.graph.n
+    best = None
+    for sigma in permutations(range(n)):
+        relabeled = Graph(n, [(sigma[u], sigma[v]) for u, v in d.graph.edges])
+        cand = (
+            mask_of(relabeled),
+            tuple(sigma[v] for v in d.inputs),
+            tuple(sigma[v] for v in d.outputs),
+        )
+        if best is None or cand < best:
+            best = cand
+    return (n,) + best
+
+
+@st.composite
+def small_diagrams(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    labels = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3) if n else st.just([])
+    return BilabelledGraph(Graph(n, edges), draw(labels), draw(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_diagrams())
+def test_diagram_key_matches_the_brute_force_minimum(d):
+    assert diagram_key(d) == brute_force_diagram_key(d)
 
 
 def test_diagram_json_round_trip():

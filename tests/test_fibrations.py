@@ -21,7 +21,7 @@ from graphfib.fibrations import (
     greatest_subgraph,
     is_fiber,
 )
-from graphfib.freeprod import Membership, NormalClosureSpec
+from graphfib.freeprod import Membership, MembershipPolicy, NormalClosureSpec
 from graphfib.graphs import (
     Graph,
     add_loops_everywhere,
@@ -46,7 +46,7 @@ def commutator_generator(g):
 
 
 def edge_fibration(bound=4, easy=False, **kwargs):
-    kwargs.setdefault("membership_strategy", "racg")
+    kwargs.setdefault("policy", MembershipPolicy("racg"))
     return GraphFibration(
         [commutator_generator(complete(2))], easy=easy, max_vertices=bound, **kwargs
     )
@@ -56,7 +56,7 @@ def triangle_fibration(bound=4):
     return GraphFibration(
         [BilabelledGraph(complete(3), (), (0, 1, 0, 1))],
         max_vertices=bound,
-        membership_strategy="racg",
+        policy=MembershipPolicy("racg"),
     )
 
 
@@ -202,7 +202,7 @@ def test_triangle_fibre_generators_deduplicate():
     fib = triangle_fibration(bound=4)
     gens = fiber_generators(fib, complete(3))
     assert len(gens) == 3
-    spec = NormalClosureSpec(3, list(gens), strategy="racg")
+    spec = NormalClosureSpec(3, list(gens), MembershipPolicy("racg"))
     from graphfib.freeprod import member
 
     for w in ((1, 0, 1, 0), (2, 0, 2, 0), (2, 1, 2, 1)):
@@ -221,7 +221,7 @@ def test_fiber_member_tristate():
     assert fiber_member(fib, path(3), (2, 1, 0, 1, 0, 1, 2, 1)) is Membership.YES
     assert fiber_member(fib, path(3), (0, 1)) is Membership.NO
     assert fiber_member(fib, path(3), (0, 2, 0, 2)) is Membership.NO
-    shallow = edge_fibration(bound=4, membership_strategy="bounded-bfs", bfs_depth=0)
+    shallow = edge_fibration(bound=4, policy=MembershipPolicy("bounded-bfs", bfs_depth=0))
     assert fiber_member(shallow, path(3), (2, 1, 0, 1, 0, 1, 2, 1)) is Membership.UNKNOWN
 
 
@@ -288,7 +288,7 @@ def test_from_group_trivial_closure_gives_trivial_fibre_groups():
 
 def test_from_group_commutator_closure():
     g = disjoint_union(complete(2), edgeless(1))
-    spec = NormalClosureSpec(3, [(0, 1, 0, 1)], strategy="racg")
+    spec = NormalClosureSpec(3, [(0, 1, 0, 1)], MembershipPolicy("racg"))
     fib = fibration_from_group(g, spec, max_vertices=4)
     assert fib.generators == (BilabelledGraph(g, (), (0, 1, 0, 1)),)
     assert fiber_member(fib, g, (0, 1, 0, 1)) is Membership.YES
@@ -302,20 +302,20 @@ def test_from_group_alphabet_mismatch():
 
 
 def test_from_group_easy_rejects_non_invariant_closure():
-    spec = NormalClosureSpec(3, [(0, 1)], strategy="bounded-bfs")
+    spec = NormalClosureSpec(3, [(0, 1)], MembershipPolicy("bounded-bfs"))
     with pytest.raises(ValueError):
         fibration_from_group(path(3), spec, easy=True)
 
 
 def test_from_group_easy_unknown_invariance_is_indeterminate():
-    spec = NormalClosureSpec(3, [(0, 1, 0, 1)], strategy="bounded-bfs", bfs_depth=0)
+    spec = NormalClosureSpec(3, [(0, 1, 0, 1)], MembershipPolicy("bounded-bfs", bfs_depth=0))
     with pytest.raises(IndeterminateError):
         fibration_from_group(path(3), spec, easy=True)
 
 
 def test_from_group_easy_accepts_invariant_closure():
     g = disjoint_union(complete(2), edgeless(1))
-    spec = NormalClosureSpec(3, [(0, 1, 0, 1)], strategy="racg")
+    spec = NormalClosureSpec(3, [(0, 1, 0, 1)], MembershipPolicy("racg"))
     fib = fibration_from_group(g, spec, easy=True, max_vertices=3)
     assert is_fiber(fib, add_loops_everywhere(complete(2)))
 
@@ -340,14 +340,14 @@ def test_looped_graphs_in_easy_closures():
 
 
 def test_fibration_json_round_trip():
-    fib = edge_fibration(bound=4, membership_strategy="bounded-bfs", bfs_depth=3)
+    fib = edge_fibration(bound=4, policy=MembershipPolicy("bounded-bfs", bfs_depth=3))
     obj = fibration_to_json(fib)
     back = fibration_from_json(obj)
     assert back.generators == fib.generators
     assert back.easy == fib.easy
     assert back.max_vertices == 4
-    assert back.membership_strategy == "bounded-bfs"
-    assert back.bfs_depth == 3
+    assert back.policy.strategy == "bounded-bfs"
+    assert back.policy.bfs_depth == 3
 
 
 def test_fibration_json_rejects_garbage():

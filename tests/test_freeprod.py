@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfib.freeprod import (
+    STRATEGIES,
     Membership,
+    MembershipPolicy,
     NormalClosureSpec,
     apply_letter_map,
     closure_from_json,
@@ -13,6 +15,8 @@ from graphfib.freeprod import (
     inverse,
     member,
     multiply,
+    policy_from_json,
+    policy_to_json,
     quotient_order_if_finite,
     racg_eligible,
     reduce_word,
@@ -22,9 +26,9 @@ from graphfib.freeprod import (
 words = st.lists(st.integers(min_value=0, max_value=3), max_size=12).map(tuple)
 
 
-def commutator_spec(alphabet, pairs, **kwargs):
+def commutator_spec(alphabet, pairs, strategy="auto"):
     gens = [(x, y, x, y) for x, y in pairs]
-    return NormalClosureSpec(alphabet, gens, **kwargs)
+    return NormalClosureSpec(alphabet, gens, MembershipPolicy(strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +174,16 @@ def test_bounded_bfs_is_sound_and_admits_unknown():
     assert member((2, 0, 1, 0, 1, 2), spec) is Membership.YES
     assert member((0, 1), spec) is Membership.NO
     assert member((0, 2), spec) is Membership.NO
-    shallow = spec.replace(bfs_depth=0)
+    shallow = NormalClosureSpec(3, spec.generators, spec.policy.replace(bfs_depth=0))
     assert member((2, 0, 1, 0, 1, 2), shallow) is Membership.UNKNOWN
 
 
 def test_bounded_bfs_never_contradicts_racg():
     spec = commutator_spec(3, [(0, 1), (1, 2)])
-    bfs = spec.replace(strategy="bounded-bfs", bfs_depth=3, bfs_max_len=12)
-    racg = spec.replace(strategy="racg")
+    bfs = NormalClosureSpec(
+        3, spec.generators, MembershipPolicy("bounded-bfs", bfs_depth=3, bfs_max_len=12)
+    )
+    racg = NormalClosureSpec(3, spec.generators, MembershipPolicy("racg"))
     stack = [()]
     for w in stack:
         if len(w) < 5:
@@ -197,7 +203,7 @@ def test_closure_json_letter_strings():
     )
     assert spec.alphabet_size == 3
     assert spec.generators == ((0, 1, 0, 1),)
-    assert spec.strategy == "racg"
+    assert spec.policy.strategy == "racg"
 
 
 def test_closure_json_integer_letters_and_bfs_object():
@@ -208,8 +214,8 @@ def test_closure_json_integer_letters_and_bfs_object():
             "strategy": {"bounded-bfs": {"depth": 3, "max_len": 10}},
         }
     )
-    assert spec.strategy == "bounded-bfs"
-    assert spec.bfs_depth == 3 and spec.bfs_max_len == 10
+    assert spec.policy.strategy == "bounded-bfs"
+    assert spec.policy.bfs_depth == 3 and spec.policy.bfs_max_len == 10
 
 
 def test_closure_json_rejects_bad_input():
@@ -222,3 +228,56 @@ def test_closure_json_rejects_bad_input():
             closure_from_json(
                 {"alphabet": 2, "generators": [], "strategy": {"bounded-bfs": params}}
             )
+
+
+# ---------------------------------------------------------------------------
+# membership policy
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"strategy": "shuffle"},
+        {"strategy": None},
+        {"bfs_depth": -1},
+        {"bfs_max_len": -1},
+        {"coset_cap": 0},
+        {"bfs_depth": True},
+        {"coset_cap": True},
+        {"bfs_max_len": 2.0},
+    ],
+)
+def test_membership_policy_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        MembershipPolicy(**fields)
+
+
+def test_membership_policy_accepts_the_least_bounds():
+    policy = MembershipPolicy("bounded-bfs", bfs_depth=0, bfs_max_len=0, coset_cap=1)
+    assert (policy.bfs_depth, policy.bfs_max_len, policy.coset_cap) == (0, 0, 1)
+
+
+def test_membership_policy_is_immutable_and_replace_checks():
+    policy = MembershipPolicy()
+    with pytest.raises(AttributeError):
+        policy.strategy = "racg"
+    assert policy.strategy == "auto"
+    assert policy.replace(bfs_depth=2) == MembershipPolicy(bfs_depth=2)
+    assert hash(policy.replace()) == hash(policy)
+    with pytest.raises(ValueError):
+        policy.replace(coset_cap=0)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [MembershipPolicy(s) for s in STRATEGIES]
+    + [MembershipPolicy("bounded-bfs", bfs_depth=0, bfs_max_len=9)],
+)
+def test_policy_json_round_trip(policy):
+    assert policy_from_json(policy_to_json(policy)) == policy
+
+
+def test_policy_without_a_json_form_is_refused():
+    for policy in (MembershipPolicy(coset_cap=5), MembershipPolicy("racg", bfs_depth=2)):
+        with pytest.raises(ValueError):
+            policy_to_json(policy)

@@ -1,0 +1,39 @@
+"""No graphfib module imports another module's private (underscore) names."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "graphfib")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+def private_imports(source):
+    """``(module, name)`` for each underscore name imported from graphfib."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "graphfib":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append((module, alias.name))
+    return found
+
+
+def test_the_scan_sees_relative_and_absolute_imports():
+    source = (
+        "from .graphs import _cell_index, edgeless\n"
+        "from graphfib.graphs import _cells\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(source) == [("graphs", "_cell_index"), ("graphfib.graphs", "_cells")]
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_no_private_cross_module_imports(filename):
+    with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        assert private_imports(fh.read()) == []

@@ -5,7 +5,7 @@ from itertools import permutations, product
 import pytest
 
 from graphfib.errors import CapacityError, IndeterminateError
-from graphfib.freeprod import Membership, NormalClosureSpec
+from graphfib.freeprod import Membership, MembershipPolicy, NormalClosureSpec, check_invariance
 from graphfib.graphs import complete, disjoint_union, edgeless, path
 from graphfib.partitions import enumerate_set_partitions, from_blocks
 from graphfib.repspaces import (
@@ -16,7 +16,6 @@ from graphfib.repspaces import (
     basis_semidirect,
     build_That_H,
     burnside_dim,
-    check_invariance,
     dim_report,
     from_generators,
     graph_automorphism_group,
@@ -32,10 +31,9 @@ from graphfib.repspaces import (
 EDGE_PLUS_POINT = disjoint_union(complete(2), edgeless(1))
 
 
-def abab3_closure(**kwargs):
+def abab3_closure(strategy="racg", **bounds):
     """The edge-commutator closure of the 3-vertex edge-plus-point host."""
-    kwargs.setdefault("strategy", "racg")
-    return NormalClosureSpec(3, [(0, 1, 0, 1)], **kwargs)
+    return NormalClosureSpec(3, [(0, 1, 0, 1)], MembershipPolicy(strategy, **bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +156,8 @@ def test_pair_word_reduces_the_glued_boundary():
 def test_invariance_guard_rejects_asymmetric_closures():
     bad = NormalClosureSpec(2, [(0,)])
     with pytest.raises(ValueError):
-        check_invariance(symmetric_group(2), bad)
-    check_invariance(symmetric_group(2), NormalClosureSpec(2, [(0, 1, 0, 1)]))
+        check_invariance(symmetric_group(2).elements, bad)
+    check_invariance(symmetric_group(2).elements, NormalClosureSpec(2, [(0, 1, 0, 1)]))
 
 
 def test_orbit_table_verdicts_for_the_edge_commutator():
@@ -268,7 +266,7 @@ def signed_permutation_traces(n):
 
 def test_hyperoctahedral_two_matches_the_character_sum():
     group = symmetric_group(2)
-    closure = NormalClosureSpec(2, [(0, 1, 0, 1)], strategy="racg")
+    closure = NormalClosureSpec(2, [(0, 1, 0, 1)], MembershipPolicy("racg"))
     traces = signed_permutation_traces(2)
     assert len(traces) == 8
     for k in range(5):
