@@ -31,10 +31,10 @@ from .graphs import graph_from_json, graph_to_json
 from .diagrams import diagram_from_json
 from .partitions import partition_from_json
 from .repspaces import (
-    PermutationGroup,
     burnside_dim,
     dim_report,
     graph_automorphism_group,
+    group_from_elements,
     orbits,
     symmetric_group,
     verify_THpart,
@@ -54,7 +54,7 @@ from .tensors import (
 
 class Config:
     """Bounds read by the subcommands: ``closure`` defaults a fibration's
-    ``max_vertices``; ``dim`` and ``orbits`` cap label tuples at
+    ``max_vertices``; ``tensor``, ``dim`` and ``orbits`` cap label tuples at
     ``tuple_bound``.  Membership strategies and their bounds belong to the
     word-closure and fibration JSON, not to the config."""
 
@@ -86,7 +86,7 @@ def _group_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("group JSON must be an object")
     if "elements" in obj:
-        return PermutationGroup(obj["degree"], [tuple(e) for e in obj["elements"]])
+        return group_from_elements(obj["degree"], obj["elements"])
     if "automorphisms_of" in obj:
         return graph_automorphism_group(graph_from_json(obj["automorphisms_of"]))
     if "symmetric" in obj:
@@ -101,6 +101,8 @@ def _group_from_json(obj):
 def cmd_tensor(args, config):
     g = graph_from_json(_load_json(args.graph))
     d = diagram_from_json(_load_json(args.diagram))
+    if g.n ** (d.k + d.l) > config.tuple_bound:
+        raise CapacityError(f"{g.n}^{d.k + d.l} tensor entries exceed the bound {config.tuple_bound}")
     t = build_That(g, d) if args.mode == "inj" else build_T(g, d)
     if args.format == "csv":
         sys.stdout.write(tensor_to_csv(t))

@@ -6,11 +6,16 @@ supported on the orbit of the pair ``(a, b)``; distinct orbits have disjoint
 supports, so picking one tensor per orbit yields a basis.  Restricting to a
 normal closure ``A`` of words keeps exactly the orbits whose word
 ``a + reverse(b)`` lies in ``A``.
+
+A group is given by generators and closed once, when it is built.  The
+closure's invariance is checked on the generators only: a letter map is an
+automorphism of the free product, so if each generator maps ``A`` into
+itself, so does every product of generators.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 from typing import NamedTuple
 
 from .errors import CapacityError, IndeterminateError, InvariantError
@@ -30,36 +35,43 @@ from .tensors import (
 )
 
 DEFAULT_TUPLE_BOUND = 10**6
+GROUP_ORDER_BOUND = 10**5
 
 
 class PermutationGroup:
-    """A permutation group given by its full element list.
+    """The group of permutations of ``0..degree-1`` generated by ``generators``.
 
-    Group axioms (identity, closure, inverses) are verified at construction;
-    elements are stored sorted, acting on ``0..degree-1``.
+    A generator is kept only if it lies outside the group generated by those
+    kept before it, so at most log2 of the order are kept.  Elements are sorted.
     """
 
-    __slots__ = ("degree", "elements")
+    __slots__ = ("degree", "generators", "elements")
 
-    def __init__(self, degree, elements):
-        elems = {tuple(e) for e in elements}
+    def __init__(self, degree, generators):
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"group degree must be a non-negative integer, got {degree!r}")
         ident = tuple(range(degree))
-        for e in elems:
-            if len(e) != degree or sorted(e) != list(ident):
-                raise ValueError(f"{e!r} is not a permutation of {degree} points")
-        if ident not in elems:
-            raise ValueError("identity permutation missing")
-        for s in elems:
-            inv = [0] * degree
-            for i, si in enumerate(s):
-                inv[si] = i
-            if tuple(inv) not in elems:
-                raise ValueError(f"inverse of {s!r} missing")
-            for t in elems:
-                if tuple(s[t[i]] for i in range(degree)) not in elems:
-                    raise ValueError("element set is not closed under composition")
+        seen = {ident}
+        kept = []
+        for g in generators:
+            g = tuple(g)
+            if sorted(g) != list(ident) or not all(type(x) is int for x in g):
+                raise ValueError(f"{g!r} is not a permutation of {degree} points")
+            if g in seen:
+                continue
+            kept.append(g)
+            queue = list(seen)
+            for s in queue:  # breadth first: the queue grows while it is read
+                for h in kept:
+                    t = tuple(map(h.__getitem__, s))
+                    if t not in seen:
+                        if len(seen) == GROUP_ORDER_BOUND:
+                            raise CapacityError(f"group order exceeds the bound {GROUP_ORDER_BOUND}")
+                        seen.add(t)
+                        queue.append(t)
         self.degree = degree
-        self.elements = tuple(sorted(elems))
+        self.generators = tuple(kept)
+        self.elements = tuple(sorted(seen))
 
     def __len__(self):
         return len(self.elements)
@@ -68,26 +80,18 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, order={len(self.elements)})"
 
 
-def from_generators(degree, generators):
-    """Close a generator list under composition."""
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                t = tuple(g[s[i]] for i in range(degree))
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return PermutationGroup(degree, seen)
+def group_from_elements(degree, elements):
+    """The group whose elements are exactly ``elements``, else ``ValueError``."""
+    elems = sorted({tuple(e) for e in elements})
+    group = PermutationGroup(degree, elems)
+    if list(group.elements) != elems:
+        raise ValueError("element list is not a permutation group")
+    return group
 
 
 def symmetric_group(n):
-    return PermutationGroup(n, permutations(range(n)))
+    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n >= 2 else []
+    return PermutationGroup(n, gens)
 
 
 def graph_automorphism_group(g):
@@ -183,7 +187,7 @@ def semidirect_orbit_table(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND
     """Each orbit with the membership verdict of its pair word."""
     if closure.alphabet_size != group.degree:
         raise ValueError("closure alphabet must match the group degree")
-    check_invariance(group.elements, closure)
+    check_invariance(group.generators, closure)
     return [
         (o, member(pair_word(o.a, o.b), closure))
         for o in orbits(group, k, l, tuple_bound)

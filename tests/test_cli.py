@@ -1,9 +1,13 @@
 """End-to-end command line checks driven through the in-process entry point."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfib.cli import main
 
@@ -61,6 +65,18 @@ def test_tensor_csv_output(capsys):
 def test_tensor_accepts_graph6_input(capsys):
     payload = run_json(capsys, "tensor", fx("k3_graph6.json"), fx("identity_diagram.json"))
     assert payload["entries"] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+def test_tensor_refuses_a_tensor_above_the_tuple_bound(capsys, tmp_path):
+    graph = write_json(tmp_path, "graph.json", {"n": 60, "edges": []})
+    diagram = write_json(
+        tmp_path,
+        "diagram.json",
+        {"graph": {"n": 1, "edges": []}, "inputs": [0] * 4, "outputs": [0] * 4},
+    )
+    code, out, err = run(capsys, "tensor", graph, diagram)
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +237,69 @@ def test_orbits_respects_the_configured_tuple_bound(capsys):
         "1",
     )
     assert code == 3 and err.startswith("capacity:")
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"symmetric": True}, "non-negative integer"),
+        ({"degree": True, "elements": [[0]]}, "non-negative integer"),
+        ({"degree": 3, "elements": [[0, 1, 2], [1, 2, 0]]}, "not a permutation group"),
+    ],
+)
+def test_orbits_rejects_a_malformed_group(capsys, tmp_path, group, message):
+    path = write_json(tmp_path, "group.json", group)
+    code, out, err = run(capsys, "orbits", path, "1", "1")
+    assert code == 2 and out == "" and message in err
+
+
+def test_orbits_refuses_a_group_above_the_order_bound(capsys, tmp_path):
+    path = write_json(tmp_path, "group.json", {"symmetric": 9})
+    code, out, err = run(capsys, "orbits", path, "0", "1")
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+small_graphs = st.integers(0, 5).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {"n": st.just(n), "edges": st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=6)}
+    )
+)
+group_objects = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"symmetric": st.integers(-2, 8) | json_values}),
+    st.integers(0, 8).flatmap(
+        lambda d: st.fixed_dictionaries(
+            {
+                "degree": st.just(d) | json_values,
+                "elements": st.just([list(range(d))])
+                | st.lists(
+                    st.permutations(range(d)) | st.lists(st.integers(-1, 8), max_size=8) | json_values,
+                    max_size=4,
+                )
+                | json_values,
+            }
+        )
+    ),
+    st.fixed_dictionaries({"automorphisms_of": small_graphs | json_values}),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group=group_objects)
+def test_orbits_survives_arbitrary_group_json(tmp_path_factory, group):
+    path = tmp_path_factory.mktemp("group") / "group.json"
+    path.write_text(json.dumps(group))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["orbits", str(path), "1", "1"])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_orbits_rejects_negative_label_counts(capsys):

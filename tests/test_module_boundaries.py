@@ -1,4 +1,5 @@
-"""No graphfib module imports another module's private (underscore) names."""
+"""No graphfib module imports another module's private (underscore) names,
+and no module relies on ``assert``, which ``python -O`` strips."""
 
 import ast
 import os
@@ -37,3 +38,19 @@ def test_the_scan_sees_relative_and_absolute_imports():
 def test_no_private_cross_module_imports(filename):
     with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
         assert private_imports(fh.read()) == []
+
+
+def assert_lines(source):
+    """Line numbers of the ``assert`` statements in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_the_scan_finds_assert_statements():
+    source = "def f(x):\n    assert x > 0, 'positive'\n    return x\nassert f(1)\n"
+    assert assert_lines(source) == [2, 4]
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_no_assert_statements(filename):
+    with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        assert assert_lines(fh.read()) == []

@@ -3,12 +3,21 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphfib.errors import CapacityError, IndeterminateError
-from graphfib.freeprod import Membership, MembershipPolicy, NormalClosureSpec, check_invariance
+from graphfib.freeprod import (
+    Membership,
+    MembershipPolicy,
+    NormalClosureSpec,
+    check_invariance,
+    member,
+)
 from graphfib.graphs import complete, disjoint_union, edgeless, path
 from graphfib.partitions import enumerate_set_partitions, from_blocks
 from graphfib.repspaces import (
+    GROUP_ORDER_BOUND,
     OrbitClass,
     PermutationGroup,
     act,
@@ -17,8 +26,8 @@ from graphfib.repspaces import (
     build_That_H,
     burnside_dim,
     dim_report,
-    from_generators,
     graph_automorphism_group,
+    group_from_elements,
     orbits,
     pair_word,
     semidirect_orbit_table,
@@ -41,20 +50,20 @@ def abab3_closure(strategy="racg", **bounds):
 
 
 def test_permutation_group_validates_axioms():
-    g = PermutationGroup(2, [(0, 1), (1, 0)])
+    g = group_from_elements(2, [(0, 1), (1, 0)])
     assert len(g) == 2 and g.degree == 2
     with pytest.raises(ValueError):
-        PermutationGroup(2, [(1, 0)])
+        group_from_elements(2, [(1, 0)])
     with pytest.raises(ValueError):
-        PermutationGroup(2, [(0, 1), (0, 0)])
+        group_from_elements(2, [(0, 1), (0, 0)])
     with pytest.raises(ValueError):
-        PermutationGroup(3, [(0, 1, 2), (1, 0, 2), (0, 2, 1)])
+        group_from_elements(3, [(0, 1, 2), (1, 0, 2), (0, 2, 1)])
 
 
 def test_from_generators_closes():
-    assert len(from_generators(3, [(1, 0, 2), (1, 2, 0)])) == 6
-    assert len(from_generators(3, [(1, 2, 0)])) == 3
-    assert len(from_generators(4, [])) == 1
+    assert len(PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])) == 6
+    assert len(PermutationGroup(3, [(1, 2, 0)])) == 3
+    assert len(PermutationGroup(4, [])) == 1
 
 
 def test_symmetric_and_automorphism_groups():
@@ -64,9 +73,152 @@ def test_symmetric_and_automorphism_groups():
     assert aut.elements == ((0, 1, 2), (1, 0, 2))
 
 
+def test_generators_are_kept_only_when_they_enlarge_the_group():
+    group = PermutationGroup(3, [(0, 1, 2), (1, 0, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0)])
+    assert group.generators == ((1, 0, 2), (0, 2, 1))
+    assert len(group) == 6
+    assert symmetric_group(1).generators == symmetric_group(0).generators == ()
+
+
+@pytest.mark.parametrize("degree", [-1, True, 2.0, "2", None])
+def test_constructor_rejects_a_degree_that_is_not_a_non_negative_int(degree):
+    with pytest.raises(ValueError):
+        PermutationGroup(degree, [])
+
+
+@pytest.mark.parametrize("generator", [(0, 0), (0,), (1.0, 0.0), (True, False), "10"])
+def test_constructor_rejects_a_generator_that_is_not_a_permutation(generator):
+    with pytest.raises(ValueError):
+        PermutationGroup(2, [generator])
+
+
+def test_the_order_bound_admits_s8():
+    assert len(symmetric_group(8)) == 40320 <= GROUP_ORDER_BOUND
+
+
 def test_act():
     assert act((1, 0, 2), (0, 1, 2, 0)) == (1, 0, 2, 1)
     assert act((1, 0), ()) == ()
+
+
+# ---------------------------------------------------------------------------
+# the group layer against the element-list code it replaced
+
+
+def reference_closure(degree, generators):
+    """Breadth-first closure of the identity under composition with ``generators``."""
+    ident = tuple(range(degree))
+    seen = {ident}
+    frontier = [ident]
+    gens = [tuple(g) for g in generators]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in gens:
+                t = tuple(g[s[i]] for i in range(degree))
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
+def reference_is_group(degree, elements):
+    """Identity, inverses and closure under composition, checked over all pairs."""
+    elems = {tuple(e) for e in elements}
+    if tuple(range(degree)) not in elems:
+        return False
+    for s in elems:
+        inv = [0] * degree
+        for i, si in enumerate(s):
+            inv[si] = i
+        if tuple(inv) not in elems:
+            return False
+        for t in elems:
+            if tuple(s[t[i]] for i in range(degree)) not in elems:
+                return False
+    return True
+
+
+def permutations_of(degree):
+    return st.permutations(range(degree)).map(tuple)
+
+
+@st.composite
+def generator_lists(draw, min_degree=0, max_degree=5):
+    degree = draw(st.integers(min_degree, max_degree))
+    return degree, draw(st.lists(permutations_of(degree), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_lists())
+def test_constructor_matches_the_reference_closure(case):
+    degree, gens = case
+    group = PermutationGroup(degree, gens)
+    assert group.elements == tuple(sorted(reference_closure(degree, gens)))
+    assert 2 ** len(group.generators) <= len(group)
+    assert reference_closure(degree, group.generators) == set(group.elements)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_lists(max_degree=4), st.data())
+def test_group_from_elements_accepts_exactly_the_groups(case, data):
+    degree, gens = case
+    whole = sorted(reference_closure(degree, gens))
+    if data.draw(st.booleans()):
+        elements = whole
+    else:
+        elements = data.draw(st.lists(st.sampled_from(whole), max_size=len(whole)))
+        elements += data.draw(st.lists(permutations_of(degree), max_size=2))
+    if reference_is_group(degree, elements):
+        assert set(group_from_elements(degree, elements).elements) == set(elements)
+    else:
+        with pytest.raises(ValueError):
+            group_from_elements(degree, elements)
+
+
+def invariance_outcome(maps, closure):
+    try:
+        check_invariance(maps, closure)
+    except ValueError:
+        return "escapes"
+    return "invariant"
+
+
+@st.composite
+def closures_with_groups(draw):
+    degree, gens = draw(generator_lists(min_degree=2))
+    letters = st.integers(0, degree - 1)
+    if draw(st.booleans()):
+        pairs = st.lists(letters, min_size=2, max_size=2, unique=True)
+        words = [(x, y, x, y) for x, y in draw(st.lists(pairs, min_size=1, max_size=3))]
+        policy = MembershipPolicy("racg")
+    else:
+        words = draw(st.lists(st.lists(letters, min_size=1, max_size=6), min_size=1, max_size=3))
+        policy = MembershipPolicy("finite-model", coset_cap=500)
+    return PermutationGroup(degree, gens), NormalClosureSpec(degree, words, policy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closures_with_groups())
+def test_invariance_under_generators_decides_invariance_under_the_group(case):
+    group, closure = case
+    assume(all(member(w, closure) is not Membership.UNKNOWN for w in closure.generators))
+    by_generators = invariance_outcome(group.generators, closure)
+    assert by_generators == invariance_outcome(group.elements, closure)
+
+
+@pytest.fixture(scope="module")
+def combinatorics():
+    return pytest.importorskip("sympy.combinatorics")
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=generator_lists(min_degree=1))
+def test_group_order_matches_sympy(combinatorics, case):
+    degree, gens = case
+    perms = [combinatorics.Permutation(list(g)) for g in [tuple(range(degree))] + gens]
+    assert len(PermutationGroup(degree, gens)) == combinatorics.PermutationGroup(perms).order()
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +310,13 @@ def test_invariance_guard_rejects_asymmetric_closures():
     with pytest.raises(ValueError):
         check_invariance(symmetric_group(2).elements, bad)
     check_invariance(symmetric_group(2).elements, NormalClosureSpec(2, [(0, 1, 0, 1)]))
+
+
+def test_invariance_is_checked_on_generators_only():
+    trivial = PermutationGroup(3, [])
+    shallow = abab3_closure(strategy="bounded-bfs", bfs_depth=0, bfs_max_len=0)
+    assert member((0, 1, 0, 1), shallow) is Membership.UNKNOWN
+    assert dim_report(trivial, shallow, 0, 0)["dim"] == 1
 
 
 def test_orbit_table_verdicts_for_the_edge_commutator():
