@@ -42,7 +42,7 @@ from .repspaces import (
 from .tensors import (
     build_T,
     build_That,
-    compare_tensors,
+    law_report,
     moebius_expand,
     tensor_from_json,
     tensor_to_csv,
@@ -54,9 +54,9 @@ from .tensors import (
 
 class Config:
     """Bounds read by the subcommands: ``closure`` defaults a fibration's
-    ``max_vertices``; ``tensor``, ``dim`` and ``orbits`` cap label tuples at
-    ``tuple_bound``.  Membership strategies and their bounds belong to the
-    word-closure and fibration JSON, not to the config."""
+    ``max_vertices``; ``tensor``, ``verify``, ``dim`` and ``orbits`` cap label
+    tuples at ``tuple_bound``.  Membership strategies and their bounds belong
+    to the word-closure and fibration JSON, not to the config."""
 
     __slots__ = ("max_vertices", "tuple_bound")
 
@@ -98,11 +98,16 @@ def _group_from_json(obj):
 # subcommands
 
 
+def _check_tensor_size(n, legs, config):
+    """Refuse a tensor of ``n^legs`` entries above the configured bound."""
+    if n ** legs > config.tuple_bound:
+        raise CapacityError(f"{n}^{legs} tensor entries exceed the bound {config.tuple_bound}")
+
+
 def cmd_tensor(args, config):
     g = graph_from_json(_load_json(args.graph))
     d = diagram_from_json(_load_json(args.diagram))
-    if g.n ** (d.k + d.l) > config.tuple_bound:
-        raise CapacityError(f"{g.n}^{d.k + d.l} tensor entries exceed the bound {config.tuple_bound}")
+    _check_tensor_size(g.n, d.k + d.l, config)
     t = build_That(g, d) if args.mode == "inj" else build_T(g, d)
     if args.format == "csv":
         sys.stdout.write(tensor_to_csv(t))
@@ -118,36 +123,41 @@ def _frozen_reports(g, check, builder):
     for side in sorted(expect):
         want = tensor_from_json(expect[side])
         have = builder(g, diagram_from_json(check[side]))
-        diff = compare_tensors(have, want)
-        reports.append({"law": f"frozen-{side}", "ok": diff is None, "first_diff": diff})
+        reports.append(law_report(f"frozen-{side}", have, want))
     return reports
+
+
+def _parse_check(law, check):
+    """One fixture check's parsed inputs, with the leg size and leg count of its largest tensor."""
+    if law == "thpart":
+        group, p = _group_from_json(check["group"]), partition_from_json(check["partition"])
+        return (group, p), group.degree, p.k + p.l
+    g = graph_from_json(check["graph"])
+    if law == "moebius":
+        d = diagram_from_json(check["diagram"])
+        return (g, d), g.n, d.k + d.l
+    d1, d2 = diagram_from_json(check["left"]), diagram_from_json(check["right"])
+    return (g, d1, d2), g.n, d1.k + d1.l + d2.k + d2.l
 
 
 def cmd_verify(args, config):
     fixtures = _load_json(args.fixtures)
     if not isinstance(fixtures, dict) or "checks" not in fixtures:
         raise ValueError("fixtures JSON must be an object with a 'checks' list")
+    parsed = [(check, *_parse_check(args.law, check)) for check in fixtures["checks"]]
+    for _, _, n, legs in parsed:
+        _check_tensor_size(n, legs, config)
     failures = []
     count = 0
-    for idx, check in enumerate(fixtures["checks"]):
+    for idx, (check, inputs, _, _) in enumerate(parsed):
         if args.law == "functor":
-            g = graph_from_json(check["graph"])
-            reports = _frozen_reports(g, check, build_T)
-            reports += verify_functor(
-                g, diagram_from_json(check["left"]), diagram_from_json(check["right"])
-            )
+            reports = _frozen_reports(inputs[0], check, build_T) + verify_functor(*inputs)
         elif args.law == "that":
-            g = graph_from_json(check["graph"])
-            reports = _frozen_reports(g, check, build_That)
-            reports += verify_that_sums(
-                g, diagram_from_json(check["left"]), diagram_from_json(check["right"])
-            )
+            reports = _frozen_reports(inputs[0], check, build_That) + verify_that_sums(*inputs)
         elif args.law == "moebius":
-            g = graph_from_json(check["graph"])
-            reports = [moebius_expand(g, diagram_from_json(check["diagram"]))]
+            reports = [moebius_expand(*inputs)]
         else:  # thpart
-            group = _group_from_json(check["group"])
-            reports = [verify_THpart(group, partition_from_json(check["partition"]))]
+            reports = [verify_THpart(*inputs)]
         count += len(reports)
         for rep in reports:
             if not rep["ok"]:

@@ -223,6 +223,9 @@ def diagram_from_json(obj):
         outputs = obj["outputs"]
     except KeyError as exc:
         raise ValueError(f"diagram JSON missing key {exc}")
+    for labels in (inputs, outputs):
+        if not isinstance(labels, list) or not all(type(v) is int for v in labels):
+            raise ValueError("diagram JSON labels must be lists of integers")
     return BilabelledGraph(graph, tuple(inputs), tuple(outputs))
 
 

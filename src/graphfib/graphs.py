@@ -440,7 +440,7 @@ def graph_from_json(obj):
         loops = obj.get("loops", [])
         edges = set(base.edges)
         for v in loops:
-            if not (0 <= v < base.n):
+            if type(v) is not int or not (0 <= v < base.n):
                 raise ValueError(f"loop vertex {v} out of range")
             edges.add((v, v))
         return Graph(base.n, edges)
@@ -451,6 +451,10 @@ def graph_from_json(obj):
         raise ValueError(f"graph JSON missing key {exc}")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("graph JSON field 'n' must be an integer")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+    ):
+        raise ValueError("graph JSON edges must be pairs of integers")
     return Graph(n, [tuple(e) for e in edges])
 
 

@@ -207,9 +207,16 @@ def partition_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("partition JSON must be an object")
     try:
-        return from_blocks(obj["k"], obj["l"], obj["blocks"])
+        k, l, blocks = obj["k"], obj["l"], obj["blocks"]
     except KeyError as exc:
         raise ValueError(f"partition JSON missing key {exc}")
+    if not all(type(x) is int and x >= 0 for x in (k, l)):
+        raise ValueError("partition JSON fields 'k' and 'l' must be non-negative integers")
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(type(p) is int for p in b) for b in blocks
+    ):
+        raise ValueError("partition JSON blocks must be lists of integers")
+    return from_blocks(k, l, blocks)
 
 
 def load_partition(path):

@@ -23,19 +23,18 @@ from .freeprod import Membership, check_invariance, member, reduce_word
 from .graphs import automorphisms
 from .partitions import ker
 from .tensors import (
-    IntTensor,
     build_partition_That,
-    compare_tensors,
     compose,
     exact_rank,
-    tensor_add,
+    law_report,
+    tally,
     tensor_product,
     tensor_scale,
     zero_tensor,
 )
 
 DEFAULT_TUPLE_BOUND = 10**6
-GROUP_ORDER_BOUND = 10**5
+GROUP_POINT_BOUND = 10**6
 
 
 class PermutationGroup:
@@ -43,6 +42,8 @@ class PermutationGroup:
 
     A generator is kept only if it lies outside the group generated by those
     kept before it, so at most log2 of the order are kept.  Elements are sorted.
+    The order times the degree, the points stored, is capped at
+    ``GROUP_POINT_BOUND``.
     """
 
     __slots__ = ("degree", "generators", "elements")
@@ -50,8 +51,18 @@ class PermutationGroup:
     def __init__(self, degree, generators):
         if type(degree) is not int or degree < 0:
             raise ValueError(f"group degree must be a non-negative integer, got {degree!r}")
+        seen = set()
+
+        def check_room():
+            if (len(seen) + 1) * degree > GROUP_POINT_BOUND:
+                raise CapacityError(
+                    f"group of degree {degree}: order times degree exceeds the bound {GROUP_POINT_BOUND}"
+                )
+
+        check_room()
         ident = tuple(range(degree))
-        seen = {ident}
+        seen.add(ident)
+        queue = [ident]
         kept = []
         for g in generators:
             g = tuple(g)
@@ -60,13 +71,14 @@ class PermutationGroup:
             if g in seen:
                 continue
             kept.append(g)
-            queue = list(seen)
-            for s in queue:  # breadth first: the queue grows while it is read
-                for h in kept:
+            # The elements found so far are closed under the earlier
+            # generators, so only the new one is applied to them.
+            closed = len(queue)
+            for i, s in enumerate(queue):  # breadth first: the queue grows while it is read
+                for h in kept if i >= closed else (g,):
                     t = tuple(map(h.__getitem__, s))
                     if t not in seen:
-                        if len(seen) == GROUP_ORDER_BOUND:
-                            raise CapacityError(f"group order exceeds the bound {GROUP_ORDER_BOUND}")
+                        check_room()
                         seen.add(t)
                         queue.append(t)
         self.degree = degree
@@ -90,8 +102,16 @@ def group_from_elements(degree, elements):
 
 
 def symmetric_group(n):
-    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n >= 2 else []
-    return PermutationGroup(n, gens)
+    """S_n, closed from the swap (0 1) and the n-cycle.
+
+    The generators are made lazily, after the constructor has checked ``n``.
+    """
+    def swap_and_cycle():
+        if n >= 2:
+            yield (1, 0) + tuple(range(2, n))
+            yield tuple(range(1, n)) + (0,)
+
+    return PermutationGroup(n, swap_and_cycle())
 
 
 def graph_automorphism_group(g):
@@ -134,19 +154,7 @@ def orbits(group, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
 
 def build_That_H(group, a, b):
     """Counts of group elements sending ``a`` to the column and ``b`` to the row index."""
-    n = group.degree
-    k, l = len(a), len(b)
-    entries = [0] * (n ** (k + l))
-    ncols = n**k
-    for s in group.elements:
-        col = 0
-        for x in a:
-            col = col * n + s[x]
-        row = 0
-        for x in b:
-            row = row * n + s[x]
-        entries[row * ncols + col] += 1
-    return IntTensor(n, k, l, entries)
+    return tally(zero_tensor(group.degree, len(a), len(b)), group.elements, a, b)
 
 
 def burnside_dim(group, k, l):
@@ -264,12 +272,10 @@ def verify_THpart(group, p):
     k, l = p.k, p.l
     lhs = tensor_scale(build_partition_That(n, p), len(group.elements))
     rhs = zero_tensor(n, k, l)
-    for a in product(range(n), repeat=k):
-        for b in product(range(n), repeat=l):
-            if ker(a, b) == p:
-                rhs = tensor_add(rhs, build_That_H(group, a, b))
-    diff = compare_tensors(lhs, rhs)
-    return {"law": "thpart", "ok": diff is None, "first_diff": diff}
+    for vals in product(range(n), repeat=k + l):
+        if ker(vals[:k], vals[k:]) == p:
+            tally(rhs, group.elements, vals[:k], vals[k:])
+    return law_report("thpart", lhs, rhs)
 
 
 def verify_repcat_tensor(group, a, b, c, d):
@@ -277,9 +283,8 @@ def verify_repcat_tensor(group, a, b, c, d):
     lhs = tensor_product(build_That_H(group, a, b), build_That_H(group, c, d))
     rhs = zero_tensor(group.degree, len(a) + len(c), len(b) + len(d))
     for eta in group.elements:
-        rhs = tensor_add(rhs, build_That_H(group, tuple(a) + act(eta, c), tuple(b) + act(eta, d)))
-    diff = compare_tensors(lhs, rhs)
-    return {"law": "repcat-tensor", "ok": diff is None, "first_diff": diff}
+        tally(rhs, group.elements, tuple(a) + act(eta, c), tuple(b) + act(eta, d))
+    return law_report("repcat-tensor", lhs, rhs)
 
 
 def verify_repcat_compose(group, a, b, c, d):
@@ -290,6 +295,5 @@ def verify_repcat_compose(group, a, b, c, d):
     rhs = zero_tensor(group.degree, len(a), len(d))
     for eta in group.elements:
         if act(eta, c) == tuple(b):
-            rhs = tensor_add(rhs, build_That_H(group, a, act(eta, d)))
-    diff = compare_tensors(lhs, rhs)
-    return {"law": "repcat-compose", "ok": diff is None, "first_diff": diff}
+            tally(rhs, group.elements, a, act(eta, d))
+    return law_report("repcat-compose", lhs, rhs)

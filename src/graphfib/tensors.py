@@ -6,6 +6,10 @@ inputs to the multi-index ``i`` and the outputs to ``j``.  ``build_That``
 counts injective maps only.  Shapes are ``n^l`` rows by ``n^k`` columns in
 row-major order.
 
+Every tensor here is a tally of label images: ``tally`` is the one counting
+loop, and each builder only chooses the family of maps it counts
+(homomorphisms, injective homomorphisms, group elements, value tuples).
+
 The verifiers in this module recompute both sides of an identity from
 scratch and report the first differing entry, if any.
 """
@@ -13,7 +17,7 @@ scratch and report the first differing entry, if any.
 from __future__ import annotations
 
 import json
-from itertools import combinations, permutations, product
+from itertools import product
 
 from .diagrams import (
     BilabelledGraph,
@@ -212,64 +216,68 @@ def exact_rank(rows):
 # builders
 
 
+def tally(t, maps, inputs, outputs):
+    """Add one to ``t`` at ``(phi(outputs), phi(inputs))`` for each map ``phi``; return ``t``.
+
+    A map is any sequence indexed by the label points, such as a vertex
+    image tuple or a permutation.
+    """
+    n, ncols, entries = t.n, t.n**t.k, t.entries
+    for phi in maps:
+        col = 0
+        for v in inputs:
+            col = col * n + phi[v]
+        row = 0
+        for v in outputs:
+            row = row * n + phi[v]
+        entries[row * ncols + col] += 1
+    return t
+
+
 def build_T(g, d):
     """Homomorphism counts of a diagram into ``g``, bucketed by label images."""
-    n, k, l = g.n, d.k, d.l
-    entries = [0] * (n ** (k + l))
-    ncols = n**k
-    for phi in enumerate_homomorphisms(d.graph, g):
-        col = _tuple_index([phi[v] for v in d.inputs], n)
-        row = _tuple_index([phi[v] for v in d.outputs], n)
-        entries[row * ncols + col] += 1
-    return IntTensor(n, k, l, entries)
+    return tally(zero_tensor(g.n, d.k, d.l), enumerate_homomorphisms(d.graph, g), d.inputs, d.outputs)
+
+
+def _that_sum(g, k, l, diagrams):
+    """Sum of the injective-count tensors of ``diagrams``; one with more vertices than ``g`` adds zero."""
+    t = zero_tensor(g.n, k, l)
+    for d in diagrams:
+        if d.graph.n <= g.n:
+            tally(t, enumerate_homomorphisms(d.graph, g, injective=True), d.inputs, d.outputs)
+    return t
 
 
 def build_That(g, d):
     """Injective homomorphism counts; zero outright when ``d`` has too many vertices."""
-    n, k, l = g.n, d.k, d.l
-    if d.graph.n > g.n:
-        return zero_tensor(n, k, l)
-    entries = [0] * (n ** (k + l))
-    ncols = n**k
-    for phi in enumerate_homomorphisms(d.graph, g, injective=True):
-        col = _tuple_index([phi[v] for v in d.inputs], n)
-        row = _tuple_index([phi[v] for v in d.outputs], n)
-        entries[row * ncols + col] += 1
-    return IntTensor(n, k, l, entries)
+    return _that_sum(g, d.k, d.l, [d])
 
 
 def build_partition_T(n, p):
     """0/1 tensor of a two-row partition: 1 iff same-block points agree."""
     k, l = p.k, p.l
-    entries = [0] * (n ** (k + l))
     blocks = [b for b in p.blocks() if b]
-    ncols = n**k
-    for vals in product(range(n), repeat=k + l):
-        if all(all(vals[pt] == vals[b[0]] for pt in b) for b in blocks):
-            col = _tuple_index(vals[:k], n)
-            row = _tuple_index(vals[k:], n)
-            entries[row * ncols + col] = 1
-    return IntTensor(n, k, l, entries)
+    agreeing = (
+        vals
+        for vals in product(range(n), repeat=k + l)
+        if all(all(vals[pt] == vals[b[0]] for pt in b) for b in blocks)
+    )
+    return tally(zero_tensor(n, k, l), agreeing, range(k), range(k, k + l))
 
 
 def build_partition_That(n, p):
     """0/1 tensor that is 1 exactly when the value pattern *equals* the partition."""
     k, l = p.k, p.l
-    entries = [0] * (n ** (k + l))
-    ncols = n**k
-    for vals in product(range(n), repeat=k + l):
-        if ker(vals[:k], vals[k:]) == p:
-            col = _tuple_index(vals[:k], n)
-            row = _tuple_index(vals[k:], n)
-            entries[row * ncols + col] = 1
-    return IntTensor(n, k, l, entries)
+    matching = (vals for vals in product(range(n), repeat=k + l) if ker(vals[:k], vals[k:]) == p)
+    return tally(zero_tensor(n, k, l), matching, range(k), range(k, k + l))
 
 
 # ---------------------------------------------------------------------------
 # identity verifiers
 
 
-def _report(law, lhs, rhs):
+def law_report(law, lhs, rhs):
+    """The report of one identity: its name, whether both sides agree, and the first difference."""
     diff = compare_tensors(lhs, rhs)
     return {"law": law, "ok": diff is None, "first_diff": diff}
 
@@ -281,7 +289,7 @@ def verify_functor(g, d1, d2):
     adjoint law for both diagrams.
     """
     reports = [
-        _report(
+        law_report(
             "tensor",
             build_T(g, tensor_diagrams(d1, d2)),
             tensor_product(build_T(g, d1), build_T(g, d2)),
@@ -289,28 +297,15 @@ def verify_functor(g, d1, d2):
     ]
     if d2.l == d1.k:
         reports.append(
-            _report(
+            law_report(
                 "compose",
                 build_T(g, compose_diagrams(d1, d2)),
                 compose(build_T(g, d1), build_T(g, d2)),
             )
         )
     for name, d in (("adjoint-left", d1), ("adjoint-right", d2)):
-        reports.append(_report(name, build_T(g, involution(d)), adjoint(build_T(g, d))))
+        reports.append(law_report(name, build_T(g, involution(d)), adjoint(build_T(g, d))))
     return reports
-
-
-def _extended_overlaps(n2, n1, required):
-    used_left = {u for u, _ in required}
-    used_right = {v for _, v in required}
-    lefts = [u for u in range(n2) if u not in used_left]
-    rights = [v for v in range(n1) if v not in used_right]
-    out = []
-    for size in range(min(len(lefts), len(rights)) + 1):
-        for ls in combinations(lefts, size):
-            for rs in permutations(rights, size):
-                out.append(required + tuple(zip(ls, rs)))
-    return out
 
 
 def verify_that_sums(g, d1, d2):
@@ -322,40 +317,36 @@ def verify_that_sums(g, d1, d2):
     disagree.
     """
     lhs = tensor_product(build_That(g, d1), build_That(g, d2))
-    rhs = zero_tensor(g.n, d1.k + d2.k, d1.l + d2.l)
-    for f in enumerate_overlaps(d1.graph.n, d2.graph.n):
-        glued = bl_f_union(d1, d2, f)
-        if glued.graph.n <= g.n:
-            rhs = tensor_add(rhs, build_That(g, glued))
-    reports = [_report("union-sum", lhs, rhs)]
+    unions = (bl_f_union(d1, d2, f) for f in enumerate_overlaps(d1.graph.n, d2.graph.n))
+    reports = [law_report("union-sum", lhs, _that_sum(g, d1.k + d2.k, d1.l + d2.l, unions))]
 
     if d2.l == d1.k:
         lhs = compose(build_That(g, d1), build_That(g, d2))
         try:
-            required = required_composition_pairs(d1, d2)
+            forced = set(required_composition_pairs(d1, d2))
         except ValueError:
-            reports.append(_report("compose-zero", lhs, zero_tensor(g.n, d2.k, d1.l)))
+            reports.append(law_report("compose-zero", lhs, zero_tensor(g.n, d2.k, d1.l)))
         else:
-            rhs = zero_tensor(g.n, d2.k, d1.l)
-            for f in _extended_overlaps(d2.graph.n, d1.graph.n, required):
-                glued = bl_f_compose(d1, d2, f)
-                if glued.graph.n <= g.n:
-                    rhs = tensor_add(rhs, build_That(g, glued))
-            reports.append(_report("compose-sum", lhs, rhs))
+            composites = (
+                bl_f_compose(d1, d2, f)
+                for f in enumerate_overlaps(d2.graph.n, d1.graph.n)
+                if forced <= set(f)
+            )
+            reports.append(law_report("compose-sum", lhs, _that_sum(g, d2.k, d1.l, composites)))
 
     for name, d in (("adjoint-left", d1), ("adjoint-right", d2)):
-        reports.append(_report(name, build_That(g, involution(d)), adjoint(build_That(g, d))))
+        reports.append(law_report(name, build_That(g, involution(d)), adjoint(build_That(g, d))))
     return reports
 
 
 def moebius_expand(g, d):
     """All counts equal the sum of injective counts over vertex merges."""
-    total = zero_tensor(g.n, d.k, d.l)
-    for blocks in enumerate_partitions(d.graph.n):
-        qg, vmap = quotient(d.graph, blocks)
-        dq = BilabelledGraph(qg, [vmap[v] for v in d.inputs], [vmap[v] for v in d.outputs])
-        total = tensor_add(total, build_That(g, dq))
-    return _report("moebius", build_T(g, d), total)
+    merges = (quotient(d.graph, blocks) for blocks in enumerate_partitions(d.graph.n))
+    merged = (
+        BilabelledGraph(qg, [vmap[v] for v in d.inputs], [vmap[v] for v in d.outputs])
+        for qg, vmap in merges
+    )
+    return law_report("moebius", build_T(g, d), _that_sum(g, d.k, d.l, merged))
 
 
 # ---------------------------------------------------------------------------

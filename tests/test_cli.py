@@ -116,6 +116,16 @@ def test_verify_partition_average(capsys):
     assert payload["ok"] is True
 
 
+def test_verify_refuses_a_tensor_above_the_tuple_bound(capsys, tmp_path):
+    host = {"n": 60, "edges": [[i, (i + 1) % 60] for i in range(60)]}
+    point = {"graph": {"n": 1, "edges": []}, "inputs": [0, 0], "outputs": [0, 0]}
+    check = {"graph": host, "left": point, "right": point}
+    fixtures = write_json(tmp_path, "checks.json", {"checks": [check]})
+    code, out, err = run(capsys, "verify", "functor", fixtures)
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_malformed_fixtures(capsys):
     code, _, err = run(capsys, "verify", "functor", fx("k3.json"))
     assert code == 2 and "error" in err
@@ -253,6 +263,13 @@ def test_orbits_rejects_a_malformed_group(capsys, tmp_path, group, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("group", [{"degree": 30000000, "elements": []}, {"symmetric": 3000}])
+def test_orbits_refuses_a_group_that_stores_too_many_points(capsys, tmp_path, group):
+    path = write_json(tmp_path, "group.json", group)
+    code, out, err = run(capsys, "orbits", path, "0", "0")
+    assert code == 3 and out == "" and err.startswith("capacity:")
+
+
 def test_orbits_refuses_a_group_above_the_order_bound(capsys, tmp_path):
     path = write_json(tmp_path, "group.json", {"symmetric": 9})
     code, out, err = run(capsys, "orbits", path, "0", "1")
@@ -300,6 +317,128 @@ def test_orbits_survives_arbitrary_group_json(tmp_path_factory, group):
         code = main(["orbits", str(path), "1", "1"])
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def run_quietly(argv):
+    """Exit code and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+scalars = st.none() | st.booleans() | st.integers(-2, 6) | st.floats(allow_nan=False) | st.text(max_size=3)
+
+
+@st.composite
+def well_formed_graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    cells = [[u, v] for u in range(n) for v in range(u, n)]
+    return {"n": n, "edges": draw(st.lists(st.sampled_from(cells), max_size=8)) if cells else []}
+
+
+@st.composite
+def well_formed_diagrams(draw):
+    graph = draw(well_formed_graphs(3))
+    labels = st.lists(st.integers(0, graph["n"] - 1), max_size=3) if graph["n"] else st.just([])
+    return {"graph": graph, "inputs": draw(labels), "outputs": draw(labels)}
+
+
+def half_well_formed(well_formed, *junk):
+    """Well-formed values half of the time (``|`` would flatten them into one of many branches)."""
+    return st.booleans().flatmap(lambda ok: well_formed if ok else st.one_of(*junk))
+
+
+graph_objects = half_well_formed(
+    well_formed_graphs(6),
+    json_values,
+    st.fixed_dictionaries({"n": scalars, "edges": json_values}),
+    st.fixed_dictionaries({"n": st.just(2), "edges": st.lists(st.lists(scalars, max_size=3), max_size=2)}),
+    st.fixed_dictionaries(
+        {"graph6": st.sampled_from(["Bw", "A_", "@"]) | scalars, "loops": st.lists(scalars, max_size=2)}
+    ),
+)
+label_lists = st.lists(scalars, max_size=2) | json_values
+diagram_objects = half_well_formed(
+    well_formed_diagrams(),
+    json_values,
+    st.fixed_dictionaries({"graph": well_formed_graphs(3), "inputs": label_lists, "outputs": label_lists}),
+    st.fixed_dictionaries({"graph": json_values, "inputs": st.just([]), "outputs": st.just([])}),
+)
+
+
+@st.composite
+def well_formed_partitions(draw):
+    k, l = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    block_of = draw(st.lists(st.integers(0, 2), min_size=k + l, max_size=k + l))
+    return {"k": k, "l": l, "blocks": [[p for p, b in enumerate(block_of) if b == i] for i in range(3)]}
+
+
+partition_objects = half_well_formed(
+    well_formed_partitions(),
+    json_values,
+    st.fixed_dictionaries(
+        {"k": scalars, "l": scalars, "blocks": st.lists(st.lists(scalars, max_size=3), max_size=3)}
+    ),
+)
+# Groups of at most 5 points keep a partition sum over all group elements quick.
+small_groups = half_well_formed(
+    st.fixed_dictionaries({"symmetric": st.integers(0, 4)})
+    | st.fixed_dictionaries({"automorphisms_of": well_formed_graphs(5)}),
+    json_values,
+    st.fixed_dictionaries({"symmetric": st.integers(-1, 4) | st.booleans() | st.text(max_size=2)}),
+    st.integers(0, 4).flatmap(
+        lambda d: st.fixed_dictionaries(
+            {"degree": st.just(d), "elements": st.lists(st.permutations(range(d)), max_size=3) | json_values}
+        )
+    ),
+    st.fixed_dictionaries({"automorphisms_of": small_graphs}),
+)
+frozen = st.dictionaries(
+    st.sampled_from(["left", "right", "other"]),
+    st.just({"n": 2, "k": 1, "l": 1, "entries": [0, 1, 1, 0]}) | json_values,
+    max_size=2,
+)
+pair_checks = half_well_formed(
+    st.fixed_dictionaries(
+        {"graph": well_formed_graphs(6), "left": well_formed_diagrams(), "right": well_formed_diagrams()}
+    ),
+    st.fixed_dictionaries(
+        {"graph": graph_objects, "left": diagram_objects, "right": diagram_objects},
+        optional={"expect": frozen},
+    ),
+)
+CHECKS = {
+    "functor": pair_checks,
+    "that": pair_checks,
+    "moebius": st.fixed_dictionaries({"graph": graph_objects, "diagram": diagram_objects}),
+    "thpart": st.fixed_dictionaries({"group": small_groups, "partition": partition_objects}),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=graph_objects, diagram=diagram_objects, mode=st.sampled_from(["hom", "inj"]))
+def test_tensor_survives_arbitrary_json(tmp_path_factory, graph, diagram, mode):
+    path = tmp_path_factory.mktemp("tensor")
+    (path / "graph.json").write_text(json.dumps(graph))
+    (path / "diagram.json").write_text(json.dumps(diagram))
+    code, err = run_quietly(["tensor", str(path / "graph.json"), str(path / "diagram.json"), "--mode", mode])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("law", sorted(CHECKS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_survives_arbitrary_json(tmp_path_factory, law, data):
+    fixtures = data.draw(
+        half_well_formed(st.fixed_dictionaries({"checks": st.lists(CHECKS[law], max_size=2)}), json_values)
+    )
+    path = tmp_path_factory.mktemp("verify") / "checks.json"
+    path.write_text(json.dumps(fixtures))
+    code, err = run_quietly(["verify", law, str(path)])
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
 
 
 def test_orbits_rejects_negative_label_counts(capsys):
@@ -352,6 +491,28 @@ def test_tensor_rejects_a_bool_vertex_count(capsys, tmp_path):
     graph = write_json(tmp_path, "graph.json", {"n": True, "edges": []})
     code, out, err = run(capsys, "tensor", graph, fx("identity_diagram.json"))
     assert code == 2 and out == "" and "'n' must be an integer" in err
+
+
+def test_tensor_rejects_a_bool_label(capsys, tmp_path):
+    diagram = write_json(
+        tmp_path, "diagram.json", {"graph": {"n": 1, "edges": []}, "inputs": [True], "outputs": []}
+    )
+    code, out, err = run(capsys, "tensor", fx("k2.json"), diagram)
+    assert code == 2 and out == "" and "labels must be lists of integers" in err
+
+
+def test_tensor_rejects_a_bool_edge_endpoint(capsys, tmp_path):
+    graph = write_json(tmp_path, "graph.json", {"n": 2, "edges": [[0, True]]})
+    code, out, err = run(capsys, "tensor", graph, fx("identity_diagram.json"))
+    assert code == 2 and out == "" and "edges must be pairs of integers" in err
+
+
+@pytest.mark.parametrize("k", [True, -1, 1.0])
+def test_verify_thpart_rejects_a_partition_size_that_is_not_a_non_negative_int(capsys, tmp_path, k):
+    check = {"group": {"symmetric": 2}, "partition": {"k": k, "l": 0, "blocks": [[0]]}}
+    fixtures = write_json(tmp_path, "checks.json", {"checks": [check]})
+    code, out, err = run(capsys, "verify", "thpart", fixtures)
+    assert code == 2 and out == "" and "'k' and 'l' must be non-negative integers" in err
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

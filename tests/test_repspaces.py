@@ -17,7 +17,7 @@ from graphfib.freeprod import (
 from graphfib.graphs import complete, disjoint_union, edgeless, path
 from graphfib.partitions import enumerate_set_partitions, from_blocks
 from graphfib.repspaces import (
-    GROUP_ORDER_BOUND,
+    GROUP_POINT_BOUND,
     OrbitClass,
     PermutationGroup,
     act,
@@ -93,7 +93,18 @@ def test_constructor_rejects_a_generator_that_is_not_a_permutation(generator):
 
 
 def test_the_order_bound_admits_s8():
-    assert len(symmetric_group(8)) == 40320 <= GROUP_ORDER_BOUND
+    assert len(symmetric_group(8)) == 40320 <= GROUP_POINT_BOUND
+
+
+def test_the_point_bound_refuses_s9_and_wide_groups_before_storing_them():
+    for make in (
+        lambda: symmetric_group(9),
+        lambda: symmetric_group(3000),
+        lambda: symmetric_group(10**12),
+        lambda: PermutationGroup(GROUP_POINT_BOUND + 1, []),
+    ):
+        with pytest.raises(CapacityError):
+            make()
 
 
 def test_act():
@@ -270,6 +281,19 @@ def test_orbit_tensor_of_the_swap():
     t = build_That_H(symmetric_group(2), (0,), (1,))
     assert t.entries == [0, 1, 1, 0]
     assert build_That_H(symmetric_group(2), (), ()).entries == [2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_lists(min_degree=1, max_degree=4), st.data())
+def test_orbit_tensor_matches_a_direct_count_over_the_elements(case, data):
+    degree, gens = case
+    group = PermutationGroup(degree, gens)
+    points = st.lists(st.integers(0, degree - 1), max_size=2)
+    a, b = data.draw(points), data.draw(points)
+    t = build_That_H(group, a, b)
+    for i in product(range(degree), repeat=len(a)):
+        for j in product(range(degree), repeat=len(b)):
+            assert t.entry(j, i) == sum(1 for s in group.elements if act(s, a) == i and act(s, b) == j)
 
 
 def test_orbit_tensors_have_disjoint_supports_and_stabilizer_entries():

@@ -1,6 +1,11 @@
 """Exact integer tensors from homomorphism counts and their identities."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfib.diagrams import BilabelledGraph, m_diagram, rotate_left
 from graphfib.graphs import Graph, complete, disjoint_union, edgeless, path
@@ -232,6 +237,48 @@ def test_left_rotation_shuffles_indices():
         for j in all_tuples(3, d.l):
             for rest in all_tuples(3, d.k - 1):
                 assert rt.entry((x,) + j, rest) == t.entry(j, (x,) + rest)
+
+
+@st.composite
+def small_graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(cells), unique=True)) if cells else [])
+
+
+@st.composite
+def small_diagrams(draw, max_n=3, max_labels=2):
+    g = draw(small_graphs(max_n))
+    labels = st.lists(st.integers(0, g.n - 1), max_size=max_labels) if g.n else st.just([])
+    return BilabelledGraph(g, draw(labels), draw(labels))
+
+
+def brute_force_counts(g, d, injective):
+    """Edge-keeping vertex maps of ``d`` into ``g``, counted by (output images, input images)."""
+    counts = Counter()
+    for phi in product(range(g.n), repeat=d.graph.n):
+        if injective and len(set(phi)) < len(phi):
+            continue
+        if all(g.has_edge(phi[u], phi[v]) for u, v in d.graph.edges):
+            counts[tuple(phi[v] for v in d.outputs), tuple(phi[v] for v in d.inputs)] += 1
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(4), small_diagrams())
+def test_builders_match_a_brute_force_count_over_all_vertex_maps(g, d):
+    for t, injective in ((build_T(g, d), False), (build_That(g, d), True)):
+        counts = brute_force_counts(g, d, injective)
+        for j in all_tuples(g.n, d.l):
+            for i in all_tuples(g.n, d.k):
+                assert t.entry(j, i) == counts[j, i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(4), small_diagrams(), small_diagrams(), small_diagrams())
+def test_every_verifier_report_holds_on_random_diagrams(g, d1, d2, d):
+    reports = verify_functor(g, d1, d2) + verify_that_sums(g, d1, d2) + [moebius_expand(g, d)]
+    assert all(r["ok"] for r in reports), reports
 
 
 # ---------------------------------------------------------------------------
