@@ -44,6 +44,7 @@ from .tensors import (
     build_That,
     law_report,
     moebius_expand,
+    power_exceeds,
     tensor_from_json,
     tensor_to_csv,
     tensor_to_json,
@@ -100,7 +101,7 @@ def _group_from_json(obj):
 
 def _check_tensor_size(n, legs, config):
     """Refuse a tensor of ``n^legs`` entries above the configured bound."""
-    if n ** legs > config.tuple_bound:
+    if power_exceeds(n, legs, config.tuple_bound):
         raise CapacityError(f"{n}^{legs} tensor entries exceed the bound {config.tuple_bound}")
 
 

@@ -9,8 +9,6 @@ the inputs of ``d1``.
 
 from __future__ import annotations
 
-import json
-
 from .graphs import (
     Graph,
     automorphisms,
@@ -227,8 +225,3 @@ def diagram_from_json(obj):
         if not isinstance(labels, list) or not all(type(v) is int for v in labels):
             raise ValueError("diagram JSON labels must be lists of integers")
     return BilabelledGraph(graph, tuple(inputs), tuple(outputs))
-
-
-def load_diagram(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return diagram_from_json(json.load(fh))

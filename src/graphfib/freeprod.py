@@ -8,7 +8,9 @@ Membership in a normal closure is answered by one of three strategies:
 
 * ``finite-model``: run coset enumeration over the quotient presentation and
   trace the word; exact whenever the quotient is recognized finite within the
-  coset cap.
+  coset cap.  A quotient that splits as a free product of two nontrivial
+  factors is recognized infinite before enumeration starts, with the same
+  outcome as an enumeration that overflows the cap.
 * ``racg``: applicable when every closure generator is a commutator-shaped
   word ``xyxy`` with ``x != y``; the quotient is then a right-angled Coxeter
   group and repeated deletion of letter pairs with commuting interludes
@@ -20,7 +22,7 @@ Membership in a normal closure is answered by one of three strategies:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 from functools import lru_cache
 
@@ -163,6 +165,41 @@ class NormalClosureSpec:
 
 
 # ---------------------------------------------------------------------------
+# parity vectors over GF(2)
+
+
+def _parity(w):
+    m = 0
+    for x in w:
+        m ^= 1 << x
+    return m
+
+
+def _gf2_pivots(vectors):
+    """Echelon basis of the GF(2) span of bit-vectors, keyed by leading bit."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            h = v.bit_length() - 1
+            if h in pivots:
+                v ^= pivots[h]
+            else:
+                pivots[h] = v
+                break
+    return pivots
+
+
+def _gf2_in_span(target, vectors):
+    pivots = _gf2_pivots(vectors)
+    while target:
+        h = target.bit_length() - 1
+        if h not in pivots:
+            return False
+        target ^= pivots[h]
+    return True
+
+
+# ---------------------------------------------------------------------------
 # coset enumeration (all generators involutive, trivial subgroup)
 
 
@@ -171,11 +208,15 @@ def coset_table(alphabet_size, relators, max_cosets):
 
     Returns the table as a list of rows (one per group element, row ``c``
     maps letter ``x`` to ``table[c][x]``) with coset 0 the identity, or None
-    when enumeration exceeds ``max_cosets`` cosets.
+    when enumeration exceeds ``max_cosets`` cosets.  A quotient that splits
+    as a free product of two nontrivial factors is infinite, so it gets that
+    None at once, without enumerating.
     """
     n = alphabet_size
     relators = [reduce_word(r) for r in relators]
     relators = [r for r in relators if r]
+    if _splits_infinitely(n, relators):
+        return None
     table = [[None] * n]
     p = [0]
 
@@ -272,6 +313,36 @@ def coset_table(alphabet_size, relators, max_cosets):
     return [[index[rep(table[c][x])] for x in range(n)] for c in live]
 
 
+def _splits_infinitely(n, relators):
+    """True when the quotient splits as a free product of two nontrivial factors.
+
+    Letters that share a relator are joined; each class of letters, with the
+    relators over it, is a free factor of the quotient.  A factor is
+    nontrivial when its relators' parity vectors span less than its letters
+    over GF(2), since a nonzero functional vanishing on them maps it onto
+    Z/2.  A free product of two nontrivial groups is infinite, so coset
+    enumeration would overflow at any cap.  ``relators`` must be reduced
+    and nonempty, as :func:`coset_table` passes them.
+    """
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for r in relators:
+        a = find(r[0])
+        for x in r[1:]:
+            root[find(x)] = a
+    size = Counter(find(x) for x in range(n))
+    parities = {a: [] for a in size}
+    for r in relators:
+        parities[find(r[0])].append(_parity(r))
+    nontrivial = sum(len(_gf2_pivots(parities[a])) < size[a] for a in size)
+    return nontrivial >= 2
+
+
 @lru_cache(maxsize=256)
 def _cached_table(alphabet_size, generators, coset_cap):
     return coset_table(alphabet_size, generators, coset_cap)
@@ -329,31 +400,6 @@ def _racg_member(word, generators):
 
 # ---------------------------------------------------------------------------
 # strategy: bounded search
-
-
-def _parity(w):
-    m = 0
-    for x in w:
-        m ^= 1 << x
-    return m
-
-
-def _gf2_in_span(target, vectors):
-    pivots = {}
-    for v in vectors:
-        while v:
-            h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
-                break
-    while target:
-        h = target.bit_length() - 1
-        if h not in pivots:
-            return False
-        target ^= pivots[h]
-    return True
 
 
 def _bounded_bfs_member(word, generators, depth, max_len):

@@ -9,7 +9,6 @@ set representation.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -456,8 +455,3 @@ def graph_from_json(obj):
     ):
         raise ValueError("graph JSON edges must be pairs of integers")
     return Graph(n, [tuple(e) for e in edges])
-
-
-def load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))

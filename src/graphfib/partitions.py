@@ -9,8 +9,6 @@ with no boundary points left.
 
 from __future__ import annotations
 
-import json
-
 from .diagrams import BilabelledGraph
 from .errors import CapacityError
 from .graphs import edgeless, generated_partition
@@ -217,8 +215,3 @@ def partition_from_json(obj):
     ):
         raise ValueError("partition JSON blocks must be lists of integers")
     return from_blocks(k, l, blocks)
-
-
-def load_partition(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return partition_from_json(json.load(fh))

@@ -27,6 +27,7 @@ from .tensors import (
     compose,
     exact_rank,
     law_report,
+    power_exceeds,
     tally,
     tensor_product,
     tensor_scale,
@@ -139,7 +140,7 @@ def orbits(group, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     stored representative.
     """
     n = group.degree
-    if n ** (k + l) > tuple_bound:
+    if power_exceeds(n, k + l, tuple_bound):
         raise CapacityError(f"{n}^{k + l} label pairs exceed the bound {tuple_bound}")
     visited = set()
     out = []

@@ -16,7 +16,6 @@ scratch and report the first differing entry, if any.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 
 from .diagrams import (
@@ -43,8 +42,8 @@ class IntTensor:
 
     def __init__(self, n, k, l, entries):
         entries = list(entries)
-        if len(entries) != n ** (k + l):
-            raise ValueError(f"expected {n ** (k + l)} entries, got {len(entries)}")
+        if power_exceeds(n, k + l, len(entries)) or n ** (k + l) != len(entries):
+            raise ValueError(f"expected {n}^{k + l} entries, got {len(entries)}")
         self.n = n
         self.k = k
         self.l = l
@@ -73,6 +72,22 @@ class IntTensor:
 
     def __repr__(self):
         return f"IntTensor(n={self.n}, k={self.k}, l={self.l})"
+
+
+def power_exceeds(n, e, bound):
+    """Whether ``n ** e > bound``, for ``n, e >= 0``.
+
+    Multiplies one factor at a time and stops once the product passes
+    ``bound``, so an exponent read from JSON never builds a huge integer.
+    """
+    if n < 2:
+        return n**e > bound
+    value = 1
+    for _ in range(e):
+        value *= n
+        if value > bound:
+            return True
+    return False
 
 
 def _tuple_index(t, n):
@@ -361,9 +376,14 @@ def tensor_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("tensor JSON must be an object")
     try:
-        return IntTensor(obj["n"], obj["k"], obj["l"], obj["entries"])
+        n, k, l, entries = obj["n"], obj["k"], obj["l"], obj["entries"]
     except KeyError as exc:
         raise ValueError(f"tensor JSON missing key {exc}")
+    if not all(type(x) is int and x >= 0 for x in (n, k, l)):
+        raise ValueError("tensor JSON fields 'n', 'k' and 'l' must be non-negative integers")
+    if not isinstance(entries, list) or not all(type(e) is int for e in entries):
+        raise ValueError("tensor JSON entries must be a list of integers")
+    return IntTensor(n, k, l, entries)
 
 
 def tensor_to_csv(t):
@@ -373,8 +393,3 @@ def tensor_to_csv(t):
     for r in range(t.n**t.l):
         lines.append(",".join(str(x) for x in t.entries[r * cols : (r + 1) * cols]))
     return "\n".join(lines) + "\n"
-
-
-def load_tensor(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return tensor_from_json(json.load(fh))

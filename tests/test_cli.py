@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphfib
 from graphfib.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -22,6 +25,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_child(*argv):
+    """Run the CLI in a child process, so that a runaway computation fails
+    the test at the timeout instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(graphfib.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphfib.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def write_json(tmp_path, name, obj):
@@ -123,6 +140,26 @@ def test_verify_refuses_a_tensor_above_the_tuple_bound(capsys, tmp_path):
     fixtures = write_json(tmp_path, "checks.json", {"checks": [check]})
     code, out, err = run(capsys, "verify", "functor", fixtures)
     assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "frozen",
+    [
+        # 10^(10^8) entries would take minutes to compute; the shape check stops early
+        {"n": 10, "k": 100000000, "l": 0, "entries": []},
+        {"n": -3, "k": 1, "l": 1, "entries": [0] * 9},
+        {"n": 3, "k": True, "l": 1, "entries": [0] * 9},
+        {"n": 3, "k": 1, "l": 1, "entries": [False, True, True, True, False, True, True, True, False]},
+    ],
+)
+def test_verify_rejects_a_malformed_frozen_tensor_at_once(tmp_path, frozen):
+    with open(fx("functor_checks.json"), encoding="utf-8") as fh:
+        check = json.load(fh)["checks"][0]
+    check["expect"] = {"left": frozen}
+    fixtures = write_json(tmp_path, "checks.json", {"checks": [check]})
+    code, out, err = run_in_child("verify", "functor", fixtures)
+    assert code == 2 and out == "" and err.startswith("error:")
     assert "Traceback" not in err
 
 
@@ -247,6 +284,15 @@ def test_orbits_respects_the_configured_tuple_bound(capsys):
         "1",
     )
     assert code == 3 and err.startswith("capacity:")
+
+
+@pytest.mark.parametrize("command", ["orbits", "dim"])
+def test_a_huge_label_count_exits_3_at_once(command):
+    # 3^(3*10^8) label pairs would take minutes to compute; the bound check stops early
+    words = [fx("null.json")] if command == "dim" else []
+    code, out, err = run_in_child(command, fx("group_s3.json"), *words, "300000000", "0")
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

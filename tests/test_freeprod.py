@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphfib import freeprod
 from graphfib.freeprod import (
     STRATEGIES,
     Membership,
@@ -12,6 +13,7 @@ from graphfib.freeprod import (
     apply_letter_map,
     closure_from_json,
     conjugate,
+    coset_table,
     inverse,
     member,
     multiply,
@@ -117,6 +119,96 @@ def test_quotient_order_cap_returns_none():
     # the free product of three involutions modulo one commutator is infinite
     spec = commutator_spec(3, [(0, 1)])
     assert quotient_order_if_finite(spec, max_cosets=400) is None
+
+
+def splits(n, relators):
+    """The free-product certificate on relators as ``coset_table`` hands them over."""
+    return freeprod._splits_infinitely(n, [r for r in map(reduce_word, relators) if r])
+
+
+def enumerated_table(n, relators, cap):
+    """``coset_table`` by plain enumeration, with the certificate switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freeprod, "_splits_infinitely", lambda n, relators: False)
+        return coset_table(n, relators, cap)
+
+
+@pytest.mark.parametrize(
+    "n, relators, certified, order",
+    [
+        (3, [(0, 1)], True, None),
+        (4, [(0, 1, 2)], True, None),
+        (3, [(0, 1, 2)], False, 4),
+        (3, [(0, 1), (1, 2)], False, 2),
+        (2, [], True, None),
+        (1, [], False, 2),
+    ],
+)
+def test_free_product_certificate_examples(n, relators, certified, order):
+    assert splits(n, relators) is certified
+    table = coset_table(n, relators, 20000)
+    assert (None if table is None else len(table)) == order
+
+
+relator_sets = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=4).map(tuple),
+            max_size=4,
+        ),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relator_sets)
+def test_free_product_certificate_agrees_with_enumeration(case):
+    n, relators = case
+    certified = splits(n, relators)
+    table = enumerated_table(n, relators, 2000)
+    if certified:
+        # a free product of two nontrivial groups is infinite: no cap completes
+        # it, so a relator set that enumerates is never certified
+        assert table is None
+        assert enumerated_table(n, relators, 20000) is None
+    # the certificate only ever short-cuts an overflow
+    assert coset_table(n, relators, 2000) == table
+
+
+def sympy_order(n, relators):
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *letters = free_group(",".join(f"x{i}" for i in range(n)))
+    words = []
+    for r in relators:
+        w = free.identity
+        for x in r:
+            w *= letters[x]
+        words.append(w)
+    return FpGroup(free, [x**2 for x in letters] + words).order()
+
+
+@pytest.mark.parametrize(
+    "n, relators",
+    [
+        # finite quotients met by the closure benchmark workload
+        (4, [(0, 2, 1), (0, 3, 1), (2, 0, 3), (2, 1, 3)]),
+        (4, [(0, 1), (0, 3), (1, 2)]),
+        (4, [(0, 1, 2), (1, 0, 3), (2, 0, 3)]),
+        (4, [(0, 2, 1), (2, 0, 3)]),
+        (3, [(0, 1, 2)]),
+        # Coxeter groups: right-angled on three letters, dihedral, and S4
+        (3, [(0, 1, 0, 1), (0, 2, 0, 2), (1, 2, 1, 2)]),
+        (2, [(0, 1) * 5]),
+        (3, [(0, 1) * 3, (1, 2) * 3, (0, 2) * 2]),
+        (1, []),
+    ],
+)
+def test_coset_table_orders_match_sympy(n, relators):
+    pytest.importorskip("sympy")
+    assert len(coset_table(n, relators, 20000)) == sympy_order(n, relators)
 
 
 # ---------------------------------------------------------------------------
