@@ -215,12 +215,23 @@ def enumerate_overlaps(nk, nh):
 
 
 def enumerate_homomorphisms(k, g, pins=None, injective=False):
-    """All graph homomorphisms from ``k`` to ``g`` as image tuples.
+    """All graph homomorphisms from ``k`` to ``g`` as a list of image tuples.
+
+    The list of the maps :func:`iter_homomorphisms` hands over, sorted
+    lexicographically on the image tuple ``(phi(0), ..., phi(n-1))``.
+    """
+    return list(iter_homomorphisms(k, g, pins, injective))
+
+
+def iter_homomorphisms(k, g, pins=None, injective=False):
+    """The graph homomorphisms from ``k`` to ``g`` as image tuples, one at a time.
 
     A map takes edges to edges literally: a non-loop edge may land on a single
     vertex only if that vertex carries a loop.  ``pins`` is an optional dict
-    fixing the image of selected vertices.  Results are sorted
-    lexicographically on the image tuple ``(phi(0), ..., phi(n-1))``.
+    fixing the image of selected vertices.  Maps come in lexicographic order
+    of the image tuple ``(phi(0), ..., phi(n-1))``.  The backtracking search
+    keeps its untried images on an explicit stack and hands each map over
+    when it is found, so a consumer may stop before all of them are built.
     """
     if pins:
         for v, img in pins.items():
@@ -228,8 +239,12 @@ def enumerate_homomorphisms(k, g, pins=None, injective=False):
                 raise ValueError(f"pinned vertex {v} out of range")
             if not (0 <= img < g.n):
                 raise ValueError(f"pinned image {img} out of range")
-    loops = [False] * k.n
-    earlier = [[] for _ in range(k.n)]
+    n = k.n
+    if n == 0:
+        yield ()
+        return
+    loops = [False] * n
+    earlier = [[] for _ in range(n)]
     for u, v in k.edges:
         if u == v:
             loops[u] = True
@@ -237,37 +252,123 @@ def enumerate_homomorphisms(k, g, pins=None, injective=False):
             earlier[v].append(u)
     gedges = g.edges
     pins = pins or {}
-    out = []
-    image = [0] * k.n
+    candidates = [(pins[v],) if v in pins else range(g.n) for v in range(n)]
+    image = [0] * n
     used = [False] * g.n
-
-    def extend(v):
-        if v == k.n:
-            out.append(tuple(image))
-            return
-        candidates = (pins[v],) if v in pins else range(g.n)
-        for c in candidates:
-            if injective and used[c]:
+    stack = [iter(candidates[0])]  # the untried images of vertex len(stack) - 1
+    while stack:
+        v = len(stack) - 1
+        for c in stack[-1]:
+            if injective and used[c] or loops[v] and (c, c) not in gedges:
                 continue
-            if loops[v] and (c, c) not in gedges:
-                continue
-            ok = True
             for u in earlier[v]:
                 iu = image[u]
                 if ((iu, c) if iu <= c else (c, iu)) not in gedges:
-                    ok = False
                     break
-            if not ok:
-                continue
-            image[v] = c
-            if injective:
+            else:
+                image[v] = c
+                if v == n - 1:
+                    yield tuple(image)
+                    continue
                 used[c] = True
-            extend(v + 1)
-            if injective:
-                used[c] = False
+                stack.append(iter(candidates[v + 1]))
+                break
+        else:
+            stack.pop()
+            if v:
+                used[image[v - 1]] = False
 
-    extend(0)
-    return out
+
+def count_homomorphisms(k, g, keep):
+    """Homomorphisms from ``k`` to ``g`` counted by the images of the vertices in ``keep``.
+
+    Returns ``(images, weights)``.  For any choice of images for ``keep``,
+    the homomorphisms that make it number the sum of ``weights[i]`` over the
+    ``images[i]`` that agree with it on ``keep``.  The entries of an image at
+    vertices summed out mean nothing.
+
+    A vertex outside ``keep`` with at most two neighbours is summed out
+    instead of enumerated, one at a time, fewest neighbours first: an
+    isolated one becomes a factor of the count, a leaf a weight vector on
+    its neighbour and a vertex of degree two a
+    table of weights on its two neighbours, built by walking host adjacency
+    lists, with only the nonzero entries stored.  ``enumerate_homomorphisms``
+    then lists the maps of the vertices left, along the edges and loops left,
+    and each map is weighted by the vectors and tables.  The cost follows the
+    maps of the vertices left, not the maps of ``k``.
+    """
+    n = g.n
+    if n == 0 < k.n:  # nothing to map to, and no image to pin a summed vertex to
+        return [], []
+    free = set(range(k.n)) - keep
+    loops = {u for u, v in k.edges if u == v}
+    # One factor per pair of adjacent vertices: None for an edge of ``k``,
+    # else a table of weights keyed by the pair of images.
+    factors = {e: None for e in k.edges if e[0] != e[1]}
+    ones = [1] * n
+    vectors = {}
+    scalar = 1
+    pins = {}  # the vertices summed out, each pinned to an arbitrary image
+    while scalar and free:
+        ends = [v for e in factors for v in e]
+        degree, x = min((ends.count(v), v) for v in free)
+        if degree > 2:
+            break
+        if not pins:  # host adjacency lists with unit weights
+            adj = [[] for _ in range(n)]
+            for a, b in g.edges:
+                adj[a].append((b, 1))
+                if a != b:
+                    adj[b].append((a, 1))
+        free.remove(x)
+        pins[x] = 0
+        nbrs, rows = [], []  # per neighbour: its weighted images for each image of x
+        for e in sorted(e for e in factors if x in e):
+            t, i = factors.pop(e), e.index(x)
+            nbrs.append(e[1 - i])
+            if t is None:
+                rows.append(adj)
+            else:
+                rows.append([[] for _ in range(n)])
+                for pair, w in t.items():
+                    rows[-1][pair[i]].append((pair[1 - i], w))
+        vec = vectors.pop(x, ones)
+        weight = [w if x not in loops or g.has_loop(c) else 0 for c, w in enumerate(vec)]
+        if degree == 0:
+            scalar *= sum(weight)
+        elif degree == 1:
+            summed = [0] * n
+            for cx, w in enumerate(weight):
+                for cy, wy in rows[0][cx] if w else ():
+                    summed[cy] += w * wy
+            vectors[nbrs[0]] = [a * b for a, b in zip(vectors.get(nbrs[0], ones), summed)]
+        else:
+            summed = {}
+            for cx, w in enumerate(weight):
+                for cy, wy in rows[0][cx] if w else ():
+                    for cz, wz in rows[1][cx]:
+                        summed[cy, cz] = summed.get((cy, cz), 0) + w * wy * wz
+            yz = tuple(nbrs)
+            if yz in factors:  # at most one factor per pair: merge the new table into the old factor
+                old = factors[yz]
+                summed = {p: w * (g.has_edge(*p) if old is None else old.get(p, 0)) for p, w in summed.items()}
+            factors[yz] = {p: w for p, w in summed.items() if w}
+    if not scalar:
+        return [], []
+    rest = Graph(k.n, [(u, v) for u, v in k.edges if u not in pins and v not in pins]) if pins else k
+    images = enumerate_homomorphisms(rest, g, pins)
+    tables = [(e, t) for e, t in factors.items() if t is not None]
+    if not (vectors or tables):
+        return images, [scalar] * len(images)
+    weights = []
+    for phi in images:
+        w = scalar
+        for v, vec in vectors.items():
+            w *= vec[phi[v]]
+        for (u, v), t in tables:
+            w *= t.get((phi[u], phi[v]), 0)
+        weights.append(w)
+    return images, weights
 
 
 def automorphisms(g):

@@ -16,11 +16,12 @@ itself, so does every product of generators.
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CapacityError, IndeterminateError, InvariantError
 from .freeprod import Membership, check_invariance, member, reduce_word
-from .graphs import automorphisms
+from .graphs import iter_homomorphisms
 from .partitions import ker
 from .tensors import (
     build_partition_That,
@@ -44,7 +45,8 @@ class PermutationGroup:
     A generator is kept only if it lies outside the group generated by those
     kept before it, so at most log2 of the order are kept.  Elements are sorted.
     The order times the degree, the points stored, is capped at
-    ``GROUP_POINT_BOUND``.
+    ``GROUP_POINT_BOUND``.  ``generators`` is read one at a time, so a lazy
+    stream is not read past the cap.
     """
 
     __slots__ = ("degree", "generators", "elements")
@@ -61,23 +63,26 @@ class PermutationGroup:
                 )
 
         check_room()
-        ident = tuple(range(degree))
+        points = list(range(degree))
+        ident = tuple(points)
         seen.add(ident)
         queue = [ident]
         kept = []
+        moves = []  # right multiplication by each kept generator: s -> s o h
         for g in generators:
             g = tuple(g)
-            if sorted(g) != list(ident) or not all(type(x) is int for x in g):
+            if sorted(g) != points or not set(map(type, g)) <= {int}:
                 raise ValueError(f"{g!r} is not a permutation of {degree} points")
             if g in seen:
                 continue
             kept.append(g)
+            moves.append(itemgetter(*g))  # a kept generator moves two points or more, so this gives tuples
             # The elements found so far are closed under the earlier
             # generators, so only the new one is applied to them.
             closed = len(queue)
             for i, s in enumerate(queue):  # breadth first: the queue grows while it is read
-                for h in kept if i >= closed else (g,):
-                    t = tuple(map(h.__getitem__, s))
+                for move in moves if i >= closed else moves[-1:]:
+                    t = move(s)
                     if t not in seen:
                         check_room()
                         seen.add(t)
@@ -116,7 +121,10 @@ def symmetric_group(n):
 
 
 def graph_automorphism_group(g):
-    return PermutationGroup(g.n, automorphisms(g))
+    """Aut(g), closed from its automorphisms (its injective endomorphisms) as
+    the search finds them, so a group above the point bound stops before
+    they are all listed."""
+    return PermutationGroup(g.n, iter_homomorphisms(g, g, injective=True))
 
 
 def act(sigma, points):

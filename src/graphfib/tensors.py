@@ -6,9 +6,21 @@ inputs to the multi-index ``i`` and the outputs to ``j``.  ``build_That``
 counts injective maps only.  Shapes are ``n^l`` rows by ``n^k`` columns in
 row-major order.
 
+``build_T`` does not list the homomorphisms.  ``graphs.count_homomorphisms``
+first sums out each unlabelled vertex with at most two neighbours into a
+weight vector or a sparse table on its neighbours (the functor law
+``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram), then lists the
+maps of the vertices left and weights each one.  So its cost follows the
+maps of the labelled vertices and of unlabelled vertices of degree three or
+more, not the number of homomorphisms: a path labelled at both ends costs
+one table of at most ``n^2`` entries per inner vertex and the ``n^2`` pairs
+of end images, however many walks it counts.
+``build_That`` still lists every injective map.
+
 Every tensor here is a tally of label images: ``tally`` is the one counting
 loop, and each builder only chooses the family of maps it counts
-(homomorphisms, injective homomorphisms, group elements, value tuples).
+(homomorphisms, injective homomorphisms, group elements, value tuples) and,
+for ``build_T``, the weight each map carries.
 
 The verifiers in this module recompute both sides of an identity from
 scratch and report the first differing entry, if any.
@@ -16,7 +28,7 @@ scratch and report the first differing entry, if any.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 
 from .diagrams import (
     BilabelledGraph,
@@ -27,7 +39,7 @@ from .diagrams import (
     required_composition_pairs,
     tensor as tensor_diagrams,
 )
-from .graphs import enumerate_homomorphisms, enumerate_overlaps, quotient
+from .graphs import count_homomorphisms, enumerate_homomorphisms, enumerate_overlaps, quotient
 from .partitions import enumerate_partitions, ker
 
 
@@ -231,27 +243,29 @@ def exact_rank(rows):
 # builders
 
 
-def tally(t, maps, inputs, outputs):
+def tally(t, maps, inputs, outputs, weights=None):
     """Add one to ``t`` at ``(phi(outputs), phi(inputs))`` for each map ``phi``; return ``t``.
 
     A map is any sequence indexed by the label points, such as a vertex
-    image tuple or a permutation.
+    image tuple or a permutation.  With ``weights``, a sequence as long as
+    ``maps``, each map adds its weight instead of one.
     """
     n, ncols, entries = t.n, t.n**t.k, t.entries
-    for phi in maps:
+    for phi, w in zip(maps, repeat(1) if weights is None else weights):
         col = 0
         for v in inputs:
             col = col * n + phi[v]
         row = 0
         for v in outputs:
             row = row * n + phi[v]
-        entries[row * ncols + col] += 1
+        entries[row * ncols + col] += w
     return t
 
 
 def build_T(g, d):
     """Homomorphism counts of a diagram into ``g``, bucketed by label images."""
-    return tally(zero_tensor(g.n, d.k, d.l), enumerate_homomorphisms(d.graph, g), d.inputs, d.outputs)
+    images, weights = count_homomorphisms(d.graph, g, set(d.inputs + d.outputs))
+    return tally(zero_tensor(g.n, d.k, d.l), images, d.inputs, d.outputs, weights)
 
 
 def _that_sum(g, k, l, diagrams):
@@ -355,7 +369,12 @@ def verify_that_sums(g, d1, d2):
 
 
 def moebius_expand(g, d):
-    """All counts equal the sum of injective counts over vertex merges."""
+    """All counts equal the sum of injective counts over vertex merges.
+
+    The two sides come from independent algorithms: the left by summing out
+    vertices (``build_T``), the right by listing the injective maps of every
+    merge.
+    """
     merges = (quotient(d.graph, blocks) for blocks in enumerate_partitions(d.graph.n))
     merged = (
         BilabelledGraph(qg, [vmap[v] for v in d.inputs], [vmap[v] for v in d.outputs])

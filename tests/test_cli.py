@@ -96,6 +96,22 @@ def test_tensor_refuses_a_tensor_above_the_tuple_bound(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_tensor_counts_walks_that_enumeration_cannot_list(tmp_path):
+    # a 12-vertex path into K9 has 9 * 8^11 (about 7.7e10) maps; labelled at
+    # both ends it counts the walks of length 11, the entries of A^11
+    n, length = 9, 11
+    host = write_json(tmp_path, "k9.json", {"n": n, "edges": [[u, v] for u in range(n) for v in range(u + 1, n)]})
+    walk = {"n": length + 1, "edges": [[i, i + 1] for i in range(length)]}
+    diagram = write_json(tmp_path, "path.json", {"graph": walk, "inputs": [0], "outputs": [length]})
+    code, out, err = run_in_child("tensor", host, diagram)
+    assert code == 0, err
+    adjacency = [[int(i != j) for j in range(n)] for i in range(n)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(length):
+        power = [[sum(power[i][m] * adjacency[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+    assert json.loads(out)["entries"] == [power[i][j] for j in range(n) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -316,6 +332,15 @@ def test_orbits_refuses_a_group_that_stores_too_many_points(capsys, tmp_path, gr
     assert code == 3 and out == "" and err.startswith("capacity:")
 
 
+def test_orbits_stops_listing_automorphisms_at_the_point_bound(tmp_path):
+    # the 11! = 39.9M automorphisms of 11 isolated vertices are never listed:
+    # the group stops growing once order times degree passes the bound
+    path = write_json(tmp_path, "group.json", {"automorphisms_of": {"n": 11, "edges": []}})
+    code, out, err = run_in_child("orbits", path, "0", "0")
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
+
+
 def test_orbits_refuses_a_group_above_the_order_bound(capsys, tmp_path):
     path = write_json(tmp_path, "group.json", {"symmetric": 9})
     code, out, err = run(capsys, "orbits", path, "0", "1")
@@ -484,6 +509,70 @@ def test_verify_survives_arbitrary_json(tmp_path_factory, law, data):
     path.write_text(json.dumps(fixtures))
     code, err = run_quietly(["verify", law, str(path)])
     assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+
+
+strategies = st.sampled_from(["auto", "racg", "finite-model", "bounded-bfs", "shuffle"]) | st.fixed_dictionaries(
+    {"bounded-bfs": st.fixed_dictionaries({}, optional={"depth": st.integers(-1, 2), "max_len": st.integers(-1, 8)})}
+)
+
+
+@st.composite
+def well_formed_closures(draw):
+    alphabet = draw(st.integers(0, 5))
+    letters = st.integers(0, alphabet - 1) | st.sampled_from("abcde"[:alphabet])
+    word = st.lists(letters, max_size=4) if alphabet else st.just([])
+    return {"alphabet": alphabet, "generators": draw(st.lists(word, max_size=3)), "strategy": draw(strategies)}
+
+
+closure_objects = st.none() | half_well_formed(
+    well_formed_closures(),
+    json_values,
+    st.fixed_dictionaries(
+        {"alphabet": scalars, "generators": st.lists(st.lists(scalars, max_size=3), max_size=2) | json_values},
+        optional={"strategy": strategies | json_values},
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=small_groups, closure=closure_objects, k=st.integers(0, 2), l=st.integers(0, 2))
+def test_dim_survives_arbitrary_json(tmp_path_factory, group, closure, k, l):
+    path = tmp_path_factory.mktemp("dim")
+    (path / "group.json").write_text(json.dumps(group))
+    (path / "words.json").write_text(json.dumps(closure))
+    code, err = run_quietly(["dim", str(path / "group.json"), str(path / "words.json"), str(k), str(l)])
+    assert code in (0, 2, 3, 4, 5), err
+    assert "Traceback" not in err
+
+
+# Closures stop at 4 vertices: every size key is at most 4 or not a number.
+sizes = st.integers(-1, 4) | st.none() | st.booleans() | st.text(max_size=2)
+fibration_objects = half_well_formed(
+    st.fixed_dictionaries(
+        {
+            "generators": st.lists(well_formed_diagrams(), max_size=2),
+            "easy": st.booleans(),
+            "max_vertices": st.integers(1, 4),
+            "strategy": strategies,
+        }
+    ),
+    json_values,
+    st.fixed_dictionaries(
+        {"generators": st.lists(diagram_objects, max_size=2) | json_values, "max_vertices": sizes},
+        optional={"easy": scalars, "strategy": strategies | json_values},
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibration=fibration_objects)
+def test_closure_survives_arbitrary_json(tmp_path_factory, fibration):
+    path = tmp_path_factory.mktemp("closure")
+    (path / "fibration.json").write_text(json.dumps(fibration))
+    (path / "config.json").write_text(json.dumps({"max_vertices": 4}))
+    code, err = run_quietly(["--config", str(path / "config.json"), "closure", str(path / "fibration.json")])
+    assert code in (0, 2, 3, 4, 5), err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,7 @@
 """Graph primitives: quotients, unions, homomorphism counts, canonical forms."""
 
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from graphfib.graphs import (
     generated_partition,
     graph_from_json,
     graph_to_json,
+    iter_homomorphisms,
     join_partitions,
     normalize_partition,
     parse_graph6,
@@ -240,6 +243,20 @@ def test_hom_pins_and_injectivity():
     assert all(len(set(m)) == 3 for m in inj)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_graph(), small_graph(), st.booleans(), st.data())
+def test_enumeration_lists_every_edge_keeping_map_in_order(k, g, injective, data):
+    pins = data.draw(st.dictionaries(st.integers(0, k.n - 1), st.integers(0, g.n - 1), max_size=2)) if k.n and g.n else {}
+    every_map = [
+        phi
+        for phi in product(range(g.n), repeat=k.n)
+        if all(g.has_edge(phi[u], phi[v]) for u, v in k.edges)
+        and all(phi[v] == c for v, c in pins.items())
+        and not (injective and len(set(phi)) < k.n)
+    ]
+    assert enumerate_homomorphisms(k, g, pins, injective) == every_map
+
+
 def test_hom_counts_moebius_scalar_shadow():
     """Total maps split by image pattern: hom = sum of injective over merges."""
     hosts = [complete(2), complete(3), path(3), disjoint_union(complete(2), edgeless(1))]
@@ -276,6 +293,20 @@ def test_automorphisms_form_a_group():
             assert inv in auts
             for t in auts:
                 assert tuple(t[s[v]] for v in range(g.n)) in auts
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graph())
+def test_automorphisms_are_the_edge_preserving_permutations_in_order(g):
+    preserving = [p for p in permutations(range(g.n)) if all(g.has_edge(p[u], p[v]) for u, v in g.edges)]
+    assert automorphisms(g) == preserving
+
+
+def test_the_homomorphism_stream_hands_over_maps_before_listing_them_all():
+    # 30! automorphisms: only the first few are ever built
+    stream = iter_homomorphisms(edgeless(30), edgeless(30), injective=True)
+    assert next(stream) == tuple(range(30))
+    assert next(stream) == tuple(range(28)) + (29, 28)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfib.diagrams import BilabelledGraph, m_diagram, rotate_left
-from graphfib.graphs import Graph, complete, disjoint_union, edgeless, path
+from graphfib.graphs import Graph, complete, disjoint_union, edgeless, enumerate_homomorphisms, path
 from graphfib.partitions import (
     enumerate_set_partitions,
     from_blocks,
@@ -26,6 +26,7 @@ from graphfib.tensors import (
     compose,
     exact_rank,
     moebius_expand,
+    tally,
     tensor_add,
     tensor_from_json,
     tensor_product,
@@ -279,6 +280,81 @@ def test_builders_match_a_brute_force_count_over_all_vertex_maps(g, d):
 def test_every_verifier_report_holds_on_random_diagrams(g, d1, d2, d):
     reports = verify_functor(g, d1, d2) + verify_that_sums(g, d1, d2) + [moebius_expand(g, d)]
     assert all(r["ok"] for r in reports), reports
+
+
+# ---------------------------------------------------------------------------
+# the counter against the enumerator
+
+
+def enumerated_T(g, d):
+    """The reference count: every homomorphism listed by the enumerator, tallied once."""
+    return tally(zero_tensor(g.n, d.k, d.l), enumerate_homomorphisms(d.graph, g), d.inputs, d.outputs)
+
+
+@st.composite
+def sparse_diagrams(draw):
+    """Up to 7 vertices and few edges and labels, so that loops, repeated
+    labels, unlabelled isolated vertices and unlabelled components turn up."""
+    n = draw(st.integers(0, 7))
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(cells), max_size=9)) if cells else [])
+    labels = st.lists(st.integers(0, n - 1), max_size=3) if n else st.just([])
+    return BilabelledGraph(g, draw(labels), draw(labels))
+
+
+@st.composite
+def hosts(draw):
+    n, loops = draw(st.integers(0, 5)), draw(st.booleans())
+    cells = [(u, v) for u in range(n) for v in range(u, n) if loops or u != v]
+    return Graph(n, draw(st.lists(st.sampled_from(cells), unique=True)) if cells else [])
+
+
+@settings(max_examples=250, deadline=None)
+@given(hosts(), sparse_diagrams())
+def test_build_T_matches_the_tally_of_every_enumerated_map(g, d):
+    assert build_T(g, d) == enumerated_T(g, d)
+
+
+LOOPED_HOST = Graph(3, [(0, 1), (1, 2), (2, 2)])
+
+
+@pytest.mark.parametrize(
+    "g, d",
+    [
+        (edgeless(0), EDGE_DIAGRAM),
+        (edgeless(0), BilabelledGraph(path(3))),
+        (edgeless(0), BilabelledGraph(edgeless(0))),
+        (complete(3), BilabelledGraph(edgeless(0))),
+        (complete(3), BilabelledGraph(Graph(2, [(0, 1), (1, 1)]), (0,), ())),
+        (complete(3), BilabelledGraph(Graph(3, [(0, 1), (1, 2), (2, 2)]), (0,), ())),
+        (LOOPED_HOST, BilabelledGraph(Graph(3, [(0, 1), (1, 2), (2, 2)]), (0,), ())),
+        (LOOPED_HOST, BilabelledGraph(disjoint_union(complete(2), complete(3)), (0,), (1, 0))),
+        (LOOPED_HOST, BilabelledGraph(disjoint_union(path(2), edgeless(2)), (1,), (1,))),
+        (complete(4), BilabelledGraph(disjoint_union(path(7), complete(4)), (0,), (6,))),
+    ],
+    ids=[
+        "empty-host",
+        "empty-host-unlabelled",
+        "empty-both",
+        "empty-diagram",
+        "loop-on-loopless-host",
+        "summed-loop-on-loopless-host",
+        "summed-loop",
+        "unlabelled-triangle",
+        "unlabelled-isolated",
+        "path-beside-a-clique",
+    ],
+)
+def test_build_T_matches_the_enumerator_on_corner_cases(g, d):
+    assert build_T(g, d) == enumerated_T(g, d)
+
+
+def test_unlabelled_parts_multiply_the_count():
+    # beside the labelled vertex: a looped vertex has 1 image, an edge 5 maps
+    # (two along each host edge, one onto the loop)
+    d = BilabelledGraph(Graph(4, [(1, 1), (2, 3)]), (0,), ())
+    assert build_T(LOOPED_HOST, d).entries == [5, 5, 5]
+    assert build_T(complete(3), d).is_zero()
 
 
 # ---------------------------------------------------------------------------
