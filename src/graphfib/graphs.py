@@ -280,26 +280,25 @@ def iter_homomorphisms(k, g, pins=None, injective=False):
 
 
 def count_homomorphisms(k, g, keep):
-    """Homomorphisms from ``k`` to ``g`` counted by the images of the vertices in ``keep``.
+    """Homomorphisms from ``k`` to ``g``, weighted and counted by the images of the vertices in ``keep``.
 
-    Returns ``(images, weights)``.  For any choice of images for ``keep``,
-    the homomorphisms that make it number the sum of ``weights[i]`` over the
-    ``images[i]`` that agree with it on ``keep``.  The entries of an image at
+    Yields ``(image, weight)`` pairs.  For any choice of images for ``keep``,
+    the homomorphisms that make it number the sum of the weights of the
+    images that agree with it on ``keep``.  The entries of an image at
     vertices summed out mean nothing.
 
     A vertex outside ``keep`` with at most two neighbours is summed out
     instead of enumerated, one at a time, fewest neighbours first: an
     isolated one becomes a factor of the count, a leaf a weight vector on
-    its neighbour and a vertex of degree two a
-    table of weights on its two neighbours, built by walking host adjacency
-    lists, with only the nonzero entries stored.  ``enumerate_homomorphisms``
-    then lists the maps of the vertices left, along the edges and loops left,
-    and each map is weighted by the vectors and tables.  The cost follows the
+    its neighbour and a vertex of degree two a table of weights on its two
+    neighbours, built by walking host adjacency lists, with only the nonzero
+    entries stored.  The vertices left are then searched as
+    :func:`iter_homomorphisms` does, checking the edges and loops left
+    against the host and each table as soon as both its ends have images,
+    so a zero weight cuts the search there.  The cost follows the weighted
     maps of the vertices left, not the maps of ``k``.
     """
     n = g.n
-    if n == 0 < k.n:  # nothing to map to, and no image to pin a summed vertex to
-        return [], []
     free = set(range(k.n)) - keep
     loops = {u for u, v in k.edges if u == v}
     # One factor per pair of adjacent vertices: None for an edge of ``k``,
@@ -308,20 +307,20 @@ def count_homomorphisms(k, g, keep):
     ones = [1] * n
     vectors = {}
     scalar = 1
-    pins = {}  # the vertices summed out, each pinned to an arbitrary image
+    summed = set()
     while scalar and free:
         ends = [v for e in factors for v in e]
         degree, x = min((ends.count(v), v) for v in free)
         if degree > 2:
             break
-        if not pins:  # host adjacency lists with unit weights
+        if not summed:  # host adjacency lists with unit weights
             adj = [[] for _ in range(n)]
             for a, b in g.edges:
                 adj[a].append((b, 1))
                 if a != b:
                     adj[b].append((a, 1))
         free.remove(x)
-        pins[x] = 0
+        summed.add(x)
         nbrs, rows = [], []  # per neighbour: its weighted images for each image of x
         for e in sorted(e for e in factors if x in e):
             t, i = factors.pop(e), e.index(x)
@@ -337,38 +336,71 @@ def count_homomorphisms(k, g, keep):
         if degree == 0:
             scalar *= sum(weight)
         elif degree == 1:
-            summed = [0] * n
+            summed_vec = [0] * n
             for cx, w in enumerate(weight):
                 for cy, wy in rows[0][cx] if w else ():
-                    summed[cy] += w * wy
-            vectors[nbrs[0]] = [a * b for a, b in zip(vectors.get(nbrs[0], ones), summed)]
+                    summed_vec[cy] += w * wy
+            vectors[nbrs[0]] = [a * b for a, b in zip(vectors.get(nbrs[0], ones), summed_vec)]
         else:
-            summed = {}
+            table = {}
             for cx, w in enumerate(weight):
                 for cy, wy in rows[0][cx] if w else ():
                     for cz, wz in rows[1][cx]:
-                        summed[cy, cz] = summed.get((cy, cz), 0) + w * wy * wz
+                        table[cy, cz] = table.get((cy, cz), 0) + w * wy * wz
             yz = tuple(nbrs)
             if yz in factors:  # at most one factor per pair: merge the new table into the old factor
                 old = factors[yz]
-                summed = {p: w * (g.has_edge(*p) if old is None else old.get(p, 0)) for p, w in summed.items()}
-            factors[yz] = {p: w for p, w in summed.items() if w}
+                table = {p: w * (g.has_edge(*p) if old is None else old.get(p, 0)) for p, w in table.items()}
+            factors[yz] = {p: w for p, w in table.items() if w}
     if not scalar:
-        return [], []
-    rest = Graph(k.n, [(u, v) for u, v in k.edges if u not in pins and v not in pins]) if pins else k
-    images = enumerate_homomorphisms(rest, g, pins)
-    tables = [(e, t) for e, t in factors.items() if t is not None]
-    if not (vectors or tables):
-        return images, [scalar] * len(images)
-    weights = []
-    for phi in images:
-        w = scalar
-        for v, vec in vectors.items():
-            w *= vec[phi[v]]
-        for (u, v), t in tables:
-            w *= t.get((phi[u], phi[v]), 0)
-        weights.append(w)
-    return images, weights
+        return
+    # The search over the vertices left, in increasing order.  A factor's
+    # pair ``(u, v)`` has ``u < v``, so it is checked at ``v``.  A loop and a
+    # weight vector are folded into the images each vertex may take.
+    rest = [v for v in range(k.n) if v not in summed]
+    at = {v: i for i, v in enumerate(rest)}
+    options, edges_to, tables_to = [], [[] for _ in rest], [[] for _ in rest]
+    for v in rest:
+        vec = vectors.get(v, ones)
+        options.append([(c, w) for c, w in enumerate(vec) if w and (v not in loops or g.has_loop(c))])
+    for (u, v), t in factors.items():
+        if t is None:
+            edges_to[at[v]].append(u)
+        else:
+            tables_to[at[v]].append((u, t))
+    image = [0] * k.n
+    if not rest:
+        yield tuple(image), scalar
+        return
+    gedges = g.edges
+    last = len(rest) - 1
+    acc = [scalar]  # acc[i]: the weight of the images chosen for rest[:i]
+    stack = [iter(options[0])]  # the untried images of rest[len(stack) - 1]
+    while stack:
+        i = len(stack) - 1
+        v, edges, tables = rest[i], edges_to[i], tables_to[i]
+        for c, w in stack[-1]:
+            for u in edges:
+                iu = image[u]
+                if ((iu, c) if iu <= c else (c, iu)) not in gedges:
+                    break
+            else:
+                w *= acc[i]
+                for u, t in tables:
+                    w *= t.get((image[u], c), 0)
+                    if not w:
+                        break
+                else:
+                    image[v] = c
+                    if i == last:
+                        yield tuple(image), w
+                        continue
+                    acc.append(w)
+                    stack.append(iter(options[i + 1]))
+                    break
+        else:
+            stack.pop()
+            acc.pop()
 
 
 def automorphisms(g):

@@ -9,12 +9,13 @@ row-major order.
 ``build_T`` does not list the homomorphisms.  ``graphs.count_homomorphisms``
 first sums out each unlabelled vertex with at most two neighbours into a
 weight vector or a sparse table on its neighbours (the functor law
-``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram), then lists the
-maps of the vertices left and weights each one.  So its cost follows the
-maps of the labelled vertices and of unlabelled vertices of degree three or
-more, not the number of homomorphisms: a path labelled at both ends costs
-one table of at most ``n^2`` entries per inner vertex and the ``n^2`` pairs
-of end images, however many walks it counts.
+``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram), then searches the
+vertices left, checking each table as soon as both its ends have images,
+and hands over each map found with its weight.  So its cost follows the
+weighted maps of the labelled vertices and of unlabelled vertices of degree
+three or more, not the number of homomorphisms: a path labelled at both
+ends costs one table of at most ``n^2`` entries per inner vertex and the
+``n^2`` pairs of end images, however many walks it counts.
 ``build_That`` still lists every injective map.
 
 Every tensor here is a tally of label images: ``tally`` is the one counting
@@ -243,15 +244,15 @@ def exact_rank(rows):
 # builders
 
 
-def tally(t, maps, inputs, outputs, weights=None):
+def tally(t, maps, inputs, outputs, weighted=False):
     """Add one to ``t`` at ``(phi(outputs), phi(inputs))`` for each map ``phi``; return ``t``.
 
     A map is any sequence indexed by the label points, such as a vertex
-    image tuple or a permutation.  With ``weights``, a sequence as long as
-    ``maps``, each map adds its weight instead of one.
+    image tuple or a permutation.  With ``weighted``, ``maps`` yields
+    ``(phi, weight)`` pairs and each map adds its weight instead of one.
     """
     n, ncols, entries = t.n, t.n**t.k, t.entries
-    for phi, w in zip(maps, repeat(1) if weights is None else weights):
+    for phi, w in maps if weighted else zip(maps, repeat(1)):
         col = 0
         for v in inputs:
             col = col * n + phi[v]
@@ -264,8 +265,8 @@ def tally(t, maps, inputs, outputs, weights=None):
 
 def build_T(g, d):
     """Homomorphism counts of a diagram into ``g``, bucketed by label images."""
-    images, weights = count_homomorphisms(d.graph, g, set(d.inputs + d.outputs))
-    return tally(zero_tensor(g.n, d.k, d.l), images, d.inputs, d.outputs, weights)
+    maps = count_homomorphisms(d.graph, g, set(d.inputs + d.outputs))
+    return tally(zero_tensor(g.n, d.k, d.l), maps, d.inputs, d.outputs, weighted=True)
 
 
 def _that_sum(g, k, l, diagrams):

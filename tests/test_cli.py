@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -110,6 +111,23 @@ def test_tensor_counts_walks_that_enumeration_cannot_list(tmp_path):
     for _ in range(length):
         power = [[sum(power[i][m] * adjacency[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
     assert json.loads(out)["entries"] == [power[i][j] for j in range(n) for i in range(n)]
+
+
+@pytest.mark.parametrize("matched, count", [(False, 0), (True, 100)])
+def test_tensor_prunes_at_tables_of_summed_vertices(tmp_path, matched, count):
+    # In a subdivided K4 the six middle vertices are summed into tables on
+    # the four branch vertices, which keep no edge between them: only the
+    # tables can stop the search short of the 100^4 maps of the branch
+    # vertices.  Into a perfect matching every branch vertex takes one image.
+    edges = []
+    for middle, (a, b) in enumerate(itertools.combinations(range(4), 2), start=4):
+        edges += [[a, middle], [middle, b]]
+    diagram = write_json(tmp_path, "k4.json", {"graph": {"n": 10, "edges": edges}, "inputs": [], "outputs": []})
+    matching = [[2 * i, 2 * i + 1] for i in range(50)] if matched else []
+    host = write_json(tmp_path, "host.json", {"n": 100, "edges": matching})
+    code, out, err = run_in_child("tensor", host, diagram)
+    assert code == 0, err
+    assert json.loads(out)["entries"] == [count]
 
 
 # ---------------------------------------------------------------------------
