@@ -21,11 +21,7 @@ import json
 import sys
 
 from .errors import CapacityError, IndeterminateError, InvariantError
-from .fibrations import (
-    closure_graphs,
-    fiber_generators,
-    load_fibration,
-)
+from .fibrations import closure_graphs, fiber_generators, fibration_from_json
 from .freeprod import closure_from_json
 from .graphs import graph_from_json, graph_to_json
 from .diagrams import diagram_from_json
@@ -177,7 +173,7 @@ def cmd_dim(args, config):
 
 
 def cmd_closure(args, config):
-    fib = load_fibration(args.fibration, default_max_vertices=config.max_vertices)
+    fib = fibration_from_json(_load_json(args.fibration), default_max_vertices=config.max_vertices)
     graphs = closure_graphs(fib)
     listing = []
     for g in graphs:

@@ -13,7 +13,6 @@ pushed through each copy of ``H`` inside the fibre.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
@@ -234,10 +233,6 @@ def diagram_member(fib, d):
     Yes iff the underlying graph is a fibre and the diagram's boundary word
     lies in that fibre.
     """
-    if d.graph.n > fib.max_vertices:
-        raise CapacityError(
-            f"fibration closure computed up to {fib.max_vertices} vertices, diagram has {d.graph.n}"
-        )
     if not is_fiber(fib, d.graph):
         return Membership.NO
     return fiber_member(fib, d.graph, boundary_word(d))
@@ -323,8 +318,3 @@ def fibration_from_json(obj, default_max_vertices=5):
         max_vertices=obj.get("max_vertices", default_max_vertices),
         policy=policy_from_json(obj.get("strategy", "auto")),
     )
-
-
-def load_fibration(path, default_max_vertices=5):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fibration_from_json(json.load(fh), default_max_vertices)

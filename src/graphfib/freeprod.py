@@ -348,10 +348,9 @@ def _cached_table(alphabet_size, generators, coset_cap):
     return coset_table(alphabet_size, generators, coset_cap)
 
 
-def quotient_order_if_finite(spec, max_cosets=None):
+def quotient_order_if_finite(spec):
     """Order of the quotient by the closure, or None if not shown finite."""
-    cap = spec.policy.coset_cap if max_cosets is None else max_cosets
-    table = _cached_table(spec.alphabet_size, spec.generators, cap)
+    table = _cached_table(spec.alphabet_size, spec.generators, spec.policy.coset_cap)
     return None if table is None else len(table)
 
 
@@ -485,7 +484,7 @@ def check_invariance(maps, closure):
 
 
 def letter_from_json(x, alphabet_size):
-    if isinstance(x, int):
+    if type(x) is int:
         v = x
     elif isinstance(x, str) and len(x) == 1 and "a" <= x <= "z":
         v = ord(x) - ord("a")

@@ -5,7 +5,8 @@ For a permutation group ``H`` on ``n`` points, the tensors
 supported on the orbit of the pair ``(a, b)``; distinct orbits have disjoint
 supports, so picking one tensor per orbit yields a basis.  Restricting to a
 normal closure ``A`` of words keeps exactly the orbits whose word
-``a + reverse(b)`` lies in ``A``.
+``a + reverse(b)`` lies in ``A``.  ``orbit_basis`` assembles that basis,
+with its exact-rank and Burnside cross-checks, and ``dim_report`` formats it.
 
 A group is given by generators and closed once, when it is built.  The
 closure's invariance is checked on the generators only: a letter map is an
@@ -180,21 +181,6 @@ def burnside_dim(group, k, l):
 # bases
 
 
-def basis_full(g, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
-    """One tensor per automorphism orbit of label pairs of ``g``.
-
-    The family is verified linearly independent by an exact rank computation;
-    a mismatch would be an internal invariant failure, not bad input.
-    """
-    group = graph_automorphism_group(g)
-    orbs = orbits(group, k, l, tuple_bound)
-    tensors = [build_That_H(group, o.a, o.b) for o in orbs]
-    rank = exact_rank([t.entries for t in tensors])
-    if not rank == len(orbs) == burnside_dim(group, k, l):
-        raise InvariantError("orbit tensors must be independent")
-    return list(zip(orbs, tensors))
-
-
 def pair_word(a, b):
     """The word ``a + reverse(b)`` tested for membership, reduced."""
     return reduce_word(tuple(a) + tuple(reversed(b)))
@@ -211,32 +197,14 @@ def semidirect_orbit_table(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND
     ]
 
 
-def basis_semidirect(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
-    """The orbit tensors whose pair word lies in the closure.
+def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
+    """The orbit table and the basis ``[(orbit, tensor), ...]`` of its YES orbits.
 
-    Membership is well-defined on orbits because the closure is
-    group-invariant (checked).  An unknown verdict cannot be silently
-    dropped or kept; it raises.
-    """
-    out = []
-    for o, verdict in semidirect_orbit_table(group, closure, k, l, tuple_bound):
-        if verdict is Membership.UNKNOWN:
-            raise IndeterminateError(
-                f"membership of orbit ({o.a}, {o.b}) is unknown under the chosen strategy"
-            )
-        if verdict is Membership.YES:
-            out.append((o, build_That_H(group, o.a, o.b)))
-    return out
-
-
-def dim_report(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
-    """Dimension of the morphism space with the per-orbit audit trail.
-
-    With ``closure=None`` all orbits count.  An unknown orbit verdict makes
-    the dimension indeterminate and raises.  The report carries two
-    cross-checks computed from scratch: the exact rank of the accepted
-    tensors (must equal the dimension) and the Burnside orbit count (must
-    equal the table length).
+    With ``closure=None`` every orbit is accepted.  Membership is well-defined
+    on orbits because the closure is group-invariant (checked).  An unknown
+    verdict can be neither dropped nor kept, so it raises before any tensor
+    is built.  Two cross-checks are computed from scratch: the exact rank of
+    the basis must equal its length and the Burnside count the table length.
     """
     if closure is None:
         table = [(o, Membership.YES) for o in orbits(group, k, l, tuple_bound)]
@@ -247,17 +215,23 @@ def dim_report(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
             raise IndeterminateError(
                 f"membership of orbit ({o.a}, {o.b}) is unknown under the chosen strategy"
             )
-    kept = [o for o, verdict in table if verdict is Membership.YES]
-    rank = exact_rank([build_That_H(group, o.a, o.b).entries for o in kept])
-    if rank != len(kept):
+    basis = [(o, build_That_H(group, o.a, o.b)) for o, verdict in table if verdict is Membership.YES]
+    if exact_rank([t.entries for _, t in basis]) != len(basis):
         raise InvariantError("accepted orbit tensors must be independent")
     if len(table) != burnside_dim(group, k, l):
         raise InvariantError("orbit count must match the Burnside count")
+    return table, basis
+
+
+def dim_report(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
+    """Dimension of the morphism space with the per-orbit audit trail of
+    ``orbit_basis``, whose cross-checks it has passed."""
+    table, basis = orbit_basis(group, closure, k, l, tuple_bound)
     return {
         "k": k,
         "l": l,
-        "dim": len(kept),
-        "rank": rank,
+        "dim": len(basis),
+        "rank": len(basis),
         "burnside": len(table),
         "orbits": [
             {

@@ -38,11 +38,11 @@ from graphfib.graphs import (
 )
 from graphfib.partitions import enumerate_partitions, enumerate_set_partitions, ker
 from graphfib.repspaces import (
-    basis_semidirect,
     build_That_H,
     burnside_dim,
     dim_report,
     graph_automorphism_group,
+    orbit_basis,
     orbits,
     semidirect_orbit_table,
     symmetric_group,
@@ -235,7 +235,7 @@ def test_criterion_07_hyperoctahedral_character_sums():
                 for l in range(5 - k):
                     total = sum(t ** (k + l) for t in traces)
                     assert total % len(traces) == 0
-                    dim = len(basis_semidirect(group, closure, k, l))
+                    dim = len(orbit_basis(group, closure, k, l)[1])
                     assert dim == total // len(traces)
         two = signed_permutation_traces(2)
         assert sum(t**2 for t in two) // 8 == 1

@@ -246,6 +246,18 @@ def test_dim_rejects_a_malformed_bfs_strategy(capsys, tmp_path):
     assert code == 2 and err.startswith("error:") and "bounded-bfs" in err
 
 
+def test_dim_rejects_bool_letters(tmp_path):
+    group = write_json(tmp_path, "group.json", {"degree": 3, "elements": [[0, 1, 2]]})
+    words = write_json(
+        tmp_path,
+        "words.json",
+        {"alphabet": 3, "generators": [[True, False, True, False]], "strategy": "racg"},
+    )
+    code, out, err = run_in_child("dim", group, words, "0", "0")
+    assert code == 2 and out == "" and err.startswith("error:") and "invalid letter" in err
+    assert "Traceback" not in err
+
+
 def test_dim_rejects_negative_label_counts(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dim", fx("group_s3.json"), fx("null.json"), "-1", "2"])
@@ -608,6 +620,8 @@ def test_orbits_rejects_negative_label_counts(capsys):
 def test_bad_input_exit_codes(capsys):
     assert run(capsys, "tensor", fx("broken.json"), fx("edge_diagram.json"))[0] == 2
     assert run(capsys, "tensor", fx("missing.json"), fx("edge_diagram.json"))[0] == 2
+    assert run(capsys, "closure", fx("broken.json"))[0] == 2
+    assert run(capsys, "closure", fx("missing.json"))[0] == 2
     code, _, err = run(
         capsys,
         "--config",

@@ -117,8 +117,8 @@ def test_quotient_orders():
 
 def test_quotient_order_cap_returns_none():
     # the free product of three involutions modulo one commutator is infinite
-    spec = commutator_spec(3, [(0, 1)])
-    assert quotient_order_if_finite(spec, max_cosets=400) is None
+    spec = NormalClosureSpec(3, [(0, 1, 0, 1)], MembershipPolicy(coset_cap=400))
+    assert quotient_order_if_finite(spec) is None
 
 
 def splits(n, relators):

@@ -22,3 +22,38 @@ def test_perfbench_smoke_answers_match():
             (ln for ln in proc.stdout.splitlines() if ln.startswith(f"smoke {workload}:")), ""
         )
         assert " 0 failed," in line, proc.stdout + proc.stderr
+
+
+TRACED_MEMBER = """
+import sys
+sys.path[:0] = ["src", "perfbench"]
+import run
+from tracing import Tracer
+
+modules = run.import_graphfib()
+freeprod = modules["freeprod"]
+tracer = Tracer()
+tracer.install(modules)
+try:
+    # not racg-eligible, with a finite quotient, so ``auto`` resolves to the
+    # finite model and the hook calls quotient_order_if_finite(spec)
+    spec = freeprod.NormalClosureSpec(3, [(0, 1), (1, 2)])
+    verdict = freeprod.member((0, 2), spec)
+finally:
+    tracer.uninstall()
+print(verdict.value, tracer.calls["freeprod.member"], tracer.counts["freeprod.member.strategy.finite-model"])
+"""
+
+
+def test_tracer_binds_every_traced_name():
+    """The tracer wraps the names it lists and reads ``spec.strategy`` and
+    ``quotient_order_if_finite``; a renamed or deleted one fails here."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_MEMBER],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["yes", "1", "1"], proc.stdout + proc.stderr

@@ -21,13 +21,12 @@ from graphfib.repspaces import (
     OrbitClass,
     PermutationGroup,
     act,
-    basis_full,
-    basis_semidirect,
     build_That_H,
     burnside_dim,
     dim_report,
     graph_automorphism_group,
     group_from_elements,
+    orbit_basis,
     orbits,
     pair_word,
     semidirect_orbit_table,
@@ -312,9 +311,9 @@ def test_orbit_tensors_have_disjoint_supports_and_stabilizer_entries():
 
 
 def test_basis_full_sizes():
-    assert len(basis_full(complete(3), 1, 1)) == 2
-    assert len(basis_full(path(3), 1, 1)) == 5
-    pairs = basis_full(EDGE_PLUS_POINT, 0, 2)
+    assert len(orbit_basis(graph_automorphism_group(complete(3)), None, 1, 1)[1]) == 2
+    assert len(orbit_basis(graph_automorphism_group(path(3)), None, 1, 1)[1]) == 5
+    pairs = orbit_basis(graph_automorphism_group(EDGE_PLUS_POINT), None, 0, 2)[1]
     assert len(pairs) == 5
     assert all(isinstance(o, OrbitClass) for o, _ in pairs)
 
@@ -357,7 +356,7 @@ def test_orbit_table_verdicts_for_the_edge_commutator():
 
 def test_basis_semidirect_keeps_the_accepted_orbits():
     aut = graph_automorphism_group(EDGE_PLUS_POINT)
-    basis = basis_semidirect(aut, abab3_closure(), 0, 2)
+    basis = orbit_basis(aut, abab3_closure(), 0, 2)[1]
     assert [(o.a, o.b) for o, _ in basis] == [((), (0, 0)), ((), (2, 2))]
     for _, t in basis:
         assert sum(t.entries) == 2
@@ -389,7 +388,7 @@ def test_unknown_orbit_verdicts_raise():
     with pytest.raises(IndeterminateError):
         dim_report(aut, shallow, 0, 4)
     with pytest.raises(IndeterminateError):
-        basis_semidirect(aut, shallow, 0, 4)
+        orbit_basis(aut, shallow, 0, 4)
 
 
 def test_alphabet_mismatch_is_rejected():
