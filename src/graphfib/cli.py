@@ -17,6 +17,7 @@ canonically ordered.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -215,7 +216,10 @@ def _label_count(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls and returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(prog="graphfib", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file overriding default bounds")
     parser.add_argument("--seed", type=int, default=0, help="seed accepted for interface parity; commands are deterministic")
@@ -261,8 +265,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         overrides = _load_json(args.config) if args.config else {}
         if not isinstance(overrides, dict):

@@ -17,7 +17,9 @@ Membership in a normal closure is answered by one of three strategies:
   decides the word problem exactly.
 * ``bounded-bfs``: a semi-decision.  A parity check over GF(2) gives sound
   "no" answers; otherwise breadth-first insertion of generators searches for
-  a cancellation to the empty word, giving "yes" or "unknown".
+  a cancellation to the empty word, giving "yes" or "unknown".  The search
+  is bounded in depth, in word length and in the words it visits
+  (``BFS_NODE_BOUND``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ class Membership(Enum):
 
 
 STRATEGIES = ("auto", "racg", "finite-model", "bounded-bfs")
+# Words one ``bounded-bfs`` search may visit before it answers UNKNOWN.
+BFS_NODE_BOUND = 10**4
 
 
 class MembershipPolicy:
@@ -421,6 +425,8 @@ def _bounded_bfs_member(word, generators, depth, max_len):
                         return Membership.YES
                     if len(v) <= max_len and v not in visited:
                         visited.add(v)
+                        if len(visited) > BFS_NODE_BOUND:
+                            return Membership.UNKNOWN
                         nxt.append(v)
         if not nxt:
             break

@@ -6,7 +6,8 @@ supported on the orbit of the pair ``(a, b)``; distinct orbits have disjoint
 supports, so picking one tensor per orbit yields a basis.  Restricting to a
 normal closure ``A`` of words keeps exactly the orbits whose word
 ``a + reverse(b)`` lies in ``A``.  ``orbit_basis`` assembles that basis,
-with its exact-rank and Burnside cross-checks, and ``dim_report`` formats it.
+with its disjoint-support and Burnside cross-checks, and ``dim_report``
+formats it.
 
 A group is given by generators and closed once, when it is built.  The
 closure's invariance is checked on the generators only: a letter map is an
@@ -16,7 +17,7 @@ itself, so does every product of generators.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -27,7 +28,6 @@ from .partitions import ker
 from .tensors import (
     build_partition_That,
     compose,
-    exact_rank,
     law_report,
     power_exceeds,
     tally,
@@ -203,8 +203,10 @@ def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     With ``closure=None`` every orbit is accepted.  Membership is well-defined
     on orbits because the closure is group-invariant (checked).  An unknown
     verdict can be neither dropped nor kept, so it raises before any tensor
-    is built.  Two cross-checks are computed from scratch: the exact rank of
-    the basis must equal its length and the Burnside count the table length.
+    is built.  Two cross-checks are computed from scratch.  The tensors must
+    be nonzero with pairwise disjoint supports, which makes them independent
+    (their rank is the basis length), and the Burnside count must equal the
+    table length.
     """
     if closure is None:
         table = [(o, Membership.YES) for o in orbits(group, k, l, tuple_bound)]
@@ -216,8 +218,14 @@ def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
                 f"membership of orbit ({o.a}, {o.b}) is unknown under the chosen strategy"
             )
     basis = [(o, build_That_H(group, o.a, o.b)) for o, verdict in table if verdict is Membership.YES]
-    if exact_rank([t.entries for _, t in basis]) != len(basis):
-        raise InvariantError("accepted orbit tensors must be independent")
+    covered = set()
+    for o, t in basis:
+        support = set(compress(range(len(t.entries)), t.entries))
+        if not support:
+            raise InvariantError(f"orbit ({o.a}, {o.b}) has a zero tensor")
+        if not covered.isdisjoint(support):
+            raise InvariantError(f"orbit ({o.a}, {o.b}) shares a nonzero entry with an earlier orbit")
+        covered |= support
     if len(table) != burnside_dim(group, k, l):
         raise InvariantError("orbit count must match the Burnside count")
     return table, basis

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfib
+from graphfib import cli
 from graphfib.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -266,7 +267,11 @@ def test_dim_rejects_negative_label_counts(capsys):
 
 
 def test_dim_reports_a_broken_invariant_with_exit_5(capsys, monkeypatch):
-    monkeypatch.setattr("graphfib.repspaces.exact_rank", lambda rows: -1)
+    # every orbit gets the tensor of the all-zero label pair, so supports overlap
+    real = graphfib.repspaces.build_That_H
+    monkeypatch.setattr(
+        "graphfib.repspaces.build_That_H", lambda group, a, b: real(group, (0,) * len(a), (0,) * len(b))
+    )
     code, out, err = run(capsys, "dim", fx("group_s3.json"), fx("null.json"), "1", "1")
     assert code == 5 and out == "" and err.startswith("internal invariant broken:")
 
@@ -606,6 +611,27 @@ def test_closure_survives_arbitrary_json(tmp_path_factory, fibration):
     assert "Traceback" not in err
 
 
+def test_closure_search_on_a_four_vertex_racg_fibration_stops(tmp_path):
+    # auto falls back to bounded-bfs on these fibre words; its visited set is capped
+    fibration = write_json(
+        tmp_path,
+        "fibration.json",
+        {
+            "easy": False,
+            "generators": [
+                {"graph": {"n": 3, "edges": [[0, 1], [1, 2], [1, 1]]}, "inputs": [0, 2, 1], "outputs": [2, 0]},
+                {"graph": {"n": 3, "edges": [[1, 1], [0, 2], [0, 0], [2, 2]]}, "inputs": [0, 1], "outputs": []},
+            ],
+            "strategy": "racg",
+            "max_vertices": 4,
+        },
+    )
+    config = write_json(tmp_path, "config.json", {"max_vertices": 4})
+    code, _, err = run_in_child("--config", config, "closure", fibration)
+    assert code in (0, 4), err
+    assert "Traceback" not in err
+
+
 def test_orbits_rejects_negative_label_counts(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["orbits", fx("group_s3.json"), "1", "-2"])
@@ -712,3 +738,22 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert first == second and first[0] == 0
     args = ("closure", fx("edge_fibration.json"))
     assert run(capsys, *args) == run(capsys, *args)
+
+
+def test_one_process_reuses_the_parser_without_carrying_state(capsys):
+    argvs = [
+        ["orbits", fx("group_s3.json"), "1", "-2"],
+        ["--config", fx("config_tight.json"), "orbits", fx("group_s3.json"), "1", "1"],
+        ["orbits", fx("group_s3.json"), "1", "1"],
+        ["tensor", fx("k3.json"), fx("edge_diagram.json")],
+    ]
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    assert [code for code, _ in in_process] == [2, 3, 0, 0]
+    assert in_process == [run_in_child(*argv)[:2] for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()

@@ -270,6 +270,13 @@ def test_bounded_bfs_is_sound_and_admits_unknown():
     assert member((2, 0, 1, 0, 1, 2), shallow) is Membership.UNKNOWN
 
 
+def test_bounded_bfs_answers_unknown_past_the_node_bound(monkeypatch):
+    spec = commutator_spec(3, [(0, 1)], strategy="bounded-bfs")
+    assert member((2, 0, 1, 0, 1, 2), spec) is Membership.YES
+    monkeypatch.setattr(freeprod, "BFS_NODE_BOUND", 1)
+    assert member((2, 0, 1, 0, 1, 2), spec) is Membership.UNKNOWN
+
+
 def test_bounded_bfs_never_contradicts_racg():
     spec = commutator_spec(3, [(0, 1), (1, 2)])
     bfs = NormalClosureSpec(

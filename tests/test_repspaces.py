@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphfib.errors import CapacityError, IndeterminateError
+from graphfib.errors import CapacityError, IndeterminateError, InvariantError
 from graphfib.freeprod import (
     Membership,
     MembershipPolicy,
@@ -14,7 +14,7 @@ from graphfib.freeprod import (
     check_invariance,
     member,
 )
-from graphfib.graphs import complete, disjoint_union, edgeless, path
+from graphfib.graphs import Graph, complete, disjoint_union, edgeless, path
 from graphfib.partitions import enumerate_set_partitions, from_blocks
 from graphfib.repspaces import (
     GROUP_POINT_BOUND,
@@ -35,6 +35,7 @@ from graphfib.repspaces import (
     verify_repcat_tensor,
     verify_THpart,
 )
+from graphfib.tensors import exact_rank, zero_tensor
 
 EDGE_PLUS_POINT = disjoint_union(complete(2), edgeless(1))
 
@@ -316,6 +317,54 @@ def test_basis_full_sizes():
     pairs = orbit_basis(graph_automorphism_group(EDGE_PLUS_POINT), None, 0, 2)[1]
     assert len(pairs) == 5
     assert all(isinstance(o, OrbitClass) for o, _ in pairs)
+
+
+@st.composite
+def groups_with_optional_closures(draw):
+    """``S_n`` for n <= 4 or Aut of a graph on <= 5 vertices, with no closure
+    or with the racg closure of a few letter pairs and all their images."""
+    if draw(st.booleans()):
+        group = symmetric_group(draw(st.integers(0, 4)))
+    else:
+        n = draw(st.integers(0, 5))
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+        group = graph_automorphism_group(Graph(n, edges))
+    n = group.degree
+    if n < 2 or draw(st.booleans()):
+        return group, None
+    letters = st.integers(0, n - 1)
+    seeds = draw(st.lists(st.tuples(letters, letters).filter(lambda p: p[0] != p[1]), min_size=1, max_size=3))
+    words = {act(s, (x, y, x, y)) for s in group.elements for x, y in seeds}
+    return group, NormalClosureSpec(n, sorted(words), MembershipPolicy("racg"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups_with_optional_closures(), st.integers(0, 3), st.data())
+def test_the_support_certificate_agrees_with_exact_rank(case, m, data):
+    group, closure = case
+    k = data.draw(st.integers(0, m))
+    table, basis = orbit_basis(group, closure, k, m - k)
+    assert exact_rank([t.entries for _, t in basis]) == len(basis)
+    assert len(basis) == sum(1 for _, verdict in table if verdict is Membership.YES)
+
+
+def test_the_support_certificate_refuses_a_zero_tensor(monkeypatch):
+    monkeypatch.setattr(
+        "graphfib.repspaces.build_That_H", lambda group, a, b: zero_tensor(group.degree, len(a), len(b))
+    )
+    with pytest.raises(InvariantError, match="zero tensor"):
+        orbit_basis(symmetric_group(3), None, 1, 1)
+
+
+def test_the_support_certificate_refuses_overlapping_tensors(monkeypatch):
+    # every orbit gets the tensor of the all-zero label pair
+    monkeypatch.setattr(
+        "graphfib.repspaces.build_That_H",
+        lambda group, a, b: build_That_H(group, (0,) * len(a), (0,) * len(b)),
+    )
+    with pytest.raises(InvariantError, match="shares a nonzero entry"):
+        orbit_basis(symmetric_group(3), None, 1, 1)
 
 
 def test_pair_word_reduces_the_glued_boundary():
