@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 
-from .errors import CapacityError, IndeterminateError, InvariantError
+from .errors import CapacityError, IndeterminateError, InvariantError, check_json_object
 from .fibrations import closure_graphs, fiber_generators, fibration_from_json
 from .freeprod import closure_from_json
 from .graphs import graph_from_json, graph_to_json
@@ -81,15 +81,14 @@ def _print(payload):
 
 
 def _group_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("group JSON must be an object")
-    if "elements" in obj:
+    if isinstance(obj, dict) and "elements" in obj:
+        check_json_object(obj, "group", ("degree", "elements"))
         return group_from_elements(obj["degree"], obj["elements"])
-    if "automorphisms_of" in obj:
+    if isinstance(obj, dict) and list(obj) == ["automorphisms_of"]:
         return graph_automorphism_group(graph_from_json(obj["automorphisms_of"]))
-    if "symmetric" in obj:
+    if isinstance(obj, dict) and list(obj) == ["symmetric"]:
         return symmetric_group(obj["symmetric"])
-    raise ValueError("group JSON needs 'elements', 'automorphisms_of', or 'symmetric'")
+    raise ValueError("group JSON needs 'degree' with 'elements', or 'automorphisms_of' or 'symmetric' alone")
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +117,7 @@ def _frozen_reports(g, check, builder):
     """Regression comparisons against tensors frozen into the fixture file."""
     reports = []
     expect = check.get("expect", {})
+    check_json_object(expect, "fixture 'expect'", ("left", "right"))
     for side in sorted(expect):
         want = tensor_from_json(expect[side])
         have = builder(g, diagram_from_json(check[side]))
@@ -128,19 +128,22 @@ def _frozen_reports(g, check, builder):
 def _parse_check(law, check):
     """One fixture check's parsed inputs, with the leg size and leg count of its largest tensor."""
     if law == "thpart":
+        check_json_object(check, "fixture check", ("group", "partition"))
         group, p = _group_from_json(check["group"]), partition_from_json(check["partition"])
         return (group, p), group.degree, p.k + p.l
-    g = graph_from_json(check["graph"])
     if law == "moebius":
-        d = diagram_from_json(check["diagram"])
+        check_json_object(check, "fixture check", ("graph", "diagram"))
+        g, d = graph_from_json(check["graph"]), diagram_from_json(check["diagram"])
         return (g, d), g.n, d.k + d.l
-    d1, d2 = diagram_from_json(check["left"]), diagram_from_json(check["right"])
+    check_json_object(check, "fixture check", ("graph", "left", "right", "expect"))
+    g, d1, d2 = graph_from_json(check["graph"]), diagram_from_json(check["left"]), diagram_from_json(check["right"])
     return (g, d1, d2), g.n, d1.k + d1.l + d2.k + d2.l
 
 
 def cmd_verify(args, config):
     fixtures = _load_json(args.fixtures)
-    if not isinstance(fixtures, dict) or "checks" not in fixtures:
+    check_json_object(fixtures, "fixtures", ("checks",))
+    if not isinstance(fixtures.get("checks"), list):
         raise ValueError("fixtures JSON must be an object with a 'checks' list")
     parsed = [(check, *_parse_check(args.law, check)) for check in fixtures["checks"]]
     for _, _, n, legs in parsed:

@@ -9,6 +9,7 @@ the inputs of ``d1``.
 
 from __future__ import annotations
 
+from .errors import check_json_object
 from .graphs import (
     Graph,
     automorphisms,
@@ -213,8 +214,7 @@ def diagram_to_json(d):
 
 
 def diagram_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("diagram JSON must be an object")
+    check_json_object(obj, "diagram", ("graph", "inputs", "outputs"))
     try:
         graph = graph_from_json(obj["graph"])
         inputs = obj["inputs"]

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the key check every JSON object reader makes."""
 
 
 class CapacityError(Exception):
@@ -11,3 +11,12 @@ class IndeterminateError(Exception):
 
 class InvariantError(Exception):
     """An internal cross-check failed: a bug in graphfib, not bad input."""
+
+
+def check_json_object(obj, kind, known):
+    """Raise ``ValueError`` unless ``obj`` is a JSON object with no key outside ``known``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} JSON must be an object")
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ValueError(f"{kind} JSON has unknown keys {sorted(unknown)}; known keys are {sorted(known)}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
-from .errors import CapacityError, InvariantError
+from .errors import CapacityError, InvariantError, check_json_object
 from .freeprod import (
     Membership,
     MembershipPolicy,
@@ -57,10 +57,12 @@ class GraphFibration:
         for d in generators:
             if not isinstance(d, BilabelledGraph):
                 raise ValueError("fibration generators must be bilabelled graphs")
-        if max_vertices < 1:
-            raise ValueError("max_vertices must be at least 1")
+        if type(easy) is not bool:
+            raise ValueError(f"easy must be true or false, got {easy!r}")
+        if type(max_vertices) is not int or max_vertices < 1:
+            raise ValueError(f"max_vertices must be an integer >= 1, got {max_vertices!r}")
         self.generators = generators
-        self.easy = bool(easy)
+        self.easy = easy
         self.max_vertices = max_vertices
         self.policy = policy
         self._closure = None
@@ -306,8 +308,7 @@ def fibration_to_json(fib):
 
 
 def fibration_from_json(obj, default_max_vertices=5):
-    if not isinstance(obj, dict):
-        raise ValueError("fibration JSON must be an object")
+    check_json_object(obj, "fibration", ("generators", "easy", "max_vertices", "strategy"))
     try:
         gens = [diagram_from_json(d) for d in obj["generators"]]
     except KeyError as exc:

@@ -7,10 +7,10 @@ equal letters, and the inverse of a reduced word is its reversal.
 Membership in a normal closure is answered by one of three strategies:
 
 * ``finite-model``: run coset enumeration over the quotient presentation and
-  trace the word; exact whenever the quotient is recognized finite within the
-  coset cap.  A quotient that splits as a free product of two nontrivial
-  factors is recognized infinite before enumeration starts, with the same
-  outcome as an enumeration that overflows the cap.
+  trace the word; exact whenever the quotient is recognized finite within
+  ``COSET_BOUND`` cosets.  A quotient that splits as a free product of two
+  nontrivial factors is recognized infinite before enumeration starts, with
+  the same outcome as an enumeration that overflows the bound.
 * ``racg``: applicable when every closure generator is a commutator-shaped
   word ``xyxy`` with ``x != y``; the quotient is then a right-angled Coxeter
   group and repeated deletion of letter pairs with commuting interludes
@@ -28,7 +28,7 @@ from collections import Counter, deque
 from enum import Enum
 from functools import lru_cache
 
-from .errors import IndeterminateError
+from .errors import IndeterminateError, check_json_object
 
 
 class Membership(Enum):
@@ -40,31 +40,28 @@ class Membership(Enum):
 STRATEGIES = ("auto", "racg", "finite-model", "bounded-bfs")
 # Words one ``bounded-bfs`` search may visit before it answers UNKNOWN.
 BFS_NODE_BOUND = 10**4
+# Cosets one enumeration may define before the quotient counts as not shown
+# finite, behind ``finite-model`` and behind ``auto``'s choice of strategy.
+COSET_BOUND = 20000
 
 
 class MembershipPolicy:
     """How membership queries are answered: the strategy and its bounds.
 
-    ``bfs_depth`` and ``bfs_max_len`` bound the ``bounded-bfs`` search;
-    ``coset_cap`` bounds the coset enumeration behind ``finite-model`` and
-    behind ``auto``'s choice of strategy.  A policy is immutable, because
-    one instance is every caller's default; :meth:`replace` makes a checked
-    copy.
+    ``bfs_depth`` and ``bfs_max_len`` bound the ``bounded-bfs`` search.  A
+    policy is immutable, because one instance is every caller's default;
+    :meth:`replace` makes a checked copy.
     """
 
-    __slots__ = ("strategy", "bfs_depth", "bfs_max_len", "coset_cap")
+    __slots__ = ("strategy", "bfs_depth", "bfs_max_len")
 
-    def __init__(self, strategy="auto", bfs_depth=6, bfs_max_len=24, coset_cap=20000):
+    def __init__(self, strategy="auto", bfs_depth=6, bfs_max_len=24):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown membership strategy {strategy!r}")
-        for name, value, low in (
-            ("bfs_depth", bfs_depth, 0),
-            ("bfs_max_len", bfs_max_len, 0),
-            ("coset_cap", coset_cap, 1),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name, value in zip(self.__slots__, (strategy, bfs_depth, bfs_max_len, coset_cap)):
+        for name, value in (("bfs_depth", bfs_depth), ("bfs_max_len", bfs_max_len)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        for name, value in zip(self.__slots__, (strategy, bfs_depth, bfs_max_len)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -348,13 +345,13 @@ def _splits_infinitely(n, relators):
 
 
 @lru_cache(maxsize=256)
-def _cached_table(alphabet_size, generators, coset_cap):
-    return coset_table(alphabet_size, generators, coset_cap)
+def _cached_table(alphabet_size, generators):
+    return coset_table(alphabet_size, generators, COSET_BOUND)
 
 
 def quotient_order_if_finite(spec):
     """Order of the quotient by the closure, or None if not shown finite."""
-    table = _cached_table(spec.alphabet_size, spec.generators, spec.policy.coset_cap)
+    table = _cached_table(spec.alphabet_size, spec.generators)
     return None if table is None else len(table)
 
 
@@ -448,7 +445,7 @@ def member(word, spec):
     if strategy == "auto":
         if racg_eligible(spec.generators):
             strategy = "racg"
-        elif _cached_table(spec.alphabet_size, spec.generators, policy.coset_cap) is not None:
+        elif _cached_table(spec.alphabet_size, spec.generators) is not None:
             strategy = "finite-model"
         else:
             strategy = "bounded-bfs"
@@ -457,7 +454,7 @@ def member(word, spec):
             raise ValueError("racg strategy requires every generator to read xyxy with x != y")
         return _racg_member(w, spec.generators)
     if strategy == "finite-model":
-        table = _cached_table(spec.alphabet_size, spec.generators, policy.coset_cap)
+        table = _cached_table(spec.alphabet_size, spec.generators)
         if table is None:
             return Membership.UNKNOWN
         c = 0
@@ -508,13 +505,14 @@ def word_from_json(obj, alphabet_size):
 
 
 def closure_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("closure JSON must be an object")
+    check_json_object(obj, "closure", ("alphabet", "generators", "strategy"))
     try:
         alphabet = obj["alphabet"]
         raw_gens = obj["generators"]
     except KeyError as exc:
         raise ValueError(f"closure JSON missing key {exc}")
+    if type(alphabet) is not int or alphabet < 0:
+        raise ValueError(f"closure JSON field 'alphabet' must be an integer >= 0, got {alphabet!r}")
     gens = [word_from_json(g, alphabet) for g in raw_gens]
     return NormalClosureSpec(alphabet, gens, policy_from_json(obj.get("strategy", "auto")))
 

@@ -1,5 +1,8 @@
-"""Finite graphs with loops: quotients, glued unions, homomorphism enumeration,
-and exact canonical forms.
+"""Finite graphs with loops: quotients, glued unions, homomorphisms and exact
+canonical forms.
+
+One backtracking search, ``_search``, serves every homomorphism query: plain
+and injective maps, automorphisms, and the weighted maps behind ``build_T``.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -10,9 +13,9 @@ set representation.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 
-from .errors import CapacityError
+from .errors import CapacityError, check_json_object
 
 # Canonical forms are computed by minimising over all vertex permutations,
 # so they are only offered up to this many vertices.
@@ -214,69 +217,76 @@ def enumerate_overlaps(nk, nh):
 # homomorphisms
 
 
-def enumerate_homomorphisms(k, g, pins=None, injective=False):
+def enumerate_homomorphisms(k, g, injective=False):
     """All graph homomorphisms from ``k`` to ``g`` as a list of image tuples.
 
     The list of the maps :func:`iter_homomorphisms` hands over, sorted
     lexicographically on the image tuple ``(phi(0), ..., phi(n-1))``.
     """
-    return list(iter_homomorphisms(k, g, pins, injective))
+    return list(iter_homomorphisms(k, g, injective))
 
 
-def iter_homomorphisms(k, g, pins=None, injective=False):
-    """The graph homomorphisms from ``k`` to ``g`` as image tuples, one at a time.
+def _search(n, order, candidates, checks, injective=False):
+    """The one backtracking search: image tuples of length ``n``, each handed over when found.
 
-    A map takes edges to edges literally: a non-loop edge may land on a single
-    vertex only if that vertex carries a loop.  ``pins`` is an optional dict
-    fixing the image of selected vertices.  Maps come in lexicographic order
-    of the image tuple ``(phi(0), ..., phi(n-1))``.  The backtracking search
-    keeps its untried images on an explicit stack and hands each map over
-    when it is found, so a consumer may stop before all of them are built.
+    Vertex ``v`` takes an image ``c`` from ``candidates[v]``, in that order,
+    if ``(image[u], c) in rel`` for each ``(u, rel)`` in ``checks[v]``, ``u``
+    a vertex earlier in ``order``; a relation is any container of ordered
+    image pairs.  With ``injective`` no two vertices share an image.
+    Vertices not in ``order`` map to 0.  The untried images sit on a stack,
+    so a consumer may stop before every tuple is built.
     """
-    if pins:
-        for v, img in pins.items():
-            if not (0 <= v < k.n):
-                raise ValueError(f"pinned vertex {v} out of range")
-            if not (0 <= img < g.n):
-                raise ValueError(f"pinned image {img} out of range")
-    n = k.n
-    if n == 0:
-        yield ()
-        return
-    loops = [False] * n
-    earlier = [[] for _ in range(n)]
-    for u, v in k.edges:
-        if u == v:
-            loops[u] = True
-        else:
-            earlier[v].append(u)
-    gedges = g.edges
-    pins = pins or {}
-    candidates = [(pins[v],) if v in pins else range(g.n) for v in range(n)]
     image = [0] * n
-    used = [False] * g.n
-    stack = [iter(candidates[0])]  # the untried images of vertex len(stack) - 1
+    if not order:
+        yield tuple(image)
+        return
+    last = len(order) - 1
+    if injective:  # used[c]: whether an earlier vertex has the image c
+        used = [False] * (1 + max(map(max, filter(None, candidates)), default=-1))
+    stack = [iter(candidates[order[0]])]  # the untried images of order[len(stack) - 1]
     while stack:
-        v = len(stack) - 1
+        i = len(stack) - 1
+        v = order[i]
+        rels = checks[v]
         for c in stack[-1]:
-            if injective and used[c] or loops[v] and (c, c) not in gedges:
+            if injective and used[c]:
                 continue
-            for u in earlier[v]:
-                iu = image[u]
-                if ((iu, c) if iu <= c else (c, iu)) not in gedges:
+            for u, rel in rels:
+                if (image[u], c) not in rel:
                     break
             else:
                 image[v] = c
-                if v == n - 1:
+                if i == last:
                     yield tuple(image)
                     continue
-                used[c] = True
-                stack.append(iter(candidates[v + 1]))
+                if injective:
+                    used[c] = True
+                stack.append(iter(candidates[order[i + 1]]))
                 break
         else:
             stack.pop()
-            if v:
-                used[image[v - 1]] = False
+            if injective and i:
+                used[image[order[i - 1]]] = False
+
+
+def iter_homomorphisms(k, g, injective=False):
+    """The graph homomorphisms from ``k`` to ``g`` as image tuples, one at a time.
+
+    A map takes edges to edges literally: a non-loop edge may land on a single
+    vertex only if that vertex carries a loop.  Maps come in lexicographic
+    order of the image tuple ``(phi(0), ..., phi(n-1))``, each handed over
+    when the search finds it.
+    """
+    order = list(range(k.n))  # a list: the search indexes it, and a range indexes slower
+    candidates = [range(g.n)] * k.n
+    checks = [[] for _ in order]
+    edges = g.edges | {(v, u) for u, v in g.edges}  # ordered pairs: each edge both ways round
+    for u, v in k.edges:
+        if u == v:
+            candidates[v] = [c for c in range(g.n) if (c, c) in g.edges]
+        else:
+            checks[v].append((u, edges))
+    return _search(k.n, order, candidates, checks, injective)
 
 
 def count_homomorphisms(k, g, keep):
@@ -292,11 +302,13 @@ def count_homomorphisms(k, g, keep):
     isolated one becomes a factor of the count, a leaf a weight vector on
     its neighbour and a vertex of degree two a table of weights on its two
     neighbours, built by walking host adjacency lists, with only the nonzero
-    entries stored.  The vertices left are then searched as
-    :func:`iter_homomorphisms` does, checking the edges and loops left
-    against the host and each table as soon as both its ends have images,
-    so a zero weight cuts the search there.  The cost follows the weighted
-    maps of the vertices left, not the maps of ``k``.
+    entries stored.  The vertices left then go through the same search as
+    :func:`iter_homomorphisms`, which checks the edges left against the host
+    and each table as soon as both its ends have images.  Tables and the
+    image lists hold only nonzero weights, so a zero weight cuts the search
+    there, and each map's weight is multiplied out once it is found.  The
+    cost follows the weighted maps of the vertices left, not the maps of
+    ``k``.
     """
     n = g.n
     free = set(range(k.n)) - keep
@@ -354,53 +366,28 @@ def count_homomorphisms(k, g, keep):
             factors[yz] = {p: w for p, w in table.items() if w}
     if not scalar:
         return
-    # The search over the vertices left, in increasing order.  A factor's
-    # pair ``(u, v)`` has ``u < v``, so it is checked at ``v``.  A loop and a
-    # weight vector are folded into the images each vertex may take.
+    # The search over the vertices left, in increasing order.  A loop and a
+    # zero weight are folded into the images each vertex may take.  A
+    # factor's pair ``(u, v)`` has ``u < v``, so it is checked at ``v``.
     rest = [v for v in range(k.n) if v not in summed]
-    at = {v: i for i, v in enumerate(rest)}
-    options, edges_to, tables_to = [], [[] for _ in rest], [[] for _ in rest]
+    candidates, checks = [()] * k.n, [[] for _ in range(k.n)]
     for v in rest:
         vec = vectors.get(v, ones)
-        options.append([(c, w) for c, w in enumerate(vec) if w and (v not in loops or g.has_loop(c))])
+        candidates[v] = [c for c, w in enumerate(vec) if w and (v not in loops or g.has_loop(c))]
+    edges = g.edges | {(v, u) for u, v in g.edges}
     for (u, v), t in factors.items():
-        if t is None:
-            edges_to[at[v]].append(u)
-        else:
-            tables_to[at[v]].append((u, t))
-    image = [0] * k.n
-    if not rest:
-        yield tuple(image), scalar
+        checks[v].append((u, edges if t is None else t))
+    tables = [(u, v, t) for (u, v), t in factors.items() if t is not None]
+    if not vectors and not tables:  # every map weighs the scalar: hand them over as they come
+        yield from zip(_search(k.n, rest, candidates, checks), repeat(scalar))
         return
-    gedges = g.edges
-    last = len(rest) - 1
-    acc = [scalar]  # acc[i]: the weight of the images chosen for rest[:i]
-    stack = [iter(options[0])]  # the untried images of rest[len(stack) - 1]
-    while stack:
-        i = len(stack) - 1
-        v, edges, tables = rest[i], edges_to[i], tables_to[i]
-        for c, w in stack[-1]:
-            for u in edges:
-                iu = image[u]
-                if ((iu, c) if iu <= c else (c, iu)) not in gedges:
-                    break
-            else:
-                w *= acc[i]
-                for u, t in tables:
-                    w *= t.get((image[u], c), 0)
-                    if not w:
-                        break
-                else:
-                    image[v] = c
-                    if i == last:
-                        yield tuple(image), w
-                        continue
-                    acc.append(w)
-                    stack.append(iter(options[i + 1]))
-                    break
-        else:
-            stack.pop()
-            acc.pop()
+    for image in _search(k.n, rest, candidates, checks):
+        w = scalar
+        for v, vec in vectors.items():
+            w *= vec[image[v]]
+        for u, v, t in tables:
+            w *= t[image[u], image[v]]
+        yield image, w
 
 
 def automorphisms(g):
@@ -565,9 +552,9 @@ def parse_graph6(text):
 
 
 def graph_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("graph JSON must be an object")
-    if "graph6" in obj:
+    """A graph from ``{"n": .., "edges": [[u, v], ..]}`` or ``{"graph6": .., "loops": [v, ..]}``."""
+    if isinstance(obj, dict) and "graph6" in obj:
+        check_json_object(obj, "graph", ("graph6", "loops"))
         base = parse_graph6(obj["graph6"])
         loops = obj.get("loops", [])
         edges = set(base.edges)
@@ -576,6 +563,7 @@ def graph_from_json(obj):
                 raise ValueError(f"loop vertex {v} out of range")
             edges.add((v, v))
         return Graph(base.n, edges)
+    check_json_object(obj, "graph", ("n", "edges"))
     try:
         n = obj["n"]
         edges = obj["edges"]

@@ -10,7 +10,7 @@ with no boundary points left.
 from __future__ import annotations
 
 from .diagrams import BilabelledGraph
-from .errors import CapacityError
+from .errors import CapacityError, check_json_object
 from .graphs import edgeless, generated_partition
 
 PARTITION_POINT_BOUND = 10
@@ -202,8 +202,7 @@ def partition_to_json(p):
 
 
 def partition_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("partition JSON must be an object")
+    check_json_object(obj, "partition", ("k", "l", "blocks"))
     try:
         k, l, blocks = obj["k"], obj["l"], obj["blocks"]
     except KeyError as exc:

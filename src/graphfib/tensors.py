@@ -9,9 +9,10 @@ row-major order.
 ``build_T`` does not list the homomorphisms.  ``graphs.count_homomorphisms``
 first sums out each unlabelled vertex with at most two neighbours into a
 weight vector or a sparse table on its neighbours (the functor law
-``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram), then searches the
-vertices left, checking each table as soon as both its ends have images,
-and hands over each map found with its weight.  So its cost follows the
+``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram).  It then runs the
+same search as the homomorphism enumerator over the vertices left, checking
+each table of nonzero weights as soon as both its ends have images, and
+hands over each map found with its weight.  So its cost follows the
 weighted maps of the labelled vertices and of unlabelled vertices of degree
 three or more, not the number of homomorphisms: a path labelled at both
 ends costs one table of at most ``n^2`` entries per inner vertex and the
@@ -40,6 +41,7 @@ from .diagrams import (
     required_composition_pairs,
     tensor as tensor_diagrams,
 )
+from .errors import check_json_object
 from .graphs import count_homomorphisms, enumerate_homomorphisms, enumerate_overlaps, quotient
 from .partitions import enumerate_partitions, ker
 
@@ -393,8 +395,7 @@ def tensor_to_json(t):
 
 
 def tensor_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("tensor JSON must be an object")
+    check_json_object(obj, "tensor", ("n", "k", "l", "entries"))
     try:
         n, k, l, entries = obj["n"], obj["k"], obj["l"], obj["entries"]
     except KeyError as exc:

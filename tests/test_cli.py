@@ -700,6 +700,65 @@ def test_tensor_rejects_a_bool_edge_endpoint(capsys, tmp_path):
     assert code == 2 and out == "" and "edges must be pairs of integers" in err
 
 
+EDGE_GENERATOR = {"graph": {"n": 2, "edges": [[0, 1]]}, "inputs": [], "outputs": [0, 1, 0, 1]}
+POINT = {"n": 1, "edges": []}
+POINT_DIAGRAM = {"graph": POINT, "inputs": [0], "outputs": [0]}
+PARTITION = {"k": 1, "l": 1, "blocks": [[0, 1]], "n": 2}
+
+
+def functor_check_with(**expect_left):
+    """The first functor fixture check, its frozen left tensor changed by ``expect_left``."""
+    with open(fx("functor_checks.json"), encoding="utf-8") as fh:
+        check = json.load(fh)["checks"][0]
+    check["expect"]["left"].update(expect_left)
+    return {"checks": [check]}
+
+
+# Each input names a key or holds a value that a reader once ignored or
+# misread, so that the command went on and exited 0.
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["closure", "{a}"], {"a": {"generators": [EDGE_GENERATOR], "easy": "no", "max_vertices": 3}}),
+        (["closure", "{a}"], {"a": {"generators": [EDGE_GENERATOR], "max_vertices": True}}),
+        (["closure", "{a}"], {"a": {"generators": [EDGE_GENERATOR], "max_vertices": 2.5}}),
+        (["closure", "{a}"], {"a": {"generators": [EDGE_GENERATOR], "max_vertices": 3, "stratgy": "racg"}}),
+        (["closure", "{a}"], {"a": {"generators": [EDGE_GENERATOR], "max_vertice": 2}}),
+        (["dim", "{a}", "{b}", "1", "1"], {"a": {"symmetric": 1}, "b": {"alphabet": True, "generators": []}}),
+        (["dim", "{a}", "{b}", "1", "1"], {"a": {"symmetric": 2}, "b": {"alphabet": 2, "generators": [], "x": 1}}),
+        (["orbits", "{a}", "1", "1"], {"a": {"symmetric": 2, "degree": 2, "elements": [[0, 1], [1, 0]]}}),
+        (["tensor", "{a}", fx("edge_diagram.json")], {"a": {"n": 1, "edges": [], "loops": [0]}}),
+        (["tensor", "{a}", fx("edge_diagram.json")], {"a": {"graph6": "Bw", "n": 3}}),
+        (["tensor", fx("k2.json"), "{a}"], {"a": {**POINT_DIAGRAM, "k": 1}}),
+        (["verify", "thpart", "{a}"], {"a": {"checks": [{"group": {"symmetric": 2}, "partition": PARTITION}]}}),
+        (["verify", "functor", "{a}"], {"a": functor_check_with(shape=[3, 1, 1])}),
+        (["verify", "moebius", "{a}"], {"a": {"checks": [{"graph": POINT, "diagram": POINT_DIAGRAM, "note": ""}]}}),
+        (["verify", "moebius", "{a}"], {"a": {"checks": [], "version": 1}}),
+    ],
+    ids=[
+        "fibration-easy-string",
+        "fibration-max-vertices-bool",
+        "fibration-max-vertices-float",
+        "fibration-misspelt-strategy",
+        "fibration-misspelt-max-vertices",
+        "closure-alphabet-bool",
+        "closure-misspelt-strategy",
+        "group-two-forms",
+        "graph-loops-beside-n",
+        "graph6-beside-n",
+        "diagram-unknown-key",
+        "partition-unknown-key",
+        "tensor-unknown-key",
+        "fixture-check-unknown-key",
+        "fixtures-unknown-key",
+    ],
+)
+def test_json_readers_refuse_what_they_once_ignored_or_misread(capsys, tmp_path, argv, files):
+    paths = {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == "" and err.startswith("error:"), err
+
+
 @pytest.mark.parametrize("k", [True, -1, 1.0])
 def test_verify_thpart_rejects_a_partition_size_that_is_not_a_non_negative_int(capsys, tmp_path, k):
     check = {"group": {"symmetric": 2}, "partition": {"k": k, "l": 0, "blocks": [[0]]}}

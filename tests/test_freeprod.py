@@ -116,8 +116,9 @@ def test_quotient_orders():
 
 
 def test_quotient_order_cap_returns_none():
-    # the free product of three involutions modulo one commutator is infinite
-    spec = NormalClosureSpec(3, [(0, 1, 0, 1)], MembershipPolicy(coset_cap=400))
+    # the free product of three involutions modulo one commutator is infinite,
+    # which the split certificate shows before any coset is defined
+    spec = NormalClosureSpec(3, [(0, 1, 0, 1)])
     assert quotient_order_if_finite(spec) is None
 
 
@@ -340,9 +341,9 @@ def test_closure_json_rejects_bad_input():
         {"strategy": None},
         {"bfs_depth": -1},
         {"bfs_max_len": -1},
-        {"coset_cap": 0},
+        {"bfs_depth": "6"},
         {"bfs_depth": True},
-        {"coset_cap": True},
+        {"bfs_max_len": None},
         {"bfs_max_len": 2.0},
     ],
 )
@@ -352,8 +353,8 @@ def test_membership_policy_rejects_bad_fields(fields):
 
 
 def test_membership_policy_accepts_the_least_bounds():
-    policy = MembershipPolicy("bounded-bfs", bfs_depth=0, bfs_max_len=0, coset_cap=1)
-    assert (policy.bfs_depth, policy.bfs_max_len, policy.coset_cap) == (0, 0, 1)
+    policy = MembershipPolicy("bounded-bfs", bfs_depth=0, bfs_max_len=0)
+    assert (policy.bfs_depth, policy.bfs_max_len) == (0, 0)
 
 
 def test_membership_policy_is_immutable_and_replace_checks():
@@ -364,7 +365,7 @@ def test_membership_policy_is_immutable_and_replace_checks():
     assert policy.replace(bfs_depth=2) == MembershipPolicy(bfs_depth=2)
     assert hash(policy.replace()) == hash(policy)
     with pytest.raises(ValueError):
-        policy.replace(coset_cap=0)
+        policy.replace(bfs_max_len=-1)
 
 
 @pytest.mark.parametrize(
@@ -377,6 +378,6 @@ def test_policy_json_round_trip(policy):
 
 
 def test_policy_without_a_json_form_is_refused():
-    for policy in (MembershipPolicy(coset_cap=5), MembershipPolicy("racg", bfs_depth=2)):
+    for policy in (MembershipPolicy("racg", bfs_depth=2), MembershipPolicy("auto", bfs_max_len=5)):
         with pytest.raises(ValueError):
             policy_to_json(policy)

@@ -206,7 +206,7 @@ def closures_with_groups(draw):
         policy = MembershipPolicy("racg")
     else:
         words = draw(st.lists(st.lists(letters, min_size=1, max_size=6), min_size=1, max_size=3))
-        policy = MembershipPolicy("finite-model", coset_cap=500)
+        policy = MembershipPolicy("finite-model")
     return PermutationGroup(degree, gens), NormalClosureSpec(degree, words, policy)
 
 

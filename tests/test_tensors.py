@@ -4,11 +4,11 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphfib.diagrams import BilabelledGraph, m_diagram, rotate_left
-from graphfib.graphs import Graph, complete, disjoint_union, edgeless, enumerate_homomorphisms, path
+from graphfib.graphs import Graph, complete, cycle, disjoint_union, edgeless, enumerate_homomorphisms, path
 from graphfib.partitions import (
     enumerate_set_partitions,
     from_blocks,
@@ -241,8 +241,8 @@ def test_left_rotation_shuffles_indices():
 
 
 @st.composite
-def small_graphs(draw, max_n):
-    n = draw(st.integers(0, max_n))
+def small_graphs(draw, max_n, min_n=0):
+    n = draw(st.integers(min_n, max_n))
     cells = [(u, v) for u in range(n) for v in range(u, n)]
     return Graph(n, draw(st.lists(st.sampled_from(cells), unique=True)) if cells else [])
 
@@ -265,14 +265,46 @@ def brute_force_counts(g, d, injective):
     return counts
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_graphs(4), small_diagrams())
-def test_builders_match_a_brute_force_count_over_all_vertex_maps(g, d):
+def assert_builders_match_brute_force(g, d):
     for t, injective in ((build_T(g, d), False), (build_That(g, d), True)):
         counts = brute_force_counts(g, d, injective)
         for j in all_tuples(g.n, d.l):
             for i in all_tuples(g.n, d.k):
                 assert t.entry(j, i) == counts[j, i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(4), small_diagrams())
+def test_builders_match_a_brute_force_count_over_all_vertex_maps(g, d):
+    assert_builders_match_brute_force(g, d)
+
+
+@st.composite
+def five_vertex_diagrams(draw):
+    """A tree on 2 to 5 vertices plus up to 3 more edges or loops, and at
+    most two labels, so that unlabelled leaves, degree-two vertices between
+    labels, tables merged into an existing factor and loops on summed-out
+    vertices turn up."""
+    n = draw(st.integers(2, 5))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    labels = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    cut = draw(st.integers(0, len(labels)))
+    graph = Graph(n, tree + draw(st.lists(st.sampled_from(cells), max_size=3)))
+    return BilabelledGraph(graph, labels[:cut], labels[cut:])
+
+
+# A triangle with a loop, so that tables hold weights above one.
+KITE_HOST = Graph(3, [(0, 1), (0, 2), (1, 2), (2, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(3, min_n=2), five_vertex_diagrams())
+@example(KITE_HOST, BilabelledGraph(cycle(4), (0,), (2,)))  # the second table merges into the first
+@example(KITE_HOST, BilabelledGraph(Graph(5, [(0, 4), (4, 3), (3, 2), (2, 1)]), (0,), (1,)))  # tables summed on
+@example(KITE_HOST, BilabelledGraph(Graph(4, [(0, 1), (1, 2), (2, 3), (1, 1), (2, 2)]), (0,), (3,)))  # summed loops
+def test_builders_match_a_brute_force_count_on_five_vertex_diagrams(g, d):
+    assert_builders_match_brute_force(g, d)  # at most 3^5 maps each
 
 
 @settings(max_examples=60, deadline=None)
