@@ -22,12 +22,13 @@ import json
 import sys
 
 from .errors import CapacityError, IndeterminateError, InvariantError, check_json_object
-from .fibrations import closure_graphs, fiber_generators, fibration_from_json
+from .fibrations import DEFAULT_MAX_VERTICES, closure_graphs, fiber_generators, fibration_from_json
 from .freeprod import closure_from_json
 from .graphs import graph_from_json, graph_to_json
 from .diagrams import diagram_from_json
 from .partitions import partition_from_json
 from .repspaces import (
+    DEFAULT_TUPLE_BOUND,
     burnside_dim,
     dim_report,
     graph_automorphism_group,
@@ -58,7 +59,7 @@ class Config:
 
     __slots__ = ("max_vertices", "tuple_bound")
 
-    DEFAULTS = {"max_vertices": 5, "tuple_bound": 10**6}
+    DEFAULTS = {"max_vertices": DEFAULT_MAX_VERTICES, "tuple_bound": DEFAULT_TUPLE_BOUND}
 
     def __init__(self, **overrides):
         unknown = set(overrides) - set(self.DEFAULTS)

@@ -12,14 +12,12 @@ from __future__ import annotations
 from .errors import check_json_object
 from .graphs import (
     Graph,
-    automorphisms,
-    canonical_form,
+    canonical_relabellings,
     disjoint_union,
     edgeless,
     f_union,
     generated_partition,
     graph_from_json,
-    graph_from_mask,
     graph_to_json,
     quotient,
 )
@@ -183,16 +181,13 @@ def diagram_key(d):
     """Canonical key of a diagram under label-preserving isomorphism.
 
     The least ``(adjacency mask, relabeled inputs, relabeled outputs)`` over
-    all vertex permutations.  The relabelings reaching the least mask are
-    ``canonical_form``'s permutation followed by an automorphism of the
-    canonical graph, so only those are tried.
+    all vertex permutations.  Only the relabelings reaching the least mask,
+    as listed by ``canonical_relabellings``, can reach it.
     """
-    (n, mask), perm = canonical_form(d.graph)
-    labels = min(
-        (tuple(alpha[perm[v]] for v in d.inputs), tuple(alpha[perm[v]] for v in d.outputs))
-        for alpha in automorphisms(graph_from_mask(n, mask))
+    key, perms = canonical_relabellings(d.graph)
+    return key + min(
+        (tuple(perm[v] for v in d.inputs), tuple(perm[v] for v in d.outputs)) for perm in perms
     )
-    return (n, mask) + labels
 
 
 def equal_diagrams(d1, d2):

@@ -40,6 +40,8 @@ from .graphs import (
 )
 from .partitions import enumerate_partitions
 
+DEFAULT_MAX_VERTICES = 5
+
 
 class GraphFibration:
     __slots__ = (
@@ -52,7 +54,7 @@ class GraphFibration:
         "_fiber_words",
     )
 
-    def __init__(self, generators, easy=False, max_vertices=5, policy=MembershipPolicy()):
+    def __init__(self, generators, easy=False, max_vertices=DEFAULT_MAX_VERTICES, policy=MembershipPolicy()):
         generators = tuple(generators)
         for d in generators:
             if not isinstance(d, BilabelledGraph):
@@ -271,7 +273,7 @@ def greatest_subgraph(fib, g):
 # fibrations from a single group of words
 
 
-def fibration_from_group(g, closure, easy=False, max_vertices=5):
+def fibration_from_group(g, closure, easy=False, max_vertices=DEFAULT_MAX_VERTICES):
     """The fibration generated by the output-only diagrams ``(g, (), w)``.
 
     ``closure`` is a normal-closure description over ``g``'s vertices.  For an
@@ -307,7 +309,7 @@ def fibration_to_json(fib):
     }
 
 
-def fibration_from_json(obj, default_max_vertices=5):
+def fibration_from_json(obj, default_max_vertices=DEFAULT_MAX_VERTICES):
     check_json_object(obj, "fibration", ("generators", "easy", "max_vertices", "strategy"))
     try:
         gens = [diagram_from_json(d) for d in obj["generators"]]

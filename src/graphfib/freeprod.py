@@ -442,25 +442,19 @@ def member(word, spec):
         return Membership.YES
     policy = spec.policy
     strategy = policy.strategy
-    if strategy == "auto":
-        if racg_eligible(spec.generators):
-            strategy = "racg"
-        elif _cached_table(spec.alphabet_size, spec.generators) is not None:
-            strategy = "finite-model"
-        else:
-            strategy = "bounded-bfs"
-    if strategy == "racg":
-        if not racg_eligible(spec.generators):
-            raise ValueError("racg strategy requires every generator to read xyxy with x != y")
+    if strategy in ("auto", "racg") and racg_eligible(spec.generators):
         return _racg_member(w, spec.generators)
-    if strategy == "finite-model":
+    if strategy == "racg":
+        raise ValueError("racg strategy requires every generator to read xyxy with x != y")
+    if strategy != "bounded-bfs":
         table = _cached_table(spec.alphabet_size, spec.generators)
-        if table is None:
+        if table is not None:
+            c = 0
+            for x in w:
+                c = table[c][x]
+            return Membership.YES if c == 0 else Membership.NO
+        if strategy == "finite-model":
             return Membership.UNKNOWN
-        c = 0
-        for x in w:
-            c = table[c][x]
-        return Membership.YES if c == 0 else Membership.NO
     return _bounded_bfs_member(w, spec.generators, policy.bfs_depth, policy.bfs_max_len)
 
 

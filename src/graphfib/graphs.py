@@ -3,6 +3,8 @@ canonical forms.
 
 One backtracking search, ``_search``, serves every homomorphism query: plain
 and injective maps, automorphisms, and the weighted maps behind ``build_T``.
+One pass over the vertex relabelings, ``canonical_relabellings``, serves
+every canonical labelling: canonical forms, graph enumeration and diagram keys.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -20,6 +22,9 @@ from .errors import CapacityError, check_json_object
 # Canonical forms are computed by minimising over all vertex permutations,
 # so they are only offered up to this many vertices.
 CANONICAL_VERTEX_BOUND = 8
+# Graphs read from JSON have at most this many vertices: the searches and
+# tables allocate per vertex before any other bound is consulted.
+GRAPH_VERTEX_BOUND = 10**6
 
 
 class Graph:
@@ -404,10 +409,6 @@ def automorphisms(g):
 # canonical forms
 
 
-def _cell_count(n):
-    return n * (n + 1) // 2
-
-
 def _cell_index(n, u, v):
     # cells (u, v) with u <= v, row-major including the diagonal
     return u * n - u * (u + 1) // 2 + v
@@ -445,31 +446,41 @@ def graph_from_mask(n, mask):
     return Graph(n, edges)
 
 
-def canonical_form(g):
-    """Minimal adjacency bitmask over all vertex relabelings.
+def canonical_relabellings(g):
+    """Minimal adjacency bitmask over all vertex relabelings, and every relabeling reaching it.
 
-    Returns ``((n, mask), perm)`` where ``perm`` is the lexicographically
-    least permutation achieving the minimum (``perm[v]`` is the new name of
-    vertex ``v``).  Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are
-    refused.
+    Returns ``((n, mask), perms)``: ``perms`` lists in lexicographic order
+    each permutation (``perm[v]`` is the new name of vertex ``v``) whose
+    relabeled mask is the minimum, one coset of the automorphism group of
+    ``g``.  Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are refused.
     """
     if g.n > CANONICAL_VERTEX_BOUND:
         raise CapacityError(
             f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {g.n}"
         )
     bits = [_cell_index(g.n, u, v) for u, v in g.edges]
-    best = None
-    best_perm = None
+    best = 1 << len(_cells(g.n))  # above every mask, so the first relabeling sets perms
     for sigma, tab in _perm_cell_tables(g.n):
         m = 0
         for c in bits:
             m |= 1 << tab[c]
-        if best is None or m < best:
-            best = m
-            best_perm = sigma
-    if best is None:  # n == 0
-        return (0, 0), ()
-    return (g.n, best), best_perm
+        if m <= best:
+            if m < best:
+                best = m
+                perms = []
+            perms.append(sigma)
+    return (g.n, best), perms
+
+
+def canonical_form(g):
+    """Minimal adjacency bitmask over all vertex relabelings.
+
+    Returns ``((n, mask), perm)`` where ``perm`` is the lexicographically
+    least permutation achieving the minimum, the first of
+    :func:`canonical_relabellings`.
+    """
+    key, perms = canonical_relabellings(g)
+    return key, perms[0]
 
 
 def canonical_key(g):
@@ -486,37 +497,24 @@ def enumerate_graphs(n, loops=False):
     """All isomorphism-class representatives on ``n`` vertices, in canonical order.
 
     With ``loops=False`` only loopless graphs are produced.  Each returned
-    graph equals its own canonical representative.
+    graph equals its own canonical representative.  Deleting a vertex of a
+    graph leaves one on ``n - 1`` vertices, so the classes are the canonical
+    keys of each class on ``n - 1`` vertices extended by one vertex in every
+    way: every set of neighbours, with or without a loop when ``loops``.
     """
     if n > CANONICAL_VERTEX_BOUND:
         raise CapacityError(
             f"graph enumeration supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
         )
-    if n == 0:
-        return [Graph(0)]
-    tables = _perm_cell_tables(n)
-    if loops:
-        allowed = list(range(_cell_count(n)))
-    else:
-        allowed = [i for i, (u, v) in enumerate(_cells(n)) if u != v]
-    masks = []
-    for sub in range(1 << len(allowed)):
-        bits = [allowed[i] for i in range(len(allowed)) if (sub >> i) & 1]
-        mask = 0
-        for c in bits:
-            mask |= 1 << c
-        minimal = True
-        for _, tab in tables[1:]:
-            m = 0
-            for c in bits:
-                m |= 1 << tab[c]
-            if m < mask:
-                minimal = False
-                break
-        if minimal:
-            masks.append(mask)
-    masks.sort()
-    return [graph_from_mask(n, mask) for mask in masks]
+    if n < 1:
+        return [Graph(n)]
+    keys = set()
+    for h in enumerate_graphs(n - 1, loops):
+        # bit u of ``sub`` joins vertex u to the new vertex n - 1; bit n - 1 is its loop
+        for sub in range(1 << (n - 1 + loops)):
+            new = {(u, n - 1) for u in range(n) if sub >> u & 1}
+            keys.add(canonical_key(Graph(n, h.edges | new)))
+    return [graph_from_mask(*key) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +569,8 @@ def graph_from_json(obj):
         raise ValueError(f"graph JSON missing key {exc}")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("graph JSON field 'n' must be an integer")
+    if n > GRAPH_VERTEX_BOUND:
+        raise CapacityError(f"graph of {n} vertices exceeds the bound {GRAPH_VERTEX_BOUND}")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
     ):

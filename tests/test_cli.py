@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -31,7 +32,8 @@ def run(capsys, *argv):
 
 def run_in_child(*argv):
     """Run the CLI in a child process, so that a runaway computation fails
-    the test at the timeout instead of stalling the suite."""
+    the test at the timeout or at a 1 GiB address-space limit instead of
+    stalling the suite or the machine."""
     src = os.path.dirname(os.path.dirname(graphfib.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "graphfib.cli", *argv],
@@ -39,6 +41,7 @@ def run_in_child(*argv):
         text=True,
         timeout=10,
         env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -365,6 +368,29 @@ def test_orbits_refuses_a_group_that_stores_too_many_points(capsys, tmp_path, gr
     path = write_json(tmp_path, "group.json", group)
     code, out, err = run(capsys, "orbits", path, "0", "0")
     assert code == 3 and out == "" and err.startswith("capacity:")
+
+
+HUGE_GRAPH = {"n": 10**9, "edges": []}
+ONE_VERTEX = {"graph": {"n": 1, "edges": []}, "inputs": [], "outputs": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tensor", ("host", HUGE_GRAPH), ("diagram", ONE_VERTEX)),
+        ("tensor", ("host", HUGE_GRAPH), ("diagram", ONE_VERTEX), "--mode", "inj"),
+        ("tensor", ("host", {"n": 2, "edges": []}), ("diagram", {**ONE_VERTEX, "graph": HUGE_GRAPH})),
+        ("orbits", ("group", {"automorphisms_of": HUGE_GRAPH}), "0", "0"),
+    ],
+    ids=["tensor-host", "tensor-inj-host", "tensor-diagram", "orbits-automorphisms"],
+)
+def test_a_graph_above_the_vertex_bound_exits_3_before_allocating(tmp_path, argv):
+    # a billion vertices would need per-vertex lists of gigabytes; each
+    # (name, object) pair is written to a JSON file first
+    args = [write_json(tmp_path, a[0] + ".json", a[1]) if isinstance(a, tuple) else a for a in argv]
+    code, out, err = run_in_child(*args)
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
 
 
 def test_orbits_stops_listing_automorphisms_at_the_point_bound(tmp_path):

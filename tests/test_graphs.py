@@ -11,7 +11,9 @@ from graphfib.graphs import (
     Graph,
     add_loops_everywhere,
     automorphisms,
+    canonical_form,
     canonical_key,
+    canonical_relabellings,
     complete,
     disjoint_union,
     edgeless,
@@ -24,6 +26,7 @@ from graphfib.graphs import (
     graph_to_json,
     iter_homomorphisms,
     join_partitions,
+    mask_of,
     normalize_partition,
     parse_graph6,
     path,
@@ -336,8 +339,46 @@ def test_canonical_key_invariant_under_permutation(data):
     assert canonical_key(g) == canonical_key(relabeled)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_relabellings_are_every_permutation_reaching_the_least_mask(data):
+    n = data.draw(st.integers(min_value=0, max_value=6))
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    g = Graph(n, data.draw(st.sets(st.sampled_from(cells)) if cells else st.just(())))
+    key, perms = canonical_relabellings(g)
+    reaching = [
+        perm for perm in permutations(range(n))
+        if (n, mask_of(Graph(n, [(perm[u], perm[v]) for u, v in g.edges]))) == key
+    ]
+    assert perms == reaching
+    assert len(perms) == len(automorphisms(g))
+    assert perms[0] == canonical_form(g)[1]
+
+
 # ---------------------------------------------------------------------------
 # enumeration and partitions of vertex sets
+
+
+def reference_graph_masks(n, loops):
+    """The least masks of the graphs on ``n`` vertices, found one candidate
+    mask at a time: a mask over the allowed cells is kept unless some
+    relabeling lowers it, and the check stops at the first that does."""
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    index = {cell: i for i, cell in enumerate(cells)}
+    moves = [[index[min(p[u], p[v]), max(p[u], p[v])] for u, v in cells] for p in permutations(range(n))]
+    allowed = [i for i, (u, v) in enumerate(cells) if loops or u != v]
+    masks = []
+    for sub in range(1 << len(allowed)):
+        bits = [c for j, c in enumerate(allowed) if sub >> j & 1]
+        mask = sum(1 << c for c in bits)
+        if all(sum(1 << tab[c] for c in bits) >= mask for tab in moves[1:]):
+            masks.append(mask)
+    return sorted(masks)
+
+
+@pytest.mark.parametrize("n, loops", [(n, False) for n in range(6)] + [(n, True) for n in range(5)])
+def test_enumerate_graphs_matches_the_minimality_check(n, loops):
+    assert [mask_of(g) for g in enumerate_graphs(n, loops)] == reference_graph_masks(n, loops)
 
 
 def test_enumerate_graphs_counts():

@@ -274,7 +274,10 @@ def assert_builders_match_brute_force(g, d):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(4), small_diagrams())
+@given(small_graphs(4, min_n=2), small_diagrams())
+@example(edgeless(0), BilabelledGraph(edgeless(2), (0,), (1,)))
+@example(edgeless(0), BilabelledGraph(edgeless(0)))
+@example(Graph(1, [(0, 0)]), BilabelledGraph(path(3), (0,), (2,)))
 def test_builders_match_a_brute_force_count_over_all_vertex_maps(g, d):
     assert_builders_match_brute_force(g, d)
 
@@ -308,7 +311,9 @@ def test_builders_match_a_brute_force_count_on_five_vertex_diagrams(g, d):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_graphs(4), small_diagrams(), small_diagrams(), small_diagrams())
+@given(small_graphs(4, min_n=2), small_diagrams(), small_diagrams(), small_diagrams())
+@example(edgeless(0), m_diagram(1, 1), m_diagram(1, 0), BilabelledGraph(edgeless(2), (0,), (1,)))
+@example(Graph(1, [(0, 0)]), BilabelledGraph(path(2), (0,), (1,)), m_diagram(0, 1), BilabelledGraph(path(3), (0,), (2,)))
 def test_every_verifier_report_holds_on_random_diagrams(g, d1, d2, d):
     reports = verify_functor(g, d1, d2) + verify_that_sums(g, d1, d2) + [moebius_expand(g, d)]
     assert all(r["ok"] for r in reports), reports
