@@ -2,9 +2,9 @@
 
 A fibration assigns to certain graphs ("fibres") a normal closure of words
 over the involutive free product on the fibre's vertex set.  The fibres are
-the glued-union closure of the generator graphs (together with the empty and
-the one-vertex graph); in *easy* mode the closure also absorbs quotients and
-generator copies may be non-injective.
+the graphs whose edges are covered by copies of the generator graphs:
+injective copies for a *skew* fibration, arbitrary homomorphic images (copies
+of quotients) for an *easy* one.  Edgeless graphs are fibres.
 
 Every query about a fibre reduces to normal-closure membership over words:
 a generator diagram ``(H, a, b)`` contributes the word ``reverse(a) + b``
@@ -14,6 +14,7 @@ pushed through each copy of ``H`` inside the fibre.
 from __future__ import annotations
 
 from collections import deque
+from itertools import permutations
 
 from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
 from .errors import CapacityError, InvariantError, check_json_object
@@ -29,12 +30,8 @@ from .freeprod import (
 )
 from .graphs import (
     Graph,
-    canonical_form,
     canonical_key,
-    edgeless,
     enumerate_homomorphisms,
-    enumerate_overlaps,
-    f_union,
     graph_from_mask,
     quotient,
 )
@@ -88,42 +85,19 @@ def boundary_word(d):
 # the closure of fibres
 
 
-def _add_class(g, seen, classes):
-    """File ``g`` under its canonical key; return the representative if new.
-
-    ``seen`` holds every raw ``(n, edges)`` already filed, so each labelled
-    graph is canonicalised once.  The representative is rebuilt from the
-    canonical mask, whose own canonical key is that mask by construction.
-    """
-    raw = (g.n, g.edges)
-    if raw in seen:
-        return None
-    seen.add(raw)
-    key, _ = canonical_form(g)
-    if key in classes:
-        return None
-    rep = classes[key] = graph_from_mask(*key)
-    seen.add((rep.n, rep.edges))
-    return rep
-
-
 def _closure_units(fib):
-    """Graphs whose glued unions generate the closure, deduped up to iso.
+    """Graphs whose copies cover the edges of every fibre, deduped up to iso.
 
-    The one-vertex graph is always a unit: gluing it in grows the vertex set,
-    which is how the edgeless members appear.  In easy mode every quotient of
-    a generator graph joins the unit list: a non-injective copy of a
-    generator factors as a quotient followed by an embedding, so unions with
-    quotients reach everything quotients would.
+    In easy mode every quotient of a generator graph joins the unit list: a
+    non-injective copy of a generator factors as a quotient followed by an
+    embedding.  Units without edges cover nothing and are left out.
     """
     units = {}
-    seen = set()
 
     def add(g):
-        if 1 <= g.n <= fib.max_vertices:
-            _add_class(g, seen, units)
+        if g.edges and g.n <= fib.max_vertices:
+            units.setdefault(canonical_key(g), g)
 
-    add(edgeless(1))
     for d in fib.generators:
         add(d.graph)
         if fib.easy:
@@ -133,7 +107,14 @@ def _closure_units(fib):
 
 
 def _close(fib):
-    """Compute the closure once; cache its members and their key set."""
+    """Compute the closure once; cache its members and their key set.
+
+    A graph is a fibre when copies of the units cover its edges, so each one
+    on ``n`` vertices is reached from the edgeless graph on ``n`` vertices by
+    adding those copies one at a time.  ``seen`` holds every raw
+    ``(n, edges)`` already filed, so each labelled graph is canonicalised
+    once; a new class is kept as the graph of its canonical mask.
+    """
     if fib._closure is not None:
         return fib._closure
     units = _closure_units(fib)
@@ -141,26 +122,24 @@ def _close(fib):
     seen = set()
     queue = deque()
 
-    def add(g):
-        rep = _add_class(g, seen, members)
-        if rep is not None:
+    def add(n, edges):
+        if (n, edges) in seen:
+            return
+        seen.add((n, edges))
+        key = canonical_key(Graph(n, edges))
+        if key not in members:
+            rep = members[key] = graph_from_mask(*key)
+            seen.add((rep.n, rep.edges))
             queue.append(rep)
 
-    add(edgeless(0))
-    add(edgeless(1))
-    for u in units:
-        add(u)
+    for n in range(fib.max_vertices + 1):
+        add(n, frozenset())
     while queue:
         x = queue.popleft()
         for h in units:
-            if max(x.n, h.n) > fib.max_vertices:
-                continue
-            low = x.n + h.n - fib.max_vertices
-            for f in enumerate_overlaps(x.n, h.n):
-                if len(f) < low:
-                    continue
-                union, _, _ = f_union(x, h, f)
-                add(union)
+            for rho in permutations(range(x.n), h.n):
+                copy = ((rho[u], rho[v]) for u, v in h.edges)
+                add(x.n, x.edges | {(a, b) if a <= b else (b, a) for a, b in copy})
     fib._closure = tuple(members[key] for key in sorted(members))
     fib._closure_keys = frozenset(members)
     return fib._closure
@@ -169,10 +148,10 @@ def _close(fib):
 def closure_graphs(fib):
     """All fibres up to isomorphism, canonical representatives.
 
-    Sorted by vertex count, then by canonical adjacency mask.  The closure is
-    computed by a worklist over glued unions of members with generator units;
-    intermediate results never need more vertices than the final graph, so
-    the ``max_vertices`` bound loses nothing below itself.
+    Sorted by vertex count, then by canonical adjacency mask.  The fibres on
+    at most ``max_vertices`` vertices are the graphs whose edges are covered
+    by injective copies of the generator graphs (of their quotients, in easy
+    mode).
     """
     return list(_close(fib))
 
@@ -203,17 +182,14 @@ def fiber_generators(fib, g):
         return fib._fiber_words[cache_key]
     if not is_fiber(fib, g):
         raise ValueError("graph is not a fibre of this fibration")
-    words = []
-    for d in fib.generators:
-        for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy):
-            w = reduce_word(
-                tuple(phi[v] for v in reversed(d.inputs)) + tuple(phi[v] for v in d.outputs)
-            )
-            if w and w not in words:
-                words.append(w)
+    raw_words = (
+        tuple(phi[v] for v in reversed(d.inputs)) + tuple(phi[v] for v in d.outputs)
+        for d in fib.generators
+        for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy)
+    )
     policy = fib.policy.replace(strategy="auto")
     kept = []
-    for w in words:
+    for w in NormalClosureSpec(g.n, raw_words).generators:
         if kept and member(w, NormalClosureSpec(g.n, kept, policy)) is Membership.YES:
             continue
         kept.append(w)

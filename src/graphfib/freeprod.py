@@ -138,13 +138,9 @@ class NormalClosureSpec:
     __slots__ = ("alphabet_size", "generators", "policy")
 
     def __init__(self, alphabet_size, generators, policy=MembershipPolicy()):
-        gens = []
-        for g in generators:
-            w = reduce_word(validate_word(g, alphabet_size))
-            if w and w not in gens:
-                gens.append(w)
+        words = (reduce_word(validate_word(g, alphabet_size)) for g in generators)
         self.alphabet_size = alphabet_size
-        self.generators = tuple(gens)
+        self.generators = tuple(dict.fromkeys(w for w in words if w))
         self.policy = policy
 
     def __eq__(self, other):

@@ -316,6 +316,33 @@ def test_closure_rejects_an_unknown_strategy_name(capsys, tmp_path):
     assert "Traceback" not in err and "shuffle" in err
 
 
+K2_GENERATOR = {"graph": {"n": 2, "edges": [[0, 1]]}, "inputs": [], "outputs": [0, 1, 0, 1]}
+P11_GENERATOR = {"graph": {"n": 11, "edges": [[v, v + 1] for v in range(10)]}, "inputs": [], "outputs": [0, 1]}
+
+
+@pytest.mark.parametrize(
+    "fibration, code, message",
+    [
+        ({"generators": [K2_GENERATOR], "max_vertices": 9}, 3, "canonical form supported up to 8 vertices"),
+        ({"generators": [], "max_vertices": 9}, 3, "canonical form supported up to 8 vertices"),
+        ({"generators": [P11_GENERATOR], "easy": True}, 3, "partition enumeration capped at 10 points"),
+        ({"generators": [P11_GENERATOR], "max_vertices": 3}, 0, ""),
+    ],
+    ids=["k2-nine-vertices", "no-generators-nine-vertices", "easy-eleven-vertex-generator", "skew-eleven-vertex-generator"],
+)
+def test_closure_size_bounds_exit_cleanly(tmp_path, fibration, code, message):
+    # nine-vertex fibres cannot be canonically labelled and an easy generator's
+    # quotients cannot be listed past ten vertices; a skew generator larger
+    # than the bound has no copy in any fibre and is simply never used
+    got, out, err = run_in_child("closure", write_json(tmp_path, "fibration.json", fibration))
+    assert got == code, err
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("capacity:") and message in err
+    else:
+        assert json.loads(out)["count"] == 4 and err == ""
+
+
 # ---------------------------------------------------------------------------
 # orbits
 

@@ -183,6 +183,33 @@ def test_closure_and_is_fiber_match_a_reference_worklist(fib):
             assert is_fiber(fib, g) == (canonical_key(g) in keys)
 
 
+BENCHMARK_SHAPES = {
+    "K2": complete(2),
+    "E2": edgeless(2),
+    "E2-loop": Graph(2, [(1, 1)]),
+    "P3": path(3),
+    "K3": complete(3),
+}
+
+
+@pytest.mark.parametrize(
+    "shapes, easy, bound",
+    [
+        (("K3",), False, 5),
+        (("E2",), False, 6),
+        (("E2-loop",), False, 6),
+        (("E2-loop",), True, 6),
+        (("K2", "P3"), False, 4),
+        (("K2",), False, 5),
+    ],
+    ids=["skew-K3-5", "skew-E2-6", "skew-E2loop-6", "easy-E2loop-6", "skew-K2+P3-4", "skew-K2-5"],
+)
+def test_closure_matches_the_reference_at_benchmark_sizes(shapes, easy, bound):
+    gens = [BilabelledGraph(BENCHMARK_SHAPES[s], (), (0, 1, 0, 1)) for s in shapes]
+    fib = GraphFibration(gens, easy=easy, max_vertices=bound)
+    assert closure_graphs(fib) == reference_closure(fib)
+
+
 # ---------------------------------------------------------------------------
 # fibre generators
 
