@@ -6,9 +6,11 @@ the graphs whose edges are covered by copies of the generator graphs:
 injective copies for a *skew* fibration, arbitrary homomorphic images (copies
 of quotients) for an *easy* one.  Edgeless graphs are fibres.
 
-Every query about a fibre reduces to normal-closure membership over words:
-a generator diagram ``(H, a, b)`` contributes the word ``reverse(a) + b``
-pushed through each copy of ``H`` inside the fibre.
+Every query about one graph reads the generator copies inside it: the graph
+is a fibre when their images cover its edges, and a generator diagram
+``(H, a, b)`` contributes the word ``reverse(a) + b`` pushed through each
+copy of ``H``.  Fibre membership of a word is then normal-closure membership
+over those words.  The closure of fibres is built only to list them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import deque
 from itertools import permutations
 
 from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
-from .errors import CapacityError, InvariantError, check_json_object
+from .errors import CapacityError, check_json_object
 from .freeprod import (
     Membership,
     MembershipPolicy,
@@ -47,7 +49,6 @@ class GraphFibration:
         "max_vertices",
         "policy",
         "_closure",
-        "_closure_keys",
         "_fiber_words",
     )
 
@@ -65,7 +66,6 @@ class GraphFibration:
         self.max_vertices = max_vertices
         self.policy = policy
         self._closure = None
-        self._closure_keys = None
         self._fiber_words = {}
 
     def __repr__(self):
@@ -107,7 +107,7 @@ def _closure_units(fib):
 
 
 def _close(fib):
-    """Compute the closure once; cache its members and their key set.
+    """Compute the closure once and cache its members.
 
     A graph is a fibre when copies of the units cover its edges, so each one
     on ``n`` vertices is reached from the edgeless graph on ``n`` vertices by
@@ -141,7 +141,6 @@ def _close(fib):
                 copy = ((rho[u], rho[v]) for u, v in h.edges)
                 add(x.n, x.edges | {(a, b) if a <= b else (b, a) for a, b in copy})
     fib._closure = tuple(members[key] for key in sorted(members))
-    fib._closure_keys = frozenset(members)
     return fib._closure
 
 
@@ -151,18 +150,44 @@ def closure_graphs(fib):
     Sorted by vertex count, then by canonical adjacency mask.  The fibres on
     at most ``max_vertices`` vertices are the graphs whose edges are covered
     by injective copies of the generator graphs (of their quotients, in easy
-    mode).
+    mode).  Only this listing builds the closure; the queries about one graph
+    read the generator copies inside it.
     """
     return list(_close(fib))
 
 
-def is_fiber(fib, g):
+# ---------------------------------------------------------------------------
+# generator copies inside one graph
+
+
+def _copies(fib, g):
+    """Each generator diagram ``d`` with each copy ``phi`` of its graph in ``g``.
+
+    Copies are embeddings for a skew fibration and arbitrary homomorphisms
+    for an easy one.
+    """
     if g.n > fib.max_vertices:
         raise CapacityError(
             f"fibration closure computed up to {fib.max_vertices} vertices, graph has {g.n}"
         )
-    _close(fib)
-    return canonical_key(g) in fib._closure_keys
+    for d in fib.generators:
+        for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy):
+            yield d, phi
+
+
+def greatest_subgraph(fib, g):
+    """The largest spanning subgraph of ``g`` that is a fibre.
+
+    A graph is a fibre when generator copies cover its edges, so the union of
+    all generator images inside ``g`` is a fibre and contains every spanning
+    fibre subgraph.
+    """
+    return Graph(g.n, ((phi[u], phi[v]) for d, phi in _copies(fib, g) for u, v in d.graph.edges))
+
+
+def is_fiber(fib, g):
+    """Is ``g`` a fibre?  Yes iff the generator images inside it cover its edges."""
+    return greatest_subgraph(fib, g).edges == g.edges
 
 
 # ---------------------------------------------------------------------------
@@ -172,39 +197,36 @@ def is_fiber(fib, g):
 def fiber_generators(fib, g):
     """Generator words of the fibre over ``g``, on ``g``'s own vertex names.
 
-    Each copy of a generator diagram inside ``g`` (embeddings for skew
-    fibrations, arbitrary homomorphisms for easy ones) contributes its
-    boundary word.  Words already implied by earlier ones are dropped when an
-    exact membership answer says so; an unknown keeps the word.
+    One pass over the generator copies inside ``g`` collects their boundary
+    words and checks that their images cover ``g``'s edges.  Words already
+    implied by earlier ones are dropped when an exact membership answer says
+    so; an unknown keeps the word.
     """
     cache_key = (g.n, g.edges)
     if cache_key in fib._fiber_words:
         return fib._fiber_words[cache_key]
-    if not is_fiber(fib, g):
+    raw_words, covered = {}, set()  # a dict keeps each word once, in first-seen order
+    for d, phi in _copies(fib, g):
+        word = tuple(phi[v] for v in reversed(d.inputs)) + tuple(phi[v] for v in d.outputs)
+        raw_words[word] = None
+        covered.update((phi[u], phi[v]) for u, v in d.graph.edges)
+    if Graph(g.n, covered) != g:
         raise ValueError("graph is not a fibre of this fibration")
-    raw_words = (
-        tuple(phi[v] for v in reversed(d.inputs)) + tuple(phi[v] for v in d.outputs)
-        for d in fib.generators
-        for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy)
-    )
     policy = fib.policy.replace(strategy="auto")
-    kept = []
+    kept, spec = [], None
     for w in NormalClosureSpec(g.n, raw_words).generators:
-        if kept and member(w, NormalClosureSpec(g.n, kept, policy)) is Membership.YES:
+        if spec is not None and member(w, spec) is Membership.YES:
             continue
         kept.append(w)
+        spec = NormalClosureSpec(g.n, kept, policy)
     result = tuple(kept)
     fib._fiber_words[cache_key] = result
     return result
 
 
-def fiber_closure_spec(fib, g):
-    return NormalClosureSpec(g.n, fiber_generators(fib, g), fib.policy)
-
-
 def fiber_member(fib, g, word):
     """Tri-state membership of a word in the fibre over ``g``."""
-    return member(word, fiber_closure_spec(fib, g))
+    return member(word, NormalClosureSpec(g.n, fiber_generators(fib, g), fib.policy))
 
 
 def diagram_member(fib, d):
@@ -216,33 +238,6 @@ def diagram_member(fib, d):
     if not is_fiber(fib, d.graph):
         return Membership.NO
     return fiber_member(fib, d.graph, boundary_word(d))
-
-
-# ---------------------------------------------------------------------------
-# greatest fibre inside a graph
-
-
-def greatest_subgraph(fib, g):
-    """The largest spanning subgraph of ``g`` that is a fibre.
-
-    Every fibre's edges are covered by generator copies, so the union of all
-    generator images inside ``g`` is itself a fibre and contains every
-    spanning fibre subgraph.
-    """
-    if g.n > fib.max_vertices:
-        raise CapacityError(
-            f"fibration closure computed up to {fib.max_vertices} vertices, graph has {g.n}"
-        )
-    edges = set()
-    for d in fib.generators:
-        for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy):
-            for u, v in d.graph.edges:
-                a, b = phi[u], phi[v]
-                edges.add((a, b) if a <= b else (b, a))
-    k = Graph(g.n, edges)
-    if not is_fiber(fib, k):
-        raise InvariantError("union of generator images must be a fibre")
-    return k
 
 
 # ---------------------------------------------------------------------------

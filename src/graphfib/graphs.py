@@ -326,8 +326,11 @@ def count_homomorphisms(k, g, keep):
     scalar = 1
     summed = set()
     while scalar and free:
-        ends = [v for e in factors for v in e]
-        degree, x = min((ends.count(v), v) for v in free)
+        ends = {}  # each vertex's number of factors, counted once per step
+        for u, v in factors:
+            ends[u] = ends.get(u, 0) + 1
+            ends[v] = ends.get(v, 0) + 1
+        degree, x = min((ends.get(v, 0), v) for v in free)
         if degree > 2:
             break
         if not summed:  # host adjacency lists with unit weights

@@ -117,6 +117,23 @@ def test_tensor_counts_walks_that_enumeration_cannot_list(tmp_path):
     assert json.loads(out)["entries"] == [power[i][j] for j in range(n) for i in range(n)]
 
 
+def test_tensor_sums_out_a_long_path_in_time(tmp_path):
+    # Maps of a path into a looped vertex 0 joined to an unlooped vertex 1
+    # are strings with no two adjacent 1s: with the first vertex at 0 and at
+    # 1 there are F(n + 1) and F(n) of them.  Each vertex summed out reads
+    # the degrees once, so 2000 vertices fit in the child's timeout.
+    n = 2000
+    host = write_json(tmp_path, "host.json", {"n": 2, "edges": [[0, 0], [0, 1]]})
+    walk = {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    diagram = write_json(tmp_path, "path.json", {"graph": walk, "inputs": [0], "outputs": []})
+    code, out, err = run_in_child("tensor", host, diagram)
+    assert code == 0, err
+    fib = [0, 1]  # F(0), F(1)
+    while len(fib) < n + 2:
+        fib.append(fib[-1] + fib[-2])
+    assert json.loads(out)["entries"] == [fib[n + 1], fib[n]]
+
+
 @pytest.mark.parametrize("matched, count", [(False, 0), (True, 100)])
 def test_tensor_prunes_at_tables_of_summed_vertices(tmp_path, matched, count):
     # In a subdivided K4 the six middle vertices are summed into tables on

@@ -1,11 +1,16 @@
 """Graph fibrations: closures, fibre groups, and membership of diagrams."""
 
+import os
+import resource
+import subprocess
+import sys
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphfib
 from graphfib.diagrams import BilabelledGraph, m_diagram
 from graphfib.errors import CapacityError, IndeterminateError
 from graphfib.fibrations import (
@@ -180,7 +185,15 @@ def test_closure_and_is_fiber_match_a_reference_worklist(fib):
     keys = {canonical_key(g) for g in want}
     for n in range(fib.max_vertices + 1):
         for g in enumerate_graphs(n, loops=True):
-            assert is_fiber(fib, g) == (canonical_key(g) in keys)
+            fibre = canonical_key(g) in keys
+            assert is_fiber(fib, g) == fibre
+            best = greatest_subgraph(fib, g)
+            assert best.edges <= g.edges and canonical_key(best) in keys
+            if fibre:
+                fiber_generators(fib, g)
+            else:
+                with pytest.raises(ValueError):
+                    fiber_generators(fib, g)
 
 
 BENCHMARK_SHAPES = {
@@ -321,6 +334,50 @@ def test_from_group_commutator_closure():
     assert fiber_member(fib, g, (0, 1, 0, 1)) is Membership.YES
     # the host graph has three vertices, so two-vertex graphs never appear
     assert layer_counts(closure_graphs(fib))[2] == 1
+
+
+FIBRE_QUERIES_WITHOUT_A_CLOSURE = {
+    "from-group-C7": ("""
+spec = NormalClosureSpec(7, [(0, 1, 0, 1)])
+fib = fibration_from_group(cycle(7), spec)
+print(fib.max_vertices, fiber_member(fib, cycle(7), (0, 1, 0, 1)).value)
+""", "7 yes"),
+    "skew-K3-at-7": ("""
+fib = GraphFibration([BilabelledGraph(complete(3), (), (0, 1, 0, 1))], max_vertices=7)
+print(fib.max_vertices, is_fiber(fib, complete(3)))
+""", "7 True"),
+    "from-group-C9": ("""
+spec = NormalClosureSpec(9, [(0, 1, 0, 1)])
+fib = fibration_from_group(cycle(9), spec)
+print(fib.max_vertices, fiber_member(fib, cycle(9), (0, 1, 0, 1)).value)
+""", "9 yes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIBRE_QUERIES_WITHOUT_A_CLOSURE))
+def test_fibre_queries_do_not_build_the_closure(case):
+    # Listing every fibre on 7 vertices takes tens of seconds, and canonical
+    # forms stop at 8 vertices; a query about one graph needs neither.  The
+    # child process fails the test at its timeout instead of stalling.
+    query, want = FIBRE_QUERIES_WITHOUT_A_CLOSURE[case]
+    script = (
+        "from graphfib.diagrams import BilabelledGraph\n"
+        "from graphfib.fibrations import GraphFibration, fiber_member, fibration_from_group, is_fiber\n"
+        "from graphfib.freeprod import NormalClosureSpec\n"
+        "from graphfib.graphs import complete, cycle\n"
+        + query
+    )
+    src = os.path.dirname(os.path.dirname(graphfib.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want
 
 
 def test_from_group_alphabet_mismatch():
