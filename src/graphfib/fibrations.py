@@ -168,7 +168,7 @@ def _copies(fib, g):
     """
     if g.n > fib.max_vertices:
         raise CapacityError(
-            f"fibration closure computed up to {fib.max_vertices} vertices, graph has {g.n}"
+            f"fibre queries are bounded by max_vertices={fib.max_vertices}, graph has {g.n} vertices"
         )
     for d in fib.generators:
         for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy):
@@ -194,8 +194,8 @@ def is_fiber(fib, g):
 # fibre generator words
 
 
-def fiber_generators(fib, g):
-    """Generator words of the fibre over ``g``, on ``g``'s own vertex names.
+def _words_if_fiber(fib, g):
+    """Generator words of the fibre over ``g``, or None when ``g`` is not a fibre.
 
     One pass over the generator copies inside ``g`` collects their boundary
     words and checks that their images cover ``g``'s edges.  Words already
@@ -210,18 +210,30 @@ def fiber_generators(fib, g):
         word = tuple(phi[v] for v in reversed(d.inputs)) + tuple(phi[v] for v in d.outputs)
         raw_words[word] = None
         covered.update((phi[u], phi[v]) for u, v in d.graph.edges)
-    if Graph(g.n, covered) != g:
-        raise ValueError("graph is not a fibre of this fibration")
-    policy = fib.policy.replace(strategy="auto")
-    kept, spec = [], None
-    for w in NormalClosureSpec(g.n, raw_words).generators:
-        if spec is not None and member(w, spec) is Membership.YES:
-            continue
-        kept.append(w)
-        spec = NormalClosureSpec(g.n, kept, policy)
-    result = tuple(kept)
+    result = None
+    if Graph(g.n, covered) == g:
+        policy = fib.policy.replace(strategy="auto")
+        kept, spec = [], None
+        for w in dict.fromkeys(filter(None, map(reduce_word, raw_words))):
+            if kept:
+                if spec is None:  # built for the first query after a kept word
+                    spec = NormalClosureSpec(g.n, kept, policy)
+                if member(w, spec) is Membership.YES:
+                    continue
+            kept.append(w)
+            spec = None
+        result = tuple(kept)
     fib._fiber_words[cache_key] = result
     return result
+
+
+def fiber_generators(fib, g):
+    """Generator words of the fibre over ``g``, on ``g``'s own vertex names;
+    ``ValueError`` when ``g`` is not a fibre."""
+    words = _words_if_fiber(fib, g)
+    if words is None:
+        raise ValueError("graph is not a fibre of this fibration")
+    return words
 
 
 def fiber_member(fib, g, word):
@@ -233,9 +245,10 @@ def diagram_member(fib, d):
     """Does a diagram belong to the category the fibration represents?
 
     Yes iff the underlying graph is a fibre and the diagram's boundary word
-    lies in that fibre.
+    lies in that fibre.  One pass over the generator copies answers both;
+    :func:`fiber_member` reads its words from the cache.
     """
-    if not is_fiber(fib, d.graph):
+    if _words_if_fiber(fib, d.graph) is None:
         return Membership.NO
     return fiber_member(fib, d.graph, boundary_word(d))
 

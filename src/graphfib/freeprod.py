@@ -20,13 +20,17 @@ Membership in a normal closure is answered by one of three strategies:
   a cancellation to the empty word, giving "yes" or "unknown".  The search
   is bounded in depth, in word length and in the words it visits
   (``BFS_NODE_BOUND``).
+
+A spec resolves its strategy on its first query and keeps the verdict
+function, so later queries reuse the commuting pairs, the coset table, or
+the search moves and parity pivots.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import IndeterminateError, check_json_object
 
@@ -133,23 +137,33 @@ def validate_word(letters, alphabet_size):
 class NormalClosureSpec:
     """A normal closure ``<<generators>>`` inside the free product on
     ``alphabet_size`` involutive letters, plus the policy used to answer
-    membership queries against it."""
+    membership queries against it.
 
-    __slots__ = ("alphabet_size", "generators", "policy")
+    A spec is immutable, so the verdict function :func:`member` keeps in
+    ``_decide`` after the first query cannot go stale.  Equality and hashing
+    read the three public fields only.
+    """
+
+    __slots__ = ("alphabet_size", "generators", "policy", "_decide")
 
     def __init__(self, alphabet_size, generators, policy=MembershipPolicy()):
         words = (reduce_word(validate_word(g, alphabet_size)) for g in generators)
-        self.alphabet_size = alphabet_size
-        self.generators = tuple(dict.fromkeys(w for w in words if w))
-        self.policy = policy
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "generators", tuple(dict.fromkeys(w for w in words if w)))
+        object.__setattr__(self, "policy", policy)
+        object.__setattr__(self, "_decide", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NormalClosureSpec is immutable")
+
+    def _fields(self):
+        return (self.alphabet_size, self.generators, self.policy)
 
     def __eq__(self, other):
-        return isinstance(other, NormalClosureSpec) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
+        return isinstance(other, NormalClosureSpec) and self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(tuple(getattr(self, name) for name in self.__slots__))
+        return hash(self._fields())
 
     def __repr__(self):
         return f"NormalClosureSpec({self.alphabet_size}, {list(self.generators)}, {self.policy!r})"
@@ -186,8 +200,8 @@ def _gf2_pivots(vectors):
     return pivots
 
 
-def _gf2_in_span(target, vectors):
-    pivots = _gf2_pivots(vectors)
+def _gf2_in_span(target, pivots):
+    """Is ``target`` in the span of the echelon basis ``pivots``?"""
     while target:
         h = target.bit_length() - 1
         if h not in pivots:
@@ -366,11 +380,9 @@ def racg_eligible(generators):
     return True
 
 
-def _racg_member(word, generators):
-    comm = set()
-    for x, y, _, _ in generators:
-        comm.add((x, y))
-        comm.add((y, x))
+def _racg_member(comm, word):
+    """Delete letter pairs whose interlude commutes with them; ``comm`` holds
+    the ordered pairs of commuting letters."""
     w = list(word)
     changed = True
     while changed:
@@ -398,14 +410,20 @@ def _racg_member(word, generators):
 # strategy: bounded search
 
 
-def _bounded_bfs_member(word, generators, depth, max_len):
+def _bounded_bfs_decider(generators, depth, max_len):
+    """The ``bounded-bfs`` verdict function, with its moves and pivots made once."""
     if not generators:
-        return Membership.NO
+        return lambda word: Membership.NO
+    pivots = _gf2_pivots([_parity(g) for g in generators])
+    moves = set(generators) | {inverse(g) for g in generators}
+    return partial(_bounded_bfs_member, pivots, moves, depth, max_len)
+
+
+def _bounded_bfs_member(pivots, moves, depth, max_len, word):
     # abelianized over GF(2), membership in the closure forces membership in
     # the subgroup spanned by the generator parity vectors
-    if not _gf2_in_span(_parity(word), [_parity(g) for g in generators]):
+    if not _gf2_in_span(_parity(word), pivots):
         return Membership.NO
-    moves = set(generators) | {inverse(g) for g in generators}
     visited = {word}
     frontier = [word]
     for _ in range(depth):
@@ -431,27 +449,50 @@ def _bounded_bfs_member(word, generators, depth, max_len):
 # dispatch
 
 
-def member(word, spec):
-    """Tri-state membership of ``word`` in the normal closure of ``spec``."""
-    w = reduce_word(validate_word(word, spec.alphabet_size))
-    if not w:
-        return Membership.YES
-    policy = spec.policy
+def _table_member(table, word):
+    c = 0
+    for x in word:
+        c = table[c][x]
+    return Membership.YES if c == 0 else Membership.NO
+
+
+def _decider(spec):
+    """The verdict function of ``spec``'s strategy: ``auto`` tries ``racg``,
+    then ``finite-model``, then ``bounded-bfs``."""
+    policy, generators = spec.policy, spec.generators
     strategy = policy.strategy
-    if strategy in ("auto", "racg") and racg_eligible(spec.generators):
-        return _racg_member(w, spec.generators)
+    if strategy in ("auto", "racg") and racg_eligible(generators):
+        comm = set()
+        for x, y, _, _ in generators:
+            comm.add((x, y))
+            comm.add((y, x))
+        return partial(_racg_member, comm)
     if strategy == "racg":
         raise ValueError("racg strategy requires every generator to read xyxy with x != y")
     if strategy != "bounded-bfs":
-        table = _cached_table(spec.alphabet_size, spec.generators)
+        table = _cached_table(spec.alphabet_size, generators)
         if table is not None:
-            c = 0
-            for x in w:
-                c = table[c][x]
-            return Membership.YES if c == 0 else Membership.NO
+            return partial(_table_member, table)
         if strategy == "finite-model":
-            return Membership.UNKNOWN
-    return _bounded_bfs_member(w, spec.generators, policy.bfs_depth, policy.bfs_max_len)
+            return lambda word: Membership.UNKNOWN
+    return _bounded_bfs_decider(generators, policy.bfs_depth, policy.bfs_max_len)
+
+
+def member(word, spec):
+    """Tri-state membership of ``word`` in the normal closure of ``spec``.
+
+    The empty word is a member before any strategy is resolved.  The first
+    other query keeps :func:`_decider`'s verdict function on the spec; a
+    ``racg`` refusal keeps nothing, so every query that reaches it raises.
+    """
+    w = reduce_word(validate_word(word, spec.alphabet_size))
+    if not w:
+        return Membership.YES
+    decide = spec._decide
+    if decide is None:
+        decide = _decider(spec)
+        object.__setattr__(spec, "_decide", decide)
+    return decide(w)
 
 
 def check_invariance(maps, closure):

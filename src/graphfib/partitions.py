@@ -9,6 +9,8 @@ with no boundary points left.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from .diagrams import BilabelledGraph
 from .errors import CapacityError, check_json_object
 from .graphs import edgeless, generated_partition
@@ -99,6 +101,19 @@ def ker(a, b):
     seen = {}
     block_of = [seen.setdefault(v, len(seen)) for v in tuple(a) + tuple(b)]
     return SetPartition(len(a), len(b), block_of)
+
+
+def kernel_tuples(n, p):
+    """Every tuple of values in ``range(n)`` whose :func:`ker` is ``p``.
+
+    Such a tuple gives each block of ``p`` its own value, so the tuples are
+    the injective assignments of values to the blocks.  A partition that
+    owns an empty block is the kernel of no tuple.
+    """
+    if p.num_empty_blocks:
+        return
+    for vals in permutations(range(n), p.num_blocks):
+        yield tuple(vals[b] for b in p.block_of)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ A group is given by generators and closed once, when it is built.  The
 closure's invariance is checked on the generators only: a letter map is an
 automorphism of the free product, so if each generator maps ``A`` into
 itself, so does every product of generators.
+
+``orbits`` reads the group by columns: column ``x`` lists the image of
+point ``x`` under every element, so zipping the columns of a tuple's points
+lists the tuple's images under every element in one pass.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple
 from .errors import CapacityError, IndeterminateError, InvariantError
 from .freeprod import Membership, check_invariance, member, reduce_word
 from .graphs import iter_homomorphisms
-from .partitions import ker
+from .partitions import kernel_tuples
 from .tensors import (
     build_partition_That,
     compose,
@@ -151,12 +155,13 @@ def orbits(group, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     n = group.degree
     if power_exceeds(n, k + l, tuple_bound):
         raise CapacityError(f"{n}^{k + l} label pairs exceed the bound {tuple_bound}")
+    columns = list(zip(*group.elements))
     visited = set()
     out = []
     for combined in product(range(n), repeat=k + l):
         if combined in visited:
             continue
-        orbit = {act(s, combined) for s in group.elements}
+        orbit = set(zip(*[columns[x] for x in combined])) if combined else {()}
         visited |= orbit
         out.append(OrbitClass(combined[:k], combined[k:], len(orbit)))
     return out
@@ -263,9 +268,8 @@ def verify_THpart(group, p):
     k, l = p.k, p.l
     lhs = tensor_scale(build_partition_That(n, p), len(group.elements))
     rhs = zero_tensor(n, k, l)
-    for vals in product(range(n), repeat=k + l):
-        if ker(vals[:k], vals[k:]) == p:
-            tally(rhs, group.elements, vals[:k], vals[k:])
+    for vals in kernel_tuples(n, p):
+        tally(rhs, group.elements, vals[:k], vals[k:])
     return law_report("thpart", lhs, rhs)
 
 

@@ -43,7 +43,7 @@ from .diagrams import (
 )
 from .errors import check_json_object
 from .graphs import count_homomorphisms, enumerate_homomorphisms, enumerate_overlaps, quotient
-from .partitions import enumerate_partitions, ker
+from .partitions import enumerate_partitions, kernel_tuples
 
 
 class IntTensor:
@@ -300,8 +300,7 @@ def build_partition_T(n, p):
 def build_partition_That(n, p):
     """0/1 tensor that is 1 exactly when the value pattern *equals* the partition."""
     k, l = p.k, p.l
-    matching = (vals for vals in product(range(n), repeat=k + l) if ker(vals[:k], vals[k:]) == p)
-    return tally(zero_tensor(n, k, l), matching, range(k), range(k, k + l))
+    return tally(zero_tensor(n, k, l), kernel_tuples(n, p), range(k), range(k, k + l))
 
 
 # ---------------------------------------------------------------------------

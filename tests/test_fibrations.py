@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfib
+from graphfib import fibrations
 from graphfib.diagrams import BilabelledGraph, m_diagram
 from graphfib.errors import CapacityError, IndeterminateError
 from graphfib.fibrations import (
@@ -36,6 +37,7 @@ from graphfib.graphs import (
     disjoint_union,
     edgeless,
     enumerate_graphs,
+    enumerate_homomorphisms,
     enumerate_overlaps,
     generated_partition,
     path,
@@ -285,6 +287,27 @@ def test_diagram_member_scalars():
     fib = edge_fibration(bound=4)
     assert diagram_member(fib, BilabelledGraph(edgeless(0), (), ())) is Membership.YES
     assert diagram_member(fib, m_diagram(1, 1)) is Membership.YES
+
+
+def test_diagram_member_enumerates_the_generator_copies_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_homomorphisms(*args, **kwargs)
+
+    monkeypatch.setattr(fibrations, "enumerate_homomorphisms", counting)
+    fib = edge_fibration(bound=4)
+    assert diagram_member(fib, BilabelledGraph(path(3), (0,), (1, 0, 1))) is Membership.YES
+    assert len(calls) == 1
+    calls.clear()
+    assert diagram_member(fib, BilabelledGraph(Graph(3, [(0, 1), (1, 1)]), (), ())) is Membership.NO
+    assert len(calls) == 1
+
+
+def test_the_capacity_error_names_the_query_bound():
+    with pytest.raises(CapacityError, match="bounded by max_vertices=4, graph has 5 vertices"):
+        is_fiber(edge_fibration(bound=4), edgeless(5))
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,81 @@ def test_bounded_bfs_never_contradicts_racg():
 
 
 # ---------------------------------------------------------------------------
+# the decider a spec keeps
+
+
+def verdict(word, spec):
+    try:
+        return member(word, spec)
+    except ValueError:
+        return "refused"
+
+
+small_words = st.lists(st.integers(min_value=0, max_value=2), max_size=8).map(tuple)
+closure_generators = st.one_of(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda p: p[0] != p[1]).map(lambda p: p * 2),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=5).map(tuple), max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_generators, st.sampled_from(STRATEGIES), st.lists(small_words, min_size=1, max_size=8), st.data())
+def test_a_spec_answers_like_a_fresh_equal_spec_per_query(gens, strategy, queries, data):
+    policy = MembershipPolicy(strategy, bfs_depth=2, bfs_max_len=10)
+    shared = NormalClosureSpec(3, gens, policy)
+    for w in data.draw(st.permutations(queries)):
+        assert verdict(w, shared) == verdict(w, NormalClosureSpec(3, gens, policy))
+
+
+@pytest.mark.parametrize("gens", [[(0, 1, 0, 1)], [(0, 1, 2)], [(0, 1, 0, 1, 0, 1)]])
+def test_the_strategy_is_resolved_once_per_spec(monkeypatch, gens):
+    calls = []
+
+    def counting_racg_eligible(generators):
+        calls.append(generators)
+        return racg_eligible(generators)
+
+    monkeypatch.setattr(freeprod, "racg_eligible", counting_racg_eligible)
+    spec = NormalClosureSpec(3, gens)
+    assert member((), spec) is Membership.YES
+    assert calls == []
+    for w in [(0, 1, 0, 1), (0, 1), (2, 0, 1, 0, 1, 2), (1, 2), ()]:
+        member(w, spec)
+    assert len(calls) == 1
+    member((0, 1), NormalClosureSpec(3, gens))
+    assert len(calls) == 2
+
+
+def test_a_racg_refusal_is_raised_on_every_call():
+    spec = NormalClosureSpec(3, [(0, 1, 2)], MembershipPolicy("racg"))
+    assert member((), spec) is Membership.YES
+    for _ in range(2):
+        with pytest.raises(ValueError, match="racg"):
+            member((0, 1), spec)
+
+
+def test_a_spec_is_immutable():
+    spec = commutator_spec(3, [(0, 1)])
+    member((0, 1), spec)
+    for name in ("alphabet_size", "generators", "policy", "_decide", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+    assert spec.generators == ((0, 1, 0, 1),)
+
+
+def test_a_spec_that_answered_stays_equal_to_a_fresh_one():
+    for strategy in STRATEGIES:
+        used, fresh = commutator_spec(2, [(0, 1)], strategy), commutator_spec(2, [(0, 1)], strategy)
+        assert member((0, 1, 0, 1), used) is Membership.YES
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used != commutator_spec(3, [(0, 1)], strategy)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 

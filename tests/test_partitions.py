@@ -1,5 +1,7 @@
 """Set partitions: kernels, enumeration, calculus, and the diagram embedding."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from graphfib.partitions import (
     enumerate_set_partitions,
     from_blocks,
     ker,
+    kernel_tuples,
     partition_compose,
     partition_from_json,
     partition_involution,
@@ -61,6 +64,30 @@ def test_ker_invariant_under_letter_renaming(word, relabel):
     renamed = [relabel[x] for x in word]
     cut = len(word) // 2
     assert ker(word[:cut], word[cut:]) == ker(renamed[:cut], renamed[cut:])
+
+
+@st.composite
+def partitions_with_empty_blocks(draw, max_points=4):
+    """A partition of at most ``max_points`` points owning up to two empty blocks."""
+    m = draw(st.integers(0, max_points))
+    k = draw(st.integers(0, m))
+    p = draw(st.sampled_from(enumerate_set_partitions(k, m - k)))
+    return SetPartition(k, m - k, p.block_of, p.num_blocks + draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions_with_empty_blocks(), st.integers(0, 4))
+def test_kernel_tuples_are_the_tuples_whose_kernel_is_the_partition(p, n):
+    got = list(kernel_tuples(n, p))
+    want = {v for v in product(range(n), repeat=p.k + p.l) if ker(v[: p.k], v[p.k :]) == p}
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+def test_kernel_tuples_of_empty_blocks_and_of_no_points():
+    assert list(kernel_tuples(3, from_blocks(1, 1, [[0, 1], []]))) == []
+    assert list(kernel_tuples(2, from_blocks(0, 0, [[]]))) == []
+    assert list(kernel_tuples(0, ker("", ""))) == [()]
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,41 @@ def test_orbit_representatives_are_lex_least_and_partition_everything():
     assert len(seen) == 9
 
 
+@st.composite
+def small_groups(draw):
+    """``S_n`` for n <= 4 (``S_0`` has degree 0) or Aut of a graph on <= 5 vertices."""
+    if draw(st.booleans()):
+        return symmetric_group(draw(st.integers(0, 4)))
+    n = draw(st.integers(0, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    return graph_automorphism_group(Graph(n, edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_groups(), st.integers(0, 4), st.data())
+def test_orbits_match_the_orbits_under_act(group, m, data):
+    k = data.draw(st.integers(0, m))
+    got = orbits(group, k, m - k)
+    seen = set()
+    for o in got:
+        assert (len(o.a), len(o.b)) == (k, m - k)
+        combined = o.a + o.b
+        orbit = {act(s, combined) for s in group.elements}
+        assert (o.size, combined) == (len(orbit), min(orbit))
+        assert seen.isdisjoint(orbit)
+        seen |= orbit
+    assert seen == set(product(range(group.degree), repeat=m))
+    reps = [o.a + o.b for o in got]
+    assert reps == sorted(reps)
+
+
+def test_orbits_of_the_empty_tuple_and_of_degree_zero():
+    assert orbits(symmetric_group(3), 0, 0) == [OrbitClass((), (), 1)]
+    assert orbits(symmetric_group(0), 0, 0) == [OrbitClass((), (), 1)]
+    assert orbits(symmetric_group(0), 1, 1) == []
+
+
 def test_orbits_respects_tuple_bound():
     with pytest.raises(CapacityError):
         orbits(symmetric_group(3), 1, 1, tuple_bound=8)
@@ -321,15 +356,9 @@ def test_basis_full_sizes():
 
 @st.composite
 def groups_with_optional_closures(draw):
-    """``S_n`` for n <= 4 or Aut of a graph on <= 5 vertices, with no closure
-    or with the racg closure of a few letter pairs and all their images."""
-    if draw(st.booleans()):
-        group = symmetric_group(draw(st.integers(0, 4)))
-    else:
-        n = draw(st.integers(0, 5))
-        pairs = [(u, v) for u in range(n) for v in range(u, n)]
-        edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
-        group = graph_automorphism_group(Graph(n, edges))
+    """A group of :func:`small_groups`, with no closure or with the racg
+    closure of a few letter pairs and all their images."""
+    group = draw(small_groups())
     n = group.degree
     if n < 2 or draw(st.booleans()):
         return group, None

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphfib.diagrams import BilabelledGraph, m_diagram, rotate_left
 from graphfib.graphs import Graph, complete, cycle, disjoint_union, edgeless, enumerate_homomorphisms, path
 from graphfib.partitions import (
+    SetPartition,
     enumerate_set_partitions,
     from_blocks,
     ker,
@@ -426,6 +427,18 @@ def test_partition_tensors_match_embedded_diagrams():
                 assert compare_tensors(build_partition_T(n, p), build_T(edgeless(n), d)) is None
                 exact = build_partition_That(n, p)
                 assert compare_tensors(exact, build_That(edgeless(n), d)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_exact_partition_tensor_is_the_kernel_indicator(m, n, data):
+    k = data.draw(st.integers(0, m))
+    p = data.draw(st.sampled_from(enumerate_set_partitions(k, m - k)))
+    p = SetPartition(k, m - k, p.block_of, p.num_blocks + data.draw(st.integers(0, 2)))
+    t = build_partition_That(n, p)
+    for a in product(range(n), repeat=k):
+        for b in product(range(n), repeat=m - k):
+            assert t.entry(b, a) == (ker(a, b) == p)
 
 
 def test_empty_blocks_scale_the_loose_tensor_and_kill_the_exact_one():
