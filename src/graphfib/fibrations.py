@@ -10,12 +10,12 @@ Every query about one graph reads the generator copies inside it: the graph
 is a fibre when their images cover its edges, and a generator diagram
 ``(H, a, b)`` contributes the word ``reverse(a) + b`` pushed through each
 copy of ``H``.  Fibre membership of a word is then normal-closure membership
-over those words.  The closure of fibres is built only to list them.
+over those words, less the words implied by earlier ones.  The closure of
+fibres is built only to list them, on adjacency masks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import permutations
 
 from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
@@ -28,13 +28,16 @@ from .freeprod import (
     member,
     policy_from_json,
     policy_to_json,
+    prune_words,
     reduce_word,
 )
 from .graphs import (
     Graph,
     canonical_key,
+    canonical_key_from_mask,
     enumerate_homomorphisms,
     graph_from_mask,
+    mask_of,
     quotient,
 )
 from .partitions import enumerate_partitions
@@ -111,36 +114,31 @@ def _close(fib):
 
     A graph is a fibre when copies of the units cover its edges, so each one
     on ``n`` vertices is reached from the edgeless graph on ``n`` vertices by
-    adding those copies one at a time.  ``seen`` holds every raw
-    ``(n, edges)`` already filed, so each labelled graph is canonicalised
-    once; a new class is kept as the graph of its canonical mask.
+    adding those copies one at a time.  Graphs are adjacency masks: the unit
+    copies on ``n`` vertices are made once, adding one is an OR, and ``seen``
+    holds every mask already filed, so each labelled graph is canonicalised
+    once.  ``Graph`` objects are built only for the listing.
     """
     if fib._closure is not None:
         return fib._closure
     units = _closure_units(fib)
-    members = {}
-    seen = set()
-    queue = deque()
-
-    def add(n, edges):
-        if (n, edges) in seen:
-            return
-        seen.add((n, edges))
-        key = canonical_key(Graph(n, edges))
-        if key not in members:
-            rep = members[key] = graph_from_mask(*key)
-            seen.add((rep.n, rep.edges))
-            queue.append(rep)
-
+    canonical_key_from_mask(fib.max_vertices, 0)  # refuses a bound past the canonical one before any work
+    members = []
     for n in range(fib.max_vertices + 1):
-        add(n, frozenset())
-    while queue:
-        x = queue.popleft()
-        for h in units:
-            for rho in permutations(range(x.n), h.n):
-                copy = ((rho[u], rho[v]) for u, v in h.edges)
-                add(x.n, x.edges | {(a, b) if a <= b else (b, a) for a, b in copy})
-    fib._closure = tuple(members[key] for key in sorted(members))
+        copies = dict.fromkeys(mask_of(Graph(n, ((rho[u], rho[v]) for u, v in h.edges)))
+                               for h in units for rho in permutations(range(n), h.n))
+        seen, reps = {0}, [0]  # the edgeless graph, canonical as it stands
+        for x in reps:  # the list grows while it is read
+            for c in copies:
+                m = x | c
+                if m not in seen:
+                    rep = canonical_key_from_mask(n, m)[1]
+                    if rep not in seen:  # every canonical mask in ``seen`` is in ``reps``
+                        seen.add(rep)
+                        reps.append(rep)
+                    seen.add(m)
+        members.extend(graph_from_mask(n, m) for m in sorted(reps))
+    fib._closure = tuple(members)
     return fib._closure
 
 
@@ -199,30 +197,19 @@ def _words_if_fiber(fib, g):
 
     One pass over the generator copies inside ``g`` collects their boundary
     words and checks that their images cover ``g``'s edges.  Words already
-    implied by earlier ones are dropped when an exact membership answer says
-    so; an unknown keeps the word.
+    implied by earlier ones are dropped when an exact ``auto`` membership
+    answer says so; an unknown keeps the word.
     """
     cache_key = (g.n, g.edges)
     if cache_key in fib._fiber_words:
         return fib._fiber_words[cache_key]
     raw_words, covered = {}, set()  # a dict keeps each word once, in first-seen order
     for d, phi in _copies(fib, g):
-        word = tuple(phi[v] for v in reversed(d.inputs)) + tuple(phi[v] for v in d.outputs)
-        raw_words[word] = None
-        covered.update((phi[u], phi[v]) for u, v in d.graph.edges)
-    result = None
-    if Graph(g.n, covered) == g:
-        policy = fib.policy.replace(strategy="auto")
-        kept, spec = [], None
-        for w in dict.fromkeys(filter(None, map(reduce_word, raw_words))):
-            if kept:
-                if spec is None:  # built for the first query after a kept word
-                    spec = NormalClosureSpec(g.n, kept, policy)
-                if member(w, spec) is Membership.YES:
-                    continue
-            kept.append(w)
-            spec = None
-        result = tuple(kept)
+        raw_words[tuple(map(phi.__getitem__, d.inputs[::-1] + d.outputs))] = None
+        for u, v in d.graph.edges:
+            a, b = phi[u], phi[v]
+            covered.add((a, b) if a <= b else (b, a))
+    result = prune_words(g.n, raw_words, fib.policy) if covered == g.edges else None
     fib._fiber_words[cache_key] = result
     return result
 

@@ -23,7 +23,8 @@ Membership in a normal closure is answered by one of three strategies:
 
 A spec resolves its strategy on its first query and keeps the verdict
 function, so later queries reuse the commuting pairs, the coset table, or
-the search moves and parity pivots.
+the search moves and parity pivots.  :func:`prune_words` makes one such
+function per set of kept words, with no spec.
 """
 
 from __future__ import annotations
@@ -456,11 +457,11 @@ def _table_member(table, word):
     return Membership.YES if c == 0 else Membership.NO
 
 
-def _decider(spec):
-    """The verdict function of ``spec``'s strategy: ``auto`` tries ``racg``,
-    then ``finite-model``, then ``bounded-bfs``."""
-    policy, generators = spec.policy, spec.generators
-    strategy = policy.strategy
+def _decider(alphabet_size, generators, policy, strategy=None):
+    """The verdict function for the closure of the reduced ``generators`` under ``policy``:
+    ``auto`` tries ``racg``, then ``finite-model``, then ``bounded-bfs``.  A
+    ``strategy`` given here stands in for the policy's own, keeping its bounds."""
+    strategy = strategy or policy.strategy
     if strategy in ("auto", "racg") and racg_eligible(generators):
         comm = set()
         for x, y, _, _ in generators:
@@ -470,7 +471,7 @@ def _decider(spec):
     if strategy == "racg":
         raise ValueError("racg strategy requires every generator to read xyxy with x != y")
     if strategy != "bounded-bfs":
-        table = _cached_table(spec.alphabet_size, generators)
+        table = _cached_table(alphabet_size, generators)
         if table is not None:
             return partial(_table_member, table)
         if strategy == "finite-model":
@@ -490,9 +491,25 @@ def member(word, spec):
         return Membership.YES
     decide = spec._decide
     if decide is None:
-        decide = _decider(spec)
+        decide = _decider(spec.alphabet_size, spec.generators, spec.policy)
         object.__setattr__(spec, "_decide", decide)
     return decide(w)
+
+
+def prune_words(alphabet_size, words, policy):
+    """The reduced, distinct, nonempty ``words``, less each one that an ``auto`` query
+    under ``policy``'s search bounds answers YES against the words kept before it.
+    Words are checked and reduced once; one verdict function serves each kept set."""
+    kept, decide = [], None
+    for w in dict.fromkeys(filter(None, (reduce_word(validate_word(w, alphabet_size)) for w in words))):
+        if kept:
+            if decide is None:  # made for the first query after a kept word
+                decide = _decider(alphabet_size, tuple(kept), policy, "auto")
+            if decide(w) is Membership.YES:
+                continue
+        kept.append(w)
+        decide = None
+    return tuple(kept)
 
 
 def check_invariance(maps, closure):

@@ -3,8 +3,8 @@ canonical forms.
 
 One backtracking search, ``_search``, serves every homomorphism query: plain
 and injective maps, automorphisms, and the weighted maps behind ``build_T``.
-One pass over the vertex relabelings, ``canonical_relabellings``, serves
-every canonical labelling: canonical forms, graph enumeration and diagram keys.
+One pass over the vertex relabelings serves every canonical labelling:
+canonical forms, graph enumeration, diagram keys and the keys of masks.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -449,21 +449,15 @@ def graph_from_mask(n, mask):
     return Graph(n, edges)
 
 
-def canonical_relabellings(g):
-    """Minimal adjacency bitmask over all vertex relabelings, and every relabeling reaching it.
-
-    Returns ``((n, mask), perms)``: ``perms`` lists in lexicographic order
-    each permutation (``perm[v]`` is the new name of vertex ``v``) whose
-    relabeled mask is the minimum, one coset of the automorphism group of
-    ``g``.  Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are refused.
-    """
-    if g.n > CANONICAL_VERTEX_BOUND:
+def _least_relabellings(n, bits):
+    """The one pass over the relabelings: the least relabeled mask of the graph with
+    adjacency cells ``bits``, and every relabeling reaching it, in lexicographic order."""
+    if n > CANONICAL_VERTEX_BOUND:
         raise CapacityError(
-            f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {g.n}"
+            f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
         )
-    bits = [_cell_index(g.n, u, v) for u, v in g.edges]
-    best = 1 << len(_cells(g.n))  # above every mask, so the first relabeling sets perms
-    for sigma, tab in _perm_cell_tables(g.n):
+    best = 1 << len(_cells(n))  # above every mask, so the first relabeling sets perms
+    for sigma, tab in _perm_cell_tables(n):
         m = 0
         for c in bits:
             m |= 1 << tab[c]
@@ -472,7 +466,23 @@ def canonical_relabellings(g):
                 best = m
                 perms = []
             perms.append(sigma)
-    return (g.n, best), perms
+    return (n, best), perms
+
+
+def canonical_relabellings(g):
+    """Minimal adjacency bitmask over all vertex relabelings, and every relabeling reaching it.
+
+    Returns ``((n, mask), perms)``: ``perms`` lists in lexicographic order
+    each permutation (``perm[v]`` is the new name of vertex ``v``) whose
+    relabeled mask is the minimum, one coset of the automorphism group of
+    ``g``.  Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are refused.
+    """
+    return _least_relabellings(g.n, [_cell_index(g.n, u, v) for u, v in g.edges])
+
+
+def canonical_key_from_mask(n, mask):
+    """``canonical_key`` of the graph on ``n`` vertices with adjacency mask ``mask``."""
+    return _least_relabellings(n, [i for i in range(mask.bit_length()) if mask >> i & 1])[0]
 
 
 def canonical_form(g):

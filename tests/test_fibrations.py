@@ -27,7 +27,15 @@ from graphfib.fibrations import (
     greatest_subgraph,
     is_fiber,
 )
-from graphfib.freeprod import Membership, MembershipPolicy, NormalClosureSpec
+from graphfib.freeprod import (
+    STRATEGIES,
+    Membership,
+    MembershipPolicy,
+    NormalClosureSpec,
+    member,
+    policy_from_json,
+    reduce_word,
+)
 from graphfib.graphs import (
     Graph,
     add_loops_everywhere,
@@ -166,6 +174,34 @@ def reference_closure(fib):
     return [members[key] for key in sorted(members)]
 
 
+def reference_fiber_words(fib, g):
+    """The generator words of the fibre over ``g`` by a spec of the words kept
+    so far and a ``member`` query per candidate, under the fibration's policy
+    with ``auto`` resolution."""
+    raw_words = {}
+    for d in fib.generators:
+        for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy):
+            word = tuple(phi[v] for v in reversed(d.inputs)) + tuple(phi[v] for v in d.outputs)
+            raw_words[word] = None
+    policy = fib.policy.replace(strategy="auto")
+    kept, spec = [], None
+    for w in dict.fromkeys(filter(None, map(reduce_word, raw_words))):
+        if kept:
+            if spec is None:  # built for the first query after a kept word
+                spec = NormalClosureSpec(g.n, kept, policy)
+            if member(w, spec) is Membership.YES:
+                continue
+        kept.append(w)
+        spec = None
+    return tuple(kept)
+
+
+policies = st.one_of(
+    st.sampled_from(STRATEGIES).map(MembershipPolicy),
+    st.integers(min_value=0, max_value=2).map(lambda d: MembershipPolicy("bounded-bfs", bfs_depth=d)),
+)
+
+
 @st.composite
 def small_fibration(draw):
     gens = []
@@ -173,9 +209,13 @@ def small_fibration(draw):
         n = draw(st.integers(min_value=1, max_value=3))
         cells = [(u, v) for u in range(n) for v in range(u, n)]
         g = Graph(n, draw(st.sets(st.sampled_from(cells))))
-        gens.append(BilabelledGraph(g, (), tuple(range(n))))
+        labels = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4)
+        gens.append(BilabelledGraph(g, draw(labels), draw(labels)))
     return GraphFibration(
-        gens, easy=draw(st.booleans()), max_vertices=draw(st.integers(min_value=1, max_value=4))
+        gens,
+        easy=draw(st.booleans()),
+        max_vertices=draw(st.integers(min_value=1, max_value=4)),
+        policy=draw(policies),
     )
 
 
@@ -184,6 +224,8 @@ def small_fibration(draw):
 def test_closure_and_is_fiber_match_a_reference_worklist(fib):
     want = reference_closure(fib)
     assert closure_graphs(fib) == want
+    for g in want:
+        assert fiber_generators(fib, g) == reference_fiber_words(fib, g)
     keys = {canonical_key(g) for g in want}
     for n in range(fib.max_vertices + 1):
         for g in enumerate_graphs(n, loops=True):
@@ -204,25 +246,48 @@ BENCHMARK_SHAPES = {
     "E2-loop": Graph(2, [(1, 1)]),
     "P3": path(3),
     "K3": complete(3),
+    "K2+K1": Graph(3, [(0, 1)]),
 }
+# The benchmark's word kinds over the vertices a word visits, and the policy
+# it gives a fibration with a word that is not racg-eligible.
+BENCHMARK_WORDS = {
+    "racg": lambda p: p[:2] * 2,
+    "finite": lambda p: p[:2],
+    "infinite": lambda p: p if len(p) == 3 else p * 3,
+}
+BENCHMARK_BFS = policy_from_json({"bounded-bfs": {"depth": 1, "max_len": 8}})
 
 
 @pytest.mark.parametrize(
-    "shapes, easy, bound",
+    "shapes, kind, visited, easy, bound",
     [
-        (("K3",), False, 5),
-        (("E2",), False, 6),
-        (("E2-loop",), False, 6),
-        (("E2-loop",), True, 6),
-        (("K2", "P3"), False, 4),
-        (("K2",), False, 5),
+        (("K3",), "racg", (0, 1), False, 5),
+        (("E2",), "racg", (0, 1), False, 6),
+        (("E2-loop",), "racg", (0, 1), False, 6),
+        (("E2-loop",), "racg", (0, 1), True, 6),
+        (("K2", "P3"), "racg", (0, 1), False, 4),
+        (("K2",), "racg", (0, 1), False, 5),
+        (("E2",), "finite", (0, 1), False, 4),
+        (("P3",), "finite", (0, 1), False, 4),
+        (("K2+K1",), "finite", (0, 1), False, 4),
+        (("P3",), "infinite", (0, 1, 2), False, 4),
+        (("K3",), "infinite", (1, 0, 2), False, 4),
+        (("K2+K1",), "infinite", (0, 1, 2), False, 4),
     ],
-    ids=["skew-K3-5", "skew-E2-6", "skew-E2loop-6", "easy-E2loop-6", "skew-K2+P3-4", "skew-K2-5"],
+    ids=[
+        "skew-K3-5", "skew-E2-6", "skew-E2loop-6", "easy-E2loop-6", "skew-K2+P3-4", "skew-K2-5",
+        "finite-E2-4", "finite-P3-4", "finite-K2+K1-4", "infinite-P3-4", "infinite-K3-4", "infinite-K2+K1-4",
+    ],
 )
-def test_closure_matches_the_reference_at_benchmark_sizes(shapes, easy, bound):
-    gens = [BilabelledGraph(BENCHMARK_SHAPES[s], (), (0, 1, 0, 1)) for s in shapes]
-    fib = GraphFibration(gens, easy=easy, max_vertices=bound)
-    assert closure_graphs(fib) == reference_closure(fib)
+def test_closure_matches_the_reference_at_benchmark_sizes(shapes, kind, visited, easy, bound):
+    word = BENCHMARK_WORDS[kind](visited)
+    gens = [BilabelledGraph(BENCHMARK_SHAPES[s], (), word) for s in shapes]
+    policy = MembershipPolicy() if kind == "racg" else BENCHMARK_BFS
+    fib = GraphFibration(gens, easy=easy, max_vertices=bound, policy=policy)
+    members = closure_graphs(fib)
+    assert members == reference_closure(fib)
+    for g in members:
+        assert fiber_generators(fib, g) == reference_fiber_words(fib, g)
 
 
 # ---------------------------------------------------------------------------

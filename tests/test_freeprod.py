@@ -19,6 +19,7 @@ from graphfib.freeprod import (
     multiply,
     policy_from_json,
     policy_to_json,
+    prune_words,
     quotient_order_if_finite,
     racg_eligible,
     reduce_word,
@@ -366,6 +367,77 @@ def test_a_spec_that_answered_stays_equal_to_a_fresh_one():
         assert member((0, 1, 0, 1), used) is Membership.YES
         assert used == fresh and hash(used) == hash(fresh)
         assert used != commutator_spec(3, [(0, 1)], strategy)
+
+
+# ---------------------------------------------------------------------------
+# pruning implied words
+
+
+def reference_pruned_words(alphabet_size, words, policy):
+    """The words :func:`prune_words` keeps, by a spec of the kept words and a
+    ``member`` query per candidate, under the policy's bounds with ``auto``."""
+    policy = policy.replace(strategy="auto")
+    kept = []
+    for w in dict.fromkeys(filter(None, (reduce_word(w) for w in words))):
+        if not kept or member(w, NormalClosureSpec(alphabet_size, kept, policy)) is not Membership.YES:
+            kept.append(w)
+    return tuple(kept)
+
+
+def test_pruning_reduces_deduplicates_and_drops_empty_words():
+    shallow = MembershipPolicy("bounded-bfs", bfs_depth=0)
+    words = [(), (0, 0), (1, 2, 2), (1,), (0, 1, 1, 2), (0, 2), [1]]
+    assert prune_words(3, words, shallow) == ((1,), (0, 2))
+    assert prune_words(3, [], shallow) == ()
+    with pytest.raises(ValueError, match="out of range"):
+        prune_words(2, [(0, 2)], shallow)
+
+
+def test_pruning_drops_a_word_implied_by_those_kept_before_it():
+    assert prune_words(2, [(0, 1, 0, 1), (1, 0, 1, 0)], MembershipPolicy()) == ((0, 1, 0, 1),)
+    # (0, 2) lies in <<(0, 1), (1, 2)>>, but not in <<(0, 1)>>: order matters
+    assert prune_words(3, [(0, 1), (1, 2), (0, 2)], MembershipPolicy()) == ((0, 1), (1, 2))
+    assert prune_words(3, [(0, 2), (0, 1), (1, 2)], MembershipPolicy()) == ((0, 2), (0, 1))
+
+
+def test_pruning_under_racg_resolves_as_auto():
+    words = [(0, 1), (1, 2), (0, 2)]
+    with pytest.raises(ValueError, match="racg"):
+        member((1, 2), NormalClosureSpec(3, words[:1], MembershipPolicy("racg")))
+    assert prune_words(3, words, MembershipPolicy("racg")) == ((0, 1), (1, 2))
+
+
+pruning_policies = st.one_of(
+    st.sampled_from(STRATEGIES).map(lambda s: MembershipPolicy(s, bfs_depth=2, bfs_max_len=10)),
+    st.integers(min_value=0, max_value=2).map(lambda d: MembershipPolicy("bounded-bfs", bfs_depth=d)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_words, max_size=6), pruning_policies)
+def test_pruning_agrees_with_a_spec_and_member_loop(words, policy):
+    assert prune_words(3, words, policy) == reference_pruned_words(3, words, policy)
+
+
+def test_pruning_resolves_the_strategy_once_per_kept_set(monkeypatch):
+    eligible, deciders = [], []
+
+    def counting_racg_eligible(generators):
+        eligible.append(generators)
+        return racg_eligible(generators)
+
+    def counting_decider(*args):
+        deciders.append(args[1])
+        return decider(*args)
+
+    decider = freeprod._decider
+    monkeypatch.setattr(freeprod, "racg_eligible", counting_racg_eligible)
+    monkeypatch.setattr(freeprod, "_decider", counting_decider)
+    # three queries against {(0, 1, 0, 1)}, then one against the two words kept
+    words = [(0, 1, 0, 1), (1, 0, 1, 0), (2, 1, 0, 1, 0, 2), (1, 2, 1, 2), (2, 1, 2, 1)]
+    assert prune_words(4, words, MembershipPolicy()) == ((0, 1, 0, 1), (1, 2, 1, 2))
+    assert deciders == [((0, 1, 0, 1),), ((0, 1, 0, 1), (1, 2, 1, 2))]
+    assert eligible == deciders
 
 
 # ---------------------------------------------------------------------------

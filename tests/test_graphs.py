@@ -13,6 +13,7 @@ from graphfib.graphs import (
     automorphisms,
     canonical_form,
     canonical_key,
+    canonical_key_from_mask,
     canonical_relabellings,
     complete,
     disjoint_union,
@@ -23,6 +24,7 @@ from graphfib.graphs import (
     f_union,
     generated_partition,
     graph_from_json,
+    graph_from_mask,
     graph_to_json,
     iter_homomorphisms,
     join_partitions,
@@ -353,6 +355,29 @@ def test_canonical_relabellings_are_every_permutation_reaching_the_least_mask(da
     assert perms == reaching
     assert len(perms) == len(automorphisms(g))
     assert perms[0] == canonical_form(g)[1]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_the_canonical_key_of_every_small_mask_is_that_of_its_graph(n):
+    cells = n * (n + 1) // 2  # loops included: 1,024 masks on 4 vertices
+    for mask in range(1 << cells):
+        assert canonical_key_from_mask(n, mask) == canonical_key(graph_from_mask(n, mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_canonical_key_of_a_mask_is_that_of_its_graph(data):
+    n = data.draw(st.integers(min_value=5, max_value=6))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << n * (n + 1) // 2) - 1))
+    assert canonical_key_from_mask(n, mask) == canonical_key(graph_from_mask(n, mask))
+
+
+def test_the_canonical_key_of_a_mask_has_the_capacity_bound():
+    for n, mask in ((9, 0), (9, 1), (12, 3)):
+        with pytest.raises(CapacityError):
+            canonical_key_from_mask(n, mask)
+    with pytest.raises(CapacityError):
+        canonical_relabellings(edgeless(9))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,37 @@ def test_perfbench_smoke_answers_match():
         assert " 0 failed," in line, proc.stdout + proc.stderr
 
 
+FULL_CLOSURE = """
+import sys, tempfile
+sys.path[:0] = ["src", "perfbench"]
+import run
+
+with tempfile.TemporaryDirectory() as workdir:
+    closure = run.Run("closure", run.DEFAULT_SEED, "full", workdir)
+    closure.write_inputs()
+    closure.setup()
+    closure.run_pass()
+    closure.check_oracles()
+print(len(closure.tasks), closure.failed)
+print("\\n".join(closure.errors))
+"""
+
+
+def test_every_full_size_closure_answer_matches_its_digest():
+    """All ``closure`` answers of the full task list, not just the smoke
+    ones, against their committed digests and oracles."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", FULL_CLOSURE],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    tasks, failed = proc.stdout.split("\n")[0].split()
+    assert int(tasks) > 100 and failed == "0", proc.stdout + proc.stderr
+
+
 TRACED_MEMBER = """
 import sys
 sys.path[:0] = ["src", "perfbench"]
