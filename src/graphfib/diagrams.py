@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .errors import check_json_object
 from .graphs import (
-    Graph,
     canonical_relabellings,
     disjoint_union,
     edgeless,

@@ -3,8 +3,8 @@
 A fibration assigns to certain graphs ("fibres") a normal closure of words
 over the involutive free product on the fibre's vertex set.  The fibres are
 the graphs whose edges are covered by copies of the generator graphs:
-injective copies for a *skew* fibration, arbitrary homomorphic images (copies
-of quotients) for an *easy* one.  Edgeless graphs are fibres.
+injective images for a *skew* fibration, arbitrary homomorphic images for an
+*easy* one.  Edgeless graphs are fibres.
 
 Every query about one graph reads the generator copies inside it: the graph
 is a fibre when their images cover its edges, and a generator diagram
@@ -16,7 +16,8 @@ fibres is built only to list them, on adjacency masks.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
+from math import perm
 
 from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
 from .errors import CapacityError, check_json_object
@@ -33,16 +34,15 @@ from .freeprod import (
 )
 from .graphs import (
     Graph,
-    canonical_key,
     canonical_key_from_mask,
     enumerate_homomorphisms,
     graph_from_mask,
     mask_of,
-    quotient,
 )
-from .partitions import enumerate_partitions
+from .tensors import power_exceeds
 
 DEFAULT_MAX_VERTICES = 5
+CLOSURE_MAP_BOUND = 10**6
 
 
 class GraphFibration:
@@ -88,45 +88,35 @@ def boundary_word(d):
 # the closure of fibres
 
 
-def _closure_units(fib):
-    """Graphs whose copies cover the edges of every fibre, deduped up to iso.
-
-    In easy mode every quotient of a generator graph joins the unit list: a
-    non-injective copy of a generator factors as a quotient followed by an
-    embedding.  Units without edges cover nothing and are left out.
-    """
-    units = {}
-
-    def add(g):
-        if g.edges and g.n <= fib.max_vertices:
-            units.setdefault(canonical_key(g), g)
-
-    for d in fib.generators:
-        add(d.graph)
-        if fib.easy:
-            for blocks in enumerate_partitions(d.graph.n):
-                add(quotient(d.graph, blocks)[0])
-    return [units[key] for key in sorted(units)]
-
-
 def _close(fib):
     """Compute the closure once and cache its members.
 
-    A graph is a fibre when copies of the units cover its edges, so each one
-    on ``n`` vertices is reached from the edgeless graph on ``n`` vertices by
-    adding those copies one at a time.  Graphs are adjacency masks: the unit
-    copies on ``n`` vertices are made once, adding one is an OR, and ``seen``
+    A graph is a fibre when generator copies cover its edges, so each one on
+    ``n`` vertices is reached from the edgeless graph on ``n`` vertices by
+    adding those copies one at a time.  A copy is the image of a generator
+    graph under a map to ``range(n)``: an injective one for a skew fibration,
+    any one for an easy fibration.  Graphs are adjacency masks: the copy
+    masks on ``n`` vertices are made once, adding one is an OR, and ``seen``
     holds every mask already filed, so each labelled graph is canonicalised
     once.  ``Graph`` objects are built only for the listing.
     """
     if fib._closure is not None:
         return fib._closure
-    units = _closure_units(fib)
-    canonical_key_from_mask(fib.max_vertices, 0)  # refuses a bound past the canonical one before any work
+    top = fib.max_vertices
+    canonical_key_from_mask(top, 0)  # refuses a bound past the canonical one before any work
+    graphs = [d.graph for d in fib.generators if d.graph.edges]
+    for h in graphs:  # the map count only grows with n, so counting at max_vertices covers every n
+        if (power_exceeds(top, h.n, CLOSURE_MAP_BOUND) if fib.easy else perm(top, h.n) > CLOSURE_MAP_BOUND):
+            raise CapacityError(
+                f"a {h.n}-vertex generator has more than {CLOSURE_MAP_BOUND} maps into {top} vertices"
+            )
     members = []
-    for n in range(fib.max_vertices + 1):
-        copies = dict.fromkeys(mask_of(Graph(n, ((rho[u], rho[v]) for u, v in h.edges)))
-                               for h in units for rho in permutations(range(n), h.n))
+    for n in range(top + 1):
+        copies = dict.fromkeys(
+            mask_of(Graph(n, ((phi[u], phi[v]) for u, v in h.edges)))
+            for h in graphs
+            for phi in (product(range(n), repeat=h.n) if fib.easy else permutations(range(n), h.n))
+        )
         seen, reps = {0}, [0]  # the edgeless graph, canonical as it stands
         for x in reps:  # the list grows while it is read
             for c in copies:
@@ -147,9 +137,8 @@ def closure_graphs(fib):
 
     Sorted by vertex count, then by canonical adjacency mask.  The fibres on
     at most ``max_vertices`` vertices are the graphs whose edges are covered
-    by injective copies of the generator graphs (of their quotients, in easy
-    mode).  Only this listing builds the closure; the queries about one graph
-    read the generator copies inside it.
+    by copies of the generator graphs.  Only this listing builds the closure;
+    the queries about one graph read the generator copies inside it.
     """
     return list(_close(fib))
 
@@ -282,12 +271,12 @@ def fibration_to_json(fib):
 
 def fibration_from_json(obj, default_max_vertices=DEFAULT_MAX_VERTICES):
     check_json_object(obj, "fibration", ("generators", "easy", "max_vertices", "strategy"))
-    try:
-        gens = [diagram_from_json(d) for d in obj["generators"]]
-    except KeyError as exc:
-        raise ValueError(f"fibration JSON missing key {exc}")
+    if "generators" not in obj:
+        raise ValueError("fibration JSON missing key 'generators'")
+    if not isinstance(obj["generators"], list):
+        raise ValueError("fibration JSON generators must be a list of diagrams")
     return GraphFibration(
-        gens,
+        [diagram_from_json(d) for d in obj["generators"]],
         easy=obj.get("easy", False),
         max_vertices=obj.get("max_vertices", default_max_vertices),
         policy=policy_from_json(obj.get("strategy", "auto")),

@@ -334,6 +334,7 @@ def test_closure_rejects_an_unknown_strategy_name(capsys, tmp_path):
 
 
 K2_GENERATOR = {"graph": {"n": 2, "edges": [[0, 1]]}, "inputs": [], "outputs": [0, 1, 0, 1]}
+P9_GENERATOR = {"graph": {"n": 9, "edges": [[v, v + 1] for v in range(8)]}, "inputs": [], "outputs": [0, 1]}
 P11_GENERATOR = {"graph": {"n": 11, "edges": [[v, v + 1] for v in range(10)]}, "inputs": [], "outputs": [0, 1]}
 
 
@@ -342,15 +343,23 @@ P11_GENERATOR = {"graph": {"n": 11, "edges": [[v, v + 1] for v in range(10)]}, "
     [
         ({"generators": [K2_GENERATOR], "max_vertices": 9}, 3, "canonical form supported up to 8 vertices"),
         ({"generators": [], "max_vertices": 9}, 3, "canonical form supported up to 8 vertices"),
-        ({"generators": [P11_GENERATOR], "easy": True}, 3, "partition enumeration capped at 10 points"),
+        ({"generators": [P11_GENERATOR], "easy": True}, 3, "11-vertex generator has more than 1000000 maps"),
+        ({"generators": [P9_GENERATOR], "easy": True}, 3, "9-vertex generator has more than 1000000 maps"),
         ({"generators": [P11_GENERATOR], "max_vertices": 3}, 0, ""),
     ],
-    ids=["k2-nine-vertices", "no-generators-nine-vertices", "easy-eleven-vertex-generator", "skew-eleven-vertex-generator"],
+    ids=[
+        "k2-nine-vertices",
+        "no-generators-nine-vertices",
+        "easy-eleven-vertex-generator",
+        "easy-nine-vertex-generator",
+        "skew-eleven-vertex-generator",
+    ],
 )
 def test_closure_size_bounds_exit_cleanly(tmp_path, fibration, code, message):
-    # nine-vertex fibres cannot be canonically labelled and an easy generator's
-    # quotients cannot be listed past ten vertices; a skew generator larger
-    # than the bound has no copy in any fibre and is simply never used
+    # nine-vertex fibres cannot be canonically labelled, and an easy path on
+    # nine or eleven vertices has more maps into five vertices (5^9, 5^11) than
+    # the closure walks; a skew generator larger than the bound has no copy in
+    # any fibre and is simply never used
     got, out, err = run_in_child("closure", write_json(tmp_path, "fibration.json", fibration))
     assert got == code, err
     assert "Traceback" not in err
@@ -713,11 +722,14 @@ def test_orbits_rejects_negative_label_counts(capsys):
 # exit codes and flags
 
 
-def test_bad_input_exit_codes(capsys):
+def test_bad_input_exit_codes(capsys, tmp_path):
     assert run(capsys, "tensor", fx("broken.json"), fx("edge_diagram.json"))[0] == 2
     assert run(capsys, "tensor", fx("missing.json"), fx("edge_diagram.json"))[0] == 2
     assert run(capsys, "closure", fx("broken.json"))[0] == 2
     assert run(capsys, "closure", fx("missing.json"))[0] == 2
+    for generators in (5, None):
+        code, _, err = run(capsys, "closure", write_json(tmp_path, "fibration.json", {"generators": generators}))
+        assert code == 2 and "generators" in err and "Traceback" not in err
     code, _, err = run(
         capsys,
         "--config",

@@ -126,6 +126,17 @@ def test_easy_closure_adds_quotients():
     assert {canonical_key(g) for g in members} == want
 
 
+@pytest.mark.parametrize("bound, count", [(1, 3), (2, 9)])
+def test_an_easy_eleven_vertex_generator_closes_at_small_bounds(bound, count):
+    # the path has at most 2^11 maps into two vertices, far below the
+    # closure's map bound
+    fib = GraphFibration([BilabelledGraph(path(11), (), (0, 1))], easy=True, max_vertices=bound)
+    members = closure_graphs(fib)
+    assert len(members) == count
+    want = {canonical_key(g) for n in range(bound + 1) for g in enumerate_graphs(n, loops=True) if is_fiber(fib, g)}
+    assert {canonical_key(g) for g in members} == want
+
+
 def test_is_fiber_and_capacity():
     fib = edge_fibration(bound=4)
     assert is_fiber(fib, path(3))

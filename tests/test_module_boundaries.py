@@ -1,5 +1,6 @@
 """No graphfib module imports another module's private (underscore) names,
-and no module relies on ``assert``, which ``python -O`` strips."""
+imports a name it never uses, or relies on ``assert``, which ``python -O``
+strips."""
 
 import ast
 import os
@@ -54,3 +55,32 @@ def test_the_scan_finds_assert_statements():
 def test_no_assert_statements(filename):
     with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
         assert assert_lines(fh.read()) == []
+
+
+def unused_imports(source):
+    """Names bound by an import in ``source`` and never read; ``__future__`` is skipped."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            bound.extend((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_the_scan_finds_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from .graphs import Graph, edgeless as empty, mask_of\n"
+        "def f(n):\n"
+        "    return empty(n), os.path.sep\n"
+    )
+    assert unused_imports(source) == ["system", "Graph", "mask_of"]
+
+
+@pytest.mark.parametrize("filename", [f for f in MODULES if f != "__init__.py"])
+def test_no_unused_imports(filename):
+    with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
