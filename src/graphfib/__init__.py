@@ -1,119 +1,8 @@
 """Exact integer tensors from graph homomorphism counting, a diagram calculus
 of bilabelled graphs, and morphism-space dimensions for generator-presented
-graph fibrations."""
+graph fibrations.
 
-from .errors import CapacityError, IndeterminateError, InvariantError
-from .graphs import (
-    Graph,
-    add_loops_everywhere,
-    automorphisms,
-    canonical_form,
-    canonical_graph,
-    canonical_key,
-    canonical_relabellings,
-    complete,
-    cycle,
-    disjoint_union,
-    edgeless,
-    enumerate_graphs,
-    enumerate_homomorphisms,
-    enumerate_overlaps,
-    f_union,
-    graph_from_json,
-    graph_to_json,
-    iter_homomorphisms,
-    path,
-    quotient,
-)
-from .partitions import (
-    SetPartition,
-    enumerate_partitions,
-    enumerate_set_partitions,
-    from_blocks,
-    ker,
-    kernel_tuples,
-    partition_compose,
-    partition_involution,
-    partition_tensor,
-    partition_to_bilabelled,
-)
-from .diagrams import (
-    BilabelledGraph,
-    bl_f_compose,
-    bl_f_union,
-    compose as compose_diagrams,
-    diagram_from_json,
-    diagram_key,
-    diagram_to_json,
-    equal_diagrams,
-    identity_diagram,
-    involution,
-    m_diagram,
-    rotate_left,
-    rotate_right,
-    tensor as tensor_diagrams,
-)
-from .freeprod import (
-    Membership,
-    MembershipPolicy,
-    NormalClosureSpec,
-    closure_from_json,
-    conjugate,
-    inverse,
-    member,
-    multiply,
-    quotient_order_if_finite,
-    reduce_word,
-)
-from .fibrations import (
-    GraphFibration,
-    boundary_word,
-    closure_graphs,
-    diagram_member,
-    fiber_generators,
-    fiber_member,
-    fibration_from_group,
-    fibration_from_json,
-    fibration_to_json,
-    greatest_subgraph,
-    is_fiber,
-)
-from .tensors import (
-    IntTensor,
-    adjoint,
-    build_partition_T,
-    build_partition_That,
-    build_T,
-    build_That,
-    compare_tensors,
-    compose,
-    exact_rank,
-    moebius_expand,
-    tensor_add,
-    tensor_from_json,
-    tensor_product,
-    tensor_scale,
-    tensor_to_csv,
-    tensor_to_json,
-    verify_functor,
-    verify_that_sums,
-    zero_tensor,
-)
-from .repspaces import (
-    OrbitClass,
-    PermutationGroup,
-    build_That_H,
-    burnside_dim,
-    dim_report,
-    graph_automorphism_group,
-    group_from_elements,
-    orbit_basis,
-    orbits,
-    semidirect_orbit_table,
-    symmetric_group,
-    verify_repcat_compose,
-    verify_repcat_tensor,
-    verify_THpart,
-)
+The modules are the API: each name lives in one module and is imported from
+there, as ``graphfib.<module>.<name>``.  This package re-exports nothing."""
 
 __version__ = "0.1.0"

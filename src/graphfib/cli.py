@@ -84,7 +84,10 @@ def _print(payload):
 def _group_from_json(obj):
     if isinstance(obj, dict) and "elements" in obj:
         check_json_object(obj, "group", ("degree", "elements"))
-        return group_from_elements(obj["degree"], obj["elements"])
+        elements = obj["elements"]
+        if not isinstance(elements, list) or not all(isinstance(e, list) for e in elements):
+            raise ValueError("group JSON field 'elements' must be a list of permutations")
+        return group_from_elements(obj["degree"], elements)
     if isinstance(obj, dict) and list(obj) == ["automorphisms_of"]:
         return graph_automorphism_group(graph_from_json(obj["automorphisms_of"]))
     if isinstance(obj, dict) and list(obj) == ["symmetric"]:

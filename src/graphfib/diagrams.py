@@ -17,7 +17,6 @@ from .graphs import (
     f_union,
     generated_partition,
     graph_from_json,
-    graph_to_json,
     quotient,
 )
 
@@ -197,14 +196,6 @@ def equal_diagrams(d1, d2):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def diagram_to_json(d):
-    return {
-        "graph": graph_to_json(d.graph),
-        "inputs": list(d.inputs),
-        "outputs": list(d.outputs),
-    }
 
 
 def diagram_from_json(obj):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import perm
 
-from .diagrams import BilabelledGraph, diagram_from_json, diagram_to_json
+from .diagrams import BilabelledGraph, diagram_from_json
 from .errors import CapacityError, check_json_object
 from .freeprod import (
     Membership,
@@ -28,7 +28,6 @@ from .freeprod import (
     check_invariance,
     member,
     policy_from_json,
-    policy_to_json,
     prune_words,
     reduce_word,
 )
@@ -258,15 +257,6 @@ def fibration_from_group(g, closure, easy=False, max_vertices=DEFAULT_MAX_VERTIC
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def fibration_to_json(fib):
-    return {
-        "generators": [diagram_to_json(d) for d in fib.generators],
-        "easy": fib.easy,
-        "max_vertices": fib.max_vertices,
-        "strategy": policy_to_json(fib.policy),
-    }
 
 
 def fibration_from_json(obj, default_max_vertices=DEFAULT_MAX_VERTICES):

@@ -29,11 +29,12 @@ function per set of kept words, with no spec.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from enum import Enum
 from functools import lru_cache, partial
 
 from .errors import IndeterminateError, check_json_object
+from .graphs import generated_partition
 
 
 class Membership(Enum):
@@ -103,19 +104,9 @@ def reduce_word(letters):
     return tuple(out)
 
 
-def multiply(u, v):
-    return reduce_word(tuple(u) + tuple(v))
-
-
 def inverse(w):
     # every letter is an involution, so reversal inverts
     return reduce_word(reversed(tuple(w)))
-
-
-def conjugate(w, u):
-    """The word ``u w u^-1``, reduced."""
-    u = tuple(u)
-    return reduce_word(u + tuple(w) + inverse(u))
 
 
 def apply_letter_map(mapping, w):
@@ -336,22 +327,10 @@ def _splits_infinitely(n, relators):
     enumeration would overflow at any cap.  ``relators`` must be reduced
     and nonempty, as :func:`coset_table` passes them.
     """
-    root = list(range(n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    for r in relators:
-        a = find(r[0])
-        for x in r[1:]:
-            root[find(x)] = a
-    size = Counter(find(x) for x in range(n))
-    parities = {a: [] for a in size}
-    for r in relators:
-        parities[find(r[0])].append(_parity(r))
-    nontrivial = sum(len(_gf2_pivots(parities[a])) < size[a] for a in size)
+    classes = generated_partition(n, (pair for r in relators for pair in zip(r, r[1:])))
+    nontrivial = sum(
+        len(_gf2_pivots(_parity(r) for r in relators if r[0] in letters)) < len(letters) for letters in classes
+    )
     return nontrivial >= 2
 
 
@@ -457,11 +436,10 @@ def _table_member(table, word):
     return Membership.YES if c == 0 else Membership.NO
 
 
-def _decider(alphabet_size, generators, policy, strategy=None):
+def _decider(alphabet_size, generators, policy):
     """The verdict function for the closure of the reduced ``generators`` under ``policy``:
-    ``auto`` tries ``racg``, then ``finite-model``, then ``bounded-bfs``.  A
-    ``strategy`` given here stands in for the policy's own, keeping its bounds."""
-    strategy = strategy or policy.strategy
+    ``auto`` tries ``racg``, then ``finite-model``, then ``bounded-bfs``."""
+    strategy = policy.strategy
     if strategy in ("auto", "racg") and racg_eligible(generators):
         comm = set()
         for x, y, _, _ in generators:
@@ -501,10 +479,12 @@ def prune_words(alphabet_size, words, policy):
     under ``policy``'s search bounds answers YES against the words kept before it.
     Words are checked and reduced once; one verdict function serves each kept set."""
     kept, decide = [], None
+    # ``replace`` builds and validates a new policy, so skip it when the policy is ``auto`` already
+    auto = policy if policy.strategy == "auto" else policy.replace(strategy="auto")
     for w in dict.fromkeys(filter(None, (reduce_word(validate_word(w, alphabet_size)) for w in words))):
         if kept:
             if decide is None:  # made for the first query after a kept word
-                decide = _decider(alphabet_size, tuple(kept), policy, "auto")
+                decide = _decider(alphabet_size, tuple(kept), auto)
             if decide(w) is Membership.YES:
                 continue
         kept.append(w)
@@ -561,6 +541,8 @@ def closure_from_json(obj):
         raise ValueError(f"closure JSON missing key {exc}")
     if type(alphabet) is not int or alphabet < 0:
         raise ValueError(f"closure JSON field 'alphabet' must be an integer >= 0, got {alphabet!r}")
+    if not isinstance(raw_gens, list):
+        raise ValueError("closure JSON field 'generators' must be a list of words")
     gens = [word_from_json(g, alphabet) for g in raw_gens]
     return NormalClosureSpec(alphabet, gens, policy_from_json(obj.get("strategy", "auto")))
 
@@ -581,17 +563,3 @@ def policy_from_json(obj):
         bfs_max_len=params.get("max_len", default.bfs_max_len),
     )
 
-
-def policy_to_json(policy):
-    """The JSON form that :func:`policy_from_json` reads back as ``policy``.
-
-    JSON carries bounds for ``bounded-bfs`` only, so a policy with other
-    non-default bounds has no JSON form and raises ``ValueError``.
-    """
-    if policy.strategy == "bounded-bfs":
-        obj = {"bounded-bfs": {"depth": policy.bfs_depth, "max_len": policy.bfs_max_len}}
-    else:
-        obj = policy.strategy
-    if policy_from_json(obj) != policy:
-        raise ValueError(f"{policy!r} has no JSON form")
-    return obj

@@ -4,7 +4,7 @@ canonical forms.
 One backtracking search, ``_search``, serves every homomorphism query: plain
 and injective maps, automorphisms, and the weighted maps behind ``build_T``.
 One pass over the vertex relabelings serves every canonical labelling:
-canonical forms, graph enumeration, diagram keys and the keys of masks.
+canonical forms, diagram keys and the keys of masks.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -136,16 +136,6 @@ def generated_partition(n, pairs):
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
-
-
-def join_partitions(n, pa, pb):
-    """Coarsest-common refinement join of two partitions."""
-    pairs = []
-    for blocks in (pa, pb):
-        for b in blocks:
-            members = sorted(b)
-            pairs.extend(zip(members, members[1:]))
-    return generated_partition(n, pairs)
 
 
 def quotient(g, blocks):
@@ -481,7 +471,7 @@ def canonical_relabellings(g):
 
 
 def canonical_key_from_mask(n, mask):
-    """``canonical_key`` of the graph on ``n`` vertices with adjacency mask ``mask``."""
+    """The key :func:`canonical_form` gives the graph on ``n`` vertices with adjacency mask ``mask``."""
     return _least_relabellings(n, [i for i in range(mask.bit_length()) if mask >> i & 1])[0]
 
 
@@ -494,40 +484,6 @@ def canonical_form(g):
     """
     key, perms = canonical_relabellings(g)
     return key, perms[0]
-
-
-def canonical_key(g):
-    return canonical_form(g)[0]
-
-
-def canonical_graph(g):
-    """The canonical representative of the isomorphism class of ``g``."""
-    (n, mask), perm = canonical_form(g)
-    return graph_from_mask(n, mask), perm
-
-
-def enumerate_graphs(n, loops=False):
-    """All isomorphism-class representatives on ``n`` vertices, in canonical order.
-
-    With ``loops=False`` only loopless graphs are produced.  Each returned
-    graph equals its own canonical representative.  Deleting a vertex of a
-    graph leaves one on ``n - 1`` vertices, so the classes are the canonical
-    keys of each class on ``n - 1`` vertices extended by one vertex in every
-    way: every set of neighbours, with or without a loop when ``loops``.
-    """
-    if n > CANONICAL_VERTEX_BOUND:
-        raise CapacityError(
-            f"graph enumeration supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
-        )
-    if n < 1:
-        return [Graph(n)]
-    keys = set()
-    for h in enumerate_graphs(n - 1, loops):
-        # bit u of ``sub`` joins vertex u to the new vertex n - 1; bit n - 1 is its loop
-        for sub in range(1 << (n - 1 + loops)):
-            new = {(u, n - 1) for u in range(n) if sub >> u & 1}
-            keys.add(canonical_key(Graph(n, h.edges | new)))
-    return [graph_from_mask(*key) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +522,12 @@ def graph_from_json(obj):
     """A graph from ``{"n": .., "edges": [[u, v], ..]}`` or ``{"graph6": .., "loops": [v, ..]}``."""
     if isinstance(obj, dict) and "graph6" in obj:
         check_json_object(obj, "graph", ("graph6", "loops"))
-        base = parse_graph6(obj["graph6"])
+        if not isinstance(obj["graph6"], str):
+            raise ValueError("graph JSON field 'graph6' must be a string")
         loops = obj.get("loops", [])
+        if not isinstance(loops, list):
+            raise ValueError("graph JSON field 'loops' must be a list of vertices")
+        base = parse_graph6(obj["graph6"])
         edges = set(base.edges)
         for v in loops:
             if type(v) is not int or not (0 <= v < base.n):

@@ -212,10 +212,6 @@ def partition_to_bilabelled(p):
 # serialization
 
 
-def partition_to_json(p):
-    return {"k": p.k, "l": p.l, "blocks": [list(b) for b in p.blocks()]}
-
-
 def partition_from_json(obj):
     check_json_object(obj, "partition", ("k", "l", "blocks"))
     try:

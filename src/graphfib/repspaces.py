@@ -31,11 +31,9 @@ from .graphs import iter_homomorphisms
 from .partitions import kernel_tuples
 from .tensors import (
     build_partition_That,
-    compose,
     law_report,
     power_exceeds,
     tally,
-    tensor_product,
     tensor_scale,
     zero_tensor,
 )
@@ -130,10 +128,6 @@ def graph_automorphism_group(g):
     the search finds them, so a group above the point bound stops before
     they are all listed."""
     return PermutationGroup(g.n, iter_homomorphisms(g, g, injective=True))
-
-
-def act(sigma, points):
-    return tuple(sigma[x] for x in points)
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +266,3 @@ def verify_THpart(group, p):
         tally(rhs, group.elements, vals[:k], vals[k:])
     return law_report("thpart", lhs, rhs)
 
-
-def verify_repcat_tensor(group, a, b, c, d):
-    """Product of two orbit tensors re-expands as a sum over translated pairs."""
-    lhs = tensor_product(build_That_H(group, a, b), build_That_H(group, c, d))
-    rhs = zero_tensor(group.degree, len(a) + len(c), len(b) + len(d))
-    for eta in group.elements:
-        tally(rhs, group.elements, tuple(a) + act(eta, c), tuple(b) + act(eta, d))
-    return law_report("repcat-tensor", lhs, rhs)
-
-
-def verify_repcat_compose(group, a, b, c, d):
-    """Composite of two orbit tensors re-expands over elements matching the boundary."""
-    if len(b) != len(c):
-        raise ValueError("boundary tuples must have equal length")
-    lhs = compose(build_That_H(group, c, d), build_That_H(group, a, b))
-    rhs = zero_tensor(group.degree, len(a), len(d))
-    for eta in group.elements:
-        if act(eta, c) == tuple(b):
-            tally(rhs, group.elements, a, act(eta, d))
-    return law_report("repcat-compose", lhs, rhs)

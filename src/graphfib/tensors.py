@@ -30,7 +30,7 @@ scratch and report the first differing entry, if any.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import repeat
 
 from .diagrams import (
     BilabelledGraph,
@@ -283,18 +283,6 @@ def _that_sum(g, k, l, diagrams):
 def build_That(g, d):
     """Injective homomorphism counts; zero outright when ``d`` has too many vertices."""
     return _that_sum(g, d.k, d.l, [d])
-
-
-def build_partition_T(n, p):
-    """0/1 tensor of a two-row partition: 1 iff same-block points agree."""
-    k, l = p.k, p.l
-    blocks = [b for b in p.blocks() if b]
-    agreeing = (
-        vals
-        for vals in product(range(n), repeat=k + l)
-        if all(all(vals[pt] == vals[b[0]] for pt in b) for b in blocks)
-    )
-    return tally(zero_tensor(n, k, l), agreeing, range(k), range(k, k + l))
 
 
 def build_partition_That(n, p):

@@ -1,0 +1,95 @@
+"""Oracles and helpers the tests use and graphfib itself never calls.
+
+Each lists or re-derives, by a route of its own, what a tested function
+computes.  They import public graphfib names only.
+"""
+
+from itertools import product
+
+from graphfib.errors import CapacityError
+from graphfib.graphs import CANONICAL_VERTEX_BOUND, Graph, canonical_form, graph_from_mask
+from graphfib.repspaces import build_That_H
+from graphfib.tensors import compose, law_report, tally, tensor_product, zero_tensor
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+def canonical_key(g):
+    """The isomorphism-class key of ``g``: its canonical form without the relabelling."""
+    return canonical_form(g)[0]
+
+
+def canonical_graph(g):
+    """The canonical representative of the isomorphism class of ``g``."""
+    (n, mask), perm = canonical_form(g)
+    return graph_from_mask(n, mask), perm
+
+
+def enumerate_graphs(n, loops=False):
+    """All isomorphism-class representatives on ``n`` vertices, in canonical order.
+
+    With ``loops=False`` only loopless graphs are produced.  Each returned
+    graph equals its own canonical representative.  Deleting a vertex of a
+    graph leaves one on ``n - 1`` vertices, so the classes are the canonical
+    keys of each class on ``n - 1`` vertices extended by one vertex in every
+    way: every set of neighbours, with or without a loop when ``loops``.
+    """
+    if n > CANONICAL_VERTEX_BOUND:
+        raise CapacityError(
+            f"graph enumeration supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
+        )
+    if n < 1:
+        return [Graph(n)]
+    keys = set()
+    for h in enumerate_graphs(n - 1, loops):
+        # bit u of ``sub`` joins vertex u to the new vertex n - 1; bit n - 1 is its loop
+        for sub in range(1 << (n - 1 + loops)):
+            new = {(u, n - 1) for u in range(n) if sub >> u & 1}
+            keys.add(canonical_key(Graph(n, h.edges | new)))
+    return [graph_from_mask(*key) for key in sorted(keys)]
+
+
+# ---------------------------------------------------------------------------
+# tensors
+
+
+def build_partition_T(n, p):
+    """0/1 tensor of a two-row partition: 1 iff same-block points agree."""
+    k, l = p.k, p.l
+    blocks = [b for b in p.blocks() if b]
+    agreeing = (
+        vals
+        for vals in product(range(n), repeat=k + l)
+        if all(all(vals[pt] == vals[b[0]] for pt in b) for b in blocks)
+    )
+    return tally(zero_tensor(n, k, l), agreeing, range(k), range(k, k + l))
+
+
+# ---------------------------------------------------------------------------
+# permutation groups
+
+
+def act(sigma, points):
+    return tuple(sigma[x] for x in points)
+
+
+def verify_repcat_tensor(group, a, b, c, d):
+    """Product of two orbit tensors re-expands as a sum over translated pairs."""
+    lhs = tensor_product(build_That_H(group, a, b), build_That_H(group, c, d))
+    rhs = zero_tensor(group.degree, len(a) + len(c), len(b) + len(d))
+    for eta in group.elements:
+        tally(rhs, group.elements, tuple(a) + act(eta, c), tuple(b) + act(eta, d))
+    return law_report("repcat-tensor", lhs, rhs)
+
+
+def verify_repcat_compose(group, a, b, c, d):
+    """Composite of two orbit tensors re-expands over elements matching the boundary."""
+    if len(b) != len(c):
+        raise ValueError("boundary tuples must have equal length")
+    lhs = compose(build_That_H(group, c, d), build_That_H(group, a, b))
+    rhs = zero_tensor(group.degree, len(a), len(d))
+    for eta in group.elements:
+        if act(eta, c) == tuple(b):
+            tally(rhs, group.elements, a, act(eta, d))
+    return law_report("repcat-compose", lhs, rhs)

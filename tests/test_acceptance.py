@@ -25,12 +25,10 @@ from graphfib.graphs import (
     Graph,
     add_loops_everywhere,
     automorphisms,
-    canonical_key,
     complete,
     cycle,
     disjoint_union,
     edgeless,
-    enumerate_graphs,
     enumerate_overlaps,
     f_union,
     path,
@@ -58,6 +56,7 @@ from graphfib.tensors import (
     verify_functor,
     verify_that_sums,
 )
+from reference import canonical_key, enumerate_graphs
 
 HOSTS = [complete(2), complete(3), path(3), disjoint_union(complete(2), edgeless(1))]
 EDGE_DIAGRAM = BilabelledGraph(complete(2), (0,), (1,))

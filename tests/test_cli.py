@@ -730,6 +730,17 @@ def test_bad_input_exit_codes(capsys, tmp_path):
     for generators in (5, None):
         code, _, err = run(capsys, "closure", write_json(tmp_path, "fibration.json", {"generators": generators}))
         assert code == 2 and "generators" in err and "Traceback" not in err
+    words = write_json(tmp_path, "words.json", {"alphabet": 3, "generators": 5})
+    code, _, err = run(capsys, "dim", fx("group_swap3.json"), words, "0", "2")
+    assert code == 2 and "'generators'" in err
+    for group, field in (
+        ({"degree": 3, "elements": 5}, "'elements'"),
+        ({"degree": 3, "elements": [5]}, "'elements'"),
+        ({"automorphisms_of": {"graph6": 5}}, "'graph6'"),
+        ({"automorphisms_of": {"graph6": "Bw", "loops": 5}}, "'loops'"),
+    ):
+        code, _, err = run(capsys, "orbits", write_json(tmp_path, "group.json", group), "0", "1")
+        assert code == 2 and field in err, (group, err)
     code, _, err = run(
         capsys,
         "--config",

@@ -1,13 +1,15 @@
 """No graphfib module imports another module's private (underscore) names,
 imports a name it never uses, or relies on ``assert``, which ``python -O``
-strips."""
+strips; and every public function or class has a reader in ``src/`` or a
+stated reason to stay."""
 
 import ast
 import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "graphfib")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "graphfib")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 
@@ -84,3 +86,104 @@ def test_the_scan_finds_unused_imports():
 def test_no_unused_imports(filename):
     with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unread_public_names(sources):
+    """``(module, name)`` for each public top-level function or class in
+    ``sources`` (module name to source text) that no module reads outside the
+    name's own definition, under its own name or the alias it was imported as."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[module, node.name] = node
+    read = set()
+    for module, tree in trees.items():
+        origin = {name: (m, name) for m, name in defined if m == module}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("graphfib.")):
+                for alias in node.names:
+                    origin[alias.asname or alias.name] = (node.module.split(".")[-1], alias.name)
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and node.id in origin and defined.get(origin[node.id]) is not statement:
+                    read.add(origin[node.id])
+    return sorted(set(defined) - read)
+
+
+def test_the_scan_finds_public_names_nothing_reads():
+    sources = {
+        "graphs": (
+            "def edgeless(n):\n    return n\n"
+            "def path(n):\n    return path(n - 1)\n"
+            "def _cells(n):\n    pass\n"
+            "class Graph:\n    pass\n"
+        ),
+        "cli": (
+            "from .graphs import edgeless as empty, Graph\n"
+            "from graphfib.graphs import path\n"
+            "def main():\n    return empty(1)\n"
+        ),
+    }
+    assert unread_public_names(sources) == [("cli", "main"), ("graphs", "Graph"), ("graphs", "path")]
+
+
+def tracer_names(source):
+    """``(module, name)`` for each graphfib function or class that the benchmark
+    tracer's source wraps (its ``TRACED`` table) or reads off a module."""
+    modules = {f[:-3] for f in MODULES}
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            names.update((module, attr.split(".")[0]) for module, attr, _ in ast.literal_eval(node.value))
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            names.add((node.value.id, node.attr))
+    return names
+
+
+def test_the_tracer_scan_reads_the_table_and_module_attributes():
+    source = (
+        "TRACED = (('graphs', 'quotient', 'graphs.quotient'), ('repspaces', 'PermutationGroup.__init__', 'x'))\n"
+        "def hook(modules, spec):\n"
+        "    freeprod = modules['freeprod']\n"
+        "    return freeprod.racg_eligible(spec.generators)\n"
+    )
+    assert tracer_names(source) == {
+        ("graphs", "quotient"),
+        ("repspaces", "PermutationGroup"),
+        ("freeprod", "racg_eligible"),
+    }
+
+
+# Public names that nothing in src/ reads and that stay, besides those the
+# benchmark tracer binds or reads (perfbench/tracing.py).
+KEPT = {
+    ("diagrams", "identity_diagram"): "paper operation: the identity morphism",
+    ("diagrams", "rotate_left"): "paper operation: rotation",
+    ("diagrams", "rotate_right"): "paper operation: rotation",
+    ("diagrams", "equal_diagrams"): "paper operation: equality up to labelled isomorphism",
+    ("fibrations", "diagram_member"): "paper operation: membership of a diagram in the category",
+    ("fibrations", "fibration_from_group"): "paper operation: the fibration of a group of words",
+    ("graphs", "add_loops_everywhere"): "constructor",
+    ("graphs", "complete"): "constructor",
+    ("graphs", "cycle"): "constructor",
+    ("graphs", "path"): "constructor",
+    ("partitions", "enumerate_set_partitions"): "paper: the morphisms of the partition category",
+    ("partitions", "partition_compose"): "paper operation: composition",
+    ("partitions", "partition_involution"): "paper operation: involution",
+    ("partitions", "partition_tensor"): "paper operation: tensor product",
+    ("partitions", "partition_to_bilabelled"): "paper operation: partitions as edgeless bilabelled graphs",
+}
+
+
+def test_every_public_name_has_a_reader_or_a_reason():
+    sources = {}
+    for filename in MODULES:
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            sources[filename[:-3]] = fh.read()
+    with open(os.path.join(ROOT, "perfbench", "tracing.py"), encoding="utf-8") as fh:
+        traced = tracer_names(fh.read())
+    unread = set(unread_public_names(sources))
+    assert sorted(unread - traced - set(KEPT)) == []
+    assert sorted(set(KEPT) - unread) == []  # a kept name that gained a reader leaves the list

@@ -20,7 +20,6 @@ from graphfib.repspaces import (
     GROUP_POINT_BOUND,
     OrbitClass,
     PermutationGroup,
-    act,
     build_That_H,
     burnside_dim,
     dim_report,
@@ -31,11 +30,10 @@ from graphfib.repspaces import (
     pair_word,
     semidirect_orbit_table,
     symmetric_group,
-    verify_repcat_compose,
-    verify_repcat_tensor,
     verify_THpart,
 )
 from graphfib.tensors import exact_rank, zero_tensor
+from reference import act, verify_repcat_compose, verify_repcat_tensor
 
 EDGE_PLUS_POINT = disjoint_union(complete(2), edgeless(1))
 

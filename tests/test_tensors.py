@@ -19,7 +19,6 @@ from graphfib.partitions import (
 from graphfib.tensors import (
     IntTensor,
     adjoint,
-    build_partition_T,
     build_partition_That,
     build_T,
     build_That,
@@ -38,6 +37,7 @@ from graphfib.tensors import (
     verify_that_sums,
     zero_tensor,
 )
+from reference import build_partition_T
 
 EDGE_DIAGRAM = BilabelledGraph(complete(2), (0,), (1,))
 HOSTS = [complete(2), complete(3), path(3), disjoint_union(complete(2), edgeless(1))]
