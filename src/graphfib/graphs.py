@@ -2,7 +2,8 @@
 canonical forms.
 
 One backtracking search, ``_search``, serves every homomorphism query: plain
-and injective maps, automorphisms, and the weighted maps behind ``build_T``.
+and injective maps, the weighted maps behind ``build_T``, and the pinned
+first-hit searches that find generators of the automorphism group.
 One pass over the vertex relabelings serves every canonical labelling:
 canonical forms, diagram keys and the keys of masks.
 
@@ -221,23 +222,25 @@ def enumerate_homomorphisms(k, g, injective=False):
     return list(iter_homomorphisms(k, g, injective))
 
 
-def _search(n, order, candidates, checks, injective=False):
+def _search(n, order, candidates, checks, images=None):
     """The one backtracking search: image tuples of length ``n``, each handed over when found.
 
     Vertex ``v`` takes an image ``c`` from ``candidates[v]``, in that order,
     if ``(image[u], c) in rel`` for each ``(u, rel)`` in ``checks[v]``, ``u``
     a vertex earlier in ``order``; a relation is any container of ordered
-    image pairs.  With ``injective`` no two vertices share an image.
-    Vertices not in ``order`` map to 0.  The untried images sit on a stack,
-    so a consumer may stop before every tuple is built.
+    image pairs.  Given ``images``, the number of host vertices, no two
+    vertices share an image.  Vertices not in ``order`` map to 0.  The
+    untried images sit on a stack, so a consumer may stop before every
+    tuple is built.
     """
     image = [0] * n
     if not order:
         yield tuple(image)
         return
     last = len(order) - 1
+    injective = images is not None
     if injective:  # used[c]: whether an earlier vertex has the image c
-        used = [False] * (1 + max(map(max, filter(None, candidates)), default=-1))
+        used = [False] * images
     stack = [iter(candidates[order[0]])]  # the untried images of order[len(stack) - 1]
     while stack:
         i = len(stack) - 1
@@ -281,7 +284,7 @@ def iter_homomorphisms(k, g, injective=False):
             candidates[v] = [c for c in range(g.n) if (c, c) in g.edges]
         else:
             checks[v].append((u, edges))
-    return _search(k.n, order, candidates, checks, injective)
+    return _search(k.n, order, candidates, checks, g.n if injective else None)
 
 
 def count_homomorphisms(k, g, keep):
@@ -389,13 +392,65 @@ def count_homomorphisms(k, g, keep):
 
 
 def automorphisms(g):
-    """All automorphisms of ``g``.
+    """All automorphisms of ``g``, in lexicographic order: the full listing
+    that :func:`automorphism_generators` is tested against.
 
     An injective endomorphism of a finite graph is bijective and its inverse
     again preserves edges (the edge count is finite), so injective
     homomorphisms ``g -> g`` are exactly the automorphisms.
     """
     return enumerate_homomorphisms(g, g, injective=True)
+
+
+def automorphism_generators(g):
+    """Generators of the automorphism group of ``g``, each handed over when found.
+
+    A stabiliser-chain search (Sims 1970; Butler, *Fundamental Algorithms
+    for Permutation Groups*, 1991) that never lists the group.  Base points
+    ``i`` go from ``n-1`` down to 0.  For each vertex ``c > i`` of ``i``'s
+    colour (neighbour count and loop) outside the orbit of ``i`` under the
+    generators found so far, one search pins ``0..i-1`` to themselves and
+    ``i`` to ``c`` and stops at its first map.  Every other vertex tries its
+    own name first, then the rest of its colour from ``i`` up, so the map
+    found stays near the identity.  The generators found at levels ``i``
+    and above reach the whole orbit of ``i`` under the automorphisms fixing
+    ``0..i-1``, so they generate those automorphisms; at level 0, the whole
+    group.  Each generator moves ``i`` out of the orbit its predecessors
+    reach, so none lies in the group they generate.
+    """
+    n = g.n
+    edges = g.edges | {(v, u) for u, v in g.edges}
+    degree = [0] * n
+    checks = [[] for _ in range(n)]
+    for u, v in g.edges:
+        if u != v:
+            degree[u] += 1
+            degree[v] += 1
+            checks[v].append((u, edges))
+    colour = [(degree[v], (v, v) in g.edges) for v in range(n)]
+    order = list(range(n))
+    found = []
+    for i in reversed(order):
+        orbit, candidates = {i}, None  # the orbit of i under the generators found so far, all fixing 0..i-1
+        for c in order[i + 1:]:
+            if colour[c] != colour[i] or c in orbit:
+                continue
+            if candidates is None:  # the vertices from i up of each colour, own name first
+                candidates = [(v,) for v in order[:i]] + [None] + [
+                    [j] + [x for x in order[i:] if colour[x] == colour[j] and x != j] for j in order[i + 1:]
+                ]
+            candidates[i] = (c,)
+            sigma = next(_search(n, order, candidates, checks, n), None)
+            if sigma is None:
+                continue
+            found.append(sigma)
+            yield sigma
+            todo = list(orbit)
+            for x in todo:
+                for s in found:
+                    if s[x] not in orbit:
+                        orbit.add(s[x])
+                        todo.append(s[x])
 
 
 # ---------------------------------------------------------------------------

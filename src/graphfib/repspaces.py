@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import CapacityError, IndeterminateError, InvariantError
 from .freeprod import Membership, check_invariance, member, reduce_word
-from .graphs import iter_homomorphisms
+from .graphs import automorphism_generators
 from .partitions import kernel_tuples
 from .tensors import (
     build_partition_That,
@@ -73,9 +73,7 @@ class PermutationGroup:
         kept = []
         moves = []  # right multiplication by each kept generator: s -> s o h
         for g in generators:
-            g = tuple(g)
-            if sorted(g) != points or not set(map(type, g)) <= {int}:
-                raise ValueError(f"{g!r} is not a permutation of {degree} points")
+            g = _permutation(g, degree, points)
             if g in seen:
                 continue
             kept.append(g)
@@ -101,9 +99,19 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, order={len(self.elements)})"
 
 
+def _permutation(g, degree, points=None):
+    """``g`` as a tuple, else a ``ValueError`` naming it: unless its entries
+    are integers, or with ``points``, unless it permutes them.  The types
+    come first, since sorting mixed types fails without naming ``g``."""
+    g = tuple(g)
+    if not set(map(type, g)) <= {int} or points is not None and sorted(g) != points:
+        raise ValueError(f"{g!r} is not a permutation of {degree} points")
+    return g
+
+
 def group_from_elements(degree, elements):
     """The group whose elements are exactly ``elements``, else ``ValueError``."""
-    elems = sorted({tuple(e) for e in elements})
+    elems = sorted({_permutation(e, degree) for e in elements})
     group = PermutationGroup(degree, elems)
     if list(group.elements) != elems:
         raise ValueError("element list is not a permutation group")
@@ -124,10 +132,14 @@ def symmetric_group(n):
 
 
 def graph_automorphism_group(g):
-    """Aut(g), closed from its automorphisms (its injective endomorphisms) as
-    the search finds them, so a group above the point bound stops before
-    they are all listed."""
-    return PermutationGroup(g.n, iter_homomorphisms(g, g, injective=True))
+    """Aut(g), closed from the generators of its stabiliser chain as the
+    search finds them, so a group above the point bound stops before the
+    chain is complete.  The group is then closed again from its sorted
+    elements: that keeps the generators a greedy pass over every
+    automorphism in lexicographic order keeps, which ``check_invariance``
+    reads first."""
+    found = PermutationGroup(g.n, automorphism_generators(g))
+    return PermutationGroup(g.n, found.elements)
 
 
 # ---------------------------------------------------------------------------

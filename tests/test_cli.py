@@ -455,6 +455,16 @@ def test_orbits_stops_listing_automorphisms_at_the_point_bound(tmp_path):
     assert "Traceback" not in err
 
 
+def test_orbits_on_a_large_edgeless_graph_stops_within_a_few_levels(tmp_path):
+    # each search of the stabiliser chain maps every unpinned vertex to its
+    # own name first, so the point bound stops 20,000 isolated vertices
+    # after a few transpositions instead of quadratic scans over used images
+    path = write_json(tmp_path, "group.json", {"automorphisms_of": {"n": 20000, "edges": []}})
+    code, out, err = run_in_child("orbits", path, "0", "0")
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
+
+
 def test_orbits_refuses_a_group_above_the_order_bound(capsys, tmp_path):
     path = write_json(tmp_path, "group.json", {"symmetric": 9})
     code, out, err = run(capsys, "orbits", path, "0", "1")
@@ -736,6 +746,7 @@ def test_bad_input_exit_codes(capsys, tmp_path):
     for group, field in (
         ({"degree": 3, "elements": 5}, "'elements'"),
         ({"degree": 3, "elements": [5]}, "'elements'"),
+        ({"degree": 2, "elements": [[0, 1], ["a", "b"]]}, "('a', 'b') is not a permutation"),
         ({"automorphisms_of": {"graph6": 5}}, "'graph6'"),
         ({"automorphisms_of": {"graph6": "Bw", "loops": 5}}, "'loops'"),
     ):

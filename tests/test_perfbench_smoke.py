@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -24,27 +26,28 @@ def test_perfbench_smoke_answers_match():
         assert " 0 failed," in line, proc.stdout + proc.stderr
 
 
-FULL_CLOSURE = """
+FULL_RUN = """
 import sys, tempfile
 sys.path[:0] = ["src", "perfbench"]
 import run
 
 with tempfile.TemporaryDirectory() as workdir:
-    closure = run.Run("closure", run.DEFAULT_SEED, "full", workdir)
-    closure.write_inputs()
-    closure.setup()
-    closure.run_pass()
-    closure.check_oracles()
-print(len(closure.tasks), closure.failed)
-print("\\n".join(closure.errors))
+    workload = run.Run(sys.argv[1], run.DEFAULT_SEED, "full", workdir)
+    workload.write_inputs()
+    workload.setup()
+    workload.run_pass()
+    workload.check_oracles()
+print(len(workload.tasks), workload.failed)
+print("\\n".join(workload.errors))
 """
 
 
-def test_every_full_size_closure_answer_matches_its_digest():
-    """All ``closure`` answers of the full task list, not just the smoke
+@pytest.mark.parametrize("workload", ["closure", "dim"])
+def test_every_full_size_answer_matches_its_digest(workload):
+    """All answers of the workload's full task list, not just the smoke
     ones, against their committed digests and oracles."""
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", FULL_CLOSURE],
+        [sys.executable, "-B", "-c", FULL_RUN, workload],
         cwd=ROOT,
         capture_output=True,
         text=True,

@@ -1,5 +1,6 @@
 """Orbit bases, Burnside counts, and semidirect morphism-space dimensions."""
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -14,7 +15,15 @@ from graphfib.freeprod import (
     check_invariance,
     member,
 )
-from graphfib.graphs import Graph, complete, disjoint_union, edgeless, path
+from graphfib.graphs import (
+    Graph,
+    automorphism_generators,
+    automorphisms,
+    complete,
+    disjoint_union,
+    edgeless,
+    path,
+)
 from graphfib.partitions import enumerate_set_partitions, from_blocks
 from graphfib.repspaces import (
     GROUP_POINT_BOUND,
@@ -69,6 +78,55 @@ def test_symmetric_and_automorphism_groups():
     aut = graph_automorphism_group(EDGE_PLUS_POINT)
     assert aut.degree == 3 and len(aut) == 2
     assert aut.elements == ((0, 1, 2), (1, 0, 2))
+
+
+def assert_matches_the_full_listing(g):
+    """The stabiliser-chain group against the group closed from every
+    automorphism in lexicographic order: the same elements and the same
+    kept generators.  Every generator the search hands over is kept."""
+    found = list(automorphism_generators(g))
+    assert len(PermutationGroup(g.n, found).generators) == len(found)
+    group, oracle = graph_automorphism_group(g), PermutationGroup(g.n, automorphisms(g))
+    assert group.elements == oracle.elements
+    assert group.generators == oracle.generators
+
+
+@st.composite
+def graphs_with_loops(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    return Graph(n, draw(st.sets(st.sampled_from(cells))) if cells else ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_loops(7))
+def test_the_stabiliser_chain_search_matches_the_full_listing(g):
+    assert_matches_the_full_listing(g)
+
+
+def benchmark_shape(name, n):
+    """The shapes whose automorphism groups the ``dim`` benchmark builds."""
+    half = n // 2
+    return {
+        "cycle": [(i, (i + 1) % n) for i in range(n)],
+        "wheel": [(0, i) for i in range(1, n)] + [(i, i % (n - 1) + 1) for i in range(1, n)],
+        "bipartite": [(i, j) for i in range(half) for j in range(half, n)],
+        "prism": [(i, (i + 1) % half) for i in range(half)]
+        + [(i + half, (i + 1) % half + half) for i in range(half)] + [(i, i + half) for i in range(half)],
+        "triangles": [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+        "matching": [(2 * i, 2 * i + 1) for i in range(half)],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("cycle", 6), ("wheel", 6), ("bipartite", 6), ("prism", 6), ("triangles", 6), ("matching", 6),
+     ("cycle", 7), ("wheel", 7), ("bipartite", 7), ("cycle", 8), ("wheel", 8), ("prism", 8)],
+)
+def test_the_stabiliser_chain_search_matches_the_full_listing_on_benchmark_shapes(name, n):
+    perm = random.Random(n).sample(range(n), n)
+    g = Graph(n, [(perm[u], perm[v]) for u, v in benchmark_shape(name, n)])
+    assert_matches_the_full_listing(g)
 
 
 def test_generators_are_kept_only_when_they_enlarge_the_group():
