@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import check_json_object
 from .graphs import (
-    canonical_relabellings,
+    canonical_form,
     disjoint_union,
     edgeless,
     f_union,
@@ -179,13 +179,9 @@ def diagram_key(d):
     """Canonical key of a diagram under label-preserving isomorphism.
 
     The least ``(adjacency mask, relabeled inputs, relabeled outputs)`` over
-    all vertex permutations.  Only the relabelings reaching the least mask,
-    as listed by ``canonical_relabellings``, can reach it.
+    all vertex permutations, from the one pass of ``canonical_form``.
     """
-    key, perms = canonical_relabellings(d.graph)
-    return key + min(
-        (tuple(perm[v] for v in d.inputs), tuple(perm[v] for v in d.outputs)) for perm in perms
-    )
+    return canonical_form(d.graph, (d.inputs, d.outputs))[0]
 
 
 def equal_diagrams(d1, d2):

@@ -1,11 +1,12 @@
 """Finite graphs with loops: quotients, glued unions, homomorphisms and exact
 canonical forms.
 
-One backtracking search, ``_search``, serves every homomorphism query: plain
-and injective maps, the weighted maps behind ``build_T``, and the pinned
-first-hit searches that find generators of the automorphism group.
-One pass over the vertex relabelings serves every canonical labelling:
-canonical forms, diagram keys and the keys of masks.
+One constraint set-up, ``_constraints``, and one backtracking search,
+``_search``, serve every homomorphism query: plain and injective maps, the
+weighted maps behind ``build_T``, and the pinned first-hit searches that
+find generators of the automorphism group.
+One pass over the vertex relabelings, ``_least_relabellings``, serves every
+canonical labelling: canonical forms, diagram keys and the keys of masks.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -213,15 +214,6 @@ def enumerate_overlaps(nk, nh):
 # homomorphisms
 
 
-def enumerate_homomorphisms(k, g, injective=False):
-    """All graph homomorphisms from ``k`` to ``g`` as a list of image tuples.
-
-    The list of the maps :func:`iter_homomorphisms` hands over, sorted
-    lexicographically on the image tuple ``(phi(0), ..., phi(n-1))``.
-    """
-    return list(iter_homomorphisms(k, g, injective))
-
-
 def _search(n, order, candidates, checks, images=None):
     """The one backtracking search: image tuples of length ``n``, each handed over when found.
 
@@ -267,24 +259,49 @@ def _search(n, order, candidates, checks, images=None):
                 used[image[order[i - 1]]] = False
 
 
-def iter_homomorphisms(k, g, injective=False):
-    """The graph homomorphisms from ``k`` to ``g`` as image tuples, one at a time.
+def _constraints(k, g):
+    """What a homomorphism ``k -> g`` must meet, as weights on the images of ``k``'s vertices.
+
+    Returns ``(arcs, factors, vectors)``.  ``arcs`` holds the host's arcs,
+    each edge both ways round and a loop once, as a table of weight 1 keyed
+    by the pair of images.  Each edge ``(u, v)``, ``u < v``, of ``k``
+    becomes the pair factor ``factors[u, v] = arcs``, and each loop
+    ``(v, v)`` the vector ``vectors[v]`` of weights on the images of ``v``:
+    1 on the host's loops, 0 elsewhere.
+    """
+    arcs, loops = {}, [0] * g.n
+    for a, b in g.edges:
+        arcs[a, b] = arcs[b, a] = 1
+        if a == b:
+            loops[a] = 1
+    factors = {e: arcs for e in k.edges if e[0] != e[1]}
+    return arcs, factors, {u: loops for u, v in k.edges if u == v}
+
+
+def _constrained_search(k, g, order, factors, vectors, injective=False):
+    """:func:`_search` for maps ``k -> g`` over ``order``, an increasing list
+    of vertices, with factors and vectors like those of :func:`_constraints`:
+    a vertex with a vector takes the images it weighs above 0, any other
+    every image, and each factor ``(u, v)``, ``u < v``, is checked at ``v``."""
+    candidates = [range(g.n)] * k.n
+    for v, vec in vectors.items():
+        candidates[v] = [c for c, w in enumerate(vec) if w]
+    checks = [[] for _ in range(k.n)]
+    for (u, v), t in factors.items():
+        checks[v].append((u, t))
+    return _search(k.n, order, candidates, checks, g.n if injective else None)
+
+
+def enumerate_homomorphisms(k, g, injective=False):
+    """All graph homomorphisms from ``k`` to ``g`` as a list of image tuples.
 
     A map takes edges to edges literally: a non-loop edge may land on a single
     vertex only if that vertex carries a loop.  Maps come in lexicographic
-    order of the image tuple ``(phi(0), ..., phi(n-1))``, each handed over
-    when the search finds it.
+    order of the image tuple ``(phi(0), ..., phi(n-1))``.
     """
+    _, factors, vectors = _constraints(k, g)
     order = list(range(k.n))  # a list: the search indexes it, and a range indexes slower
-    candidates = [range(g.n)] * k.n
-    checks = [[] for _ in order]
-    edges = g.edges | {(v, u) for u, v in g.edges}  # ordered pairs: each edge both ways round
-    for u, v in k.edges:
-        if u == v:
-            candidates[v] = [c for c in range(g.n) if (c, c) in g.edges]
-        else:
-            checks[v].append((u, edges))
-    return _search(k.n, order, candidates, checks, g.n if injective else None)
+    return list(_constrained_search(k, g, order, factors, vectors, injective))
 
 
 def count_homomorphisms(k, g, keep):
@@ -295,27 +312,23 @@ def count_homomorphisms(k, g, keep):
     images that agree with it on ``keep``.  The entries of an image at
     vertices summed out mean nothing.
 
-    A vertex outside ``keep`` with at most two neighbours is summed out
-    instead of enumerated, one at a time, fewest neighbours first: an
-    isolated one becomes a factor of the count, a leaf a weight vector on
-    its neighbour and a vertex of degree two a table of weights on its two
-    neighbours, built by walking host adjacency lists, with only the nonzero
-    entries stored.  The vertices left then go through the same search as
-    :func:`iter_homomorphisms`, which checks the edges left against the host
-    and each table as soon as both its ends have images.  Tables and the
-    image lists hold only nonzero weights, so a zero weight cuts the search
-    there, and each map's weight is multiplied out once it is found.  The
-    cost follows the weighted maps of the vertices left, not the maps of
-    ``k``.
+    The edges and loops of ``k`` start as the factors and vectors of
+    :func:`_constraints`.  A vertex outside ``keep`` with at most two
+    neighbours is summed out instead of enumerated, one at a time, fewest
+    neighbours first: an isolated one becomes a factor of the count, a leaf
+    a weight vector on its neighbour and a vertex of degree two a table of
+    weights on its two neighbours, built by walking the rows of its
+    factors, with only the nonzero entries stored.  The vertices left then
+    go through :func:`_constrained_search`, which checks each factor left
+    as soon as both its ends have images.  Tables and the image lists hold only
+    nonzero weights, so a zero weight cuts the search there, and each map's
+    weight is multiplied out once it is found.  The cost follows the
+    weighted maps of the vertices left, not the maps of ``k``.
     """
     n = g.n
+    arcs, factors, vectors = _constraints(k, g)
     free = set(range(k.n)) - keep
-    loops = {u for u, v in k.edges if u == v}
-    # One factor per pair of adjacent vertices: None for an edge of ``k``,
-    # else a table of weights keyed by the pair of images.
-    factors = {e: None for e in k.edges if e[0] != e[1]}
     ones = [1] * n
-    vectors = {}
     scalar = 1
     summed = set()
     while scalar and free:
@@ -326,26 +339,16 @@ def count_homomorphisms(k, g, keep):
         degree, x = min((ends.get(v, 0), v) for v in free)
         if degree > 2:
             break
-        if not summed:  # host adjacency lists with unit weights
-            adj = [[] for _ in range(n)]
-            for a, b in g.edges:
-                adj[a].append((b, 1))
-                if a != b:
-                    adj[b].append((a, 1))
         free.remove(x)
         summed.add(x)
         nbrs, rows = [], []  # per neighbour: its weighted images for each image of x
         for e in sorted(e for e in factors if x in e):
             t, i = factors.pop(e), e.index(x)
             nbrs.append(e[1 - i])
-            if t is None:
-                rows.append(adj)
-            else:
-                rows.append([[] for _ in range(n)])
-                for pair, w in t.items():
-                    rows[-1][pair[i]].append((pair[1 - i], w))
-        vec = vectors.pop(x, ones)
-        weight = [w if x not in loops or g.has_loop(c) else 0 for c, w in enumerate(vec)]
+            rows.append([[] for _ in range(n)])
+            for pair, w in t.items():
+                rows[-1][pair[i]].append((pair[1 - i], w))
+        weight = vectors.pop(x, ones)
         if degree == 0:
             scalar *= sum(weight)
         elif degree == 1:
@@ -363,28 +366,23 @@ def count_homomorphisms(k, g, keep):
             yz = tuple(nbrs)
             if yz in factors:  # at most one factor per pair: merge the new table into the old factor
                 old = factors[yz]
-                table = {p: w * (g.has_edge(*p) if old is None else old.get(p, 0)) for p, w in table.items()}
+                table = {p: w * old.get(p, 0) for p, w in table.items()}
             factors[yz] = {p: w for p, w in table.items() if w}
     if not scalar:
         return
-    # The search over the vertices left, in increasing order.  A loop and a
-    # zero weight are folded into the images each vertex may take.  A
-    # factor's pair ``(u, v)`` has ``u < v``, so it is checked at ``v``.
+    # The search over the vertices left, in increasing order.  It lets
+    # through only images of nonzero weight, so the host's arcs and loops,
+    # which weigh 1, need not be multiplied out.
     rest = [v for v in range(k.n) if v not in summed]
-    candidates, checks = [()] * k.n, [[] for _ in range(k.n)]
-    for v in rest:
-        vec = vectors.get(v, ones)
-        candidates[v] = [c for c, w in enumerate(vec) if w and (v not in loops or g.has_loop(c))]
-    edges = g.edges | {(v, u) for u, v in g.edges}
-    for (u, v), t in factors.items():
-        checks[v].append((u, edges if t is None else t))
-    tables = [(u, v, t) for (u, v), t in factors.items() if t is not None]
-    if not vectors and not tables:  # every map weighs the scalar: hand them over as they come
-        yield from zip(_search(k.n, rest, candidates, checks), repeat(scalar))
+    maps = _constrained_search(k, g, rest, factors, vectors)
+    weighted = [(v, vec) for v, vec in vectors.items() if max(vec, default=0) > 1]
+    tables = [(u, v, t) for (u, v), t in factors.items() if t is not arcs]
+    if not weighted and not tables:  # every map weighs the scalar: hand them over as they come
+        yield from zip(maps, repeat(scalar))
         return
-    for image in _search(k.n, rest, candidates, checks):
+    for image in maps:
         w = scalar
-        for v, vec in vectors.items():
+        for v, vec in weighted:
             w *= vec[image[v]]
         for u, v, t in tables:
             w *= t[image[u], image[v]]
@@ -419,15 +417,14 @@ def automorphism_generators(g):
     reach, so none lies in the group they generate.
     """
     n = g.n
-    edges = g.edges | {(v, u) for u, v in g.edges}
+    arcs, factors, _ = _constraints(g, g)
     degree = [0] * n
     checks = [[] for _ in range(n)]
-    for u, v in g.edges:
-        if u != v:
-            degree[u] += 1
-            degree[v] += 1
-            checks[v].append((u, edges))
-    colour = [(degree[v], (v, v) in g.edges) for v in range(n)]
+    for u, v in factors:
+        degree[u] += 1
+        degree[v] += 1
+        checks[v].append((u, arcs))
+    colour = [(degree[v], (v, v) in arcs) for v in range(n)]
     order = list(range(n))
     found = []
     for i in reversed(order):
@@ -494,35 +491,31 @@ def graph_from_mask(n, mask):
     return Graph(n, edges)
 
 
-def _least_relabellings(n, bits):
-    """The one pass over the relabelings: the least relabeled mask of the graph with
-    adjacency cells ``bits``, and every relabeling reaching it, in lexicographic order."""
+def _least_relabellings(n, bits, labels=()):
+    """The one pass over the relabelings of the graph on ``n`` vertices with adjacency cells ``bits``.
+
+    Returns ``((n, mask) + least, perm)``: ``mask`` is the least relabeled
+    mask, ``perm`` the first relabeling in lexicographic order that reaches
+    it, and ``least`` the least relabeled ``labels`` (a tuple of vertex
+    tuples) over the relabelings that reach it.
+    """
     if n > CANONICAL_VERTEX_BOUND:
         raise CapacityError(
             f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
         )
-    best = 1 << len(_cells(n))  # above every mask, so the first relabeling sets perms
+    best = 1 << len(_cells(n))  # above every mask, so the first relabeling sets perm
     for sigma, tab in _perm_cell_tables(n):
         m = 0
         for c in bits:
             m |= 1 << tab[c]
-        if m <= best:
-            if m < best:
-                best = m
-                perms = []
-            perms.append(sigma)
-    return (n, best), perms
-
-
-def canonical_relabellings(g):
-    """Minimal adjacency bitmask over all vertex relabelings, and every relabeling reaching it.
-
-    Returns ``((n, mask), perms)``: ``perms`` lists in lexicographic order
-    each permutation (``perm[v]`` is the new name of vertex ``v``) whose
-    relabeled mask is the minimum, one coset of the automorphism group of
-    ``g``.  Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are refused.
-    """
-    return _least_relabellings(g.n, [_cell_index(g.n, u, v) for u, v in g.edges])
+        if m > best:
+            continue
+        relabeled = labels and tuple(tuple(sigma[v] for v in row) for row in labels)
+        if m < best:
+            best, perm, least = m, sigma, relabeled
+        elif relabeled < least:
+            least = relabeled
+    return (n, best) + least, perm
 
 
 def canonical_key_from_mask(n, mask):
@@ -530,15 +523,17 @@ def canonical_key_from_mask(n, mask):
     return _least_relabellings(n, [i for i in range(mask.bit_length()) if mask >> i & 1])[0]
 
 
-def canonical_form(g):
+def canonical_form(g, labels=()):
     """Minimal adjacency bitmask over all vertex relabelings.
 
-    Returns ``((n, mask), perm)`` where ``perm`` is the lexicographically
-    least permutation achieving the minimum, the first of
-    :func:`canonical_relabellings`.
+    Returns ``((n, mask), perm)`` where ``perm`` (``perm[v]`` is the new
+    name of vertex ``v``) is the lexicographically least permutation
+    achieving the minimum.  Given ``labels``, a tuple of vertex tuples, the
+    key goes on with the least relabeled labels over every permutation
+    achieving the minimum: a key up to label-preserving isomorphism.
+    Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are refused.
     """
-    key, perms = canonical_relabellings(g)
-    return key, perms[0]
+    return _least_relabellings(g.n, [_cell_index(g.n, u, v) for u, v in g.edges], labels)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from .graphs import edgeless, generated_partition
 
 PARTITION_POINT_BOUND = 10
 
-BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
-
 
 class SetPartition:
     """A partition of ``k + l`` points, stored with canonical block ids.

@@ -161,6 +161,8 @@ def orbits(group, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     n = group.degree
     if power_exceeds(n, k + l, tuple_bound):
         raise CapacityError(f"{n}^{k + l} label pairs exceed the bound {tuple_bound}")
+    if k + l > tuple_bound:  # on 0 or 1 points the pairs are few, but each has k + l entries
+        raise CapacityError(f"{k + l} labels exceed the bound {tuple_bound}")
     columns = list(zip(*group.elements))
     visited = set()
     out = []

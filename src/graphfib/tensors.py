@@ -9,8 +9,9 @@ row-major order.
 ``build_T`` does not list the homomorphisms.  ``graphs.count_homomorphisms``
 first sums out each unlabelled vertex with at most two neighbours into a
 weight vector or a sparse table on its neighbours (the functor law
-``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram).  It then runs the
-same search as the homomorphism enumerator over the vertices left, checking
+``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram), starting from the
+same edge tables and loop vectors as ``graphs.enumerate_homomorphisms``.  It
+then runs the same search over the vertices left, checking
 each table of nonzero weights as soon as both its ends have images, and
 hands over each map found with its weight.  So its cost follows the
 weighted maps of the labelled vertices and of unlabelled vertices of degree

@@ -393,11 +393,15 @@ def test_orbits_respects_the_configured_tuple_bound(capsys):
     assert code == 3 and err.startswith("capacity:")
 
 
+@pytest.mark.parametrize("degree", [3, 1, 0])
 @pytest.mark.parametrize("command", ["orbits", "dim"])
-def test_a_huge_label_count_exits_3_at_once(command):
-    # 3^(3*10^8) label pairs would take minutes to compute; the bound check stops early
+def test_a_huge_label_count_exits_3_at_once(tmp_path, command, degree):
+    # 3^(3*10^8) label pairs would take minutes to compute; on 1 or 0 points
+    # there are few pairs, but one of 3*10^8 entries fills the memory limit.
+    # The bound check stops early.
+    group = write_json(tmp_path, "group.json", {"symmetric": degree})
     words = [fx("null.json")] if command == "dim" else []
-    code, out, err = run_in_child(command, fx("group_s3.json"), *words, "300000000", "0")
+    code, out, err = run_in_child(command, group, *words, "300000000", "0")
     assert code == 3 and out == "" and err.startswith("capacity:")
     assert "Traceback" not in err
 

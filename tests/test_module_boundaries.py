@@ -89,15 +89,20 @@ def test_no_unused_imports(filename):
 
 
 def unread_public_names(sources):
-    """``(module, name)`` for each public top-level function or class in
-    ``sources`` (module name to source text) that no module reads outside the
-    name's own definition, under its own name or the alias it was imported as."""
+    """``(module, name)`` for each public top-level function, class or
+    UPPER_CASE constant in ``sources`` (module name to source text) that no
+    module reads outside the name's own definition, under its own name or the
+    alias it was imported as."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     defined = {}
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined[module, node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id.isupper() and not target.id.startswith("_"):
+                        defined[module, target.id] = node
     read = set()
     for module, tree in trees.items():
         origin = {name: (m, name) for m, name in defined if m == module}
@@ -127,6 +132,24 @@ def test_the_scan_finds_public_names_nothing_reads():
         ),
     }
     assert unread_public_names(sources) == [("cli", "main"), ("graphs", "Graph"), ("graphs", "path")]
+
+
+def test_the_scan_finds_constants_nothing_reads():
+    sources = {
+        "partitions": (
+            "BOUND = 10\n"
+            "BELL = [1, 1, 2]\n"
+            "_CACHE = {}\n"
+            "lower_Case = 1\n"
+            "def blocks(n):\n    return n > BOUND\n"
+        ),
+        "cli": (
+            "from .partitions import blocks\n"
+            "LIMIT = 3\n"
+            "def main():\n    return blocks(LIMIT)\n"
+        ),
+    }
+    assert unread_public_names(sources) == [("cli", "main"), ("partitions", "BELL")]
 
 
 def tracer_names(source):
