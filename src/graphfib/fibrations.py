@@ -16,7 +16,7 @@ fibres is built only to list them, on adjacency masks.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import perm
 
 from .diagrams import BilabelledGraph, diagram_from_json
@@ -33,15 +33,16 @@ from .freeprod import (
 )
 from .graphs import (
     Graph,
-    canonical_key_from_mask,
     enumerate_homomorphisms,
     graph_from_mask,
     mask_of,
+    mask_orbit,
 )
 from .tensors import power_exceeds
 
 DEFAULT_MAX_VERTICES = 5
 CLOSURE_MAP_BOUND = 10**6
+CLOSURE_MASK_BOUND = 10**6  # labelled graphs the closure keeps filed at once
 
 
 class GraphFibration:
@@ -95,14 +96,24 @@ def _close(fib):
     adding those copies one at a time.  A copy is the image of a generator
     graph under a map to ``range(n)``: an injective one for a skew fibration,
     any one for an easy fibration.  Graphs are adjacency masks: the copy
-    masks on ``n`` vertices are made once, adding one is an OR, and ``seen``
-    holds every mask already filed, so each labelled graph is canonicalised
-    once.  ``Graph`` objects are built only for the listing.
+    masks on ``n`` vertices are made once and adding one is an OR.
+
+    Masks are filed a whole isomorphism class at a time, so a mask not yet
+    filed starts a new class: one pass over the relabelings files its
+    :func:`mask_orbit`, and the least mask of the orbit, its canonical key,
+    is the class's representative.  Any other relabeling of the class
+    reached later costs one set lookup.  The copies of every relabeling of
+    a graph are the relabelings of its copies, so growing the
+    representatives reaches every class.  A copy only adds cells, so masks
+    are filed by edge count and the counts are read upward: when a count's
+    representatives are read, no mask can land there any more and its set
+    is dropped.  At most ``CLOSURE_MASK_BOUND`` masks are filed at once.
+    ``Graph`` objects are built only for the listing.
     """
     if fib._closure is not None:
         return fib._closure
     top = fib.max_vertices
-    canonical_key_from_mask(top, 0)  # refuses a bound past the canonical one before any work
+    mask_orbit(top, 0)  # refuses a bound past the canonical one before any work
     graphs = [d.graph for d in fib.generators if d.graph.edges]
     for h in graphs:  # the map count only grows with n, so counting at max_vertices covers every n
         if (power_exceeds(top, h.n, CLOSURE_MAP_BOUND) if fib.easy else perm(top, h.n) > CLOSURE_MAP_BOUND):
@@ -116,17 +127,32 @@ def _close(fib):
             for h in graphs
             for phi in (product(range(n), repeat=h.n) if fib.easy else permutations(range(n), h.n))
         )
-        seen, reps = {0}, [0]  # the edgeless graph, canonical as it stands
-        for x in reps:  # the list grows while it is read
-            for c in copies:
-                m = x | c
-                if m not in seen:
-                    rep = canonical_key_from_mask(n, m)[1]
-                    if rep not in seen:  # every canonical mask in ``seen`` is in ``reps``
-                        seen.add(rep)
-                        reps.append(rep)
-                    seen.add(m)
-        members.extend(graph_from_mask(n, m) for m in sorted(reps))
+        counts = range(n * (n + 1) // 2 + 1)
+        filed = [set() for _ in counts]  # by edge count: the masks filed
+        reps = [[] for _ in counts]  # by edge count: the representatives
+        filed[0].add(0)
+        reps[0].append(0)
+        live = 1
+        for count in counts:
+            live -= len(filed[count])
+            filed[count] = None  # a copy adds cells, so no mask reached from here on lands in this count
+            for x in reps[count]:
+                for c in copies:
+                    m = x | c
+                    if m == x:
+                        continue
+                    k = m.bit_count()
+                    if m in filed[k]:
+                        continue
+                    orbit = mask_orbit(n, m)
+                    live += len(orbit)
+                    if live > CLOSURE_MASK_BOUND:
+                        raise CapacityError(
+                            f"the closure on {n} vertices files more than {CLOSURE_MASK_BOUND} labelled graphs at once"
+                        )
+                    filed[k] |= orbit
+                    reps[k].append(min(orbit))
+        members.extend(graph_from_mask(n, m) for m in sorted(chain.from_iterable(reps)))
     fib._closure = tuple(members)
     return fib._closure
 

@@ -5,8 +5,11 @@ One constraint set-up, ``_constraints``, and one backtracking search,
 ``_search``, serve every homomorphism query: plain and injective maps, the
 weighted maps behind ``build_T``, and the pinned first-hit searches that
 find generators of the automorphism group.
-One pass over the vertex relabelings, ``_least_relabellings``, serves every
-canonical labelling: canonical forms, diagram keys and the keys of masks.
+The relabelled masks of a graph come from one table per vertex count,
+``_perm_cell_tables``.  ``_least_relabellings`` reads them with their
+permutations for canonical forms and diagram keys, which need the
+relabeling; ``mask_orbit`` keeps them all, as the labelled isomorphism class
+that the closure of a fibration files at once.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations, repeat
+from math import factorial
+from operator import itemgetter
 
 from .errors import CapacityError, check_json_object
 
@@ -466,17 +471,22 @@ def _cells(n):
 
 @lru_cache(maxsize=None)
 def _perm_cell_tables(n):
-    """For each permutation of ``0..n-1``: where each adjacency cell moves."""
+    """Every permutation of ``0..n-1`` in lexicographic order, with the bit it moves each adjacency cell to.
+
+    Returns ``(perms, tables)``: ``tables[k][c]`` is ``1 << d`` when
+    ``perms[k]`` moves cell ``c`` to cell ``d``.  The powers are shared, so
+    a table costs one pointer a cell.
+    """
+    bit = {cell: 1 << i for i, cell in enumerate(_cells(n))}
+    perms = tuple(permutations(range(n)))
     tables = []
-    for sigma in permutations(range(n)):
+    for sigma in perms:
         tab = []
         for u, v in _cells(n):
             a, b = sigma[u], sigma[v]
-            if a > b:
-                a, b = b, a
-            tab.append(_cell_index(n, a, b))
-        tables.append((sigma, tuple(tab)))
-    return tuple(tables)
+            tab.append(bit[a, b] if a <= b else bit[b, a])
+        tables.append(tuple(tab))
+    return perms, tuple(tables)
 
 
 def mask_of(g):
@@ -491,23 +501,33 @@ def graph_from_mask(n, mask):
     return Graph(n, edges)
 
 
+def _relabelled_masks(n, bits):
+    """The adjacency mask of the graph on ``n`` vertices with adjacency cells
+    ``bits`` under each relabeling, in the order of :func:`_perm_cell_tables`."""
+    if n > CANONICAL_VERTEX_BOUND:
+        raise CapacityError(
+            f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
+        )
+    if not bits:
+        return repeat(0, factorial(n))
+    tables = _perm_cell_tables(n)[1]
+    if len(bits) == 1:  # itemgetter of one item gives the item, not a tuple
+        return map(itemgetter(bits[0]), tables)
+    return map(sum, map(itemgetter(*bits), tables))  # distinct cells go to distinct bits: the sum is the OR
+
+
 def _least_relabellings(n, bits, labels=()):
-    """The one pass over the relabelings of the graph on ``n`` vertices with adjacency cells ``bits``.
+    """One pass over the relabelings of the graph on ``n`` vertices with
+    adjacency cells ``bits``, for the callers that need the relabeling.
 
     Returns ``((n, mask) + least, perm)``: ``mask`` is the least relabeled
     mask, ``perm`` the first relabeling in lexicographic order that reaches
     it, and ``least`` the least relabeled ``labels`` (a tuple of vertex
     tuples) over the relabelings that reach it.
     """
-    if n > CANONICAL_VERTEX_BOUND:
-        raise CapacityError(
-            f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
-        )
+    masks = _relabelled_masks(n, bits)  # refuses n above the bound before the tables are built
     best = 1 << len(_cells(n))  # above every mask, so the first relabeling sets perm
-    for sigma, tab in _perm_cell_tables(n):
-        m = 0
-        for c in bits:
-            m |= 1 << tab[c]
+    for sigma, m in zip(_perm_cell_tables(n)[0], masks):
         if m > best:
             continue
         relabeled = labels and tuple(tuple(sigma[v] for v in row) for row in labels)
@@ -518,9 +538,13 @@ def _least_relabellings(n, bits, labels=()):
     return (n, best) + least, perm
 
 
-def canonical_key_from_mask(n, mask):
-    """The key :func:`canonical_form` gives the graph on ``n`` vertices with adjacency mask ``mask``."""
-    return _least_relabellings(n, [i for i in range(mask.bit_length()) if mask >> i & 1])[0]
+def mask_orbit(n, mask):
+    """Every adjacency mask that a relabeling of the vertices gives the graph
+    on ``n`` vertices with adjacency mask ``mask``: its isomorphism class,
+    labelled.  The least is the mask in :func:`canonical_form`'s key.
+    Refused above ``CANONICAL_VERTEX_BOUND`` vertices.
+    """
+    return set(_relabelled_masks(n, [i for i in range(mask.bit_length()) if mask >> i & 1]))
 
 
 def canonical_form(g, labels=()):

@@ -30,7 +30,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_in_child(*argv):
+def run_in_child(*argv, timeout=10):
     """Run the CLI in a child process, so that a runaway computation fails
     the test at the timeout or at a 1 GiB address-space limit instead of
     stalling the suite or the machine."""
@@ -39,7 +39,7 @@ def run_in_child(*argv):
         [sys.executable, "-m", "graphfib.cli", *argv],
         capture_output=True,
         text=True,
-        timeout=10,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": src},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
@@ -367,6 +367,18 @@ def test_closure_size_bounds_exit_cleanly(tmp_path, fibration, code, message):
         assert out == "" and err.startswith("capacity:") and message in err
     else:
         assert json.loads(out)["count"] == 4 and err == ""
+
+
+def test_a_closure_past_the_mask_bound_exits_3(tmp_path):
+    # every graph with loops on 7 vertices is a fibre: 2^28 labelled graphs,
+    # up to C(28, 14) of them with one edge count.  Filing them stops at the
+    # bound of 10^6 after some seconds, where listing them all would run for
+    # hours.
+    loop = {"graph": {"n": 1, "edges": [[0, 0]]}, "inputs": [], "outputs": []}
+    fibration = {"generators": [K2_GENERATOR, loop], "max_vertices": 7}
+    code, out, err = run_in_child("closure", write_json(tmp_path, "fibration.json", fibration), timeout=60)
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "more than 1000000 labelled graphs" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from graphfib.graphs import (
     enumerate_homomorphisms,
     enumerate_overlaps,
     generated_partition,
+    mask_orbit,
     path,
     quotient,
 )
@@ -132,6 +133,48 @@ def test_an_easy_eleven_vertex_generator_closes_at_small_bounds(bound, count):
     assert len(members) == count
     want = {canonical_key(g) for n in range(bound + 1) for g in enumerate_graphs(n, loops=True) if is_fiber(fib, g)}
     assert {canonical_key(g) for g in members} == want
+
+
+LOOP_GENERATOR = BilabelledGraph(Graph(1, [(0, 0)]), (), ())
+
+
+@pytest.mark.parametrize(
+    "generators, bound, counts",
+    [
+        ([commutator_generator(complete(2))], 6, [1, 1, 2, 4, 11, 34, 156]),  # OEIS A000088
+        ([commutator_generator(complete(2)), LOOP_GENERATOR], 5, [1, 2, 6, 20, 90, 544]),  # OEIS A000666
+    ],
+    ids=["graphs", "graphs-with-loops"],
+)
+def test_closures_count_the_known_isomorphism_classes(generators, bound, counts):
+    # every graph is covered by its edges and loops, so these closures hold
+    # one graph per isomorphism class, counted without any labeller
+    assert layer_counts(closure_graphs(GraphFibration(generators, max_vertices=bound))) == counts
+
+
+@pytest.mark.parametrize(
+    "fib",
+    [
+        edge_fibration(bound=5),
+        GraphFibration([commutator_generator(complete(2)), LOOP_GENERATOR], max_vertices=4),
+        edge_fibration(bound=4, easy=True),
+        triangle_fibration(bound=5),
+    ],
+    ids=["skew-K2", "skew-K2-and-loop", "easy-K2", "skew-K3"],
+)
+def test_the_closure_files_each_class_with_one_orbit(fib, monkeypatch):
+    # one pass over the relabelings per isomorphism class with edges, not one
+    # per labelled graph reached; the extra call with mask 0 is the size guard
+    calls = []
+
+    def counted(n, mask):
+        calls.append((n, mask))
+        return mask_orbit(n, mask)
+
+    monkeypatch.setattr(fibrations, "mask_orbit", counted)
+    members = closure_graphs(fib)
+    assert [c for c in calls if not c[1]] == [(fib.max_vertices, 0)]
+    assert len(calls) - 1 == len(members) - (fib.max_vertices + 1)
 
 
 def test_is_fiber_and_capacity():
