@@ -117,15 +117,16 @@ def cmd_tensor(args, config):
     return 0
 
 
-def _frozen_reports(g, check, builder):
-    """Regression comparisons against tensors frozen into the fixture file."""
+def _frozen_reports(check, builder, g, left, right):
+    """Regression comparisons against tensors frozen into the fixture file,
+    for the check's parsed graph and diagrams."""
     reports = []
     expect = check.get("expect", {})
     check_json_object(expect, "fixture 'expect'", ("left", "right"))
+    sides = {"left": left, "right": right}
     for side in sorted(expect):
         want = tensor_from_json(expect[side])
-        have = builder(g, diagram_from_json(check[side]))
-        reports.append(law_report(f"frozen-{side}", have, want))
+        reports.append(law_report(f"frozen-{side}", builder(g, sides[side]), want))
     return reports
 
 
@@ -156,9 +157,9 @@ def cmd_verify(args, config):
     count = 0
     for idx, (check, inputs, _, _) in enumerate(parsed):
         if args.law == "functor":
-            reports = _frozen_reports(inputs[0], check, build_T) + verify_functor(*inputs)
+            reports = _frozen_reports(check, build_T, *inputs) + verify_functor(*inputs)
         elif args.law == "that":
-            reports = _frozen_reports(inputs[0], check, build_That) + verify_that_sums(*inputs)
+            reports = _frozen_reports(check, build_That, *inputs) + verify_that_sums(*inputs)
         elif args.law == "moebius":
             reports = [moebius_expand(*inputs)]
         else:  # thpart

@@ -6,12 +6,13 @@ the graphs whose edges are covered by copies of the generator graphs:
 injective images for a *skew* fibration, arbitrary homomorphic images for an
 *easy* one.  Edgeless graphs are fibres.
 
-Every query about one graph reads the generator copies inside it: the graph
-is a fibre when their images cover its edges, and a generator diagram
-``(H, a, b)`` contributes the word ``reverse(a) + b`` pushed through each
-copy of ``H``.  Fibre membership of a word is then normal-closure membership
-over those words, less the words implied by earlier ones.  The closure of
-fibres is built only to list them, on adjacency masks.
+Every query about one graph makes one pass over the generator copies inside
+it: the graph is a fibre when their images cover its edges, and a generator
+diagram ``(H, a, b)`` contributes the word ``reverse(a) + b`` pushed through
+each copy of ``H``.  Fibre membership of a word is then normal-closure
+membership over those words, less the words implied by earlier ones.  A
+fibration holds its inputs only: each query recomputes what it reads, and
+the closure of fibres is built only to list them, on adjacency masks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .freeprod import (
     reduce_word,
 )
 from .graphs import (
-    Graph,
     enumerate_homomorphisms,
     graph_from_mask,
     mask_of,
@@ -46,14 +46,7 @@ CLOSURE_MASK_BOUND = 10**6  # labelled graphs the closure keeps filed at once
 
 
 class GraphFibration:
-    __slots__ = (
-        "generators",
-        "easy",
-        "max_vertices",
-        "policy",
-        "_closure",
-        "_fiber_words",
-    )
+    __slots__ = ("generators", "easy", "max_vertices", "policy")
 
     def __init__(self, generators, easy=False, max_vertices=DEFAULT_MAX_VERTICES, policy=MembershipPolicy()):
         generators = tuple(generators)
@@ -68,8 +61,6 @@ class GraphFibration:
         self.easy = easy
         self.max_vertices = max_vertices
         self.policy = policy
-        self._closure = None
-        self._fiber_words = {}
 
     def __repr__(self):
         kind = "easy" if self.easy else "skew"
@@ -88,15 +79,16 @@ def boundary_word(d):
 # the closure of fibres
 
 
-def _close(fib):
-    """Compute the closure once and cache its members.
+def closure_graphs(fib):
+    """All fibres up to isomorphism, canonical representatives.
 
-    A graph is a fibre when generator copies cover its edges, so each one on
-    ``n`` vertices is reached from the edgeless graph on ``n`` vertices by
-    adding those copies one at a time.  A copy is the image of a generator
-    graph under a map to ``range(n)``: an injective one for a skew fibration,
-    any one for an easy fibration.  Graphs are adjacency masks: the copy
-    masks on ``n`` vertices are made once and adding one is an OR.
+    Sorted by vertex count, then by canonical adjacency mask.  A graph is a
+    fibre when generator copies cover its edges, so each one on ``n``
+    vertices is reached from the edgeless graph on ``n`` vertices by adding
+    those copies one at a time.  A copy is the image of a generator graph
+    under a map to ``range(n)``: an injective one for a skew fibration, any
+    one for an easy fibration.  Graphs are adjacency masks: the copy masks on
+    ``n`` vertices are made once and adding one is an OR.
 
     Masks are filed a whole isomorphism class at a time, so a mask not yet
     filed starts a new class: one pass over the relabelings files its
@@ -110,8 +102,6 @@ def _close(fib):
     is dropped.  At most ``CLOSURE_MASK_BOUND`` masks are filed at once.
     ``Graph`` objects are built only for the listing.
     """
-    if fib._closure is not None:
-        return fib._closure
     top = fib.max_vertices
     mask_orbit(top, 0)  # refuses a bound past the canonical one before any work
     graphs = [d.graph for d in fib.generators if d.graph.edges]
@@ -123,7 +113,7 @@ def _close(fib):
     members = []
     for n in range(top + 1):
         copies = dict.fromkeys(
-            mask_of(Graph(n, ((phi[u], phi[v]) for u, v in h.edges)))
+            mask_of(n, ((phi[u], phi[v]) for u, v in h.edges))
             for h in graphs
             for phi in (product(range(n), repeat=h.n) if fib.easy else permutations(range(n), h.n))
         )
@@ -153,88 +143,52 @@ def _close(fib):
                     filed[k] |= orbit
                     reps[k].append(min(orbit))
         members.extend(graph_from_mask(n, m) for m in sorted(chain.from_iterable(reps)))
-    fib._closure = tuple(members)
-    return fib._closure
-
-
-def closure_graphs(fib):
-    """All fibres up to isomorphism, canonical representatives.
-
-    Sorted by vertex count, then by canonical adjacency mask.  The fibres on
-    at most ``max_vertices`` vertices are the graphs whose edges are covered
-    by copies of the generator graphs.  Only this listing builds the closure;
-    the queries about one graph read the generator copies inside it.
-    """
-    return list(_close(fib))
+    return members
 
 
 # ---------------------------------------------------------------------------
 # generator copies inside one graph
 
 
-def _copies(fib, g):
-    """Each generator diagram ``d`` with each copy ``phi`` of its graph in ``g``.
+def _copy_words(fib, g):
+    """The boundary words of the generator copies inside ``g``, in first-seen
+    order, or None when their images do not cover ``g``'s edges.
 
     Copies are embeddings for a skew fibration and arbitrary homomorphisms
-    for an easy one.
+    for an easy one.  A generator diagram ``(H, a, b)`` gives the word
+    ``reverse(a) + b`` pushed through each copy of ``H``.
     """
     if g.n > fib.max_vertices:
         raise CapacityError(
             f"fibre queries are bounded by max_vertices={fib.max_vertices}, graph has {g.n} vertices"
         )
+    words, covered = {}, set()  # a dict keeps each word once, in first-seen order
     for d in fib.generators:
         for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy):
-            yield d, phi
-
-
-def greatest_subgraph(fib, g):
-    """The largest spanning subgraph of ``g`` that is a fibre.
-
-    A graph is a fibre when generator copies cover its edges, so the union of
-    all generator images inside ``g`` is a fibre and contains every spanning
-    fibre subgraph.
-    """
-    return Graph(g.n, ((phi[u], phi[v]) for d, phi in _copies(fib, g) for u, v in d.graph.edges))
+            words[tuple(map(phi.__getitem__, d.inputs[::-1] + d.outputs))] = None
+            for u, v in d.graph.edges:
+                a, b = phi[u], phi[v]
+                covered.add((a, b) if a <= b else (b, a))
+    return tuple(words) if covered == g.edges else None
 
 
 def is_fiber(fib, g):
     """Is ``g`` a fibre?  Yes iff the generator images inside it cover its edges."""
-    return greatest_subgraph(fib, g).edges == g.edges
-
-
-# ---------------------------------------------------------------------------
-# fibre generator words
-
-
-def _words_if_fiber(fib, g):
-    """Generator words of the fibre over ``g``, or None when ``g`` is not a fibre.
-
-    One pass over the generator copies inside ``g`` collects their boundary
-    words and checks that their images cover ``g``'s edges.  Words already
-    implied by earlier ones are dropped when an exact ``auto`` membership
-    answer says so; an unknown keeps the word.
-    """
-    cache_key = (g.n, g.edges)
-    if cache_key in fib._fiber_words:
-        return fib._fiber_words[cache_key]
-    raw_words, covered = {}, set()  # a dict keeps each word once, in first-seen order
-    for d, phi in _copies(fib, g):
-        raw_words[tuple(map(phi.__getitem__, d.inputs[::-1] + d.outputs))] = None
-        for u, v in d.graph.edges:
-            a, b = phi[u], phi[v]
-            covered.add((a, b) if a <= b else (b, a))
-    result = prune_words(g.n, raw_words, fib.policy) if covered == g.edges else None
-    fib._fiber_words[cache_key] = result
-    return result
+    return _copy_words(fib, g) is not None
 
 
 def fiber_generators(fib, g):
     """Generator words of the fibre over ``g``, on ``g``'s own vertex names;
-    ``ValueError`` when ``g`` is not a fibre."""
-    words = _words_if_fiber(fib, g)
+    ``ValueError`` when ``g`` is not a fibre.
+
+    The boundary words of the generator copies, less each word implied by
+    earlier ones when an exact ``auto`` membership answer says so; an
+    unknown keeps the word.
+    """
+    words = _copy_words(fib, g)
     if words is None:
         raise ValueError("graph is not a fibre of this fibration")
-    return words
+    return prune_words(g.n, words, fib.policy)
 
 
 def fiber_member(fib, g, word):
@@ -246,12 +200,13 @@ def diagram_member(fib, d):
     """Does a diagram belong to the category the fibration represents?
 
     Yes iff the underlying graph is a fibre and the diagram's boundary word
-    lies in that fibre.  One pass over the generator copies answers both;
-    :func:`fiber_member` reads its words from the cache.
+    lies in that fibre.  One pass over the generator copies answers both.
     """
-    if _words_if_fiber(fib, d.graph) is None:
+    words = _copy_words(fib, d.graph)
+    if words is None:
         return Membership.NO
-    return fiber_member(fib, d.graph, boundary_word(d))
+    n = d.graph.n
+    return member(boundary_word(d), NormalClosureSpec(n, prune_words(n, words, fib.policy), fib.policy))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +230,11 @@ def fibration_from_group(g, closure, easy=False, max_vertices=DEFAULT_MAX_VERTIC
     fib = GraphFibration(
         gens, easy=easy, max_vertices=max(max_vertices, g.n), policy=closure.policy
     )
-    for w in closure.generators:
-        if fiber_member(fib, g, w) is not Membership.YES:
-            raise ValueError(f"generator word {w} is not recovered in its own fibre")
+    if closure.generators:  # with none, ``g`` with edges need not be a fibre
+        spec = NormalClosureSpec(g.n, fiber_generators(fib, g), fib.policy)
+        for w in closure.generators:
+            if member(w, spec) is not Membership.YES:
+                raise ValueError(f"generator word {w} is not recovered in its own fibre")
     return fib
 
 

@@ -32,6 +32,8 @@ CANONICAL_VERTEX_BOUND = 8
 # Graphs read from JSON have at most this many vertices: the searches and
 # tables allocate per vertex before any other bound is consulted.
 GRAPH_VERTEX_BOUND = 10**6
+# The overlaps of two graphs are listed only up to this many.
+OVERLAP_BOUND = 10**6
 
 
 class Graph:
@@ -205,8 +207,18 @@ def enumerate_overlaps(nk, nh):
     """All partial injective correspondences between ``0..nk-1`` and ``0..nh-1``.
 
     Deterministic order: by size, then by the sorted left support, then by the
-    right images.  The empty overlap comes first.
+    right images.  The empty overlap comes first.  There are
+    ``sum(comb(nk, s) * perm(nh, s))`` of them, counted one size at a time
+    before any is listed; past ``OVERLAP_BOUND`` they are refused.
     """
+    term = total = 1  # the overlaps of one size, and of every size so far
+    for size in range(min(nk, nh)):
+        term = term * (nk - size) * (nh - size) // (size + 1)
+        total += term
+        if total > OVERLAP_BOUND:
+            raise CapacityError(
+                f"{nk}- and {nh}-vertex graphs have more than {OVERLAP_BOUND} overlaps"
+            )
     out = []
     for size in range(min(nk, nh) + 1):
         for left in combinations(range(nk), size):
@@ -489,10 +501,11 @@ def _perm_cell_tables(n):
     return perms, tuple(tables)
 
 
-def mask_of(g):
+def mask_of(n, edges):
+    """The adjacency mask of the graph on ``n`` vertices with ``edges``, pairs in either order."""
     m = 0
-    for u, v in g.edges:
-        m |= 1 << _cell_index(g.n, u, v)
+    for u, v in edges:
+        m |= 1 << (_cell_index(n, u, v) if u <= v else _cell_index(n, v, u))
     return m
 
 
@@ -501,13 +514,14 @@ def graph_from_mask(n, mask):
     return Graph(n, edges)
 
 
-def _relabelled_masks(n, bits):
-    """The adjacency mask of the graph on ``n`` vertices with adjacency cells
-    ``bits`` under each relabeling, in the order of :func:`_perm_cell_tables`."""
+def _relabelled_masks(n, mask):
+    """The adjacency mask ``mask`` of a graph on ``n`` vertices under each
+    relabeling, in the order of :func:`_perm_cell_tables`."""
     if n > CANONICAL_VERTEX_BOUND:
         raise CapacityError(
             f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
         )
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
     if not bits:
         return repeat(0, factorial(n))
     tables = _perm_cell_tables(n)[1]
@@ -516,16 +530,16 @@ def _relabelled_masks(n, bits):
     return map(sum, map(itemgetter(*bits), tables))  # distinct cells go to distinct bits: the sum is the OR
 
 
-def _least_relabellings(n, bits, labels=()):
+def _least_relabellings(n, mask, labels=()):
     """One pass over the relabelings of the graph on ``n`` vertices with
-    adjacency cells ``bits``, for the callers that need the relabeling.
+    adjacency mask ``mask``, for the callers that need the relabeling.
 
-    Returns ``((n, mask) + least, perm)``: ``mask`` is the least relabeled
+    Returns ``((n, best) + least, perm)``: ``best`` is the least relabeled
     mask, ``perm`` the first relabeling in lexicographic order that reaches
     it, and ``least`` the least relabeled ``labels`` (a tuple of vertex
     tuples) over the relabelings that reach it.
     """
-    masks = _relabelled_masks(n, bits)  # refuses n above the bound before the tables are built
+    masks = _relabelled_masks(n, mask)  # refuses n above the bound before the tables are built
     best = 1 << len(_cells(n))  # above every mask, so the first relabeling sets perm
     for sigma, m in zip(_perm_cell_tables(n)[0], masks):
         if m > best:
@@ -544,7 +558,7 @@ def mask_orbit(n, mask):
     labelled.  The least is the mask in :func:`canonical_form`'s key.
     Refused above ``CANONICAL_VERTEX_BOUND`` vertices.
     """
-    return set(_relabelled_masks(n, [i for i in range(mask.bit_length()) if mask >> i & 1]))
+    return set(_relabelled_masks(n, mask))
 
 
 def canonical_form(g, labels=()):
@@ -557,7 +571,7 @@ def canonical_form(g, labels=()):
     achieving the minimum: a key up to label-preserving isomorphism.
     Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are refused.
     """
-    return _least_relabellings(g.n, [_cell_index(g.n, u, v) for u, v in g.edges], labels)
+    return _least_relabellings(g.n, mask_of(g.n, g.edges), labels)
 
 
 # ---------------------------------------------------------------------------

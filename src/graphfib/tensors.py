@@ -308,23 +308,12 @@ def verify_functor(g, d1, d2):
     Covers the tensor law, the composition law when arities allow, and the
     adjoint law for both diagrams.
     """
-    reports = [
-        law_report(
-            "tensor",
-            build_T(g, tensor_diagrams(d1, d2)),
-            tensor_product(build_T(g, d1), build_T(g, d2)),
-        )
-    ]
+    t1, t2 = build_T(g, d1), build_T(g, d2)
+    reports = [law_report("tensor", build_T(g, tensor_diagrams(d1, d2)), tensor_product(t1, t2))]
     if d2.l == d1.k:
-        reports.append(
-            law_report(
-                "compose",
-                build_T(g, compose_diagrams(d1, d2)),
-                compose(build_T(g, d1), build_T(g, d2)),
-            )
-        )
-    for name, d in (("adjoint-left", d1), ("adjoint-right", d2)):
-        reports.append(law_report(name, build_T(g, involution(d)), adjoint(build_T(g, d))))
+        reports.append(law_report("compose", build_T(g, compose_diagrams(d1, d2)), compose(t1, t2)))
+    for name, d, t in (("adjoint-left", d1, t1), ("adjoint-right", d2, t2)):
+        reports.append(law_report(name, build_T(g, involution(d)), adjoint(t)))
     return reports
 
 
@@ -336,12 +325,13 @@ def verify_that_sums(g, d1, d2):
     forced boundary pairs, and is identically zero when the boundary kernels
     disagree.
     """
-    lhs = tensor_product(build_That(g, d1), build_That(g, d2))
+    t1, t2 = build_That(g, d1), build_That(g, d2)
+    lhs = tensor_product(t1, t2)
     unions = (bl_f_union(d1, d2, f) for f in enumerate_overlaps(d1.graph.n, d2.graph.n))
     reports = [law_report("union-sum", lhs, _that_sum(g, d1.k + d2.k, d1.l + d2.l, unions))]
 
     if d2.l == d1.k:
-        lhs = compose(build_That(g, d1), build_That(g, d2))
+        lhs = compose(t1, t2)
         try:
             forced = set(required_composition_pairs(d1, d2))
         except ValueError:
@@ -354,8 +344,8 @@ def verify_that_sums(g, d1, d2):
             )
             reports.append(law_report("compose-sum", lhs, _that_sum(g, d2.k, d1.l, composites)))
 
-    for name, d in (("adjoint-left", d1), ("adjoint-right", d2)):
-        reports.append(law_report(name, build_That(g, involution(d)), adjoint(build_That(g, d))))
+    for name, d, t in (("adjoint-left", d1, t1), ("adjoint-right", d2, t2)):
+        reports.append(law_report(name, build_That(g, involution(d)), adjoint(t)))
     return reports
 
 

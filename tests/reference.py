@@ -7,7 +7,7 @@ computes.  They import public graphfib names only.
 from itertools import product
 
 from graphfib.errors import CapacityError
-from graphfib.graphs import CANONICAL_VERTEX_BOUND, Graph, canonical_form, graph_from_mask
+from graphfib.graphs import CANONICAL_VERTEX_BOUND, Graph, canonical_form, enumerate_homomorphisms, graph_from_mask
 from graphfib.repspaces import build_That_H
 from graphfib.tensors import compose, law_report, tally, tensor_product, zero_tensor
 
@@ -48,6 +48,28 @@ def enumerate_graphs(n, loops=False):
             new = {(u, n - 1) for u in range(n) if sub >> u & 1}
             keys.add(canonical_key(Graph(n, h.edges | new)))
     return [graph_from_mask(*key) for key in sorted(keys)]
+
+
+# ---------------------------------------------------------------------------
+# fibrations
+
+
+def greatest_subgraph(fib, g):
+    """The largest spanning subgraph of ``g`` that is a fibre.
+
+    A graph is a fibre when generator copies cover its edges, so the union of
+    all generator images inside ``g`` is a fibre and contains every spanning
+    fibre subgraph.
+    """
+    return Graph(
+        g.n,
+        (
+            (phi[u], phi[v])
+            for d in fib.generators
+            for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy)
+            for u, v in d.graph.edges
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from graphfib.fibrations import (
     closure_graphs,
     fiber_generators,
     fiber_member,
-    greatest_subgraph,
     is_fiber,
 )
 from graphfib.freeprod import Membership, MembershipPolicy, NormalClosureSpec, apply_letter_map
@@ -56,7 +55,7 @@ from graphfib.tensors import (
     verify_functor,
     verify_that_sums,
 )
-from reference import canonical_key, enumerate_graphs
+from reference import canonical_key, enumerate_graphs, greatest_subgraph
 
 HOSTS = [complete(2), complete(3), path(3), disjoint_union(complete(2), edgeless(1))]
 EDGE_DIAGRAM = BilabelledGraph(complete(2), (0,), (1,))

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfib
-from graphfib import cli
+from graphfib import cli, tensors
 from graphfib.cli import main
+from graphfib.tensors import build_T
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -196,6 +197,34 @@ def test_verify_refuses_a_tensor_above_the_tuple_bound(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "functor", fixtures)
     assert code == 3 and out == "" and err.startswith("capacity:")
     assert "Traceback" not in err
+
+
+def test_verify_builds_each_side_once(capsys, monkeypatch):
+    # one check with both sides frozen: the two frozen sides, then T(left)
+    # and T(right) once for the tensor, compose and adjoint laws, the tensor
+    # and composite diagrams and the two involutions
+    calls = []
+
+    def counting(g, d):
+        calls.append(d)
+        return build_T(g, d)
+
+    monkeypatch.setattr(cli, "build_T", counting)
+    monkeypatch.setattr(tensors, "build_T", counting)
+    payload = run_json(capsys, "verify", "functor", fx("functor_checks.json"))
+    assert payload["ok"] is True and payload["checks"] == 6
+    assert len(calls) == 8
+
+
+def test_verify_refuses_too_many_overlaps(tmp_path):
+    # two edgeless 10-vertex diagrams have sum_s C(10, s)^2 s! = 234,662,231
+    # overlaps; they are counted, not listed
+    host = {"n": 2, "edges": [[0, 1]]}
+    empty = {"graph": {"n": 10, "edges": []}, "inputs": [], "outputs": []}
+    fixtures = write_json(tmp_path, "checks.json", {"checks": [{"graph": host, "left": empty, "right": empty}]})
+    code, out, err = run_in_child("verify", "that", fixtures)
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "more than 1000000 overlaps" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

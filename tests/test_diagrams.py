@@ -355,9 +355,8 @@ def brute_force_diagram_key(d):
     n = d.graph.n
     best = None
     for sigma in permutations(range(n)):
-        relabeled = Graph(n, [(sigma[u], sigma[v]) for u, v in d.graph.edges])
         cand = (
-            mask_of(relabeled),
+            mask_of(n, [(sigma[u], sigma[v]) for u, v in d.graph.edges]),
             tuple(sigma[v] for v in d.inputs),
             tuple(sigma[v] for v in d.outputs),
         )

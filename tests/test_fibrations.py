@@ -23,7 +23,6 @@ from graphfib.fibrations import (
     fiber_member,
     fibration_from_group,
     fibration_from_json,
-    greatest_subgraph,
     is_fiber,
 )
 from graphfib.freeprod import (
@@ -49,7 +48,7 @@ from graphfib.graphs import (
     quotient,
 )
 from graphfib.partitions import enumerate_partitions
-from reference import canonical_graph, canonical_key, enumerate_graphs
+from reference import canonical_graph, canonical_key, enumerate_graphs, greatest_subgraph
 
 
 def commutator_generator(g):

@@ -1,7 +1,8 @@
 """No graphfib module imports another module's private (underscore) names,
 imports a name it never uses, or relies on ``assert``, which ``python -O``
-strips; and every public function or class has a reader in ``src/`` or a
-stated reason to stay."""
+strips; every public function or class has a reader in ``src/`` or a
+stated reason to stay; and the tests' oracles in ``reference.py`` import
+public graphfib names only."""
 
 import ast
 import os
@@ -40,6 +41,11 @@ def test_the_scan_sees_relative_and_absolute_imports():
 @pytest.mark.parametrize("filename", MODULES)
 def test_no_private_cross_module_imports(filename):
     with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        assert private_imports(fh.read()) == []
+
+
+def test_the_test_oracles_import_public_names_only():
+    with open(os.path.join(ROOT, "tests", "reference.py"), encoding="utf-8") as fh:
         assert private_imports(fh.read()) == []
 
 
@@ -187,6 +193,7 @@ KEPT = {
     ("diagrams", "rotate_right"): "paper operation: rotation",
     ("diagrams", "equal_diagrams"): "paper operation: equality up to labelled isomorphism",
     ("fibrations", "diagram_member"): "paper operation: membership of a diagram in the category",
+    ("fibrations", "fiber_member"): "paper operation: membership of a word in a fibre",
     ("fibrations", "fibration_from_group"): "paper operation: the fibration of a group of words",
     ("graphs", "add_loops_everywhere"): "constructor",
     ("graphs", "complete"): "constructor",
