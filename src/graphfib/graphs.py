@@ -4,7 +4,10 @@ canonical forms.
 One constraint set-up, ``_constraints``, and one backtracking search,
 ``_search``, serve every homomorphism query: plain and injective maps, the
 weighted maps behind ``build_T``, and the pinned first-hit searches that
-find generators of the automorphism group.
+find generators of the automorphism group.  The search keeps a vertex's
+untried images as one integer bitmask, the AND of its candidates and the
+host rows of its placed neighbours' images.  A host past
+``EAGER_ROWS_BOUND`` vertices builds each row when a search first reads it.
 The relabelled masks of a graph come from one table per vertex count,
 ``_perm_cell_tables``.  ``_least_relabellings`` reads them with their
 permutations for canonical forms and diagram keys, which need the
@@ -34,6 +37,14 @@ CANONICAL_VERTEX_BOUND = 8
 GRAPH_VERTEX_BOUND = 10**6
 # The overlaps of two graphs are listed only up to this many.
 OVERLAP_BOUND = 10**6
+# A host of at most this many vertices gets all its bitmask rows at once,
+# each a word or two.  A larger one builds a row only when a search first
+# reads it: all the rows of a sparse n-vertex host take up to n * n / 16 bytes.
+EAGER_ROWS_BOUND = 64
+# The rows built on first read are kept until they would take more than
+# this many bits (32 MiB), and are then all dropped: a row costs no more to
+# build again than the search spends reading it.
+ROW_BITS_BOUND = 1 << 28
 
 
 class Graph:
@@ -231,82 +242,164 @@ def enumerate_overlaps(nk, nh):
 # homomorphisms
 
 
-def _search(n, order, candidates, checks, images=None):
-    """The one backtracking search: image tuples of length ``n``, each handed over when found.
+class _Rows(dict):
+    """The bitmask rows of a relation on the images of a large host, each
+    built when first read and kept up to ``ROW_BITS_BOUND`` bits in all:
+    ``rows[c]`` has bit ``x`` set for each image ``x`` in the list
+    ``adj[c]``."""
 
-    Vertex ``v`` takes an image ``c`` from ``candidates[v]``, in that order,
-    if ``(image[u], c) in rel`` for each ``(u, rel)`` in ``checks[v]``, ``u``
-    a vertex earlier in ``order``; a relation is any container of ordered
-    image pairs.  Given ``images``, the number of host vertices, no two
-    vertices share an image.  Vertices not in ``order`` map to 0.  The
-    untried images sit on a stack, so a consumer may stop before every
+    __slots__ = ("adj",)
+
+    def __missing__(self, c):
+        if len(self) * len(self.adj) >= ROW_BITS_BOUND:
+            self.clear()
+        row = self[c] = _mask(self.adj[c])
+        return row
+
+
+def _mask(images):
+    """The bitmask of distinct ``images``: their sum is their OR."""
+    return sum(map((1).__lshift__, images))
+
+
+def _rows(n, arcs):
+    """The bitmask rows of ``arcs``, distinct pairs of images of an
+    ``n``-vertex host: ``rows[a]`` has bit ``b`` set for each arc
+    ``(a, b)``.  A list up to ``EAGER_ROWS_BOUND`` vertices, else a
+    :class:`_Rows`."""
+    if n <= EAGER_ROWS_BOUND:
+        rows = [0] * n
+        for a, b in arcs:
+            rows[a] |= 1 << b
+        return rows
+    rows = _Rows()
+    rows.adj = adj = [[] for _ in range(n)]
+    for a, b in arcs:
+        adj[a].append(b)
+    return rows
+
+
+def _search(image, order, candidates, checks, injective=False):
+    """The one backtracking search: image tuples, each handed over when found.
+
+    The vertices in ``order`` take images in turn; ``image`` holds the
+    images of the others, and the search writes into it.  A vertex ``v``
+    with checks takes the images in the bitmask ``candidates[v]`` (``-1``
+    for every image) that are also in ``rows[image[u]]`` for each
+    ``(u, rows)`` in ``checks[v]``, ``u`` a vertex earlier in ``order`` or
+    outside it; ``rows`` maps an image to the bitmask of images it allows.
+    A vertex without checks walks the list ``candidates[v]``: on a large
+    host, each bit taken from a mask of every image would cost a pass over
+    the whole mask.  Given ``injective``, no two vertices in ``order``
+    share an image.  Images are taken in increasing order, a mask's lowest
+    bit first, so the tuples come in lexicographic order.  The untried
+    images of each level are kept, so a consumer may stop before every
     tuple is built.
     """
-    image = [0] * n
-    if not order:
+    last = len(order) - 1
+    if last < 0:
         yield tuple(image)
         return
-    last = len(order) - 1
-    injective = images is not None
-    if injective:  # used[c]: whether an earlier vertex has the image c
-        used = [False] * images
-    stack = [iter(candidates[order[0]])]  # the untried images of order[len(stack) - 1]
-    while stack:
-        i = len(stack) - 1
+    untried = [0] * last  # per level above the last: a bitmask, or an iterator over a list
+    used = 0  # given injective: the bits of the images placed so far
+    i = 0
+    while True:
+        # enter level i: the images left to its vertex by the levels above
         v = order[i]
         rels = checks[v]
-        for c in stack[-1]:
-            if injective and used[c]:
-                continue
-            for u, rel in rels:
-                if (image[u], c) not in rel:
+        if rels:
+            m = candidates[v]
+            for u, rows in rels:
+                m &= rows[image[u]]
+            if injective:
+                m &= ~used
+        else:
+            m = iter(candidates[v])
+        if i == last:
+            if rels:
+                while m:
+                    low = m & -m
+                    m ^= low
+                    image[v] = low.bit_length() - 1
+                    yield tuple(image)
+            else:
+                for c in m:
+                    if not (injective and used >> c & 1):
+                        image[v] = c
+                        yield tuple(image)
+            if not i:
+                return
+            i -= 1
+            if injective:
+                used ^= 1 << image[order[i]]
+            v = order[i]
+            rels, m = checks[v], untried[i]
+        # take the next image at level i, backing up past the levels with none left
+        while True:
+            if rels:
+                if m:
+                    low = m & -m
+                    m ^= low
+                    c = low.bit_length() - 1
                     break
             else:
-                image[v] = c
-                if i == last:
-                    yield tuple(image)
-                    continue
-                if injective:
-                    used[c] = True
-                stack.append(iter(candidates[order[i + 1]]))
-                break
-        else:
-            stack.pop()
-            if injective and i:
-                used[image[order[i - 1]]] = False
+                for c in m:
+                    if not (injective and used >> c & 1):
+                        break
+                else:
+                    c = -1
+                if c >= 0:
+                    break
+            if not i:
+                return
+            i -= 1
+            if injective:
+                used ^= 1 << image[order[i]]
+            v = order[i]
+            rels, m = checks[v], untried[i]
+        untried[i] = m
+        image[v] = c
+        if injective:
+            used |= 1 << c
+        i += 1
 
 
 def _constraints(k, g):
     """What a homomorphism ``k -> g`` must meet, as weights on the images of ``k``'s vertices.
 
-    Returns ``(arcs, factors, vectors)``.  ``arcs`` holds the host's arcs,
-    each edge both ways round and a loop once, as a table of weight 1 keyed
-    by the pair of images.  Each edge ``(u, v)``, ``u < v``, of ``k``
-    becomes the pair factor ``factors[u, v] = arcs``, and each loop
-    ``(v, v)`` the vector ``vectors[v]`` of weights on the images of ``v``:
-    1 on the host's loops, 0 elsewhere.
+    Returns ``(host, factors, vectors)``.  ``host`` holds the bitmask rows
+    (:func:`_rows`) of the host's arcs, each edge both ways round and a
+    loop once: a table of weight 1 on them.  Each edge ``(u, v)``,
+    ``u < v``, of ``k`` becomes the pair factor ``factors[u, v] = host``,
+    and each loop ``(v, v)`` the vector ``vectors[v]`` of weights on the
+    images of ``v``: 1 on the host's loops, 0 elsewhere.
     """
-    arcs, loops = {}, [0] * g.n
+    loops, arcs = [0] * g.n, []
     for a, b in g.edges:
-        arcs[a, b] = arcs[b, a] = 1
+        arcs.append((a, b))
         if a == b:
             loops[a] = 1
-    factors = {e: arcs for e in k.edges if e[0] != e[1]}
-    return arcs, factors, {u: loops for u, v in k.edges if u == v}
+        else:
+            arcs.append((b, a))
+    host = _rows(g.n, arcs)
+    factors = {e: host for e in k.edges if e[0] != e[1]}
+    return host, factors, {u: loops for u, v in k.edges if u == v}
 
 
 def _constrained_search(k, g, order, factors, vectors, injective=False):
     """:func:`_search` for maps ``k -> g`` over ``order``, an increasing list
-    of vertices, with factors and vectors like those of :func:`_constraints`:
-    a vertex with a vector takes the images it weighs above 0, any other
-    every image, and each factor ``(u, v)``, ``u < v``, is checked at ``v``."""
-    candidates = [range(g.n)] * k.n
+    of vertices, with factors of bitmask rows and vectors like those of
+    :func:`_constraints`: a vertex with a vector takes the images it weighs
+    above 0, any other every image, and each factor ``(u, v)``, ``u < v``,
+    is checked at ``v``."""
+    checks, candidates = [[] for _ in range(k.n)], [range(g.n)] * k.n
+    for (u, v), rows in factors.items():
+        checks[v].append((u, rows))
+        candidates[v] = -1
     for v, vec in vectors.items():
-        candidates[v] = [c for c, w in enumerate(vec) if w]
-    checks = [[] for _ in range(k.n)]
-    for (u, v), t in factors.items():
-        checks[v].append((u, t))
-    return _search(k.n, order, candidates, checks, g.n if injective else None)
+        images = [c for c, w in enumerate(vec) if w]
+        candidates[v] = _mask(images) if checks[v] else images
+    return _search([0] * k.n, order, candidates, checks, injective)
 
 
 def enumerate_homomorphisms(k, g, injective=False):
@@ -334,16 +427,19 @@ def count_homomorphisms(k, g, keep):
     neighbours is summed out instead of enumerated, one at a time, fewest
     neighbours first: an isolated one becomes a factor of the count, a leaf
     a weight vector on its neighbour and a vertex of degree two a table of
-    weights on its two neighbours, built by walking the rows of its
-    factors, with only the nonzero entries stored.  The vertices left then
-    go through :func:`_constrained_search`, which checks each factor left
-    as soon as both its ends have images.  Tables and the image lists hold only
-    nonzero weights, so a zero weight cuts the search there, and each map's
-    weight is multiplied out once it is found.  The cost follows the
-    weighted maps of the vertices left, not the maps of ``k``.
+    weights on its two neighbours, built by walking the weighted images of
+    its factors (those of the host's arcs are listed once per call), with
+    only the nonzero entries stored.  The vertices left then go through
+    :func:`_constrained_search`, which checks each factor left as soon as
+    both its ends have images, a table by bitmask rows of its nonzero keys.
+    Tables and the image lists hold only nonzero weights, so a zero weight
+    cuts the search there, and each map's weight is read from the tables
+    and multiplied out once it is found.  The cost follows the weighted
+    maps of the vertices left, not the maps of ``k``.
     """
     n = g.n
-    arcs, factors, vectors = _constraints(k, g)
+    host, factors, vectors = _constraints(k, g)
+    arcs = None  # the host's weighted images, listed once for every factor of the host summed out
     free = set(range(k.n)) - keep
     ones = [1] * n
     scalar = 1
@@ -362,6 +458,15 @@ def count_homomorphisms(k, g, keep):
         for e in sorted(e for e in factors if x in e):
             t, i = factors.pop(e), e.index(x)
             nbrs.append(e[1 - i])
+            if t is host:
+                if arcs is None:
+                    arcs = [[] for _ in range(n)]
+                    for a, b in g.edges:
+                        arcs[a].append((b, 1))
+                        if a != b:
+                            arcs[b].append((a, 1))
+                rows.append(arcs)
+                continue
             rows.append([[] for _ in range(n)])
             for pair, w in t.items():
                 rows[-1][pair[i]].append((pair[1 - i], w))
@@ -383,17 +488,23 @@ def count_homomorphisms(k, g, keep):
             yz = tuple(nbrs)
             if yz in factors:  # at most one factor per pair: merge the new table into the old factor
                 old = factors[yz]
-                table = {p: w * old.get(p, 0) for p, w in table.items()}
+                if old is host:
+                    table = {p: w for p, w in table.items() if g.has_edge(*p)}
+                else:
+                    table = {p: w * old.get(p, 0) for p, w in table.items()}
             factors[yz] = {p: w for p, w in table.items() if w}
     if not scalar:
         return
     # The search over the vertices left, in increasing order.  It lets
     # through only images of nonzero weight, so the host's arcs and loops,
-    # which weigh 1, need not be multiplied out.
+    # which weigh 1, need not be multiplied out.  Each table left gets rows
+    # of its own, from its nonzero keys.
+    tables = [(u, v, t) for (u, v), t in factors.items() if t is not host]
+    for u, v, t in tables:
+        factors[u, v] = _rows(n, t)
     rest = [v for v in range(k.n) if v not in summed]
     maps = _constrained_search(k, g, rest, factors, vectors)
     weighted = [(v, vec) for v, vec in vectors.items() if max(vec, default=0) > 1]
-    tables = [(u, v, t) for (u, v), t in factors.items() if t is not arcs]
     if not weighted and not tables:  # every map weighs the scalar: hand them over as they come
         yield from zip(maps, repeat(scalar))
         return
@@ -425,36 +536,44 @@ def automorphism_generators(g):
     ``i`` go from ``n-1`` down to 0.  For each vertex ``c > i`` of ``i``'s
     colour (neighbour count and loop) outside the orbit of ``i`` under the
     generators found so far, one search pins ``0..i-1`` to themselves and
-    ``i`` to ``c`` and stops at its first map.  Every other vertex tries its
-    own name first, then the rest of its colour from ``i`` up, so the map
-    found stays near the identity.  The generators found at levels ``i``
+    ``i`` to ``c`` and stops at its first map.  The pinned vertices stay out
+    of the search.  Every other vertex takes the vertices of its colour from
+    ``i`` up, least first: one list per colour for the vertices without
+    checks, one bitmask for those with, so a level costs no mask per vertex.
+    Which generators come out depends on that order, but the group they
+    generate does not.  The generators found at levels ``i``
     and above reach the whole orbit of ``i`` under the automorphisms fixing
     ``0..i-1``, so they generate those automorphisms; at level 0, the whole
     group.  Each generator moves ``i`` out of the orbit its predecessors
     reach, so none lies in the group they generate.
     """
     n = g.n
-    arcs, factors, _ = _constraints(g, g)
+    host, factors, loops = _constraints(g, g)
     degree = [0] * n
     checks = [[] for _ in range(n)]
     for u, v in factors:
         degree[u] += 1
         degree[v] += 1
-        checks[v].append((u, arcs))
-    colour = [(degree[v], (v, v) in arcs) for v in range(n)]
-    order = list(range(n))
+        checks[v].append((u, host))
+    colour = [(degree[v], v in loops) for v in range(n)]
+    order, candidates = list(range(n)), [None] * n
+    image = list(range(n))  # a search writes the images of i and up, so 0..i-1 stay pinned to themselves
     found = []
     for i in reversed(order):
-        orbit, candidates = {i}, None  # the orbit of i under the generators found so far, all fixing 0..i-1
+        orbit, tails = {i}, None  # the orbit of i under the generators found so far, all fixing 0..i-1
         for c in order[i + 1:]:
             if colour[c] != colour[i] or c in orbit:
                 continue
-            if candidates is None:  # the vertices from i up of each colour, own name first
-                candidates = [(v,) for v in order[:i]] + [None] + [
-                    [j] + [x for x in order[i:] if colour[x] == colour[j] and x != j] for j in order[i + 1:]
-                ]
-            candidates[i] = (c,)
-            sigma = next(_search(n, order, candidates, checks, n), None)
+            if tails is None:  # each colour's vertices from i up, one list, or one mask for the vertices with checks
+                tails = {}
+                for j in order[i + 1:]:
+                    key = colour[j], bool(checks[j])
+                    if key not in tails:
+                        tail = [x for x in order[i:] if colour[x] == colour[j]]
+                        tails[key] = _mask(tail) if checks[j] else tail
+                    candidates[j] = tails[key]
+            candidates[i] = 1 << c if checks[i] else (c,)
+            sigma = next(_search(image, order[i:], candidates, checks, True), None)
             if sigma is None:
                 continue
             found.append(sigma)

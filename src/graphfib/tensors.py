@@ -302,14 +302,23 @@ def law_report(law, lhs, rhs):
     return {"law": law, "ok": diff is None, "first_diff": diff}
 
 
-def verify_functor(g, d1, d2):
+def _frozen_reports(frozen, left, right):
+    """Regression comparisons of the two side tensors against the tensors
+    ``frozen`` keyed by side, ``left`` or ``right``."""
+    sides = {"left": left, "right": right}
+    return [law_report(f"frozen-{side}", sides[side], frozen[side]) for side in sorted(frozen or {})]
+
+
+def verify_functor(g, d1, d2, frozen=None):
     """Counting is functorial: check it on a concrete pair of diagrams.
 
     Covers the tensor law, the composition law when arities allow, and the
-    adjoint law for both diagrams.
+    adjoint law for both diagrams.  Given ``frozen``, tensors keyed by
+    side, the reports open with ``T(d1)`` and ``T(d2)`` compared with them.
     """
     t1, t2 = build_T(g, d1), build_T(g, d2)
-    reports = [law_report("tensor", build_T(g, tensor_diagrams(d1, d2)), tensor_product(t1, t2))]
+    reports = _frozen_reports(frozen, t1, t2)
+    reports.append(law_report("tensor", build_T(g, tensor_diagrams(d1, d2)), tensor_product(t1, t2)))
     if d2.l == d1.k:
         reports.append(law_report("compose", build_T(g, compose_diagrams(d1, d2)), compose(t1, t2)))
     for name, d, t in (("adjoint-left", d1, t1), ("adjoint-right", d2, t2)):
@@ -317,18 +326,20 @@ def verify_functor(g, d1, d2):
     return reports
 
 
-def verify_that_sums(g, d1, d2):
+def verify_that_sums(g, d1, d2, frozen=None):
     """Injective counts expand over glued unions: check both sum rules.
 
     The product of two injective-count tensors is the sum over all overlaps
     of the glued union's tensor; composition sums over overlaps extending the
     forced boundary pairs, and is identically zero when the boundary kernels
-    disagree.
+    disagree.  Given ``frozen``, tensors keyed by side, the reports open
+    with ``That(d1)`` and ``That(d2)`` compared with them.
     """
     t1, t2 = build_That(g, d1), build_That(g, d2)
+    reports = _frozen_reports(frozen, t1, t2)
     lhs = tensor_product(t1, t2)
     unions = (bl_f_union(d1, d2, f) for f in enumerate_overlaps(d1.graph.n, d2.graph.n))
-    reports = [law_report("union-sum", lhs, _that_sum(g, d1.k + d2.k, d1.l + d2.l, unions))]
+    reports.append(law_report("union-sum", lhs, _that_sum(g, d1.k + d2.k, d1.l + d2.l, unions)))
 
     if d2.l == d1.k:
         lhs = compose(t1, t2)

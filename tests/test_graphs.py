@@ -177,8 +177,8 @@ def quotient_f_union(k, h, f):
 
 
 @st.composite
-def small_graph(draw):
-    n = draw(st.integers(min_value=0, max_value=5))
+def small_graph(draw, max_n=5):
+    n = draw(st.integers(min_value=0, max_value=max_n))
     cells = [(u, v) for u in range(n) for v in range(u, n)]
     return Graph(n, draw(st.sets(st.sampled_from(cells))) if cells else ())
 
@@ -243,15 +243,34 @@ def test_hom_injectivity():
     assert all(len(set(m)) == 3 for m in inj)
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_graph(), small_graph(), st.booleans())
-def test_enumeration_lists_every_edge_keeping_map_in_order(k, g, injective):
-    every_map = [
+def edge_keeping_maps(k, g, injective):
+    """Every vertex map ``k -> g`` in lexicographic order, filtered: the oracle of the search."""
+    return [
         phi
         for phi in product(range(g.n), repeat=k.n)
         if all(g.has_edge(phi[u], phi[v]) for u, v in k.edges) and not (injective and len(set(phi)) < k.n)
     ]
-    assert enumerate_homomorphisms(k, g, injective) == every_map
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graph(), small_graph(), st.booleans())
+def test_enumeration_lists_every_edge_keeping_map_in_order(k, g, injective):
+    assert enumerate_homomorphisms(k, g, injective) == edge_keeping_maps(k, g, injective)
+
+
+@st.composite
+def hosts_with_high_edges(draw):
+    # 31 to 70 vertices, every edge and loop among the last eight: the
+    # search's bitmasks of images run past one 30-bit digit
+    n = draw(st.integers(31, 70))
+    cells = [(u, v) for u in range(n - 8, n) for v in range(u, n)]
+    return Graph(n, draw(st.sets(st.sampled_from(cells), max_size=12)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graph(3), hosts_with_high_edges(), st.booleans())
+def test_enumeration_with_multi_digit_masks_lists_every_edge_keeping_map(k, g, injective):
+    assert enumerate_homomorphisms(k, g, injective) == edge_keeping_maps(k, g, injective)
 
 
 def test_hom_counts_moebius_scalar_shadow():

@@ -8,7 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphfib.diagrams import BilabelledGraph, m_diagram, rotate_left
-from graphfib.graphs import Graph, complete, cycle, disjoint_union, edgeless, enumerate_homomorphisms, path
+from graphfib.graphs import (
+    EAGER_ROWS_BOUND,
+    Graph,
+    complete,
+    cycle,
+    disjoint_union,
+    edgeless,
+    enumerate_homomorphisms,
+    path,
+)
 from graphfib.partitions import (
     SetPartition,
     enumerate_set_partitions,
@@ -350,6 +359,22 @@ def hosts(draw):
 @settings(max_examples=250, deadline=None)
 @given(hosts(), sparse_diagrams())
 def test_build_T_matches_the_tally_of_every_enumerated_map(g, d):
+    assert build_T(g, d) == enumerated_T(g, d)
+
+
+@st.composite
+def hosts_past_the_eager_rows_bound(draw):
+    # every edge and loop among the last eight vertices, so that rows are
+    # built when first read and span several 30-bit digits
+    n = draw(st.integers(EAGER_ROWS_BOUND + 1, EAGER_ROWS_BOUND + 8))
+    cells = [(u, v) for u in range(n - 8, n) for v in range(u, n)]
+    return Graph(n, draw(st.sets(st.sampled_from(cells), max_size=14)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hosts_past_the_eager_rows_bound(), five_vertex_diagrams())
+@example(Graph(68, [(64, 65), (64, 66), (65, 66), (66, 66), (66, 67)]), BilabelledGraph(cycle(4), (0,), (2,)))
+def test_build_T_matches_the_enumerator_on_hosts_past_the_eager_rows_bound(g, d):
     assert build_T(g, d) == enumerated_T(g, d)
 
 
