@@ -83,6 +83,8 @@ def _print(payload):
 def _group_from_json(obj):
     if isinstance(obj, dict) and "elements" in obj:
         check_json_object(obj, "group", ("degree", "elements"))
+        if "degree" not in obj:
+            raise ValueError("group JSON missing key 'degree'")
         elements = obj["elements"]
         if not isinstance(elements, list) or not all(isinstance(e, list) for e in elements):
             raise ValueError("group JSON field 'elements' must be a list of permutations")

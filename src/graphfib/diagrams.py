@@ -17,6 +17,7 @@ from .graphs import (
     f_union,
     generated_partition,
     graph_from_json,
+    kernel,
     quotient,
 )
 
@@ -95,11 +96,10 @@ def compose(d1, d2):
     shift = d2.graph.n
     pairs = [(d2.outputs[i], shift + d1.inputs[i]) for i in range(d1.k)]
     merged = generated_partition(g.n, pairs)
-    qg, vmap = quotient(g, merged)
     return BilabelledGraph(
-        qg,
-        tuple(vmap[v] for v in d2.inputs),
-        tuple(vmap[shift + v] for v in d1.outputs),
+        quotient(g, merged),
+        tuple(merged[v] for v in d2.inputs),
+        tuple(merged[shift + v] for v in d1.outputs),
     )
 
 
@@ -145,16 +145,9 @@ def required_composition_pairs(d1, d2):
     """
     if d2.l != d1.k:
         raise ValueError(f"arity mismatch: {d2.l} outputs composed into {d1.k} inputs")
-    pat1 = _first_occurrence_pattern(d1.inputs)
-    pat2 = _first_occurrence_pattern(d2.outputs)
-    if pat1 != pat2:
+    if kernel(d1.inputs) != kernel(d2.outputs):
         raise ValueError("boundary label tuples have different kernels")
     return tuple(sorted(set(zip(d2.outputs, d1.inputs))))
-
-
-def _first_occurrence_pattern(values):
-    seen = {}
-    return tuple(seen.setdefault(v, len(seen)) for v in values)
 
 
 def bl_f_compose(d1, d2, f):

@@ -29,7 +29,7 @@ function per set of kept words, with no spec.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -327,9 +327,10 @@ def _splits_infinitely(n, relators):
     enumeration would overflow at any cap.  ``relators`` must be reduced
     and nonempty, as :func:`coset_table` passes them.
     """
-    classes = generated_partition(n, (pair for r in relators for pair in zip(r, r[1:])))
+    block_of = generated_partition(n, (pair for r in relators for pair in zip(r, r[1:])))
     nontrivial = sum(
-        len(_gf2_pivots(_parity(r) for r in relators if r[0] in letters)) < len(letters) for letters in classes
+        len(_gf2_pivots(_parity(r) for r in relators if block_of[r[0]] == b)) < size
+        for b, size in Counter(block_of).items()
     )
     return nontrivial >= 2
 

@@ -115,31 +115,18 @@ def disjoint_union(k, h):
 # partitions of the vertex set, quotients, glued unions
 
 
-def normalize_partition(n, blocks):
-    """Validate a partition of ``0..n-1`` and order its blocks by minimum.
-
-    Returns a tuple of sorted tuples.  Empty blocks are rejected here; the
-    vertex set of a graph quotient never needs them.
+def kernel(values):
+    """``values`` renamed by first occurrence: the first distinct value
+    becomes 0, the next 1, and so on.  Such a block-of tuple, its blocks
+    numbered by least member, is the one form every partition takes here.
     """
-    seen = [False] * n
-    out = []
-    for block in blocks:
-        b = sorted(block)
-        if not b:
-            raise ValueError("empty block in vertex partition")
-        for v in b:
-            if not (0 <= v < n) or seen[v]:
-                raise ValueError("blocks must partition the vertex set")
-            seen[v] = True
-        out.append(tuple(b))
-    if not all(seen):
-        raise ValueError("blocks must cover every vertex")
-    out.sort(key=lambda b: b[0])
-    return tuple(out)
+    seen = {}
+    return tuple(seen.setdefault(v, len(seen)) for v in values)
 
 
 def generated_partition(n, pairs):
-    """Finest partition of ``0..n-1`` in which each given pair is merged."""
+    """Finest partition of ``0..n-1`` in which each given pair is merged, as
+    its block-of tuple."""
     parent = list(range(n))
 
     def find(x):
@@ -152,30 +139,21 @@ def generated_partition(n, pairs):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
-    groups = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
+    return kernel(find(v) for v in range(n))
 
 
-def quotient(g, blocks):
-    """Merge the vertices inside each block.
+def quotient(g, block_of):
+    """Merge the vertices of each block: vertex ``v`` becomes ``block_of[v]``.
 
-    Returns ``(graph, vmap)`` where ``vmap[v]`` is the new index of old
-    vertex ``v``.  Blocks are numbered by their minimal element.  An edge
-    joining two vertices of one block becomes a loop; parallel images
-    collapse.
+    ``block_of`` is a block-of tuple such as :func:`generated_partition`
+    returns, so the blocks are ``0..max(block_of)``.  An edge joining two
+    vertices of one block becomes a loop; parallel images collapse.
     """
-    blocks = normalize_partition(g.n, blocks)
-    vmap = [0] * g.n
-    for i, b in enumerate(blocks):
-        for v in b:
-            vmap[v] = i
     edges = set()
     for u, v in g.edges:
-        a, b = vmap[u], vmap[v]
+        a, b = block_of[u], block_of[v]
         edges.add((a, b) if a <= b else (b, a))
-    return Graph(len(blocks), edges), tuple(vmap)
+    return Graph(max(block_of, default=-1) + 1, edges)
 
 
 def f_union(k, h, f):
@@ -195,9 +173,10 @@ def f_union(k, h, f):
     for u, v in f:
         if not (0 <= u < k.n and 0 <= v < h.n):
             raise ValueError("overlap pair out of range")
-    # The numbering of quotient(disjoint_union(k, h), merged): ``k`` keeps its
-    # names, a matched vertex of ``h`` takes its partner's, and the unmatched
-    # ones follow in their own order.
+    # The block numbering generated_partition gives the disjoint union with
+    # each pair of ``f`` merged: ``k`` keeps its names, a matched vertex of
+    # ``h`` takes its partner's, and the unmatched ones follow in their own
+    # order.
     partner = {v: u for u, v in f}
     map_h = []
     fresh = k.n

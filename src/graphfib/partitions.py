@@ -5,15 +5,20 @@ A partition lives on ``k`` upper points ``0..k-1`` and ``l`` lower points
 may own *empty* blocks: these matter because the embedding into bilabelled
 graphs turns every block into a vertex, and composition can strand a block
 with no boundary points left.
+
+The category operations are those of bilabelled graphs: each embeds its
+arguments as edgeless diagrams, applies the diagram operation and reads the
+partition back from the labels, so a stranded block stays as an unlabelled
+vertex.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .diagrams import BilabelledGraph
+from .diagrams import BilabelledGraph, compose, involution, tensor
 from .errors import CapacityError, check_json_object
-from .graphs import edgeless, generated_partition
+from .graphs import edgeless, kernel
 
 PARTITION_POINT_BOUND = 10
 
@@ -30,26 +35,22 @@ class SetPartition:
     __slots__ = ("k", "l", "block_of", "num_blocks")
 
     def __init__(self, k, l, block_of, num_blocks=None):
-        block_of = tuple(block_of)
+        block_of = kernel(block_of)
         if len(block_of) != k + l:
             raise ValueError(f"expected {k + l} point assignments, got {len(block_of)}")
-        relabel = {}
-        for b in block_of:
-            if b not in relabel:
-                relabel[b] = len(relabel)
-        used = len(relabel)
+        used = max(block_of, default=-1) + 1
         if num_blocks is None:
             num_blocks = used
         if num_blocks < used:
             raise ValueError("num_blocks smaller than the number of occupied blocks")
         self.k = k
         self.l = l
-        self.block_of = tuple(relabel[b] for b in block_of)
+        self.block_of = block_of
         self.num_blocks = num_blocks
 
     @property
     def num_empty_blocks(self):
-        return self.num_blocks - (max(self.block_of) + 1 if self.block_of else 0)
+        return self.num_blocks - max(self.block_of, default=-1) - 1
 
     def blocks(self):
         """Blocks as tuples of point indices; empty blocks trail."""
@@ -96,9 +97,7 @@ def from_blocks(k, l, blocks):
 
 def ker(a, b):
     """Coincidence pattern of two label tuples as a partition on len(a)+len(b) points."""
-    seen = {}
-    block_of = [seen.setdefault(v, len(seen)) for v in tuple(a) + tuple(b)]
-    return SetPartition(len(a), len(b), block_of)
+    return SetPartition(len(a), len(b), tuple(a) + tuple(b))
 
 
 def kernel_tuples(n, p):
@@ -118,8 +117,9 @@ def kernel_tuples(n, p):
 # enumeration
 
 
-def enumerate_rgs(m):
-    """Restricted growth strings of length ``m`` in lexicographic order."""
+def enumerate_partitions(m):
+    """All partitions of ``m`` points as block-of tuples (restricted growth
+    strings), in lexicographic order."""
     if m > PARTITION_POINT_BOUND:
         raise CapacityError(f"partition enumeration capped at {PARTITION_POINT_BOUND} points, got {m}")
     if m == 0:
@@ -139,33 +139,24 @@ def enumerate_rgs(m):
     return out
 
 
-def enumerate_partitions(m):
-    """All partitions of ``m`` points as block tuples, RGS-lex ordered."""
-    result = []
-    for rgs in enumerate_rgs(m):
-        nb = max(rgs) + 1 if rgs else 0
-        blocks = [[] for _ in range(nb)]
-        for p, b in enumerate(rgs):
-            blocks[b].append(p)
-        result.append(tuple(tuple(b) for b in blocks))
-    return result
-
-
 def enumerate_set_partitions(k, l):
     """All partitions of ``k`` upper + ``l`` lower points (no empty blocks)."""
-    return [SetPartition(k, l, rgs) for rgs in enumerate_rgs(k + l)]
+    return [SetPartition(k, l, rgs) for rgs in enumerate_partitions(k + l)]
 
 
 # ---------------------------------------------------------------------------
-# category operations mirroring the bilabelled ones
+# category operations, through the embedding into bilabelled graphs
+
+
+def _from_diagram(d):
+    """The partition of an edgeless diagram: points share a block iff their
+    labels name one vertex; unlabelled vertices are its empty blocks."""
+    return SetPartition(d.k, d.l, d.inputs + d.outputs, d.graph.n)
 
 
 def partition_tensor(p, q):
     """Place ``q`` to the right of ``p``: uppers concatenate, lowers concatenate."""
-    shift = p.num_blocks
-    upper = p.block_of[: p.k] + tuple(b + shift for b in q.block_of[: q.k])
-    lower = p.block_of[p.k :] + tuple(b + shift for b in q.block_of[q.k :])
-    return SetPartition(p.k + q.k, p.l + q.l, upper + lower, p.num_blocks + q.num_blocks)
+    return _from_diagram(tensor(partition_to_bilabelled(p), partition_to_bilabelled(q)))
 
 
 def partition_compose(p, q):
@@ -175,25 +166,11 @@ def partition_compose(p, q):
     ``q.l == p.k`` is required.  Joined blocks merge; middle blocks that lose
     all their points survive as empty blocks.
     """
-    if q.l != p.k:
-        raise ValueError(f"arity mismatch: {q.l} lower points glued to {p.k} upper points")
-    # blocks of q are 0..q.num_blocks-1, blocks of p follow
-    shift = q.num_blocks
-    merged = generated_partition(
-        shift + p.num_blocks,
-        [(q.block_of[q.k + i], shift + p.block_of[i]) for i in range(p.k)],
-    )
-    index = {}
-    for i, group in enumerate(merged):
-        for b in group:
-            index[b] = i
-    upper = tuple(index[b] for b in q.block_of[: q.k])
-    lower = tuple(index[shift + b] for b in p.block_of[p.k :])
-    return SetPartition(q.k, p.l, upper + lower, len(merged))
+    return _from_diagram(compose(partition_to_bilabelled(p), partition_to_bilabelled(q)))
 
 
 def partition_involution(p):
-    return SetPartition(p.l, p.k, p.block_of[p.k :] + p.block_of[: p.k], p.num_blocks)
+    return _from_diagram(involution(partition_to_bilabelled(p)))
 
 
 def partition_to_bilabelled(p):
@@ -202,8 +179,7 @@ def partition_to_bilabelled(p):
     Empty blocks become isolated unlabeled vertices; they are kept, never
     pruned, so that this embedding commutes with composition.
     """
-    g = edgeless(p.num_blocks)
-    return BilabelledGraph(g, p.block_of[: p.k], p.block_of[p.k :])
+    return BilabelledGraph(edgeless(p.num_blocks), p.block_of[: p.k], p.block_of[p.k :])
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,11 @@ class PermutationGroup:
         kept = []
         moves = []  # right multiplication by each kept generator: s -> s o h
         for g in generators:
-            g = _permutation(g, degree, points)
-            if g in seen:
+            g = _permutation(g, degree)
+            if g in seen:  # checked when it entered
                 continue
+            if sorted(g) != points:
+                raise ValueError(f"{g!r} is not a permutation of {degree} points")
             kept.append(g)
             moves.append(itemgetter(*g))  # a kept generator moves two points or more, so this gives tuples
             # The elements found so far are closed under the earlier
@@ -99,12 +101,13 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, order={len(self.elements)})"
 
 
-def _permutation(g, degree, points=None):
-    """``g`` as a tuple, else a ``ValueError`` naming it: unless its entries
-    are integers, or with ``points``, unless it permutes them.  The types
-    come first, since sorting mixed types fails without naming ``g``."""
+def _permutation(g, degree):
+    """``g`` as a tuple, else a ``ValueError`` naming it unless its entries
+    are integers.  Callers check this before sorting ``g``, since sorting
+    mixed types fails without naming it, and before looking it up, since
+    ``(0.0, 1.0)`` and ``(False, True)`` equal ``(0, 1)``."""
     g = tuple(g)
-    if not set(map(type, g)) <= {int} or points is not None and sorted(g) != points:
+    if not set(map(type, g)) <= {int}:
         raise ValueError(f"{g!r} is not a permutation of {degree} points")
     return g
 

@@ -367,10 +367,9 @@ def moebius_expand(g, d):
     vertices (``build_T``), the right by listing the injective maps of every
     merge.
     """
-    merges = (quotient(d.graph, blocks) for blocks in enumerate_partitions(d.graph.n))
     merged = (
-        BilabelledGraph(qg, [vmap[v] for v in d.inputs], [vmap[v] for v in d.outputs])
-        for qg, vmap in merges
+        BilabelledGraph(quotient(d.graph, b), [b[v] for v in d.inputs], [b[v] for v in d.outputs])
+        for b in enumerate_partitions(d.graph.n)
     )
     return law_report("moebius", build_T(g, d), _that_sum(g, d.k, d.l, merged))
 

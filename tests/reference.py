@@ -8,6 +8,7 @@ from itertools import product
 
 from graphfib.errors import CapacityError
 from graphfib.graphs import CANONICAL_VERTEX_BOUND, Graph, canonical_form, enumerate_homomorphisms, graph_from_mask
+from graphfib.partitions import SetPartition
 from graphfib.repspaces import build_That_H
 from graphfib.tensors import compose, law_report, tally, tensor_product, zero_tensor
 
@@ -48,6 +49,60 @@ def enumerate_graphs(n, loops=False):
             new = {(u, n - 1) for u in range(n) if sub >> u & 1}
             keys.add(canonical_key(Graph(n, h.edges | new)))
     return [graph_from_mask(*key) for key in sorted(keys)]
+
+
+def components_partition(n, pairs):
+    """The connected components of ``0..n-1`` under ``pairs`` as a block-of
+    tuple, blocks numbered in the order of their least members, by a
+    depth-first search from every vertex."""
+    adjacent = [set() for _ in range(n)]
+    for u, v in pairs:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    least = []
+    for v in range(n):
+        seen, stack = {v}, [v]
+        while stack:
+            for w in adjacent[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        least.append(min(seen))
+    order = sorted(set(least))
+    return tuple(order.index(x) for x in least)
+
+
+# ---------------------------------------------------------------------------
+# partitions
+
+
+def explicit_partition_tensor(p, q):
+    """Place ``q`` to the right of ``p``, block ids of ``q`` shifted past those of ``p``."""
+    shift = p.num_blocks
+    upper = p.block_of[: p.k] + tuple(b + shift for b in q.block_of[: q.k])
+    lower = p.block_of[p.k :] + tuple(b + shift for b in q.block_of[q.k :])
+    return SetPartition(p.k + q.k, p.l + q.l, upper + lower, p.num_blocks + q.num_blocks)
+
+
+def explicit_partition_compose(p, q):
+    """``p . q`` with ``q`` acting first, by relabelling blocks: the blocks of
+    ``q`` are ``0..q.num_blocks-1`` and those of ``p`` follow, and each glued
+    pair of points renames one block's label to the other's.  Middle blocks
+    that lose all their points survive as empty blocks."""
+    if q.l != p.k:
+        raise ValueError(f"arity mismatch: {q.l} lower points glued to {p.k} upper points")
+    shift = q.num_blocks
+    label = list(range(shift + p.num_blocks))
+    for i in range(p.k):
+        old, new = label[shift + p.block_of[i]], label[q.block_of[q.k + i]]
+        label = [new if x == old else x for x in label]
+    upper = tuple(label[b] for b in q.block_of[: q.k])
+    lower = tuple(label[shift + b] for b in p.block_of[p.k :])
+    return SetPartition(q.k, p.l, upper + lower, len(set(label)))
+
+
+def explicit_partition_involution(p):
+    """Swap the two rows."""
+    return SetPartition(p.l, p.k, p.block_of[p.k :] + p.block_of[: p.k], p.num_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -325,8 +325,8 @@ def test_criterion_09_fibration_axioms():
             # easy fibrations push generator words through vertex merges
             if fib.easy:
                 for g, gens in with_gens:
-                    for blocks in enumerate_partitions(g.n):
-                        merged, vmap = quotient(g, blocks)
+                    for vmap in enumerate_partitions(g.n):
+                        merged = quotient(g, vmap)
                         assert is_fiber(fib, merged)
                         for w in gens:
                             mapped = apply_letter_map(vmap, w)

@@ -453,6 +453,7 @@ def test_a_huge_label_count_exits_3_at_once(tmp_path, command, degree):
         ({"symmetric": True}, "non-negative integer"),
         ({"degree": True, "elements": [[0]]}, "non-negative integer"),
         ({"degree": 3, "elements": [[0, 1, 2], [1, 2, 0]]}, "not a permutation group"),
+        ({"elements": [[0, 1]]}, "group JSON missing key 'degree'"),
     ],
 )
 def test_orbits_rejects_a_malformed_group(capsys, tmp_path, group, message):

@@ -308,9 +308,8 @@ def test_bl_f_compose_larger_overlap_against_quotient_oracle():
     f = ((2, 0), (0, 1))  # the required pair (2,0) plus an extra gluing
     got = bl_f_compose(d1, d2, f)
     g = disjoint_union(d2.graph, d1.graph)
-    blocks = generated_partition(g.n, [(u, 3 + v) for u, v in f])
-    q, vmap = quotient(g, blocks)
-    want = BilabelledGraph(q, (vmap[0],), (vmap[3 + 1],))
+    merged = generated_partition(g.n, [(u, 3 + v) for u, v in f])
+    want = BilabelledGraph(quotient(g, merged), (merged[0],), (merged[3 + 1],))
     assert equal_diagrams(got, want)
 
 

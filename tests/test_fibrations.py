@@ -199,8 +199,8 @@ def reference_closure(fib):
     for d in fib.generators:
         add_unit(d.graph)
         if fib.easy:
-            for blocks in enumerate_partitions(d.graph.n):
-                add_unit(quotient(d.graph, blocks)[0])
+            for block_of in enumerate_partitions(d.graph.n):
+                add_unit(quotient(d.graph, block_of))
     members = {}
     queue = deque()
 
@@ -220,7 +220,7 @@ def reference_closure(fib):
                 if x.n + h.n - len(f) > fib.max_vertices:
                     continue
                 merged = generated_partition(x.n + h.n, [(u, x.n + v) for u, v in f])
-                add(quotient(disjoint_union(x, h), merged)[0])
+                add(quotient(disjoint_union(x, h), merged))
     return [members[key] for key in sorted(members)]
 
 

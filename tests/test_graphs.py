@@ -25,13 +25,12 @@ from graphfib.graphs import (
     graph_to_json,
     mask_of,
     mask_orbit,
-    normalize_partition,
     parse_graph6,
     path,
     quotient,
 )
 from graphfib.partitions import enumerate_partitions
-from reference import canonical_key, enumerate_graphs
+from reference import canonical_key, components_partition, enumerate_graphs
 
 
 def small_graphs():
@@ -71,32 +70,18 @@ def test_constructors():
 
 
 def test_quotient_path_endpoints_merged():
-    g, vmap = quotient(path(3), [{0, 2}, {1}])
-    assert g.n == 2
-    assert len(g.edges) == 1
-    assert not any(u == v for u, v in g.edges)
-    assert vmap[0] == vmap[2] != vmap[1]
+    g = quotient(path(3), (0, 1, 0))
+    assert g == Graph(2, [(0, 1)])
 
 
 def test_quotient_singletons_is_identity():
     for g in small_graphs():
-        q, vmap = quotient(g, [{v} for v in range(g.n)])
-        assert q.n == g.n and q.edges == g.edges
-        assert list(vmap) == list(range(g.n))
+        assert quotient(g, tuple(range(g.n))) == g
 
 
 def test_quotient_edge_to_loop():
-    g, _ = quotient(complete(2), [{0, 1}])
+    g = quotient(complete(2), (0, 0))
     assert g.n == 1 and g.edges == frozenset({(0, 0)})
-
-
-def test_quotient_rejects_bad_partitions():
-    with pytest.raises(ValueError):
-        quotient(path(3), [{0, 1}])
-    with pytest.raises(ValueError):
-        quotient(path(3), [{0, 1}, {1, 2}])
-    with pytest.raises(ValueError):
-        normalize_partition(2, [{0, 1}, set()])
 
 
 def test_iterated_quotients_compose():
@@ -104,16 +89,12 @@ def test_iterated_quotients_compose():
     for g in small_graphs():
         if g.n > 4:
             continue
-        for blocks in enumerate_partitions(g.n):
-            q1, vmap1 = quotient(g, [set(b) for b in blocks])
-            for blocks2 in enumerate_partitions(q1.n):
-                q2, vmap2 = quotient(q1, [set(b) for b in blocks2])
-                pulled = [
-                    {v for v in range(g.n) if vmap2[vmap1[v]] == b}
-                    for b in range(q2.n)
-                ]
-                direct, _ = quotient(g, pulled)
-                assert direct.n == q2.n and direct.edges == q2.edges
+        for block_of in enumerate_partitions(g.n):
+            q1 = quotient(g, block_of)
+            assert q1.n == len(set(block_of))
+            for block_of2 in enumerate_partitions(q1.n):
+                joined = tuple(block_of2[b] for b in block_of)
+                assert quotient(g, joined) == quotient(q1, block_of2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +153,7 @@ def quotient_f_union(k, h, f):
     """The glued union as a quotient of the disjoint union: the oracle for
     the direct construction in ``f_union``."""
     merged = generated_partition(k.n + h.n, [(u, k.n + v) for u, v in f])
-    union, vmap = quotient(disjoint_union(k, h), merged)
-    return union, tuple(vmap[: k.n]), tuple(vmap[k.n :])
+    return quotient(disjoint_union(k, h), merged), merged[: k.n], merged[k.n :]
 
 
 @st.composite
@@ -282,8 +262,8 @@ def test_hom_counts_moebius_scalar_shadow():
         for g in hosts:
             total = len(enumerate_homomorphisms(k, g))
             by_merge = 0
-            for blocks in enumerate_partitions(k.n):
-                q, _ = quotient(k, [set(b) for b in blocks])
+            for block_of in enumerate_partitions(k.n):
+                q = quotient(k, block_of)
                 by_merge += len(enumerate_homomorphisms(q, g, injective=True))
             assert total == by_merge
 
@@ -455,8 +435,26 @@ def test_enumerate_graphs_yields_canonical_representatives():
 
 
 def test_generated_and_joined_partitions():
-    blocks = generated_partition(4, [(0, 1), (2, 3)])
-    assert sorted(sorted(b) for b in blocks) == [[0, 1], [2, 3]]
+    assert generated_partition(4, [(0, 1), (2, 3)]) == (0, 0, 1, 1)
+    assert generated_partition(5, [(4, 1), (3, 0), (1, 2)]) == (0, 1, 1, 0, 1)
+    assert generated_partition(0, []) == ()
+
+
+@st.composite
+def merged_pairs(draw, max_n=8):
+    """A vertex count and up to eight pairs of its vertices to merge."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merged_pairs())
+def test_generated_partition_numbers_components_by_least_member(case):
+    n, pairs = case
+    assert generated_partition(n, pairs) == components_partition(n, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,6 @@ KEPT = {
     ("partitions", "partition_compose"): "paper operation: composition",
     ("partitions", "partition_involution"): "paper operation: involution",
     ("partitions", "partition_tensor"): "paper operation: tensor product",
-    ("partitions", "partition_to_bilabelled"): "paper operation: partitions as edgeless bilabelled graphs",
 }
 
 

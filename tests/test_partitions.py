@@ -12,7 +12,6 @@ from graphfib.graphs import edgeless
 from graphfib.partitions import (
     SetPartition,
     enumerate_partitions,
-    enumerate_rgs,
     enumerate_set_partitions,
     from_blocks,
     ker,
@@ -23,6 +22,7 @@ from graphfib.partitions import (
     partition_tensor,
     partition_to_bilabelled,
 )
+from reference import explicit_partition_compose, explicit_partition_involution, explicit_partition_tensor
 
 BELL = [1, 1, 2, 5, 15, 52]
 
@@ -99,7 +99,7 @@ def test_partition_counts_are_bell_numbers():
 
 
 def test_rgs_in_lexicographic_order():
-    seqs = enumerate_rgs(4)
+    seqs = enumerate_partitions(4)
     assert seqs == sorted(seqs)
     assert seqs[0] == (0, 0, 0, 0)
     assert seqs[-1] == (0, 1, 2, 3)
@@ -158,6 +158,28 @@ def test_partition_involution():
     q = partition_involution(p)
     assert (q.k, q.l) == (3, 2)
     assert partition_involution(q) == p
+
+
+def small_partitions():
+    """Every partition with at most two upper and two lower points, each
+    with no empty block and with one."""
+    return [
+        SetPartition(k, l, p.block_of, p.num_blocks + empty)
+        for k in range(3)
+        for l in range(3)
+        for p in enumerate_set_partitions(k, l)
+        for empty in (0, 1)
+    ]
+
+
+def test_operations_through_diagrams_match_the_explicit_calculus():
+    parts = small_partitions()
+    for p in parts:
+        assert partition_involution(p) == explicit_partition_involution(p)
+        for q in parts:
+            assert partition_tensor(p, q) == explicit_partition_tensor(p, q)
+            if q.l == p.k:
+                assert partition_compose(p, q) == explicit_partition_compose(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,9 @@ def test_constructor_rejects_a_degree_that_is_not_a_non_negative_int(degree):
         PermutationGroup(degree, [])
 
 
-@pytest.mark.parametrize("generator", [(0, 0), (0,), (1.0, 0.0), (True, False), "10"])
+@pytest.mark.parametrize(
+    "generator", [(0, 0), (0,), (1.0, 0.0), (True, False), "10", (0.0, 1.0), (False, True)]
+)
 def test_constructor_rejects_a_generator_that_is_not_a_permutation(generator):
     with pytest.raises(ValueError):
         PermutationGroup(2, [generator])
