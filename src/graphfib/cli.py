@@ -60,10 +60,8 @@ class Config:
 
     DEFAULTS = {"max_vertices": DEFAULT_MAX_VERTICES, "tuple_bound": DEFAULT_TUPLE_BOUND}
 
-    def __init__(self, **overrides):
-        unknown = set(overrides) - set(self.DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    def __init__(self, overrides):
+        check_json_object(overrides, "config", (), self.DEFAULTS)
         for key, default in self.DEFAULTS.items():
             value = overrides.get(key, default)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -73,22 +71,36 @@ class Config:
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _write(render, payload):
+    """Write ``render(payload)`` to stdout with Python's limit on the digits of
+    an integer turned into text lifted, since an exact answer may exceed it.
+    JSON input keeps the limit, which spares the parser quadratic time."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        sys.stdout.write(render(payload))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _print(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    _write(lambda p: json.dumps(p, sort_keys=True) + "\n", payload)
 
 
 def _group_from_json(obj):
     if isinstance(obj, dict) and "elements" in obj:
-        check_json_object(obj, "group", ("degree", "elements"))
-        if "degree" not in obj:
-            raise ValueError("group JSON missing key 'degree'")
-        elements = obj["elements"]
+        degree, elements = check_json_object(obj, "group", ("degree", "elements"))
         if not isinstance(elements, list) or not all(isinstance(e, list) for e in elements):
             raise ValueError("group JSON field 'elements' must be a list of permutations")
-        return group_from_elements(obj["degree"], elements)
+        return group_from_elements(degree, elements)
     if isinstance(obj, dict) and list(obj) == ["automorphisms_of"]:
         return graph_automorphism_group(graph_from_json(obj["automorphisms_of"]))
     if isinstance(obj, dict) and list(obj) == ["symmetric"]:
@@ -112,49 +124,46 @@ def cmd_tensor(args, config):
     _check_tensor_size(g.n, d.k + d.l, config)
     t = build_That(g, d) if args.mode == "inj" else build_T(g, d)
     if args.format == "csv":
-        sys.stdout.write(tensor_to_csv(t))
+        _write(tensor_to_csv, t)
     else:
         _print(tensor_to_json(t))
     return 0
 
 
-def _frozen(check):
-    """The tensors frozen into a fixture check, keyed by side (``left``, ``right``)."""
-    expect = check.get("expect", {})
-    check_json_object(expect, "fixture 'expect'", ("left", "right"))
-    return {side: tensor_from_json(expect[side]) for side in sorted(expect)}
-
-
 def _parse_check(law, check):
-    """One fixture check's parsed inputs, with the leg size and leg count of its largest tensor."""
+    """One fixture check's parsed inputs, with the leg size and leg count of
+    its largest tensor.  A ``functor`` or ``that`` check's inputs end with
+    the tensors frozen into it, keyed by side (``left``, ``right``)."""
     if law == "thpart":
-        check_json_object(check, "fixture check", ("group", "partition"))
-        group, p = _group_from_json(check["group"]), partition_from_json(check["partition"])
+        group, p = check_json_object(check, "fixture check", ("group", "partition"))
+        group, p = _group_from_json(group), partition_from_json(p)
         return (group, p), group.degree, p.k + p.l
     if law == "moebius":
-        check_json_object(check, "fixture check", ("graph", "diagram"))
-        g, d = graph_from_json(check["graph"]), diagram_from_json(check["diagram"])
+        g, d = check_json_object(check, "fixture check", ("graph", "diagram"))
+        g, d = graph_from_json(g), diagram_from_json(d)
         return (g, d), g.n, d.k + d.l
-    check_json_object(check, "fixture check", ("graph", "left", "right", "expect"))
-    g, d1, d2 = graph_from_json(check["graph"]), diagram_from_json(check["left"]), diagram_from_json(check["right"])
-    return (g, d1, d2), g.n, d1.k + d1.l + d2.k + d2.l
+    g, d1, d2 = check_json_object(check, "fixture check", ("graph", "left", "right"), ("expect",))
+    g, d1, d2 = graph_from_json(g), diagram_from_json(d1), diagram_from_json(d2)
+    expect = check.get("expect", {})
+    check_json_object(expect, "fixture 'expect'", (), ("left", "right"))
+    frozen = {side: tensor_from_json(expect[side]) for side in sorted(expect)}
+    return (g, d1, d2, frozen), g.n, d1.k + d1.l + d2.k + d2.l
 
 
 def cmd_verify(args, config):
-    fixtures = _load_json(args.fixtures)
-    check_json_object(fixtures, "fixtures", ("checks",))
-    if not isinstance(fixtures.get("checks"), list):
-        raise ValueError("fixtures JSON must be an object with a 'checks' list")
-    parsed = [(check, *_parse_check(args.law, check)) for check in fixtures["checks"]]
-    for _, _, n, legs in parsed:
+    (checks,) = check_json_object(_load_json(args.fixtures), "fixtures", ("checks",))
+    if not isinstance(checks, list):
+        raise ValueError("fixtures JSON field 'checks' must be a list")
+    parsed = [_parse_check(args.law, check) for check in checks]
+    for _, n, legs in parsed:
         _check_tensor_size(n, legs, config)
     failures = []
     count = 0
-    for idx, (check, inputs, _, _) in enumerate(parsed):
+    for idx, (inputs, _, _) in enumerate(parsed):
         if args.law == "functor":
-            reports = verify_functor(*inputs, _frozen(check))
+            reports = verify_functor(*inputs)
         elif args.law == "that":
-            reports = verify_that_sums(*inputs, _frozen(check))
+            reports = verify_that_sums(*inputs)
         elif args.law == "moebius":
             reports = [moebius_expand(*inputs)]
         else:  # thpart
@@ -270,10 +279,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        overrides = _load_json(args.config) if args.config else {}
-        if not isinstance(overrides, dict):
-            raise ValueError("config JSON must be an object")
-        config = Config(**overrides)
+        config = Config(_load_json(args.config) if args.config else {})
         if args.threads < 1:
             raise ValueError("--threads must be at least 1")
         return args.func(args, config)
@@ -286,7 +292,7 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"internal invariant broken: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

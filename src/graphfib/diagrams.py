@@ -188,13 +188,8 @@ def equal_diagrams(d1, d2):
 
 
 def diagram_from_json(obj):
-    check_json_object(obj, "diagram", ("graph", "inputs", "outputs"))
-    try:
-        graph = graph_from_json(obj["graph"])
-        inputs = obj["inputs"]
-        outputs = obj["outputs"]
-    except KeyError as exc:
-        raise ValueError(f"diagram JSON missing key {exc}")
+    graph, inputs, outputs = check_json_object(obj, "diagram", ("graph", "inputs", "outputs"))
+    graph = graph_from_json(graph)
     for labels in (inputs, outputs):
         if not isinstance(labels, list) or not all(type(v) is int for v in labels):
             raise ValueError("diagram JSON labels must be lists of integers")

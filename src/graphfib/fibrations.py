@@ -243,13 +243,11 @@ def fibration_from_group(g, closure, easy=False, max_vertices=DEFAULT_MAX_VERTIC
 
 
 def fibration_from_json(obj, default_max_vertices=DEFAULT_MAX_VERTICES):
-    check_json_object(obj, "fibration", ("generators", "easy", "max_vertices", "strategy"))
-    if "generators" not in obj:
-        raise ValueError("fibration JSON missing key 'generators'")
-    if not isinstance(obj["generators"], list):
+    (generators,) = check_json_object(obj, "fibration", ("generators",), ("easy", "max_vertices", "strategy"))
+    if not isinstance(generators, list):
         raise ValueError("fibration JSON generators must be a list of diagrams")
     return GraphFibration(
-        [diagram_from_json(d) for d in obj["generators"]],
+        [diagram_from_json(d) for d in generators],
         easy=obj.get("easy", False),
         max_vertices=obj.get("max_vertices", default_max_vertices),
         policy=policy_from_json(obj.get("strategy", "auto")),

@@ -534,12 +534,7 @@ def word_from_json(obj, alphabet_size):
 
 
 def closure_from_json(obj):
-    check_json_object(obj, "closure", ("alphabet", "generators", "strategy"))
-    try:
-        alphabet = obj["alphabet"]
-        raw_gens = obj["generators"]
-    except KeyError as exc:
-        raise ValueError(f"closure JSON missing key {exc}")
+    alphabet, raw_gens = check_json_object(obj, "closure", ("alphabet", "generators"), ("strategy",))
     if type(alphabet) is not int or alphabet < 0:
         raise ValueError(f"closure JSON field 'alphabet' must be an integer >= 0, got {alphabet!r}")
     if not isinstance(raw_gens, list):
@@ -552,15 +547,7 @@ def policy_from_json(obj):
     """Parse a strategy name or ``{"bounded-bfs": {"depth": .., "max_len": ..}}``."""
     if not isinstance(obj, dict):
         return MembershipPolicy(obj)
-    if list(obj) != ["bounded-bfs"]:
-        raise ValueError(f"invalid strategy object {obj!r}")
-    params = obj["bounded-bfs"]
-    if not isinstance(params, dict) or set(params) - {"depth", "max_len"}:
-        raise ValueError(f"bounded-bfs takes an object with 'depth' and 'max_len', got {params!r}")
-    default = MembershipPolicy()
-    return MembershipPolicy(
-        "bounded-bfs",
-        bfs_depth=params.get("depth", default.bfs_depth),
-        bfs_max_len=params.get("max_len", default.bfs_max_len),
-    )
+    (params,) = check_json_object(obj, "strategy", ("bounded-bfs",))
+    check_json_object(params, "bounded-bfs", (), ("depth", "max_len"))
+    return MembershipPolicy("bounded-bfs", **{f"bfs_{key}": value for key, value in params.items()})
 

@@ -23,6 +23,7 @@ set representation.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, repeat
 from math import factorial
 from operator import itemgetter
@@ -404,39 +405,44 @@ def count_homomorphisms(k, g, keep):
     The edges and loops of ``k`` start as the factors and vectors of
     :func:`_constraints`.  A vertex outside ``keep`` with at most two
     neighbours is summed out instead of enumerated, one at a time, fewest
-    neighbours first: an isolated one becomes a factor of the count, a leaf
-    a weight vector on its neighbour and a vertex of degree two a table of
-    weights on its two neighbours, built by walking the weighted images of
-    its factors (those of the host's arcs are listed once per call), with
-    only the nonzero entries stored.  The vertices left then go through
+    neighbours first (from a heap of factor counts kept up to date): an
+    isolated one becomes a factor of the count, a leaf a weight vector on
+    its neighbour and a vertex of degree two a table of weights on its two
+    neighbours, built by walking the weighted images of its factors (those
+    of the host's arcs are listed once per call), with only the nonzero
+    entries stored.  The vertices left then go through
     :func:`_constrained_search`, which checks each factor left as soon as
     both its ends have images, a table by bitmask rows of its nonzero keys.
     Tables and the image lists hold only nonzero weights, so a zero weight
-    cuts the search there, and each map's weight is read from the tables
-    and multiplied out once it is found.  The cost follows the weighted
-    maps of the vertices left, not the maps of ``k``.
+    cuts the search there, and each map's weight is read from the tables and
+    multiplied out once it is found.  The cost follows the weighted maps of
+    the vertices left, not the maps of ``k``.
     """
     n = g.n
     host, factors, vectors = _constraints(k, g)
     arcs = None  # the host's weighted images, listed once for every factor of the host summed out
-    free = set(range(k.n)) - keep
+    incident = [set() for _ in range(k.n)]  # each vertex's factors, kept up to date
+    for e in factors:
+        incident[e[0]].add(e)
+        incident[e[1]].add(e)
+    # (factor count, vertex) outside keep; counts only fall, and a stale entry is skipped
+    heap = [(len(incident[v]), v) for v in range(k.n) if v not in keep]
+    heapify(heap)
     ones = [1] * n
     scalar = 1
     summed = set()
-    while scalar and free:
-        ends = {}  # each vertex's number of factors, counted once per step
-        for u, v in factors:
-            ends[u] = ends.get(u, 0) + 1
-            ends[v] = ends.get(v, 0) + 1
-        degree, x = min((ends.get(v, 0), v) for v in free)
+    while scalar and heap:
+        degree, x = heappop(heap)
+        if x in summed or degree != len(incident[x]):
+            continue
         if degree > 2:
             break
-        free.remove(x)
         summed.add(x)
         nbrs, rows = [], []  # per neighbour: its weighted images for each image of x
-        for e in sorted(e for e in factors if x in e):
+        for e in sorted(incident[x]):
             t, i = factors.pop(e), e.index(x)
             nbrs.append(e[1 - i])
+            incident[e[1 - i]].remove(e)
             if t is host:
                 if arcs is None:
                     arcs = [[] for _ in range(n)]
@@ -472,6 +478,11 @@ def count_homomorphisms(k, g, keep):
                 else:
                     table = {p: w * old.get(p, 0) for p, w in table.items()}
             factors[yz] = {p: w for p, w in table.items() if w}
+            incident[yz[0]].add(yz)
+            incident[yz[1]].add(yz)
+        for y in nbrs:
+            if y not in keep:
+                heappush(heap, (len(incident[y]), y))
     if not scalar:
         return
     # The search over the vertices left, in increasing order.  It lets
@@ -707,25 +718,20 @@ def parse_graph6(text):
 def graph_from_json(obj):
     """A graph from ``{"n": .., "edges": [[u, v], ..]}`` or ``{"graph6": .., "loops": [v, ..]}``."""
     if isinstance(obj, dict) and "graph6" in obj:
-        check_json_object(obj, "graph", ("graph6", "loops"))
-        if not isinstance(obj["graph6"], str):
+        (text,) = check_json_object(obj, "graph", ("graph6",), ("loops",))
+        if not isinstance(text, str):
             raise ValueError("graph JSON field 'graph6' must be a string")
         loops = obj.get("loops", [])
         if not isinstance(loops, list):
             raise ValueError("graph JSON field 'loops' must be a list of vertices")
-        base = parse_graph6(obj["graph6"])
+        base = parse_graph6(text)
         edges = set(base.edges)
         for v in loops:
             if type(v) is not int or not (0 <= v < base.n):
                 raise ValueError(f"loop vertex {v} out of range")
             edges.add((v, v))
         return Graph(base.n, edges)
-    check_json_object(obj, "graph", ("n", "edges"))
-    try:
-        n = obj["n"]
-        edges = obj["edges"]
-    except KeyError as exc:
-        raise ValueError(f"graph JSON missing key {exc}")
+    n, edges = check_json_object(obj, "graph", ("n", "edges"))
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("graph JSON field 'n' must be an integer")
     if n > GRAPH_VERTEX_BOUND:

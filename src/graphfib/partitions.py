@@ -187,11 +187,7 @@ def partition_to_bilabelled(p):
 
 
 def partition_from_json(obj):
-    check_json_object(obj, "partition", ("k", "l", "blocks"))
-    try:
-        k, l, blocks = obj["k"], obj["l"], obj["blocks"]
-    except KeyError as exc:
-        raise ValueError(f"partition JSON missing key {exc}")
+    k, l, blocks = check_json_object(obj, "partition", ("k", "l", "blocks"))
     if not all(type(x) is int and x >= 0 for x in (k, l)):
         raise ValueError("partition JSON fields 'k' and 'l' must be non-negative integers")
     if not isinstance(blocks, list) or not all(

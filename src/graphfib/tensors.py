@@ -383,11 +383,7 @@ def tensor_to_json(t):
 
 
 def tensor_from_json(obj):
-    check_json_object(obj, "tensor", ("n", "k", "l", "entries"))
-    try:
-        n, k, l, entries = obj["n"], obj["k"], obj["l"], obj["entries"]
-    except KeyError as exc:
-        raise ValueError(f"tensor JSON missing key {exc}")
+    n, k, l, entries = check_json_object(obj, "tensor", ("n", "k", "l", "entries"))
     if not all(type(x) is int and x >= 0 for x in (n, k, l)):
         raise ValueError("tensor JSON fields 'n', 'k' and 'l' must be non-negative integers")
     if not isinstance(entries, list) or not all(type(e) is int for e in entries):

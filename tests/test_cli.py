@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -121,8 +122,7 @@ def test_tensor_counts_walks_that_enumeration_cannot_list(tmp_path):
 def test_tensor_sums_out_a_long_path_in_time(tmp_path):
     # Maps of a path into a looped vertex 0 joined to an unlooped vertex 1
     # are strings with no two adjacent 1s: with the first vertex at 0 and at
-    # 1 there are F(n + 1) and F(n) of them.  Each vertex summed out reads
-    # the degrees once, so 2000 vertices fit in the child's timeout.
+    # 1 there are F(n + 1) and F(n) of them.
     n = 2000
     host = write_json(tmp_path, "host.json", {"n": 2, "edges": [[0, 0], [0, 1]]})
     walk = {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
@@ -133,6 +133,36 @@ def test_tensor_sums_out_a_long_path_in_time(tmp_path):
     while len(fib) < n + 2:
         fib.append(fib[-1] + fib[-2])
     assert json.loads(out)["entries"] == [fib[n + 1], fib[n]]
+
+
+def test_tensor_sums_out_a_20000_vertex_path_in_linear_time(tmp_path):
+    # Each vertex summed out updates the factor counts of its neighbours
+    # only; recounting every factor at each step took minutes here.  Into K2
+    # a path is fixed by the image of its first vertex.
+    n = 20000
+    walk = {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    diagram = write_json(tmp_path, "walk.json", {"graph": walk, "inputs": [0], "outputs": []})
+    code, out, err = run_in_child("tensor", fx("k2.json"), diagram, timeout=20)
+    assert code == 0, err
+    assert json.loads(out)["entries"] == [1, 1]
+
+
+def test_an_answer_past_the_integer_digit_limit_is_printed(capsys, tmp_path):
+    # 1000^1434 has 4,303 digits, past the 4,300 that Python turns into text
+    # by default; JSON input keeps that limit.
+    host = write_json(tmp_path, "host.json", {"n": 1000, "edges": []})
+    points = write_json(tmp_path, "points.json", {"graph": {"n": 1434, "edges": []}, "inputs": [], "outputs": []})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    entry = "1" + "0" * 4302
+    code, out, err = run(capsys, "tensor", host, points)
+    assert code == 0 and out == f'{{"entries": [{entry}], "k": 0, "l": 0, "n": 1000}}\n', err
+    code, out, err = run(capsys, "tensor", host, points, "--format", "csv")
+    assert code == 0 and out == entry + "\n", err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1' + "0" * 4999 + ', "edges": []}')
+    code, out, err = run(capsys, "tensor", str(huge), points)
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 @pytest.mark.parametrize("matched, count", [(False, 0), (True, 100)])
@@ -854,7 +884,7 @@ def test_bad_input_exit_codes(capsys, tmp_path):
         "1",
         "1",
     )
-    assert code == 2 and "unknown config keys" in err
+    assert code == 2 and "config JSON has unknown keys" in err
     assert run(capsys, "--threads", "0", "orbits", fx("group_s3.json"), "1", "1")[0] == 2
 
 
@@ -874,7 +904,7 @@ def test_config_rejects_keys_no_subcommand_reads(capsys, tmp_path, key, value):
     code, out, err = run(
         capsys, "--config", config, "dim", fx("group_swap3.json"), fx("abab3_closure.json"), "1", "1"
     )
-    assert code == 2 and out == "" and "unknown config keys" in err
+    assert code == 2 and out == "" and "config JSON has unknown keys" in err
 
 
 def test_tensor_rejects_a_bool_vertex_count(capsys, tmp_path):
@@ -954,6 +984,96 @@ def test_json_readers_refuse_what_they_once_ignored_or_misread(capsys, tmp_path,
     paths = {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2 and out == "" and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tensor", "{deep}", fx("edge_diagram.json")],
+        ["tensor", fx("k2.json"), "{deep}"],
+        ["verify", "functor", "{deep}"],
+        ["dim", "{deep}", fx("abab3_closure.json"), "0", "2"],
+        ["dim", fx("group_s3.json"), "{deep}", "0", "2"],
+        ["closure", "{deep}"],
+        ["orbits", "{deep}", "0", "1"],
+        ["--config", "{deep}", "orbits", fx("group_s3.json"), "0", "1"],
+    ],
+)
+def test_deeply_nested_json_is_bad_input(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, *(arg.format(deep=deep) for arg in argv))
+    assert (code, out) == (2, "") and err == f"error: {deep}: JSON nested too deeply\n"
+
+
+MUTATED_COMMANDS = [
+    ["tensor", "k3.json", "edge_diagram.json"],
+    ["tensor", "k3_graph6.json", "pair_points_diagram.json", "--mode", "inj"],
+    ["tensor", "k2.json", "identity_diagram.json"],
+    ["verify", "functor", "functor_checks.json"],
+    ["verify", "functor", "functor_checks_bad.json"],
+    ["verify", "that", "that_checks.json"],
+    ["verify", "moebius", "moebius_checks.json"],
+    ["verify", "thpart", "thpart_checks.json"],
+    ["dim", "group_swap3.json", "abab3_closure.json", "0", "2"],
+    ["dim", "group_s3.json", "abab3_bfs0.json", "0", "2"],
+    ["closure", "edge_fibration.json"],
+    ["orbits", "group_s2_elements.json", "0", "1"],
+    ["--config", "config_tight.json", "orbits", "group_s3.json", "0", "1"],
+]
+REPLACEMENTS = (None, True, -1, 0, 2, 1.5, "a", "x", [], [0], [[0, 1]], {}, {"n": 1})
+DELETED = object()
+
+
+def value_paths(obj, path=()):
+    """The path to ``obj`` and, at any depth, to each value of an object and
+    to the first three items of each list."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj[:3]) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from value_paths(value, path + (key,))
+
+
+def mutated(obj, path, value):
+    """A copy of ``obj`` with the value at ``path`` replaced by ``value``, or removed for ``DELETED``."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+def test_every_mutated_input_exits_with_a_code_and_a_named_error(tmp_path):
+    """Each fixture input, one value at a time replaced by a value of another
+    type or shape, or removed, gives exit 0-4 with no exception escaping
+    ``main`` and no error message that is only a quoted key."""
+    runs, wrong = 0, []
+    for argv in MUTATED_COMMANDS:
+        args = [fx(a) if a.endswith(".json") else a for a in argv]
+        for i, name in enumerate(argv):
+            if not name.endswith(".json"):
+                continue
+            with open(fx(name), encoding="utf-8") as fh:
+                original = json.load(fh)
+            for path in value_paths(original):
+                for value in REPLACEMENTS + ((DELETED,) if path else ()):
+                    mutant = write_json(tmp_path, name, mutated(original, path, value))
+                    runs += 1
+                    try:
+                        code, err = run_quietly(args[:i] + [mutant] + args[i + 1 :])
+                    except Exception as exc:
+                        code, err = None, f"raised {type(exc).__name__}: {exc}"
+                    if code not in range(5) or re.fullmatch(r"error: '[^']*'\n", err):
+                        shown = "deleted" if value is DELETED else json.dumps(value)
+                        wrong.append(f"{' '.join(argv)}: {name} at {list(path)} = {shown}: {code} {err.strip()}")
+    assert runs >= 4965
+    assert not wrong, f"{len(wrong)} of {runs} runs:\n" + "\n".join(wrong[:40])
 
 
 @pytest.mark.parametrize("k", [True, -1, 1.0])

@@ -1,8 +1,9 @@
 """No graphfib module imports another module's private (underscore) names,
-imports a name it never uses, or relies on ``assert``, which ``python -O``
-strips; every public function or class has a reader in ``src/`` or a
-stated reason to stay; and the tests' oracles in ``reference.py`` import
-public graphfib names only."""
+imports a name it never uses, relies on ``assert``, which ``python -O``
+strips, or catches ``KeyError`` or ``TypeError``, which would let a missing
+key or a bug pass for bad input; every public function or class has a
+reader in ``src/`` or a stated reason to stay; and the tests' oracles in
+``reference.py`` import public graphfib names only."""
 
 import ast
 import os
@@ -63,6 +64,33 @@ def test_the_scan_finds_assert_statements():
 def test_no_assert_statements(filename):
     with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
         assert assert_lines(fh.read()) == []
+
+
+def key_or_type_handlers(source):
+    """Line numbers of the ``except`` clauses in ``source`` that name ``KeyError`` or ``TypeError``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(c, "id", getattr(c, "attr", None)) in ("KeyError", "TypeError") for c in caught):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_finds_key_and_type_error_handlers():
+    source = (
+        "try:\n    f()\nexcept KeyError as exc:\n    pass\n"
+        "try:\n    g()\nexcept (ValueError, builtins.TypeError):\n    pass\n"
+        "except OSError:\n    pass\n"
+        "try:\n    h()\nexcept:\n    pass\n"
+    )
+    assert key_or_type_handlers(source) == [3, 7]
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_no_key_or_type_error_handlers(filename):
+    with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        assert key_or_type_handlers(fh.read()) == []
 
 
 def unused_imports(source):
