@@ -8,11 +8,12 @@ find generators of the automorphism group.  The search keeps a vertex's
 untried images as one integer bitmask, the AND of its candidates and the
 host rows of its placed neighbours' images.  A host past
 ``EAGER_ROWS_BOUND`` vertices builds each row when a search first reads it.
+``f_union`` glues two graphs as a ``quotient`` of their disjoint union.
 The relabelled masks of a graph come from one table per vertex count,
-``_perm_cell_tables``.  ``_least_relabellings`` reads them with their
-permutations for canonical forms and diagram keys, which need the
-relabeling; ``mask_orbit`` keeps them all, as the labelled isomorphism class
-that the closure of a fibration files at once.
+``_perm_cell_tables``.  ``canonical_form`` takes their least, and the
+permutations that reach it, for canonical forms and diagram keys;
+``mask_orbit`` keeps them all, as the labelled isomorphism class that the
+closure of a fibration files at once.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, permutations, repeat
+from itertools import chain, combinations, permutations, repeat
 from math import factorial
 from operator import itemgetter
 
@@ -59,9 +60,11 @@ class Graph:
         norm = set()
         for e in edges:
             u, v = e
-            if not (0 <= u < n and 0 <= v < n):
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
                 raise ValueError(f"edge {e!r} out of range for {n} vertices")
-            norm.add((u, v) if u <= v else (v, u))
+            norm.add((u, v))
         self.n = n
         self.edges = frozenset(norm)
 
@@ -109,7 +112,7 @@ def add_loops_everywhere(g):
 
 def disjoint_union(k, h):
     shifted = ((u + k.n, v + k.n) for (u, v) in h.edges)
-    return Graph(k.n + h.n, set(k.edges) | set(shifted))
+    return Graph(k.n + h.n, chain(k.edges, shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +143,7 @@ def generated_partition(n, pairs):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
-    return kernel(find(v) for v in range(n))
+    return kernel(map(find, range(n)))
 
 
 def quotient(g, block_of):
@@ -150,11 +153,7 @@ def quotient(g, block_of):
     returns, so the blocks are ``0..max(block_of)``.  An edge joining two
     vertices of one block becomes a loop; parallel images collapse.
     """
-    edges = set()
-    for u, v in g.edges:
-        a, b = block_of[u], block_of[v]
-        edges.add((a, b) if a <= b else (b, a))
-    return Graph(max(block_of, default=-1) + 1, edges)
+    return Graph(max(block_of, default=-1) + 1, ((block_of[u], block_of[v]) for u, v in g.edges))
 
 
 def f_union(k, h, f):
@@ -174,24 +173,10 @@ def f_union(k, h, f):
     for u, v in f:
         if not (0 <= u < k.n and 0 <= v < h.n):
             raise ValueError("overlap pair out of range")
-    # The block numbering generated_partition gives the disjoint union with
-    # each pair of ``f`` merged: ``k`` keeps its names, a matched vertex of
-    # ``h`` takes its partner's, and the unmatched ones follow in their own
-    # order.
-    partner = {v: u for u, v in f}
-    map_h = []
-    fresh = k.n
-    for v in range(h.n):
-        if v in partner:
-            map_h.append(partner[v])
-        else:
-            map_h.append(fresh)
-            fresh += 1
-    edges = set(k.edges)
-    for u, v in h.edges:
-        a, b = map_h[u], map_h[v]
-        edges.add((a, b) if a <= b else (b, a))
-    return Graph(fresh, edges), tuple(range(k.n)), tuple(map_h)
+    # The disjoint union with each pair of ``f`` merged, as ``diagrams.compose``
+    # glues.  Blocks are numbered by least member, so ``k`` keeps its names.
+    block_of = generated_partition(k.n + h.n, ((u, k.n + v) for u, v in f))
+    return quotient(disjoint_union(k, h), block_of), block_of[:k.n], block_of[k.n:]
 
 
 def enumerate_overlaps(nk, nh):
@@ -592,22 +577,21 @@ def _cells(n):
 
 @lru_cache(maxsize=None)
 def _perm_cell_tables(n):
-    """Every permutation of ``0..n-1`` in lexicographic order, with the bit it moves each adjacency cell to.
+    """For each permutation of ``0..n-1`` in lexicographic order, the bit it moves each adjacency cell to.
 
-    Returns ``(perms, tables)``: ``tables[k][c]`` is ``1 << d`` when
-    ``perms[k]`` moves cell ``c`` to cell ``d``.  The powers are shared, so
-    a table costs one pointer a cell.
+    ``tables[k][c]`` is ``1 << d`` when the ``k``-th permutation moves cell
+    ``c`` to cell ``d``.  The powers are shared, so a table costs one
+    pointer a cell.
     """
     bit = {cell: 1 << i for i, cell in enumerate(_cells(n))}
-    perms = tuple(permutations(range(n)))
     tables = []
-    for sigma in perms:
+    for sigma in permutations(range(n)):
         tab = []
         for u, v in _cells(n):
             a, b = sigma[u], sigma[v]
             tab.append(bit[a, b] if a <= b else bit[b, a])
         tables.append(tuple(tab))
-    return perms, tuple(tables)
+    return tuple(tables)
 
 
 def mask_of(n, edges):
@@ -633,32 +617,10 @@ def _relabelled_masks(n, mask):
     bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
     if not bits:
         return repeat(0, factorial(n))
-    tables = _perm_cell_tables(n)[1]
+    tables = _perm_cell_tables(n)
     if len(bits) == 1:  # itemgetter of one item gives the item, not a tuple
         return map(itemgetter(bits[0]), tables)
     return map(sum, map(itemgetter(*bits), tables))  # distinct cells go to distinct bits: the sum is the OR
-
-
-def _least_relabellings(n, mask, labels=()):
-    """One pass over the relabelings of the graph on ``n`` vertices with
-    adjacency mask ``mask``, for the callers that need the relabeling.
-
-    Returns ``((n, best) + least, perm)``: ``best`` is the least relabeled
-    mask, ``perm`` the first relabeling in lexicographic order that reaches
-    it, and ``least`` the least relabeled ``labels`` (a tuple of vertex
-    tuples) over the relabelings that reach it.
-    """
-    masks = _relabelled_masks(n, mask)  # refuses n above the bound before the tables are built
-    best = 1 << len(_cells(n))  # above every mask, so the first relabeling sets perm
-    for sigma, m in zip(_perm_cell_tables(n)[0], masks):
-        if m > best:
-            continue
-        relabeled = labels and tuple(tuple(sigma[v] for v in row) for row in labels)
-        if m < best:
-            best, perm, least = m, sigma, relabeled
-        elif relabeled < least:
-            least = relabeled
-    return (n, best) + least, perm
 
 
 def mask_orbit(n, mask):
@@ -680,7 +642,11 @@ def canonical_form(g, labels=()):
     achieving the minimum: a key up to label-preserving isomorphism.
     Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are refused.
     """
-    return _least_relabellings(g.n, mask_of(g.n, g.edges), labels)
+    masks = list(_relabelled_masks(g.n, mask_of(g.n, g.edges)))
+    best = min(masks)
+    ties = [sigma for sigma, m in zip(permutations(range(g.n)), masks) if m == best]
+    least = min(tuple(tuple(sigma[v] for v in row) for row in labels) for sigma in ties)
+    return (g.n, best) + least, ties[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ lists the tuple's images under every element in one pass.
 
 from __future__ import annotations
 
-from itertools import compress, product
+from collections import Counter
+from itertools import product
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import CapacityError, IndeterminateError, InvariantError
@@ -183,6 +185,12 @@ def build_That_H(group, a, b):
     return tally(zero_tensor(group.degree, len(a), len(b)), group.elements, a, b)
 
 
+def orbit_support(group, a, b):
+    """The nonzero entries of :func:`build_That_H`, by flat index, counted
+    into a sparse map instead of a dense tensor of ``n^(k+l)`` entries."""
+    return tally(SimpleNamespace(n=group.degree, k=len(a), entries=Counter()), group.elements, a, b).entries
+
+
 def burnside_dim(group, k, l):
     """Number of orbits on label pairs, by averaging fixed-point counts."""
     m = k + l
@@ -214,15 +222,16 @@ def semidirect_orbit_table(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND
 
 
 def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
-    """The orbit table and the basis ``[(orbit, tensor), ...]`` of its YES orbits.
+    """The orbit table and its YES orbits, a basis of the tensors :func:`build_That_H` builds for them.
 
     With ``closure=None`` every orbit is accepted.  Membership is well-defined
     on orbits because the closure is group-invariant (checked).  An unknown
-    verdict can be neither dropped nor kept, so it raises before any tensor
-    is built.  Two cross-checks are computed from scratch.  The tensors must
+    verdict can be neither dropped nor kept, so it raises before any support
+    is counted.  Two cross-checks are computed from scratch.  The tensors must
     be nonzero with pairwise disjoint supports, which makes them independent
     (their rank is the basis length), and the Burnside count must equal the
-    table length.
+    table length.  The supports are read from :func:`orbit_support`, so no
+    tensor is built.
     """
     if closure is None:
         table = [(o, Membership.YES) for o in orbits(group, k, l, tuple_bound)]
@@ -233,15 +242,15 @@ def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
             raise IndeterminateError(
                 f"membership of orbit ({o.a}, {o.b}) is unknown under the chosen strategy"
             )
-    basis = [(o, build_That_H(group, o.a, o.b)) for o, verdict in table if verdict is Membership.YES]
+    basis = [o for o, verdict in table if verdict is Membership.YES]
     covered = set()
-    for o, t in basis:
-        support = set(compress(range(len(t.entries)), t.entries))
+    for o in basis:
+        support = orbit_support(group, o.a, o.b)
         if not support:
             raise InvariantError(f"orbit ({o.a}, {o.b}) has a zero tensor")
         if not covered.isdisjoint(support):
             raise InvariantError(f"orbit ({o.a}, {o.b}) shares a nonzero entry with an earlier orbit")
-        covered |= support
+        covered.update(support)
     if len(table) != burnside_dim(group, k, l):
         raise InvariantError("orbit count must match the Burnside count")
     return table, basis

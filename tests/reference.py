@@ -16,6 +16,23 @@ from graphfib.tensors import compose, law_report, tally, tensor_product, zero_te
 # graphs
 
 
+def explicit_f_union(k, h, f):
+    """The glued union numbered by hand: ``k`` keeps its names, a matched
+    vertex of ``h`` takes its partner's, and the unmatched ones follow in
+    their own order.  The oracle for ``f_union``'s quotient construction."""
+    partner = {v: u for u, v in f}
+    map_h = []
+    fresh = k.n
+    for v in range(h.n):
+        if v in partner:
+            map_h.append(partner[v])
+        else:
+            map_h.append(fresh)
+            fresh += 1
+    edges = set(k.edges) | {(map_h[u], map_h[v]) for u, v in h.edges}
+    return Graph(fresh, edges), tuple(range(k.n)), tuple(map_h)
+
+
 def canonical_key(g):
     """The isomorphism-class key of ``g``: its canonical form without the relabelling."""
     return canonical_form(g)[0]

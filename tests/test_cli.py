@@ -346,13 +346,22 @@ def test_dim_rejects_negative_label_counts(capsys):
 
 
 def test_dim_reports_a_broken_invariant_with_exit_5(capsys, monkeypatch):
-    # every orbit gets the tensor of the all-zero label pair, so supports overlap
-    real = graphfib.repspaces.build_That_H
+    # every orbit gets the support of the all-zero label pair, so supports overlap
+    real = graphfib.repspaces.orbit_support
     monkeypatch.setattr(
-        "graphfib.repspaces.build_That_H", lambda group, a, b: real(group, (0,) * len(a), (0,) * len(b))
+        "graphfib.repspaces.orbit_support", lambda group, a, b: real(group, (0,) * len(a), (0,) * len(b))
     )
     code, out, err = run(capsys, "dim", fx("group_s3.json"), fx("null.json"), "1", "1")
     assert code == 5 and out == "" and err.startswith("internal invariant broken:")
+
+
+def test_dim_on_many_label_pairs_builds_no_dense_tensor_per_orbit(tmp_path):
+    # 40,000 orbits of one label pair each: a dense 200^2 tensor per orbit would take 12 GiB
+    group = write_json(tmp_path, "group.json", {"degree": 200, "elements": [list(range(200))]})
+    code, out, err = run_in_child("dim", group, fx("null.json"), "1", "1", timeout=30)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["dim"] == report["burnside"] == 40000
 
 
 # ---------------------------------------------------------------------------

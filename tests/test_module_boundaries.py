@@ -2,7 +2,8 @@
 imports a name it never uses, relies on ``assert``, which ``python -O``
 strips, or catches ``KeyError`` or ``TypeError``, which would let a missing
 key or a bug pass for bad input; every public function or class has a
-reader in ``src/`` or a stated reason to stay; and the tests' oracles in
+reader in ``src/`` or a stated reason to stay, and every private one a
+reader in its own module; and the tests' oracles in
 ``reference.py`` import public graphfib names only."""
 
 import ast
@@ -184,6 +185,47 @@ def test_the_scan_finds_constants_nothing_reads():
         ),
     }
     assert unread_public_names(sources) == [("cli", "main"), ("partitions", "BELL")]
+
+
+def unread_private_names(source):
+    """Each private (underscore, not dunder) top-level function, class or
+    constant in ``source`` that nothing in the module reads outside the
+    name's own definition.  Other modules may not import it, so it is dead."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node
+    defined = {name: node for name, node in defined.items() if name.startswith("_") and not name.startswith("__")}
+    read = set()
+    for statement in tree.body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and node.id in defined and defined[node.id] is not statement:
+                read.add(node.id)
+    return sorted(set(defined) - read)
+
+
+def test_the_scan_finds_private_names_their_module_never_reads():
+    source = (
+        "__version__ = '1'\n"
+        "_BOUND = 3\n"
+        "_CACHE = {}\n"
+        "def _cells(n):\n    return _cells(n - 1)\n"
+        "def _mask(images):\n    return images\n"
+        "class _Rows(dict):\n    pass\n"
+        "def rows(n):\n    return _Rows(), _mask(n) > _BOUND\n"
+    )
+    assert unread_private_names(source) == ["_CACHE", "_cells"]
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_every_private_name_is_read_in_its_module(filename):
+    with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        assert unread_private_names(fh.read()) == []
 
 
 def tracer_names(source):
