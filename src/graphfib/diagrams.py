@@ -4,14 +4,16 @@ A bilabelled graph is a graph together with two tuples of vertex labels: the
 ``inputs`` (lower row, length ``k``) and ``outputs`` (upper row, length
 ``l``).  Labels may repeat and need not cover all vertices.  These objects
 compose like linear maps: ``compose(d1, d2)`` glues the outputs of ``d2`` to
-the inputs of ``d1``.
+the inputs of ``d1``.  The edgeless diagrams are the set partitions of
+``partitions``, one vertex per block, so these operations are also those of
+the category of partitions.  Diagrams compare literally; nothing here
+decides equality up to labelled isomorphism.
 """
 
 from __future__ import annotations
 
 from .errors import check_json_object
 from .graphs import (
-    canonical_form,
     disjoint_union,
     edgeless,
     f_union,
@@ -44,7 +46,7 @@ class BilabelledGraph:
         return len(self.outputs)
 
     def __eq__(self, other):
-        """Literal equality; use :func:`equal_diagrams` for equality up to iso."""
+        """Literal equality, not equality up to labelled isomorphism."""
         return (
             isinstance(other, BilabelledGraph)
             and self.graph == other.graph
@@ -60,12 +62,9 @@ class BilabelledGraph:
 
 
 def m_diagram(k, l):
-    """The single-vertex edgeless diagram whose labels all repeat that vertex."""
+    """The single-vertex edgeless diagram whose labels all repeat that vertex;
+    ``m_diagram(1, 1)`` is the identity."""
     return BilabelledGraph(edgeless(1), (0,) * k, (0,) * l)
-
-
-def identity_diagram():
-    return m_diagram(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +161,6 @@ def bl_f_compose(d1, d2, f):
         tuple(map2[v] for v in d2.inputs),
         tuple(map1[v] for v in d1.outputs),
     )
-
-
-# ---------------------------------------------------------------------------
-# equality up to labeled isomorphism
-
-
-def diagram_key(d):
-    """Canonical key of a diagram under label-preserving isomorphism.
-
-    The least ``(adjacency mask, relabeled inputs, relabeled outputs)`` over
-    all vertex permutations, from the one pass of ``canonical_form``.
-    """
-    return canonical_form(d.graph, (d.inputs, d.outputs))[0]
-
-
-def equal_diagrams(d1, d2):
-    if d1.graph.n != d2.graph.n or d1.k != d2.k or d1.l != d2.l:
-        return False
-    return diagram_key(d1) == diagram_key(d2)
 
 
 # ---------------------------------------------------------------------------

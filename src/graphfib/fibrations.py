@@ -30,7 +30,6 @@ from .freeprod import (
     member,
     policy_from_json,
     prune_words,
-    reduce_word,
 )
 from .graphs import (
     enumerate_homomorphisms,
@@ -70,11 +69,6 @@ class GraphFibration:
         )
 
 
-def boundary_word(d):
-    """The word ``reverse(inputs) + outputs`` of a diagram, reduced."""
-    return reduce_word(tuple(reversed(d.inputs)) + tuple(d.outputs))
-
-
 # ---------------------------------------------------------------------------
 # the closure of fibres
 
@@ -104,12 +98,14 @@ def closure_graphs(fib):
     """
     top = fib.max_vertices
     mask_orbit(top, 0)  # refuses a bound past the canonical one before any work
-    graphs = [d.graph for d in fib.generators if d.graph.edges]
-    for h in graphs:  # the map count only grows with n, so counting at max_vertices covers every n
+    # every generator counts, edgeless ones too: the fibre queries after the listing walk their maps.
+    # The map count only grows with n, so counting at max_vertices covers every n.
+    for h in (d.graph for d in fib.generators):
         if (power_exceeds(top, h.n, CLOSURE_MAP_BOUND) if fib.easy else perm(top, h.n) > CLOSURE_MAP_BOUND):
             raise CapacityError(
                 f"a {h.n}-vertex generator has more than {CLOSURE_MAP_BOUND} maps into {top} vertices"
             )
+    graphs = [d.graph for d in fib.generators if d.graph.edges]
     members = []
     for n in range(top + 1):
         copies = dict.fromkeys(
@@ -206,7 +202,7 @@ def diagram_member(fib, d):
     if words is None:
         return Membership.NO
     n = d.graph.n
-    return member(boundary_word(d), NormalClosureSpec(n, prune_words(n, words, fib.policy), fib.policy))
+    return member(d.inputs[::-1] + d.outputs, NormalClosureSpec(n, prune_words(n, words, fib.policy), fib.policy))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ function per set of kept words, with no spec.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -51,7 +51,7 @@ BFS_NODE_BOUND = 10**4
 COSET_BOUND = 20000
 
 
-class MembershipPolicy:
+class MembershipPolicy(namedtuple("MembershipPolicy", ("strategy", "bfs_depth", "bfs_max_len"))):
     """How membership queries are answered: the strategy and its bounds.
 
     ``bfs_depth`` and ``bfs_max_len`` bound the ``bounded-bfs`` search.  A
@@ -59,35 +59,18 @@ class MembershipPolicy:
     :meth:`replace` makes a checked copy.
     """
 
-    __slots__ = ("strategy", "bfs_depth", "bfs_max_len")
+    __slots__ = ()
 
-    def __init__(self, strategy="auto", bfs_depth=6, bfs_max_len=24):
+    def __new__(cls, strategy="auto", bfs_depth=6, bfs_max_len=24):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown membership strategy {strategy!r}")
         for name, value in (("bfs_depth", bfs_depth), ("bfs_max_len", bfs_max_len)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        for name, value in zip(self.__slots__, (strategy, bfs_depth, bfs_max_len)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MembershipPolicy is immutable; use replace({name}=...)")
-
-    def _fields(self):
-        return {name: getattr(self, name) for name in self.__slots__}
+        return super().__new__(cls, strategy, bfs_depth, bfs_max_len)
 
     def replace(self, **changes):
-        return MembershipPolicy(**{**self._fields(), **changes})
-
-    def __eq__(self, other):
-        return isinstance(other, MembershipPolicy) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(tuple(self._fields().values()))
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
-        return f"MembershipPolicy({args})"
+        return MembershipPolicy(**{**self._asdict(), **changes})
 
 
 # ---------------------------------------------------------------------------

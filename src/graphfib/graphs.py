@@ -10,10 +10,9 @@ host rows of its placed neighbours' images.  A host past
 ``EAGER_ROWS_BOUND`` vertices builds each row when a search first reads it.
 ``f_union`` glues two graphs as a ``quotient`` of their disjoint union.
 The relabelled masks of a graph come from one table per vertex count,
-``_perm_cell_tables``.  ``canonical_form`` takes their least, and the
-permutations that reach it, for canonical forms and diagram keys;
-``mask_orbit`` keeps them all, as the labelled isomorphism class that the
-closure of a fibration files at once.
+``_perm_cell_tables``.  ``canonical_form`` takes their least and the
+first permutation reaching it; ``mask_orbit`` keeps them all, as the
+labelled isomorphism class that the closure of a fibration files at once.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -632,21 +631,16 @@ def mask_orbit(n, mask):
     return set(_relabelled_masks(n, mask))
 
 
-def canonical_form(g, labels=()):
+def canonical_form(g):
     """Minimal adjacency bitmask over all vertex relabelings.
 
     Returns ``((n, mask), perm)`` where ``perm`` (``perm[v]`` is the new
     name of vertex ``v``) is the lexicographically least permutation
-    achieving the minimum.  Given ``labels``, a tuple of vertex tuples, the
-    key goes on with the least relabeled labels over every permutation
-    achieving the minimum: a key up to label-preserving isomorphism.
-    Graphs above ``CANONICAL_VERTEX_BOUND`` vertices are refused.
+    achieving the minimum.  Graphs above ``CANONICAL_VERTEX_BOUND`` vertices
+    are refused.
     """
-    masks = list(_relabelled_masks(g.n, mask_of(g.n, g.edges)))
-    best = min(masks)
-    ties = [sigma for sigma, m in zip(permutations(range(g.n)), masks) if m == best]
-    least = min(tuple(tuple(sigma[v] for v in row) for row in labels) for sigma in ties)
-    return (g.n, best) + least, ties[0]
+    best, perm = min(zip(_relabelled_masks(g.n, mask_of(g.n, g.edges)), permutations(range(g.n))))
+    return (g.n, best), perm
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,20 @@
-"""Two-row set partitions and their embedding into bilabelled graphs.
+"""Two-row set partitions: kernels of label words, enumeration, and the
+value tuples with a given kernel.
 
 A partition lives on ``k`` upper points ``0..k-1`` and ``l`` lower points
 ``k..k+l-1``.  Blocks carry no identity beyond their members, but a partition
-may own *empty* blocks: these matter because the embedding into bilabelled
-graphs turns every block into a vertex, and composition can strand a block
-with no boundary points left.
-
-The category operations are those of bilabelled graphs: each embeds its
-arguments as edgeless diagrams, applies the diagram operation and reads the
-partition back from the labels, so a stranded block stays as an unlabelled
-vertex.
+may own *empty* blocks.  A partition is the edgeless bilabelled graph with
+one vertex per block, and its category operations are those of
+``diagrams`` on such graphs; composition can strand a block with no
+boundary points left, an unlabelled vertex, which is an empty block.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .diagrams import BilabelledGraph, compose, involution, tensor
 from .errors import CapacityError, check_json_object
-from .graphs import edgeless, kernel
+from .graphs import kernel
 
 PARTITION_POINT_BOUND = 10
 
@@ -142,44 +138,6 @@ def enumerate_partitions(m):
 def enumerate_set_partitions(k, l):
     """All partitions of ``k`` upper + ``l`` lower points (no empty blocks)."""
     return [SetPartition(k, l, rgs) for rgs in enumerate_partitions(k + l)]
-
-
-# ---------------------------------------------------------------------------
-# category operations, through the embedding into bilabelled graphs
-
-
-def _from_diagram(d):
-    """The partition of an edgeless diagram: points share a block iff their
-    labels name one vertex; unlabelled vertices are its empty blocks."""
-    return SetPartition(d.k, d.l, d.inputs + d.outputs, d.graph.n)
-
-
-def partition_tensor(p, q):
-    """Place ``q`` to the right of ``p``: uppers concatenate, lowers concatenate."""
-    return _from_diagram(tensor(partition_to_bilabelled(p), partition_to_bilabelled(q)))
-
-
-def partition_compose(p, q):
-    """The composite ``p . q`` with ``q`` acting first.
-
-    The lower row of ``q`` is identified with the upper row of ``p``, so
-    ``q.l == p.k`` is required.  Joined blocks merge; middle blocks that lose
-    all their points survive as empty blocks.
-    """
-    return _from_diagram(compose(partition_to_bilabelled(p), partition_to_bilabelled(q)))
-
-
-def partition_involution(p):
-    return _from_diagram(involution(partition_to_bilabelled(p)))
-
-
-def partition_to_bilabelled(p):
-    """The edgeless bilabelled graph with one vertex per block.
-
-    Empty blocks become isolated unlabeled vertices; they are kept, never
-    pruned, so that this embedding commutes with composition.
-    """
-    return BilabelledGraph(edgeless(p.num_blocks), p.block_of[: p.k], p.block_of[p.k :])
 
 
 # ---------------------------------------------------------------------------

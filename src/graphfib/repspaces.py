@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import perm
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -42,6 +43,7 @@ from .tensors import (
 
 DEFAULT_TUPLE_BOUND = 10**6
 GROUP_POINT_BOUND = 10**6
+THPART_TALLY_BOUND = 10**7  # group elements times kernel tuples one ``thpart`` check tallies
 
 
 class PermutationGroup:
@@ -283,9 +285,18 @@ def dim_report(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
 
 
 def verify_THpart(group, p):
-    """Group order times the exact-pattern tensor equals the matching orbit sum."""
+    """Group order times the exact-pattern tensor equals the matching orbit sum.
+
+    The sum tallies every element for every tuple with kernel ``p``, so the
+    elements times the tuples are checked against ``THPART_TALLY_BOUND`` first.
+    """
     n = group.degree
     k, l = p.k, p.l
+    tallies = len(group.elements) * (0 if p.num_empty_blocks else perm(n, p.num_blocks))
+    if tallies > THPART_TALLY_BOUND:
+        raise CapacityError(
+            f"thpart check tallies {tallies} element-tuple pairs, above the bound {THPART_TALLY_BOUND}"
+        )
     lhs = tensor_scale(build_partition_That(n, p), len(group.elements))
     rhs = zero_tensor(n, k, l)
     for vals in kernel_tuples(n, p):

@@ -83,9 +83,6 @@ class IntTensor:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.n, self.k, self.l, tuple(self.entries)))
-
     def __repr__(self):
         return f"IntTensor(n={self.n}, k={self.k}, l={self.l})"
 

@@ -4,10 +4,19 @@ Each lists or re-derives, by a route of its own, what a tested function
 computes.  They import public graphfib names only.
 """
 
-from itertools import product
+from itertools import permutations, product
 
+from graphfib.diagrams import BilabelledGraph
 from graphfib.errors import CapacityError
-from graphfib.graphs import CANONICAL_VERTEX_BOUND, Graph, canonical_form, enumerate_homomorphisms, graph_from_mask
+from graphfib.graphs import (
+    CANONICAL_VERTEX_BOUND,
+    Graph,
+    canonical_form,
+    edgeless,
+    enumerate_homomorphisms,
+    graph_from_mask,
+    mask_of,
+)
 from graphfib.partitions import SetPartition
 from graphfib.repspaces import build_That_H
 from graphfib.tensors import compose, law_report, tally, tensor_product, zero_tensor
@@ -89,7 +98,50 @@ def components_partition(n, pairs):
 
 
 # ---------------------------------------------------------------------------
+# diagrams
+
+
+def brute_force_diagram_key(d):
+    """The least (adjacency mask, relabeled inputs, relabeled outputs) over
+    every vertex permutation, tried one by one: a key up to labelled
+    isomorphism."""
+    n = d.graph.n
+    best = None
+    for sigma in permutations(range(n)):
+        cand = (
+            mask_of(n, [(sigma[u], sigma[v]) for u, v in d.graph.edges]),
+            tuple(sigma[v] for v in d.inputs),
+            tuple(sigma[v] for v in d.outputs),
+        )
+        if best is None or cand < best:
+            best = cand
+    return (n,) + best
+
+
+def equal_diagrams(d1, d2):
+    """Are two diagrams equal up to labelled isomorphism?"""
+    return brute_force_diagram_key(d1) == brute_force_diagram_key(d2)
+
+
+# ---------------------------------------------------------------------------
 # partitions
+
+
+def partition_diagram(p):
+    """The edgeless diagram of ``p``: one vertex per block, so an empty block
+    is an unlabelled vertex."""
+    return BilabelledGraph(edgeless(p.num_blocks), p.block_of[: p.k], p.block_of[p.k :])
+
+
+def diagram_partition(d):
+    """The partition of an edgeless diagram: points share a block iff their
+    labels name one vertex, and unlabelled vertices are its empty blocks."""
+    return SetPartition(d.k, d.l, d.inputs + d.outputs, d.graph.n)
+
+
+def through_diagrams(operation, *parts):
+    """A diagram operation on partitions: embed each, apply it, read the result back."""
+    return diagram_partition(operation(*map(partition_diagram, parts)))
 
 
 def explicit_partition_tensor(p, q):

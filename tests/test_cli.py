@@ -219,6 +219,19 @@ def test_verify_partition_average(capsys):
     assert payload["ok"] is True
 
 
+def test_verify_thpart_past_the_tally_bound_exits_3(tmp_path):
+    # S8 x S2 (80,640 elements) times the 10!/4! tuples of six singleton
+    # blocks is about 1.2 * 10^10 tallies, inside every other bound
+    k8_k2 = {"n": 10, "edges": [[u, v] for u in range(8) for v in range(u + 1, 8)] + [[8, 9]]}
+    singletons = {"k": 3, "l": 3, "blocks": [[point] for point in range(6)]}
+    fixtures = write_json(
+        tmp_path, "checks.json", {"checks": [{"group": {"automorphisms_of": k8_k2}, "partition": singletons}]}
+    )
+    code, out, err = run_in_child("verify", "thpart", fixtures, timeout=30)
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "above the bound 10000000" in err and "Traceback" not in err
+
+
 def test_verify_refuses_a_tensor_above_the_tuple_bound(capsys, tmp_path):
     host = {"n": 60, "edges": [[i, (i + 1) % 60] for i in range(60)]}
     point = {"graph": {"n": 1, "edges": []}, "inputs": [0, 0], "outputs": [0, 0]}
@@ -404,6 +417,7 @@ def test_closure_rejects_an_unknown_strategy_name(capsys, tmp_path):
 K2_GENERATOR = {"graph": {"n": 2, "edges": [[0, 1]]}, "inputs": [], "outputs": [0, 1, 0, 1]}
 P9_GENERATOR = {"graph": {"n": 9, "edges": [[v, v + 1] for v in range(8)]}, "inputs": [], "outputs": [0, 1]}
 P11_GENERATOR = {"graph": {"n": 11, "edges": [[v, v + 1] for v in range(10)]}, "inputs": [], "outputs": [0, 1]}
+E30_GENERATOR = {"graph": {"n": 30, "edges": []}, "inputs": [], "outputs": []}
 
 
 @pytest.mark.parametrize(
@@ -414,6 +428,11 @@ P11_GENERATOR = {"graph": {"n": 11, "edges": [[v, v + 1] for v in range(10)]}, "
         ({"generators": [P11_GENERATOR], "easy": True}, 3, "11-vertex generator has more than 1000000 maps"),
         ({"generators": [P9_GENERATOR], "easy": True}, 3, "9-vertex generator has more than 1000000 maps"),
         ({"generators": [P11_GENERATOR], "max_vertices": 3}, 0, ""),
+        (
+            {"generators": [K2_GENERATOR, E30_GENERATOR], "easy": True, "max_vertices": 3},
+            3,
+            "30-vertex generator has more than 1000000 maps",
+        ),
     ],
     ids=[
         "k2-nine-vertices",
@@ -421,13 +440,15 @@ P11_GENERATOR = {"graph": {"n": 11, "edges": [[v, v + 1] for v in range(10)]}, "
         "easy-eleven-vertex-generator",
         "easy-nine-vertex-generator",
         "skew-eleven-vertex-generator",
+        "easy-thirty-vertex-edgeless-generator",
     ],
 )
 def test_closure_size_bounds_exit_cleanly(tmp_path, fibration, code, message):
     # nine-vertex fibres cannot be canonically labelled, and an easy path on
     # nine or eleven vertices has more maps into five vertices (5^9, 5^11) than
     # the closure walks; a skew generator larger than the bound has no copy in
-    # any fibre and is simply never used
+    # any fibre and is simply never used.  An edgeless generator adds no copy,
+    # but the fibre words of every listed graph walk its 3^30 maps.
     got, out, err = run_in_child("closure", write_json(tmp_path, "fibration.json", fibration))
     assert got == code, err
     assert "Traceback" not in err

@@ -2,9 +2,9 @@
 imports a name it never uses, relies on ``assert``, which ``python -O``
 strips, or catches ``KeyError`` or ``TypeError``, which would let a missing
 key or a bug pass for bad input; every public function or class has a
-reader in ``src/`` or a stated reason to stay, and every private one a
-reader in its own module; and the tests' oracles in
-``reference.py`` import public graphfib names only."""
+reader in ``src/`` or a stated reason to stay, and then a reader in the
+tests; every private one has a reader in its own module; and the tests'
+oracles in ``reference.py`` import public graphfib names only."""
 
 import ast
 import os
@@ -256,23 +256,27 @@ def test_the_tracer_scan_reads_the_table_and_module_attributes():
 
 
 # Public names that nothing in src/ reads and that stay, besides those the
-# benchmark tracer binds or reads (perfbench/tracing.py).
+# benchmark tracer binds or reads (perfbench/tracing.py).  Each computes
+# something no other public name does, and its reason names the test that
+# checks it against the paper.
 KEPT = {
-    ("diagrams", "identity_diagram"): "paper operation: the identity morphism",
-    ("diagrams", "rotate_left"): "paper operation: rotation",
-    ("diagrams", "rotate_right"): "paper operation: rotation",
-    ("diagrams", "equal_diagrams"): "paper operation: equality up to labelled isomorphism",
-    ("fibrations", "diagram_member"): "paper operation: membership of a diagram in the category",
-    ("fibrations", "fiber_member"): "paper operation: membership of a word in a fibre",
-    ("fibrations", "fibration_from_group"): "paper operation: the fibration of a group of words",
-    ("graphs", "add_loops_everywhere"): "constructor",
-    ("graphs", "complete"): "constructor",
-    ("graphs", "cycle"): "constructor",
-    ("graphs", "path"): "constructor",
-    ("partitions", "enumerate_set_partitions"): "paper: the morphisms of the partition category",
-    ("partitions", "partition_compose"): "paper operation: composition",
-    ("partitions", "partition_involution"): "paper operation: involution",
-    ("partitions", "partition_tensor"): "paper operation: tensor product",
+    ("diagrams", "m_diagram"): "constructor: the one-vertex diagrams, identity and duality pairs among them "
+    "(test_diagrams.py::test_compose_identity, ::test_rotation_realizable_by_composition)",
+    ("diagrams", "rotate_left"): "paper operation: rotation (test_diagrams.py::test_rotate_pair_partition)",
+    ("diagrams", "rotate_right"): "paper operation: rotation, a composite with duality pairs "
+    "(test_diagrams.py::test_rotation_realizable_by_composition)",
+    ("fibrations", "diagram_member"): "paper operation: membership of a diagram in the category "
+    "(test_fibrations.py::test_diagram_member)",
+    ("fibrations", "fiber_member"): "paper operation: membership of a word in a fibre "
+    "(test_acceptance.py::test_criterion_09_fibration_axioms)",
+    ("fibrations", "fibration_from_group"): "paper operation: the fibration of a group of words "
+    "(test_fibrations.py::test_from_group_commutator_closure)",
+    ("graphs", "add_loops_everywhere"): "constructor (test_acceptance.py::test_criterion_09_fibration_axioms)",
+    ("graphs", "complete"): "constructor (test_graphs.py::test_constructors)",
+    ("graphs", "cycle"): "constructor (test_acceptance.py::test_criterion_03_moebius_expansion)",
+    ("graphs", "path"): "constructor (test_graphs.py::test_constructors)",
+    ("partitions", "enumerate_set_partitions"): "paper: the morphisms of the partition category, Bell many "
+    "(test_partitions.py::test_two_line_enumeration_counts)",
 }
 
 
@@ -286,3 +290,49 @@ def test_every_public_name_has_a_reader_or_a_reason():
     unread = set(unread_public_names(sources))
     assert sorted(unread - traced - set(KEPT)) == []
     assert sorted(set(KEPT) - unread) == []  # a kept name that gained a reader leaves the list
+
+
+def names_the_tests_read(sources):
+    """``(module, name)`` for each graphfib name that one of ``sources`` (test
+    source texts) reads: under the name or alias it imported it as from
+    ``graphfib.<module>``, or as an attribute of a module it imported from
+    ``graphfib``.  An import alone is no read."""
+    read = set()
+    for text in sources:
+        tree = ast.parse(text)
+        origin, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "graphfib":
+                for alias in node.names:
+                    if node.module == "graphfib":
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        origin[alias.asname or alias.name] = (node.module.split(".")[-1], alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in origin:
+                read.add(origin[node.id])
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                read.add((modules[node.value.id], node.attr))
+    return read
+
+
+def test_the_scan_finds_the_names_tests_read():
+    sources = [
+        "from graphfib.graphs import path, cycle as ring, complete\n"
+        "from graphfib import fibrations\n"
+        "def test_ring():\n    assert ring(3) and fibrations.diagram_member\n",
+        "from graphfib.diagrams import m_diagram\n"
+        "from os import path\n"
+        "def test_join():\n    return path.join('a', 'b')\n",
+    ]
+    assert names_the_tests_read(sources) == {("graphs", "cycle"), ("fibrations", "diagram_member")}
+
+
+def test_every_kept_name_is_read_by_a_test():
+    tests = os.path.join(ROOT, "tests")
+    sources = []
+    for filename in sorted(os.listdir(tests)):
+        if filename.endswith(".py"):
+            with open(os.path.join(tests, filename), encoding="utf-8") as fh:
+                sources.append(fh.read())
+    assert sorted(set(KEPT) - names_the_tests_read(sources)) == []

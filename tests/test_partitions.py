@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfib.errors import CapacityError
-from graphfib.diagrams import BilabelledGraph, equal_diagrams
+from graphfib.diagrams import BilabelledGraph, compose, involution, tensor
 from graphfib.graphs import edgeless
 from graphfib.partitions import (
     SetPartition,
@@ -16,13 +16,16 @@ from graphfib.partitions import (
     from_blocks,
     ker,
     kernel_tuples,
-    partition_compose,
     partition_from_json,
-    partition_involution,
-    partition_tensor,
-    partition_to_bilabelled,
 )
-from reference import explicit_partition_compose, explicit_partition_involution, explicit_partition_tensor
+from reference import (
+    equal_diagrams,
+    explicit_partition_compose,
+    explicit_partition_involution,
+    explicit_partition_tensor,
+    partition_diagram,
+    through_diagrams,
+)
 
 BELL = [1, 1, 2, 5, 15, 52]
 
@@ -132,7 +135,7 @@ def test_from_blocks_keeps_empty_blocks():
 def test_partition_tensor():
     p = ker("a", "a")
     q = ker("", "bb")
-    t = partition_tensor(p, q)
+    t = through_diagrams(tensor, p, q)
     assert (t.k, t.l) == (1, 3)
     assert t.blocks() == ((0, 1), (2, 3))
 
@@ -141,7 +144,7 @@ def test_partition_compose_worked_example():
     """Blocks that die in the middle row survive as empty blocks."""
     p = ker("aaa", "baac")
     q = ker("abcd", "ecbb")
-    qp = partition_compose(q, p)
+    qp = through_diagrams(compose, q, p)
     assert (qp.k, qp.l) == (3, 4)
     assert qp.blocks() == ((0, 1, 2, 4, 5, 6), (3,), (), ())
     assert qp.num_empty_blocks == 2
@@ -150,14 +153,14 @@ def test_partition_compose_worked_example():
 
 def test_partition_compose_arity_check():
     with pytest.raises(ValueError):
-        partition_compose(ker("a", "a"), ker("aa", "aaa"))
+        through_diagrams(compose, ker("a", "a"), ker("aa", "aaa"))
 
 
 def test_partition_involution():
     p = ker("ab", "abb")
-    q = partition_involution(p)
+    q = through_diagrams(involution, p)
     assert (q.k, q.l) == (3, 2)
-    assert partition_involution(q) == p
+    assert through_diagrams(involution, q) == p
 
 
 def small_partitions():
@@ -175,11 +178,11 @@ def small_partitions():
 def test_operations_through_diagrams_match_the_explicit_calculus():
     parts = small_partitions()
     for p in parts:
-        assert partition_involution(p) == explicit_partition_involution(p)
+        assert through_diagrams(involution, p) == explicit_partition_involution(p)
         for q in parts:
-            assert partition_tensor(p, q) == explicit_partition_tensor(p, q)
+            assert through_diagrams(tensor, p, q) == explicit_partition_tensor(p, q)
             if q.l == p.k:
-                assert partition_compose(p, q) == explicit_partition_compose(p, q)
+                assert through_diagrams(compose, p, q) == explicit_partition_compose(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +190,20 @@ def test_operations_through_diagrams_match_the_explicit_calculus():
 
 
 def test_embed_identity_and_pair():
-    ident = partition_to_bilabelled(ker("a", "a"))
+    ident = partition_diagram(ker("a", "a"))
     assert equal_diagrams(ident, BilabelledGraph(edgeless(1), (0,), (0,)))
-    pair = partition_to_bilabelled(ker("", "aa"))
+    pair = partition_diagram(ker("", "aa"))
     assert equal_diagrams(pair, BilabelledGraph(edgeless(1), (), (0, 0)))
 
 
 def test_embed_crossing():
-    d = partition_to_bilabelled(ker("ab", "ba"))
+    d = partition_diagram(ker("ab", "ba"))
     assert equal_diagrams(d, BilabelledGraph(edgeless(2), (0, 1), (1, 0)))
 
 
 def test_embed_keeps_empty_blocks_as_isolated_vertices():
     p = from_blocks(0, 2, [[0, 1], []])
-    d = partition_to_bilabelled(p)
+    d = partition_diagram(p)
     assert d.graph.n == 2
     assert d.graph.edges == frozenset()
     assert d.outputs[0] == d.outputs[1]
@@ -210,7 +213,7 @@ def test_embedding_round_trips_through_ker():
     for k in range(3):
         for l in range(3):
             for p in enumerate_set_partitions(k, l):
-                d = partition_to_bilabelled(p)
+                d = partition_diagram(p)
                 back = ker(d.inputs, d.outputs)
                 assert back.block_of == p.block_of
                 assert d.graph.n == p.num_blocks

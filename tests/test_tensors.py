@@ -23,7 +23,6 @@ from graphfib.partitions import (
     enumerate_set_partitions,
     from_blocks,
     ker,
-    partition_to_bilabelled,
 )
 from graphfib.tensors import (
     IntTensor,
@@ -46,7 +45,7 @@ from graphfib.tensors import (
     verify_that_sums,
     zero_tensor,
 )
-from reference import build_partition_T
+from reference import build_partition_T, partition_diagram
 
 EDGE_DIAGRAM = BilabelledGraph(complete(2), (0,), (1,))
 HOSTS = [complete(2), complete(3), path(3), disjoint_union(complete(2), edgeless(1))]
@@ -83,6 +82,12 @@ def test_int_tensor_addressing():
 def test_int_tensor_validates_length():
     with pytest.raises(ValueError):
         IntTensor(2, 1, 1, [1, 2, 3])
+
+
+def test_a_tensor_is_not_hashable():
+    # ``tally`` counts into the entries in place, so a hash would go stale
+    with pytest.raises(TypeError):
+        hash(zero_tensor(2, 1, 1))
 
 
 def test_compare_tensors_locates_first_difference():
@@ -448,7 +453,7 @@ def test_partition_tensors_match_embedded_diagrams():
         for l in range(3 - k):
             for p in enumerate_set_partitions(k, l):
                 assert p.num_empty_blocks == 0
-                d = partition_to_bilabelled(p)
+                d = partition_diagram(p)
                 assert compare_tensors(build_partition_T(n, p), build_T(edgeless(n), d)) is None
                 exact = build_partition_That(n, p)
                 assert compare_tensors(exact, build_That(edgeless(n), d)) is None
@@ -468,7 +473,7 @@ def test_exact_partition_tensor_is_the_kernel_indicator(m, n, data):
 
 def test_empty_blocks_scale_the_loose_tensor_and_kill_the_exact_one():
     p = from_blocks(1, 1, [[0, 1], []])
-    d = partition_to_bilabelled(p)
+    d = partition_diagram(p)
     loose = tensor_scale(build_partition_T(3, p), 3)
     assert compare_tensors(loose, build_T(edgeless(3), d)) is None
     assert build_partition_That(3, p).is_zero()
