@@ -200,12 +200,15 @@ def cmd_closure(args, config):
 def cmd_orbits(args, config):
     group = _group_from_json(_load_json(args.group))
     orbs = orbits(group, args.k, args.l, tuple_bound=config.tuple_bound)
+    burnside = burnside_dim(group, args.k, args.l)
+    if len(orbs) != burnside:
+        raise InvariantError("orbit count must match the Burnside count")
     _print(
         {
             "k": args.k,
             "l": args.l,
             "count": len(orbs),
-            "burnside": burnside_dim(group, args.k, args.l),
+            "burnside": burnside,
             "orbits": [{"a": list(o.a), "b": list(o.b), "size": o.size} for o in orbs],
         }
     )

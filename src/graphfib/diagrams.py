@@ -5,9 +5,9 @@ A bilabelled graph is a graph together with two tuples of vertex labels: the
 ``l``).  Labels may repeat and need not cover all vertices.  These objects
 compose like linear maps: ``compose(d1, d2)`` glues the outputs of ``d2`` to
 the inputs of ``d1``.  The edgeless diagrams are the set partitions of
-``partitions``, one vertex per block, so these operations are also those of
-the category of partitions.  Diagrams compare literally; nothing here
-decides equality up to labelled isomorphism.
+``partitions``, a vertex per block and an unlabelled one per empty block, so
+these operations are those of the partition category too.  Diagrams compare
+literally; nothing here decides equality up to labelled isomorphism.
 """
 
 from __future__ import annotations

@@ -2,83 +2,36 @@
 value tuples with a given kernel.
 
 A partition lives on ``k`` upper points ``0..k-1`` and ``l`` lower points
-``k..k+l-1``.  Blocks carry no identity beyond their members, but a partition
-may own *empty* blocks.  A partition is the edgeless bilabelled graph with
-one vertex per block, and its category operations are those of
-``diagrams`` on such graphs; composition can strand a block with no
-boundary points left, an unlabelled vertex, which is an empty block.
+``k..k+l-1``.  It is the edgeless bilabelled graph with one vertex per
+block and point ``i`` as label ``i`` of ``inputs + outputs`` (so its upper
+points are what ``diagrams`` calls the lower row); a vertex no label names
+is an empty block.  Every partition built here numbers its labels by
+:func:`graphs.kernel`, its unlabelled vertices after them, so two partitions
+are equal iff their diagrams are.  Its category operations are those of
+``diagrams``, where composition can strand a block with no points.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+from .diagrams import BilabelledGraph
 from .errors import CapacityError, check_json_object
-from .graphs import kernel
+from .graphs import edgeless, kernel
 
 PARTITION_POINT_BOUND = 10
 
 
-class SetPartition:
-    """A partition of ``k + l`` points, stored with canonical block ids.
-
-    Occupied blocks are numbered by first occurrence along the point order;
-    empty blocks (if any) take the remaining ids.  Two partitions are equal
-    iff they group the points identically and own the same number of empty
-    blocks.
-    """
-
-    __slots__ = ("k", "l", "block_of", "num_blocks")
-
-    def __init__(self, k, l, block_of, num_blocks=None):
-        block_of = kernel(block_of)
-        if len(block_of) != k + l:
-            raise ValueError(f"expected {k + l} point assignments, got {len(block_of)}")
-        used = max(block_of, default=-1) + 1
-        if num_blocks is None:
-            num_blocks = used
-        if num_blocks < used:
-            raise ValueError("num_blocks smaller than the number of occupied blocks")
-        self.k = k
-        self.l = l
-        self.block_of = block_of
-        self.num_blocks = num_blocks
-
-    @property
-    def num_empty_blocks(self):
-        return self.num_blocks - max(self.block_of, default=-1) - 1
-
-    def blocks(self):
-        """Blocks as tuples of point indices; empty blocks trail."""
-        out = [[] for _ in range(self.num_blocks)]
-        for point, b in enumerate(self.block_of):
-            out[b].append(point)
-        return tuple(tuple(b) for b in out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SetPartition)
-            and self.k == other.k
-            and self.l == other.l
-            and self.block_of == other.block_of
-            and self.num_blocks == other.num_blocks
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.l, self.block_of, self.num_blocks))
-
-    def __repr__(self):
-        return f"SetPartition({self.k}, {self.l}, {self.block_of}, num_blocks={self.num_blocks})"
+def _partition(k, block_of, empty=0):
+    """Point ``i`` in block ``block_of[i]``, the first ``k`` points upper, plus ``empty`` empty blocks."""
+    labels = kernel(block_of)
+    return BilabelledGraph(edgeless(max(labels, default=-1) + 1 + empty), labels[:k], labels[k:])
 
 
 def from_blocks(k, l, blocks):
     """Build a partition from explicit blocks; empty lists make empty blocks."""
     block_of = {}
-    empty = 0
     for i, block in enumerate(blocks):
-        if not block:
-            empty += 1
-            continue
         for p in block:
             if not (0 <= p < k + l):
                 raise ValueError(f"point {p} out of range")
@@ -87,26 +40,26 @@ def from_blocks(k, l, blocks):
             block_of[p] = i
     if len(block_of) != k + l:
         raise ValueError("blocks must cover every point")
-    occupied = len({b for b in block_of.values()})
-    return SetPartition(k, l, [block_of[p] for p in range(k + l)], occupied + empty)
+    return _partition(k, [block_of[p] for p in range(k + l)], sum(not block for block in blocks))
 
 
 def ker(a, b):
     """Coincidence pattern of two label tuples as a partition on len(a)+len(b) points."""
-    return SetPartition(len(a), len(b), tuple(a) + tuple(b))
+    return _partition(len(a), tuple(a) + tuple(b))
 
 
 def kernel_tuples(n, p):
     """Every tuple of values in ``range(n)`` whose :func:`ker` is ``p``.
 
-    Such a tuple gives each block of ``p`` its own value, so the tuples are
-    the injective assignments of values to the blocks.  A partition that
-    owns an empty block is the kernel of no tuple.
+    Such a tuple gives each vertex of ``p`` its own value, so the tuples are
+    the injective assignments of values to the vertices.  A partition with an
+    unlabelled vertex, an empty block, is the kernel of no tuple.
     """
-    if p.num_empty_blocks:
+    points = p.inputs + p.outputs
+    if len(set(points)) < p.graph.n:
         return
-    for vals in permutations(range(n), p.num_blocks):
-        yield tuple(vals[b] for b in p.block_of)
+    for vals in permutations(range(n), p.graph.n):
+        yield tuple(vals[v] for v in points)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +90,7 @@ def enumerate_partitions(m):
 
 def enumerate_set_partitions(k, l):
     """All partitions of ``k`` upper + ``l`` lower points (no empty blocks)."""
-    return [SetPartition(k, l, rgs) for rgs in enumerate_partitions(k + l)]
+    return [_partition(k, rgs) for rgs in enumerate_partitions(k + l)]
 
 
 # ---------------------------------------------------------------------------

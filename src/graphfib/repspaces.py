@@ -287,12 +287,14 @@ def dim_report(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
 def verify_THpart(group, p):
     """Group order times the exact-pattern tensor equals the matching orbit sum.
 
-    The sum tallies every element for every tuple with kernel ``p``, so the
+    The sum tallies every element for every tuple with kernel ``p``: the
+    injective values on its vertices, none if one is unlabelled.  So the
     elements times the tuples are checked against ``THPART_TALLY_BOUND`` first.
     """
     n = group.degree
     k, l = p.k, p.l
-    tallies = len(group.elements) * (0 if p.num_empty_blocks else perm(n, p.num_blocks))
+    labelled = len(set(p.inputs + p.outputs)) == p.graph.n
+    tallies = len(group.elements) * (perm(n, p.graph.n) if labelled else 0)
     if tallies > THPART_TALLY_BOUND:
         raise CapacityError(
             f"thpart check tallies {tallies} element-tuple pairs, above the bound {THPART_TALLY_BOUND}"

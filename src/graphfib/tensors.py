@@ -284,9 +284,10 @@ def build_That(g, d):
 
 
 def build_partition_That(n, p):
-    """0/1 tensor that is 1 exactly when the value pattern *equals* the partition."""
-    k, l = p.k, p.l
-    return tally(zero_tensor(n, k, l), kernel_tuples(n, p), range(k), range(k, k + l))
+    """0/1 tensor that is 1 exactly when the value pattern *equals* the
+    partition ``p``; zero if ``p`` owns an unlabelled vertex, whose images
+    :func:`build_That` would count."""
+    return tally(zero_tensor(n, p.k, p.l), kernel_tuples(n, p), range(p.k), range(p.k, p.k + p.l))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from graphfib.graphs import (
     edgeless,
     enumerate_homomorphisms,
     graph_from_mask,
+    kernel,
     mask_of,
 )
-from graphfib.partitions import SetPartition
 from graphfib.repspaces import build_That_H
 from graphfib.tensors import compose, law_report, tally, tensor_product, zero_tensor
 
@@ -127,51 +127,43 @@ def equal_diagrams(d1, d2):
 # partitions
 
 
-def partition_diagram(p):
-    """The edgeless diagram of ``p``: one vertex per block, so an empty block
-    is an unlabelled vertex."""
-    return BilabelledGraph(edgeless(p.num_blocks), p.block_of[: p.k], p.block_of[p.k :])
-
-
-def diagram_partition(d):
-    """The partition of an edgeless diagram: points share a block iff their
-    labels name one vertex, and unlabelled vertices are its empty blocks."""
-    return SetPartition(d.k, d.l, d.inputs + d.outputs, d.graph.n)
-
-
-def through_diagrams(operation, *parts):
-    """A diagram operation on partitions: embed each, apply it, read the result back."""
-    return diagram_partition(operation(*map(partition_diagram, parts)))
+def partition_key(d):
+    """What an edgeless diagram is as a partition, however its vertices are
+    numbered: its row split, the blocks of its points numbered by first
+    occurrence, and its block count, unlabelled vertices (empty blocks)
+    included."""
+    return d.k, kernel(d.inputs + d.outputs), d.graph.n
 
 
 def explicit_partition_tensor(p, q):
     """Place ``q`` to the right of ``p``, block ids of ``q`` shifted past those of ``p``."""
-    shift = p.num_blocks
-    upper = p.block_of[: p.k] + tuple(b + shift for b in q.block_of[: q.k])
-    lower = p.block_of[p.k :] + tuple(b + shift for b in q.block_of[q.k :])
-    return SetPartition(p.k + q.k, p.l + q.l, upper + lower, p.num_blocks + q.num_blocks)
+    shift = p.graph.n
+    upper = p.inputs + tuple(b + shift for b in q.inputs)
+    lower = p.outputs + tuple(b + shift for b in q.outputs)
+    return BilabelledGraph(edgeless(shift + q.graph.n), upper, lower)
 
 
 def explicit_partition_compose(p, q):
     """``p . q`` with ``q`` acting first, by relabelling blocks: the blocks of
-    ``q`` are ``0..q.num_blocks-1`` and those of ``p`` follow, and each glued
+    ``q`` are ``0..q.graph.n-1`` and those of ``p`` follow, and each glued
     pair of points renames one block's label to the other's.  Middle blocks
     that lose all their points survive as empty blocks."""
     if q.l != p.k:
         raise ValueError(f"arity mismatch: {q.l} lower points glued to {p.k} upper points")
-    shift = q.num_blocks
-    label = list(range(shift + p.num_blocks))
+    shift = q.graph.n
+    label = list(range(shift + p.graph.n))
     for i in range(p.k):
-        old, new = label[shift + p.block_of[i]], label[q.block_of[q.k + i]]
+        old, new = label[shift + p.inputs[i]], label[q.outputs[i]]
         label = [new if x == old else x for x in label]
-    upper = tuple(label[b] for b in q.block_of[: q.k])
-    lower = tuple(label[shift + b] for b in p.block_of[p.k :])
-    return SetPartition(q.k, p.l, upper + lower, len(set(label)))
+    label = kernel(label)
+    upper = tuple(label[b] for b in q.inputs)
+    lower = tuple(label[shift + b] for b in p.outputs)
+    return BilabelledGraph(edgeless(max(label, default=-1) + 1), upper, lower)
 
 
 def explicit_partition_involution(p):
     """Swap the two rows."""
-    return SetPartition(p.l, p.k, p.block_of[p.k :] + p.block_of[: p.k], p.num_blocks)
+    return BilabelledGraph(p.graph, p.outputs, p.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +193,14 @@ def greatest_subgraph(fib, g):
 
 
 def build_partition_T(n, p):
-    """0/1 tensor of a two-row partition: 1 iff same-block points agree."""
+    """0/1 tensor of a two-row partition: 1 iff same-block points agree,
+    each point with the first point of its block."""
     k, l = p.k, p.l
-    blocks = [b for b in p.blocks() if b]
+    points = p.inputs + p.outputs
     agreeing = (
         vals
         for vals in product(range(n), repeat=k + l)
-        if all(all(vals[pt] == vals[b[0]] for pt in b) for b in blocks)
+        if all(vals[i] == vals[points.index(b)] for i, b in enumerate(points))
     )
     return tally(zero_tensor(n, k, l), agreeing, range(k), range(k, k + l))
 

@@ -481,6 +481,14 @@ def test_orbits_listing(capsys):
     assert [o["size"] for o in payload["orbits"]] == [2, 2, 2, 2, 1]
 
 
+def test_orbits_refuses_a_count_that_misses_the_burnside_count_with_exit_5(capsys, monkeypatch):
+    real = graphfib.repspaces.burnside_dim
+    monkeypatch.setattr(cli, "burnside_dim", lambda group, k, l: real(group, k, l) + 1)
+    code, out, err = run(capsys, "orbits", fx("group_swap3.json"), "0", "2")
+    assert code == 5 and out == ""
+    assert err == "internal invariant broken: orbit count must match the Burnside count\n"
+
+
 def test_orbits_respects_the_configured_tuple_bound(capsys):
     code, _, err = run(
         capsys,

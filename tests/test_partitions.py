@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfib.errors import CapacityError
 from graphfib.diagrams import BilabelledGraph, compose, involution, tensor
-from graphfib.graphs import edgeless
+from graphfib.errors import CapacityError
+from graphfib.graphs import edgeless, kernel
 from graphfib.partitions import (
-    SetPartition,
     enumerate_partitions,
     enumerate_set_partitions,
     from_blocks,
@@ -19,12 +18,10 @@ from graphfib.partitions import (
     partition_from_json,
 )
 from reference import (
-    equal_diagrams,
     explicit_partition_compose,
     explicit_partition_involution,
     explicit_partition_tensor,
-    partition_diagram,
-    through_diagrams,
+    partition_key,
 )
 
 BELL = [1, 1, 2, 5, 15, 52]
@@ -37,23 +34,22 @@ BELL = [1, 1, 2, 5, 15, 52]
 def test_ker_display_example():
     p = ker("aaa", "baac")
     assert (p.k, p.l) == (3, 4)
-    assert p.block_of == (0, 0, 0, 1, 0, 0, 2)
-    assert p.num_blocks == 3
+    assert p == BilabelledGraph(edgeless(3), (0, 0, 0), (1, 0, 0, 2))
 
 
 def test_ker_empty():
     p = ker("", "")
-    assert (p.k, p.l, p.num_blocks) == (0, 0, 0)
+    assert p == BilabelledGraph(edgeless(0))
 
 
 def test_ker_crossing():
     p = ker("ab", "ba")
-    assert p.blocks() == ((0, 3), (1, 2))
+    assert p == BilabelledGraph(edgeless(2), (0, 1), (1, 0))
 
 
 def test_ker_one_line_word():
     p = ker("aabacbdd", "")
-    assert p.blocks() == ((0, 1, 3), (2, 5), (4,), (6, 7))
+    assert p == BilabelledGraph(edgeless(4), (0, 0, 1, 0, 2, 1, 3, 3))
     assert p == ker("ccecgeaa", "")
 
 
@@ -74,7 +70,7 @@ def partitions_with_empty_blocks(draw, max_points=4):
     m = draw(st.integers(0, max_points))
     k = draw(st.integers(0, m))
     p = draw(st.sampled_from(enumerate_set_partitions(k, m - k)))
-    return SetPartition(k, m - k, p.block_of, p.num_blocks + draw(st.integers(0, 2)))
+    return BilabelledGraph(edgeless(p.graph.n + draw(st.integers(0, 2))), p.inputs, p.outputs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,47 +123,46 @@ def test_enumeration_capacity():
 
 def test_from_blocks_keeps_empty_blocks():
     p = from_blocks(1, 1, [[0, 1], []])
-    assert p.num_blocks == 2
-    assert p.num_empty_blocks == 1
+    assert p == BilabelledGraph(edgeless(2), (0,), (0,))
     assert p != from_blocks(1, 1, [[0, 1]])
 
 
 def test_partition_tensor():
     p = ker("a", "a")
     q = ker("", "bb")
-    t = through_diagrams(tensor, p, q)
+    t = tensor(p, q)
     assert (t.k, t.l) == (1, 3)
-    assert t.blocks() == ((0, 1), (2, 3))
+    assert partition_key(t) == partition_key(ker("a", "abb"))
 
 
 def test_partition_compose_worked_example():
     """Blocks that die in the middle row survive as empty blocks."""
     p = ker("aaa", "baac")
     q = ker("abcd", "ecbb")
-    qp = through_diagrams(compose, q, p)
+    qp = compose(q, p)
     assert (qp.k, qp.l) == (3, 4)
-    assert qp.blocks() == ((0, 1, 2, 4, 5, 6), (3,), (), ())
-    assert qp.num_empty_blocks == 2
-    assert qp.num_blocks == 4
+    assert partition_key(qp) == partition_key(from_blocks(3, 4, [[0, 1, 2, 4, 5, 6], [3], [], []]))
+    assert qp.graph.n - len(set(qp.inputs + qp.outputs)) == 2
+    assert qp.graph.n == 4
 
 
 def test_partition_compose_arity_check():
     with pytest.raises(ValueError):
-        through_diagrams(compose, ker("a", "a"), ker("aa", "aaa"))
+        compose(ker("a", "a"), ker("aa", "aaa"))
 
 
 def test_partition_involution():
     p = ker("ab", "abb")
-    q = through_diagrams(involution, p)
+    q = involution(p)
     assert (q.k, q.l) == (3, 2)
-    assert through_diagrams(involution, q) == p
+    assert involution(q) == p
 
 
 def small_partitions():
     """Every partition with at most two upper and two lower points, each
     with no empty block and with one."""
     return [
-        SetPartition(k, l, p.block_of, p.num_blocks + empty)
+        BilabelledGraph(edgeless(p.graph.n + empty), p.inputs, p.outputs)
         for k in range(3)
         for l in range(3)
         for p in enumerate_set_partitions(k, l)
@@ -175,35 +170,31 @@ def small_partitions():
     ]
 
 
-def test_operations_through_diagrams_match_the_explicit_calculus():
+def test_diagram_operations_match_the_explicit_partition_calculus():
     parts = small_partitions()
     for p in parts:
-        assert through_diagrams(involution, p) == explicit_partition_involution(p)
+        assert partition_key(involution(p)) == partition_key(explicit_partition_involution(p))
         for q in parts:
-            assert through_diagrams(tensor, p, q) == explicit_partition_tensor(p, q)
+            assert partition_key(tensor(p, q)) == partition_key(explicit_partition_tensor(p, q))
             if q.l == p.k:
-                assert through_diagrams(compose, p, q) == explicit_partition_compose(p, q)
+                assert partition_key(compose(p, q)) == partition_key(explicit_partition_compose(p, q))
 
 
 # ---------------------------------------------------------------------------
-# embedding into bilabelled graphs
+# a partition is its edgeless diagram
 
 
 def test_embed_identity_and_pair():
-    ident = partition_diagram(ker("a", "a"))
-    assert equal_diagrams(ident, BilabelledGraph(edgeless(1), (0,), (0,)))
-    pair = partition_diagram(ker("", "aa"))
-    assert equal_diagrams(pair, BilabelledGraph(edgeless(1), (), (0, 0)))
+    assert ker("a", "a") == BilabelledGraph(edgeless(1), (0,), (0,))
+    assert ker("", "aa") == BilabelledGraph(edgeless(1), (), (0, 0))
 
 
 def test_embed_crossing():
-    d = partition_diagram(ker("ab", "ba"))
-    assert equal_diagrams(d, BilabelledGraph(edgeless(2), (0, 1), (1, 0)))
+    assert ker("ab", "ba") == BilabelledGraph(edgeless(2), (0, 1), (1, 0))
 
 
 def test_embed_keeps_empty_blocks_as_isolated_vertices():
-    p = from_blocks(0, 2, [[0, 1], []])
-    d = partition_diagram(p)
+    d = from_blocks(0, 2, [[0, 1], []])
     assert d.graph.n == 2
     assert d.graph.edges == frozenset()
     assert d.outputs[0] == d.outputs[1]
@@ -213,10 +204,45 @@ def test_embedding_round_trips_through_ker():
     for k in range(3):
         for l in range(3):
             for p in enumerate_set_partitions(k, l):
-                d = partition_diagram(p)
-                back = ker(d.inputs, d.outputs)
-                assert back.block_of == p.block_of
-                assert d.graph.n == p.num_blocks
+                assert ker(p.inputs, p.outputs) == p
+
+
+def assert_numbered_canonically(d):
+    """``d`` is edgeless and its labels are numbered by first occurrence, so
+    they name vertices ``0..m-1`` and its unlabelled vertices come after."""
+    points = d.inputs + d.outputs
+    assert isinstance(d, BilabelledGraph)
+    assert d.graph.edges == frozenset()
+    assert points == kernel(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=6), st.integers(0, 2), st.data())
+def test_every_reading_of_a_partition_is_one_literal_diagram(word, empty, data):
+    """Each reader numbers its diagram canonically, so two readings of one
+    partition, however its blocks are listed, compare equal literally."""
+    k = data.draw(st.integers(0, len(word)))
+    l = len(word) - k
+    blocks = [[p for p, v in enumerate(word) if v == x] for x in set(word)] + [[]] * empty
+    blocks = [data.draw(st.permutations(b)) for b in data.draw(st.permutations(blocks))]
+    readings = [from_blocks(k, l, blocks), partition_from_json({"k": k, "l": l, "blocks": blocks})]
+    if not empty:
+        readings.append(ker(word[:k], word[k:]))
+        readings.extend(p for p in enumerate_set_partitions(k, l) if p == readings[0])
+        assert len(readings) == 4
+    for d in readings:
+        assert_numbered_canonically(d)
+        assert d == readings[0]
+    assert readings[0].graph.n == len(set(word)) + empty
+
+
+def test_enumerated_partitions_are_numbered_canonically_and_distinct():
+    for k in range(3):
+        for l in range(3):
+            parts = enumerate_set_partitions(k, l)
+            for p in parts:
+                assert_numbered_canonically(p)
+            assert len(set(parts)) == len(parts) == BELL[k + l]
 
 
 # ---------------------------------------------------------------------------
