@@ -22,7 +22,7 @@ import json
 import sys
 
 from .errors import CapacityError, IndeterminateError, InvariantError, check_json_object
-from .fibrations import DEFAULT_MAX_VERTICES, closure_graphs, fiber_generators, fibration_from_json
+from .fibrations import DEFAULT_MAX_VERTICES, closure_graphs, fibration_from_json
 from .freeprod import closure_from_json
 from .graphs import graph_from_json, graph_to_json
 from .diagrams import diagram_from_json
@@ -187,11 +187,10 @@ def cmd_dim(args, config):
 
 def cmd_closure(args, config):
     fib = fibration_from_json(_load_json(args.fibration), default_max_vertices=config.max_vertices)
-    graphs = closure_graphs(fib)
     listing = []
-    for g in graphs:
+    for g, words in closure_graphs(fib):
         entry = graph_to_json(g)
-        entry["fiber_generators"] = [list(w) for w in fiber_generators(fib, g)]
+        entry["fiber_generators"] = [list(w) for w in words]
         listing.append(entry)
     _print({"count": len(listing), "graphs": listing})
     return 0

@@ -12,7 +12,10 @@ diagram ``(H, a, b)`` contributes the word ``reverse(a) + b`` pushed through
 each copy of ``H``.  Fibre membership of a word is then normal-closure
 membership over those words, less the words implied by earlier ones.  A
 fibration holds its inputs only: each query recomputes what it reads, and
-the closure of fibres is built only to list them, on adjacency masks.
+finds the copies by a homomorphism search.  The closure of fibres is built
+only to list them, on adjacency masks, from one table of every generator
+copy per vertex count; each listed fibre reads its words from that table,
+with no search.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import chain, permutations, product
 from math import perm
 
 from .diagrams import BilabelledGraph, diagram_from_json
-from .errors import CapacityError, check_json_object
+from .errors import CapacityError, InvariantError, check_json_object
 from .freeprod import (
     Membership,
     MembershipPolicy,
@@ -74,15 +77,17 @@ class GraphFibration:
 
 
 def closure_graphs(fib):
-    """All fibres up to isomorphism, canonical representatives.
+    """All fibres up to isomorphism with their generator words: ``(graph,
+    words)`` pairs, canonical representatives.
 
     Sorted by vertex count, then by canonical adjacency mask.  A graph is a
     fibre when generator copies cover its edges, so each one on ``n``
     vertices is reached from the edgeless graph on ``n`` vertices by adding
     those copies one at a time.  A copy is the image of a generator graph
     under a map to ``range(n)``: an injective one for a skew fibration, any
-    one for an easy fibration.  Graphs are adjacency masks: the copy masks on
-    ``n`` vertices are made once and adding one is an OR.
+    one for an easy fibration.  Graphs are adjacency masks: the copy table on
+    ``n`` vertices (:func:`_copy_table`) is made once and adding a copy is an
+    OR.
 
     Masks are filed a whole isomorphism class at a time, so a mask not yet
     filed starts a new class: one pass over the relabelings files its
@@ -94,25 +99,28 @@ def closure_graphs(fib):
     are filed by edge count and the counts are read upward: when a count's
     representatives are read, no mask can land there any more and its set
     is dropped.  At most ``CLOSURE_MASK_BOUND`` masks are filed at once.
-    ``Graph`` objects are built only for the listing.
+    ``Graph`` objects are built only for the listing, after the last vertex
+    count, so that the filing of the largest count does not hold them.
+
+    A representative's words are those :func:`fiber_generators` gives, read
+    from the same table instead of found by a search: the maps whose copy
+    mask lies inside the representative's are its homomorphisms, so its
+    boundary words are the words of those masks in the order of their first
+    map, pruned as :func:`fiber_generators` prunes them.
     """
     top = fib.max_vertices
     mask_orbit(top, 0)  # refuses a bound past the canonical one before any work
-    # every generator counts, edgeless ones too: the fibre queries after the listing walk their maps.
+    # every generator counts, edgeless ones too: the copy table lists their maps for the words.
     # The map count only grows with n, so counting at max_vertices covers every n.
     for h in (d.graph for d in fib.generators):
         if (power_exceeds(top, h.n, CLOSURE_MAP_BOUND) if fib.easy else perm(top, h.n) > CLOSURE_MAP_BOUND):
             raise CapacityError(
                 f"a {h.n}-vertex generator has more than {CLOSURE_MAP_BOUND} maps into {top} vertices"
             )
-    graphs = [d.graph for d in fib.generators if d.graph.edges]
     members = []
     for n in range(top + 1):
-        copies = dict.fromkeys(
-            mask_of(n, ((phi[u], phi[v]) for u, v in h.edges))
-            for h in graphs
-            for phi in (product(range(n), repeat=h.n) if fib.easy else permutations(range(n), h.n))
-        )
+        table = _copy_table(fib, n)
+        copies = [c for c in table if c]
         counts = range(n * (n + 1) // 2 + 1)
         filed = [set() for _ in counts]  # by edge count: the masks filed
         reps = [[] for _ in counts]  # by edge count: the representatives
@@ -138,8 +146,50 @@ def closure_graphs(fib):
                         )
                     filed[k] |= orbit
                     reps[k].append(min(orbit))
-        members.extend(graph_from_mask(n, m) for m in sorted(chain.from_iterable(reps)))
-    return members
+        members.extend(
+            (n, m, prune_words(n, _table_words(table, m), fib.policy)) for m in sorted(chain.from_iterable(reps))
+        )
+    return [(graph_from_mask(n, m), words) for n, m, words in members]
+
+
+def _copy_table(fib, n):
+    """Every generator map into ``range(n)``, grouped as ``{copy mask:
+    {boundary word: index of its first map}}``.
+
+    Maps are numbered in the order :func:`_copy_words` meets them: by
+    generator, then by image tuple in lexicographic order.  Edgeless
+    generators are included; their maps have copy mask 0.
+    """
+    table, index = {}, 0
+    for d in fib.generators:
+        h, labels = d.graph, d.inputs[::-1] + d.outputs
+        for phi in (product(range(n), repeat=h.n) if fib.easy else permutations(range(n), h.n)):
+            words = table.setdefault(mask_of(n, ((phi[u], phi[v]) for u, v in h.edges)), {})
+            words.setdefault(tuple(map(phi.__getitem__, labels)), index)
+            index += 1
+    return table
+
+
+def _table_words(table, m):
+    """The boundary words of the copies inside the graph with adjacency mask
+    ``m``, ordered by first map, as :func:`_copy_words` gives them.
+
+    A map whose copy mask lies inside ``m`` is a homomorphism into that
+    graph (an injective one for a skew fibration).  The closure lists only
+    graphs that its copies cover, so copies inside ``m`` that leave one of
+    its cells uncovered are a broken invariant.
+    """
+    first, covered, outside = {}, 0, ~m
+    for c, words in table.items():
+        if c & outside:
+            continue
+        covered |= c
+        for w, i in words.items():
+            if i < first.get(w, i + 1):
+                first[w] = i
+    if covered != m:
+        raise InvariantError("a listed fibre must be covered by the generator copies inside it")
+    return sorted(first, key=first.__getitem__)
 
 
 # ---------------------------------------------------------------------------

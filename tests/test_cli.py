@@ -415,6 +415,50 @@ def test_closure_rejects_an_unknown_strategy_name(capsys, tmp_path):
 
 
 K2_GENERATOR = {"graph": {"n": 2, "edges": [[0, 1]]}, "inputs": [], "outputs": [0, 1, 0, 1]}
+EASY_LOOPED_AND_EDGELESS = {
+    "generators": [
+        K2_GENERATOR,
+        {"graph": {"n": 2, "edges": [[0, 1], [1, 1]]}, "inputs": [0], "outputs": [1]},
+        {"graph": {"n": 2, "edges": []}, "inputs": [1], "outputs": [0, 1, 0]},
+    ],
+    "easy": True,
+    "max_vertices": 3,
+}
+
+
+def test_closure_listing_runs_no_homomorphism_search(capsys, tmp_path, monkeypatch):
+    # the listed fibres' words come from the closure's copy table; the search
+    # serves queries about one graph only
+    inputs = [fx("edge_fibration.json"), write_json(tmp_path, "easy.json", EASY_LOOPED_AND_EDGELESS)]
+    want = [run(capsys, "closure", path) for path in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure listing ran a homomorphism search")
+
+    monkeypatch.setattr(graphfib.fibrations, "enumerate_homomorphisms", refuse)
+    for path, (code, out, err) in zip(inputs, want):
+        assert code == 0 and err == ""
+        assert run(capsys, "closure", path) == (0, out, "")
+
+
+def test_closure_refuses_a_fibre_its_copies_do_not_cover_with_exit_5(capsys, monkeypatch):
+    # a table without the copies on cell (0, 1) is not closed under
+    # relabeling: the closure still reaches the one-edge class through other
+    # cells, and its representative, the edge 0-1, has no copy inside it
+    real = graphfib.fibrations._copy_table
+
+    def broken(fib, n):
+        table = real(fib, n)
+        table.pop(1 << 1, None)
+        return table
+
+    monkeypatch.setattr(graphfib.fibrations, "_copy_table", broken)
+    code, out, err = run(capsys, "closure", fx("edge_fibration.json"))
+    assert code == 5 and out == ""
+    assert err == "internal invariant broken: a listed fibre must be covered by the generator copies inside it\n"
+    assert "Traceback" not in err
+
+
 P9_GENERATOR = {"graph": {"n": 9, "edges": [[v, v + 1] for v in range(8)]}, "inputs": [], "outputs": [0, 1]}
 P11_GENERATOR = {"graph": {"n": 11, "edges": [[v, v + 1] for v in range(10)]}, "inputs": [], "outputs": [0, 1]}
 E30_GENERATOR = {"graph": {"n": 30, "edges": []}, "inputs": [], "outputs": []}
@@ -448,7 +492,7 @@ def test_closure_size_bounds_exit_cleanly(tmp_path, fibration, code, message):
     # nine or eleven vertices has more maps into five vertices (5^9, 5^11) than
     # the closure walks; a skew generator larger than the bound has no copy in
     # any fibre and is simply never used.  An edgeless generator adds no copy,
-    # but the fibre words of every listed graph walk its 3^30 maps.
+    # but the copy table lists its 3^30 maps once per vertex count.
     got, out, err = run_in_child("closure", write_json(tmp_path, "fibration.json", fibration))
     assert got == code, err
     assert "Traceback" not in err

@@ -71,6 +71,11 @@ def triangle_fibration(bound=4):
     )
 
 
+def closure_members(fib):
+    """The fibres :func:`closure_graphs` lists, without their words."""
+    return [g for g, _ in closure_graphs(fib)]
+
+
 def layer_counts(graphs):
     counts = {}
     for g in graphs:
@@ -84,14 +89,14 @@ def layer_counts(graphs):
 
 def test_edge_closure_is_all_loopless_graphs():
     fib = edge_fibration(bound=4)
-    members = closure_graphs(fib)
+    members = closure_members(fib)
     assert layer_counts(members) == [1, 1, 2, 4, 11]
     want = {canonical_key(g) for n in range(5) for g in enumerate_graphs(n)}
     assert {canonical_key(g) for g in members} == want
 
 
 def test_triangle_closure_needs_every_edge_in_a_triangle():
-    members = closure_graphs(triangle_fibration(bound=4))
+    members = closure_members(triangle_fibration(bound=4))
     assert layer_counts(members) == [1, 1, 1, 2, 4]
     for g in members:
         for u, v in g.edges:
@@ -104,7 +109,7 @@ def test_triangle_closure_needs_every_edge_in_a_triangle():
 
 def test_easy_closure_adds_quotients():
     fib = edge_fibration(bound=3, easy=True)
-    members = closure_graphs(fib)
+    members = closure_members(fib)
     assert layer_counts(members) == [1, 2, 6, 20]
     want = {canonical_key(g) for n in range(4) for g in enumerate_graphs(n, loops=True)}
     assert {canonical_key(g) for g in members} == want
@@ -115,7 +120,7 @@ def test_an_easy_eleven_vertex_generator_closes_at_small_bounds(bound, count):
     # the path has at most 2^11 maps into two vertices, far below the
     # closure's map bound
     fib = GraphFibration([BilabelledGraph(path(11), (), (0, 1))], easy=True, max_vertices=bound)
-    members = closure_graphs(fib)
+    members = closure_members(fib)
     assert len(members) == count
     want = {canonical_key(g) for n in range(bound + 1) for g in enumerate_graphs(n, loops=True) if is_fiber(fib, g)}
     assert {canonical_key(g) for g in members} == want
@@ -135,7 +140,7 @@ LOOP_GENERATOR = BilabelledGraph(Graph(1, [(0, 0)]), (), ())
 def test_closures_count_the_known_isomorphism_classes(generators, bound, counts):
     # every graph is covered by its edges and loops, so these closures hold
     # one graph per isomorphism class, counted without any labeller
-    assert layer_counts(closure_graphs(GraphFibration(generators, max_vertices=bound))) == counts
+    assert layer_counts(closure_members(GraphFibration(generators, max_vertices=bound))) == counts
 
 
 @pytest.mark.parametrize(
@@ -158,7 +163,7 @@ def test_the_closure_files_each_class_with_one_orbit(fib, monkeypatch):
         return mask_orbit(n, mask)
 
     monkeypatch.setattr(fibrations, "mask_orbit", counted)
-    members = closure_graphs(fib)
+    members = closure_members(fib)
     assert [c for c in calls if not c[1]] == [(fib.max_vertices, 0)]
     assert len(calls) - 1 == len(members) - (fib.max_vertices + 1)
 
@@ -260,9 +265,10 @@ def small_fibration(draw):
 @given(small_fibration())
 def test_closure_and_is_fiber_match_a_reference_worklist(fib):
     want = reference_closure(fib)
-    assert closure_graphs(fib) == want
-    for g in want:
-        assert fiber_generators(fib, g) == reference_fiber_words(fib, g)
+    pairs = closure_graphs(fib)
+    assert [g for g, _ in pairs] == want
+    for g, words in pairs:
+        assert words == fiber_generators(fib, g) == reference_fiber_words(fib, g)
     keys = {canonical_key(g) for g in want}
     for n in range(fib.max_vertices + 1):
         for g in enumerate_graphs(n, loops=True):
@@ -321,10 +327,10 @@ def test_closure_matches_the_reference_at_benchmark_sizes(shapes, kind, visited,
     gens = [BilabelledGraph(BENCHMARK_SHAPES[s], (), word) for s in shapes]
     policy = MembershipPolicy() if kind == "racg" else BENCHMARK_BFS
     fib = GraphFibration(gens, easy=easy, max_vertices=bound, policy=policy)
-    members = closure_graphs(fib)
-    assert members == reference_closure(fib)
-    for g in members:
-        assert fiber_generators(fib, g) == reference_fiber_words(fib, g)
+    pairs = closure_graphs(fib)
+    assert [g for g, _ in pairs] == reference_closure(fib)
+    for g, words in pairs:
+        assert words == fiber_generators(fib, g) == reference_fiber_words(fib, g)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +455,9 @@ def test_greatest_subgraph_is_the_unique_maximal_fibre_subgraph():
 def test_from_group_trivial_closure_gives_trivial_fibre_groups():
     g = disjoint_union(complete(2), edgeless(1))
     fib = fibration_from_group(g, NormalClosureSpec(3, []), max_vertices=3)
-    members = closure_graphs(fib)
-    assert all(not m.edges for m in members)
-    assert all(fiber_generators(fib, m) == () for m in members)
+    pairs = closure_graphs(fib)
+    assert all(not m.edges for m, _ in pairs)
+    assert all(words == fiber_generators(fib, m) == () for m, words in pairs)
 
 
 def test_from_group_commutator_closure():
@@ -461,7 +467,7 @@ def test_from_group_commutator_closure():
     assert fib.generators == (BilabelledGraph(g, (), (0, 1, 0, 1)),)
     assert fiber_member(fib, g, (0, 1, 0, 1)) is Membership.YES
     # the host graph has three vertices, so two-vertex graphs never appear
-    assert layer_counts(closure_graphs(fib))[2] == 1
+    assert layer_counts(closure_members(fib))[2] == 1
 
 
 FIBRE_QUERIES_WITHOUT_A_CLOSURE = {
