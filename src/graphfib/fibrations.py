@@ -32,7 +32,9 @@ from .freeprod import (
     check_invariance,
     member,
     policy_from_json,
+    prune_reduced_words,
     prune_words,
+    reduce_word,
 )
 from .graphs import (
     enumerate_homomorphisms,
@@ -106,7 +108,9 @@ def closure_graphs(fib):
     from the same table instead of found by a search: the maps whose copy
     mask lies inside the representative's are its homomorphisms, so its
     boundary words are the words of those masks in the order of their first
-    map, pruned as :func:`fiber_generators` prunes them.
+    map.  The table holds them reduced, so they go straight to
+    :func:`prune_reduced_words`, the step :func:`prune_words` ends in, and a
+    word shared by many representatives is reduced once per copy mask.
     """
     top = fib.max_vertices
     mask_orbit(top, 0)  # refuses a bound past the canonical one before any work
@@ -147,18 +151,22 @@ def closure_graphs(fib):
                     filed[k] |= orbit
                     reps[k].append(min(orbit))
         members.extend(
-            (n, m, prune_words(n, _table_words(table, m), fib.policy)) for m in sorted(chain.from_iterable(reps))
+            (n, m, prune_reduced_words(n, _table_words(table, m), fib.policy))
+            for m in sorted(chain.from_iterable(reps))
         )
     return [(graph_from_mask(n, m), words) for n, m, words in members]
 
 
 def _copy_table(fib, n):
     """Every generator map into ``range(n)``, grouped as ``{copy mask:
-    {boundary word: index of its first map}}``.
+    {reduced boundary word: index of its first map}}``.
 
     Maps are numbered in the order :func:`_copy_words` meets them: by
     generator, then by image tuple in lexicographic order.  Edgeless
-    generators are included; their maps have copy mask 0.
+    generators are included; their maps have copy mask 0.  A mask keys each
+    boundary word by its reduction, with the least index of the words that
+    reduce to it, and drops the words that reduce to the empty word; each
+    distinct word of a mask is reduced once.
     """
     table, index = {}, 0
     for d in fib.generators:
@@ -167,12 +175,20 @@ def _copy_table(fib, n):
             words = table.setdefault(mask_of(n, ((phi[u], phi[v]) for u, v in h.edges)), {})
             words.setdefault(tuple(map(phi.__getitem__, labels)), index)
             index += 1
+    for c, words in table.items():
+        reduced = {}
+        for w, i in words.items():  # in index order, so the first index of a reduction is its least
+            r = reduce_word(w)
+            if r:
+                reduced.setdefault(r, i)
+        table[c] = reduced
     return table
 
 
 def _table_words(table, m):
-    """The boundary words of the copies inside the graph with adjacency mask
-    ``m``, ordered by first map, as :func:`_copy_words` gives them.
+    """The reduced, nonempty boundary words of the copies inside the graph
+    with adjacency mask ``m``, each once, ordered by first map: the order in
+    which reducing :func:`_copy_words`'s words first meets them.
 
     A map whose copy mask lies inside ``m`` is a homomorphism into that
     graph (an injective one for a skew fibration).  The closure lists only

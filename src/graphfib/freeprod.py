@@ -16,15 +16,17 @@ Membership in a normal closure is answered by one of three strategies:
   group and repeated deletion of letter pairs with commuting interludes
   decides the word problem exactly.
 * ``bounded-bfs``: a semi-decision.  A parity check over GF(2) gives sound
-  "no" answers; otherwise breadth-first insertion of generators searches for
-  a cancellation to the empty word, giving "yes" or "unknown".  The search
-  is bounded in depth, in word length and in the words it visits
-  (``BFS_NODE_BOUND``).
+  "no" answers; otherwise breadth-first insertion of generators, each
+  reduced only at its two junctions, searches for a cancellation to the
+  empty word, giving "yes" or "unknown".  The search is bounded in depth,
+  in word length and in the words it visits (``BFS_NODE_BOUND``).
 
 A spec resolves its strategy on its first query and keeps the verdict
 function, so later queries reuse the commuting pairs, the coset table, or
-the search moves and parity pivots.  :func:`prune_words` makes one such
-function per set of kept words, with no spec.
+the search moves and parity pivots.  :func:`prune_reduced_words` keeps no
+spec: while every word it keeps reads ``xyxy`` it grows one set of commuting
+pairs, and from the first other word kept on it makes one verdict function
+per set of kept words.
 """
 
 from __future__ import annotations
@@ -85,6 +87,27 @@ def reduce_word(letters):
         else:
             out.append(x)
     return tuple(out)
+
+
+def _splice(u, pos, g):
+    """``reduce_word(u[:pos] + g + u[pos:])`` for reduced ``u`` and ``g``.
+
+    Letters cancel only outward from the two junctions: ``g`` from its
+    front against ``u[:pos]`` and from its back against ``u[pos:]``, and
+    once ``g`` is gone the two parts of ``u`` against each other.
+    """
+    a, b, lo, hi, n = pos, pos, 0, len(g), len(u)
+    while a and lo < hi and u[a - 1] == g[lo]:
+        a -= 1
+        lo += 1
+    while b < n and lo < hi and g[hi - 1] == u[b]:
+        b += 1
+        hi -= 1
+    if lo == hi:
+        while a and b < n and u[a - 1] == u[b]:
+            a -= 1
+            b += 1
+    return u[:a] + g[lo:hi] + u[b:]
 
 
 def inverse(w):
@@ -333,15 +356,16 @@ def quotient_order_if_finite(spec):
 # strategy: right-angled Coxeter quotients
 
 
+def _commuting_pair(w):
+    """``(x, y)`` when ``w`` reads ``xyxy`` with two distinct letters, else None."""
+    if len(w) == 4 and w[0] != w[1] and w[0] == w[2] and w[1] == w[3]:
+        return w[0], w[1]
+    return None
+
+
 def racg_eligible(generators):
     """True when every generator reads ``xyxy`` with two distinct letters."""
-    for w in generators:
-        if len(w) != 4:
-            return False
-        x, y = w[0], w[1]
-        if x == y or w != (x, y, x, y):
-            return False
-    return True
+    return all(_commuting_pair(w) is not None for w in generators)
 
 
 def _racg_member(comm, word):
@@ -395,7 +419,7 @@ def _bounded_bfs_member(pivots, moves, depth, max_len, word):
         for u in frontier:
             for g in moves:
                 for pos in range(len(u) + 1):
-                    v = reduce_word(u[:pos] + g + u[pos:])
+                    v = _splice(u, pos, g)
                     if not v:
                         return Membership.YES
                     if len(v) <= max_len and v not in visited:
@@ -425,10 +449,7 @@ def _decider(alphabet_size, generators, policy):
     ``auto`` tries ``racg``, then ``finite-model``, then ``bounded-bfs``."""
     strategy = policy.strategy
     if strategy in ("auto", "racg") and racg_eligible(generators):
-        comm = set()
-        for x, y, _, _ in generators:
-            comm.add((x, y))
-            comm.add((y, x))
+        comm = {q for p in map(_commuting_pair, generators) for q in (p, p[::-1])}
         return partial(_racg_member, comm)
     if strategy == "racg":
         raise ValueError("racg strategy requires every generator to read xyxy with x != y")
@@ -459,20 +480,44 @@ def member(word, spec):
 
 
 def prune_words(alphabet_size, words, policy):
-    """The reduced, distinct, nonempty ``words``, less each one that an ``auto`` query
-    under ``policy``'s search bounds answers YES against the words kept before it.
-    Words are checked and reduced once; one verdict function serves each kept set."""
+    """Check ``words`` against the alphabet, reduce them, and prune the distinct
+    nonempty ones by :func:`prune_reduced_words`."""
+    reduced = (reduce_word(validate_word(w, alphabet_size)) for w in words)
+    return prune_reduced_words(alphabet_size, dict.fromkeys(filter(None, reduced)), policy)
+
+
+def prune_reduced_words(alphabet_size, words, policy):
+    """The checked, reduced, distinct and nonempty ``words``, less each one that an
+    ``auto`` query under ``policy``'s search bounds answers YES against the words
+    kept before it.
+
+    While every kept word reads ``xyxy``, the kept closure is the right-angled
+    Coxeter group of their letter pairs: one growing set of commuting pairs
+    answers, and an ``xyxy`` word is implied exactly when its pair is in the
+    set.  From the first other word kept on, one verdict function of
+    :func:`_decider` serves each kept set.
+    """
     kept, decide = [], None
+    comm = set()  # the kept pairs in both orders; None once a kept word does not read xyxy
     # ``replace`` builds and validates a new policy, so skip it when the policy is ``auto`` already
     auto = policy if policy.strategy == "auto" else policy.replace(strategy="auto")
-    for w in dict.fromkeys(filter(None, (reduce_word(validate_word(w, alphabet_size)) for w in words))):
-        if kept:
-            if decide is None:  # made for the first query after a kept word
-                decide = _decider(alphabet_size, tuple(kept), auto)
-            if decide(w) is Membership.YES:
+    for w in words:
+        if comm is not None:
+            pair = _commuting_pair(w)
+            if pair is not None:
+                if pair not in comm:
+                    comm.update((pair, pair[::-1]))
+                    kept.append(w)
                 continue
-        kept.append(w)
-        decide = None
+            if not kept or _racg_member(comm, w) is not Membership.YES:
+                comm = None
+                kept.append(w)
+            continue
+        if decide is None:  # made for the first query after a kept word
+            decide = _decider(alphabet_size, tuple(kept), auto)
+        if decide(w) is not Membership.YES:
+            kept.append(w)
+            decide = None
     return tuple(kept)
 
 

@@ -441,6 +441,19 @@ def test_closure_listing_runs_no_homomorphism_search(capsys, tmp_path, monkeypat
         assert run(capsys, "closure", path) == (0, out, "")
 
 
+def test_closure_of_commutator_words_resolves_no_membership_strategy(capsys, monkeypatch):
+    # every word of the edge fibration reads xyxy, so the commuting pairs
+    # prune each fibre's words and no verdict function is made
+    want = run(capsys, "closure", fx("edge_fibration.json"))
+    assert want[0] == 0 and want[2] == ""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure listing resolved a membership strategy")
+
+    monkeypatch.setattr(graphfib.freeprod, "_decider", refuse)
+    assert run(capsys, "closure", fx("edge_fibration.json")) == want
+
+
 def test_closure_refuses_a_fibre_its_copies_do_not_cover_with_exit_5(capsys, monkeypatch):
     # a table without the copies on cell (0, 1) is not closed under
     # relabeling: the closure still reaches the one-edge class through other

@@ -16,6 +16,7 @@ from graphfib.freeprod import (
     inverse,
     member,
     policy_from_json,
+    prune_reduced_words,
     prune_words,
     quotient_order_if_finite,
     racg_eligible,
@@ -52,6 +53,14 @@ def test_reduce_idempotent(w):
 @given(words, words)
 def test_reduce_is_multiplicative(u, v):
     assert reduce_word(u + v) == reduce_word(reduce_word(u) + reduce_word(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, words, st.data())
+def test_a_splice_of_reduced_words_reduces_like_the_whole_word(u, g, data):
+    u, g = reduce_word(u), reduce_word(g)
+    pos = data.draw(st.integers(min_value=0, max_value=len(u)))
+    assert freeprod._splice(u, pos, g) == reduce_word(u[:pos] + g + u[pos:])
 
 
 def test_inverse_reads_backwards():
@@ -430,11 +439,41 @@ def test_pruning_resolves_the_strategy_once_per_kept_set(monkeypatch):
     decider = freeprod._decider
     monkeypatch.setattr(freeprod, "racg_eligible", counting_racg_eligible)
     monkeypatch.setattr(freeprod, "_decider", counting_decider)
-    # three queries against {(0, 1, 0, 1)}, then one against the two words kept
+    # every kept word reads xyxy: the commuting pairs answer, and nothing is resolved
     words = [(0, 1, 0, 1), (1, 0, 1, 0), (2, 1, 0, 1, 0, 2), (1, 2, 1, 2), (2, 1, 2, 1)]
     assert prune_words(4, words, MembershipPolicy()) == ((0, 1, 0, 1), (1, 2, 1, 2))
-    assert deciders == [((0, 1, 0, 1),), ((0, 1, 0, 1), (1, 2, 1, 2))]
+    assert deciders == []
     assert eligible == deciders
+    # once (0, 1, 2) is kept, two queries against the first kept set, then two against the next
+    words = [(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 2), (1, 2, 1, 2), (0, 2, 0, 2), (2,), (0, 1), (0,)]
+    assert prune_words(3, words, MembershipPolicy()) == ((0, 1, 0, 1), (0, 1, 2), (2,), (0,))
+    assert deciders == [((0, 1, 0, 1), (0, 1, 2)), ((0, 1, 0, 1), (0, 1, 2), (2,))]
+    assert eligible == deciders
+
+
+@st.composite
+def commutator_heavy_words(draw):
+    """Words over 4 or 5 letters, most of them ``xyxy`` or its reversal."""
+    n = draw(st.integers(min_value=4, max_value=5))
+    letters = st.integers(min_value=0, max_value=n - 1)
+    pairs = st.tuples(letters, letters).filter(lambda p: p[0] != p[1])
+    commutator = pairs.map(lambda p: p * 2)
+    word = st.one_of(
+        commutator,
+        commutator.map(lambda w: w[::-1]),
+        st.lists(letters, min_size=1, max_size=3).map(tuple),
+    )
+    return n, draw(st.lists(word, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(commutator_heavy_words(), pruning_policies)
+def test_pruning_commutator_heavy_lists_agrees_with_a_spec_and_member_loop(case, policy):
+    n, words = case
+    want = reference_pruned_words(n, words, policy)
+    assert prune_words(n, words, policy) == want
+    distinct = dict.fromkeys(filter(None, map(reduce_word, words)))
+    assert prune_reduced_words(n, distinct, policy) == want
 
 
 # ---------------------------------------------------------------------------
