@@ -2,12 +2,13 @@
 canonical forms.
 
 One constraint set-up, ``_constraints``, and one backtracking search,
-``_search``, serve every homomorphism query: plain and injective maps, the
-weighted maps behind ``build_T``, and the pinned first-hit searches that
-find generators of the automorphism group.  The search keeps a vertex's
-untried images as one integer bitmask, the AND of its candidates and the
-host rows of its placed neighbours' images.  A host past
-``EAGER_ROWS_BOUND`` vertices builds each row when a search first reads it.
+``_walk``, serve every homomorphism query: ``_search`` lists its maps (plain,
+injective, and the pinned first hits that find generators of the
+automorphism group) and ``_count`` adds them into a tensor without building
+any.  The search keeps a vertex's untried images as one integer bitmask,
+the AND of its candidates and the host rows of its placed neighbours'
+images.  A host keeps its rows up to ``EAGER_ROWS_BOUND`` vertices; past
+that, each search builds a row when it first reads it.
 ``f_union`` glues two graphs as a ``quotient`` of their disjoint union.
 The relabelled masks of a graph come from one table per vertex count,
 ``_perm_cell_tables``.  ``canonical_form`` takes their least and the
@@ -51,7 +52,7 @@ ROW_BITS_BOUND = 1 << 28
 class Graph:
     """An undirected graph on vertices ``0..n-1``, loops allowed."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "_host")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -66,6 +67,7 @@ class Graph:
             norm.add((u, v))
         self.n = n
         self.edges = frozenset(norm)
+        self._host = None  # the host half of _constraints, kept on first use up to EAGER_ROWS_BOUND vertices
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -243,8 +245,11 @@ def _rows(n, arcs):
     return rows
 
 
-def _search(image, order, candidates, checks, injective=False):
-    """The one backtracking search: image tuples, each handed over when found.
+def _walk(image, order, candidates, checks, injective=False, coef=None):
+    """The one backtracking search.  It places every vertex in ``order`` but
+    the last and, for each placing, hands over the images left to the last
+    and, given ``coef``, the flat index: ``coef[u] * image[u]`` summed over
+    the vertices placed.
 
     The vertices in ``order`` take images in turn; ``image`` holds the
     images of the others, and the search writes into it.  A vertex ``v``
@@ -255,49 +260,29 @@ def _search(image, order, candidates, checks, injective=False):
     A vertex without checks walks the list ``candidates[v]``: on a large
     host, each bit taken from a mask of every image would cost a pass over
     the whole mask.  Given ``injective``, no two vertices in ``order``
-    share an image.  Images are taken in increasing order, a mask's lowest
-    bit first, so the tuples come in lexicographic order.  The untried
-    images of each level are kept, so a consumer may stop before every
-    tuple is built.
+    share an image, but the last vertex's list comes whole.  Images are
+    taken in increasing order, a mask's lowest bit first, so the placings
+    come in lexicographic order, and a consumer may stop at any of them.
     """
     last = len(order) - 1
-    if last < 0:
-        yield tuple(image)
-        return
     untried = [0] * last  # per level above the last: a bitmask, or an iterator over a list
+    index = [0] * (last + 1)  # given coef: per level, the flat index of the vertices placed above
     used = 0  # given injective: the bits of the images placed so far
     i = 0
     while True:
         # enter level i: the images left to its vertex by the levels above
         v = order[i]
-        rels = checks[v]
+        rels, m = checks[v], candidates[v]
         if rels:
-            m = candidates[v]
             for u, rows in rels:
                 m &= rows[image[u]]
             if injective:
                 m &= ~used
-        else:
-            m = iter(candidates[v])
         if i == last:
-            if rels:
-                while m:
-                    low = m & -m
-                    m ^= low
-                    image[v] = low.bit_length() - 1
-                    yield tuple(image)
-            else:
-                for c in m:
-                    if not (injective and used >> c & 1):
-                        image[v] = c
-                        yield tuple(image)
-            if not i:
-                return
-            i -= 1
-            if injective:
-                used ^= 1 << image[order[i]]
-            v = order[i]
-            rels, m = checks[v], untried[i]
+            yield m, index[i]
+            rels, m = True, 0  # no image left to take here: back up
+        elif not rels:
+            m = iter(m)
         # take the next image at level i, backing up past the levels with none left
         while True:
             if rels:
@@ -326,6 +311,70 @@ def _search(image, order, candidates, checks, injective=False):
         if injective:
             used |= 1 << c
         i += 1
+        if coef:
+            index[i] = index[i - 1] + coef[v] * c
+
+
+def _bits(m):
+    """The set bits of the bitmask ``m``, lowest first."""
+    while m:
+        low = m & -m
+        m ^= low
+        yield low.bit_length() - 1
+
+
+def _search(image, order, candidates, checks, injective=False):
+    """The maps of :func:`_walk`, each handed over as an image tuple when found."""
+    if not order:
+        yield tuple(image)
+        return
+    *above, v = order
+    for m, _ in _walk(image, order, candidates, checks, injective):
+        placed = {image[u] for u in above} if injective and not checks[v] else ()
+        for image[v] in _bits(m) if checks[v] else (c for c in m if c not in placed):
+            yield tuple(image)
+
+
+def _count(entries, n, order, candidates, checks, coef, weights, scale, injective=False):
+    """The maps of :func:`_walk`, each adding its weight into ``entries``, a
+    flat tensor over the images ``0..n-1``, at its flat index under ``coef``.
+
+    A map weighs ``scale`` times ``t[image[u] * n + image[v]]`` for each
+    ``(u, v, t)`` in ``weights``; ``image`` has one slot past the vertices,
+    always 0, so ``u = len(checks)`` makes ``t`` a vector on the images of
+    ``v``.  A last vertex with neither a coefficient nor weights is never
+    placed: its number of images multiplies the weight of the others.
+    """
+    if not order:
+        entries[0] += scale
+        return
+    image = [0] * (len(checks) + 1)
+    *above, v = order
+    heavy = [(u, x, t) for u, x, t in weights if x != v]  # weighed once per placing of the others
+    a, rels, ws = coef[v], checks[v], [(u, t) for u, x, t in weights if x == v]
+    for m, at in _walk(image, order, candidates, checks, injective, coef):
+        w = scale
+        for u, x, t in heavy:
+            w *= t[image[u] * n + image[x]]
+        if ws:  # weights come from summing out, so the search is not injective
+            for c in _bits(m) if rels else m:
+                x = w
+                for u, t in ws:
+                    x *= t[image[u] * n + c]
+                entries[at + a * c] += x
+        elif not a:
+            left = m.bit_count() if rels else len(m) - (sum(image[u] in m for u in above) if injective else 0)
+            entries[at] += w * left
+        elif rels:
+            while m:
+                low = m & -m
+                m ^= low
+                entries[at + a * (low.bit_length() - 1)] += w
+        else:
+            placed = {image[u] for u in above} if injective else ()
+            for c in m:
+                if c not in placed:
+                    entries[at + a * c] += w
 
 
 def _constraints(k, g):
@@ -336,26 +385,32 @@ def _constraints(k, g):
     loop once: a table of weight 1 on them.  Each edge ``(u, v)``,
     ``u < v``, of ``k`` becomes the pair factor ``factors[u, v] = host``,
     and each loop ``(v, v)`` the vector ``vectors[v]`` of weights on the
-    images of ``v``: 1 on the host's loops, 0 elsewhere.
+    images of ``v``: 1 on the host's loops, 0 elsewhere.  A host keeps its
+    rows and loop vector up to ``EAGER_ROWS_BOUND`` vertices; a larger one
+    builds them per call, so no row built on first read outlives its search.
     """
-    loops, arcs = [0] * g.n, []
-    for a, b in g.edges:
-        arcs.append((a, b))
-        if a == b:
-            loops[a] = 1
-        else:
-            arcs.append((b, a))
-    host = _rows(g.n, arcs)
-    factors = {e: host for e in k.edges if e[0] != e[1]}
-    return host, factors, {u: loops for u, v in k.edges if u == v}
+    host = g._host
+    if host is None:
+        loops, arcs = [0] * g.n, []
+        for a, b in g.edges:
+            arcs.append((a, b))
+            if a == b:
+                loops[a] = 1
+            else:
+                arcs.append((b, a))
+        host = _rows(g.n, arcs), loops
+        if g.n <= EAGER_ROWS_BOUND:
+            g._host = host
+    rows, loops = host
+    return rows, {e: rows for e in k.edges if e[0] != e[1]}, {u: loops for u, v in k.edges if u == v}
 
 
-def _constrained_search(k, g, order, factors, vectors, injective=False):
-    """:func:`_search` for maps ``k -> g`` over ``order``, an increasing list
-    of vertices, with factors of bitmask rows and vectors like those of
-    :func:`_constraints`: a vertex with a vector takes the images it weighs
-    above 0, any other every image, and each factor ``(u, v)``, ``u < v``,
-    is checked at ``v``."""
+def _levels(k, g, factors, vectors):
+    """The candidates and checks of :func:`_walk` for maps ``k -> g`` under
+    factors of bitmask rows and vectors like those of :func:`_constraints`:
+    a vertex with a vector takes the images it weighs above 0, any other
+    every image, and each factor ``(u, v)``, ``u < v``, is checked at
+    ``v``."""
     checks, candidates = [[] for _ in range(k.n)], [range(g.n)] * k.n
     for (u, v), rows in factors.items():
         checks[v].append((u, rows))
@@ -363,7 +418,7 @@ def _constrained_search(k, g, order, factors, vectors, injective=False):
     for v, vec in vectors.items():
         images = [c for c, w in enumerate(vec) if w]
         candidates[v] = _mask(images) if checks[v] else images
-    return _search([0] * k.n, order, candidates, checks, injective)
+    return candidates, checks
 
 
 def enumerate_homomorphisms(k, g, injective=False):
@@ -375,35 +430,21 @@ def enumerate_homomorphisms(k, g, injective=False):
     """
     _, factors, vectors = _constraints(k, g)
     order = list(range(k.n))  # a list: the search indexes it, and a range indexes slower
-    return list(_constrained_search(k, g, order, factors, vectors, injective))
+    return list(_search([0] * k.n, order, *_levels(k, g, factors, vectors), injective))
 
 
-def count_homomorphisms(k, g, keep):
-    """Homomorphisms from ``k`` to ``g``, weighted and counted by the images of the vertices in ``keep``.
-
-    Yields ``(image, weight)`` pairs.  For any choice of images for ``keep``,
-    the homomorphisms that make it number the sum of the weights of the
-    images that agree with it on ``keep``.  The entries of an image at
-    vertices summed out mean nothing.
-
-    The edges and loops of ``k`` start as the factors and vectors of
-    :func:`_constraints`.  A vertex outside ``keep`` with at most two
-    neighbours is summed out instead of enumerated, one at a time, fewest
-    neighbours first (from a heap of factor counts kept up to date): an
-    isolated one becomes a factor of the count, a leaf a weight vector on
-    its neighbour and a vertex of degree two a table of weights on its two
-    neighbours, built by walking the weighted images of its factors (those
-    of the host's arcs are listed once per call), with only the nonzero
-    entries stored.  The vertices left then go through
-    :func:`_constrained_search`, which checks each factor left as soon as
-    both its ends have images, a table by bitmask rows of its nonzero keys.
-    Tables and the image lists hold only nonzero weights, so a zero weight
-    cuts the search there, and each map's weight is read from the tables and
-    multiplied out once it is found.  The cost follows the weighted maps of
-    the vertices left, not the maps of ``k``.
+def _sum_out(k, g, host, factors, vectors, keep):
+    """Sum out the vertices of ``k`` outside ``keep`` with at most two
+    neighbours, one at a time, fewest first (from a heap of factor counts
+    kept up to date), in place on the factors and vectors of
+    :func:`_constraints`; return the scalar this puts on the count and the
+    vertices summed out.  An isolated vertex becomes a factor of the
+    scalar, a leaf a weight vector on its neighbour and a vertex of degree
+    two a table of weights on its two neighbours' image pairs, built by
+    walking the weighted images of its factors (those of the host's arcs
+    are listed once per call), with only the nonzero entries stored.
     """
     n = g.n
-    host, factors, vectors = _constraints(k, g)
     arcs = None  # the host's weighted images, listed once for every factor of the host summed out
     incident = [set() for _ in range(k.n)]  # each vertex's factors, kept up to date
     for e in factors:
@@ -467,28 +508,38 @@ def count_homomorphisms(k, g, keep):
         for y in nbrs:
             if y not in keep:
                 heappush(heap, (len(incident[y]), y))
+    return scalar, summed
+
+
+def count_homomorphisms(k, g, entries, inputs, outputs, injective=False):
+    """Add to ``entries`` the homomorphisms from ``k`` to ``g`` (given
+    ``injective``, the injective ones), counted by where the labels land.
+
+    ``entries`` is a flat tensor of ``g.n ** (len(outputs) + len(inputs))``
+    entries, and a map ``phi`` counts at the index whose digits, base
+    ``g.n``, are ``phi`` of ``outputs`` and then of ``inputs``.  A plain
+    count first sums out (:func:`_sum_out`); an injective one cannot, as a
+    vertex summed out could share an image.  :func:`_count` counts the
+    vertices left, in increasing order, checking each table left by bitmask
+    rows of its nonzero keys and multiplying out only weights above 1, so
+    the cost follows the weighted maps of the vertices left.
+    """
+    n = g.n
+    coef, labels = [0] * k.n, [*outputs, *inputs]  # an image c of v adds c * coef[v] to the flat index
+    for j, v in enumerate(labels, 1):
+        coef[v] += n ** (len(labels) - j)
+    host, factors, vectors = _constraints(k, g)
+    scalar, summed = (1, ()) if injective else _sum_out(k, g, host, factors, vectors, {*inputs, *outputs})
     if not scalar:
         return
-    # The search over the vertices left, in increasing order.  It lets
-    # through only images of nonzero weight, so the host's arcs and loops,
-    # which weigh 1, need not be multiplied out.  Each table left gets rows
-    # of its own, from its nonzero keys.
-    tables = [(u, v, t) for (u, v), t in factors.items() if t is not host]
-    for u, v, t in tables:
-        factors[u, v] = _rows(n, t)
-    rest = [v for v in range(k.n) if v not in summed]
-    maps = _constrained_search(k, g, rest, factors, vectors)
-    weighted = [(v, vec) for v, vec in vectors.items() if max(vec, default=0) > 1]
-    if not weighted and not tables:  # every map weighs the scalar: hand them over as they come
-        yield from zip(maps, repeat(scalar))
-        return
-    for image in maps:
-        w = scalar
-        for v, vec in weighted:
-            w *= vec[image[v]]
-        for u, v, t in tables:
-            w *= t[image[u], image[v]]
-        yield image, w
+    weights = [(k.n, v, vec) for v, vec in vectors.items() if max(vec, default=0) > 1]
+    for (u, v), t in factors.items():
+        if t is not host:  # a table left: rows of its own, and a weight if an entry is above 1
+            factors[u, v] = _rows(n, t)
+            if max(t.values(), default=0) > 1:
+                weights.append((u, v, {a * n + b: w for (a, b), w in t.items()}))
+    order = [v for v in range(k.n) if v not in summed]
+    _count(entries, n, order, *_levels(k, g, factors, vectors), coef, weights, scalar, injective)
 
 
 def automorphisms(g):

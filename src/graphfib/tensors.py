@@ -6,32 +6,21 @@ inputs to the multi-index ``i`` and the outputs to ``j``.  ``build_That``
 counts injective maps only.  Shapes are ``n^l`` rows by ``n^k`` columns in
 row-major order.
 
-``build_T`` does not list the homomorphisms.  ``graphs.count_homomorphisms``
+Neither lists the homomorphisms: ``graphs.count_homomorphisms`` adds each
+map's weight into the entries from inside its search.  For ``build_T`` it
 first sums out each unlabelled vertex with at most two neighbours into a
 weight vector or a sparse table on its neighbours (the functor law
-``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram), starting from the
-same edge tables and loop vectors as ``graphs.enumerate_homomorphisms``.  It
-then runs the same search over the vertices left, checking
-each table of nonzero weights as soon as both its ends have images, and
-hands over each map found with its weight.  So its cost follows the
-weighted maps of the labelled vertices and of unlabelled vertices of degree
-three or more, not the number of homomorphisms: a path labelled at both
-ends costs one table of at most ``n^2`` entries per inner vertex and the
-``n^2`` pairs of end images, however many walks it counts.
-``build_That`` still lists every injective map.
-
-Every tensor here is a tally of label images: ``tally`` is the one counting
-loop, and each builder only chooses the family of maps it counts
-(homomorphisms, injective homomorphisms, group elements, value tuples) and,
-for ``build_T``, the weight each map carries.
+``T(d1 o d2) = T(d1) T(d2)`` applied inside one diagram), so a path
+labelled at both ends costs one table of at most ``n^2`` entries per inner
+vertex and the ``n^2`` pairs of end images, however many walks it counts.
+``tally`` counts the maps the other builders list (group elements,
+partition value tuples), one per map at the index of its label images.
 
 The verifiers in this module recompute both sides of an identity from
 scratch and report the first differing entry, if any.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 from .diagrams import (
     BilabelledGraph,
@@ -43,7 +32,7 @@ from .diagrams import (
     tensor as tensor_diagrams,
 )
 from .errors import check_json_object
-from .graphs import count_homomorphisms, enumerate_homomorphisms, enumerate_overlaps, quotient
+from .graphs import count_homomorphisms, enumerate_overlaps, quotient
 from .partitions import enumerate_partitions, kernel_tuples
 
 
@@ -246,29 +235,29 @@ def exact_rank(rows):
 # builders
 
 
-def tally(t, maps, inputs, outputs, weighted=False):
+def tally(t, maps, inputs, outputs):
     """Add one to ``t`` at ``(phi(outputs), phi(inputs))`` for each map ``phi``; return ``t``.
 
-    A map is any sequence indexed by the label points, such as a vertex
-    image tuple or a permutation.  With ``weighted``, ``maps`` yields
-    ``(phi, weight)`` pairs and each map adds its weight instead of one.
+    A map is any sequence indexed by the label points, such as a group
+    element or a partition's value tuple.
     """
     n, ncols, entries = t.n, t.n**t.k, t.entries
-    for phi, w in maps if weighted else zip(maps, repeat(1)):
+    for phi in maps:
         col = 0
         for v in inputs:
             col = col * n + phi[v]
         row = 0
         for v in outputs:
             row = row * n + phi[v]
-        entries[row * ncols + col] += w
+        entries[row * ncols + col] += 1
     return t
 
 
 def build_T(g, d):
     """Homomorphism counts of a diagram into ``g``, bucketed by label images."""
-    maps = count_homomorphisms(d.graph, g, set(d.inputs + d.outputs))
-    return tally(zero_tensor(g.n, d.k, d.l), maps, d.inputs, d.outputs, weighted=True)
+    t = zero_tensor(g.n, d.k, d.l)
+    count_homomorphisms(d.graph, g, t.entries, d.inputs, d.outputs)
+    return t
 
 
 def _that_sum(g, k, l, diagrams):
@@ -276,7 +265,7 @@ def _that_sum(g, k, l, diagrams):
     t = zero_tensor(g.n, k, l)
     for d in diagrams:
         if d.graph.n <= g.n:
-            tally(t, enumerate_homomorphisms(d.graph, g, injective=True), d.inputs, d.outputs)
+            count_homomorphisms(d.graph, g, t.entries, d.inputs, d.outputs, injective=True)
     return t
 
 
@@ -363,9 +352,9 @@ def verify_that_sums(g, d1, d2, frozen=None):
 def moebius_expand(g, d):
     """All counts equal the sum of injective counts over vertex merges.
 
-    The two sides come from independent algorithms: the left by summing out
-    vertices (``build_T``), the right by listing the injective maps of every
-    merge.
+    The two sides come from different algorithms: the left sums out
+    vertices (``build_T``), the right counts the injective maps of every
+    merge with nothing summed out.
     """
     merged = (
         BilabelledGraph(quotient(d.graph, b), [b[v] for v in d.inputs], [b[v] for v in d.outputs])

@@ -662,6 +662,17 @@ def test_k2_into_a_large_cycle_exits_cleanly(tmp_path, n, mode):
     assert out == json.dumps({"n": n, "k": 0, "l": 1, "entries": [2] * n}, sort_keys=True) + "\n"
 
 
+def test_k2_beside_an_isolated_vertex_into_a_large_cycle_exits_cleanly(tmp_path):
+    # the unlabelled isolated vertex comes last, so each injective map of K2
+    # adds its 19,998 free images at once instead of listing 8 * 10^8 maps
+    n = 20000
+    graph = write_json(tmp_path, "graph.json", cycle_graph(n))
+    diagram = write_json(tmp_path, "diagram.json", {"graph": {"n": 3, "edges": [[0, 1]]}, "inputs": [], "outputs": [0]})
+    code, out, err = run_in_child("tensor", graph, diagram, "--mode", "inj", timeout=20)
+    assert code == 0 and err == ""
+    assert json.loads(out)["entries"] == [39996] * n
+
+
 def test_k4_into_a_large_cycle_drops_its_rows_past_the_bit_bound(tmp_path):
     # K4 has no map into a cycle, but its second vertex reads the row of
     # each of the 50,000 images of the first.  Kept, those rows would take

@@ -362,6 +362,29 @@ def test_build_T_matches_the_tally_of_every_enumerated_map(g, d):
     assert build_T(g, d) == enumerated_T(g, d)
 
 
+def enumerated_That(g, d):
+    """The reference injective count: every injective map listed by the enumerator, tallied once."""
+    maps = enumerate_homomorphisms(d.graph, g, injective=True)
+    return tally(zero_tensor(g.n, d.k, d.l), maps, d.inputs, d.outputs)
+
+
+# a host with loops on three of its four vertices, one of them isolated
+SPARSE_LOOPED_HOST = Graph(4, [(0, 1), (1, 2), (0, 0), (2, 2), (3, 3)])
+
+
+# in the last three examples the last vertex is unlabelled
+@settings(max_examples=250, deadline=None)
+@given(hosts(), sparse_diagrams())
+@example(complete(4), BilabelledGraph(path(3), (0, 1), (1, 0, 0)))  # 0 labelled thrice, 1 input and output
+@example(complete(3), BilabelledGraph(edgeless(0)))  # the empty diagram
+@example(complete(2), BilabelledGraph(path(3), (0,), (2,)))  # more vertices than the host
+@example(SPARSE_LOOPED_HOST, BilabelledGraph(Graph(3, [(0, 1), (1, 2), (2, 2)]), (0,), ()))  # looped last vertex
+@example(SPARSE_LOOPED_HOST, BilabelledGraph(Graph(3, [(0, 1), (2, 2)]), (0,), (1,)))  # ... and no neighbour
+@example(complete(5), BilabelledGraph(Graph(3, [(0, 1)]), (0,), (1,)))  # isolated last vertex
+def test_build_That_matches_the_tally_of_every_enumerated_injective_map(g, d):
+    assert build_That(g, d) == enumerated_That(g, d)
+
+
 @st.composite
 def hosts_past_the_eager_rows_bound(draw):
     # every edge and loop among the last eight vertices, so that rows are
@@ -378,10 +401,17 @@ def test_build_T_matches_the_enumerator_on_hosts_past_the_eager_rows_bound(g, d)
     assert build_T(g, d) == enumerated_T(g, d)
 
 
+@settings(max_examples=100, deadline=None)
+@given(hosts_past_the_eager_rows_bound(), five_vertex_diagrams())
+@example(Graph(68, [(64, 65), (64, 66), (65, 66), (66, 66), (66, 67)]), BilabelledGraph(cycle(4), (0,), (2,)))
+def test_build_That_matches_the_enumerator_on_hosts_past_the_eager_rows_bound(g, d):
+    assert build_That(g, d) == enumerated_That(g, d)
+
+
 LOOPED_HOST = Graph(3, [(0, 1), (1, 2), (2, 2)])
 
 
-@pytest.mark.parametrize(
+CORNER_CASES = pytest.mark.parametrize(
     "g, d",
     [
         (edgeless(0), EDGE_DIAGRAM),
@@ -408,8 +438,16 @@ LOOPED_HOST = Graph(3, [(0, 1), (1, 2), (2, 2)])
         "path-beside-a-clique",
     ],
 )
+
+
+@CORNER_CASES
 def test_build_T_matches_the_enumerator_on_corner_cases(g, d):
     assert build_T(g, d) == enumerated_T(g, d)
+
+
+@CORNER_CASES
+def test_build_That_matches_the_enumerator_on_corner_cases(g, d):
+    assert build_That(g, d) == enumerated_That(g, d)
 
 
 def test_unlabelled_parts_multiply_the_count():
