@@ -7,8 +7,9 @@ injective, and the pinned first hits that find generators of the
 automorphism group) and ``_count`` adds them into a tensor without building
 any.  The search keeps a vertex's untried images as one integer bitmask,
 the AND of its candidates and the host rows of its placed neighbours'
-images.  A host keeps its rows up to ``EAGER_ROWS_BOUND`` vertices; past
-that, each search builds a row when it first reads it.
+images.  A host keeps one record of its neighbour lists, loops and rows
+from its first search on; past ``EAGER_ROWS_BOUND`` vertices, a row is
+built when a search first reads it.
 ``f_union`` glues two graphs as a ``quotient`` of their disjoint union.
 The relabelled masks of a graph come from one table per vertex count,
 ``_perm_cell_tables``.  ``canonical_form`` takes their least and the
@@ -67,7 +68,7 @@ class Graph:
             norm.add((u, v))
         self.n = n
         self.edges = frozenset(norm)
-        self._host = None  # the host half of _constraints, kept on first use up to EAGER_ROWS_BOUND vertices
+        self._host = None  # the record of _constraints, built on the first search into this graph
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -228,20 +229,14 @@ def _mask(images):
     return sum(map((1).__lshift__, images))
 
 
-def _rows(n, arcs):
-    """The bitmask rows of ``arcs``, distinct pairs of images of an
-    ``n``-vertex host: ``rows[a]`` has bit ``b`` set for each arc
-    ``(a, b)``.  A list up to ``EAGER_ROWS_BOUND`` vertices, else a
-    :class:`_Rows`."""
-    if n <= EAGER_ROWS_BOUND:
-        rows = [0] * n
-        for a, b in arcs:
-            rows[a] |= 1 << b
-        return rows
+def _rows(adj):
+    """The bitmask rows of the relation in which image ``a`` of a host
+    relates to each image in the list ``adj[a]``: a list up to
+    ``EAGER_ROWS_BOUND`` images, else a :class:`_Rows` reading ``adj``."""
+    if len(adj) <= EAGER_ROWS_BOUND:
+        return list(map(_mask, adj))
     rows = _Rows()
-    rows.adj = adj = [[] for _ in range(n)]
-    for a, b in arcs:
-        adj[a].append(b)
+    rows.adj = adj
     return rows
 
 
@@ -380,28 +375,24 @@ def _count(entries, n, order, candidates, checks, coef, weights, scale, injectiv
 def _constraints(k, g):
     """What a homomorphism ``k -> g`` must meet, as weights on the images of ``k``'s vertices.
 
-    Returns ``(host, factors, vectors)``.  ``host`` holds the bitmask rows
-    (:func:`_rows`) of the host's arcs, each edge both ways round and a
-    loop once: a table of weight 1 on them.  Each edge ``(u, v)``,
-    ``u < v``, of ``k`` becomes the pair factor ``factors[u, v] = host``,
-    and each loop ``(v, v)`` the vector ``vectors[v]`` of weights on the
-    images of ``v``: 1 on the host's loops, 0 elsewhere.  A host keeps its
-    rows and loop vector up to ``EAGER_ROWS_BOUND`` vertices; a larger one
-    builds them per call, so no row built on first read outlives its search.
+    Returns ``(host, factors, vectors)``.  ``g._host`` keeps the record
+    every search into ``g`` reads, built here on first use: ``(adj, loops,
+    host)``, the neighbour lists (each edge both ways round, a loop once),
+    the 0/1 vector of loops and the bitmask rows of ``adj`` (:func:`_rows`),
+    a table of weight 1 on the host's arcs.  Each edge ``(u, v)``, ``u < v``,
+    of ``k`` becomes the pair factor ``factors[u, v] = host``, and each loop
+    ``(v, v)`` the vector ``vectors[v] = loops``.
     """
-    host = g._host
-    if host is None:
-        loops, arcs = [0] * g.n, []
+    if g._host is None:
+        adj, loops = [[] for _ in range(g.n)], [0] * g.n
         for a, b in g.edges:
-            arcs.append((a, b))
+            adj[a].append(b)
             if a == b:
                 loops[a] = 1
             else:
-                arcs.append((b, a))
-        host = _rows(g.n, arcs), loops
-        if g.n <= EAGER_ROWS_BOUND:
-            g._host = host
-    rows, loops = host
+                adj[b].append(a)
+        g._host = adj, loops, _rows(adj)
+    _, loops, rows = g._host
     return rows, {e: rows for e in k.edges if e[0] != e[1]}, {u: loops for u, v in k.edges if u == v}
 
 
@@ -410,7 +401,7 @@ def _levels(k, g, factors, vectors):
     factors of bitmask rows and vectors like those of :func:`_constraints`:
     a vertex with a vector takes the images it weighs above 0, any other
     every image, and each factor ``(u, v)``, ``u < v``, is checked at
-    ``v``."""
+    ``v``, the one place any search sets its checks."""
     checks, candidates = [[] for _ in range(k.n)], [range(g.n)] * k.n
     for (u, v), rows in factors.items():
         checks[v].append((u, rows))
@@ -433,7 +424,7 @@ def enumerate_homomorphisms(k, g, injective=False):
     return list(_search([0] * k.n, order, *_levels(k, g, factors, vectors), injective))
 
 
-def _sum_out(k, g, host, factors, vectors, keep):
+def _sum_out(k, g, factors, vectors, keep):
     """Sum out the vertices of ``k`` outside ``keep`` with at most two
     neighbours, one at a time, fewest first (from a heap of factor counts
     kept up to date), in place on the factors and vectors of
@@ -441,11 +432,12 @@ def _sum_out(k, g, host, factors, vectors, keep):
     vertices summed out.  An isolated vertex becomes a factor of the
     scalar, a leaf a weight vector on its neighbour and a vertex of degree
     two a table of weights on its two neighbours' image pairs, built by
-    walking the weighted images of its factors (those of the host's arcs
-    are listed once per call), with only the nonzero entries stored.
+    walking the weighted images of its factors (a factor of the host reads
+    the neighbour lists of its record, each of weight 1), with only the
+    nonzero entries stored.
     """
     n = g.n
-    arcs = None  # the host's weighted images, listed once for every factor of the host summed out
+    adj, _, host = g._host  # built by _constraints
     incident = [set() for _ in range(k.n)]  # each vertex's factors, kept up to date
     for e in factors:
         incident[e[0]].add(e)
@@ -463,37 +455,35 @@ def _sum_out(k, g, host, factors, vectors, keep):
         if degree > 2:
             break
         summed.add(x)
-        nbrs, rows = [], []  # per neighbour: its weighted images for each image of x
+        nbrs, images, weights = [], [], []  # per neighbour, for each image of x: its images and their weights
         for e in sorted(incident[x]):
             t, i = factors.pop(e), e.index(x)
             nbrs.append(e[1 - i])
             incident[e[1 - i]].remove(e)
-            if t is host:
-                if arcs is None:
-                    arcs = [[] for _ in range(n)]
-                    for a, b in g.edges:
-                        arcs[a].append((b, 1))
-                        if a != b:
-                            arcs[b].append((a, 1))
-                rows.append(arcs)
+            if t is host:  # the record's neighbour lists, each arc of weight 1
+                images.append(adj)
+                weights.append([ones] * n)
                 continue
-            rows.append([[] for _ in range(n)])
+            images.append([[] for _ in range(n)])
+            weights.append([[] for _ in range(n)])
             for pair, w in t.items():
-                rows[-1][pair[i]].append((pair[1 - i], w))
+                images[-1][pair[i]].append(pair[1 - i])
+                weights[-1][pair[i]].append(w)
         weight = vectors.pop(x, ones)
         if degree == 0:
             scalar *= sum(weight)
         elif degree == 1:
             summed_vec = [0] * n
             for cx, w in enumerate(weight):
-                for cy, wy in rows[0][cx] if w else ():
+                for cy, wy in zip(images[0][cx], weights[0][cx]) if w else ():
                     summed_vec[cy] += w * wy
             vectors[nbrs[0]] = [a * b for a, b in zip(vectors.get(nbrs[0], ones), summed_vec)]
         else:
             table = {}
+            (ys, zs), (yws, zws) = images, weights
             for cx, w in enumerate(weight):
-                for cy, wy in rows[0][cx] if w else ():
-                    for cz, wz in rows[1][cx]:
+                for cy, wy in zip(ys[cx], yws[cx]) if w else ():
+                    for cz, wz in zip(zs[cx], zws[cx]):
                         table[cy, cz] = table.get((cy, cz), 0) + w * wy * wz
             yz = tuple(nbrs)
             if yz in factors:  # at most one factor per pair: merge the new table into the old factor
@@ -529,13 +519,16 @@ def count_homomorphisms(k, g, entries, inputs, outputs, injective=False):
     for j, v in enumerate(labels, 1):
         coef[v] += n ** (len(labels) - j)
     host, factors, vectors = _constraints(k, g)
-    scalar, summed = (1, ()) if injective else _sum_out(k, g, host, factors, vectors, {*inputs, *outputs})
+    scalar, summed = (1, ()) if injective else _sum_out(k, g, factors, vectors, {*inputs, *outputs})
     if not scalar:
         return
     weights = [(k.n, v, vec) for v, vec in vectors.items() if max(vec, default=0) > 1]
     for (u, v), t in factors.items():
-        if t is not host:  # a table left: rows of its own, and a weight if an entry is above 1
-            factors[u, v] = _rows(n, t)
+        if t is not host:  # a table left: rows of its own keys, and a weight if an entry is above 1
+            adj = [[] for _ in range(n)]
+            for a, b in t:
+                adj[a].append(b)
+            factors[u, v] = _rows(adj)
             if max(t.values(), default=0) > 1:
                 weights.append((u, v, {a * n + b: w for (a, b), w in t.items()}))
     order = [v for v in range(k.n) if v not in summed]
@@ -573,14 +566,9 @@ def automorphism_generators(g):
     reach, so none lies in the group they generate.
     """
     n = g.n
-    host, factors, loops = _constraints(g, g)
-    degree = [0] * n
-    checks = [[] for _ in range(n)]
-    for u, v in factors:
-        degree[u] += 1
-        degree[v] += 1
-        checks[v].append((u, host))
-    colour = [(degree[v], v in loops) for v in range(n)]
+    _, checks = _levels(g, g, _constraints(g, g)[1], {})
+    adj, loops, _ = g._host
+    colour = [(len(a), x) for a, x in zip(adj, loops)]
     order, candidates = list(range(n)), [None] * n
     image = list(range(n))  # a search writes the images of i and up, so 0..i-1 stay pinned to themselves
     found = []
