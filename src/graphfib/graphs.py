@@ -372,17 +372,12 @@ def _count(entries, n, order, candidates, checks, coef, weights, scale, injectiv
                     entries[at + a * c] += w
 
 
-def _constraints(k, g):
-    """What a homomorphism ``k -> g`` must meet, as weights on the images of ``k``'s vertices.
-
-    Returns ``(host, factors, vectors)``.  ``g._host`` keeps the record
-    every search into ``g`` reads, built here on first use: ``(adj, loops,
-    host)``, the neighbour lists (each edge both ways round, a loop once),
-    the 0/1 vector of loops and the bitmask rows of ``adj`` (:func:`_rows`),
-    a table of weight 1 on the host's arcs.  Each edge ``(u, v)``, ``u < v``,
-    of ``k`` becomes the pair factor ``factors[u, v] = host``, and each loop
-    ``(v, v)`` the vector ``vectors[v] = loops``.
-    """
+def _host(g):
+    """The record every search into ``g`` reads, built on first use and
+    kept in ``g._host`` at any size: ``(adj, loops, rows)``, the neighbour
+    lists (each edge both ways round, a loop once), the 0/1 vector of loops
+    and the bitmask rows of ``adj`` (:func:`_rows`), a table of weight 1 on
+    the host's arcs."""
     if g._host is None:
         adj, loops = [[] for _ in range(g.n)], [0] * g.n
         for a, b in g.edges:
@@ -392,8 +387,38 @@ def _constraints(k, g):
             else:
                 adj[b].append(a)
         g._host = adj, loops, _rows(adj)
-    _, loops, rows = g._host
+    return g._host
+
+
+def _constraints(k, g):
+    """What a homomorphism ``k -> g`` must meet, as weights on the images of ``k``'s vertices.
+
+    Returns ``(host, factors, vectors)``.  ``host`` is the rows of ``g``'s
+    record (:func:`_host`).  Each edge ``(u, v)``, ``u < v``, of ``k``
+    becomes the pair factor ``factors[u, v] = host``, and each loop
+    ``(v, v)`` the vector ``vectors[v]``, the record's loop vector.
+    """
+    _, loops, rows = _host(g)
     return rows, {e: rows for e in k.edges if e[0] != e[1]}, {u: loops for u, v in k.edges if u == v}
+
+
+def _breadth_first(adj):
+    """The vertices of a graph with neighbour lists ``adj`` in breadth-first
+    order: from each least vertex not yet reached, each vertex's neighbours
+    in increasing order."""
+    order, seen, head = [], [False] * len(adj), 0
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        while head < len(order):
+            for w in sorted(adj[order[head]]):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            head += 1
+    return order
 
 
 def _levels(k, g, factors, vectors):
@@ -437,7 +462,7 @@ def _sum_out(k, g, factors, vectors, keep):
     nonzero entries stored.
     """
     n = g.n
-    adj, _, host = g._host  # built by _constraints
+    adj, _, host = _host(g)
     incident = [set() for _ in range(k.n)]  # each vertex's factors, kept up to date
     for e in factors:
         incident[e[0]].add(e)
@@ -550,24 +575,32 @@ def automorphism_generators(g):
     """Generators of the automorphism group of ``g``, each handed over when found.
 
     A stabiliser-chain search (Sims 1970; Butler, *Fundamental Algorithms
-    for Permutation Groups*, 1991) that never lists the group.  Base points
-    ``i`` go from ``n-1`` down to 0.  For each vertex ``c > i`` of ``i``'s
-    colour (neighbour count and loop) outside the orbit of ``i`` under the
-    generators found so far, one search pins ``0..i-1`` to themselves and
-    ``i`` to ``c`` and stops at its first map.  The pinned vertices stay out
-    of the search.  Every other vertex takes the vertices of its colour from
-    ``i`` up, least first: one list per colour for the vertices without
-    checks, one bitmask for those with, so a level costs no mask per vertex.
-    Which generators come out depends on that order, but the group they
-    generate does not.  The generators found at levels ``i``
-    and above reach the whole orbit of ``i`` under the automorphisms fixing
-    ``0..i-1``, so they generate those automorphisms; at level 0, the whole
-    group.  Each generator moves ``i`` out of the orbit its predecessors
-    reach, so none lies in the group they generate.
+    for Permutation Groups*, 1991) that never lists the group.  It runs on
+    ``h``, ``g`` renumbered in breadth-first order (:func:`_breadth_first`),
+    so that every vertex but the first of each component has an earlier
+    neighbour to check, and hands each generator back conjugated to ``g``'s
+    numbering.  Base points ``i`` of ``h`` go from ``n-1`` down to 0.  For
+    each vertex ``c > i`` of ``i``'s colour (neighbour count and loop, read
+    from the record of :func:`_host`) outside the orbit of ``i`` under the
+    generators found so far, one search with the checks of :func:`_levels`
+    pins ``0..i-1`` to themselves and ``i`` to ``c`` and stops at its first
+    map.  The pinned vertices stay out of the search.  Every other vertex
+    takes the vertices of its colour from ``i`` up, least first: one list
+    per colour for the vertices without checks, one bitmask for those with,
+    so a level costs no mask per vertex.  Which generators come out depends
+    on that order and numbering, but the group they generate does not.  The
+    generators found at levels ``i`` and above reach the whole orbit of
+    ``i`` under the automorphisms fixing ``0..i-1``, so they generate those
+    automorphisms; at level 0, the whole group.  Each generator moves ``i``
+    out of the orbit its predecessors reach, so none lies in the group they
+    generate.
     """
     n = g.n
-    _, checks = _levels(g, g, _constraints(g, g)[1], {})
-    adj, loops, _ = g._host
+    bfs = _breadth_first(_host(g)[0])  # vertex v of h is vertex bfs[v] of g
+    name = sorted(range(n), key=bfs.__getitem__)  # and vertex x of g is vertex name[x] of h
+    h = Graph(n, ((name[a], name[b]) for a, b in g.edges))
+    _, checks = _levels(h, h, _constraints(h, h)[1], {})
+    adj, loops, _ = _host(h)
     colour = [(len(a), x) for a, x in zip(adj, loops)]
     order, candidates = list(range(n)), [None] * n
     image = list(range(n))  # a search writes the images of i and up, so 0..i-1 stay pinned to themselves
@@ -590,7 +623,7 @@ def automorphism_generators(g):
             if sigma is None:
                 continue
             found.append(sigma)
-            yield sigma
+            yield tuple(bfs[sigma[name[x]]] for x in range(n))  # sigma in g's numbering
             todo = list(orbit)
             for x in todo:
                 for s in found:

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -692,6 +693,35 @@ def test_orbits_on_100000_isolated_vertices_exits_3_quickly(tmp_path):
     code, out, err = run_in_child("orbits", path, "0", "0")
     assert code == 3 and out == "" and err.startswith("capacity:")
     assert "Traceback" not in err
+
+
+def relabelled_cycle(n, seed):
+    perm = random.Random(seed).sample(range(n), n)
+    return {"n": n, "edges": [[perm[v], perm[(v + 1) % n]] for v in range(n)]}
+
+
+def sparse_graph(n, m, seed):
+    # sorted vertex pairs drawn until m distinct edges are held
+    rng, edges = random.Random(seed), set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return {"n": n, "edges": [list(e) for e in sorted(edges)]}
+
+
+@pytest.mark.parametrize(
+    "graph, count",
+    [(relabelled_cycle(24, 0), 1), (sparse_graph(60, 80, 3), 56)],
+    ids=["relabelled-c24", "sparse-60-80"],
+)
+def test_orbits_of_a_sparse_graph_numbered_out_of_adjacency_order_exits_quickly(tmp_path, graph, count):
+    # the stabiliser chain runs on the graph renumbered breadth-first, so
+    # every vertex but a component's first has a placed neighbour to check;
+    # in the input's own numbering, a vertex with no earlier neighbour walks
+    # every image and neither search ends within a minute
+    path = write_json(tmp_path, "group.json", {"automorphisms_of": graph})
+    code, out, err = run_in_child("orbits", path, "1", "0", timeout=20)
+    assert code == 0 and err == ""
+    assert json.loads(out)["count"] == json.loads(out)["burnside"] == count
 
 
 def test_orbits_refuses_a_group_above_the_order_bound(capsys, tmp_path):

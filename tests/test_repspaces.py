@@ -21,6 +21,7 @@ from graphfib.graphs import (
     automorphism_generators,
     automorphisms,
     complete,
+    cycle,
     disjoint_union,
     edgeless,
     path,
@@ -129,6 +130,35 @@ def test_the_stabiliser_chain_search_matches_the_full_listing_on_benchmark_shape
     perm = random.Random(n).sample(range(n), n)
     g = Graph(n, [(perm[u], perm[v]) for u, v in benchmark_shape(name, n)])
     assert_matches_the_full_listing(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle(65),
+        path(66),
+        Graph(66, [*cycle(65).edges, (0, 65)]),
+        Graph(70, [*cycle(70).edges, (0, 0), (35, 35)]),
+        disjoint_union(cycle(33), cycle(33)),
+    ],
+    ids=["c65", "p66", "c65-pendant", "c70-two-loops", "two-c33"],
+)
+def test_the_stabiliser_chain_search_matches_the_full_listing_past_the_eager_rows_bound(g):
+    # hosts past EAGER_ROWS_BOUND read rows built on first use, in the
+    # chain's searches and in the full listing alike
+    assert_matches_the_full_listing(g)
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_a_relabelled_cycle_has_the_conjugated_group_of_the_cycle(n):
+    # numbered at random, most vertices of the cycle have no lower-numbered
+    # neighbour; the chain's breadth-first renumbering finds the group anyway
+    perm = random.Random(0).sample(range(n), n)
+    relabelled = Graph(n, [(perm[u], perm[v]) for u, v in cycle(n).edges])
+    inverse = sorted(range(n), key=perm.__getitem__)
+    conjugated = {tuple(perm[s[inverse[x]]] for x in range(n)) for s in graph_automorphism_group(cycle(n)).elements}
+    assert len(conjugated) == 2 * n
+    assert set(graph_automorphism_group(relabelled).elements) == conjugated
 
 
 def test_generators_are_kept_only_when_they_enlarge_the_group():
