@@ -48,6 +48,9 @@ EAGER_ROWS_BOUND = 64
 # this many bits (32 MiB), and are then all dropped: a row costs no more to
 # build again than the search spends reading it.
 ROW_BITS_BOUND = 1 << 28
+# Summing out a vertex of degree two walks, for each of its images, every
+# pair of its two neighbours' images: a table is refused past this many.
+SUM_OUT_PAIR_BOUND = 2 * 10**6
 
 
 class Graph:
@@ -459,7 +462,8 @@ def _sum_out(k, g, factors, vectors, keep):
     two a table of weights on its two neighbours' image pairs, built by
     walking the weighted images of its factors (a factor of the host reads
     the neighbour lists of its record, each of weight 1), with only the
-    nonzero entries stored.
+    nonzero entries stored.  A table whose walk would pass
+    ``SUM_OUT_PAIR_BOUND`` image pairs is refused before it is built.
     """
     n = g.n
     adj, _, host = _host(g)
@@ -506,6 +510,9 @@ def _sum_out(k, g, factors, vectors, keep):
         else:
             table = {}
             (ys, zs), (yws, zws) = images, weights
+            pairs = sum(len(ys[cx]) * len(zs[cx]) for cx, w in enumerate(weight) if w)  # also bounds the merge below
+            if pairs > SUM_OUT_PAIR_BOUND:
+                raise CapacityError(f"summing out a vertex walks {pairs} image pairs, past the bound {SUM_OUT_PAIR_BOUND}")
             for cx, w in enumerate(weight):
                 for cy, wy in zip(ys[cx], yws[cx]) if w else ():
                     for cz, wz in zip(zs[cx], zws[cx]):

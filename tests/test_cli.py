@@ -148,6 +148,18 @@ def test_tensor_sums_out_a_20000_vertex_path_in_linear_time(tmp_path):
     assert json.loads(out)["entries"] == [1, 1]
 
 
+def test_a_sum_out_table_past_the_pair_bound_exits_3(tmp_path):
+    # each of the three degree-2 vertices of an unlabelled K_{2,3} is summed
+    # out onto the two others by a table that walks deg(c)^2 image pairs per
+    # host vertex c: into a 3,000-leaf star, 9,003,000 pairs, counted and
+    # refused before a table that ran out of memory under 1 GiB is built
+    k23 = {"graph": {"n": 5, "edges": [[a, b] for a in range(2) for b in range(2, 5)]}, "inputs": [], "outputs": []}
+    star = {"n": 3001, "edges": [[0, v] for v in range(1, 3001)]}
+    code, out, err = run_in_child("tensor", write_json(tmp_path, "star.json", star), write_json(tmp_path, "k23.json", k23))
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert "Traceback" not in err
+
+
 def test_an_answer_past_the_integer_digit_limit_is_printed(capsys, tmp_path):
     # 1000^1434 has 4,303 digits, past the 4,300 that Python turns into text
     # by default; JSON input keeps that limit.
