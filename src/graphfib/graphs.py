@@ -71,7 +71,7 @@ class Graph:
             norm.add((u, v))
         self.n = n
         self.edges = frozenset(norm)
-        self._host = None  # the record of _constraints, built on the first search into this graph
+        self._host = None  # the search record of _host, built on the first search into this graph at any size
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

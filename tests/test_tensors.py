@@ -408,6 +408,20 @@ def test_build_That_matches_the_enumerator_on_hosts_past_the_eager_rows_bound(g,
     assert build_That(g, d) == enumerated_That(g, d)
 
 
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(3), hosts_past_the_eager_rows_bound(), st.booleans())
+@example(Graph(3, [(0, 1), (1, 2), (2, 2)]), Graph(68, [(64, 65), (65, 66), (66, 66), (66, 67)]), False)
+def test_enumeration_matches_brute_force_in_order_on_hosts_past_the_eager_rows_bound(k, g, injective):
+    # the search reads rows built from the host record's neighbour lists
+    # when first read; the oracle tries every vertex map, in order
+    maps = [
+        phi
+        for phi in product(range(g.n), repeat=k.n)
+        if all(g.has_edge(phi[u], phi[v]) for u, v in k.edges) and not (injective and len(set(phi)) < k.n)
+    ]
+    assert enumerate_homomorphisms(k, g, injective) == maps
+
+
 LOOPED_HOST = Graph(3, [(0, 1), (1, 2), (2, 2)])
 
 
