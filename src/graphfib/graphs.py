@@ -508,11 +508,11 @@ def _sum_out(k, g, factors, vectors, keep):
                     summed_vec[cy] += w * wy
             vectors[nbrs[0]] = [a * b for a, b in zip(vectors.get(nbrs[0], ones), summed_vec)]
         else:
-            table = {}
             (ys, zs), (yws, zws) = images, weights
             pairs = sum(len(ys[cx]) * len(zs[cx]) for cx, w in enumerate(weight) if w)  # also bounds the merge below
             if pairs > SUM_OUT_PAIR_BOUND:
                 raise CapacityError(f"summing out a vertex walks {pairs} image pairs, past the bound {SUM_OUT_PAIR_BOUND}")
+            table = {}
             for cx, w in enumerate(weight):
                 for cy, wy in zip(ys[cx], yws[cx]) if w else ():
                     for cz, wz in zip(zs[cx], zws[cx]):
