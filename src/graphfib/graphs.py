@@ -484,39 +484,37 @@ def _sum_out(k, g, factors, vectors, keep):
         if degree > 2:
             break
         summed.add(x)
-        nbrs, images, weights = [], [], []  # per neighbour, for each image of x: its images and their weights
+        nbrs, rows = [], []  # per neighbour, for each image of x: the record's neighbours (weight 1) or a table's {image: weight}
         for e in sorted(incident[x]):
             t, i = factors.pop(e), e.index(x)
             nbrs.append(e[1 - i])
             incident[e[1 - i]].remove(e)
-            if t is host:  # the record's neighbour lists, each arc of weight 1
-                images.append(adj)
-                weights.append([ones] * n)
+            if t is host:
+                rows.append(adj)
                 continue
-            images.append([[] for _ in range(n)])
-            weights.append([[] for _ in range(n)])
+            rows.append([{} for _ in range(n)])
             for pair, w in t.items():
-                images[-1][pair[i]].append(pair[1 - i])
-                weights[-1][pair[i]].append(w)
+                rows[-1][pair[i]][pair[1 - i]] = w
         weight = vectors.pop(x, ones)
         if degree == 0:
             scalar *= sum(weight)
         elif degree == 1:
-            summed_vec = [0] * n
+            summed_vec, ys = [0] * n, rows[0]
             for cx, w in enumerate(weight):
-                for cy, wy in zip(images[0][cx], weights[0][cx]) if w else ():
-                    summed_vec[cy] += w * wy
+                for cy in ys[cx] if w else ():
+                    summed_vec[cy] += w if ys is adj else w * ys[cx][cy]
             vectors[nbrs[0]] = [a * b for a, b in zip(vectors.get(nbrs[0], ones), summed_vec)]
         else:
-            (ys, zs), (yws, zws) = images, weights
+            ys, zs = rows
             pairs = sum(len(ys[cx]) * len(zs[cx]) for cx, w in enumerate(weight) if w)  # also bounds the merge below
             if pairs > SUM_OUT_PAIR_BOUND:
                 raise CapacityError(f"summing out a vertex walks {pairs} image pairs, past the bound {SUM_OUT_PAIR_BOUND}")
             table = {}
             for cx, w in enumerate(weight):
-                for cy, wy in zip(ys[cx], yws[cx]) if w else ():
-                    for cz, wz in zip(zs[cx], zws[cx]):
-                        table[cy, cz] = table.get((cy, cz), 0) + w * wy * wz
+                for cy in ys[cx] if w else ():
+                    wy = w if ys is adj else w * ys[cx][cy]
+                    for cz in zs[cx]:
+                        table[cy, cz] = table.get((cy, cz), 0) + (wy if zs is adj else wy * zs[cx][cz])
             yz = tuple(nbrs)
             if yz in factors:  # at most one factor per pair: merge the new table into the old factor
                 old = factors[yz]
