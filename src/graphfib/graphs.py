@@ -228,8 +228,11 @@ class _Rows(dict):
 
 
 def _mask(images):
-    """The bitmask of distinct ``images``: their sum is their OR."""
-    return sum(map((1).__lshift__, images))
+    """The bitmask of ``images``."""
+    m = 0
+    for c in images:
+        m |= 1 << c
+    return m
 
 
 def _rows(adj):
