@@ -7,9 +7,8 @@ injective, and the pinned first hits that find generators of the
 automorphism group) and ``_count`` adds them into a tensor without building
 any.  The search keeps a vertex's untried images as one integer bitmask,
 the AND of its candidates and the host rows of its placed neighbours'
-images.  A host keeps one record of its neighbour lists, loops and rows
-from its first search on; past ``EAGER_ROWS_BOUND`` vertices, a row is
-built when a search first reads it.
+images.  A host keeps a record of its neighbour lists, loops and rows; past
+``EAGER_ROWS_BOUND`` vertices, a row is built when a search first reads it.
 ``f_union`` glues two graphs as a ``quotient`` of their disjoint union.
 The relabelled masks of a graph come from one table per vertex count,
 ``_perm_cell_tables``.  ``canonical_form`` takes their least and the
@@ -236,8 +235,7 @@ def _mask(images):
 
 
 def _rows(adj):
-    """The bitmask rows of the relation in which image ``a`` of a host
-    relates to each image in the list ``adj[a]``: a list up to
+    """The bitmask rows of the neighbour lists ``adj``: a list up to
     ``EAGER_ROWS_BOUND`` images, else a :class:`_Rows` reading ``adj``."""
     if len(adj) <= EAGER_ROWS_BOUND:
         return list(map(_mask, adj))
