@@ -13,10 +13,6 @@ A group is given by generators and closed once, when it is built.  The
 closure's invariance is checked on the generators only: a letter map is an
 automorphism of the free product, so if each generator maps ``A`` into
 itself, so does every product of generators.
-
-``orbits`` reads the group by columns: column ``x`` lists the image of
-point ``x`` under every element, so zipping the columns of a tuple's points
-lists the tuple's images under every element in one pass.
 """
 
 from __future__ import annotations
@@ -163,22 +159,34 @@ def orbits(group, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     """Orbits of ``H`` acting diagonally on pairs of label tuples.
 
     Listed by lexicographically least representative, which is also the
-    stored representative.
+    stored representative.  A tuple ``t`` is least in its orbit exactly when
+    each ``t[i]`` is least in its orbit under the stabiliser of ``t[:i]``,
+    so a depth-first descent through point stabilisers (Butler 1991) lists
+    the representatives in order.  An orbit's size is ``|H|`` over the order
+    of its representative's stabiliser; once the stabiliser is trivial,
+    every extension is its own orbit of size ``|H|``.
     """
-    n = group.degree
-    if power_exceeds(n, k + l, tuple_bound):
-        raise CapacityError(f"{n}^{k + l} label pairs exceed the bound {tuple_bound}")
-    if k + l > tuple_bound:  # on 0 or 1 points the pairs are few, but each has k + l entries
-        raise CapacityError(f"{k + l} labels exceed the bound {tuple_bound}")
-    columns = list(zip(*group.elements))
-    visited = set()
+    n, m, order = group.degree, k + l, len(group.elements)
+    if power_exceeds(n, m, tuple_bound):
+        raise CapacityError(f"{n}^{m} label pairs exceed the bound {tuple_bound}")
+    if m > tuple_bound:  # on 0 or 1 points the pairs are few, but each has k + l entries
+        raise CapacityError(f"{m} labels exceed the bound {tuple_bound}")
     out = []
-    for combined in product(range(n), repeat=k + l):
-        if combined in visited:
+    stack = [((), group.elements)]  # a prefix and its stabiliser; an explicit stack, as labels may be many
+    while stack:
+        prefix, stab = stack.pop()
+        if len(prefix) == m or len(stab) == 1:
+            for rest in product(range(n), repeat=m - len(prefix)):
+                t = prefix + rest
+                out.append(OrbitClass(t[:k], t[k:], order // len(stab)))
             continue
-        orbit = set(zip(*[columns[x] for x in combined])) if combined else {()}
-        visited |= orbit
-        out.append(OrbitClass(combined[:k], combined[k:], len(orbit)))
+        reached = set()
+        children = []
+        for x in range(n):
+            if x not in reached:  # least in its orbit under ``stab``
+                reached.update(s[x] for s in stab)
+                children.append((prefix + (x,), [s for s in stab if s[x] == x]))
+        stack += reversed(children)  # the least point is taken first
     return out
 
 

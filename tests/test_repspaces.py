@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import permutations, product
+from math import perm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -357,11 +358,18 @@ def small_groups(draw):
     return graph_automorphism_group(Graph(n, edges))
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_groups(), st.integers(0, 4), st.data())
+@settings(max_examples=300, deadline=None)
+@given(
+    # closed generator lists add intransitive and cyclic actions, whose
+    # stabilisers shrink in other patterns than those of S_n and Aut(G)
+    st.one_of(small_groups(), generator_lists().map(lambda case: PermutationGroup(*case))),
+    st.integers(0, 4),
+    st.data(),
+)
 def test_orbits_match_the_orbits_under_act(group, m, data):
     k = data.draw(st.integers(0, m))
     got = orbits(group, k, m - k)
+    assert burnside_dim(group, k, m - k) == len(got)
     seen = set()
     for o in got:
         assert (len(o.a), len(o.b)) == (k, m - k)
@@ -379,6 +387,28 @@ def test_orbits_of_the_empty_tuple_and_of_degree_zero():
     assert orbits(symmetric_group(3), 0, 0) == [OrbitClass((), (), 1)]
     assert orbits(symmetric_group(0), 0, 0) == [OrbitClass((), (), 1)]
     assert orbits(symmetric_group(0), 1, 1) == []
+
+
+def test_orbits_of_s8_on_six_labels_are_the_restricted_growth_strings():
+    # a tuple's orbit under S_n is its kernel; its least point numbers the
+    # blocks in order of first appearance, and the orbit has perm(n, blocks) points
+    strings = [t for t in product(range(6), repeat=6) if all(t[i] <= max(t[:i], default=-1) + 1 for i in range(6))]
+    assert len(strings) == 203  # Bell(6)
+    want = [OrbitClass(t[:3], t[3:], perm(8, max(t) + 1)) for t in strings]
+    assert orbits(symmetric_group(8), 3, 3) == want
+
+
+def test_orbits_of_the_12_cycle_automorphisms_on_four_labels():
+    group = graph_automorphism_group(cycle(12))
+    got = orbits(group, 2, 2)
+    assert len(got) == burnside_dim(group, 2, 2) == 868
+    assert sum(o.size for o in got) == 12**4
+
+
+def test_orbits_of_a_long_label_tuple_on_one_point():
+    # 3,000 labels: a walk that recursed once per label would overflow the stack
+    one_point = group_from_elements(1, [[0]])
+    assert orbits(one_point, 3000, 0) == [OrbitClass((0,) * 3000, (), 1)]
 
 
 def test_orbits_respects_tuple_bound():
