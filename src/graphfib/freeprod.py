@@ -525,18 +525,21 @@ def check_invariance(maps, closure):
     """Require every letter map in ``maps`` to send the closure into itself.
 
     It suffices that each map sends each closure generator into the closure.
-    An image outside raises ``ValueError``; an image whose membership is
-    unknown raises :class:`IndeterminateError`.
+    An image outside raises ``ValueError``, and one of unknown membership
+    :class:`IndeterminateError`, so only members repeat: each is decided once.
     """
+    members = set()
     for phi in maps:
         for w in closure.generators:
-            got = member(apply_letter_map(phi, w), closure)
+            image = apply_letter_map(phi, w)
+            got = Membership.YES if image in members else member(image, closure)
             if got is Membership.NO:
                 raise ValueError(f"closure is not invariant: image of {w} under {phi} escapes")
             if got is Membership.UNKNOWN:
                 raise IndeterminateError(
                     f"cannot certify invariance of the closure for {w} under {phi}"
                 )
+            members.add(image)
 
 
 # ---------------------------------------------------------------------------

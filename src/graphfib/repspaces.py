@@ -5,23 +5,20 @@ For a permutation group ``H`` on ``n`` points, the tensors
 supported on the orbit of the pair ``(a, b)``; distinct orbits have disjoint
 supports, so picking one tensor per orbit yields a basis.  Restricting to a
 normal closure ``A`` of words keeps exactly the orbits whose word
-``a + reverse(b)`` lies in ``A``.  ``orbit_basis`` assembles that basis,
-with its disjoint-support and Burnside cross-checks, and ``dim_report``
-formats it.
+``a + reverse(b)`` lies in ``A``.  ``orbit_basis`` assembles that basis, with
+its disjoint-support and Burnside cross-checks, and ``dim_report`` formats it.
 
-A group is given by generators and closed once, when it is built.  The
-closure's invariance is checked on the generators only: a letter map is an
-automorphism of the free product, so if each generator maps ``A`` into
-itself, so does every product of generators.
+A group is given by generators and closed once, coset by coset, when it is
+built.  The closure's invariance is checked on the generators only: a letter
+map is an automorphism of the free product, so if each generator maps ``A``
+into itself, so does every product of generators.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import product
+from itertools import product, repeat
 from math import perm
-from operator import itemgetter
-from types import SimpleNamespace
+from operator import add, eq, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import CapacityError, IndeterminateError, InvariantError
@@ -45,11 +42,11 @@ THPART_TALLY_BOUND = 10**7  # group elements times kernel tuples one ``thpart`` 
 class PermutationGroup:
     """The group of permutations of ``0..degree-1`` generated by ``generators``.
 
-    A generator is kept only if it lies outside the group generated by those
-    kept before it, so at most log2 of the order are kept.  Elements are sorted.
-    The order times the degree, the points stored, is capped at
-    ``GROUP_POINT_BOUND``.  ``generators`` is read one at a time, so a lazy
-    stream is not read past the cap.
+    A generator is kept only if it lies outside the group of those kept before
+    it, so at most log2 of the order are kept, and the group grows by whole right
+    cosets of the group so far (Dimino's algorithm).  Elements are sorted.  The
+    points stored, order times degree, are checked against ``GROUP_POINT_BOUND``
+    before each coset is stored, so a lazy ``generators`` is not read past it.
     """
 
     __slots__ = ("degree", "generators", "elements")
@@ -59,17 +56,16 @@ class PermutationGroup:
             raise ValueError(f"group degree must be a non-negative integer, got {degree!r}")
         seen = set()
 
-        def check_room():
-            if (len(seen) + 1) * degree > GROUP_POINT_BOUND:
+        def check_room(more):
+            if (len(seen) + more) * degree > GROUP_POINT_BOUND:
                 raise CapacityError(
                     f"group of degree {degree}: order times degree exceeds the bound {GROUP_POINT_BOUND}"
                 )
 
-        check_room()
+        check_room(1)
         points = list(range(degree))
         ident = tuple(points)
         seen.add(ident)
-        queue = [ident]
         kept = []
         moves = []  # right multiplication by each kept generator: s -> s o h
         for g in generators:
@@ -80,16 +76,15 @@ class PermutationGroup:
                 raise ValueError(f"{g!r} is not a permutation of {degree} points")
             kept.append(g)
             moves.append(itemgetter(*g))  # a kept generator moves two points or more, so this gives tuples
-            # The elements found so far are closed under the earlier
-            # generators, so only the new one is applied to them.
-            closed = len(queue)
-            for i, s in enumerate(queue):  # breadth first: the queue grows while it is read
-                for move in moves if i >= closed else moves[-1:]:
-                    t = move(s)
+            base = list(seen)
+            reps = [ident]  # one element of each coset ``base o r``
+            for r in reps:  # the list grows while it is read: r o s not yet seen starts a coset
+                for move in moves:
+                    t = move(r)
                     if t not in seen:
-                        check_room()
-                        seen.add(t)
-                        queue.append(t)
+                        check_room(len(base))
+                        seen.update(map(itemgetter(*t), base))
+                        reps.append(t)
         self.degree = degree
         self.generators = tuple(kept)
         self.elements = tuple(sorted(seen))
@@ -122,10 +117,7 @@ def group_from_elements(degree, elements):
 
 
 def symmetric_group(n):
-    """S_n, closed from the swap (0 1) and the n-cycle.
-
-    The generators are made lazily, after the constructor has checked ``n``.
-    """
+    """S_n, closed from the swap (0 1) and the n-cycle, made lazily after the constructor checks ``n``."""
     def swap_and_cycle():
         if n >= 2:
             yield (1, 0) + tuple(range(2, n))
@@ -135,12 +127,10 @@ def symmetric_group(n):
 
 
 def graph_automorphism_group(g):
-    """Aut(g), closed from the generators of its stabiliser chain as the
-    search finds them, so a group above the point bound stops before the
-    chain is complete.  The group is then closed again from its sorted
-    elements: that keeps the generators a greedy pass over every
-    automorphism in lexicographic order keeps, which ``check_invariance``
-    reads first."""
+    """Aut(g), closed from the generators of its stabiliser chain as the search
+    finds them, so a group above the point bound stops before the chain is
+    complete, then again from its sorted elements: that keeps the generators a
+    greedy pass over the automorphisms in order keeps, read by ``check_invariance``."""
     found = PermutationGroup(g.n, automorphism_generators(g))
     return PermutationGroup(g.n, found.elements)
 
@@ -195,16 +185,22 @@ def build_That_H(group, a, b):
     return tally(zero_tensor(group.degree, len(a), len(b)), group.elements, a, b)
 
 
-def orbit_support(group, a, b):
-    """The nonzero entries of :func:`build_That_H`, by flat index, counted
-    into a sparse map instead of a dense tensor of ``n^(k+l)`` entries."""
-    return tally(SimpleNamespace(n=group.degree, k=len(a), entries=Counter()), group.elements, a, b).entries
+def orbit_support(columns, a, b):
+    """Flat indices where :func:`build_That_H` is nonzero, read from the group's
+    element columns: ``columns[x]`` is ``x``'s image under each element."""
+    n, labels = len(columns), (*b, *a)  # outputs first, as the row index leads
+    idx = columns[labels[0]] if labels else (0,)
+    for depth, x in enumerate(labels[1:], 1):
+        idx = map(add, map(mul, idx, repeat(n)), columns[x])
+        if not depth % 1000:  # maps nest on the C stack, so a long label tuple is stored now and then
+            idx = list(idx)
+    return set(idx)
 
 
 def burnside_dim(group, k, l):
     """Number of orbits on label pairs, by averaging fixed-point counts."""
-    m = k + l
-    total = sum(sum(1 for i, si in enumerate(s) if si == i) ** m for s in group.elements)
+    m, points = k + l, range(group.degree)
+    total = sum(sum(map(eq, s, points)) ** m for s in group.elements)
     order = len(group.elements)
     if total % order:
         raise InvariantError("orbit-count average must be an integer")
@@ -236,12 +232,12 @@ def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
 
     With ``closure=None`` every orbit is accepted.  Membership is well-defined
     on orbits because the closure is group-invariant (checked).  An unknown
-    verdict can be neither dropped nor kept, so it raises before any support
-    is counted.  Two cross-checks are computed from scratch.  The tensors must
-    be nonzero with pairwise disjoint supports, which makes them independent
-    (their rank is the basis length), and the Burnside count must equal the
-    table length.  The supports are read from :func:`orbit_support`, so no
-    tensor is built.
+    verdict can be neither dropped nor kept, so it raises before any support is
+    read.  Two cross-checks are computed from scratch: the tensors must be
+    nonzero with pairwise disjoint supports, which makes them independent (their
+    rank is the basis length), and the Burnside count must equal the table
+    length.  The supports come from :func:`orbit_support` and element columns
+    read once, so no tensor is built.
     """
     if closure is None:
         table = [(o, Membership.YES) for o in orbits(group, k, l, tuple_bound)]
@@ -253,9 +249,10 @@ def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
                 f"membership of orbit ({o.a}, {o.b}) is unknown under the chosen strategy"
             )
     basis = [o for o, verdict in table if verdict is Membership.YES]
+    columns = list(zip(*group.elements))
     covered = set()
     for o in basis:
-        support = orbit_support(group, o.a, o.b)
+        support = orbit_support(columns, o.a, o.b)
         if not support:
             raise InvariantError(f"orbit ({o.a}, {o.b}) has a zero tensor")
         if not covered.isdisjoint(support):

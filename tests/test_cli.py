@@ -364,6 +364,16 @@ def test_dim_rejects_bool_letters(tmp_path):
     assert "Traceback" not in err
 
 
+def test_dim_exits_indeterminate_when_invariance_cannot_be_certified(tmp_path, capsys):
+    group = write_json(tmp_path, "group.json", {"symmetric": 3})
+    words = write_json(
+        tmp_path, "words.json", {"alphabet": 3, "generators": [[0, 1]], "strategy": {"bounded-bfs": {"depth": 0}}}
+    )
+    code, out, err = run(capsys, "dim", group, words, "1", "1")
+    assert code == 4 and out == ""
+    assert err.strip() == "indeterminate: cannot certify invariance of the closure for (0, 1) under (1, 0, 2)"
+
+
 def test_dim_rejects_negative_label_counts(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dim", fx("group_s3.json"), fx("null.json"), "-1", "2"])
@@ -375,7 +385,7 @@ def test_dim_reports_a_broken_invariant_with_exit_5(capsys, monkeypatch):
     # every orbit gets the support of the all-zero label pair, so supports overlap
     real = graphfib.repspaces.orbit_support
     monkeypatch.setattr(
-        "graphfib.repspaces.orbit_support", lambda group, a, b: real(group, (0,) * len(a), (0,) * len(b))
+        "graphfib.repspaces.orbit_support", lambda columns, a, b: real(columns, (0,) * len(a), (0,) * len(b))
     )
     code, out, err = run(capsys, "dim", fx("group_s3.json"), fx("null.json"), "1", "1")
     assert code == 5 and out == "" and err.startswith("internal invariant broken:")
@@ -388,6 +398,15 @@ def test_dim_on_many_label_pairs_builds_no_dense_tensor_per_orbit(tmp_path):
     assert code == 0, err
     report = json.loads(out)
     assert report["dim"] == report["burnside"] == 40000
+
+
+def test_dim_on_a_long_label_tuple_on_one_point(tmp_path):
+    # the support of the one orbit folds in 100,000 labels; nesting a lazy step per label overflows the C stack
+    group = write_json(tmp_path, "group.json", {"symmetric": 1})
+    code, out, err = run_in_child("dim", group, fx("null.json"), "60000", "40000", timeout=30)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["dim"] == report["burnside"] == 1
 
 
 # ---------------------------------------------------------------------------

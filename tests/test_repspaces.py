@@ -1,7 +1,6 @@
 """Orbit bases, Burnside counts, and semidirect morphism-space dimensions."""
 
 import random
-from collections import Counter
 from itertools import permutations, product
 from math import perm
 
@@ -14,6 +13,7 @@ from graphfib.freeprod import (
     Membership,
     MembershipPolicy,
     NormalClosureSpec,
+    apply_letter_map,
     check_invariance,
     member,
 )
@@ -260,6 +260,22 @@ def test_constructor_matches_the_reference_closure(case):
     assert group.elements == tuple(sorted(reference_closure(degree, gens)))
     assert 2 ** len(group.generators) <= len(group)
     assert reference_closure(degree, group.generators) == set(group.elements)
+    kept = []  # greedy: a generator is kept exactly when it lies outside the group of those kept before it
+    for g in map(tuple, gens):
+        if g not in reference_closure(degree, kept):
+            kept.append(g)
+    assert group.generators == tuple(kept)
+
+
+def test_a_lazy_stream_is_not_read_past_the_generator_that_crosses_the_point_bound():
+    def swap_cycle_then_sentinel():
+        yield (1, 0) + tuple(range(2, 9))
+        yield tuple(range(1, 9)) + (0,)  # with the swap it generates S9: 9! * 9 points
+        pytest.fail("the stream was read past the generator that crossed the bound")
+
+    with pytest.raises(CapacityError) as exc:
+        PermutationGroup(9, swap_cycle_then_sentinel())
+    assert str(exc.value) == f"group of degree 9: order times degree exceeds the bound {GROUP_POINT_BOUND}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -449,7 +465,7 @@ def test_orbit_tensor_matches_a_direct_count_over_the_elements(case, data):
     for i in product(range(degree), repeat=len(a)):
         for j in product(range(degree), repeat=len(b)):
             assert t.entry(j, i) == sum(1 for s in group.elements if act(s, a) == i and act(s, b) == j)
-    assert orbit_support(group, a, b) == {i: e for i, e in enumerate(t.entries) if e}
+    assert orbit_support(list(zip(*group.elements)), a, b) == {i for i, e in enumerate(t.entries) if e}
 
 
 def test_orbit_tensors_have_disjoint_supports_and_stabilizer_entries():
@@ -501,7 +517,7 @@ def test_the_support_certificate_agrees_with_exact_rank(case, m, data):
 
 
 def test_the_support_certificate_refuses_a_zero_tensor(monkeypatch):
-    monkeypatch.setattr("graphfib.repspaces.orbit_support", lambda group, a, b: Counter())
+    monkeypatch.setattr("graphfib.repspaces.orbit_support", lambda columns, a, b: set())
     with pytest.raises(InvariantError, match="zero tensor"):
         orbit_basis(symmetric_group(3), None, 1, 1)
 
@@ -510,10 +526,23 @@ def test_the_support_certificate_refuses_overlapping_tensors(monkeypatch):
     # every orbit gets the support of the all-zero label pair
     monkeypatch.setattr(
         "graphfib.repspaces.orbit_support",
-        lambda group, a, b: orbit_support(group, (0,) * len(a), (0,) * len(b)),
+        lambda columns, a, b: orbit_support(columns, (0,) * len(a), (0,) * len(b)),
     )
     with pytest.raises(InvariantError, match="shares a nonzero entry"):
         orbit_basis(symmetric_group(3), None, 1, 1)
+
+
+def test_one_dim_call_reads_the_element_columns_once(monkeypatch):
+    group, passed = symmetric_group(3), []
+
+    def recording(columns, a, b):
+        passed.append(columns)
+        return orbit_support(columns, a, b)
+
+    monkeypatch.setattr("graphfib.repspaces.orbit_support", recording)
+    assert dim_report(group, None, 2, 2)["dim"] == len(passed) == 14
+    assert all(columns is passed[0] for columns in passed)
+    assert passed[0] == list(zip(*group.elements))
 
 
 def test_pair_word_reduces_the_glued_boundary():
@@ -531,6 +560,42 @@ def test_invariance_guard_rejects_asymmetric_closures():
     with pytest.raises(ValueError):
         check_invariance(symmetric_group(2).elements, bad)
     check_invariance(symmetric_group(2).elements, NormalClosureSpec(2, [(0, 1, 0, 1)]))
+
+
+def commutator_closure(alphabet, pairs):
+    return NormalClosureSpec(alphabet, [(x, y, x, y) for x, y in pairs], MembershipPolicy("racg"))
+
+
+def test_invariance_decides_each_distinct_image_once(monkeypatch):
+    maps = symmetric_group(4).elements
+    closure = commutator_closure(4, [(x, y) for x in range(4) for y in range(4) if x != y])
+    images = {apply_letter_map(phi, w) for phi in maps for w in closure.generators}
+    calls = []
+
+    def counting(word, spec):
+        calls.append(word)
+        return member(word, spec)
+
+    monkeypatch.setattr("graphfib.freeprod.member", counting)
+    check_invariance(maps, closure)
+    assert len(calls) == len(images) == 12 < len(maps) * len(closure.generators)
+    assert set(calls) == images
+
+
+def plain_invariance_message(maps, closure):
+    for phi in maps:
+        for w in closure.generators:
+            if member(apply_letter_map(phi, w), closure) is not Membership.YES:
+                return f"closure is not invariant: image of {w} under {phi} escapes"
+
+
+def test_invariance_names_the_first_escaping_image_as_a_plain_loop_does():
+    # bcbc escapes; it is the image of acac under (1 0 2) and of abab under (1 2 0)
+    closure = commutator_closure(3, [(0, 1), (0, 2)])
+    for maps in (symmetric_group(3).elements, symmetric_group(3).elements[::-1]):
+        with pytest.raises(ValueError) as exc:
+            check_invariance(maps, closure)
+        assert str(exc.value) == plain_invariance_message(maps, closure)
 
 
 def test_invariance_is_checked_on_generators_only():
