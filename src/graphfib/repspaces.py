@@ -2,11 +2,13 @@
 
 For a permutation group ``H`` on ``n`` points, the tensors
 ``[That_H^{ab}]_{ji} = #{sigma in H : sigma(a) = i, sigma(b) = j}`` are
-supported on the orbit of the pair ``(a, b)``; distinct orbits have disjoint
-supports, so picking one tensor per orbit yields a basis.  Restricting to a
-normal closure ``A`` of words keeps exactly the orbits whose word
-``a + reverse(b)`` lies in ``A``.  ``orbit_basis`` assembles that basis, with
-its disjoint-support and Burnside cross-checks, and ``dim_report`` formats it.
+nonzero exactly on the orbit of the pair ``(a, b)``; distinct orbits have
+disjoint supports, so picking one tensor per orbit yields a basis.  Restricting
+to a normal closure ``A`` of words keeps exactly the orbits whose word
+``a + reverse(b)`` lies in ``A``.  ``orbits`` lists the orbits and checks their
+number against Burnside's count; ``orbit_basis`` assembles the basis and
+certifies that its representatives are least in their orbits and increasing,
+so no two share an orbit; ``dim_report`` formats it.
 
 A group is given by generators and closed once, coset by coset, when it is
 built.  The closure's invariance is checked on the generators only: a letter
@@ -16,9 +18,9 @@ into itself, so does every product of generators.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import product
 from math import perm
-from operator import add, eq, itemgetter, mul
+from operator import eq, itemgetter, lt
 from typing import NamedTuple
 
 from .errors import CapacityError, IndeterminateError, InvariantError
@@ -154,7 +156,8 @@ def orbits(group, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     so a depth-first descent through point stabilisers (Butler 1991) lists
     the representatives in order.  An orbit's size is ``|H|`` over the order
     of its representative's stabiliser; once the stabiliser is trivial,
-    every extension is its own orbit of size ``|H|``.
+    every extension is its own orbit of size ``|H|``.  A count other than
+    :func:`burnside_dim`'s raises ``InvariantError``.
     """
     n, m, order = group.degree, k + l, len(group.elements)
     if power_exceeds(n, m, tuple_bound):
@@ -177,24 +180,14 @@ def orbits(group, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
                 reached.update(s[x] for s in stab)
                 children.append((prefix + (x,), [s for s in stab if s[x] == x]))
         stack += reversed(children)  # the least point is taken first
+    if len(out) != burnside_dim(group, k, l):
+        raise InvariantError("orbit count must match the Burnside count")
     return out
 
 
 def build_That_H(group, a, b):
     """Counts of group elements sending ``a`` to the column and ``b`` to the row index."""
     return tally(zero_tensor(group.degree, len(a), len(b)), group.elements, a, b)
-
-
-def orbit_support(columns, a, b):
-    """Flat indices where :func:`build_That_H` is nonzero, read from the group's
-    element columns: ``columns[x]`` is ``x``'s image under each element."""
-    n, labels = len(columns), (*b, *a)  # outputs first, as the row index leads
-    idx = columns[labels[0]] if labels else (0,)
-    for depth, x in enumerate(labels[1:], 1):
-        idx = map(add, map(mul, idx, repeat(n)), columns[x])
-        if not depth % 1000:  # maps nest on the C stack, so a long label tuple is stored now and then
-            idx = list(idx)
-    return set(idx)
 
 
 def burnside_dim(group, k, l):
@@ -232,12 +225,14 @@ def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
 
     With ``closure=None`` every orbit is accepted.  Membership is well-defined
     on orbits because the closure is group-invariant (checked).  An unknown
-    verdict can be neither dropped nor kept, so it raises before any support is
-    read.  Two cross-checks are computed from scratch: the tensors must be
-    nonzero with pairwise disjoint supports, which makes them independent (their
-    rank is the basis length), and the Burnside count must equal the table
-    length.  The supports come from :func:`orbit_support` and element columns
-    read once, so no tensor is built.
+    verdict can be neither dropped nor kept, so it raises before the basis is
+    certified.  The certificate reads every element, so it does not rest on
+    the stabiliser descent in :func:`orbits`: each representative ``a + b``
+    must be the least of its images under the group, read from the element
+    columns, and the representatives must increase.  Then no two share an
+    orbit, and each tensor is nonzero exactly on its orbit, as the identity is
+    in the group, so the tensors have disjoint nonzero supports and are
+    independent (their rank is the basis length).  No tensor is built.
     """
     if closure is None:
         table = [(o, Membership.YES) for o in orbits(group, k, l, tuple_bound)]
@@ -249,17 +244,13 @@ def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
                 f"membership of orbit ({o.a}, {o.b}) is unknown under the chosen strategy"
             )
     basis = [o for o, verdict in table if verdict is Membership.YES]
-    columns = list(zip(*group.elements))
-    covered = set()
-    for o in basis:
-        support = orbit_support(columns, o.a, o.b)
-        if not support:
-            raise InvariantError(f"orbit ({o.a}, {o.b}) has a zero tensor")
-        if not covered.isdisjoint(support):
-            raise InvariantError(f"orbit ({o.a}, {o.b}) shares a nonzero entry with an earlier orbit")
-        covered.update(support)
-    if len(table) != burnside_dim(group, k, l):
-        raise InvariantError("orbit count must match the Burnside count")
+    reps = [o.a + o.b for o in basis]
+    if not all(map(lt, reps, reps[1:])):
+        raise InvariantError("accepted orbits must be listed once each, by increasing representative")
+    columns = list(zip(*group.elements))  # ``columns[x]``: the image of ``x`` under each element
+    for t in reps:
+        if min(zip(*map(columns.__getitem__, t)), default=()) != t:
+            raise InvariantError(f"{t} is not the least label tuple of its orbit")
     return table, basis
 
 

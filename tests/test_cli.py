@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import graphfib
 from graphfib import cli, tensors
 from graphfib.cli import main
+from graphfib.repspaces import OrbitClass
 from graphfib.tensors import build_T
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -382,11 +383,9 @@ def test_dim_rejects_negative_label_counts(capsys):
 
 
 def test_dim_reports_a_broken_invariant_with_exit_5(capsys, monkeypatch):
-    # every orbit gets the support of the all-zero label pair, so supports overlap
-    real = graphfib.repspaces.orbit_support
-    monkeypatch.setattr(
-        "graphfib.repspaces.orbit_support", lambda columns, a, b: real(columns, (0,) * len(a), (0,) * len(b))
-    )
+    # (1, 0) in place of (0, 1): a listing of the true length whose second representative is not least
+    listing = [OrbitClass((0,), (0,), 3), OrbitClass((1,), (0,), 6)]
+    monkeypatch.setattr("graphfib.repspaces.orbits", lambda *args: listing)
     code, out, err = run(capsys, "dim", fx("group_s3.json"), fx("null.json"), "1", "1")
     assert code == 5 and out == "" and err.startswith("internal invariant broken:")
 
@@ -401,7 +400,7 @@ def test_dim_on_many_label_pairs_builds_no_dense_tensor_per_orbit(tmp_path):
 
 
 def test_dim_on_a_long_label_tuple_on_one_point(tmp_path):
-    # the support of the one orbit folds in 100,000 labels; nesting a lazy step per label overflows the C stack
+    # the one orbit's representative has 100,000 labels; a lazy step nested per label would overflow the C stack
     group = write_json(tmp_path, "group.json", {"symmetric": 1})
     code, out, err = run_in_child("dim", group, fx("null.json"), "60000", "40000", timeout=30)
     assert code == 0, err
@@ -572,8 +571,16 @@ def test_orbits_listing(capsys):
 
 def test_orbits_refuses_a_count_that_misses_the_burnside_count_with_exit_5(capsys, monkeypatch):
     real = graphfib.repspaces.burnside_dim
-    monkeypatch.setattr(cli, "burnside_dim", lambda group, k, l: real(group, k, l) + 1)
+    monkeypatch.setattr("graphfib.repspaces.burnside_dim", lambda group, k, l: real(group, k, l) + 1)
     code, out, err = run(capsys, "orbits", fx("group_swap3.json"), "0", "2")
+    assert code == 5 and out == ""
+    assert err == "internal invariant broken: orbit count must match the Burnside count\n"
+
+
+def test_dim_refuses_a_count_that_misses_the_burnside_count_with_exit_5(capsys, monkeypatch):
+    real = graphfib.repspaces.burnside_dim
+    monkeypatch.setattr("graphfib.repspaces.burnside_dim", lambda group, k, l: real(group, k, l) + 1)
+    code, out, err = run(capsys, "dim", fx("group_swap3.json"), fx("null.json"), "0", "2")
     assert code == 5 and out == ""
     assert err == "internal invariant broken: orbit count must match the Burnside count\n"
 

@@ -38,7 +38,6 @@ from graphfib.repspaces import (
     graph_automorphism_group,
     group_from_elements,
     orbit_basis,
-    orbit_support,
     orbits,
     pair_word,
     semidirect_orbit_table,
@@ -465,7 +464,11 @@ def test_orbit_tensor_matches_a_direct_count_over_the_elements(case, data):
     for i in product(range(degree), repeat=len(a)):
         for j in product(range(degree), repeat=len(b)):
             assert t.entry(j, i) == sum(1 for s in group.elements if act(s, a) == i and act(s, b) == j)
-    assert orbit_support(list(zip(*group.elements)), a, b) == {i for i, e in enumerate(t.entries) if e}
+    # the least image of a + b over the element columns is the least (i, j) of a nonzero entry
+    columns = list(zip(*group.elements))
+    least = min(zip(*map(columns.__getitem__, tuple(a) + tuple(b))), default=())
+    pairs = product(product(range(degree), repeat=len(a)), product(range(degree), repeat=len(b)))
+    assert least == min(i + j for i, j in pairs if t.entry(j, i))
 
 
 def test_orbit_tensors_have_disjoint_supports_and_stabilizer_entries():
@@ -508,41 +511,51 @@ def groups_with_optional_closures(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(groups_with_optional_closures(), st.integers(0, 3), st.data())
-def test_the_support_certificate_agrees_with_exact_rank(case, m, data):
+def test_the_orbit_certificate_agrees_with_exact_rank(case, m, data):
     group, closure = case
     k = data.draw(st.integers(0, m))
     table, basis = orbit_basis(group, closure, k, m - k)
     assert exact_rank([build_That_H(group, o.a, o.b).entries for o in basis]) == len(basis)
     assert len(basis) == sum(1 for _, verdict in table if verdict is Membership.YES)
+    for o, _ in table:
+        t = o.a + o.b
+        assert t == min(act(s, t) for s in group.elements)
 
 
-def test_the_support_certificate_refuses_a_zero_tensor(monkeypatch):
-    monkeypatch.setattr("graphfib.repspaces.orbit_support", lambda columns, a, b: set())
-    with pytest.raises(InvariantError, match="zero tensor"):
+def test_the_certificate_refuses_a_representative_that_is_not_least(monkeypatch):
+    # (1, 0) lies in the orbit of (0, 1) under S_3, so it is not least in its orbit
+    listing = [OrbitClass((0,), (0,), 3), OrbitClass((1,), (0,), 6)]
+    monkeypatch.setattr("graphfib.repspaces.orbits", lambda *args: listing)
+    with pytest.raises(InvariantError, match="not the least label tuple of its orbit"):
         orbit_basis(symmetric_group(3), None, 1, 1)
 
 
-def test_the_support_certificate_refuses_overlapping_tensors(monkeypatch):
-    # every orbit gets the support of the all-zero label pair
-    monkeypatch.setattr(
-        "graphfib.repspaces.orbit_support",
-        lambda columns, a, b: orbit_support(columns, (0,) * len(a), (0,) * len(b)),
-    )
-    with pytest.raises(InvariantError, match="shares a nonzero entry"):
+def test_the_certificate_refuses_an_orbit_listed_twice(monkeypatch):
+    listing = [OrbitClass((0,), (1,), 6), OrbitClass((0,), (1,), 6)]  # in place of ((0,), (0,)), then ((0,), (1,))
+    monkeypatch.setattr("graphfib.repspaces.orbits", lambda *args: listing)
+    with pytest.raises(InvariantError, match="listed once each, by increasing representative"):
         orbit_basis(symmetric_group(3), None, 1, 1)
 
 
-def test_one_dim_call_reads_the_element_columns_once(monkeypatch):
-    group, passed = symmetric_group(3), []
+def test_one_dim_call_reads_the_element_columns_once():
+    class CountingGroup:
+        """``symmetric_group(3)``, counting reads of its elements."""
 
-    def recording(columns, a, b):
-        passed.append(columns)
-        return orbit_support(columns, a, b)
+        def __init__(self):
+            self.group, self.reads = symmetric_group(3), 0
+            self.degree, self.generators = self.group.degree, self.group.generators
 
-    monkeypatch.setattr("graphfib.repspaces.orbit_support", recording)
-    assert dim_report(group, None, 2, 2)["dim"] == len(passed) == 14
-    assert all(columns is passed[0] for columns in passed)
-    assert passed[0] == list(zip(*group.elements))
+        @property
+        def elements(self):
+            self.reads += 1
+            return self.group.elements
+
+    reads = []
+    for m, count in ((1, 2), (2, 14)):
+        group = CountingGroup()
+        assert len(orbit_basis(group, None, m, m)[1]) == count
+        reads.append(group.reads)
+    assert reads[0] == reads[1]
 
 
 def test_pair_word_reduces_the_glued_boundary():
