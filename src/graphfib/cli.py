@@ -24,7 +24,7 @@ import sys
 from .errors import CapacityError, IndeterminateError, InvariantError, check_json_object
 from .fibrations import DEFAULT_MAX_VERTICES, closure_graphs, fibration_from_json
 from .freeprod import closure_from_json
-from .graphs import graph_from_json, graph_to_json
+from .graphs import graph_from_json
 from .diagrams import diagram_from_json
 from .partitions import partition_from_json
 from .repspaces import (
@@ -186,11 +186,7 @@ def cmd_dim(args, config):
 
 def cmd_closure(args, config):
     fib = fibration_from_json(_load_json(args.fibration), default_max_vertices=config.max_vertices)
-    listing = []
-    for g, words in closure_graphs(fib):
-        entry = graph_to_json(g)
-        entry["fiber_generators"] = [list(w) for w in words]
-        listing.append(entry)
+    listing = [{"edges": edges, "fiber_generators": words, "n": n} for n, edges, words in closure_graphs(fib)]
     _print({"count": len(listing), "graphs": listing})
     return 0
 

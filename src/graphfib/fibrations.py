@@ -15,7 +15,7 @@ fibration holds its inputs only: each query recomputes what it reads, and
 finds the copies by a homomorphism search.  The closure of fibres is built
 only to list them, on adjacency masks, from one table of every generator
 copy per vertex count; each listed fibre reads its words from that table,
-with no search.
+with no search, and its edges from its own mask.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from .freeprod import (
     prune_words,
     reduce_word,
 )
-from .graphs import (
-    enumerate_homomorphisms,
-    graph_from_mask,
-    mask_of,
-    mask_orbit,
-)
+from .graphs import cell_bits, enumerate_homomorphisms, mask_edges, mask_orbit
 from .tensors import power_exceeds
 
 DEFAULT_MAX_VERTICES = 5
@@ -79,8 +74,9 @@ class GraphFibration:
 
 
 def closure_graphs(fib):
-    """All fibres up to isomorphism with their generator words: ``(graph,
-    words)`` pairs, canonical representatives.
+    """All fibres up to isomorphism with their generator words: ``(n, edges,
+    words)`` triples, canonical representatives, each with its sorted
+    :func:`mask_edges`.
 
     Sorted by vertex count, then by canonical adjacency mask.  A graph is a
     fibre when generator copies cover its edges, so each one on ``n``
@@ -101,8 +97,8 @@ def closure_graphs(fib):
     are filed by edge count and the counts are read upward: when a count's
     representatives are read, no mask can land there any more and its set
     is dropped.  At most ``CLOSURE_MASK_BOUND`` masks are filed at once.
-    ``Graph`` objects are built only for the listing, after the last vertex
-    count, so that the filing of the largest count does not hold them.
+    Edge lists are read from the masks after the last vertex count, so that
+    the filing of the largest count does not hold them.
 
     A representative's words are those :func:`fiber_generators` gives, read
     from the same table instead of found by a search: the maps whose copy
@@ -154,7 +150,7 @@ def closure_graphs(fib):
             (n, m, prune_reduced_words(n, _table_words(table, m), fib.policy))
             for m in sorted(chain.from_iterable(reps))
         )
-    return [(graph_from_mask(n, m), words) for n, m, words in members]
+    return [(n, mask_edges(n, m), words) for n, m, words in members]
 
 
 def _copy_table(fib, n):
@@ -162,17 +158,21 @@ def _copy_table(fib, n):
     {reduced boundary word: index of its first map}}``.
 
     Maps are numbered in the order :func:`_copy_words` meets them: by
-    generator, then by image tuple in lexicographic order.  Edgeless
+    generator, then by image tuple in lexicographic order.  A copy mask is
+    the OR of the :func:`cell_bits` of the edge images.  Edgeless
     generators are included; their maps have copy mask 0.  A mask keys each
     boundary word by its reduction, with the least index of the words that
     reduce to it, and drops the words that reduce to the empty word; each
     distinct word of a mask is reduced once.
     """
-    table, index = {}, 0
+    table, index, bits = {}, 0, cell_bits(n)
     for d in fib.generators:
         h, labels = d.graph, d.inputs[::-1] + d.outputs
         for phi in (product(range(n), repeat=h.n) if fib.easy else permutations(range(n), h.n)):
-            words = table.setdefault(mask_of(n, ((phi[u], phi[v]) for u, v in h.edges)), {})
+            c = 0
+            for u, v in h.edges:
+                c |= bits[phi[u]][phi[v]]  # an OR: an easy map can send two edges to one cell
+            words = table.setdefault(c, {})
             words.setdefault(tuple(map(phi.__getitem__, labels)), index)
             index += 1
     for c, words in table.items():

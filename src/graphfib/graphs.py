@@ -10,7 +10,8 @@ the AND of its candidates and the host rows of its placed neighbours'
 images.  A host keeps a record of its neighbour lists, loops and rows; past
 ``EAGER_ROWS_BOUND`` vertices, a row is built when a search first reads it.
 ``f_union`` glues two graphs as a ``quotient`` of their disjoint union.
-The relabelled masks of a graph come from one table per vertex count,
+Adjacency masks number their cells in one table, ``cell_bits``; the
+relabelled masks of a graph come from one table per vertex count,
 ``_perm_cell_tables``.  ``canonical_form`` takes their least and the
 first permutation reaching it; ``mask_orbit`` keeps them all, as the
 labelled isomorphism class that the closure of a fibration files at once.
@@ -642,14 +643,23 @@ def automorphism_generators(g):
 # canonical forms
 
 
-def _cell_index(n, u, v):
-    # cells (u, v) with u <= v, row-major including the diagonal
-    return u * n - u * (u + 1) // 2 + v
-
-
 @lru_cache(maxsize=None)
 def _cells(n):
     return tuple((u, v) for u in range(n) for v in range(u, n))
+
+
+@lru_cache(maxsize=None)
+def cell_bits(n):
+    """The mask bit of each adjacency cell on ``n`` vertices: ``bits[u][v] ==
+    bits[v][u]`` is ``1 << i`` for the ``i``-th cell of :func:`_cells`.  Only
+    read up to ``CANONICAL_VERTEX_BOUND`` vertices, where masks are used;
+    past it the ``n`` by ``n`` table is refused before it is built."""
+    if n > CANONICAL_VERTEX_BOUND:
+        raise CapacityError(f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}")
+    bits = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(_cells(n)):
+        bits[u][v] = bits[v][u] = 1 << i
+    return tuple(map(tuple, bits))
 
 
 @lru_cache(maxsize=None)
@@ -660,37 +670,30 @@ def _perm_cell_tables(n):
     ``c`` to cell ``d``.  The powers are shared, so a table costs one
     pointer a cell.
     """
-    bit = {cell: 1 << i for i, cell in enumerate(_cells(n))}
-    tables = []
-    for sigma in permutations(range(n)):
-        tab = []
-        for u, v in _cells(n):
-            a, b = sigma[u], sigma[v]
-            tab.append(bit[a, b] if a <= b else bit[b, a])
-        tables.append(tuple(tab))
-    return tuple(tables)
+    bits = cell_bits(n)
+    return tuple(tuple(bits[sigma[u]][sigma[v]] for u, v in _cells(n)) for sigma in permutations(range(n)))
 
 
 def mask_of(n, edges):
     """The adjacency mask of the graph on ``n`` vertices with ``edges``, pairs in either order."""
-    m = 0
+    bits, m = cell_bits(n), 0
     for u, v in edges:
-        m |= 1 << (_cell_index(n, u, v) if u <= v else _cell_index(n, v, u))
+        m |= bits[u][v]
     return m
 
 
-def graph_from_mask(n, mask):
-    edges = [cell for i, cell in enumerate(_cells(n)) if (mask >> i) & 1]
-    return Graph(n, edges)
+def mask_edges(n, mask):
+    """The cells of the adjacency mask ``mask`` on ``n`` vertices, as sorted
+    ``(u, v)`` pairs with ``u <= v``."""
+    cells = _cells(n)
+    return [cells[i] for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _relabelled_masks(n, mask):
     """The adjacency mask ``mask`` of a graph on ``n`` vertices under each
-    relabeling, in the order of :func:`_perm_cell_tables`."""
-    if n > CANONICAL_VERTEX_BOUND:
-        raise CapacityError(
-            f"canonical form supported up to {CANONICAL_VERTEX_BOUND} vertices, got {n}"
-        )
+    relabeling, in the order of :func:`_perm_cell_tables`.  Refused past
+    ``CANONICAL_VERTEX_BOUND`` vertices, as :func:`cell_bits` is."""
+    cell_bits(n)
     bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
     if not bits:
         return repeat(0, factorial(n))
@@ -723,10 +726,6 @@ def canonical_form(g):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def graph_to_json(g):
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
 def parse_graph6(text):

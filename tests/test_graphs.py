@@ -13,6 +13,7 @@ from graphfib.graphs import (
     automorphism_generators,
     automorphisms,
     canonical_form,
+    cell_bits,
     complete,
     disjoint_union,
     edgeless,
@@ -21,8 +22,7 @@ from graphfib.graphs import (
     f_union,
     generated_partition,
     graph_from_json,
-    graph_from_mask,
-    graph_to_json,
+    mask_edges,
     mask_of,
     mask_orbit,
     parse_graph6,
@@ -30,7 +30,7 @@ from graphfib.graphs import (
     quotient,
 )
 from graphfib.partitions import enumerate_partitions
-from reference import canonical_key, components_partition, enumerate_graphs, explicit_f_union
+from reference import canonical_key, components_partition, enumerate_graphs, explicit_f_union, graph_to_json
 
 
 def small_graphs():
@@ -355,12 +355,29 @@ def test_a_mask_is_that_of_its_graph(data):
     g = Graph(n, pairs)
     mask = mask_of(n, pairs)
     assert mask == mask_of(n, [(v, u) for u, v in pairs]) == mask_of(n, g.edges)
-    assert graph_from_mask(n, mask).edges == g.edges
+    assert Graph(n, mask_edges(n, mask)).edges == g.edges
+    assert mask_edges(n, mask) == sorted(g.edges)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_cell_bits_and_mask_edges_read_one_numbering(n):
+    # cells row-major with the diagonal, each pair in both orders
+    cells = [(u, v) for u in range(n) for v in range(u, n)]
+    bits = cell_bits(n)
+    assert all(bits[u][v] == bits[v][u] == 1 << i for i, (u, v) in enumerate(cells))
+    assert mask_edges(n, (1 << len(cells)) - 1) == cells
+    assert all(mask_edges(n, 1 << i) == [cell] for i, cell in enumerate(cells))
+
+
+def test_cell_bits_are_refused_past_the_canonical_bound():
+    for call in (lambda: cell_bits(9), lambda: mask_of(9, [(0, 1)]), lambda: mask_of(1000, [])):
+        with pytest.raises(CapacityError):
+            call()
 
 
 def relabelled_masks(n, mask):
     """The oracle for :func:`mask_orbit`: the mask of each relabeled graph, one permutation at a time."""
-    g = graph_from_mask(n, mask)
+    g = Graph(n, mask_edges(n, mask))
     return {mask_of(n, [(perm[u], perm[v]) for u, v in g.edges]) for perm in permutations(range(n))}
 
 
@@ -370,7 +387,7 @@ def test_the_orbit_of_every_small_mask_is_every_relabelling(n):
     for mask in range(1 << cells):
         orbit = mask_orbit(n, mask)
         assert orbit == relabelled_masks(n, mask)
-        assert min(orbit) == canonical_key(graph_from_mask(n, mask))[1]
+        assert min(orbit) == canonical_key(Graph(n, mask_edges(n, mask)))[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,7 +397,7 @@ def test_the_orbit_of_a_mask_is_every_relabelling(data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n * (n + 1) // 2) - 1))
     orbit = mask_orbit(n, mask)
     assert orbit == relabelled_masks(n, mask)
-    assert min(orbit) == canonical_key(graph_from_mask(n, mask))[1]
+    assert min(orbit) == canonical_key(Graph(n, mask_edges(n, mask)))[1]
 
 
 def test_the_orbit_of_a_mask_has_the_capacity_bound():
