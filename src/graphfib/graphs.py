@@ -7,7 +7,8 @@ injective, and the pinned first hits that find generators of the
 automorphism group) and ``_count`` adds them into a tensor without building
 any.  The search keeps a vertex's untried images as one integer bitmask,
 the AND of its candidates and the host rows of its placed neighbours'
-images.  A host keeps a record of its neighbour lists, loops and rows; past
+images, and places the second-to-last vertex in an inner loop of its own.
+A host keeps a record of its neighbour lists, loops and rows; past
 ``EAGER_ROWS_BOUND`` vertices, a row is built when a search first reads it.
 ``f_union`` glues two graphs as a ``quotient`` of their disjoint union.
 Adjacency masks number their cells in one table, ``cell_bits``; the
@@ -263,10 +264,21 @@ def _walk(image, order, candidates, checks, injective=False, coef=None):
     share an image, but the last vertex's list comes whole.  Images are
     taken in increasing order, a mask's lowest bit first, so the placings
     come in lexicographic order, and a consumer may stop at any of them.
+    The second-to-last vertex takes its images in an inner loop of its own,
+    with no level to leave and enter again for each; the stream handed over
+    is the same as a level for it would give.
     """
-    last = len(order) - 1
-    untried = [0] * last  # per level above the last: a bitmask, or an iterator over a list
-    index = [0] * (last + 1)  # given coef: per level, the flat index of the vertices placed above
+    *above, last = order
+    final, ends = candidates[last], checks[last]
+    if not above:
+        for u, rows in ends:
+            final &= rows[image[u]]
+        yield final, 0
+        return
+    top = len(above) - 1  # the level of the inner loop
+    a, drop = coef[above[-1]] if coef else 0, injective and ends  # drop: the last vertex skips the images placed
+    untried = [0] * top  # per level above the inner loop: a bitmask, or an iterator over a list
+    index = [0] * (top + 1)  # given coef: per level, the flat index of the vertices placed above
     used = 0  # given injective: the bits of the images placed so far
     i = 0
     while True:
@@ -278,8 +290,29 @@ def _walk(image, order, candidates, checks, injective=False, coef=None):
                 m &= rows[image[u]]
             if injective:
                 m &= ~used
-        if i == last:
-            yield m, index[i]
+        if i == top:  # the inner loop: each image c of v hands over the images left to the last vertex
+            at = index[i]
+            if rels:
+                while m:
+                    low = m & -m
+                    m ^= low
+                    image[v] = c = low.bit_length() - 1
+                    x = final
+                    for u, rows in ends:
+                        x &= rows[image[u]]
+                    if drop:
+                        x &= ~(used | low)
+                    yield x, at + a * c
+            else:
+                for c in m:
+                    if not (injective and used >> c & 1):
+                        image[v] = c
+                        x = final
+                        for u, rows in ends:
+                            x &= rows[image[u]]
+                        if drop:
+                            x &= ~(used | 1 << c)
+                        yield x, at + a * c
             rels, m = True, 0  # no image left to take here: back up
         elif not rels:
             m = iter(m)
@@ -350,31 +383,36 @@ def _count(entries, n, order, candidates, checks, coef, weights, scale, injectiv
         return
     image = [0] * (len(checks) + 1)
     *above, v = order
+    a, rels = coef[v], checks[v]
+    found = _walk(image, order, candidates, checks, injective, coef)
+    if rels and not weights:  # the common case: a popcount, or one add per bit, for each placing
+        if not a:
+            for m, at in found:
+                entries[at] += scale * m.bit_count()
+        else:
+            for m, at in found:
+                while m:
+                    low = m & -m
+                    m ^= low
+                    entries[at + a * (low.bit_length() - 1)] += scale
+        return
     heavy = [(u, x, t) for u, x, t in weights if x != v]  # weighed once per placing of the others
-    a, rels, ws = coef[v], checks[v], [(u, t) for u, x, t in weights if x == v]
-    for m, at in _walk(image, order, candidates, checks, injective, coef):
+    ws = [(u, t) for u, x, t in weights if x == v]  # these come from summing out, so the search is not injective
+    for m, at in found:
         w = scale
         for u, x, t in heavy:
             w *= t[image[u] * n + image[x]]
-        if ws:  # weights come from summing out, so the search is not injective
-            for c in _bits(m) if rels else m:
+        if not (a or ws):
+            left = m.bit_count() if rels else len(m) - (sum(image[u] in m for u in above) if injective else 0)
+            entries[at] += w * left
+            continue
+        placed = {image[u] for u in above} if injective and not rels else ()
+        for c in _bits(m) if rels else m:
+            if c not in placed:
                 x = w
                 for u, t in ws:
                     x *= t[image[u] * n + c]
                 entries[at + a * c] += x
-        elif not a:
-            left = m.bit_count() if rels else len(m) - (sum(image[u] in m for u in above) if injective else 0)
-            entries[at] += w * left
-        elif rels:
-            while m:
-                low = m & -m
-                m ^= low
-                entries[at + a * (low.bit_length() - 1)] += w
-        else:
-            placed = {image[u] for u in above} if injective else ()
-            for c in m:
-                if c not in placed:
-                    entries[at + a * c] += w
 
 
 def _host(g):

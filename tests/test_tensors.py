@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphfib.diagrams import BilabelledGraph, m_diagram, rotate_left
+from graphfib import tensors
+from graphfib.diagrams import (
+    BilabelledGraph,
+    bl_f_compose,
+    bl_f_union,
+    m_diagram,
+    required_composition_pairs,
+    rotate_left,
+)
 from graphfib.graphs import (
     EAGER_ROWS_BOUND,
     Graph,
@@ -16,6 +24,7 @@ from graphfib.graphs import (
     disjoint_union,
     edgeless,
     enumerate_homomorphisms,
+    enumerate_overlaps,
     path,
 )
 from graphfib.partitions import enumerate_set_partitions, from_blocks, ker
@@ -227,6 +236,42 @@ def test_composition_of_mismatched_kernels_is_zero():
         assert all(r["ok"] for r in reports), reports
 
 
+def test_that_sums_glue_no_diagram_larger_than_the_host(monkeypatch):
+    # 3 + 2 vertices into K3: overlaps of fewer than two pairs glue a diagram
+    # of four or five vertices, which no injective map fits
+    g, d1, d2 = complete(3), BilabelledGraph(path(3), (0,), (2,)), EDGE_DIAGRAM
+    glued, sides = [], {}
+    for name in ("bl_f_union", "bl_f_compose"):
+        def gluing(a, b, f, glue=getattr(tensors, name)):
+            d = glue(a, b, f)
+            glued.append(d.graph.n)
+            return d
+
+        monkeypatch.setattr(tensors, name, gluing)
+    report = tensors.law_report
+
+    def recording(law, lhs, rhs):
+        sides[law] = rhs
+        return report(law, lhs, rhs)
+
+    monkeypatch.setattr(tensors, "law_report", recording)
+    reports = verify_that_sums(g, d1, d2)
+    assert all(r["ok"] for r in reports), reports
+    assert [r["law"] for r in reports] == ["union-sum", "compose-sum", "adjoint-left", "adjoint-right"]
+    # the 6 overlaps of two pairs, and the 2 of them that hold the forced
+    # pair, each glue three vertices; the 8 smaller overlaps are never glued
+    assert glued == [3] * 8
+    # the sums over every overlap, none dropped
+    union_sum = zero_tensor(g.n, d1.k + d2.k, d1.l + d2.l)
+    for f in enumerate_overlaps(d1.graph.n, d2.graph.n):
+        union_sum = tensor_add(union_sum, build_That(g, bl_f_union(d1, d2, f)))
+    compose_sum = zero_tensor(g.n, d2.k, d1.l)
+    for f in enumerate_overlaps(d2.graph.n, d1.graph.n):
+        if set(required_composition_pairs(d1, d2)) <= set(f):
+            compose_sum = tensor_add(compose_sum, build_That(g, bl_f_compose(d1, d2, f)))
+    assert sides["union-sum"] == union_sum and sides["compose-sum"] == compose_sum
+
+
 def test_moebius_expansion():
     diagrams = [
         EDGE_DIAGRAM,
@@ -309,15 +354,32 @@ def five_vertex_diagrams(draw):
 
 # A triangle with a loop, so that tables hold weights above one.
 KITE_HOST = Graph(3, [(0, 1), (0, 2), (1, 2), (2, 2)])
+# a host with loops on three of its four vertices, one of them isolated
+SPARSE_LOOPED_HOST = Graph(4, [(0, 1), (1, 2), (0, 0), (2, 2), (3, 3)])
+# K4 with a loop, where only injectivity keeps a vertex off its neighbour's image
+LOOPED_K4 = Graph(4, complete(4).edges | {(3, 3)})
 
 
+# From the fourth example on, each reaches a path of the search's inner loop,
+# which places the second-to-last vertex and hands over the images left to
+# the last, or of the counting loops after it.  T is the plain count, That
+# the injective one, which sums nothing out.
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(3, min_n=2), five_vertex_diagrams())
 @example(KITE_HOST, BilabelledGraph(cycle(4), (0,), (2,)))  # the second table merges into the first
 @example(KITE_HOST, BilabelledGraph(Graph(5, [(0, 4), (4, 3), (3, 2), (2, 1)]), (0,), (1,)))  # tables summed on
 @example(KITE_HOST, BilabelledGraph(Graph(4, [(0, 1), (1, 2), (2, 3), (1, 1), (2, 2)]), (0,), (3,)))  # summed loops
+@example(SPARSE_LOOPED_HOST, BilabelledGraph(Graph(1, [(0, 0)]), (0,), ()))  # a one-vertex order
+@example(KITE_HOST, BilabelledGraph(path(2), (0,), ()))  # T: one vertex left, weighted; That: a listed first vertex
+@example(complete(4), EDGE_DIAGRAM)  # a two-vertex order, whose inner loop is level 0
+@example(KITE_HOST, BilabelledGraph(Graph(3, [(0, 2)]), (), (1,)))  # That: a listed second-to-last, a checked last
+@example(complete(4), BilabelledGraph(Graph(3, [(0, 2)]), (), (1,)))  # ... with a fourth image to take
+@example(KITE_HOST, BilabelledGraph(Graph(3, [(0, 1)]), (0,), ()))  # That: a checked second-to-last, an unchecked last
+@example(complete(4), BilabelledGraph(Graph(3, [(0, 1)]), (0,), ()))  # ... with a fourth image to take
+@example(LOOPED_K4, BilabelledGraph(path(4), (0,), (3,)))  # That: both checked, the last off the other's image
+@example(KITE_HOST, BilabelledGraph(path(3), (0,), (1,)))  # T: a weighted last vertex after summing out
 def test_builders_match_a_brute_force_count_on_five_vertex_diagrams(g, d):
-    assert_builders_match_brute_force(g, d)  # at most 3^5 maps each
+    assert_builders_match_brute_force(g, d)  # at most 3^5 maps each drawn, 4^4 in an example
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,10 +428,6 @@ def enumerated_That(g, d):
     """The reference injective count: every injective map listed by the enumerator, tallied once."""
     maps = enumerate_homomorphisms(d.graph, g, injective=True)
     return tally(zero_tensor(g.n, d.k, d.l), maps, d.inputs, d.outputs)
-
-
-# a host with loops on three of its four vertices, one of them isolated
-SPARSE_LOOPED_HOST = Graph(4, [(0, 1), (1, 2), (0, 0), (2, 2), (3, 3)])
 
 
 # in the last three examples the last vertex is unlabelled
