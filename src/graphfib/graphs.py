@@ -10,7 +10,7 @@ the AND of its candidates and the host rows of its placed neighbours'
 images, and places the second-to-last vertex in an inner loop of its own.
 A host keeps a record of its neighbour lists, loops and rows; past
 ``EAGER_ROWS_BOUND`` vertices, a row is built when a search first reads it.
-``f_union`` glues two graphs as a ``quotient`` of their disjoint union.
+``f_union`` glues two graphs into one quotient of their disjoint union.
 Adjacency masks number their cells in one table, ``cell_bits``; the
 relabelled masks of a graph come from one table per vertex count,
 ``_perm_cell_tables``.  ``canonical_form`` takes their least and the
@@ -180,9 +180,11 @@ def f_union(k, h, f):
         if not (0 <= u < k.n and 0 <= v < h.n):
             raise ValueError("overlap pair out of range")
     # The disjoint union with each pair of ``f`` merged, as ``diagrams.compose``
-    # glues.  Blocks are numbered by least member, so ``k`` keeps its names.
+    # glues, in one graph.  Blocks are numbered by least member: ``k`` keeps its names.
     block_of = generated_partition(k.n + h.n, ((u, k.n + v) for u, v in f))
-    return quotient(disjoint_union(k, h), block_of), block_of[:k.n], block_of[k.n:]
+    bk, bh = block_of[:k.n], block_of[k.n:]
+    edges = chain(((bk[u], bk[v]) for u, v in k.edges), ((bh[u], bh[v]) for u, v in h.edges))
+    return Graph(k.n + h.n - len(f), edges), bk, bh
 
 
 def enumerate_overlaps(nk, nh):
@@ -368,15 +370,15 @@ def _search(image, order, candidates, checks, injective=False):
             yield tuple(image)
 
 
-def _count(entries, n, order, candidates, checks, coef, weights, scale, injective=False):
+def _count(entries, order, candidates, checks, coef, weights, scale, injective=False):
     """The maps of :func:`_walk`, each adding its weight into ``entries``, a
-    flat tensor over the images ``0..n-1``, at its flat index under ``coef``.
+    flat tensor, at its flat index under ``coef``.
 
-    A map weighs ``scale`` times ``t[image[u] * n + image[v]]`` for each
+    A map weighs ``scale`` times ``t[image[u]][image[v]]`` for each
     ``(u, v, t)`` in ``weights``; ``image`` has one slot past the vertices,
-    always 0, so ``u = len(checks)`` makes ``t`` a vector on the images of
-    ``v``.  A last vertex with neither a coefficient nor weights is never
-    placed: its number of images multiplies the weight of the others.
+    always 0, so ``u = len(checks)`` makes ``t = (vec,)`` a vector on the
+    images of ``v``.  A last vertex with neither a coefficient nor weights
+    is never placed: its number of images multiplies the weight of the others.
     """
     if not order:
         entries[0] += scale
@@ -401,7 +403,7 @@ def _count(entries, n, order, candidates, checks, coef, weights, scale, injectiv
     for m, at in found:
         w = scale
         for u, x, t in heavy:
-            w *= t[image[u] * n + image[x]]
+            w *= t[image[u]][image[x]]
         if not (a or ws):
             left = m.bit_count() if rels else len(m) - (sum(image[u] in m for u in above) if injective else 0)
             entries[at] += w * left
@@ -411,7 +413,7 @@ def _count(entries, n, order, candidates, checks, coef, weights, scale, injectiv
             if c not in placed:
                 x = w
                 for u, t in ws:
-                    x *= t[image[u] * n + c]
+                    x *= t[image[u]][c]
                 entries[at + a * c] += x
 
 
@@ -499,11 +501,14 @@ def _sum_out(k, g, factors, vectors, keep):
     :func:`_constraints`; return the scalar this puts on the count and the
     vertices summed out.  An isolated vertex becomes a factor of the
     scalar, a leaf a weight vector on its neighbour and a vertex of degree
-    two a table of weights on its two neighbours' image pairs, built by
-    walking the weighted images of its factors (a factor of the host reads
-    the neighbour lists of its record, each of weight 1), with only the
-    nonzero entries stored.  A table whose walk would pass
-    ``SUM_OUT_PAIR_BOUND`` image pairs is refused before it is built.
+    two a table on its two neighbours ``y < z``, ``g.n`` rows ``table[cy]
+    = {cz: w}`` of nonzero weights, built by walking the weighted images of
+    its factors, each read by the image of the vertex summed out: the host
+    as the neighbour lists of its record, each of weight 1, and a table as
+    its own rows from its first vertex, turned round once from its second.
+    A table on a pair with a factor already is multiplied by it in place,
+    keeping the entries it has.  A table whose walk would pass ``SUM_OUT_PAIR_BOUND``
+    image pairs is refused before it is built.
     """
     n = g.n
     adj, _, host = _host(g)
@@ -526,15 +531,15 @@ def _sum_out(k, g, factors, vectors, keep):
         summed.add(x)
         nbrs, rows = [], []  # per neighbour, for each image of x: the record's neighbours (weight 1) or a table's {image: weight}
         for e in sorted(incident[x]):
-            t, i = factors.pop(e), e.index(x)
-            nbrs.append(e[1 - i])
-            incident[e[1 - i]].remove(e)
-            if t is host:
-                rows.append(adj)
-                continue
-            rows.append([{} for _ in range(n)])
-            for pair, w in t.items():
-                rows[-1][pair[i]][pair[1 - i]] = w
+            t, y = factors.pop(e), e[1] if e[0] == x else e[0]
+            nbrs.append(y)
+            incident[y].remove(e)
+            if t is not host and y < x:  # read from its second vertex, a table is turned round
+                t, turned = [{} for _ in range(n)], t
+                for cy, row in enumerate(turned):
+                    for cx, w in row.items():
+                        t[cx][cy] = w
+            rows.append(adj if t is host else t)
         weight = vectors.pop(x, ones)
         if degree == 0:
             scalar *= sum(weight)
@@ -549,20 +554,19 @@ def _sum_out(k, g, factors, vectors, keep):
             pairs = sum(len(ys[cx]) * len(zs[cx]) for cx, w in enumerate(weight) if w)  # also bounds the merge below
             if pairs > SUM_OUT_PAIR_BOUND:
                 raise CapacityError(f"summing out a vertex walks {pairs} image pairs, past the bound {SUM_OUT_PAIR_BOUND}")
-            table = {}
+            table = [{} for _ in range(n)]
             for cx, w in enumerate(weight):
                 for cy in ys[cx] if w else ():
-                    wy = w if ys is adj else w * ys[cx][cy]
+                    wy, row = w if ys is adj else w * ys[cx][cy], table[cy]
                     for cz in zs[cx]:
-                        table[cy, cz] = table.get((cy, cz), 0) + (wy if zs is adj else wy * zs[cx][cz])
+                        row[cz] = row.get(cz, 0) + (wy if zs is adj else wy * zs[cx][cz])
             yz = tuple(nbrs)
-            if yz in factors:  # at most one factor per pair: merge the new table into the old factor
-                old = factors[yz]
-                if old is host:
-                    table = {p: w for p, w in table.items() if g.has_edge(*p)}
-                else:
-                    table = {p: w * old.get(p, 0) for p, w in table.items()}
-            factors[yz] = {p: w for p, w in table.items() if w}
+            old = factors.get(yz)  # at most one factor per pair: the new table is multiplied by the old in place
+            for cy, row in enumerate(table) if yz in factors else ():
+                if row:
+                    o = dict.fromkeys(adj[cy], 1) if old is host else old[cy]
+                    table[cy] = {cz: w * o[cz] for cz, w in row.items() if cz in o}
+            factors[yz] = table
             incident[yz[0]].add(yz)
             incident[yz[1]].add(yz)
         for y in nbrs:
@@ -580,29 +584,25 @@ def count_homomorphisms(k, g, entries, inputs, outputs, injective=False):
     ``g.n``, are ``phi`` of ``outputs`` and then of ``inputs``.  A plain
     count first sums out (:func:`_sum_out`); an injective one cannot, as a
     vertex summed out could share an image.  :func:`_count` counts the
-    vertices left, in increasing order, checking each table left by bitmask
-    rows of its nonzero keys and multiplying out only weights above 1, so
+    vertices left, in increasing order, checking each table left by the
+    bitmask of each row's keys and multiplying out only weights above 1, so
     the cost follows the weighted maps of the vertices left.
     """
-    n = g.n
     coef, labels = [0] * k.n, [*outputs, *inputs]  # an image c of v adds c * coef[v] to the flat index
     for j, v in enumerate(labels, 1):
-        coef[v] += n ** (len(labels) - j)
+        coef[v] += g.n ** (len(labels) - j)
     host, factors, vectors = _constraints(k, g)
     scalar, summed = (1, ()) if injective else _sum_out(k, g, factors, vectors, {*inputs, *outputs})
     if not scalar:
         return
-    weights = [(k.n, v, vec) for v, vec in vectors.items() if max(vec, default=0) > 1]
-    for (u, v), t in factors.items():
-        if t is not host:  # a table left: rows of its own keys, and a weight if an entry is above 1
-            adj = [[] for _ in range(n)]
-            for a, b in t:
-                adj[a].append(b)
-            factors[u, v] = _rows(adj)
-            if max(t.values(), default=0) > 1:
-                weights.append((u, v, {a * n + b: w for (a, b), w in t.items()}))
+    weights = [(k.n, v, (vec,)) for v, vec in vectors.items() if max(vec, default=0) > 1]
+    for e, t in factors.items():
+        if t is not host:  # a table left: the rows of its own keys, and a weight if an entry is above 1
+            factors[e] = _rows(t)
+            if any(w > 1 for row in t for w in row.values()):
+                weights.append((*e, t))
     order = [v for v in range(k.n) if v not in summed]
-    _count(entries, n, order, *_levels(k, g, factors, vectors), coef, weights, scalar, injective)
+    _count(entries, order, *_levels(k, g, factors, vectors), coef, weights, scalar, injective)
 
 
 def automorphisms(g):

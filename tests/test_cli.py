@@ -161,6 +161,20 @@ def test_a_sum_out_table_past_the_pair_bound_exits_3(tmp_path):
     assert "Traceback" not in err
 
 
+def test_a_sum_out_table_at_the_pair_bound_answers_in_512_mib(tmp_path):
+    # Into a 1,413-leaf star an unlabelled K_{2,3} walks 1,997,982 image
+    # pairs a table, just inside the pair bound, and must answer in half the
+    # memory the other child runs get.  With the two-vertex side on the
+    # centre the other three take any leaves, 1,413^3 maps; with it on
+    # leaves the other three all take the centre, 1,413^2 maps.
+    k23 = {"graph": {"n": 5, "edges": [[a, b] for a in range(2) for b in range(2, 5)]}, "inputs": [], "outputs": []}
+    star = {"n": 1414, "edges": [[0, v] for v in range(1, 1414)]}
+    files = write_json(tmp_path, "star.json", star), write_json(tmp_path, "k23.json", k23)
+    code, out, err = run_in_child("tensor", *files, memory=512 << 20)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["entries"] == [2823148566]
+
+
 def test_an_answer_past_the_integer_digit_limit_is_printed(capsys, tmp_path):
     # 1000^1434 has 4,303 digits, past the 4,300 that Python turns into text
     # by default; JSON input keeps that limit.

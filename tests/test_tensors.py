@@ -360,13 +360,14 @@ SPARSE_LOOPED_HOST = Graph(4, [(0, 1), (1, 2), (0, 0), (2, 2), (3, 3)])
 LOOPED_K4 = Graph(4, complete(4).edges | {(3, 3)})
 
 
-# From the fourth example on, each reaches a path of the search's inner loop,
+# From the fifth example on, each reaches a path of the search's inner loop,
 # which places the second-to-last vertex and hands over the images left to
 # the last, or of the counting loops after it.  T is the plain count, That
 # the injective one, which sums nothing out.
 @settings(max_examples=150, deadline=None)
 @given(small_graphs(3, min_n=2), five_vertex_diagrams())
 @example(KITE_HOST, BilabelledGraph(cycle(4), (0,), (2,)))  # the second table merges into the first
+@example(KITE_HOST, BilabelledGraph(Graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]), (0,), (1,)))  # a theta graph: two more tables with weights above 1 multiply with the first
 @example(KITE_HOST, BilabelledGraph(Graph(5, [(0, 4), (4, 3), (3, 2), (2, 1)]), (0,), (1,)))  # tables summed on
 @example(KITE_HOST, BilabelledGraph(Graph(4, [(0, 1), (1, 2), (2, 3), (1, 1), (2, 2)]), (0,), (3,)))  # summed loops
 @example(SPARSE_LOOPED_HOST, BilabelledGraph(Graph(1, [(0, 0)]), (0,), ()))  # a one-vertex order
