@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, compress, permutations, repeat
 from math import factorial
 from operator import itemgetter
 
@@ -85,9 +85,6 @@ class Graph:
 
     def has_edge(self, u, v):
         return ((u, v) if u <= v else (v, u)) in self.edges
-
-    def has_loop(self, v):
-        return (v, v) in self.edges
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +260,10 @@ def _walk(image, order, candidates, checks, injective=False, coef=None):
     A vertex without checks walks the list ``candidates[v]``: on a large
     host, each bit taken from a mask of every image would cost a pass over
     the whole mask.  Given ``injective``, no two vertices in ``order``
-    share an image, but the last vertex's list comes whole.  Images are
-    taken in increasing order, a mask's lowest bit first, so the placings
-    come in lexicographic order, and a consumer may stop at any of them.
+    share an image, but the last vertex's list comes whole.  A mask hands
+    over its lowest bit first and a list its images in turn, so with lists
+    in increasing order the placings come in lexicographic order; a
+    consumer may stop at any of them.
     The second-to-last vertex takes its images in an inner loop of its own,
     with no level to leave and enter again for each; the stream handed over
     is the same as a level for it would give.
@@ -466,14 +464,21 @@ def _breadth_first(adj):
     return order
 
 
-def _levels(k, g, factors, vectors):
+def _levels(k, g, factors, vectors, rank=None):
     """The candidates and checks of :func:`_walk` for maps ``k -> g`` under
     factors of bitmask rows and vectors like those of :func:`_constraints`:
     a vertex with a vector takes the images it weighs above 0, any other
     every image, and each factor ``(u, v)``, ``u < v``, is checked at
-    ``v``, the one place any search sets its checks."""
+    whichever endpoint the search reaches last, the one place any search
+    sets its checks.  That is ``v`` in index order; given ``rank``, the
+    position of each vertex in the search's order, it is the endpoint of
+    higher rank.  A ``rank`` comes only with the host's own rows, which are
+    symmetric, so a factor checked at ``u`` reads the same rows; a table of
+    :func:`_sum_out` is not, and would have to be turned round first."""
     checks, candidates = [[] for _ in range(k.n)], [range(g.n)] * k.n
     for (u, v), rows in factors.items():
+        if rank and rank[u] > rank[v]:
+            u, v = v, u
         checks[v].append((u, rows))
         candidates[v] = -1
     for v, vec in vectors.items():
@@ -620,42 +625,43 @@ def automorphism_generators(g):
     """Generators of the automorphism group of ``g``, each handed over when found.
 
     A stabiliser-chain search (Sims 1970; Butler, *Fundamental Algorithms
-    for Permutation Groups*, 1991) that never lists the group.  It runs on
-    ``h``, ``g`` renumbered in breadth-first order (:func:`_breadth_first`),
-    so that every vertex but the first of each component has an earlier
-    neighbour to check, and hands each generator back conjugated to ``g``'s
-    numbering.  Base points ``i`` of ``h`` go from ``n-1`` down to 0.  For
-    each vertex ``c > i`` of ``i``'s colour (neighbour count and loop, read
-    from the record of :func:`_host`) outside the orbit of ``i`` under the
-    generators found so far, one search with the checks of :func:`_levels`
-    pins ``0..i-1`` to themselves and ``i`` to ``c`` and stops at its first
-    map.  The pinned vertices stay out of the search.  Every other vertex
-    takes the vertices of its colour from ``i`` up, least first: one list
-    per colour for the vertices without checks, one bitmask for those with,
-    so a level costs no mask per vertex.  Which generators come out depends
-    on that order and numbering, but the group they generate does not.  The
+    for Permutation Groups*, 1991) that never lists the group.  It searches
+    ``g``'s vertices in breadth-first order (:func:`_breadth_first`), so
+    that every vertex but the first of each component has a neighbour
+    placed before it, and :func:`_levels` checks each edge at the endpoint
+    that order reaches last.  Base points ``order[i]`` go from ``i = n-1``
+    down to 0.  For each vertex ``c`` after ``order[i]`` in the order, of
+    its colour (neighbour count and loop, read from the record of
+    :func:`_host`) and outside its orbit under the generators found so far,
+    one search pins ``order[:i]`` to themselves and ``order[i]`` to ``c``
+    and stops at its first map.  The pinned vertices stay out of the
+    search.  Every other vertex takes the unpinned vertices of its colour:
+    one list per colour for the vertices without checks, one bitmask for
+    those with, so a level costs no mask per vertex.  Which generators come
+    out depends on that order, but the group they generate does not.  The
     generators found at levels ``i`` and above reach the whole orbit of
-    ``i`` under the automorphisms fixing ``0..i-1``, so they generate those
-    automorphisms; at level 0, the whole group.  Each generator moves ``i``
-    out of the orbit its predecessors reach, so none lies in the group they
-    generate.
+    ``order[i]`` under the automorphisms fixing ``order[:i]``, so they
+    generate those automorphisms; at level 0, the whole group.  Each
+    generator moves ``order[i]`` out of the orbit its predecessors reach,
+    so none lies in the group they generate.
     """
     n = g.n
-    bfs = _breadth_first(_host(g)[0])  # vertex v of h is vertex bfs[v] of g
-    name = sorted(range(n), key=bfs.__getitem__)  # and vertex x of g is vertex name[x] of h
-    h = Graph(n, ((name[a], name[b]) for a, b in g.edges))
-    _, checks = _levels(h, h, _constraints(h, h)[1], {})
-    adj, loops, _ = _host(h)
+    adj, loops, _ = _host(g)
+    order, rank = _breadth_first(adj), [0] * n
+    for i, x in enumerate(order):
+        rank[x] = i
+    _, checks = _levels(g, g, _constraints(g, g)[1], {}, rank)
     colour = [(len(a), x) for a, x in zip(adj, loops)]
-    order, candidates = list(range(n)), [None] * n
-    image = list(range(n))  # a search writes the images of i and up, so 0..i-1 stay pinned to themselves
+    candidates = [None] * n
+    image = list(range(n))  # a search writes the images of order[i:], so order[:i] stay pinned to themselves
     found = []
-    for i in reversed(order):
-        orbit, tails = {i}, None  # the orbit of i under the generators found so far, all fixing 0..i-1
+    for i in reversed(range(n)):
+        b = order[i]
+        orbit, tails = {b}, None  # the orbit of b under the generators found so far, all fixing order[:i]
         for c in order[i + 1:]:
-            if colour[c] != colour[i] or c in orbit:
+            if colour[c] != colour[b] or c in orbit:
                 continue
-            if tails is None:  # each colour's vertices from i up, one list, or one mask for the vertices with checks
+            if tails is None:  # each colour's unpinned vertices, one list, or one mask for the vertices with checks
                 tails = {}
                 for j in order[i + 1:]:
                     key = colour[j], bool(checks[j])
@@ -663,12 +669,12 @@ def automorphism_generators(g):
                         tail = [x for x in order[i:] if colour[x] == colour[j]]
                         tails[key] = _mask(tail) if checks[j] else tail
                     candidates[j] = tails[key]
-            candidates[i] = 1 << c if checks[i] else (c,)
+            candidates[b] = 1 << c if checks[b] else (c,)
             sigma = next(_search(image, order[i:], candidates, checks, True), None)
             if sigma is None:
                 continue
             found.append(sigma)
-            yield tuple(bfs[sigma[name[x]]] for x in range(n))  # sigma in g's numbering
+            yield sigma
             todo = list(orbit)
             for x in todo:
                 for s in found:
@@ -767,27 +773,23 @@ def canonical_form(g):
 
 
 def parse_graph6(text):
-    """Decode a (short-format) graph6 string into a loopless graph."""
+    """Decode a (short-format) graph6 string into a loopless graph: the
+    vertex count ``n``, then exactly ``ceil(n(n-1)/12)`` characters of six
+    bits, the upper triangle column by column, its padding bits zero."""
     data = [ord(ch) - 63 for ch in text]
     if not data or any(x < 0 or x > 63 for x in data):
         raise ValueError("invalid graph6 characters")
     if data[0] == 63:
         raise ValueError("extended graph6 sizes are not supported")
     n = data[0]
-    bits = []
-    for x in data[1:]:
-        bits.extend((x >> sh) & 1 for sh in (5, 4, 3, 2, 1, 0))
     need = n * (n - 1) // 2
-    if len(bits) < need:
-        raise ValueError("graph6 string too short")
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph(n, edges)
+    size = 1 + (need + 5) // 6
+    if len(data) != size:
+        raise ValueError(f"graph6 string for {n} vertices must have {size} characters, got {len(data)}")
+    bits = [x >> sh & 1 for x in data[1:] for sh in (5, 4, 3, 2, 1, 0)]
+    if any(bits[need:]):
+        raise ValueError("graph6 padding bits must be zero")
+    return Graph(n, compress(((u, v) for v in range(1, n) for u in range(v)), bits))
 
 
 def graph_from_json(obj):

@@ -62,9 +62,6 @@ class IntTensor:
             raise ValueError("multi-index lengths must match the tensor legs")
         return self.entries[_tuple_index(outputs, self.n) * self.n**self.k + _tuple_index(inputs, self.n)]
 
-    def is_zero(self):
-        return all(e == 0 for e in self.entries)
-
     def __eq__(self, other):
         return (
             isinstance(other, IntTensor)

@@ -766,10 +766,11 @@ def sparse_graph(n, m, seed):
     ids=["relabelled-c24", "sparse-60-80"],
 )
 def test_orbits_of_a_sparse_graph_numbered_out_of_adjacency_order_exits_quickly(tmp_path, graph, count):
-    # the stabiliser chain runs on the graph renumbered breadth-first, so
-    # every vertex but a component's first has a placed neighbour to check;
-    # in the input's own numbering, a vertex with no earlier neighbour walks
-    # every image and neither search ends within a minute
+    # the stabiliser chain searches the graph in breadth-first order, each
+    # edge checked at the endpoint that order reaches last, so every vertex
+    # but a component's first has a placed neighbour to check; in index
+    # order, a vertex with no earlier neighbour walks every image and
+    # neither search ends within a minute
     path = write_json(tmp_path, "group.json", {"automorphisms_of": graph})
     code, out, err = run_in_child("orbits", path, "1", "0", timeout=20)
     assert code == 0 and err == ""
@@ -1060,6 +1061,7 @@ def test_bad_input_exit_codes(capsys, tmp_path):
         ({"degree": 2, "elements": [[0, 1], ["a", "b"]]}, "('a', 'b') is not a permutation"),
         ({"automorphisms_of": {"graph6": 5}}, "'graph6'"),
         ({"automorphisms_of": {"graph6": "Bw", "loops": 5}}, "'loops'"),
+        ({"automorphisms_of": {"graph6": "Bw~~~~"}}, "graph6 string for 3 vertices must have 2 characters"),
     ):
         code, _, err = run(capsys, "orbits", write_json(tmp_path, "group.json", group), "0", "1")
         assert code == 2 and field in err, (group, err)

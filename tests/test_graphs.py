@@ -48,7 +48,7 @@ def test_graph_normalizes_and_validates():
     g = Graph(3, [(2, 1), (1, 2), (0, 0)])
     assert g.edges == frozenset({(1, 2), (0, 0)})
     assert g.has_edge(2, 1) and g.has_edge(1, 2)
-    assert g.has_loop(0) and not g.has_loop(1)
+    assert (0, 0) in g.edges and (1, 1) not in g.edges
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
     with pytest.raises(ValueError):
@@ -489,6 +489,8 @@ def test_graph6_reader():
     g = parse_graph6("Bw")
     assert g.n == 3 and g.edges == complete(3).edges
     withloops = graph_from_json({"graph6": "Bw", "loops": [0]})
-    assert withloops.has_loop(0) and not withloops.has_loop(1)
-    with pytest.raises(ValueError):
-        parse_graph6("")
+    assert (0, 0) in withloops.edges and (1, 1) not in withloops.edges
+    # exactly 1 + ceil(n(n-1)/12) characters, the padding bits zero
+    for text in ("", "Bw~~~~", "Bx"):
+        with pytest.raises(ValueError):
+            parse_graph6(text)

@@ -1,13 +1,15 @@
 """No graphfib module imports another module's private (underscore) names,
 imports a name it never uses, relies on ``assert``, which ``python -O``
 strips, or catches ``KeyError`` or ``TypeError``, which would let a missing
-key or a bug pass for bad input; every public function or class has a
-reader in ``src/`` or a stated reason to stay, and then a reader in the
-tests; every private one has a reader in its own module; and the tests'
-oracles in ``reference.py`` import public graphfib names only."""
+key or a bug pass for bad input; every public function, class or method
+of a public class has a reader in ``src/`` or a stated reason to stay, and
+then a reader in the tests; every private one has a reader in its own
+module; and the tests' oracles in ``reference.py`` import public graphfib
+names only."""
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -187,6 +189,45 @@ def test_the_scan_finds_constants_nothing_reads():
     assert unread_public_names(sources) == [("cli", "main"), ("partitions", "BELL")]
 
 
+def is_attribute_read(node):
+    """Whether ``node`` reads an attribute (``x.name``, not ``x.name = ...``)."""
+    return isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+
+
+def unread_public_methods(sources):
+    """``(module, "Class.method")`` for each public method of a public class
+    in ``sources`` (module name to source text) whose name no module reads
+    as an attribute outside the method's own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree) if is_attribute_read(node))
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for method in cls.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        own = sum(is_attribute_read(node) and node.attr == method.name for node in ast.walk(method))
+                        if reads[method.name] == own:
+                            unread.append((module, f"{cls.name}.{method.name}"))
+    return sorted(unread)
+
+
+def test_the_scan_finds_public_methods_nothing_reads():
+    sources = {
+        "graphs": (
+            "class Graph:\n"
+            "    def has_edge(self, u, v):\n        return self.has_edge(v, u)\n"
+            "    def degree(self, v):\n        return v\n"
+            "    def size(self):\n        self.order = 0\n"
+            "    def order(self):\n        return self.degree(0)\n"
+            "    def _cells(self):\n        pass\n"
+            "class _Rows(dict):\n    def build(self):\n        pass\n"
+        ),
+        "cli": "def main(g):\n    return g.size()\n",
+    }
+    assert unread_public_methods(sources) == [("graphs", "Graph.has_edge"), ("graphs", "Graph.order")]
+
+
 def unread_private_names(source):
     """Each private (underscore, not dunder) top-level function, class or
     constant in ``source`` that nothing in the module reads outside the
@@ -255,10 +296,10 @@ def test_the_tracer_scan_reads_the_table_and_module_attributes():
     }
 
 
-# Public names that nothing in src/ reads and that stay, besides those the
-# benchmark tracer binds or reads (perfbench/tracing.py).  Each computes
-# something no other public name does, and its reason names the test that
-# checks it against the paper.
+# Public names, and public methods as "Class.method", that nothing in src/
+# reads and that stay, besides those the benchmark tracer binds or reads
+# (perfbench/tracing.py).  Each computes something no other public name
+# does, and its reason names the test that checks it against the paper.
 KEPT = {
     ("diagrams", "m_diagram"): "constructor: the one-vertex diagrams, identity and duality pairs among them "
     "(test_diagrams.py::test_compose_identity, ::test_rotation_realizable_by_composition)",
@@ -277,6 +318,10 @@ KEPT = {
     ("graphs", "path"): "constructor (test_graphs.py::test_constructors)",
     ("partitions", "enumerate_set_partitions"): "paper: the morphisms of the partition category, Bell many "
     "(test_partitions.py::test_two_line_enumeration_counts)",
+    ("graphs", "Graph.has_edge"): "the brute-force oracles' edge test, in either order "
+    "(test_graphs.py::test_automorphisms_are_the_edge_preserving_permutations_in_order)",
+    ("tensors", "IntTensor.entry"): "one entry by its output and input label tuples, as the paper indexes "
+    "(test_tensors.py::test_builders_match_a_brute_force_count_over_all_vertex_maps)",
 }
 
 
@@ -287,7 +332,7 @@ def test_every_public_name_has_a_reader_or_a_reason():
             sources[filename[:-3]] = fh.read()
     with open(os.path.join(ROOT, "perfbench", "tracing.py"), encoding="utf-8") as fh:
         traced = tracer_names(fh.read())
-    unread = set(unread_public_names(sources))
+    unread = set(unread_public_names(sources)) | set(unread_public_methods(sources))
     assert sorted(unread - traced - set(KEPT)) == []
     assert sorted(set(KEPT) - unread) == []  # a kept name that gained a reader leaves the list
 
@@ -335,4 +380,6 @@ def test_every_kept_name_is_read_by_a_test():
         if filename.endswith(".py"):
             with open(os.path.join(tests, filename), encoding="utf-8") as fh:
                 sources.append(fh.read())
-    assert sorted(set(KEPT) - names_the_tests_read(sources)) == []
+    attributes = {node.attr for text in sources for node in ast.walk(ast.parse(text)) if is_attribute_read(node)}
+    methods = {(module, name) for module, name in KEPT if name.partition(".")[2] in attributes}
+    assert sorted(set(KEPT) - names_the_tests_read(sources) - methods) == []

@@ -152,13 +152,26 @@ def test_the_stabiliser_chain_search_matches_the_full_listing_past_the_eager_row
 @pytest.mark.parametrize("n", [24, 40])
 def test_a_relabelled_cycle_has_the_conjugated_group_of_the_cycle(n):
     # numbered at random, most vertices of the cycle have no lower-numbered
-    # neighbour; the chain's breadth-first renumbering finds the group anyway
+    # neighbour; the chain searches them in breadth-first order, each edge
+    # checked at the endpoint that order reaches last, and finds the group anyway
     perm = random.Random(0).sample(range(n), n)
     relabelled = Graph(n, [(perm[u], perm[v]) for u, v in cycle(n).edges])
     inverse = sorted(range(n), key=perm.__getitem__)
     conjugated = {tuple(perm[s[inverse[x]]] for x in range(n)) for s in graph_automorphism_group(cycle(n)).elements}
     assert len(conjugated) == 2 * n
     assert set(graph_automorphism_group(relabelled).elements) == conjugated
+
+
+def test_the_stabiliser_chain_searches_the_graph_itself(monkeypatch):
+    # the search order goes to the checks, so no renumbered copy of the graph gets a host record
+    import graphfib.graphs
+
+    hosts, host = [], graphfib.graphs._host
+    monkeypatch.setattr(graphfib.graphs, "_host", lambda h: hosts.append(h) or host(h))
+    perm = random.Random(0).sample(range(24), 24)
+    g = Graph(24, [(perm[u], perm[v]) for u, v in cycle(24).edges])
+    assert len(PermutationGroup(24, automorphism_generators(g))) == 48
+    assert hosts and all(h is g for h in hosts)
 
 
 def test_generators_are_kept_only_when_they_enlarge_the_group():
