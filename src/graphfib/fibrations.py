@@ -20,6 +20,7 @@ with no search, and its edges from its own mask.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, permutations, product
 from math import perm
 
@@ -44,10 +45,13 @@ CLOSURE_MAP_BOUND = 10**6
 CLOSURE_MASK_BOUND = 10**6  # labelled graphs the closure keeps filed at once
 
 
-class GraphFibration:
-    __slots__ = ("generators", "easy", "max_vertices", "policy")
+class GraphFibration(namedtuple("GraphFibration", ("generators", "easy", "max_vertices", "policy"))):
+    """A fibration presented by generator diagrams: a checked named tuple,
+    equal by its fields and read-only."""
 
-    def __init__(self, generators, easy=False, max_vertices=DEFAULT_MAX_VERTICES, policy=MembershipPolicy()):
+    __slots__ = ()
+
+    def __new__(cls, generators, easy=False, max_vertices=DEFAULT_MAX_VERTICES, policy=MembershipPolicy()):
         generators = tuple(generators)
         for d in generators:
             if not isinstance(d, BilabelledGraph):
@@ -56,17 +60,7 @@ class GraphFibration:
             raise ValueError(f"easy must be true or false, got {easy!r}")
         if type(max_vertices) is not int or max_vertices < 1:
             raise ValueError(f"max_vertices must be an integer >= 1, got {max_vertices!r}")
-        self.generators = generators
-        self.easy = easy
-        self.max_vertices = max_vertices
-        self.policy = policy
-
-    def __repr__(self):
-        kind = "easy" if self.easy else "skew"
-        return (
-            f"GraphFibration({len(self.generators)} generators, {kind}, "
-            f"max_vertices={self.max_vertices})"
-        )
+        return super().__new__(cls, generators, easy, max_vertices, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +103,7 @@ def closure_graphs(fib):
     word shared by many representatives is reduced once per copy mask.
     """
     top = fib.max_vertices
-    mask_orbit(top, 0)  # refuses a bound past the canonical one before any work
+    cell_bits(top)  # refuses a bound past the canonical one before any work
     # every generator counts, edgeless ones too: the copy table lists their maps for the words.
     # The map count only grows with n, so counting at max_vertices covers every n.
     for h in (d.graph for d in fib.generators):

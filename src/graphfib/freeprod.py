@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .errors import IndeterminateError, check_json_object
 from .graphs import generated_partition
@@ -132,39 +132,26 @@ def validate_word(letters, alphabet_size):
 # normal-closure specifications
 
 
-class NormalClosureSpec:
+class NormalClosureSpec(namedtuple("NormalClosureSpec", ("alphabet_size", "generators", "policy"))):
     """A normal closure ``<<generators>>`` inside the free product on
     ``alphabet_size`` involutive letters, plus the policy used to answer
     membership queries against it.
 
-    A spec is immutable, so the verdict function :func:`member` keeps in
-    ``_decide`` after the first query cannot go stale.  Equality and hashing
-    read the three public fields only.
+    A spec is a checked named tuple, equal by its three fields and
+    read-only, so the verdict function that :func:`member` keeps in the
+    instance dict as ``_decide`` after the first query cannot go stale.
     """
 
-    __slots__ = ("alphabet_size", "generators", "policy", "_decide")
-
-    def __init__(self, alphabet_size, generators, policy=MembershipPolicy()):
+    def __new__(cls, alphabet_size, generators, policy=MembershipPolicy()):
         words = (reduce_word(validate_word(g, alphabet_size)) for g in generators)
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "generators", tuple(dict.fromkeys(w for w in words if w)))
-        object.__setattr__(self, "policy", policy)
-        object.__setattr__(self, "_decide", None)
+        return super().__new__(cls, alphabet_size, tuple(dict.fromkeys(w for w in words if w)), policy)
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalClosureSpec is immutable")
 
-    def _fields(self):
-        return (self.alphabet_size, self.generators, self.policy)
-
-    def __eq__(self, other):
-        return isinstance(other, NormalClosureSpec) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"NormalClosureSpec({self.alphabet_size}, {list(self.generators)}, {self.policy!r})"
+    @cached_property
+    def _decide(self):
+        return _decider(*self)
 
     @property
     def strategy(self):
@@ -466,17 +453,14 @@ def member(word, spec):
     """Tri-state membership of ``word`` in the normal closure of ``spec``.
 
     The empty word is a member before any strategy is resolved.  The first
-    other query keeps :func:`_decider`'s verdict function on the spec; a
-    ``racg`` refusal keeps nothing, so every query that reaches it raises.
+    other query keeps :func:`_decider`'s verdict function in the spec's
+    instance dict, through the ``_decide`` cached property; a ``racg``
+    refusal keeps nothing, so every query that reaches it raises.
     """
     w = reduce_word(validate_word(word, spec.alphabet_size))
     if not w:
         return Membership.YES
-    decide = spec._decide
-    if decide is None:
-        decide = _decider(spec.alphabet_size, spec.generators, spec.policy)
-        object.__setattr__(spec, "_decide", decide)
-    return decide(w)
+    return spec._decide(w)
 
 
 def prune_words(alphabet_size, words, policy):

@@ -18,10 +18,10 @@ into itself, so does every product of generators.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
 from math import perm
 from operator import eq, itemgetter, lt
-from typing import NamedTuple
 
 from .errors import CapacityError, IndeterminateError, InvariantError
 from .freeprod import Membership, check_invariance, member, reduce_word
@@ -141,10 +141,7 @@ def graph_automorphism_group(g):
 # orbits of label pairs
 
 
-class OrbitClass(NamedTuple):
-    a: tuple
-    b: tuple
-    size: int
+OrbitClass = namedtuple("OrbitClass", ("a", "b", "size"))
 
 
 def orbits(group, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):

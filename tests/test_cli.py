@@ -396,6 +396,20 @@ def test_dim_rejects_negative_label_counts(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_dim_exits_indeterminate_when_an_orbit_word_is_unknown(capsys, tmp_path):
+    # the trivial group keeps no generator, so check_invariance queries
+    # nothing and the unknown verdict surfaces in orbit_basis
+    group = write_json(tmp_path, "group.json", {"degree": 3, "elements": [[0, 1, 2]]})
+    words = write_json(
+        tmp_path,
+        "words.json",
+        {"alphabet": 3, "generators": [[0, 1]], "strategy": {"bounded-bfs": {"depth": 0}}},
+    )
+    code, out, err = run(capsys, "dim", group, words, "1", "1")
+    assert code == 4 and out == ""
+    assert err == "indeterminate: membership of orbit ((0,), (1,)) is unknown under the chosen strategy\n"
+
+
 def test_dim_reports_a_broken_invariant_with_exit_5(capsys, monkeypatch):
     # (1, 0) in place of (0, 1): a listing of the true length whose second representative is not least
     listing = [OrbitClass((0,), (0,), 3), OrbitClass((1,), (0,), 6)]
@@ -1031,6 +1045,13 @@ def test_closure_search_on_a_four_vertex_racg_fibration_stops(tmp_path):
     code, _, err = run_in_child("--config", config, "closure", fibration)
     assert code in (0, 4), err
     assert "Traceback" not in err
+
+
+def test_orbits_rejects_a_label_count_that_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", fx("group_s3.json"), "x", "1"])
+    assert exc.value.code == 2
+    assert "label count must be a non-negative integer, got 'x'" in capsys.readouterr().err
 
 
 def test_orbits_rejects_negative_label_counts(capsys):

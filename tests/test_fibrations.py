@@ -160,7 +160,7 @@ def test_closures_count_the_known_isomorphism_classes(generators, bound, counts)
 )
 def test_the_closure_files_each_class_with_one_orbit(fib, monkeypatch):
     # one pass over the relabelings per isomorphism class with edges, not one
-    # per labelled graph reached; the extra call with mask 0 is the size guard
+    # per labelled graph reached
     calls = []
 
     def counted(n, mask):
@@ -169,8 +169,8 @@ def test_the_closure_files_each_class_with_one_orbit(fib, monkeypatch):
 
     monkeypatch.setattr(fibrations, "mask_orbit", counted)
     members = closure_members(fib)
-    assert [c for c in calls if not c[1]] == [(fib.max_vertices, 0)]
-    assert len(calls) - 1 == len(members) - (fib.max_vertices + 1)
+    assert all(mask for _, mask in calls)
+    assert len(calls) == len(members) - (fib.max_vertices + 1)
 
 
 def test_is_fiber_and_capacity():
@@ -650,6 +650,15 @@ def test_fibration_json_round_trip():
     assert back.max_vertices == 4
     assert back.policy.strategy == "bounded-bfs"
     assert back.policy.bfs_depth == 3
+
+
+def test_a_fibration_is_read_only_and_equal_by_its_fields():
+    fib, same = edge_fibration(bound=4), edge_fibration(bound=4)
+    for name in ("generators", "easy", "max_vertices", "policy", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(fib, name, None)
+    assert fib == same and hash(fib) == hash(same)
+    assert fib != edge_fibration(bound=5) and fib != edge_fibration(bound=4, easy=True)
 
 
 def test_fibration_json_rejects_garbage():

@@ -42,7 +42,7 @@ print("\\n".join(workload.errors))
 """
 
 
-@pytest.mark.parametrize("workload", ["closure", "dim"])
+@pytest.mark.parametrize("workload", ["hom", "closure", "dim"])
 def test_every_full_size_answer_matches_its_digest(workload):
     """All answers of the workload's full task list, not just the smoke
     ones, against their committed digests and oracles."""
