@@ -8,7 +8,8 @@ Membership in a normal closure is answered by one of three strategies:
 
 * ``finite-model``: run coset enumeration over the quotient presentation and
   trace the word; exact whenever the quotient is recognized finite within
-  ``COSET_BOUND`` cosets.  A quotient that splits as a free product of two
+  ``COSET_BOUND`` cosets (fewer past 1,000 letters: ``COSET_CELL_BOUND``
+  caps the table's slots).  A quotient that splits as a free product of two
   nontrivial factors is recognized infinite before enumeration starts, with
   the same outcome as an enumeration that overflows the bound.
 * ``racg``: applicable when every closure generator is a commutator-shaped
@@ -51,6 +52,10 @@ BFS_NODE_BOUND = 10**4
 # Cosets one enumeration may define before the quotient counts as not shown
 # finite, behind ``finite-model`` and behind ``auto``'s choice of strategy.
 COSET_BOUND = 20000
+# Table slots, cosets times letters, one enumeration may hold: the coset
+# bound on an alphabet of 1,000 letters.  A larger alphabet stops at fewer
+# cosets, before their rows fill memory.
+COSET_CELL_BOUND = 2 * 10**7
 
 
 class MembershipPolicy(namedtuple("MembershipPolicy", ("strategy", "bfs_depth", "bfs_max_len"))):
@@ -204,15 +209,17 @@ def coset_table(alphabet_size, relators, max_cosets):
 
     Returns the table as a list of rows (one per group element, row ``c``
     maps letter ``x`` to ``table[c][x]``) with coset 0 the identity, or None
-    when enumeration exceeds ``max_cosets`` cosets.  A quotient that splits
-    as a free product of two nontrivial factors is infinite, so it gets that
-    None at once, without enumerating.
+    when enumeration exceeds ``max_cosets`` cosets, or ``COSET_CELL_BOUND``
+    slots, one per coset and letter.  A quotient that splits as a free
+    product of two nontrivial factors is infinite, so it gets that None at
+    once, without enumerating.
     """
     n = alphabet_size
     relators = [reduce_word(r) for r in relators]
     relators = [r for r in relators if r]
     if _splits_infinitely(n, relators):
         return None
+    max_cosets = min(max_cosets, COSET_CELL_BOUND // max(n, 1))
     table = [[None] * n]
     p = [0]
 

@@ -580,24 +580,24 @@ def _sum_out(k, g, factors, vectors, keep):
     return scalar, summed
 
 
-def count_homomorphisms(k, g, entries, inputs, outputs, injective=False):
+def count_homomorphisms(k, g, entries, labels, injective=False):
     """Add to ``entries`` the homomorphisms from ``k`` to ``g`` (given
     ``injective``, the injective ones), counted by where the labels land.
 
-    ``entries`` is a flat tensor of ``g.n ** (len(outputs) + len(inputs))``
-    entries, and a map ``phi`` counts at the index whose digits, base
-    ``g.n``, are ``phi`` of ``outputs`` and then of ``inputs``.  A plain
+    ``labels`` are vertices of ``k`` in digit order: ``entries`` is a flat
+    list of ``g.n ** len(labels)`` counts, and a map ``phi`` counts at the
+    index whose digits, base ``g.n``, are ``phi`` of ``labels``.  A plain
     count first sums out (:func:`_sum_out`); an injective one cannot, as a
     vertex summed out could share an image.  :func:`_count` counts the
     vertices left, in increasing order, checking each table left by the
     bitmask of each row's keys and multiplying out only weights above 1, so
     the cost follows the weighted maps of the vertices left.
     """
-    coef, labels = [0] * k.n, [*outputs, *inputs]  # an image c of v adds c * coef[v] to the flat index
+    coef = [0] * k.n  # an image c of v adds c * coef[v] to the flat index
     for j, v in enumerate(labels, 1):
         coef[v] += g.n ** (len(labels) - j)
     host, factors, vectors = _constraints(k, g)
-    scalar, summed = (1, ()) if injective else _sum_out(k, g, factors, vectors, {*inputs, *outputs})
+    scalar, summed = (1, ()) if injective else _sum_out(k, g, factors, vectors, set(labels))
     if not scalar:
         return
     weights = [(k.n, v, (vec,)) for v, vec in vectors.items() if max(vec, default=0) > 1]

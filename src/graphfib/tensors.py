@@ -1,10 +1,16 @@
 """Exact integer tensors counted from graph homomorphisms.
 
+A tensor with ``k`` input and ``l`` output legs of size ``n`` keeps its
+``n^(k+l)`` entries in one flat list.  The layout is stated here once: the
+flat index of a label assignment is the base-``n`` number whose digits are
+the images of the output labels, then of the input labels.  So the list is
+``n^l`` rows of ``n^k`` columns (:func:`_rows`), a row for each output
+multi-index.
+
 ``build_T(g, d)`` counts all homomorphisms of the diagram ``d`` into ``g``,
 bucketed by where the labels land: entry ``(j, i)`` counts maps sending the
 inputs to the multi-index ``i`` and the outputs to ``j``.  ``build_That``
-counts injective maps only.  Shapes are ``n^l`` rows by ``n^k`` columns in
-row-major order.
+counts injective maps only.
 
 Neither lists the homomorphisms: ``graphs.count_homomorphisms`` adds each
 map's weight into the entries from inside its search.  For ``build_T`` it
@@ -39,8 +45,8 @@ from .partitions import enumerate_partitions, kernel_tuples
 class IntTensor:
     """A dense integer tensor with ``k`` input and ``l`` output legs of size ``n``.
 
-    Entries are plain Python integers in a flat row-major list: the row index
-    encodes the output multi-index, the column index the input one.
+    Entries are plain Python integers in a flat list, laid out as the
+    module docstring states.
     """
 
     __slots__ = ("n", "k", "l", "entries")
@@ -60,7 +66,10 @@ class IntTensor:
     def entry(self, outputs, inputs):
         if len(outputs) != self.l or len(inputs) != self.k:
             raise ValueError("multi-index lengths must match the tensor legs")
-        return self.entries[_tuple_index(outputs, self.n) * self.n**self.k + _tuple_index(inputs, self.n)]
+        idx = 0
+        for x in (*outputs, *inputs):
+            idx = idx * self.n + x
+        return self.entries[idx]
 
     def __eq__(self, other):
         return (
@@ -89,23 +98,14 @@ def power_exceeds(n, e, bound):
     return False
 
 
-def _tuple_index(t, n):
-    idx = 0
-    for x in t:
-        idx = idx * n + x
-    return idx
-
-
-def _index_tuple(idx, n, length):
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        out[pos] = idx % n
-        idx //= n
-    return tuple(out)
-
-
 def zero_tensor(n, k, l):
     return IntTensor(n, k, l, [0] * (n ** (k + l)))
+
+
+def _rows(t):
+    """The ``n^l`` rows of ``n^k`` entries of ``t``, one per output multi-index."""
+    cols, entries = t.n**t.k, t.entries
+    return [entries[r * cols : (r + 1) * cols] for r in range(t.n**t.l)]
 
 
 # ---------------------------------------------------------------------------
@@ -113,28 +113,15 @@ def zero_tensor(n, k, l):
 
 
 def tensor_product(a, b):
+    """Kronecker product: a row of ``a`` then a row of ``b`` make a row, and so do columns."""
     if a.n != b.n:
         raise ValueError("tensor factors must share the leg size")
-    n = a.n
-    rb, cb = n**b.l, n**b.k
-    ca = n**a.k
-    ncols = ca * cb
-    entries = [0] * (n ** (a.k + b.k + a.l + b.l))
-    for ra in range(n**a.l):
-        abase = ra * ca
-        for cae in range(ca):
-            va = a.entries[abase + cae]
-            if va == 0:
-                continue
-            colbase = cae * cb
-            for rbe in range(rb):
-                rowbase = (ra * rb + rbe) * ncols + colbase
-                bbase = rbe * cb
-                for cbe in range(cb):
-                    vb = b.entries[bbase + cbe]
-                    if vb:
-                        entries[rowbase + cbe] = va * vb
-    return IntTensor(n, a.k + b.k, a.l + b.l, entries)
+    rows_b = _rows(b)
+    entries = []
+    for row_a in _rows(a):
+        for row_b in rows_b:
+            entries += [x * y for x in row_a for y in row_b]
+    return IntTensor(a.n, a.k + b.k, a.l + b.l, entries)
 
 
 def compose(a, b):
@@ -143,30 +130,24 @@ def compose(a, b):
         raise ValueError("composed tensors must share the leg size")
     if a.k != b.l:
         raise ValueError(f"arity mismatch: {a.k} inputs composed with {b.l} outputs")
-    n = a.n
-    rows, mid, cols = n**a.l, n**a.k, n**b.k
-    entries = [0] * (rows * cols)
-    for r in range(rows):
-        abase = r * mid
-        obase = r * cols
-        for m in range(mid):
-            av = a.entries[abase + m]
-            if av:
-                bbase = m * cols
-                for c in range(cols):
-                    bv = b.entries[bbase + c]
-                    if bv:
-                        entries[obase + c] += av * bv
-    return IntTensor(n, b.k, a.l, entries)
+    rows_b, cols = _rows(b), range(a.n**b.k)
+    entries = []
+    for row_a in _rows(a):
+        row = [0] * len(cols)
+        for x, row_b in zip(row_a, rows_b):
+            if x:
+                for c in cols:
+                    if row_b[c]:
+                        row[c] += x * row_b[c]
+        entries += row
+    return IntTensor(a.n, b.k, a.l, entries)
 
 
 def adjoint(a):
-    rows, cols = a.n**a.l, a.n**a.k
-    entries = [0] * (rows * cols)
-    for r in range(rows):
-        base = r * cols
-        for c in range(cols):
-            entries[c * rows + r] = a.entries[base + c]
+    """Transpose: the columns of ``a`` are the rows of its adjoint."""
+    entries = []
+    for col in zip(*_rows(a)):
+        entries += col
     return IntTensor(a.n, a.l, a.k, entries)
 
 
@@ -186,15 +167,13 @@ def compare_tensors(a, b):
         raise ValueError("compared tensors must have equal shapes")
     if a.entries == b.entries:  # one comparison in C; the loop below only finds the first difference
         return None
-    cols = a.n**a.k
     for idx, (x, y) in enumerate(zip(a.entries, b.entries)):
         if x != y:
-            return {
-                "row": list(_index_tuple(idx // cols, a.n, a.l)),
-                "col": list(_index_tuple(idx % cols, a.n, a.k)),
-                "lhs": x,
-                "rhs": y,
-            }
+            digits = []  # the flat index in base n: outputs' images, then inputs'
+            for _ in range(a.l + a.k):
+                idx, digit = divmod(idx, a.n)
+                digits.insert(0, digit)
+            return {"row": digits[: a.l], "col": digits[a.l :], "lhs": x, "rhs": y}
     return None
 
 
@@ -238,22 +217,19 @@ def tally(t, maps, inputs, outputs):
     A map is any sequence indexed by the label points, such as a group
     element or a partition's value tuple.
     """
-    n, ncols, entries = t.n, t.n**t.k, t.entries
+    n, entries, labels = t.n, t.entries, (*outputs, *inputs)
     for phi in maps:
-        col = 0
-        for v in inputs:
-            col = col * n + phi[v]
-        row = 0
-        for v in outputs:
-            row = row * n + phi[v]
-        entries[row * ncols + col] += 1
+        idx = 0
+        for v in labels:
+            idx = idx * n + phi[v]
+        entries[idx] += 1
     return t
 
 
 def build_T(g, d):
     """Homomorphism counts of a diagram into ``g``, bucketed by label images."""
     t = zero_tensor(g.n, d.k, d.l)
-    count_homomorphisms(d.graph, g, t.entries, d.inputs, d.outputs)
+    count_homomorphisms(d.graph, g, t.entries, (*d.outputs, *d.inputs))
     return t
 
 
@@ -262,7 +238,7 @@ def _that_sum(g, k, l, diagrams):
     t = zero_tensor(g.n, k, l)
     for d in diagrams:
         if d.graph.n <= g.n:
-            count_homomorphisms(d.graph, g, t.entries, d.inputs, d.outputs, injective=True)
+            count_homomorphisms(d.graph, g, t.entries, (*d.outputs, *d.inputs), injective=True)
     return t
 
 
@@ -381,9 +357,5 @@ def tensor_from_json(obj):
 
 
 def tensor_to_csv(t):
-    """Rows are output multi-indices, columns input ones, comma separated."""
-    cols = t.n**t.k
-    lines = []
-    for r in range(t.n**t.l):
-        lines.append(",".join(str(x) for x in t.entries[r * cols : (r + 1) * cols]))
-    return "\n".join(lines) + "\n"
+    """One line per row (output multi-index), its entries comma separated."""
+    return "\n".join(",".join(str(x) for x in row) for row in _rows(t)) + "\n"

@@ -88,6 +88,20 @@ def test_tensor_csv_output(capsys):
     assert out == "0,1,1\n1,0,1\n1,1,0\n"
 
 
+@pytest.mark.parametrize(
+    "k, l, json_out",
+    [(0, 1, '{"entries": [], "k": 0, "l": 1, "n": 0}\n'), (1, 0, '{"entries": [], "k": 1, "l": 0, "n": 0}\n')],
+)
+def test_tensor_into_the_empty_graph(capsys, tmp_path, k, l, json_out):
+    # no map of a labelled vertex into no vertices: n^l rows of n^k columns,
+    # so one empty row when l = 0 and none when l >= 1; CSV ends each listing
+    # with one newline either way
+    host = write_json(tmp_path, "empty.json", {"n": 0, "edges": []})
+    point = write_json(tmp_path, "point.json", {"graph": {"n": 1, "edges": []}, "inputs": [0] * k, "outputs": [0] * l})
+    assert run(capsys, "tensor", host, point, "--format", "csv") == (0, "\n", "")
+    assert run(capsys, "tensor", host, point, "--format", "json") == (0, json_out, "")
+
+
 def test_tensor_accepts_graph6_input(capsys):
     payload = run_json(capsys, "tensor", fx("k3_graph6.json"), fx("identity_diagram.json"))
     assert payload["entries"] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
@@ -434,6 +448,21 @@ def test_dim_on_a_long_label_tuple_on_one_point(tmp_path):
     assert code == 0, err
     report = json.loads(out)
     assert report["dim"] == report["burnside"] == 1
+
+
+def test_dim_stops_a_coset_table_on_a_wide_alphabet_before_it_fills_memory(tmp_path):
+    # relators (x_0 x_i)^3 on 12,000 letters: an infinite Coxeter group whose
+    # enumeration defines rows of 12,000 slots.  20,000 of them would take
+    # 1.9 GB; the cell bound stops it at 1,666, and every one-letter word
+    # is refused by its parity.
+    n = 12000
+    group = write_json(tmp_path, "group.json", {"degree": n, "elements": [list(range(n))]})
+    words = write_json(tmp_path, "words.json", {"alphabet": n, "generators": [[0, i, 0, i, 0, i] for i in range(1, n)]})
+    code, out, err = run_in_child("dim", group, words, "1", "0", timeout=30)
+    assert (code, err) == (0, ""), err
+    report = json.loads(out)
+    assert report["dim"] == 0 and report["burnside"] == len(report["orbits"]) == n
+    assert not any(o["accepted"] for o in report["orbits"])
 
 
 # ---------------------------------------------------------------------------

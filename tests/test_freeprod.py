@@ -158,6 +158,21 @@ def test_free_product_certificate_examples(n, relators, certified, order):
     assert (None if table is None else len(table)) == order
 
 
+@pytest.mark.parametrize("cap", [1, 5, 23, 24, 40])
+def test_the_cell_bound_caps_the_cosets_at_the_slots_it_holds(monkeypatch, cap):
+    # the Coxeter presentation of S4 needs 24 cosets of 3 slots each; a cell
+    # bound of 3 * cap to 3 * cap + 2 slots stops it as a cap of ``cap`` cosets would
+    n, relators = 3, [(0, 1) * 3, (1, 2) * 3, (0, 2) * 2]
+    expected = coset_table(n, relators, cap)
+    for cells in range(n * cap, n * cap + n):
+        monkeypatch.setattr(freeprod, "COSET_CELL_BOUND", cells)
+        assert coset_table(n, relators, freeprod.COSET_BOUND) == expected
+
+
+def test_the_cell_bound_keeps_the_coset_bound_up_to_1000_letters():
+    assert freeprod.COSET_CELL_BOUND // 1000 == freeprod.COSET_BOUND
+
+
 relator_sets = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.tuples(
         st.just(n),

@@ -1,5 +1,6 @@
 """Exact integer tensors from homomorphism counts and their identities."""
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -178,6 +179,43 @@ def test_add_scale_shape_checks():
     assert tensor_scale(a, -1).entries == [-1, -2, -3, -4]
     with pytest.raises(ValueError):
         tensor_add(a, zero_tensor(2, 1, 2))
+
+
+def at(t, outputs, inputs):
+    """The layout's oracle: rows listed by output multi-index and columns by
+    input one, each in ``itertools.product`` order, read row after row."""
+    rows, cols = list(product(range(t.n), repeat=t.l)), list(product(range(t.n), repeat=t.k))
+    return t.entries[rows.index(tuple(outputs)) * len(cols) + cols.index(tuple(inputs))]
+
+
+def sample_tensor(n, k, l, salt):
+    rng = random.Random(f"{n}-{k}-{l}-{salt}")
+    return IntTensor(n, k, l, [rng.choice((0, 0, 1, 2, 7)) for _ in range(n ** (k + l))])
+
+
+@pytest.mark.parametrize("n, k, l", list(product(range(4), range(3), range(3))))
+def test_the_linear_operations_follow_the_layout(n, k, l):
+    a, b = sample_tensor(n, k, l, "a"), sample_tensor(n, l, k, "b")  # b.l == a.k, so a . b composes
+    outs, ins = list(product(range(n), repeat=l)), list(product(range(n), repeat=k))
+    adj, ab_product = adjoint(a), tensor_product(a, b)
+    assert adj.shape() == (n, l, k) and ab_product.shape() == (n, k + l, l + k)
+    for idx, (o, i) in enumerate(product(outs, ins)):
+        assert a.entry(o, i) == at(a, o, i)
+        assert at(adj, i, o) == at(a, o, i)
+        bumped = IntTensor(n, k, l, [x + (j == idx) for j, x in enumerate(a.entries)])
+        assert compare_tensors(a, bumped) == {"row": list(o), "col": list(i), "lhs": at(a, o, i), "rhs": at(a, o, i) + 1}
+        for o2, i2 in product(ins, outs):  # the legs of b
+            assert at(ab_product, o + o2, i + i2) == at(a, o, i) * at(b, o2, i2)
+    ab = compose(a, b)
+    assert ab.shape() == (n, l, l)
+    for o, i in product(outs, repeat=2):
+        assert at(ab, o, i) == sum(at(a, o, m) * at(b, m, i) for m in ins)
+    # labels repeat within the outputs and across the two sides
+    outputs, inputs, maps = (1, 1)[:l], (0, 1)[:k], list(product(range(n), repeat=2))
+    counts = Counter((tuple(phi[v] for v in outputs), tuple(phi[v] for v in inputs)) for phi in maps)
+    t = tally(zero_tensor(n, k, l), maps, inputs, outputs)
+    assert all(at(t, o, i) == counts[o, i] for o, i in product(outs, ins))
+    assert sum(t.entries) == len(maps)
 
 
 def test_exact_rank():
