@@ -143,7 +143,7 @@ class NormalClosureSpec(namedtuple("NormalClosureSpec", ("alphabet_size", "gener
     membership queries against it.
 
     A spec is a checked named tuple, equal by its three fields and
-    read-only, so the verdict function that :func:`member` keeps in the
+    read-only, so the verdict function that :func:`decide` keeps in the
     instance dict as ``_decide`` after the first query cannot go stale.
     """
 
@@ -177,7 +177,8 @@ def _parity(w):
 
 
 def _gf2_pivots(vectors):
-    """Echelon basis of the GF(2) span of bit-vectors, keyed by leading bit."""
+    """Reduced echelon basis of the GF(2) span of bit-vectors, keyed by leading
+    bit: back-substitution, lowest pivot first, leaves no pivot holding another's."""
     pivots = {}
     for v in vectors:
         while v:
@@ -187,11 +188,19 @@ def _gf2_pivots(vectors):
             else:
                 pivots[h] = v
                 break
+    for h in sorted(pivots):
+        rest = pivots[h] ^ (1 << h)
+        while rest:
+            b = rest.bit_length() - 1
+            rest ^= 1 << b
+            if b in pivots:
+                pivots[h] ^= pivots[b]
     return pivots
 
 
 def _gf2_in_span(target, pivots):
-    """Is ``target`` in the span of the echelon basis ``pivots``?"""
+    """Is ``target`` in the span of the reduced echelon basis ``pivots``?  At
+    most one step per pivot bit of ``target``, as a pivot adds no other."""
     while target:
         h = target.bit_length() - 1
         if h not in pivots:
@@ -202,6 +211,10 @@ def _gf2_in_span(target, pivots):
 
 # ---------------------------------------------------------------------------
 # coset enumeration (all generators involutive, trivial subgroup)
+
+
+class _Overflow(Exception):
+    """Raised inside :func:`coset_table` when a definition would pass its bound."""
 
 
 def coset_table(alphabet_size, relators, max_cosets):
@@ -222,9 +235,6 @@ def coset_table(alphabet_size, relators, max_cosets):
     max_cosets = min(max_cosets, COSET_CELL_BOUND // max(n, 1))
     table = [[None] * n]
     p = [0]
-
-    class _Overflow(Exception):
-        pass
 
     def rep(c):
         r = c
@@ -324,13 +334,17 @@ def _splits_infinitely(n, relators):
     nontrivial when its relators' parity vectors span less than its letters
     over GF(2), since a nonzero functional vanishing on them maps it onto
     Z/2.  A free product of two nontrivial groups is infinite, so coset
-    enumeration would overflow at any cap.  ``relators`` must be reduced
-    and nonempty, as :func:`coset_table` passes them.
+    enumeration would overflow at any cap; two factors need two blocks.
+    ``relators`` must be reduced and nonempty, as :func:`coset_table` passes
+    them.
     """
     block_of = generated_partition(n, (pair for r in relators for pair in zip(r, r[1:])))
+    blocks = Counter(block_of)
+    if len(blocks) < 2:
+        return False
     nontrivial = sum(
         len(_gf2_pivots(_parity(r) for r in relators if block_of[r[0]] == b)) < size
-        for b, size in Counter(block_of).items()
+        for b, size in blocks.items()
     )
     return nontrivial >= 2
 
@@ -457,14 +471,20 @@ def _decider(alphabet_size, generators, policy):
 
 
 def member(word, spec):
-    """Tri-state membership of ``word`` in the normal closure of ``spec``.
+    """Tri-state membership of ``word`` in the normal closure of ``spec``:
+    the word is checked against the alphabet, reduced, and passed to :func:`decide`."""
+    return decide(reduce_word(validate_word(word, spec.alphabet_size)), spec)
+
+
+def decide(w, spec):
+    """Tri-state membership of ``w``, a reduced word over ``spec``'s alphabet.
 
     The empty word is a member before any strategy is resolved.  The first
     other query keeps :func:`_decider`'s verdict function in the spec's
     instance dict, through the ``_decide`` cached property; a ``racg``
-    refusal keeps nothing, so every query that reaches it raises.
+    refusal keeps nothing, so every query that reaches it raises.  ``w`` is
+    not checked.
     """
-    w = reduce_word(validate_word(word, spec.alphabet_size))
     if not w:
         return Membership.YES
     return spec._decide(w)
@@ -488,7 +508,7 @@ def prune_reduced_words(alphabet_size, words, policy):
     set.  From the first other word kept on, one verdict function of
     :func:`_decider` serves each kept set.
     """
-    kept, decide = [], None
+    kept, decider = [], None
     comm = set()  # the kept pairs in both orders; None once a kept word does not read xyxy
     # ``replace`` builds and validates a new policy, so skip it when the policy is ``auto`` already
     auto = policy if policy.strategy == "auto" else policy.replace(strategy="auto")
@@ -504,26 +524,28 @@ def prune_reduced_words(alphabet_size, words, policy):
                 comm = None
                 kept.append(w)
             continue
-        if decide is None:  # made for the first query after a kept word
-            decide = _decider(alphabet_size, tuple(kept), auto)
-        if decide(w) is not Membership.YES:
+        if decider is None:  # made for the first query after a kept word
+            decider = _decider(alphabet_size, tuple(kept), auto)
+        if decider(w) is not Membership.YES:
             kept.append(w)
-            decide = None
+            decider = None
     return tuple(kept)
 
 
 def check_invariance(maps, closure):
     """Require every letter map in ``maps`` to send the closure into itself.
 
-    It suffices that each map sends each closure generator into the closure.
+    Each map must send the alphabet into itself: its images go to
+    :func:`decide` unchecked.  It suffices that each map sends each closure generator into the closure.
     An image outside raises ``ValueError``, and one of unknown membership
     :class:`IndeterminateError`, so only members repeat: each is decided once.
     """
     members = set()
     for phi in maps:
+        one_to_one = len(set(phi)) == len(phi)  # then it keeps a reduced word reduced
         for w in closure.generators:
-            image = apply_letter_map(phi, w)
-            got = Membership.YES if image in members else member(image, closure)
+            image = tuple(map(phi.__getitem__, w)) if one_to_one else apply_letter_map(phi, w)
+            got = Membership.YES if image in members else decide(image, closure)
             if got is Membership.NO:
                 raise ValueError(f"closure is not invariant: image of {w} under {phi} escapes")
             if got is Membership.UNKNOWN:
@@ -550,9 +572,15 @@ def letter_from_json(x, alphabet_size):
 
 
 def word_from_json(obj, alphabet_size):
+    """The word ``obj`` names.  A list of in-range ``int`` letters is taken in
+    one pass; at any other letter the list is read again letter by letter,
+    so the first bad letter gets :func:`letter_from_json`'s message."""
     if not isinstance(obj, list):
         raise ValueError("word JSON must be a list of letters")
-    return tuple(letter_from_json(x, alphabet_size) for x in obj)
+    for letter in obj:
+        if type(letter) is not int or not 0 <= letter < alphabet_size:
+            return tuple(letter_from_json(x, alphabet_size) for x in obj)
+    return tuple(obj)
 
 
 def closure_from_json(obj):

@@ -19,12 +19,12 @@ into itself, so does every product of generators.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import filterfalse, product, repeat
 from math import perm
 from operator import eq, itemgetter, lt
 
 from .errors import CapacityError, IndeterminateError, InvariantError
-from .freeprod import Membership, check_invariance, member, reduce_word
+from .freeprod import Membership, check_invariance, decide, reduce_word
 from .graphs import automorphism_generators
 from .partitions import kernel_tuples
 from .tensors import (
@@ -56,6 +56,20 @@ class PermutationGroup:
     def __init__(self, degree, generators):
         if type(degree) is not int or degree < 0:
             raise ValueError(f"group degree must be a non-negative integer, got {degree!r}")
+        # each generator is checked before it is looked up
+        self._close(degree, map(_permutation, generators, repeat(degree)))
+
+    @classmethod
+    def _replay(cls, group):
+        """``group`` closed again from its sorted elements, unchecked, to keep the
+        generators a greedy pass over them keeps."""
+        self = cls.__new__(cls)
+        self._close(group.degree, group.elements, len(group))
+        return self
+
+    def _close(self, degree, generators, order=None):
+        """Dimino's closure, skipping seen elements in C.  Given the ``order``, it
+        stops there and takes the generators for permutations unchecked."""
         seen = set()
 
         def check_room(more):
@@ -70,11 +84,8 @@ class PermutationGroup:
         seen.add(ident)
         kept = []
         moves = []  # right multiplication by each kept generator: s -> s o h
-        for g in generators:
-            g = _permutation(g, degree)
-            if g in seen:  # checked when it entered
-                continue
-            if sorted(g) != points:
+        for g in filterfalse(seen.__contains__, generators):
+            if order is None and sorted(g) != points:
                 raise ValueError(f"{g!r} is not a permutation of {degree} points")
             kept.append(g)
             moves.append(itemgetter(*g))  # a kept generator moves two points or more, so this gives tuples
@@ -87,6 +98,8 @@ class PermutationGroup:
                         check_room(len(base))
                         seen.update(map(itemgetter(*t), base))
                         reps.append(t)
+            if len(seen) == order:
+                break
         self.degree = degree
         self.generators = tuple(kept)
         self.elements = tuple(sorted(seen))
@@ -131,10 +144,9 @@ def symmetric_group(n):
 def graph_automorphism_group(g):
     """Aut(g), closed from the generators of its stabiliser chain as the search
     finds them, so a group above the point bound stops before the chain is
-    complete, then again from its sorted elements: that keeps the generators a
-    greedy pass over the automorphisms in order keeps, read by ``check_invariance``."""
-    found = PermutationGroup(g.n, automorphism_generators(g))
-    return PermutationGroup(g.n, found.elements)
+    complete, then replayed from its sorted elements: that keeps the generators
+    a greedy pass over the automorphisms in order keeps, read by ``check_invariance``."""
+    return PermutationGroup._replay(PermutationGroup(g.n, automorphism_generators(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +219,13 @@ def pair_word(a, b):
 
 
 def semidirect_orbit_table(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
-    """Each orbit with the membership verdict of its pair word."""
+    """Each orbit with the membership verdict of its pair word, which is over
+    the group's points, so :func:`decide` takes it unchecked."""
     if closure.alphabet_size != group.degree:
         raise ValueError("closure alphabet must match the group degree")
     check_invariance(group.generators, closure)
     return [
-        (o, member(pair_word(o.a, o.b), closure))
+        (o, decide(pair_word(o.a, o.b), closure))
         for o in orbits(group, k, l, tuple_bound)
     ]
 

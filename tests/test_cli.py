@@ -465,6 +465,20 @@ def test_dim_stops_a_coset_table_on_a_wide_alphabet_before_it_fills_memory(tmp_p
     assert not any(o["accepted"] for o in report["orbits"])
 
 
+def test_dim_refuses_one_letter_words_by_parity_in_one_step_each(tmp_path):
+    # relators (x_i x_{i+1})^3 on 12,000 letters: the cell bound stops the
+    # coset table, and bounded search refuses each word x_i by its parity.
+    # The pivot of x_{i+1} holds x_i until the basis is reduced; unreduced,
+    # each query stepped down the chain to x_0, 72 million steps in all.
+    n = 12000
+    group = write_json(tmp_path, "group.json", {"degree": n, "elements": [list(range(n))]})
+    words = write_json(tmp_path, "words.json", {"alphabet": n, "generators": [[i, i + 1] * 3 for i in range(n - 1)]})
+    code, out, err = run_in_child("dim", group, words, "1", "0", timeout=8)
+    assert (code, err) == (0, ""), err
+    report = json.loads(out)
+    assert report["dim"] == 0 and report["burnside"] == len(report["orbits"]) == n
+
+
 # ---------------------------------------------------------------------------
 # closure
 

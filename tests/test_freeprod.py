@@ -14,6 +14,7 @@ from graphfib.freeprod import (
     closure_from_json,
     coset_table,
     inverse,
+    letter_from_json,
     member,
     policy_from_json,
     prune_reduced_words,
@@ -22,6 +23,7 @@ from graphfib.freeprod import (
     racg_eligible,
     reduce_word,
     validate_word,
+    word_from_json,
 )
 
 words = st.lists(st.integers(min_value=0, max_value=3), max_size=12).map(tuple)
@@ -300,6 +302,32 @@ def test_bounded_bfs_answers_unknown_past_the_node_bound(monkeypatch):
     assert member((2, 0, 1, 0, 1, 2), spec) is Membership.UNKNOWN
 
 
+# ---------------------------------------------------------------------------
+# parity vectors over GF(2)
+
+
+def test_the_parity_basis_is_reduced():
+    # x_i + x_{i+1}: before back-substitution each pivot holds the leading
+    # bit of the one below it, and a query walks the whole chain down to x_0
+    pivots = freeprod._gf2_pivots([0b11, 0b110, 0b1100, 0b11000])
+    assert pivots == {1: 0b11, 2: 0b101, 3: 0b1001, 4: 0b10001}
+    assert not freeprod._gf2_in_span(0b10000, pivots)
+    assert freeprod._gf2_in_span(0b10100, pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=8), st.integers(0, 255))
+def test_the_parity_basis_matches_a_brute_force_span(vectors, target):
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    pivots = freeprod._gf2_pivots(vectors)
+    assert 2 ** len(pivots) == len(span) and set(pivots.values()) <= span
+    assert all(v.bit_length() - 1 == h for h, v in pivots.items())
+    assert not any(v >> b & 1 for h, v in pivots.items() for b in pivots if b != h)
+    assert freeprod._gf2_in_span(target, pivots) is (target in span)
+
+
 def test_bounded_bfs_never_contradicts_racg():
     spec = commutator_spec(3, [(0, 1), (1, 2)])
     bfs = NormalClosureSpec(
@@ -526,6 +554,27 @@ def test_closure_json_rejects_bad_input():
             closure_from_json(
                 {"alphabet": 2, "generators": [], "strategy": {"bounded-bfs": params}}
             )
+
+
+def per_letter(obj, alphabet_size):
+    return tuple(letter_from_json(x, alphabet_size) for x in obj)
+
+
+@pytest.mark.parametrize("word", [[], [0], [0, 1, 2], [2, 2, 0], ["a", "c"], [0, "b", 2], ["c", 1]])
+def test_a_word_read_in_one_pass_equals_the_per_letter_reading(word):
+    assert word_from_json(word, 3) == per_letter(word, 3)
+
+
+@pytest.mark.parametrize("place", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1, 3, "A", "ab", None, [0]])
+def test_a_bad_letter_gets_the_per_letter_message_wherever_it_stands(bad, place):
+    word = [0, 1]
+    word.insert(place, bad)
+    with pytest.raises(ValueError) as want:
+        per_letter(word, 3)
+    with pytest.raises(ValueError) as got:
+        word_from_json(word, 3)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

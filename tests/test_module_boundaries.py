@@ -1,6 +1,7 @@
 """No graphfib module imports another module's private (underscore) names,
 imports a name it never uses, relies on ``assert``, which ``python -O``
-strips, or catches ``KeyError`` or ``TypeError``, which would let a missing
+strips, defines a class inside a function, which makes a new class on every
+call, or catches ``KeyError`` or ``TypeError``, which would let a missing
 key or a bug pass for bad input; every public function, class or method
 of a public class has a reader in ``src/`` or a stated reason to stay, and
 then a reader in the tests; every private one has a reader in its own
@@ -67,6 +68,33 @@ def test_the_scan_finds_assert_statements():
 def test_no_assert_statements(filename):
     with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
         assert assert_lines(fh.read()) == []
+
+
+def nested_classes(source):
+    """Line numbers of the ``class`` statements in ``source`` that sit inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.extend(inner.lineno for inner in ast.walk(node) if isinstance(inner, ast.ClassDef))
+    return sorted(set(found))
+
+
+def test_the_scan_finds_classes_defined_in_functions():
+    source = (
+        "class Top:\n    class Inner:\n        pass\n"
+        "    def method(self):\n        class InMethod(Exception):\n            pass\n"
+        "def f():\n    def g():\n        class Deep:\n            pass\n"
+        "    class Local:\n        pass\n"
+        "async def h():\n    class InCoroutine:\n        pass\n"
+    )
+    assert nested_classes(source) == [5, 9, 11, 14]
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_no_class_defined_in_a_function(filename):
+    # a class statement in a function body makes a new class on every call
+    with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        assert nested_classes(fh.read()) == []
 
 
 def key_or_type_handlers(source):

@@ -15,6 +15,7 @@ from graphfib.freeprod import (
     NormalClosureSpec,
     apply_letter_map,
     check_invariance,
+    decide,
     member,
 )
 from graphfib.graphs import (
@@ -600,9 +601,9 @@ def test_invariance_decides_each_distinct_image_once(monkeypatch):
 
     def counting(word, spec):
         calls.append(word)
-        return member(word, spec)
+        return decide(word, spec)
 
-    monkeypatch.setattr("graphfib.freeprod.member", counting)
+    monkeypatch.setattr("graphfib.freeprod.decide", counting)
     check_invariance(maps, closure)
     assert len(calls) == len(images) == 12 < len(maps) * len(closure.generators)
     assert set(calls) == images
@@ -622,6 +623,24 @@ def test_invariance_names_the_first_escaping_image_as_a_plain_loop_does():
         with pytest.raises(ValueError) as exc:
             check_invariance(maps, closure)
         assert str(exc.value) == plain_invariance_message(maps, closure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_invariance_under_any_letter_maps_answers_as_a_plain_loop_does(data):
+    # one-to-one maps skip the reduction of their images; the others do not
+    n = data.draw(st.integers(2, 4))
+    letters = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(letters, letters).filter(lambda p: p[0] != p[1]), min_size=1, max_size=4))
+    letter_map = st.one_of(st.permutations(range(n)), st.lists(letters, min_size=n, max_size=n)).map(tuple)
+    maps = data.draw(st.lists(letter_map, max_size=4))
+    closure = commutator_closure(n, pairs)
+    try:
+        check_invariance(maps, closure)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    assert message == plain_invariance_message(maps, closure)
 
 
 def test_invariance_is_checked_on_generators_only():
