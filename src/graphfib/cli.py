@@ -30,10 +30,8 @@ from .partitions import partition_from_json
 from .repspaces import (
     DEFAULT_TUPLE_BOUND,
     dim_report,
-    graph_automorphism_group,
-    group_from_elements,
+    group_from_json,
     orbits,
-    symmetric_group,
     verify_THpart,
 )
 from .tensors import (
@@ -94,19 +92,6 @@ def _print(payload):
     _write(lambda p: json.dumps(p, sort_keys=True) + "\n", payload)
 
 
-def _group_from_json(obj):
-    if isinstance(obj, dict) and "elements" in obj:
-        degree, elements = check_json_object(obj, "group", ("degree", "elements"))
-        if not isinstance(elements, list) or not all(isinstance(e, list) for e in elements):
-            raise ValueError("group JSON field 'elements' must be a list of permutations")
-        return group_from_elements(degree, elements)
-    if isinstance(obj, dict) and list(obj) == ["automorphisms_of"]:
-        return graph_automorphism_group(graph_from_json(obj["automorphisms_of"]))
-    if isinstance(obj, dict) and list(obj) == ["symmetric"]:
-        return symmetric_group(obj["symmetric"])
-    raise ValueError("group JSON needs 'degree' with 'elements', or 'automorphisms_of' or 'symmetric' alone")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -130,23 +115,25 @@ def cmd_tensor(args, config):
 
 
 def _parse_check(law, check):
-    """One fixture check's parsed inputs, with the leg size and leg count of
-    its largest tensor.  A ``functor`` or ``that`` check's inputs end with
-    the tensors frozen into it, keyed by side (``left``, ``right``)."""
+    """One fixture check read: the function giving its law reports, with the
+    leg size and leg count of its largest tensor.  A ``functor`` or ``that``
+    check's reports compare against the tensors frozen into it, keyed by side
+    (``left``, ``right``)."""
     if law == "thpart":
         group, p = check_json_object(check, "fixture check", ("group", "partition"))
-        group, p = _group_from_json(group), partition_from_json(p)
-        return (group, p), group.degree, p.k + p.l
+        group, p = group_from_json(group), partition_from_json(p)
+        return lambda: [verify_THpart(group, p)], group.degree, p.k + p.l
     if law == "moebius":
         g, d = check_json_object(check, "fixture check", ("graph", "diagram"))
         g, d = graph_from_json(g), diagram_from_json(d)
-        return (g, d), g.n, d.k + d.l
+        return lambda: [moebius_expand(g, d)], g.n, d.k + d.l
     g, d1, d2 = check_json_object(check, "fixture check", ("graph", "left", "right"), ("expect",))
     g, d1, d2 = graph_from_json(g), diagram_from_json(d1), diagram_from_json(d2)
     expect = check.get("expect", {})
     check_json_object(expect, "fixture 'expect'", (), ("left", "right"))
     frozen = {side: tensor_from_json(expect[side]) for side in sorted(expect)}
-    return (g, d1, d2, frozen), g.n, d1.k + d1.l + d2.k + d2.l
+    verify = verify_functor if law == "functor" else verify_that_sums
+    return lambda: verify(g, d1, d2, frozen), g.n, d1.k + d1.l + d2.k + d2.l
 
 
 def cmd_verify(args, config):
@@ -158,17 +145,9 @@ def cmd_verify(args, config):
         _check_tensor_size(n, legs, config)
     failures = []
     count = 0
-    for idx, (inputs, _, _) in enumerate(parsed):
-        if args.law == "functor":
-            reports = verify_functor(*inputs)
-        elif args.law == "that":
-            reports = verify_that_sums(*inputs)
-        elif args.law == "moebius":
-            reports = [moebius_expand(*inputs)]
-        else:  # thpart
-            reports = [verify_THpart(*inputs)]
-        count += len(reports)
-        for rep in reports:
+    for idx, (reports, _, _) in enumerate(parsed):
+        for rep in reports():
+            count += 1
             if not rep["ok"]:
                 failures.append({"check": idx, "law": rep["law"], "first_diff": rep["first_diff"]})
     _print({"law": args.law, "checks": count, "ok": not failures, "failures": failures})
@@ -176,7 +155,7 @@ def cmd_verify(args, config):
 
 
 def cmd_dim(args, config):
-    group = _group_from_json(_load_json(args.group))
+    group = group_from_json(_load_json(args.group))
     words = _load_json(args.words)
     closure = None if words is None else closure_from_json(words)
     report = dim_report(group, closure, args.k, args.l, tuple_bound=config.tuple_bound)
@@ -192,7 +171,7 @@ def cmd_closure(args, config):
 
 
 def cmd_orbits(args, config):
-    group = _group_from_json(_load_json(args.group))
+    group = group_from_json(_load_json(args.group))
     orbs = orbits(group, args.k, args.l, tuple_bound=config.tuple_bound)  # checked against Burnside's count
     _print(
         {

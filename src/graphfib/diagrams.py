@@ -13,15 +13,7 @@ literally; nothing here decides equality up to labelled isomorphism.
 from __future__ import annotations
 
 from .errors import check_json_object
-from .graphs import (
-    disjoint_union,
-    edgeless,
-    f_union,
-    generated_partition,
-    graph_from_json,
-    kernel,
-    quotient,
-)
+from .graphs import edgeless, f_union, glue, graph_from_json, kernel
 
 
 class BilabelledGraph:
@@ -72,34 +64,26 @@ def m_diagram(k, l):
 
 
 def tensor(d1, d2):
-    """Side-by-side juxtaposition: disjoint union with concatenated labels."""
-    g = disjoint_union(d1.graph, d2.graph)
-    shift = d1.graph.n
-    return BilabelledGraph(
-        g,
-        d1.inputs + tuple(v + shift for v in d2.inputs),
-        d1.outputs + tuple(v + shift for v in d2.outputs),
-    )
+    """Side-by-side juxtaposition: the glued union over the empty overlap."""
+    return bl_f_union(d1, d2, ())
 
 
 def compose(d1, d2):
     """The composite ``d1 . d2``: outputs of ``d2`` glued to inputs of ``d1``.
 
     Requires ``d2.l == d1.k``.  The glued vertices are merged (which may
-    create loops and collapse parallel edges); the result keeps the inputs of
-    ``d2`` and the outputs of ``d1``.
+    create loops and collapse parallel edges), along boundary pairs that may
+    repeat; the result keeps the inputs of ``d2`` and the outputs of ``d1``.
     """
     if d2.l != d1.k:
         raise ValueError(f"arity mismatch: {d2.l} outputs composed into {d1.k} inputs")
-    g = disjoint_union(d2.graph, d1.graph)
-    shift = d2.graph.n
-    pairs = [(d2.outputs[i], shift + d1.inputs[i]) for i in range(d1.k)]
-    merged = generated_partition(g.n, pairs)
-    return BilabelledGraph(
-        quotient(g, merged),
-        tuple(merged[v] for v in d2.inputs),
-        tuple(merged[shift + v] for v in d1.outputs),
-    )
+    return _composite(d1, d2, glue(d2.graph, d1.graph, zip(d2.outputs, d1.inputs)))
+
+
+def _composite(d1, d2, glued):
+    """The union ``glued`` of ``d2`` then ``d1``, with the inputs of ``d2`` and the outputs of ``d1``."""
+    g, map2, map1 = glued
+    return BilabelledGraph(g, tuple(map2[v] for v in d2.inputs), tuple(map1[v] for v in d1.outputs))
 
 
 def involution(d):
@@ -155,12 +139,7 @@ def bl_f_compose(d1, d2, f):
     f = tuple(f)
     if not set(required) <= set(f):
         raise ValueError("overlap must contain every forced boundary pair")
-    g, map2, map1 = f_union(d2.graph, d1.graph, f)
-    return BilabelledGraph(
-        g,
-        tuple(map2[v] for v in d2.inputs),
-        tuple(map1[v] for v in d1.outputs),
-    )
+    return _composite(d1, d2, f_union(d2.graph, d1.graph, f))
 
 
 # ---------------------------------------------------------------------------

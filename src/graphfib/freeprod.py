@@ -559,28 +559,23 @@ def check_invariance(maps, closure):
 # serialization
 
 
-def letter_from_json(x, alphabet_size):
-    if type(x) is int:
-        v = x
-    elif isinstance(x, str) and len(x) == 1 and "a" <= x <= "z":
-        v = ord(x) - ord("a")
-    else:
-        raise ValueError(f"invalid letter {x!r}")
-    if not (0 <= v < alphabet_size):
-        raise ValueError(f"letter {x!r} out of range for alphabet of {alphabet_size}")
-    return v
+_LETTERS = {chr(ord("a") + v): v for v in range(26)}  # JSON letter strings, "a" to "z"
 
 
 def word_from_json(obj, alphabet_size):
-    """The word ``obj`` names.  A list of in-range ``int`` letters is taken in
-    one pass; at any other letter the list is read again letter by letter,
-    so the first bad letter gets :func:`letter_from_json`'s message."""
+    """The word ``obj`` names, read in one pass.  A letter is an ``int`` or
+    one of ``"a"`` to ``"z"``; the first bad letter is the one reported."""
     if not isinstance(obj, list):
         raise ValueError("word JSON must be a list of letters")
-    for letter in obj:
-        if type(letter) is not int or not 0 <= letter < alphabet_size:
-            return tuple(letter_from_json(x, alphabet_size) for x in obj)
-    return tuple(obj)
+    word = []
+    for x in obj:
+        v = x if type(x) is int else _LETTERS.get(x) if isinstance(x, str) else None
+        if v is None:
+            raise ValueError(f"invalid letter {x!r}")
+        if not 0 <= v < alphabet_size:
+            raise ValueError(f"letter {x!r} out of range for alphabet of {alphabet_size}")
+        word.append(v)
+    return tuple(word)
 
 
 def closure_from_json(obj):

@@ -10,7 +10,8 @@ the AND of its candidates and the host rows of its placed neighbours'
 images, and places the second-to-last vertex in an inner loop of its own.
 A host keeps a record of its neighbour lists, loops and rows; past
 ``EAGER_ROWS_BOUND`` vertices, a row is built when a search first reads it.
-``f_union`` glues two graphs into one quotient of their disjoint union.
+``glue`` merges pairs of vertices of two graphs into one graph; ``f_union``
+glues along a partial injection and ``disjoint_union`` along none.
 Adjacency masks number their cells in one table, ``cell_bits``; the
 relabelled masks of a graph come from one table per vertex count,
 ``_perm_cell_tables``.  ``canonical_form`` takes their least and the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, compress, permutations, repeat
+from itertools import chain, combinations, compress, count, permutations, repeat
 from math import factorial
 from operator import itemgetter
 
@@ -114,8 +115,7 @@ def add_loops_everywhere(g):
 
 
 def disjoint_union(k, h):
-    shifted = ((u + k.n, v + k.n) for (u, v) in h.edges)
-    return Graph(k.n + h.n, chain(k.edges, shifted))
+    return glue(k, h, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,11 @@ def generated_partition(n, pairs):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
-    return kernel(map(find, range(n)))
+    fresh = count()
+    block_of = []
+    for x, p in enumerate(parent):  # p is x at its block's least member, else a lesser member, numbered already
+        block_of.append(next(fresh) if p == x else block_of[p])
+    return tuple(block_of)
 
 
 def quotient(g, block_of):
@@ -159,14 +163,25 @@ def quotient(g, block_of):
     return Graph(max(block_of, default=-1) + 1, ((block_of[u], block_of[v]) for u, v in g.edges))
 
 
+def glue(k, h, pairs):
+    """The disjoint union of ``k`` and ``h`` with vertex ``u`` of ``k`` merged with
+    vertex ``v`` of ``h`` for each pair ``(u, v)``; pairs may repeat or share a
+    vertex.  Returns ``(graph, map_k, map_h)``, the merged classes numbered by
+    least member.  An edge whose ends merge becomes a loop."""
+    block_of = generated_partition(k.n + h.n, ((u, k.n + v) for u, v in pairs))
+    bk, bh = block_of[:k.n], block_of[k.n:]
+    edges = chain(((bk[u], bk[v]) for u, v in k.edges), ((bh[u], bh[v]) for u, v in h.edges))
+    return Graph(max(block_of, default=-1) + 1, edges), bk, bh
+
+
 def f_union(k, h, f):
     """Glue two graphs along a partial injective vertex correspondence.
 
     ``f`` is an iterable of pairs ``(u, v)`` meaning vertex ``u`` of ``k`` is
     identified with vertex ``v`` of ``h``; it must be injective in both
-    coordinates.  Returns ``(graph, map_k, map_h)`` with the inclusion maps of
-    the two sides.  The result has ``k.n + h.n - len(f)`` vertices and never
-    gains a loop that neither side had.
+    coordinates.  Returns :func:`glue`'s ``(graph, map_k, map_h)``.  The result
+    has ``k.n + h.n - len(f)`` vertices and never gains a loop that neither
+    side had.
     """
     f = tuple(f)
     ks = [u for u, _ in f]
@@ -176,12 +191,7 @@ def f_union(k, h, f):
     for u, v in f:
         if not (0 <= u < k.n and 0 <= v < h.n):
             raise ValueError("overlap pair out of range")
-    # The disjoint union with each pair of ``f`` merged, as ``diagrams.compose``
-    # glues, in one graph.  Blocks are numbered by least member: ``k`` keeps its names.
-    block_of = generated_partition(k.n + h.n, ((u, k.n + v) for u, v in f))
-    bk, bh = block_of[:k.n], block_of[k.n:]
-    edges = chain(((bk[u], bk[v]) for u, v in k.edges), ((bh[u], bh[v]) for u, v in h.edges))
-    return Graph(k.n + h.n - len(f), edges), bk, bh
+    return glue(k, h, f)
 
 
 def enumerate_overlaps(nk, nh):

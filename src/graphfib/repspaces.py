@@ -23,9 +23,9 @@ from itertools import filterfalse, product, repeat
 from math import perm
 from operator import eq, itemgetter, lt
 
-from .errors import CapacityError, IndeterminateError, InvariantError
+from .errors import CapacityError, IndeterminateError, InvariantError, check_json_object
 from .freeprod import Membership, check_invariance, decide, reduce_word
-from .graphs import automorphism_generators
+from .graphs import automorphism_generators, graph_from_json
 from .partitions import kernel_tuples
 from .tensors import (
     build_partition_That,
@@ -54,22 +54,23 @@ class PermutationGroup:
     __slots__ = ("degree", "generators", "elements")
 
     def __init__(self, degree, generators):
-        if type(degree) is not int or degree < 0:
-            raise ValueError(f"group degree must be a non-negative integer, got {degree!r}")
         # each generator is checked before it is looked up
         self._close(degree, map(_permutation, generators, repeat(degree)))
 
     @classmethod
-    def _replay(cls, group):
-        """``group`` closed again from its sorted elements, unchecked, to keep the
-        generators a greedy pass over them keeps."""
+    def _greedy(cls, degree, elements, order=None):
+        """The group ``elements`` generate, sorted tuples of ``int``, keeping the
+        generators a greedy pass over them keeps.  Given the ``order`` of that
+        group, the pass stops there."""
         self = cls.__new__(cls)
-        self._close(group.degree, group.elements, len(group))
+        self._close(degree, elements, order)
         return self
 
     def _close(self, degree, generators, order=None):
-        """Dimino's closure, skipping seen elements in C.  Given the ``order``, it
-        stops there and takes the generators for permutations unchecked."""
+        """Dimino's closure, skipping seen elements in C and checking each kept
+        generator is a permutation; it stops at ``order``, if one is given."""
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"group degree must be a non-negative integer, got {degree!r}")
         seen = set()
 
         def check_room(more):
@@ -85,7 +86,7 @@ class PermutationGroup:
         kept = []
         moves = []  # right multiplication by each kept generator: s -> s o h
         for g in filterfalse(seen.__contains__, generators):
-            if order is None and sorted(g) != points:
+            if sorted(g) != points:
                 raise ValueError(f"{g!r} is not a permutation of {degree} points")
             kept.append(g)
             moves.append(itemgetter(*g))  # a kept generator moves two points or more, so this gives tuples
@@ -123,9 +124,10 @@ def _permutation(g, degree):
 
 
 def group_from_elements(degree, elements):
-    """The group whose elements are exactly ``elements``, else ``ValueError``."""
+    """The group whose elements are exactly ``elements``, else ``ValueError``.
+    No order is given, so a list that is no group is read to its end."""
     elems = sorted({_permutation(e, degree) for e in elements})
-    group = PermutationGroup(degree, elems)
+    group = PermutationGroup._greedy(degree, elems)
     if list(group.elements) != elems:
         raise ValueError("element list is not a permutation group")
     return group
@@ -146,7 +148,23 @@ def graph_automorphism_group(g):
     finds them, so a group above the point bound stops before the chain is
     complete, then replayed from its sorted elements: that keeps the generators
     a greedy pass over the automorphisms in order keeps, read by ``check_invariance``."""
-    return PermutationGroup._replay(PermutationGroup(g.n, automorphism_generators(g)))
+    group = PermutationGroup(g.n, automorphism_generators(g))
+    return PermutationGroup._greedy(g.n, group.elements, len(group))
+
+
+def group_from_json(obj):
+    """A group given by ``degree`` with its ``elements``, as the automorphisms
+    of a graph, or as a symmetric group."""
+    if isinstance(obj, dict) and "elements" in obj:
+        degree, elements = check_json_object(obj, "group", ("degree", "elements"))
+        if not isinstance(elements, list) or not all(isinstance(e, list) for e in elements):
+            raise ValueError("group JSON field 'elements' must be a list of permutations")
+        return group_from_elements(degree, elements)
+    if isinstance(obj, dict) and list(obj) == ["automorphisms_of"]:
+        return graph_automorphism_group(graph_from_json(obj["automorphisms_of"]))
+    if isinstance(obj, dict) and list(obj) == ["symmetric"]:
+        return symmetric_group(obj["symmetric"])
+    raise ValueError("group JSON needs 'degree' with 'elements', or 'automorphisms_of' or 'symmetric' alone")
 
 
 # ---------------------------------------------------------------------------

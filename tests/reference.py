@@ -26,6 +26,12 @@ from graphfib.tensors import compose, law_report, tally, tensor_product, zero_te
 # graphs
 
 
+def shifted_union(k, h):
+    """``k`` beside ``h``, the vertices of ``h`` renamed ``k.n`` on: the
+    disjoint union written out, the oracle for gluing along no pairs."""
+    return Graph(k.n + h.n, set(k.edges) | {(u + k.n, v + k.n) for u, v in h.edges})
+
+
 def explicit_f_union(k, h, f):
     """The glued union numbered by hand: ``k`` keeps its names, a matched
     vertex of ``h`` takes its partner's, and the unmatched ones follow in

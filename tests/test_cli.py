@@ -697,6 +697,75 @@ def test_orbits_rejects_a_malformed_group(capsys, tmp_path, group, message):
     assert code == 2 and out == "" and message in err
 
 
+GROUP_FORMS = "group JSON needs 'degree' with 'elements', or 'automorphisms_of' or 'symmetric' alone"
+NOT_A_LIST = "group JSON field 'elements' must be a list of permutations"
+# A 20-cycle, the identity and two commuting transpositions, which sort
+# before the cycle: the transpositions close to a group as long as the list,
+# without the cycle, and the cycle then generates S_20, past the point bound.
+SWAPS_THEN_CYCLE = [
+    list(range(1, 20)) + [0],
+    list(range(16)) + [17, 16, 18, 19],
+    list(range(20)),
+    list(range(18)) + [19, 18],
+]
+
+
+@pytest.mark.parametrize(
+    "group, code, err",
+    [
+        ({"degree": True, "elements": [[0]]}, 2, "error: group degree must be a non-negative integer, got True\n"),
+        ({"degree": "2", "elements": [[0, 1]]}, 2, "error: group degree must be a non-negative integer, got '2'\n"),
+        ({"degree": -1, "elements": []}, 2, "error: group degree must be a non-negative integer, got -1\n"),
+        ({"degree": 2, "elements": [[0, 1.0]]}, 2, "error: (0, 1.0) is not a permutation of 2 points\n"),
+        ({"degree": 2, "elements": [["a", "b"]]}, 2, "error: ('a', 'b') is not a permutation of 2 points\n"),
+        ({"degree": 2, "elements": [[1, 0, 2]]}, 2, "error: (1, 0, 2) is not a permutation of 2 points\n"),
+        ({"degree": 2, "elements": 5}, 2, f"error: {NOT_A_LIST}\n"),
+        ({"degree": 2, "elements": [[0, 1], 1]}, 2, f"error: {NOT_A_LIST}\n"),
+        ({"degree": 3, "elements": [[0, 1, 2], [1, 2, 0]]}, 2, "error: element list is not a permutation group\n"),
+        # the first two close to a group as long as the list; the third is read all the same
+        ({"degree": 3, "elements": [[0, 1, 2], [1, 2, 0], [2, 2, 2]]}, 2,
+         "error: (2, 2, 2) is not a permutation of 3 points\n"),
+        ({"degree": 20, "elements": SWAPS_THEN_CYCLE}, 3,
+         "capacity: group of degree 20: order times degree exceeds the bound 1000000\n"),
+        ({"degree": 2, "elements": [[0, 1]], "order": 1}, 2,
+         "error: group JSON has unknown keys ['order']; known keys are ['degree', 'elements']\n"),
+        ({"elements": [[0, 1]]}, 2, "error: group JSON missing key 'degree'\n"),
+        ({"symmetric": 2, "degree": 2}, 2, f"error: {GROUP_FORMS}\n"),
+        ({}, 2, f"error: {GROUP_FORMS}\n"),
+        ([], 2, f"error: {GROUP_FORMS}\n"),
+        ({"symmetric": 2.5}, 2, "error: group degree must be a non-negative integer, got 2.5\n"),
+        ({"symmetric": -1}, 2, "error: group degree must be a non-negative integer, got -1\n"),
+        ({"automorphisms_of": {"n": 2, "edges": [[0, 5]]}}, 2, "error: edge (0, 5) out of range for 2 vertices\n"),
+    ],
+)
+def test_a_bad_group_gets_its_exact_message(capsys, tmp_path, group, code, err):
+    path = write_json(tmp_path, "group.json", group)
+    assert run(capsys, "orbits", path, "1", "0") == (code, "", err)
+
+
+@pytest.mark.parametrize(
+    "generators, err",
+    [
+        ([[True]], "invalid letter True"),
+        ([[1.0]], "invalid letter 1.0"),
+        ([[-1]], "letter -1 out of range for alphabet of 3"),
+        ([[3]], "letter 3 out of range for alphabet of 3"),
+        ([["d"]], "letter 'd' out of range for alphabet of 3"),
+        ([["A"]], "invalid letter 'A'"),
+        ([["ab"]], "invalid letter 'ab'"),
+        ([[None]], "invalid letter None"),
+        ([[[0]]], "invalid letter [0]"),
+        ([[0, 3], [1, "A"]], "letter 3 out of range for alphabet of 3"),
+        ([["a", 1.0]], "invalid letter 1.0"),
+        ([5], "word JSON must be a list of letters"),
+    ],
+)
+def test_a_bad_word_gets_its_exact_message(capsys, tmp_path, generators, err):
+    group = write_json(tmp_path, "group.json", {"degree": 3, "elements": [[0, 1, 2]]})
+    words = write_json(tmp_path, "words.json", {"alphabet": 3, "generators": generators})
+    assert run(capsys, "dim", group, words, "0", "0") == (2, "", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("group", [{"degree": 30000000, "elements": []}, {"symmetric": 3000}])
 def test_orbits_refuses_a_group_that_stores_too_many_points(capsys, tmp_path, group):
     path = write_json(tmp_path, "group.json", group)

@@ -18,7 +18,6 @@ from graphfib.diagrams import (
 from graphfib.graphs import (
     Graph,
     complete,
-    disjoint_union,
     edgeless,
     enumerate_overlaps,
     f_union,
@@ -33,6 +32,7 @@ from reference import (
     explicit_partition_compose,
     explicit_partition_involution,
     explicit_partition_tensor,
+    shifted_union,
 )
 
 ZERO = BilabelledGraph(Graph(0, []), (), ())
@@ -241,7 +241,14 @@ def test_interchange_law():
 def test_bl_f_union_empty_is_tensor():
     for a in POOL[:4]:
         for b in POOL[4:]:
-            assert equal_diagrams(bl_f_union(a, b, ()), tensor(a, b))
+            shift = a.graph.n
+            want = BilabelledGraph(
+                shifted_union(a.graph, b.graph),
+                a.inputs + tuple(v + shift for v in b.inputs),
+                a.outputs + tuple(v + shift for v in b.outputs),
+            )
+            assert bl_f_union(a, b, ()) == want
+            assert tensor(a, b) == want
 
 
 def test_bl_f_union_single_vertex_pileup():
@@ -299,7 +306,7 @@ def test_bl_f_compose_larger_overlap_against_quotient_oracle():
     d2 = BilabelledGraph(path(3), (0,), (2,))
     f = ((2, 0), (0, 1))  # the required pair (2,0) plus an extra gluing
     got = bl_f_compose(d1, d2, f)
-    g = disjoint_union(d2.graph, d1.graph)
+    g = shifted_union(d2.graph, d1.graph)
     merged = generated_partition(g.n, [(u, 3 + v) for u, v in f])
     want = BilabelledGraph(quotient(g, merged), (merged[0],), (merged[3 + 1],))
     assert equal_diagrams(got, want)

@@ -14,7 +14,6 @@ from graphfib.freeprod import (
     closure_from_json,
     coset_table,
     inverse,
-    letter_from_json,
     member,
     policy_from_json,
     prune_reduced_words,
@@ -556,25 +555,44 @@ def test_closure_json_rejects_bad_input():
             )
 
 
-def per_letter(obj, alphabet_size):
-    return tuple(letter_from_json(x, alphabet_size) for x in obj)
-
-
-@pytest.mark.parametrize("word", [[], [0], [0, 1, 2], [2, 2, 0], ["a", "c"], [0, "b", 2], ["c", 1]])
-def test_a_word_read_in_one_pass_equals_the_per_letter_reading(word):
-    assert word_from_json(word, 3) == per_letter(word, 3)
+@pytest.mark.parametrize(
+    "word, want",
+    [
+        ([], ()),
+        ([0], (0,)),
+        ([0, 1, 2], (0, 1, 2)),
+        ([2, 2, 0], (2, 2, 0)),
+        (["a", "c"], (0, 2)),
+        ([0, "b", 2], (0, 1, 2)),
+        (["c", 1], (2, 1)),
+    ],
+)
+def test_a_word_reads_int_and_string_letters(word, want):
+    assert word_from_json(word, 3) == want
 
 
 @pytest.mark.parametrize("place", [0, 1, 2], ids=["first", "middle", "last"])
-@pytest.mark.parametrize("bad", [True, False, 1.0, -1, 3, "A", "ab", None, [0]])
-def test_a_bad_letter_gets_the_per_letter_message_wherever_it_stands(bad, place):
-    word = [0, 1]
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "invalid letter True"),
+        (False, "invalid letter False"),
+        (1.0, "invalid letter 1.0"),
+        (-1, "letter -1 out of range for alphabet of 3"),
+        (3, "letter 3 out of range for alphabet of 3"),
+        ("d", "letter 'd' out of range for alphabet of 3"),
+        ("A", "invalid letter 'A'"),
+        ("ab", "invalid letter 'ab'"),
+        (None, "invalid letter None"),
+        ([0], "invalid letter [0]"),
+    ],
+)
+def test_a_bad_letter_gets_its_message_wherever_it_stands(bad, message, place):
+    word = [0, "b"]
     word.insert(place, bad)
-    with pytest.raises(ValueError) as want:
-        per_letter(word, 3)
     with pytest.raises(ValueError) as got:
         word_from_json(word, 3)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == message
 
 
 # ---------------------------------------------------------------------------

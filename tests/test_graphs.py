@@ -21,6 +21,7 @@ from graphfib.graphs import (
     enumerate_overlaps,
     f_union,
     generated_partition,
+    glue,
     graph_from_json,
     mask_edges,
     mask_of,
@@ -30,7 +31,14 @@ from graphfib.graphs import (
     quotient,
 )
 from graphfib.partitions import enumerate_partitions
-from reference import canonical_key, components_partition, enumerate_graphs, explicit_f_union, graph_to_json
+from reference import (
+    canonical_key,
+    components_partition,
+    enumerate_graphs,
+    explicit_f_union,
+    graph_to_json,
+    shifted_union,
+)
 
 
 def small_graphs():
@@ -103,8 +111,9 @@ def test_iterated_quotients_compose():
 
 def test_f_union_empty_overlap_is_disjoint_union():
     g, mk, mh = f_union(complete(2), path(3), ())
-    want = disjoint_union(complete(2), path(3))
+    want = shifted_union(complete(2), path(3))
     assert g.n == want.n and g.edges == want.edges
+    assert disjoint_union(complete(2), path(3)) == want
     assert list(mk) == [0, 1] and list(mh) == [2, 3, 4]
 
 
@@ -170,6 +179,31 @@ def glue_instance(draw):
 def test_f_union_matches_the_explicit_numbering(case):
     k, h, f = case
     assert f_union(k, h, f) == explicit_f_union(k, h, f)
+
+
+@st.composite
+def glue_pairs(draw):
+    """Two small graphs and any pairs between them: repeated, sharing a
+    vertex on either side, or none."""
+    k, h = draw(small_graph()), draw(small_graph())
+    if not (k.n and h.n):
+        return k, h, []
+    pair = st.tuples(st.integers(0, k.n - 1), st.integers(0, h.n - 1))
+    return k, h, draw(st.lists(pair, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(glue_pairs())
+def test_glue_is_the_quotient_of_the_shifted_union_by_its_pairs(case):
+    k, h, pairs = case
+    union = shifted_union(k, h)
+    block_of = components_partition(union.n, [(u, k.n + v) for u, v in pairs])
+    g, mk, mh = glue(k, h, pairs)
+    assert g == quotient(union, block_of)
+    assert mk + mh == block_of
+    injective = all(len({p[side] for p in pairs}) == len(pairs) for side in (0, 1))
+    if injective:
+        assert (g, mk, mh) == f_union(k, h, pairs)
 
 
 def test_enumerate_overlaps_counts():

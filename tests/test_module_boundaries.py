@@ -5,7 +5,8 @@ call, or catches ``KeyError`` or ``TypeError``, which would let a missing
 key or a bug pass for bad input; every public function, class or method
 of a public class has a reader in ``src/`` or a stated reason to stay, and
 then a reader in the tests; every private one has a reader in its own
-module; and the tests' oracles in ``reference.py`` import public graphfib
+module; every ``*_from_json`` reader is public and lives outside ``cli``;
+and the tests' oracles in ``reference.py`` import public graphfib
 names only."""
 
 import ast
@@ -52,6 +53,40 @@ def test_no_private_cross_module_imports(filename):
 def test_the_test_oracles_import_public_names_only():
     with open(os.path.join(ROOT, "tests", "reference.py"), encoding="utf-8") as fh:
         assert private_imports(fh.read()) == []
+
+
+def misplaced_readers(sources):
+    """``(module, name)`` for each function in ``sources`` (module name to
+    source text) named ``*_from_json`` that is private or defined in ``cli``:
+    a JSON reader lives, public, in the module that owns what it reads."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_json"):
+                if node.name.startswith("_") or module == "cli":
+                    found.append((module, node.name))
+    return sorted(found)
+
+
+def test_the_scan_finds_private_readers_and_readers_in_the_cli():
+    sources = {
+        "cli": "def _group_from_json(obj):\n    pass\ndef config_from_json(obj):\n    pass\n",
+        "graphs": "def graph_from_json(obj):\n    pass\nclass Graph:\n    def _edges_from_json(self):\n        pass\n",
+        "tensors": "def tensor_to_json(t):\n    pass\n",
+    }
+    assert misplaced_readers(sources) == [
+        ("cli", "_group_from_json"),
+        ("cli", "config_from_json"),
+        ("graphs", "_edges_from_json"),
+    ]
+
+
+def test_every_json_reader_is_public_and_outside_the_cli():
+    sources = {}
+    for filename in MODULES:
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            sources[filename[:-3]] = fh.read()
+    assert misplaced_readers(sources) == []
 
 
 def assert_lines(source):
@@ -343,6 +378,8 @@ KEPT = {
     ("graphs", "add_loops_everywhere"): "constructor (test_acceptance.py::test_criterion_09_fibration_axioms)",
     ("graphs", "complete"): "constructor (test_graphs.py::test_constructors)",
     ("graphs", "cycle"): "constructor (test_acceptance.py::test_criterion_03_moebius_expansion)",
+    ("graphs", "disjoint_union"): "constructor: the glued union over no pairs, the tests' two-component hosts "
+    "(test_graphs.py::test_constructors)",
     ("graphs", "path"): "constructor (test_graphs.py::test_constructors)",
     ("partitions", "enumerate_set_partitions"): "paper: the morphisms of the partition category, Bell many "
     "(test_partitions.py::test_two_line_enumeration_counts)",

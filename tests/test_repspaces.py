@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from graphfib import repspaces
 from graphfib.errors import CapacityError, IndeterminateError, InvariantError
 from graphfib.freeprod import (
     Membership,
@@ -82,6 +83,14 @@ def test_symmetric_and_automorphism_groups():
     aut = graph_automorphism_group(EDGE_PLUS_POINT)
     assert aut.degree == 3 and len(aut) == 2
     assert aut.elements == ((0, 1, 2), (1, 0, 2))
+
+
+def test_group_from_elements_checks_each_element_once(monkeypatch):
+    real = repspaces._permutation
+    checked = []
+    monkeypatch.setattr(repspaces, "_permutation", lambda g, degree: checked.append(g) or real(g, degree))
+    group = group_from_elements(3, [list(p) for p in permutations(range(3))])
+    assert len(group) == 6 and len(checked) == 6
 
 
 def assert_matches_the_full_listing(g):
