@@ -13,8 +13,8 @@ A host keeps a record of its neighbour lists, loops and rows; past
 ``glue`` merges pairs of vertices of two graphs into one graph; ``f_union``
 glues along a partial injection and ``disjoint_union`` along none.
 Adjacency masks number their cells in one table, ``cell_bits``; the
-relabelled masks of a graph come from one table per vertex count,
-``_perm_cell_tables``.  ``canonical_form`` takes their least and the
+relabelled masks of a graph come from one packed column per cell,
+``_relabel_columns``.  ``canonical_form`` takes their least and the
 first permutation reaching it; ``mask_orbit`` keeps them all, as the
 labelled isomorphism class that the closure of a fibration files at once.
 
@@ -26,11 +26,12 @@ set representation.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, compress, count, permutations, repeat
+from itertools import chain, combinations, compress, count, islice, permutations
 from math import factorial
-from operator import itemgetter
+from struct import calcsize
 
 from .errors import CapacityError, check_json_object
 
@@ -717,65 +718,64 @@ def cell_bits(n):
 
 
 @lru_cache(maxsize=None)
-def _perm_cell_tables(n):
-    """For each permutation of ``0..n-1`` in lexicographic order, the bit it moves each adjacency cell to.
-
-    ``tables[k][c]`` is ``1 << d`` when the ``k``-th permutation moves cell
-    ``c`` to cell ``d``.  The powers are shared, so a table costs one
-    pointer a cell.
-    """
-    bits = cell_bits(n)
-    return tuple(tuple(bits[sigma[u]][sigma[v]] for u, v in _cells(n)) for sigma in permutations(range(n)))
+def _relabel_columns(n):
+    """``(code, size, columns)``: ``columns[c]`` is the int of ``size`` bytes of slots
+    of the narrowest native type ``code`` with a bit per cell, whose ``k``-th slot is
+    the bit that the ``k``-th permutation of ``0..n-1`` (lexicographic) moves cell ``c``
+    to.  Each column is built alone, its image pairs spread into slots by translation."""
+    bits, cells = cell_bits(n), _cells(n)
+    code = next(c for c in "BHILQ" if calcsize(c) * 8 >= len(cells))
+    width, perms = calcsize(code), factorial(n)
+    images = [int.from_bytes(bytes(s[u] for s in permutations(range(n))), "little") for u in range(n)]
+    tables = [bytes(t).ljust(256, b"\0") for t in zip(*(b.to_bytes(width, sys.byteorder) for row in bits for b in row))]
+    columns = []
+    for u, v in cells:
+        pairs = (n * images[u] + images[v]).to_bytes(perms, "little")  # n * s[u] + s[v] < 256: no carries
+        column = bytearray(width * perms)
+        for j, table in enumerate(tables):
+            column[j::width] = pairs.translate(table)
+        columns.append(int.from_bytes(column, sys.byteorder))
+    return code, width * perms, tuple(columns)
 
 
 def mask_of(n, edges):
     """The adjacency mask of the graph on ``n`` vertices with ``edges``, pairs in either order."""
-    bits, m = cell_bits(n), 0
-    for u, v in edges:
-        m |= bits[u][v]
-    return m
+    bits = cell_bits(n)
+    return sum({bits[u][v] for u, v in edges})  # each cell once: the sum is the OR
 
 
 def mask_edges(n, mask):
     """The cells of the adjacency mask ``mask`` on ``n`` vertices, as sorted
     ``(u, v)`` pairs with ``u <= v``."""
-    cells = _cells(n)
-    return [cells[i] for i in range(mask.bit_length()) if mask >> i & 1]
+    return [_cells(n)[i] for i in _bits(mask)]
 
 
 def _relabelled_masks(n, mask):
-    """The adjacency mask ``mask`` of a graph on ``n`` vertices under each
-    relabeling, in the order of :func:`_perm_cell_tables`.  Refused past
-    ``CANONICAL_VERTEX_BOUND`` vertices, as :func:`cell_bits` is."""
-    cell_bits(n)
-    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    if not bits:
-        return repeat(0, factorial(n))
-    tables = _perm_cell_tables(n)
-    if len(bits) == 1:  # itemgetter of one item gives the item, not a tuple
-        return map(itemgetter(bits[0]), tables)
-    return map(sum, map(itemgetter(*bits), tables))  # distinct cells go to distinct bits: the sum is the OR
+    """The adjacency mask ``mask`` on ``n`` vertices under each relabeling, a memoryview in the
+    order of :func:`_relabel_columns`: the OR of its cells' columns.  Refused past ``CANONICAL_VERTEX_BOUND``."""
+    code, size, columns = _relabel_columns(n)
+    packed = 0
+    for c in _bits(mask):
+        packed |= columns[c]
+    return memoryview(packed.to_bytes(size, sys.byteorder)).cast(code)
 
 
 def mask_orbit(n, mask):
-    """Every adjacency mask that a relabeling of the vertices gives the graph
-    on ``n`` vertices with adjacency mask ``mask``: its isomorphism class,
-    labelled.  The least is the mask in :func:`canonical_form`'s key.
-    Refused above ``CANONICAL_VERTEX_BOUND`` vertices.
-    """
+    """Every adjacency mask that a relabeling of the vertices gives the graph on ``n``
+    vertices with adjacency mask ``mask``: its isomorphism class, labelled, all ``n!``
+    relabelings at once, one OR of packed columns per edge cell (:func:`_relabelled_masks`).
+    The least is :func:`canonical_form`'s mask.  Refused above ``CANONICAL_VERTEX_BOUND`` vertices."""
     return set(_relabelled_masks(n, mask))
 
 
 def canonical_form(g):
-    """Minimal adjacency bitmask over all vertex relabelings.
-
-    Returns ``((n, mask), perm)`` where ``perm`` (``perm[v]`` is the new
-    name of vertex ``v``) is the lexicographically least permutation
-    achieving the minimum.  Graphs above ``CANONICAL_VERTEX_BOUND`` vertices
-    are refused.
-    """
-    best, perm = min(zip(_relabelled_masks(g.n, mask_of(g.n, g.edges)), permutations(range(g.n))))
-    return (g.n, best), perm
+    """``((n, mask), perm)``: the least adjacency mask over all vertex
+    relabelings, and the lexicographically least permutation reaching it
+    (``perm[v]`` is the new name of vertex ``v``).  Graphs above
+    ``CANONICAL_VERTEX_BOUND`` vertices are refused."""
+    masks = _relabelled_masks(g.n, mask_of(g.n, g.edges)).tolist()
+    best = min(masks)
+    return (g.n, best), next(islice(permutations(range(g.n)), masks.index(best), None))
 
 
 # ---------------------------------------------------------------------------

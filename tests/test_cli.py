@@ -629,6 +629,23 @@ def test_a_closure_past_the_mask_bound_exits_3(tmp_path):
     assert "more than 1000000 labelled graphs" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bound, code", [(7, 0), (8, 3)])
+def test_the_skew_edge_closure_at_the_mask_bound(tmp_path, bound, code):
+    # the relabelings are largest here, 7! and 8! slots a cell: every graph
+    # on 7 vertices is a fibre, one per isomorphism class (1253 up to 7
+    # vertices), while the 2^28 labelled graphs on 8 pass the filing bound
+    with open(fx("edge_fibration.json"), encoding="utf-8") as fh:
+        fibration = json.load(fh)
+    fibration["max_vertices"] = bound
+    got, out, err = run_in_child("closure", write_json(tmp_path, "fibration.json", fibration), timeout=30)
+    assert got == code, err
+    if code:
+        assert out == "" and err.startswith("capacity:")
+        assert "more than 1000000 labelled graphs" in err and "Traceback" not in err
+    else:
+        assert err == "" and json.loads(out)["count"] == 1253
+
+
 # ---------------------------------------------------------------------------
 # orbits
 

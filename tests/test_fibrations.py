@@ -137,8 +137,8 @@ LOOP_GENERATOR = BilabelledGraph(Graph(1, [(0, 0)]), (), ())
 @pytest.mark.parametrize(
     "generators, bound, counts",
     [
-        ([commutator_generator(complete(2))], 6, [1, 1, 2, 4, 11, 34, 156]),  # OEIS A000088
-        ([commutator_generator(complete(2)), LOOP_GENERATOR], 5, [1, 2, 6, 20, 90, 544]),  # OEIS A000666
+        ([commutator_generator(complete(2))], 7, [1, 1, 2, 4, 11, 34, 156, 1044]),  # OEIS A000088
+        ([commutator_generator(complete(2)), LOOP_GENERATOR], 6, [1, 2, 6, 20, 90, 544, 5096]),  # OEIS A000666
     ],
     ids=["graphs", "graphs-with-loops"],
 )

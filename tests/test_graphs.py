@@ -1,11 +1,13 @@
 """Graph primitives: quotients, unions, homomorphism counts, canonical forms."""
 
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphfib import graphs
 from graphfib.errors import CapacityError
 from graphfib.graphs import (
     Graph,
@@ -15,6 +17,7 @@ from graphfib.graphs import (
     canonical_form,
     cell_bits,
     complete,
+    cycle,
     disjoint_union,
     edgeless,
     enumerate_homomorphisms,
@@ -432,6 +435,52 @@ def test_the_orbit_of_a_mask_is_every_relabelling(data):
     orbit = mask_orbit(n, mask)
     assert orbit == relabelled_masks(n, mask)
     assert min(orbit) == canonical_key(Graph(n, mask_edges(n, mask)))[1]
+
+
+def bipartite(a, b):
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+# the spiders with legs 1, 2, 3 and 1, 2, 4 are asymmetric trees; a loop on the long leg's end keeps them so
+ASYMMETRIC = {
+    7: Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 6)]),
+    8: Graph(8, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 7)]),
+}
+AT_THE_BOUND = [
+    pytest.param(g, id=f"{name}-{n}")
+    for n, (a, b) in ((7, (3, 4)), (8, (4, 4)))
+    for name, g in (
+        ("edgeless", edgeless(n)),
+        ("loop", Graph(n, [(n - 1, n - 1)])),
+        ("cycle", cycle(n)),
+        (f"K{a},{b}", bipartite(a, b)),
+        ("asymmetric-tree", ASYMMETRIC[n]),
+        ("full", add_loops_everywhere(complete(n))),
+    )
+]
+
+
+@pytest.mark.parametrize("g", AT_THE_BOUND)
+def test_orbits_and_canonical_forms_at_the_bound_match_one_permutation_at_a_time(g):
+    n, mask = g.n, mask_of(g.n, g.edges)
+    orbit = mask_orbit(n, mask)
+    assert orbit == relabelled_masks(n, mask)
+    masks = {perm: mask_of(n, [(perm[u], perm[v]) for u, v in g.edges]) for perm in permutations(range(n))}
+    least = min(masks.values())
+    ties = [perm for perm, m in masks.items() if m == least]
+    assert canonical_form(g) == ((n, least), ties[0])
+    if g is ASYMMETRIC[n]:
+        assert len(orbit) == factorial(n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_the_relabelings_fill_one_slot_per_permutation_wide_enough_for_every_cell(n):
+    cells = n * (n + 1) // 2
+    masks = graphs._relabelled_masks(n, (1 << cells) - 1)
+    assert masks.itemsize * 8 >= cells
+    assert masks.itemsize == (1 if n <= 3 else 2 if n <= 5 else 4 if n <= 7 else 8)  # the narrowest that holds them
+    assert len(masks) == factorial(n)
+    assert set(masks) == {(1 << cells) - 1}
 
 
 def test_the_orbit_of_a_mask_has_the_capacity_bound():
