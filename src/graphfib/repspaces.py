@@ -10,18 +10,20 @@ number against Burnside's count; ``orbit_basis`` assembles the basis and
 certifies that its representatives are least in their orbits and increasing,
 so no two share an orbit; ``dim_report`` formats it.
 
-A group is given by generators and closed once, coset by coset, when it is
-built.  The closure's invariance is checked on the generators only: a letter
-map is an automorphism of the free product, so if each generator maps ``A``
-into itself, so does every product of generators.
+A group given by generators is closed once, coset by coset, when it is
+built; S_n is listed instead, and the kept generators of Aut(g) are replayed
+from its elements on their first read.  The closure's invariance is checked
+on the generators only: a letter map is an automorphism of the free product,
+so if each generator maps ``A`` into itself, so does every product of
+generators.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import filterfalse, product, repeat
+from itertools import accumulate, filterfalse, permutations, product, repeat
 from math import perm
-from operator import eq, itemgetter, lt
+from operator import eq, itemgetter, lt, mul
 
 from .errors import CapacityError, IndeterminateError, InvariantError, check_json_object
 from .freeprod import Membership, check_invariance, decide, reduce_word
@@ -51,7 +53,7 @@ class PermutationGroup:
     before each coset is stored, so a lazy ``generators`` is not read past it.
     """
 
-    __slots__ = ("degree", "generators", "elements")
+    __slots__ = ("degree", "_generators", "elements")
 
     def __init__(self, degree, generators):
         # each generator is checked before it is looked up
@@ -66,20 +68,20 @@ class PermutationGroup:
         self._close(degree, elements, order)
         return self
 
+    @classmethod
+    def _listed(cls, degree, elements, generators=None):
+        """The group with these sorted ``elements``, not closed again, keeping
+        ``generators``; with none, they are replayed when first read."""
+        self = cls.__new__(cls)
+        self.degree, self.elements, self._generators = degree, elements, generators
+        return self
+
     def _close(self, degree, generators, order=None):
         """Dimino's closure, skipping seen elements in C and checking each kept
         generator is a permutation; it stops at ``order``, if one is given."""
-        if type(degree) is not int or degree < 0:
-            raise ValueError(f"group degree must be a non-negative integer, got {degree!r}")
+        _check_degree(degree)
+        _check_room(degree, 1)
         seen = set()
-
-        def check_room(more):
-            if (len(seen) + more) * degree > GROUP_POINT_BOUND:
-                raise CapacityError(
-                    f"group of degree {degree}: order times degree exceeds the bound {GROUP_POINT_BOUND}"
-                )
-
-        check_room(1)
         points = list(range(degree))
         ident = tuple(points)
         seen.add(ident)
@@ -96,20 +98,39 @@ class PermutationGroup:
                 for move in moves:
                     t = move(r)
                     if t not in seen:
-                        check_room(len(base))
+                        _check_room(degree, len(seen) + len(base))
                         seen.update(map(itemgetter(*t), base))
                         reps.append(t)
             if len(seen) == order:
                 break
         self.degree = degree
-        self.generators = tuple(kept)
+        self._generators = tuple(kept)
         self.elements = tuple(sorted(seen))
+
+    @property
+    def generators(self):
+        """The kept generators.  A group built without them, as Aut(g) is, replays
+        the greedy pass over its sorted elements on the first read."""
+        if self._generators is None:
+            self._generators = self._greedy(self.degree, self.elements, len(self.elements)).generators
+        return self._generators
 
     def __len__(self):
         return len(self.elements)
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={len(self.elements)})"
+
+
+def _check_degree(degree):
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"group degree must be a non-negative integer, got {degree!r}")
+
+
+def _check_room(degree, order):
+    """Refuse a group whose ``order`` times ``degree`` points pass ``GROUP_POINT_BOUND``."""
+    if order * degree > GROUP_POINT_BOUND:
+        raise CapacityError(f"group of degree {degree}: order times degree exceeds the bound {GROUP_POINT_BOUND}")
 
 
 def _permutation(g, degree):
@@ -134,22 +155,25 @@ def group_from_elements(degree, elements):
 
 
 def symmetric_group(n):
-    """S_n, closed from the swap (0 1) and the n-cycle, made lazily after the constructor checks ``n``."""
-    def swap_and_cycle():
-        if n >= 2:
-            yield (1, 0) + tuple(range(2, n))
-            yield tuple(range(1, n)) + (0,)
-
-    return PermutationGroup(n, swap_and_cycle())
+    """S_n, listed, not closed: its elements are the permutations of ``range(n)``
+    in lexicographic order, which is sorted.  ``n`` is checked as the constructor
+    checks a degree, and each order 1, 2, 6, .., n! against the point bound, so no
+    factorial past it is formed.  The generators are those the closure from the
+    swap (0 1) and the n-cycle keeps: at n = 2 the n-cycle is the swap."""
+    _check_degree(n)
+    for order in accumulate(range(1, n + 1), mul):
+        _check_room(n, order)
+    swap_and_cycle = ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,))
+    return PermutationGroup._listed(n, tuple(permutations(range(n))), swap_and_cycle[: (n >= 2) + (n >= 3)])
 
 
 def graph_automorphism_group(g):
     """Aut(g), closed from the generators of its stabiliser chain as the search
     finds them, so a group above the point bound stops before the chain is
-    complete, then replayed from its sorted elements: that keeps the generators
-    a greedy pass over the automorphisms in order keeps, read by ``check_invariance``."""
-    group = PermutationGroup(g.n, automorphism_generators(g))
-    return PermutationGroup._greedy(g.n, group.elements, len(group))
+    complete.  Its kept generators, read only by ``check_invariance``, are
+    replayed from its sorted elements on their first read: that keeps the
+    generators a greedy pass over the automorphisms in order keeps."""
+    return PermutationGroup._listed(g.n, PermutationGroup(g.n, automorphism_generators(g)).elements)
 
 
 def group_from_json(obj):

@@ -19,7 +19,7 @@ from graphfib.graphs import (
     mask_edges,
     mask_of,
 )
-from graphfib.repspaces import build_That_H
+from graphfib.repspaces import PermutationGroup, build_That_H
 from graphfib.tensors import compose, law_report, tally, tensor_product, zero_tensor
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,19 @@ def build_partition_T(n, p):
 
 def act(sigma, points):
     return tuple(sigma[x] for x in points)
+
+
+def closed_symmetric_group(n):
+    """S_n closed coset by coset from the swap (0 1) and the n-cycle, which
+    are made only when the constructor reads them, after it has checked
+    ``n``: the oracle for ``symmetric_group``'s listing, refusals included."""
+
+    def swap_and_cycle():
+        if n >= 2:
+            yield (1, 0) + tuple(range(2, n))
+            yield tuple(range(1, n)) + (0,)
+
+    return PermutationGroup(n, swap_and_cycle())
 
 
 def verify_repcat_tensor(group, a, b, c, d):

@@ -1,6 +1,7 @@
 """End-to-end command line checks driven through the in-process entry point."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfib
-from graphfib import cli, tensors
+from graphfib import cli, repspaces, tensors
 from graphfib.cli import main
 from graphfib.repspaces import OrbitClass
 from graphfib.tensors import build_T
@@ -362,6 +363,37 @@ def test_dim_with_the_full_filter(capsys):
         capsys, "dim", fx("group_s2_elements.json"), fx("full_filter2.json"), "1", "1"
     )
     assert payload["dim"] == 2 and payload["burnside"] == 2
+
+
+def test_orbits_dim_null_and_thpart_on_aut_g_never_replay_its_generators(capsys, tmp_path, monkeypatch):
+    # only an invariance check reads the greedy generators of an automorphism group
+    group = {"automorphisms_of": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}}
+    path = write_json(tmp_path, "group.json", group)
+    pair = {"k": 1, "l": 1, "blocks": [[0], [1]]}
+    checks = write_json(tmp_path, "checks.json", {"checks": [{"group": group, "partition": pair}]})
+    commands = [("orbits", path, "2", "1"), ("dim", path, fx("null.json"), "2", "1"), ("verify", "thpart", checks)]
+    answers = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 and err == "" for code, _, err in answers)
+    monkeypatch.setattr(repspaces.PermutationGroup, "_greedy", lambda *args: pytest.fail("generators replayed"))
+    assert [run(capsys, *argv) for argv in commands] == answers
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        (("orbits",), "bfc3979f3fce523f099891866d0423e127521ecc78ad02c55034db3722076851"),
+        (("dim", fx("null.json")), "ac9f118e590aa7d95dc99d01d7429da1449b85a6714d04ade61cd1a1eef7c4e3"),
+    ],
+    ids=["orbits", "dim"],
+)
+def test_the_largest_symmetric_group_at_three_and_three_labels(tmp_path, command, digest):
+    # S8 lists 40,320 elements; the digest is that of the output of S8 closed
+    # coset by coset from the swap and the 8-cycle, and there are Bell(6) orbits
+    group = write_json(tmp_path, "s8.json", {"symmetric": 8})
+    code, out, err = run_in_child(command[0], group, *command[1:], "3", "3", timeout=60)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(json.loads(out)["orbits"]) == 203
 
 
 def test_dim_exits_indeterminate_when_the_strategy_is_too_shallow(capsys):

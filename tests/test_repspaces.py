@@ -47,7 +47,7 @@ from graphfib.repspaces import (
     verify_THpart,
 )
 from graphfib.tensors import exact_rank
-from reference import act, verify_repcat_compose, verify_repcat_tensor
+from reference import act, closed_symmetric_group, verify_repcat_compose, verify_repcat_tensor
 
 EDGE_PLUS_POINT = disjoint_union(complete(2), edgeless(1))
 
@@ -218,6 +218,38 @@ def test_the_point_bound_refuses_s9_and_wide_groups_before_storing_them():
     ):
         with pytest.raises(CapacityError):
             make()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_the_listed_symmetric_group_is_the_closed_one(n):
+    group, oracle = symmetric_group(n), closed_symmetric_group(n)
+    assert group.degree == oracle.degree == n
+    assert group.generators == oracle.generators
+    assert group.elements == oracle.elements
+
+
+@pytest.mark.parametrize("n", [9, 3000, 10**6, 10**12, -1, True, 2.0, "2", None, [3]])
+def test_the_listed_symmetric_group_refuses_what_the_closed_one_refuses(n):
+    with pytest.raises((ValueError, CapacityError)) as listed:
+        symmetric_group(n)
+    with pytest.raises((ValueError, CapacityError)) as closed:
+        closed_symmetric_group(n)
+    assert type(listed.value) is type(closed.value)
+    assert str(listed.value) == str(closed.value)
+
+
+def refuse_a_replay(*args):
+    raise RuntimeError("the greedy generators were replayed")
+
+
+def test_aut_g_replays_its_generators_only_when_they_are_read(monkeypatch):
+    group = graph_automorphism_group(cycle(6))
+    monkeypatch.setattr(PermutationGroup, "_greedy", refuse_a_replay)
+    assert len(group) == 12 and len(orbits(group, 1, 1)) == 4  # pairs at distance 0 to 3
+    with pytest.raises(RuntimeError, match="replayed"):
+        group.generators
+    monkeypatch.undo()
+    assert group.generators == PermutationGroup(6, automorphisms(cycle(6))).generators
 
 
 def test_act():
@@ -434,6 +466,25 @@ def test_orbits_of_s8_on_six_labels_are_the_restricted_growth_strings():
     assert len(strings) == 203  # Bell(6)
     want = [OrbitClass(t[:3], t[3:], perm(8, max(t) + 1)) for t in strings]
     assert orbits(symmetric_group(8), 3, 3) == want
+
+
+def stirling2(t, j):
+    """Partitions of ``t`` points into ``j`` nonempty blocks: S(t, j) = j S(t-1, j) + S(t-1, j-1)."""
+    if t == 0 or j == 0:
+        return int(t == j)
+    return j * stirling2(t - 1, j) + stirling2(t - 1, j - 1)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_orbit_counts_of_symmetric_groups_are_sums_of_stirling_numbers(m):
+    # the orbit of a t-tuple under S_m is its kernel, a partition of the t
+    # positions into at most m blocks; once m >= t that is every partition,
+    # counted by the Bell number
+    for t in range(5):
+        want = sum(stirling2(t, j) for j in range(m + 1))
+        assert m < t or want == [1, 1, 2, 5, 15][t]
+        for k in range(t + 1):
+            assert len(orbits(symmetric_group(m), k, t - k)) == want
 
 
 def test_orbits_of_the_12_cycle_automorphisms_on_four_labels():
