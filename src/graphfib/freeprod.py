@@ -14,8 +14,9 @@ Membership in a normal closure is answered by one of three strategies:
   the same outcome as an enumeration that overflows the bound.
 * ``racg``: applicable when every closure generator is a commutator-shaped
   word ``xyxy`` with ``x != y``; the quotient is then a right-angled Coxeter
-  group and repeated deletion of letter pairs with commuting interludes
-  decides the word problem exactly.
+  group, and one left-to-right scan that cancels each letter against an equal
+  one reached across letters it commutes with decides the word problem
+  exactly.
 * ``bounded-bfs``: a semi-decision.  A parity check over GF(2) gives sound
   "no" answers; otherwise breadth-first insertion of generators, each
   reduced only at its two junctions, searches for a cancellation to the
@@ -377,29 +378,22 @@ def racg_eligible(generators):
 
 
 def _racg_member(comm, word):
-    """Delete letter pairs whose interlude commutes with them; ``comm`` holds
-    the ordered pairs of commuting letters."""
-    w = list(word)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(w):
-            x = w[i]
-            j = i + 1
-            blocked = False
-            while j < len(w) and w[j] != x:
-                if (x, w[j]) not in comm:
-                    blocked = True
-                    break
-                j += 1
-            if not blocked and j < len(w):
-                del w[j]
-                del w[i]
-                changed = True
-                break
-            i += 1
-    return Membership.YES if not w else Membership.NO
+    """Cancel ``word`` in one left-to-right scan (Tits 1969); ``comm`` holds
+    the ordered pairs of distinct commuting letters.  Each new letter looks
+    back over the kept letters it commutes with: an equal one met there
+    cancels with it, else the new letter is kept.  What is kept is always a
+    shortest word for the prefix read, so the word is a member exactly when
+    none is kept."""
+    kept = []
+    for x in word:
+        j = len(kept) - 1
+        while j >= 0 and (x, kept[j]) in comm:
+            j -= 1
+        if j >= 0 and kept[j] == x:
+            del kept[j]
+        else:
+            kept.append(x)
+    return Membership.NO if kept else Membership.YES
 
 
 # ---------------------------------------------------------------------------

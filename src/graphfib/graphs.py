@@ -281,9 +281,7 @@ def _walk(image, order, candidates, checks, injective=False, coef=None):
     """
     *above, last = order
     final, ends = candidates[last], checks[last]
-    if not above:
-        for u, rows in ends:
-            final &= rows[image[u]]
+    if not above:  # no caller checks a lone vertex, so ``ends`` is empty
         yield final, 0
         return
     top = len(above) - 1  # the level of the inner loop

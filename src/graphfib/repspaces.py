@@ -260,23 +260,13 @@ def pair_word(a, b):
     return reduce_word(tuple(a) + tuple(reversed(b)))
 
 
-def semidirect_orbit_table(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
-    """Each orbit with the membership verdict of its pair word, which is over
-    the group's points, so :func:`decide` takes it unchecked."""
-    if closure.alphabet_size != group.degree:
-        raise ValueError("closure alphabet must match the group degree")
-    check_invariance(group.generators, closure)
-    return [
-        (o, decide(pair_word(o.a, o.b), closure))
-        for o in orbits(group, k, l, tuple_bound)
-    ]
-
-
 def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     """The orbit table and its YES orbits, a basis of the tensors :func:`build_That_H` builds for them.
 
-    With ``closure=None`` every orbit is accepted.  Membership is well-defined
-    on orbits because the closure is group-invariant (checked).  An unknown
+    With ``closure=None`` every orbit is accepted.  Otherwise the closure's
+    alphabet must be the group's points, and membership is well-defined on
+    orbits because the closure is group-invariant (checked).  Each pair word
+    is over the points, so :func:`decide` takes it unchecked.  An unknown
     verdict can be neither dropped nor kept, so it raises before the basis is
     certified.  The certificate reads every element, so it does not rest on
     the stabiliser descent in :func:`orbits`: each representative ``a + b``
@@ -289,7 +279,10 @@ def orbit_basis(group, closure, k, l, tuple_bound=DEFAULT_TUPLE_BOUND):
     if closure is None:
         table = [(o, Membership.YES) for o in orbits(group, k, l, tuple_bound)]
     else:
-        table = semidirect_orbit_table(group, closure, k, l, tuple_bound)
+        if closure.alphabet_size != group.degree:
+            raise ValueError("closure alphabet must match the group degree")
+        check_invariance(group.generators, closure)
+        table = [(o, decide(pair_word(o.a, o.b), closure)) for o in orbits(group, k, l, tuple_bound)]
     for o, verdict in table:
         if verdict is Membership.UNKNOWN:
             raise IndeterminateError(

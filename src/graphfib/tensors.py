@@ -174,7 +174,6 @@ def compare_tensors(a, b):
                 idx, digit = divmod(idx, a.n)
                 digits.insert(0, digit)
             return {"row": digits[: a.l], "col": digits[a.l :], "lhs": x, "rhs": y}
-    return None
 
 
 def exact_rank(rows):

@@ -9,6 +9,7 @@ from itertools import permutations, product
 from graphfib.diagrams import BilabelledGraph
 from graphfib.errors import CapacityError
 from graphfib.fibrations import closure_graphs
+from graphfib.freeprod import Membership
 from graphfib.graphs import (
     CANONICAL_VERTEX_BOUND,
     Graph,
@@ -113,6 +114,39 @@ def components_partition(n, pairs):
         least.append(min(seen))
     order = sorted(set(least))
     return tuple(order.index(x) for x in least)
+
+
+# ---------------------------------------------------------------------------
+# words
+
+
+def restart_racg_member(comm, word):
+    """Membership of ``word`` in the right-angled Coxeter closure whose
+    commuting letters are the ordered pairs ``comm``, by repeated deletion:
+    find the first letter with an equal letter after it and only letters it
+    commutes with between, delete the two, and start again from the front.
+    The oracle for the one-scan ``racg`` verdict."""
+    w = list(word)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(w):
+            x = w[i]
+            j = i + 1
+            blocked = False
+            while j < len(w) and w[j] != x:
+                if (x, w[j]) not in comm:
+                    blocked = True
+                    break
+                j += 1
+            if not blocked and j < len(w):
+                del w[j]
+                del w[i]
+                changed = True
+                break
+            i += 1
+    return Membership.YES if not w else Membership.NO
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Words over involutive generators and normal-closure membership."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from graphfib.freeprod import (
     validate_word,
     word_from_json,
 )
+from reference import restart_racg_member
 
 words = st.lists(st.integers(min_value=0, max_value=3), max_size=12).map(tuple)
 
@@ -282,6 +285,54 @@ def test_racg_agrees_with_finite_model_on_complete_commutation():
 def test_membership_conjugation_invariant(w, x):
     spec = commutator_spec(3, [(0, 1)], strategy="racg")
     assert member(w, spec) is member(reduce_word((x,) + w + (x,)), spec)
+
+
+@st.composite
+def racg_cases(draw):
+    """At most 6 letters, a set of commuting pairs, and words to decide.
+
+    The members are reduced products of conjugates ``u xyxy u^-1`` of those
+    pairs, and words ``w w'^-1`` with ``w'`` made from ``w`` by swapping
+    adjacent commuting letters, which are such products too and make letters
+    cancel across several others.  Each member also comes with one letter put
+    in somewhere, and random reduced words come last."""
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True) if n > 1 else st.just([]))
+    comm = {q for p in pairs for q in (p, p[::-1])}
+    letters = st.integers(0, n - 1)
+    conjugate = (
+        st.tuples(st.lists(letters, max_size=5).map(tuple), st.sampled_from(pairs)).map(
+            lambda c: c[0] + c[1] * 2 + c[0][::-1]
+        )
+        if pairs
+        else st.just(())
+    )
+    members = draw(st.lists(st.lists(conjugate, max_size=4).map(lambda cs: reduce_word(sum(cs, ()))), max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        w = draw(st.lists(letters, max_size=10))
+        swapped = list(w)
+        for i in draw(st.lists(st.integers(0, max(len(w) - 2, 0)), max_size=20)):
+            if tuple(swapped[i : i + 2]) in comm:
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        members.append(reduce_word(w + swapped[::-1]))
+    words = [(w, True) for w in members]
+    for w in members:
+        pos = draw(st.integers(0, len(w)))
+        words.append((reduce_word(w[:pos] + (draw(letters),) + w[pos:]), False))
+    words += [(w, False) for w in draw(st.lists(st.lists(letters, max_size=16).map(reduce_word), max_size=4))]
+    return n, comm, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(racg_cases())
+def test_the_racg_scan_agrees_with_the_restart_loop(case):
+    n, comm, words = case
+    spec = commutator_spec(n, [p for p in comm if p[0] < p[1]], strategy="racg")
+    for w, known_member in words:
+        got = member(w, spec)
+        assert got is restart_racg_member(comm, w)
+        if known_member:
+            assert got is Membership.YES
 
 
 def test_bounded_bfs_is_sound_and_admits_unknown():

@@ -1,7 +1,8 @@
 """Orbit bases, Burnside counts, and semidirect morphism-space dimensions."""
 
 import random
-from itertools import permutations, product
+from collections import Counter
+from itertools import combinations, permutations, product
 from math import perm
 
 import pytest
@@ -42,7 +43,6 @@ from graphfib.repspaces import (
     orbit_basis,
     orbits,
     pair_word,
-    semidirect_orbit_table,
     symmetric_group,
     verify_THpart,
 )
@@ -596,6 +596,76 @@ def test_the_orbit_certificate_agrees_with_exact_rank(case, m, data):
         assert t == min(act(s, t) for s in group.elements)
 
 
+# The rotations of a 4-cycle fixing a fifth point: an intransitive cyclic
+# group, given as an element list.
+ROTATIONS_AND_A_FIXED_POINT = group_from_elements(5, [(0, 1, 2, 3, 4), (1, 2, 3, 0, 4), (2, 3, 0, 1, 4), (3, 0, 1, 2, 4)])
+
+
+@st.composite
+def groups_with_closures_of_each_kind(draw):
+    """S3, S4, the rotations above or Aut of a graph on <= 5 vertices, with no
+    closure, a racg closure (a few letter pairs and all their images), or a
+    finite-model closure (all images of one word, some times with every
+    letter pair commuting, so that the quotient is finite)."""
+    group = draw(
+        st.one_of(
+            st.sampled_from([symmetric_group(3), symmetric_group(4), ROTATIONS_AND_A_FIXED_POINT]),
+            small_groups(),
+        )
+    )
+    n = group.degree
+    kind = draw(st.sampled_from(["null", "racg", "finite"] if n >= 2 else ["null"]))
+    if kind == "null":
+        return group, None
+    letters = st.integers(0, n - 1)
+    if kind == "racg":
+        seeds = draw(st.lists(st.tuples(letters, letters).filter(lambda p: p[0] != p[1]), min_size=1, max_size=3))
+        words = {act(s, (x, y, x, y)) for s in group.elements for x, y in seeds}
+        return group, NormalClosureSpec(n, sorted(words), MembershipPolicy("racg"))
+    seed = tuple(draw(st.lists(letters, min_size=1, max_size=4)))
+    words = {act(s, seed) for s in group.elements}
+    if draw(st.booleans()):
+        words |= {(x, y, x, y) for x, y in combinations(range(n), 2)}
+    return group, NormalClosureSpec(n, sorted(words), MembershipPolicy("finite-model"))
+
+
+def dim_outcome(group, closure, k, l):
+    """What of a ``dim`` report does not depend on how the points are
+    numbered, or ``"indeterminate"`` when a finite-model quotient is not
+    shown finite."""
+    try:
+        report = dim_report(group, closure, k, l)
+    except IndeterminateError:
+        return "indeterminate"
+    sizes = Counter((o["size"], o["accepted"]) for o in report["orbits"])
+    return report["dim"], report["burnside"], report["rank"], sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups_with_closures_of_each_kind(), st.integers(0, 4), st.data())
+def test_renumbering_the_points_keeps_the_dimension(case, m, data):
+    """Conjugate the group by a permutation ``pi`` of its points and rename
+    the closure's letters by ``pi``.  Orbits go to orbits of the same size,
+    and a pair word to its renamed word, so the dimension, the Burnside
+    count, the rank and the sizes of the accepted and refused orbits stay.
+    Without a closure this is the relation for ``orbits``, whose listing the
+    report holds.  Up to 4 labels: a reduced word of 3 letters or fewer is a
+    member of a racg closure only if it is empty, so shorter pair words
+    would leave every racg verdict to free reduction."""
+    group, closure = case
+    k = data.draw(st.integers(0, m))
+    n = group.degree
+    pi = data.draw(st.permutations(range(n)))
+    conjugated = []  # pi s pi^-1 sends pi[x] to pi[s[x]]
+    for s in group.elements:
+        t = [0] * n
+        for x in range(n):
+            t[pi[x]] = pi[s[x]]
+        conjugated.append(t)
+    renamed = None if closure is None else NormalClosureSpec(n, [act(pi, w) for w in closure.generators], closure.policy)
+    assert dim_outcome(group_from_elements(n, conjugated), renamed, k, m - k) == dim_outcome(group, closure, k, m - k)
+
+
 def test_the_certificate_refuses_a_representative_that_is_not_least(monkeypatch):
     # (1, 0) lies in the orbit of (0, 1) under S_3, so it is not least in its orbit
     listing = [OrbitClass((0,), (0,), 3), OrbitClass((1,), (0,), 6)]
@@ -712,7 +782,7 @@ def test_invariance_is_checked_on_generators_only():
 
 def test_orbit_table_verdicts_for_the_edge_commutator():
     aut = graph_automorphism_group(EDGE_PLUS_POINT)
-    table = semidirect_orbit_table(aut, abab3_closure(), 0, 2)
+    table = orbit_basis(aut, abab3_closure(), 0, 2)[0]
     verdicts = {(o.a, o.b): v for o, v in table}
     assert len(table) == 5
     assert verdicts[((), (0, 0))] is Membership.YES
@@ -762,7 +832,7 @@ def test_unknown_orbit_verdicts_raise():
 def test_alphabet_mismatch_is_rejected():
     aut = graph_automorphism_group(EDGE_PLUS_POINT)
     with pytest.raises(ValueError):
-        semidirect_orbit_table(aut, NormalClosureSpec(2, [(0, 1, 0, 1)]), 0, 2)
+        orbit_basis(aut, NormalClosureSpec(2, [(0, 1, 0, 1)]), 0, 2)
 
 
 # ---------------------------------------------------------------------------
