@@ -9,9 +9,9 @@ Subcommands:
 * ``orbits``: label-pair orbits of a permutation group.
 
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 capacity bound
-hit, 4 indeterminate membership, 5 broken internal invariant (a bug).  All
-output is deterministic: JSON is printed with sorted keys, listings are
-canonically ordered.
+hit or memory exhausted, 4 indeterminate membership, 5 broken internal
+invariant (a bug).  All output is deterministic: JSON is printed with sorted
+keys, listings are canonically ordered.
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def main(argv=None):
         return args.func(args, config)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # a bound set past what memory holds, as a large tuple_bound can be
+        print("capacity: out of memory", file=sys.stderr)
         return 3
     except IndeterminateError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ each copy of ``H``.  Fibre membership of a word is then normal-closure
 membership over those words, less the words implied by earlier ones.  A
 fibration holds its inputs only: each query recomputes what it reads, and
 finds the copies by a homomorphism search.  The closure of fibres is built
-only to list them, on adjacency masks, from one table of every generator
-copy per vertex count; each listed fibre reads its words from that table,
-with no search, and its edges from its own mask.
+only to list them, on adjacency masks, from one ordered list per vertex
+count of the distinct copy masks and reduced words of every generator map;
+each listed fibre reads its words from that list, with no search, and its
+edges from its own mask.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ def closure_graphs(fib):
     vertices is reached from the edgeless graph on ``n`` vertices by adding
     those copies one at a time.  A copy is the image of a generator graph
     under a map to ``range(n)``: an injective one for a skew fibration, any
-    one for an easy fibration.  Graphs are adjacency masks: the copy table on
-    ``n`` vertices (:func:`_copy_table`) is made once and adding a copy is an
-    OR.
+    one for an easy fibration.  Graphs are adjacency masks: the copy list on
+    ``n`` vertices (:func:`_copy_table`) is made once, its distinct nonzero
+    masks are the copies, and adding a copy is an OR.
 
     Masks are filed a whole isomorphism class at a time, so a mask not yet
     filed starts a new class: one pass over the relabelings files its
@@ -95,16 +96,17 @@ def closure_graphs(fib):
     the filing of the largest count does not hold them.
 
     A representative's words are those :func:`fiber_generators` gives, read
-    from the same table instead of found by a search: the maps whose copy
+    from the same list instead of found by a search: the maps whose copy
     mask lies inside the representative's are its homomorphisms, so its
-    boundary words are the words of those masks in the order of their first
-    map.  The table holds them reduced, so they go straight to
-    :func:`prune_reduced_words`, the step :func:`prune_words` ends in, and a
-    word shared by many representatives is reduced once per copy mask.
+    boundary words are the words of the pairs inside its mask, kept once
+    each in the order of their first map (:func:`_table_words`).  The list
+    holds them reduced, so they go straight to :func:`prune_reduced_words`,
+    the step :func:`prune_words` ends in, and a word shared by many
+    representatives is reduced once per map, when the list is made.
     """
     top = fib.max_vertices
     cell_bits(top)  # refuses a bound past the canonical one before any work
-    # every generator counts, edgeless ones too: the copy table lists their maps for the words.
+    # every generator counts, edgeless ones too: the copy list reads their maps for the words.
     # The map count only grows with n, so counting at max_vertices covers every n.
     for h in (d.graph for d in fib.generators):
         if (power_exceeds(top, h.n, CLOSURE_MAP_BOUND) if fib.easy else perm(top, h.n) > CLOSURE_MAP_BOUND):
@@ -114,7 +116,7 @@ def closure_graphs(fib):
     members = []
     for n in range(top + 1):
         table = _copy_table(fib, n)
-        copies = [c for c in table if c]
+        copies = {c for c, _ in table if c}
         counts = range(n * (n + 1) // 2 + 1)
         filed = [set() for _ in counts]  # by edge count: the masks filed
         reps = [[] for _ in counts]  # by edge count: the representatives
@@ -148,35 +150,24 @@ def closure_graphs(fib):
 
 
 def _copy_table(fib, n):
-    """Every generator map into ``range(n)``, grouped as ``{copy mask:
-    {reduced boundary word: index of its first map}}``.
+    """The distinct ``(copy mask, reduced boundary word)`` pairs of every
+    generator map into ``range(n)``, in the order of their first map.
 
-    Maps are numbered in the order :func:`_copy_words` meets them: by
-    generator, then by image tuple in lexicographic order.  A copy mask is
-    the OR of the :func:`cell_bits` of the edge images.  Edgeless
-    generators are included; their maps have copy mask 0.  A mask keys each
-    boundary word by its reduction, with the least index of the words that
-    reduce to it, and drops the words that reduce to the empty word; each
-    distinct word of a mask is reduced once.
+    Maps are met in the order :func:`_copy_words` meets them: by generator,
+    then by image tuple in lexicographic order.  A copy mask is the OR of
+    the :func:`cell_bits` of the edge images.  Edgeless generators are
+    included; their maps have copy mask 0.  A map whose word reduces to the
+    empty word still gives a pair, so that its mask counts for coverage.
     """
-    table, index, bits = {}, 0, cell_bits(n)
+    pairs, bits = {}, cell_bits(n)  # a dict keeps each pair once, in first-map order
     for d in fib.generators:
         h, labels = d.graph, d.inputs[::-1] + d.outputs
         for phi in (product(range(n), repeat=h.n) if fib.easy else permutations(range(n), h.n)):
             c = 0
             for u, v in h.edges:
                 c |= bits[phi[u]][phi[v]]  # an OR: an easy map can send two edges to one cell
-            words = table.setdefault(c, {})
-            words.setdefault(tuple(map(phi.__getitem__, labels)), index)
-            index += 1
-    for c, words in table.items():
-        reduced = {}
-        for w, i in words.items():  # in index order, so the first index of a reduction is its least
-            r = reduce_word(w)
-            if r:
-                reduced.setdefault(r, i)
-        table[c] = reduced
-    return table
+            pairs[c, reduce_word(map(phi.__getitem__, labels))] = None
+    return list(pairs)
 
 
 def _table_words(table, m):
@@ -185,21 +176,21 @@ def _table_words(table, m):
     which reducing :func:`_copy_words`'s words first meets them.
 
     A map whose copy mask lies inside ``m`` is a homomorphism into that
-    graph (an injective one for a skew fibration).  The closure lists only
-    graphs that its copies cover, so copies inside ``m`` that leave one of
-    its cells uncovered are a broken invariant.
+    graph (an injective one for a skew fibration).  The pairs come in
+    first-map order, so a word's first pair inside ``m`` is its first map
+    there.  The closure lists only graphs that its copies cover, so copies
+    inside ``m`` that leave one of its cells uncovered are a broken
+    invariant.
     """
-    first, covered, outside = {}, 0, ~m
-    for c, words in table.items():
-        if c & outside:
-            continue
-        covered |= c
-        for w, i in words.items():
-            if i < first.get(w, i + 1):
-                first[w] = i
+    words, covered, outside = {}, 0, ~m
+    for c, w in table:
+        if not c & outside:
+            covered |= c
+            if w:
+                words[w] = None
     if covered != m:
         raise InvariantError("a listed fibre must be covered by the generator copies inside it")
-    return sorted(first, key=first.__getitem__)
+    return list(words)
 
 
 # ---------------------------------------------------------------------------

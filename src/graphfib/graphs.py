@@ -407,12 +407,15 @@ def _count(entries, order, candidates, checks, coef, weights, scale, injective=F
         return
     heavy = [(u, x, t) for u, x, t in weights if x != v]  # weighed once per placing of the others
     ws = [(u, t) for u, x, t in weights if x == v]  # these come from summing out, so the search is not injective
+    final = candidates[v]
+    if type(final) is list:  # a loop vector's images: a set tests each placed image at once, as a range does
+        final = set(final)
     for m, at in found:
         w = scale
         for u, x, t in heavy:
             w *= t[image[u]][image[x]]
         if not (a or ws):
-            left = m.bit_count() if rels else len(m) - (sum(image[u] in m for u in above) if injective else 0)
+            left = m.bit_count() if rels else len(m) - (sum(image[u] in final for u in above) if injective else 0)
             entries[at] += w * left
             continue
         placed = {image[u] for u in above} if injective and not rels else ()

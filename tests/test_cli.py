@@ -595,9 +595,7 @@ def test_closure_refuses_a_fibre_its_copies_do_not_cover_with_exit_5(capsys, mon
     real = graphfib.fibrations._copy_table
 
     def broken(fib, n):
-        table = real(fib, n)
-        table.pop(1 << 1, None)
-        return table
+        return [(c, w) for c, w in real(fib, n) if c != 1 << 1]
 
     monkeypatch.setattr(graphfib.fibrations, "_copy_table", broken)
     code, out, err = run(capsys, "closure", fx("edge_fibration.json"))
@@ -901,6 +899,28 @@ def test_k2_beside_an_isolated_vertex_into_a_large_cycle_exits_cleanly(tmp_path)
     assert json.loads(out)["entries"] == [39996] * n
 
 
+def test_k2_beside_a_looped_vertex_into_a_large_looped_cycle_counts_in_linear_time(tmp_path):
+    # the looped vertex comes last with the loop vector's list of images and
+    # no checks, so each injective map of K2 subtracts the images it placed
+    # from that list: a test against the whole list per placing would make
+    # 80,000 placings scan 40,000 images each
+    n = 40000
+    graph = write_json(tmp_path, "graph.json", {"n": n, "edges": cycle_graph(n)["edges"] + [[v, v] for v in range(n)]})
+    k2_loop = {"graph": {"n": 3, "edges": [[0, 1], [2, 2]]}, "inputs": [], "outputs": []}
+    code, out, err = run_in_child("tensor", graph, write_json(tmp_path, "diagram.json", k2_loop), "--mode", "inj", timeout=10)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": n, "k": 0, "l": 0, "entries": [2 * n * (n - 2)]}
+
+
+def test_tensor_that_runs_out_of_memory_exits_3(tmp_path):
+    # a tuple_bound of 10^13 admits the 1000^4 entries of four labels on
+    # one vertex into 1,000 vertices, which the 1 GiB child cannot hold
+    config = write_json(tmp_path, "config.json", {"tuple_bound": 10**13})
+    graph = write_json(tmp_path, "graph.json", {"n": 1000, "edges": []})
+    diagram = write_json(tmp_path, "diagram.json", {"graph": {"n": 1, "edges": []}, "inputs": [0, 0], "outputs": [0, 0]})
+    assert run_in_child("--config", config, "tensor", graph, diagram, timeout=20) == (3, "", "capacity: out of memory\n")
+
+
 def test_k4_into_a_large_cycle_drops_its_rows_past_the_bit_bound(tmp_path):
     # K4 has no map into a cycle, but its second vertex reads the row of
     # each of the 50,000 images of the first.  Kept, those rows would take
@@ -1107,6 +1127,47 @@ def test_tensor_survives_arbitrary_json(tmp_path_factory, graph, diagram, mode):
     code, err = run_quietly(["tensor", str(path / "graph.json"), str(path / "diagram.json"), "--mode", mode])
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
+
+
+def tensor_stdout(tmp_path_factory, graph, diagram, mode):
+    """Stdout of one in-process ``tensor`` run, which must succeed."""
+    path = tmp_path_factory.mktemp("tensor")
+    (path / "graph.json").write_text(json.dumps(graph))
+    (path / "diagram.json").write_text(json.dumps(diagram))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["tensor", str(path / "graph.json"), str(path / "diagram.json"), "--mode", mode]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=well_formed_graphs(4), diagram=well_formed_diagrams(), mode=st.sampled_from(["hom", "inj"]), data=st.data())
+def test_renumbering_the_diagram_keeps_the_tensor(tmp_path_factory, graph, diagram, mode, data):
+    # the labels move with their vertices, so every map keeps its label images
+    sigma = data.draw(st.permutations(range(diagram["graph"]["n"])))
+    renamed = {
+        "graph": {"n": len(sigma), "edges": [[sigma[u], sigma[v]] for u, v in diagram["graph"]["edges"]]},
+        "inputs": [sigma[v] for v in diagram["inputs"]],
+        "outputs": [sigma[v] for v in diagram["outputs"]],
+    }
+    want = tensor_stdout(tmp_path_factory, graph, diagram, mode)
+    assert tensor_stdout(tmp_path_factory, graph, renamed, mode) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=well_formed_graphs(4), diagram=well_formed_diagrams(), mode=st.sampled_from(["hom", "inj"]), data=st.data())
+def test_renumbering_the_host_moves_every_leg(tmp_path_factory, graph, diagram, mode, data):
+    # composing each map with pi moves the entry at (c_1, ..., c_m) to
+    # (pi(c_1), ..., pi(c_m)), whichever leg a digit of the flat index is
+    n = graph["n"]
+    pi = data.draw(st.permutations(range(n)))
+    renamed = {"n": n, "edges": [[pi[a], pi[b]] for a, b in graph["edges"]]}
+    before = json.loads(tensor_stdout(tmp_path_factory, graph, diagram, mode))
+    legs = before["k"] + before["l"]
+    moved = [None] * len(before["entries"])
+    for x, value in enumerate(before["entries"]):
+        moved[sum(pi[x // n**j % n] * n**j for j in range(legs))] = value
+    assert json.loads(tensor_stdout(tmp_path_factory, renamed, diagram, mode)) == dict(before, entries=moved)
 
 
 @pytest.mark.parametrize("law", sorted(CHECKS))
