@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 capacity bound
 hit or memory exhausted, 4 indeterminate membership, 5 broken internal
-invariant (a bug).  All output is deterministic: JSON is printed with sorted
-keys, listings are canonically ordered.
+invariant (a bug).  All output is deterministic: JSON goes through one shared
+encoder with sorted keys, listings are canonically ordered.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ def _load_json(path):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # bad syntax, or a byte that is not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _write(render, payload):
@@ -88,8 +90,13 @@ def _write(render, payload):
             sys.set_int_max_str_digits(limit)
 
 
+# Every payload is built fresh for its command, so no container holds itself
+# and the encoder's per-container cycle check would only cost time.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _print(payload):
-    _write(lambda p: json.dumps(p, sort_keys=True) + "\n", payload)
+    _write(lambda p: _ENCODER.encode(p) + "\n", payload)
 
 
 # ---------------------------------------------------------------------------

@@ -825,7 +825,7 @@ def graph_from_json(obj):
     if n > GRAPH_VERTEX_BOUND:
         raise CapacityError(f"graph of {n} vertices exceeds the bound {GRAPH_VERTEX_BOUND}")
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+        isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges
     ):
         raise ValueError("graph JSON edges must be pairs of integers")
-    return Graph(n, [tuple(e) for e in edges])
+    return Graph(n, map(tuple, edges))

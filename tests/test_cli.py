@@ -1,5 +1,6 @@
 """End-to-end command line checks driven through the in-process entry point."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -19,8 +20,20 @@ from hypothesis import strategies as st
 import graphfib
 from graphfib import cli, repspaces, tensors
 from graphfib.cli import main
-from graphfib.repspaces import OrbitClass
-from graphfib.tensors import build_T
+from graphfib.diagrams import diagram_from_json
+from graphfib.freeprod import closure_from_json
+from graphfib.graphs import graph_from_json
+from graphfib.partitions import partition_from_json
+from graphfib.repspaces import OrbitClass, dim_report, verify_THpart
+from graphfib.tensors import (
+    build_T,
+    build_That,
+    moebius_expand,
+    tensor_from_json,
+    tensor_to_json,
+    verify_functor,
+    verify_that_sums,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -1129,15 +1142,38 @@ def test_tensor_survives_arbitrary_json(tmp_path_factory, graph, diagram, mode):
     assert "Traceback" not in err
 
 
+def run_on_objects(tmp_path_factory, command, objects, rest=()):
+    """Exit code and stdout of one in-process run of ``command``, each JSON
+    object of ``objects`` written to a file and passed in order, then ``rest``."""
+    path = tmp_path_factory.mktemp(command[0])
+    files = []
+    for i, obj in enumerate(objects):
+        files.append(str(path / f"input{i}.json"))
+        (path / f"input{i}.json").write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, *files, *rest])
+    return code, out.getvalue()
+
+
 def tensor_stdout(tmp_path_factory, graph, diagram, mode):
     """Stdout of one in-process ``tensor`` run, which must succeed."""
-    path = tmp_path_factory.mktemp("tensor")
-    (path / "graph.json").write_text(json.dumps(graph))
-    (path / "diagram.json").write_text(json.dumps(diagram))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["tensor", str(path / "graph.json"), str(path / "diagram.json"), "--mode", mode]) == 0
-    return out.getvalue()
+    code, out = run_on_objects(tmp_path_factory, ["tensor"], [graph, diagram], ["--mode", mode])
+    assert code == 0
+    return out
+
+
+def renumbered_graph(graph, pi):
+    return {"n": graph["n"], "edges": [[pi[u], pi[v]] for u, v in graph["edges"]]}
+
+
+def renumbered_diagram(diagram, sigma):
+    """The diagram with vertex ``v`` renamed ``sigma[v]``, its labels along."""
+    return {
+        "graph": renumbered_graph(diagram["graph"], sigma),
+        "inputs": [sigma[v] for v in diagram["inputs"]],
+        "outputs": [sigma[v] for v in diagram["outputs"]],
+    }
 
 
 @settings(max_examples=100, deadline=None)
@@ -1145,13 +1181,8 @@ def tensor_stdout(tmp_path_factory, graph, diagram, mode):
 def test_renumbering_the_diagram_keeps_the_tensor(tmp_path_factory, graph, diagram, mode, data):
     # the labels move with their vertices, so every map keeps its label images
     sigma = data.draw(st.permutations(range(diagram["graph"]["n"])))
-    renamed = {
-        "graph": {"n": len(sigma), "edges": [[sigma[u], sigma[v]] for u, v in diagram["graph"]["edges"]]},
-        "inputs": [sigma[v] for v in diagram["inputs"]],
-        "outputs": [sigma[v] for v in diagram["outputs"]],
-    }
     want = tensor_stdout(tmp_path_factory, graph, diagram, mode)
-    assert tensor_stdout(tmp_path_factory, graph, renamed, mode) == want
+    assert tensor_stdout(tmp_path_factory, graph, renumbered_diagram(diagram, sigma), mode) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -1161,13 +1192,124 @@ def test_renumbering_the_host_moves_every_leg(tmp_path_factory, graph, diagram, 
     # (pi(c_1), ..., pi(c_m)), whichever leg a digit of the flat index is
     n = graph["n"]
     pi = data.draw(st.permutations(range(n)))
-    renamed = {"n": n, "edges": [[pi[a], pi[b]] for a, b in graph["edges"]]}
     before = json.loads(tensor_stdout(tmp_path_factory, graph, diagram, mode))
     legs = before["k"] + before["l"]
     moved = [None] * len(before["entries"])
     for x, value in enumerate(before["entries"]):
         moved[sum(pi[x // n**j % n] * n**j for j in range(legs))] = value
-    assert json.loads(tensor_stdout(tmp_path_factory, renamed, diagram, mode)) == dict(before, entries=moved)
+    after = json.loads(tensor_stdout(tmp_path_factory, renumbered_graph(graph, pi), diagram, mode))
+    assert after == dict(before, entries=moved)
+
+
+@pytest.mark.parametrize("law", ["functor", "that", "moebius"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_renumbering_the_checks_keeps_the_verdict(tmp_path_factory, law, data):
+    # renumbering a check's host moves the entries of both sides of its law
+    # alike, and renumbering a diagram's vertices, its labels along, keeps
+    # the diagram's tensor: each law holds or fails as before, and the
+    # reports are as many.  No check has frozen tensors, which would move.
+    sides = ("diagram",) if law == "moebius" else ("left", "right")
+    checks = data.draw(
+        st.lists(st.fixed_dictionaries({"graph": well_formed_graphs(4), **dict.fromkeys(sides, well_formed_diagrams())}),
+                 min_size=1, max_size=2)
+    )
+    renamed = []
+    for check in checks:
+        pi = data.draw(st.permutations(range(check["graph"]["n"])))
+        moved = {"graph": renumbered_graph(check["graph"], pi)}
+        for side in sides:
+            sigma = data.draw(st.permutations(range(check[side]["graph"]["n"])))
+            moved[side] = renumbered_diagram(check[side], sigma)
+        renamed.append(moved)
+
+    def verdict(checks):
+        code, out = run_on_objects(tmp_path_factory, ["verify", law], [{"checks": checks}])
+        return code, out and {key: json.loads(out)[key] for key in ("ok", "checks")}
+
+    assert verdict(renamed) == verdict(checks)
+
+
+@st.composite
+def groups_and_closures(draw):
+    """A group's JSON with the JSON of a word closure over its points: S_2 to
+    S_4, Aut of a graph on at most 5 vertices, or the rotations of a 4-cycle
+    fixing a fifth point as an element list; with no closure, a racg closure
+    (some letter pairs xyxy and all their images), or a finite-model closure
+    (all images of one word, some times with every letter pair commuting)."""
+    rotations = [[(x + r) % 4 for x in range(4)] + [4] for r in range(4)]
+    group = draw(
+        st.builds(lambda n: {"symmetric": n}, st.integers(2, 4))
+        | st.builds(lambda g: {"automorphisms_of": g}, well_formed_graphs(5))
+        | st.just({"degree": 5, "elements": rotations})
+    )
+    h = repspaces.group_from_json(group)
+    n = h.degree
+    kind = draw(st.sampled_from(["null", "racg", "finite-model"] if n >= 2 else ["null"]))
+    if kind == "null":
+        return group, None
+    letters = st.integers(0, n - 1)
+    if kind == "racg":
+        pairs = draw(st.lists(st.tuples(letters, letters).filter(lambda p: p[0] != p[1]), min_size=1, max_size=3))
+        seeds = [(x, y, x, y) for x, y in pairs]
+    else:
+        seeds = [tuple(draw(st.lists(letters, min_size=1, max_size=4)))]
+    words = {tuple(s[x] for x in w) for s in h.elements for w in seeds}
+    if kind == "finite-model" and draw(st.booleans()):
+        words |= {(x, y, x, y) for x, y in itertools.combinations(range(n), 2)}
+    return group, {"alphabet": n, "generators": sorted(map(list, words)), "strategy": kind}
+
+
+def conjugated(group, pi):
+    """The group's JSON with each element ``s`` replaced by ``pi s pi^-1``."""
+    if "automorphisms_of" in group:
+        return {"automorphisms_of": renumbered_graph(group["automorphisms_of"], pi)}
+    if "elements" in group:
+        elements = []
+        for s in group["elements"]:
+            t = [0] * len(s)
+            for x, y in enumerate(s):
+                t[pi[x]] = pi[y]
+            elements.append(t)
+        return dict(group, elements=elements)
+    return group
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=groups_and_closures(), m=st.integers(0, 4), data=st.data())
+def test_conjugating_the_group_keeps_the_dimension(tmp_path_factory, case, m, data):
+    # pi sends orbits to orbits of the same size and each pair word to its
+    # renamed word, so dim, burnside, rank and the sizes of the accepted and
+    # refused orbits stay; an indeterminate verdict stays indeterminate
+    k = data.draw(st.integers(0, m))
+    group, closure = case
+    pi = data.draw(st.permutations(range(repspaces.group_from_json(group).degree)))
+    renamed = None if closure is None else dict(closure, generators=[[pi[x] for x in w] for w in closure["generators"]])
+
+    def outcome(group, closure):
+        code, out = run_on_objects(tmp_path_factory, ["dim"], [group, closure], [str(k), str(m - k)])
+        if code:
+            return code
+        report = json.loads(out)
+        sizes = collections.Counter((o["size"], o["accepted"]) for o in report["orbits"])
+        return report["dim"], report["burnside"], report["rank"], sizes
+
+    assert outcome(conjugated(group, pi), renamed) == outcome(group, closure)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group=groups_and_closures().map(lambda case: case[0]), m=st.integers(0, 4), data=st.data())
+def test_conjugating_the_group_keeps_the_orbit_sizes(tmp_path_factory, group, m, data):
+    k = data.draw(st.integers(0, m))
+    pi = data.draw(st.permutations(range(repspaces.group_from_json(group).degree)))
+
+    def outcome(group):
+        code, out = run_on_objects(tmp_path_factory, ["orbits"], [group], [str(k), str(m - k)])
+        assert code == 0
+        listing = json.loads(out)
+        return listing["count"], listing["burnside"], collections.Counter(o["size"] for o in listing["orbits"])
+
+    assert outcome(conjugated(group, pi)) == outcome(group)
 
 
 @pytest.mark.parametrize("law", sorted(CHECKS))
@@ -1281,6 +1423,74 @@ def test_orbits_rejects_negative_label_counts(capsys):
         main(["orbits", fx("group_s3.json"), "1", "-2"])
     assert exc.value.code == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# output oracle: stdout is the library's payload as json.dumps writes it
+
+
+def dumped(payload):
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def fixture_json(name):
+    with open(fx(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "graph, diagram, mode",
+    [("k3.json", "edge_diagram.json", "hom"), ("k3_graph6.json", "pair_points_diagram.json", "inj"),
+     ("k2.json", "identity_diagram.json", "hom")],
+)
+def test_tensor_prints_the_tensor_as_json_dumps_does(capsys, graph, diagram, mode):
+    g, d = graph_from_json(fixture_json(graph)), diagram_from_json(fixture_json(diagram))
+    t = build_That(g, d) if mode == "inj" else build_T(g, d)
+    assert run(capsys, "tensor", fx(graph), fx(diagram), "--mode", mode) == (0, dumped(tensor_to_json(t)), "")
+
+
+def verify_reports(law, check):
+    if law == "thpart":
+        return [verify_THpart(repspaces.group_from_json(check["group"]), partition_from_json(check["partition"]))]
+    if law == "moebius":
+        return [moebius_expand(graph_from_json(check["graph"]), diagram_from_json(check["diagram"]))]
+    frozen = {side: tensor_from_json(t) for side, t in check.get("expect", {}).items()}
+    verify = verify_functor if law == "functor" else verify_that_sums
+    return verify(graph_from_json(check["graph"]), diagram_from_json(check["left"]), diagram_from_json(check["right"]), frozen)
+
+
+@pytest.mark.parametrize(
+    "law, fixtures, code",
+    [("functor", "functor_checks.json", 0), ("functor", "functor_checks_bad.json", 1), ("that", "that_checks.json", 0),
+     ("moebius", "moebius_checks.json", 0), ("thpart", "thpart_checks.json", 0)],
+)
+def test_verify_prints_its_reports_as_json_dumps_does(capsys, law, fixtures, code):
+    reports = [(i, rep) for i, check in enumerate(fixture_json(fixtures)["checks"]) for rep in verify_reports(law, check)]
+    failures = [{"check": i, "law": rep["law"], "first_diff": rep["first_diff"]} for i, rep in reports if not rep["ok"]]
+    payload = {"law": law, "checks": len(reports), "ok": not failures, "failures": failures}
+    assert run(capsys, "verify", law, fx(fixtures)) == (code, dumped(payload), "")
+
+
+@pytest.mark.parametrize(
+    "group, words, k, l",
+    [("group_swap3.json", "abab3_closure.json", 0, 2), ("group_s3.json", "null.json", 1, 1),
+     ("group_s2_elements.json", "full_filter2.json", 1, 1), ("group_swap3.json", "abab3_closure.json", 2, 2)],
+)
+def test_dim_prints_its_report_as_json_dumps_does(capsys, group, words, k, l):
+    closure = fixture_json(words)
+    closure = None if closure is None else closure_from_json(closure)
+    payload = dim_report(repspaces.group_from_json(fixture_json(group)), closure, k, l)
+    assert run(capsys, "dim", fx(group), fx(words), str(k), str(l)) == (0, dumped(payload), "")
+
+
+@pytest.mark.parametrize(
+    "group, k, l", [("group_swap3.json", 0, 2), ("group_s3.json", 1, 1), ("group_s2_elements.json", 2, 1)]
+)
+def test_orbits_prints_its_listing_as_json_dumps_does(capsys, group, k, l):
+    h = repspaces.group_from_json(fixture_json(group))
+    orbs = [{"a": list(o.a), "b": list(o.b), "size": o.size} for o in repspaces.orbits(h, k, l)]
+    payload = {"k": k, "l": l, "count": len(orbs), "burnside": repspaces.burnside_dim(h, k, l), "orbits": orbs}
+    assert run(capsys, "orbits", fx(group), str(k), str(l)) == (0, dumped(payload), "")
 
 
 # ---------------------------------------------------------------------------
@@ -1437,6 +1647,15 @@ def test_deeply_nested_json_is_bad_input(capsys, tmp_path, argv):
     deep.write_text("[" * 5000 + "]" * 5000)
     code, out, err = run(capsys, *(arg.format(deep=deep) for arg in argv))
     assert (code, out) == (2, "") and err == f"error: {deep}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("content", [b'{"a": 1,}', b"\xff\xfe{}"], ids=["trailing-comma", "not-utf-8"])
+def test_a_json_file_that_cannot_be_read_is_named(capsys, tmp_path, content):
+    # the second of two input files: the message says which one is bad
+    words = tmp_path / "words.json"
+    words.write_bytes(content)
+    code, out, err = run(capsys, "dim", fx("group_s3.json"), str(words), "1", "1")
+    assert (code, out) == (2, "") and err.startswith(f"error: {words}: "), err
 
 
 MUTATED_COMMANDS = [

@@ -352,12 +352,20 @@ def benchmark_fibration_json(shapes, kind, visited, easy, bound):
 
 with open(os.path.join(os.path.dirname(__file__), "fixtures", "edge_fibration.json"), encoding="utf-8") as fh:
     EDGE_FIBRATION_JSON = json.load(fh)
+# The closure benchmark's largest listings, at its 90th percentile: skew K2
+# with a loop, its word xyxy, at 4 vertices (50 fibres, about 6 kB of JSON).
+K2_LOOP_FIBRATION_JSON = {
+    "generators": [{"graph": {"n": 2, "edges": [[0, 1], [0, 0]]}, "inputs": [], "outputs": [0, 1, 0, 1]}],
+    "easy": False,
+    "max_vertices": 4,
+    "strategy": "auto",
+}
 
 
 @pytest.mark.parametrize(
     "fibration",
-    [benchmark_fibration_json(*params) for params in BENCHMARK_FIBRATIONS] + [EDGE_FIBRATION_JSON],
-    ids=BENCHMARK_IDS + ["edge-fibration-fixture"],
+    [benchmark_fibration_json(*params) for params in BENCHMARK_FIBRATIONS] + [EDGE_FIBRATION_JSON, K2_LOOP_FIBRATION_JSON],
+    ids=BENCHMARK_IDS + ["edge-fibration-fixture", "skew-K2loop-4"],
 )
 def test_the_closure_listing_matches_one_built_from_graphs(fibration, tmp_path, capsys):
     # the listing reads each fibre's edges from its mask; the oracle builds a

@@ -4,7 +4,7 @@ import pytest
 
 from graphfib.diagrams import BilabelledGraph, bl_f_compose
 from graphfib.fibrations import GraphFibration
-from graphfib.graphs import complete, cycle, parse_graph6
+from graphfib.graphs import complete, cycle, graph_from_json, parse_graph6
 from graphfib.tensors import compose, tensor_product, zero_tensor
 
 EDGE = BilabelledGraph(complete(2), (0,), (1,))
@@ -38,3 +38,20 @@ def test_bad_input_raises_a_value_error_naming_it(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [[0], [0, 1, 1], [0, True], [False, 1], [0, 1.0], (0, 1), {"0": 1}, "01", 0, None],
+    ids=["one-entry", "three-entries", "bool", "bool-first", "float", "tuple", "object", "string", "int", "null"],
+)
+def test_an_edge_that_is_not_a_pair_of_integers_is_refused(edge):
+    with pytest.raises(ValueError) as info:
+        graph_from_json({"n": 2, "edges": [[0, 1], edge]})
+    assert str(info.value) == "graph JSON edges must be pairs of integers"
+
+
+def test_an_edge_out_of_range_is_named_as_a_pair():
+    with pytest.raises(ValueError) as info:
+        graph_from_json({"n": 2, "edges": [[0, 1], [1, 2]]})
+    assert str(info.value) == "edge (1, 2) out of range for 2 vertices"
