@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 capacity bound
 hit or memory exhausted, 4 indeterminate membership, 5 broken internal
 invariant (a bug).  All output is deterministic: JSON goes through one shared
-encoder with sorted keys, listings are canonically ordered.
+encoder with sorted keys, listings are canonically ordered.  argparse writes
+every usage, help and error message, and a plain command line is read from
+the same declarations without running argparse.
 """
 
 from __future__ import annotations
@@ -256,8 +258,61 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _plain_commands():
+    """``build_parser``'s declarations as ``_plain_args`` reads them: for each
+    subcommand, the namespace its bare name gives, its positionals in order
+    and its long options by name.  A subcommand with any action other than a
+    single-valued store (``-h`` aside) or with a required option is left out."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    top = {a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}
+    commands = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        plain = (type(a) is argparse._StoreAction and a.nargs is None for a in actions)
+        if all(plain) and not any(a.required and a.option_strings for a in actions):
+            values = {**top, "command": name, **{a.dest: a.default for a in actions}, **p._defaults}
+            options = {s: a for a in actions for s in a.option_strings if s.startswith("--")}
+            commands[name] = values, [a for a in actions if not a.option_strings], options
+    return commands
+
+
+def _plain_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read from the
+    parser's own actions when ``argv`` is plain: a subcommand, then its
+    positionals in order and its own long options, each at most once as
+    ``--opt value``, every value passing the action's ``type`` and
+    ``choices``.  None for any other command line, which argparse then reads,
+    so that argparse writes every usage, help and error message."""
+    command = _plain_commands().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values, positionals, options = command
+    values, options = dict(values), dict(options)
+    positionals, tokens = iter(positionals), iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):  # an option, given once, with a value that is no option
+            action, token = options.pop(token, None), next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        else:
+            action = next(positionals, None)
+        if action is None:
+            return None
+        try:
+            value = action.type(token) if action.type else token
+        except (argparse.ArgumentTypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return None if next(positionals, None) else argparse.Namespace(**values)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         config = Config(_load_json(args.config) if args.config else {})
         if args.threads < 1:

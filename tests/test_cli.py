@@ -1785,3 +1785,149 @@ def test_one_process_reuses_the_parser_without_carrying_state(capsys):
     assert [code for code, _ in in_process] == [2, 3, 0, 0]
     assert in_process == [run_in_child(*argv)[:2] for argv in argvs]
     assert cli.build_parser() is cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# command lines: a plain one is read from the parser's own actions, and every
+# other one reaches argparse, which writes every usage, help and error text
+
+COMMANDS = ("tensor", "verify", "dim", "closure", "orbits")
+
+
+def argparse_reading(argv):
+    """``vars`` of argparse's namespace for ``argv``, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_exits_0_with_argparse_usage_on_stdout(capsys, command):
+    argv = [command, "-h"] if command else ["-h"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith(f"usage: graphfib {command or ''}".rstrip() + " [-h]")
+    if command is None:
+        assert out == cli.build_parser().format_help()
+
+
+@pytest.mark.parametrize(
+    "declined, plain",
+    [
+        (["--mode=inj"], ["--mode", "inj"]),
+        (["--mo", "inj"], ["--mode", "inj"]),
+        (["--format", "csv", "--format", "json"], ["--format", "json"]),
+        (["--format=csv", "--mode=inj"], ["--mode", "inj", "--format", "csv"]),
+    ],
+)
+def test_option_forms_left_to_argparse_read_as_the_plain_form(capsys, declined, plain):
+    argv = ["tensor", fx("k2.json"), fx("pair_points_diagram.json")]
+    assert argparse_reading(argv + declined) == argparse_reading(argv + plain)
+    assert run(capsys, *argv, *declined) == run(capsys, *argv, *plain)
+
+
+def test_top_level_flags_before_the_subcommand_still_parse(capsys):
+    argv = ["tensor", fx("k3.json"), fx("edge_diagram.json"), "--format", "csv"]
+    flagged = ["--seed", "7", "--threads", "2", "--bigint", *argv]
+    assert argparse_reading(flagged) == {**argparse_reading(argv), "seed": 7, "threads": 2, "bigint": True}
+    assert run(capsys, *flagged) == run(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tensor", fx("k3.json"), fx("edge_diagram.json"), "extra"],
+        ["dim", fx("group_s3.json"), fx("null.json"), "1"],
+        ["tensor", fx("k3.json"), fx("edge_diagram.json"), "--mode"],
+        ["tensor", fx("k3.json"), fx("edge_diagram.json"), "--mode", "all"],
+        ["verify", "laws", fx("functor_checks.json")],
+        ["closure", fx("edge_fibration.json"), "--mode", "inj"],
+    ],
+    ids=["extra-positional", "missing-positional", "option-without-value", "outside-choices", "law-outside-choices", "foreign-option"],
+)
+def test_a_wrong_command_line_exits_2_with_argparse_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: graphfib ") and "error: " in err
+
+
+ARGV_TOKENS = [
+    *COMMANDS, "g.json", "d.json", "", "-", "--", "-1", "+3", "3_0", "٣", "0", "2",
+    "--mode", "--mode=inj", "--mo", "--format", "--format=csv", "--form", "-h", "--help",
+    "--config", "--config=c.json", "--seed", "--seed=7", "--threads", "--bigint", "--big",
+    "hom", "inj", "json", "csv", "xml", "functor", "that", "moebius", "thpart", "laws",
+]
+
+PLAIN_ARGV = [
+    ["tensor", "g.json", "d.json", "--mode", "inj", "--format", "csv"],
+    ["tensor", "--format", "json", "g.json", "--mode", "hom", "d.json"],
+    ["verify", "moebius", "f.json"],
+    ["dim", "g.json", "w.json", "+3", "3_0"],
+    ["closure", "f.json"],
+    ["orbits", "g.json", "٣", "0"],
+]
+
+
+@st.composite
+def command_lines(draw):
+    """Random tokens, or a plain command line with up to two tokens edited."""
+    tokens = st.sampled_from(ARGV_TOKENS)
+    if draw(st.booleans()):
+        return draw(st.lists(tokens, max_size=8))
+    argv = list(draw(st.sampled_from(PLAIN_ARGV)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            argv.insert(i, draw(tokens))
+        elif i < len(argv):
+            argv[i:i + 1] = [draw(tokens)] if edit == "replace" else []
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["tensor", "-h"],
+        ["tensor", "g.json", "d.json", "--mode=inj"],
+        ["tensor", "g.json", "d.json", "--mo", "inj"],
+        ["tensor", "g.json", "d.json", "--format", "csv", "--format", "json"],
+        ["--seed", "7", "tensor", "g.json", "d.json"],
+        ["tensor", "--", "g.json", "d.json"],
+        ["tensor", "g.json", "d.json", "extra"],
+        ["dim", "g.json", "w.json", "1"],
+        ["dim", "g.json", "w.json", "1", "x"],
+        ["verify", "laws", "f.json"],
+        ["closure", "-"],
+        ["frobnicate"],
+        [],
+    ],
+)
+def test_the_plain_reader_declines_what_only_argparse_reads(argv):
+    assert cli._plain_args(argv) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_the_plain_reader_agrees_with_argparse_or_declines(argv):
+    reading = cli._plain_args(argv)
+    theirs = argparse_reading(argv)
+    if not isinstance(theirs, dict):  # argparse exits: it writes the message
+        assert reading is None
+    else:
+        assert reading is None or vars(reading) == theirs
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV)
+def test_a_plain_command_line_never_reaches_argparse(monkeypatch, argv):
+    parser = cli.build_parser()
+    want = argparse_reading(argv)
+    monkeypatch.setattr(parser, "parse_args", lambda *a: pytest.fail("argparse ran"))
+    assert vars(cli._plain_args(argv)) == want
