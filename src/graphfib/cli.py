@@ -11,9 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 capacity bound
 hit or memory exhausted, 4 indeterminate membership, 5 broken internal
 invariant (a bug).  All output is deterministic: JSON goes through one shared
-encoder with sorted keys, listings are canonically ordered.  argparse writes
-every usage, help and error message, and a plain command line is read from
-the same declarations without running argparse.
+encoder with sorted keys, listings are canonically ordered.  Every argument
+is declared once, in one table (``_OPTIONS`` and ``_COMMANDS``): argparse is
+built from it and writes every usage, help and error message, and a plain
+command line is read from the same table without running argparse.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def cmd_orbits(args, config):
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# the command line, declared once
 
 
 def _label_count(text):
@@ -204,117 +205,96 @@ def _label_count(text):
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"label count must be a non-negative integer, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"label count must be a non-negative integer, got {text!r}")
     return value
+
+
+# Every argument is declared once, by its name and the keywords
+# ``add_argument`` takes: ``build_parser`` adds them to argparse, and
+# ``_plain_args`` reads plain command lines from them.  A subcommand is its
+# function, help, positionals in order and options; each of its arguments
+# takes one value, and every option names its default.
+_OPTIONS = {
+    "--config": {"default": None, "help": "JSON file overriding default bounds"},
+    "--seed": {"type": int, "default": 0, "help": "seed accepted for interface parity; commands are deterministic"},
+    "--threads": {"type": int, "default": 1, "help": "accepted for interface parity; execution is single-threaded"},
+    "--bigint": {"action": "store_true", "default": False,
+                 "help": "accepted for interface parity; integers are always arbitrary precision"},
+}
+_LABEL_COUNT = {"type": _label_count}
+_COMMANDS = {
+    "tensor": (cmd_tensor, "homomorphism-count tensor of a diagram into a graph", {"graph": {}, "diagram": {}}, {
+        "--mode": {"choices": ("hom", "inj"), "default": "hom",
+                   "help": "count all homomorphisms (hom) or injective ones only (inj)"},
+        "--format": {"choices": ("json", "csv"), "default": "json"},
+    }),
+    "verify": (cmd_verify, "re-derive both sides of an identity over fixtures",
+               {"law": {"choices": ("functor", "that", "moebius", "thpart")}, "fixtures": {}}, {}),
+    "dim": (cmd_dim, "morphism-space dimension for a group and a word closure",
+            {"group": {}, "words": {}, "k": _LABEL_COUNT, "l": _LABEL_COUNT}, {}),
+    "closure": (cmd_closure, "list the fibres of a fibration", {"fibration": {}}, {}),
+    "orbits": (cmd_orbits, "label-pair orbits of a permutation group",
+               {"group": {}, "k": _LABEL_COUNT, "l": _LABEL_COUNT}, {}),
+}
+# The namespace each subcommand's bare name gives, which ``_plain_args`` copies.
+_BARE = {
+    name: {**{flag[2:]: kw["default"] for flag, kw in (*_OPTIONS.items(), *options.items())}, "command": name, "func": func}
+    for name, (func, _, _, options) in _COMMANDS.items()
+}
 
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls and returns a fresh namespace each time."""
+    """The argument parser, built once per process from the table: ``parse_args``
+    keeps no state between calls and returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(prog="graphfib", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="JSON file overriding default bounds")
-    parser.add_argument("--seed", type=int, default=0, help="seed accepted for interface parity; commands are deterministic")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for interface parity; execution is single-threaded")
-    parser.add_argument("--bigint", action="store_true", help="accepted for interface parity; integers are always arbitrary precision")
+    for flag, keywords in _OPTIONS.items():
+        parser.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tensor", help="homomorphism-count tensor of a diagram into a graph")
-    p.add_argument("graph")
-    p.add_argument("diagram")
-    p.add_argument(
-        "--mode",
-        choices=("hom", "inj"),
-        default="hom",
-        help="count all homomorphisms (hom) or injective ones only (inj)",
-    )
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("verify", help="re-derive both sides of an identity over fixtures")
-    p.add_argument("law", choices=("functor", "that", "moebius", "thpart"))
-    p.add_argument("fixtures")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("dim", help="morphism-space dimension for a group and a word closure")
-    p.add_argument("group")
-    p.add_argument("words")
-    p.add_argument("k", type=_label_count)
-    p.add_argument("l", type=_label_count)
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("closure", help="list the fibres of a fibration")
-    p.add_argument("fibration")
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("orbits", help="label-pair orbits of a permutation group")
-    p.add_argument("group")
-    p.add_argument("k", type=_label_count)
-    p.add_argument("l", type=_label_count)
-    p.set_defaults(func=cmd_orbits)
-
+    for name, (func, summary, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for arg, keywords in (*positionals.items(), *options.items()):
+            p.add_argument(arg, **keywords)
+        p.set_defaults(func=func)
     return parser
-
-
-@functools.cache
-def _plain_commands():
-    """``build_parser``'s declarations as ``_plain_args`` reads them: for each
-    subcommand, the namespace its bare name gives, its positionals in order
-    and its long options by name.  A subcommand with any action other than a
-    single-valued store (``-h`` aside) or with a required option is left out."""
-    parser = build_parser()
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    top = {a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}
-    commands = {}
-    for name, p in sub.choices.items():
-        actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
-        plain = (type(a) is argparse._StoreAction and a.nargs is None for a in actions)
-        if all(plain) and not any(a.required and a.option_strings for a in actions):
-            values = {**top, "command": name, **{a.dest: a.default for a in actions}, **p._defaults}
-            options = {s: a for a in actions for s in a.option_strings if s.startswith("--")}
-            commands[name] = values, [a for a in actions if not a.option_strings], options
-    return commands
 
 
 def _plain_args(argv):
     """The namespace ``build_parser().parse_args(argv)`` returns, read from the
-    parser's own actions when ``argv`` is plain: a subcommand, then its
-    positionals in order and its own long options, each at most once as
-    ``--opt value``, every value passing the action's ``type`` and
-    ``choices``.  None for any other command line, which argparse then reads,
-    so that argparse writes every usage, help and error message."""
-    command = _plain_commands().get(argv[0]) if argv else None
+    table when ``argv`` is plain: a subcommand, then its positionals in order
+    and its own options, each at most once as ``--opt value``, every value
+    passing its ``type`` and ``choices``.  None for any other command line,
+    which argparse then reads, so that it writes every message."""
+    command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    values, positionals, options = command
-    values, options = dict(values), dict(options)
-    positionals, tokens = iter(positionals), iter(argv[1:])
+    args, options = argparse.Namespace(), dict(command[3])
+    values, positionals, tokens = vars(args), iter(command[2].items()), iter(argv[1:])
+    values.update(_BARE[argv[0]])
     for token in tokens:
         if token.startswith("-"):  # an option, given once, with a value that is no option
-            action, token = options.pop(token, None), next(tokens, "-")
+            dest, keywords, token = token[2:], options.pop(token, None), next(tokens, "-")
             if token.startswith("-"):
                 return None
         else:
-            action = next(positionals, None)
-        if action is None:
+            dest, keywords = next(positionals, (None, None))
+        if keywords is None:
             return None
         try:
-            value = action.type(token) if action.type else token
+            value = keywords["type"](token) if "type" in keywords else token
         except (argparse.ArgumentTypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in keywords and value not in keywords["choices"]:
             return None
-        values[action.dest] = value
-    return None if next(positionals, None) else argparse.Namespace(**values)
+        values[dest] = value
+    return None if next(positionals, None) else args
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
-        config = Config(_load_json(args.config) if args.config else {})
+        config = Config({} if args.config is None else _load_json(args.config))
         if args.threads < 1:
             raise ValueError("--threads must be at least 1")
         return args.func(args, config)

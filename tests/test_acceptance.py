@@ -1,10 +1,11 @@
-"""Acceptance gate: ten exact checks, one printed pass/fail line each.
+"""Acceptance gate: eleven exact checks, one printed pass/fail line each.
 
 Every comparison is integer-exact.  Oracles are independent of the code
 under test wherever the checked statement has two sides: dimension tables
 come from a rewriting-system word problem and from explicit signed
 permutation matrices, closure contents from brute-force graph predicates,
-and corruption controls from frozen tensors.
+corruption controls from frozen tensors, and the tensors of a fibration's
+diagrams from the orbits of the group it comes from.
 """
 
 import random
@@ -14,8 +15,10 @@ from itertools import combinations, permutations, product
 from graphfib.diagrams import BilabelledGraph
 from graphfib.fibrations import (
     GraphFibration,
+    diagram_member,
     fiber_generators,
     fiber_member,
+    fibration_from_group,
     is_fiber,
 )
 from graphfib.freeprod import Membership, MembershipPolicy, NormalClosureSpec, apply_letter_map
@@ -395,3 +398,67 @@ def test_criterion_10_negative_controls():
         diff = compare_tensors(wrong, frozen)
         assert diff is not None and set(diff) == diff_keys
         assert verify_THpart(group, ker("a", "a"))["ok"]
+
+
+def every_diagram(max_vertices=3, max_labels=4):
+    """Every diagram on a loopless graph with labelled vertices, one to
+    ``max_vertices`` of them, and at most ``max_labels`` labels, split every
+    way into inputs and outputs."""
+    for n in range(1, max_vertices + 1):
+        pairs = list(combinations(range(n), 2))
+        for size in range(len(pairs) + 1):
+            for edges in combinations(pairs, size):
+                for m in range(max_labels + 1):
+                    for labels in product(range(n), repeat=m):
+                        for k in range(m + 1):
+                            yield BilabelledGraph(Graph(n, edges), labels[:k], labels[k:])
+
+
+def theorem_mismatches(group, closure, accepted):
+    """The ``(k, l)``, ``k + l <= 4``, at which a tensor in ``accepted[k, l]``
+    is nonzero off the orbits whose pair word ``closure`` accepts, or at which
+    their exact rank differs from ``dim``."""
+    found = []
+    for k in range(5):
+        for l in range(5 - k):
+            report = dim_report(group, closure, k, l)
+            support = set()
+            for o in report["orbits"]:
+                if o["accepted"]:
+                    entries = build_That_H(group, o["a"], o["b"]).entries
+                    support.update(i for i, x in enumerate(entries) if x)
+            tensors = accepted.get((k, l), [])
+            inside = all(i in support for t in tensors for i, x in enumerate(t.entries) if x)
+            if not inside or exact_rank([t.entries for t in tensors]) != report["dim"]:
+                found.append((k, l))
+    return found
+
+
+def test_criterion_11_diagram_tensors_span_the_orbit_spaces():
+    # The paper's theorem joins the two sides: the tensors of the diagrams a
+    # fibration built from K and a word closure accepts span the space whose
+    # dimension ``dim`` gives for Aut(K) and that closure.
+    with _criterion(11, "diagram tensors span the orbit spaces") as c:
+        racg = MembershipPolicy("racg")
+        k2_k1 = disjoint_union(complete(2), edgeless(1))
+        abab = NormalClosureSpec(3, [(0, 1, 0, 1)], racg)
+        xyxy = NormalClosureSpec(3, [(i, j, i, j) for i, j in combinations(range(3), 2)], racg)
+        cases = [(k2_k1, abab, False, 846), (k2_k1, abab, True, 893), (edgeless(3), xyxy, False, 161)]
+        for host, closure, easy, members in cases:
+            fib = fibration_from_group(host, closure, easy)
+            group = graph_automorphism_group(host)
+            accepted, seen = {}, 0
+            for d in every_diagram():
+                seen += 1
+                verdict = diagram_member(fib, d)
+                assert verdict is not Membership.UNKNOWN
+                if verdict is Membership.YES:
+                    accepted.setdefault((d.k, d.l), []).append(build_T(host, d))
+            assert seen == 4649 and sum(map(len, accepted.values())) == members
+            assert theorem_mismatches(group, closure, accepted) == []
+
+        # negative control: the closure with no words accepts fewer orbits on
+        # four labels than the last case's diagrams span, and the check sees it
+        wordless = NormalClosureSpec(3, [], racg)
+        assert theorem_mismatches(group, wordless, accepted) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+        assert c.elapsed() < 10.0

@@ -1550,6 +1550,13 @@ def test_config_rejects_keys_no_subcommand_reads(capsys, tmp_path, key, value):
     assert code == 2 and out == "" and "config JSON has unknown keys" in err
 
 
+@pytest.mark.parametrize("flag", [["--config", ""], ["--config="]], ids=["separate", "joined"])
+def test_an_empty_config_path_fails_to_open(capsys, flag):
+    # an empty path is a path: it is opened, not taken for no config
+    code, out, err = run(capsys, *flag, "orbits", fx("group_s3.json"), "1", "1")
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 2] ")
+
+
 def test_tensor_rejects_a_bool_vertex_count(capsys, tmp_path):
     graph = write_json(tmp_path, "graph.json", {"n": True, "edges": []})
     code, out, err = run(capsys, "tensor", graph, fx("identity_diagram.json"))
@@ -1815,6 +1822,37 @@ def test_help_exits_0_with_argparse_usage_on_stdout(capsys, command):
         assert out == cli.build_parser().format_help()
 
 
+# The usage argparse writes, pinned as literals: one table builds both the
+# parser and the plain reader, so comparing the two cannot see a dropped,
+# renamed or reordered argument, and a literal can.
+USAGE = {
+    None: (
+        "usage: graphfib [-h] [--config CONFIG] [--seed SEED] [--threads THREADS]\n"
+        "                [--bigint]\n"
+        "                {tensor,verify,dim,closure,orbits} ...\n"
+    ),
+    "tensor": (
+        "usage: graphfib tensor [-h] [--mode {hom,inj}] [--format {json,csv}]\n"
+        "                       graph diagram\n"
+    ),
+    "verify": "usage: graphfib verify [-h] {functor,that,moebius,thpart} fixtures\n",
+    "dim": "usage: graphfib dim [-h] group words k l\n",
+    "closure": "usage: graphfib closure [-h] fibration\n",
+    "orbits": "usage: graphfib orbits [-h] group k l\n",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_the_usage_of_each_parser_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    if command is None:
+        assert cli.build_parser().format_usage() == USAGE[None]
+    with pytest.raises(SystemExit):
+        main([command, "-h"] if command else ["-h"])
+    out = capsys.readouterr().out
+    assert out[: out.index("\n\n") + 1] == USAGE[command]  # -h opens with the parser's usage
+
+
 @pytest.mark.parametrize(
     "declined, plain",
     [
@@ -1923,6 +1961,15 @@ def test_the_plain_reader_agrees_with_argparse_or_declines(argv):
         assert reading is None
     else:
         assert reading is None or vars(reading) == theirs
+
+
+def test_every_subcommand_argument_is_one_the_plain_reader_reads():
+    # the plain reader knows these keywords only: a ``nargs`` or an ``action``
+    # would be misread, not declined, and an option's value starts as its default
+    for _, _, positionals, options in cli._COMMANDS.values():
+        for keywords in (*positionals.values(), *options.values()):
+            assert set(keywords) <= {"type", "choices", "default", "help"}
+        assert all(flag.startswith("--") and "default" in kw for flag, kw in options.items())
 
 
 @pytest.mark.parametrize("argv", PLAIN_ARGV)

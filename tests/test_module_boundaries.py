@@ -1,13 +1,13 @@
 """No graphfib module imports another module's private (underscore) names,
-imports a name it never uses, relies on ``assert``, which ``python -O``
-strips, defines a class inside a function, which makes a new class on every
-call, or catches ``KeyError`` or ``TypeError``, which would let a missing
-key or a bug pass for bad input; every public function, class or method
-of a public class has a reader in ``src/`` or a stated reason to stay, and
-then a reader in the tests; every private one has a reader in its own
-module; every ``*_from_json`` reader is public and lives outside ``cli``;
-and the tests' oracles in ``reference.py`` import public graphfib
-names only."""
+reads an underscore attribute it does not define itself, imports a name it
+never uses, relies on ``assert``, which ``python -O`` strips, defines a
+class inside a function, which makes a new class on every call, or catches
+``KeyError`` or ``TypeError``, which would let a missing key or a bug pass
+for bad input; every public function, class or method of a public class
+has a reader in ``src/`` or a stated reason to stay, and then a reader in
+the tests; every private one has a reader in its own module; every
+``*_from_json`` reader is public and lives outside ``cli``; and the tests'
+oracles in ``reference.py`` import public graphfib names only."""
 
 import ast
 import os
@@ -53,6 +53,60 @@ def test_no_private_cross_module_imports(filename):
 def test_the_test_oracles_import_public_names_only():
     with open(os.path.join(ROOT, "tests", "reference.py"), encoding="utf-8") as fh:
         assert private_imports(fh.read()) == []
+
+
+# namedtuple's documented methods and attribute, underscored only to stay clear of field names
+NAMEDTUPLE_API = {"_asdict", "_fields", "_make", "_replace"}
+
+
+def foreign_private_reads(source):
+    """``(line, name)`` for each underscore attribute that ``source`` reads
+    and does not itself define, as a function, method or class, by assigning
+    it, or in ``__slots__``: another module's or library's private internals.
+    Dunder names and :data:`NAMEDTUPLE_API` are public."""
+    tree = ast.parse(source)
+    defined = set(NAMEDTUPLE_API)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+            defined.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", "")
+        dunder = name.startswith("__") and name.endswith("__")
+        if is_attribute_read(node) and name.startswith("_") and not dunder and name not in defined:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_the_scan_finds_private_attributes_defined_elsewhere():
+    source = (
+        "import argparse\n"
+        "class Group:\n"
+        "    __slots__ = ('_gens',)\n"
+        "    def _close(self):\n"
+        "        return self._gens, self._close, self.__class__\n"
+        "def actions(parser, spec):\n"
+        "    spec._seen = set()\n"
+        "    return parser._actions, argparse._StoreAction, spec._seen, spec._asdict(), spec._fields\n"
+        "def defaults(p):\n"
+        "    return p.__dict__, p._defaults, p.__private\n"
+    )
+    assert foreign_private_reads(source) == [
+        (8, "_StoreAction"),
+        (8, "_actions"),
+        (10, "__private"),
+        (10, "_defaults"),
+    ]
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_no_private_attributes_read_from_elsewhere(filename):
+    with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+        assert foreign_private_reads(fh.read()) == []
 
 
 def misplaced_readers(sources):
