@@ -70,13 +70,14 @@ class Config:
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        except ValueError as exc:  # bad syntax, or a byte that is not UTF-8
-            raise ValueError(f"{path}: {exc}") from None
+    with open(path, "rb", buffering=0) as fh:  # decoded below, its line ends turned as text mode turns them
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # bad syntax, or a byte that is not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write(render, payload):

@@ -14,9 +14,11 @@ membership over those words, less the words implied by earlier ones.  A
 fibration holds its inputs only: each query recomputes what it reads, and
 finds the copies by a homomorphism search.  The closure of fibres is built
 only to list them, on adjacency masks, from one ordered list per vertex
-count of the distinct copy masks and reduced words of every generator map;
-each listed fibre reads its words from that list, with no search, and its
-edges from its own mask.
+count of the distinct copy masks and reduced words of every generator map,
+each word's ``xyxy`` letter pair found once.  Each listed fibre reads its
+words from that list in one ordered scan, with no search, and its edges
+from its own mask.  When every word of the list reads ``xyxy``, that scan
+also prunes the words, keeping the first of each letter pair.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .freeprod import (
     MembershipPolicy,
     NormalClosureSpec,
     check_invariance,
+    commuting_pair,
     member,
     policy_from_json,
     prune_reduced_words,
@@ -83,10 +86,10 @@ def closure_graphs(fib):
     masks are the copies, and adding a copy is an OR.
 
     Masks are filed a whole isomorphism class at a time, so a mask not yet
-    filed starts a new class: one pass over the relabelings files its
-    :func:`mask_orbit`, and the least mask of the orbit, its canonical key,
-    is the class's representative.  Any other relabeling of the class
-    reached later costs one set lookup.  The copies of every relabeling of
+    filed starts a new class: one pass over the relabelings gives its
+    :func:`mask_orbit`, whose ``n!`` masks go straight into the filing, and
+    the least of them, its canonical key, is the class's representative.
+    Any other relabeling of the class reached later costs one set lookup.  The copies of every relabeling of
     a graph are the relabelings of its copies, so growing the
     representatives reaches every class.  A copy only adds cells, so masks
     are filed by edge count and the counts are read upward: when a count's
@@ -98,11 +101,14 @@ def closure_graphs(fib):
     A representative's words are those :func:`fiber_generators` gives, read
     from the same list instead of found by a search: the maps whose copy
     mask lies inside the representative's are its homomorphisms, so its
-    boundary words are the words of the pairs inside its mask, kept once
-    each in the order of their first map (:func:`_table_words`).  The list
-    holds them reduced, so they go straight to :func:`prune_reduced_words`,
-    the step :func:`prune_words` ends in, and a word shared by many
-    representatives is reduced once per map, when the list is made.
+    boundary words are the words of the pairs inside its mask, in the order
+    of their first map (:func:`_table_words`).  Each pair's ``xyxy`` letter
+    pair is found once, when the list is made.  When every nonempty word of
+    the list reads ``xyxy``, the one scan that finds a fibre's words also
+    prunes them: it keeps the first word of each letter pair, which is what
+    :func:`prune_reduced_words` keeps of such words.  Any other list gives
+    each fibre's distinct words to :func:`prune_reduced_words`, the step
+    :func:`prune_words` ends in, under one ``auto`` policy made per closure.
     """
     top = fib.max_vertices
     cell_bits(top)  # refuses a bound past the canonical one before any work
@@ -113,10 +119,13 @@ def closure_graphs(fib):
             raise CapacityError(
                 f"a {h.n}-vertex generator has more than {CLOSURE_MAP_BOUND} maps into {top} vertices"
             )
+    auto = fib.policy.replace(strategy="auto")
     members = []
     for n in range(top + 1):
         table = _copy_table(fib, n)
-        copies = {c for c, _ in table if c}
+        xyxy = all(pair for _, w, pair in table if w)
+        scan = [(c, pair if xyxy else w, w) for c, w, pair in table]  # a fibre keeps one word per key
+        copies = {c for c, _, _ in table if c}
         counts = range(n * (n + 1) // 2 + 1)
         filed = [set() for _ in counts]  # by edge count: the masks filed
         reps = [[] for _ in counts]  # by edge count: the representatives
@@ -134,24 +143,24 @@ def closure_graphs(fib):
                     k = m.bit_count()
                     if m in filed[k]:
                         continue
-                    orbit = mask_orbit(n, m)
-                    live += len(orbit)
+                    orbit, known = mask_orbit(n, m), len(filed[k])
+                    filed[k].update(orbit)
+                    live += len(filed[k]) - known
                     if live > CLOSURE_MASK_BOUND:
                         raise CapacityError(
                             f"the closure on {n} vertices files more than {CLOSURE_MASK_BOUND} labelled graphs at once"
                         )
-                    filed[k] |= orbit
                     reps[k].append(min(orbit))
-        members.extend(
-            (n, m, prune_reduced_words(n, _table_words(table, m), fib.policy))
-            for m in sorted(chain.from_iterable(reps))
-        )
+        for m in sorted(chain.from_iterable(reps)):
+            words = _table_words(scan, m)
+            members.append((n, m, words if xyxy else prune_reduced_words(n, words, auto)))
     return [(n, mask_edges(n, m), words) for n, m, words in members]
 
 
 def _copy_table(fib, n):
     """The distinct ``(copy mask, reduced boundary word)`` pairs of every
-    generator map into ``range(n)``, in the order of their first map.
+    generator map into ``range(n)``, in the order of their first map, each
+    with the word's :func:`commuting_pair`: ``(mask, word, pair)``.
 
     Maps are met in the order :func:`_copy_words` meets them: by generator,
     then by image tuple in lexicographic order.  A copy mask is the OR of
@@ -167,30 +176,31 @@ def _copy_table(fib, n):
             for u, v in h.edges:
                 c |= bits[phi[u]][phi[v]]  # an OR: an easy map can send two edges to one cell
             pairs[c, reduce_word(map(phi.__getitem__, labels))] = None
-    return list(pairs)
+    return [(c, w, commuting_pair(w)) for c, w in pairs]
 
 
-def _table_words(table, m):
-    """The reduced, nonempty boundary words of the copies inside the graph
-    with adjacency mask ``m``, each once, ordered by first map: the order in
-    which reducing :func:`_copy_words`'s words first meets them.
+def _table_words(scan, m):
+    """The words of the copies inside the graph with adjacency mask ``m``,
+    one per nonempty key, ordered by first map: ``scan`` holds ``(copy mask,
+    key, word)`` records in first-map order, keyed by the word itself or by
+    its letter pair.
 
     A map whose copy mask lies inside ``m`` is a homomorphism into that
-    graph (an injective one for a skew fibration).  The pairs come in
-    first-map order, so a word's first pair inside ``m`` is its first map
+    graph (an injective one for a skew fibration).  The records come in
+    first-map order, so a word's first record inside ``m`` is its first map
     there.  The closure lists only graphs that its copies cover, so copies
     inside ``m`` that leave one of its cells uncovered are a broken
     invariant.
     """
     words, covered, outside = {}, 0, ~m
-    for c, w in table:
+    for c, key, w in scan:
         if not c & outside:
             covered |= c
-            if w:
-                words[w] = None
+            if key and key not in words:
+                words[key] = w
     if covered != m:
         raise InvariantError("a listed fibre must be covered by the generator copies inside it")
-    return list(words)
+    return tuple(words.values())
 
 
 # ---------------------------------------------------------------------------

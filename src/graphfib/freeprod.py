@@ -365,16 +365,17 @@ def quotient_order_if_finite(spec):
 # strategy: right-angled Coxeter quotients
 
 
-def _commuting_pair(w):
-    """``(x, y)`` when ``w`` reads ``xyxy`` with two distinct letters, else None."""
+def commuting_pair(w):
+    """The unordered letter pair ``(x, y)``, ``x < y``, when ``w`` reads ``xyxy`` or
+    ``yxyx`` with two distinct letters, else None."""
     if len(w) == 4 and w[0] != w[1] and w[0] == w[2] and w[1] == w[3]:
-        return w[0], w[1]
+        return (w[0], w[1]) if w[0] < w[1] else (w[1], w[0])
     return None
 
 
 def racg_eligible(generators):
     """True when every generator reads ``xyxy`` with two distinct letters."""
-    return all(_commuting_pair(w) is not None for w in generators)
+    return all(commuting_pair(w) is not None for w in generators)
 
 
 def _racg_member(comm, word):
@@ -451,7 +452,7 @@ def _decider(alphabet_size, generators, policy):
     ``auto`` tries ``racg``, then ``finite-model``, then ``bounded-bfs``."""
     strategy = policy.strategy
     if strategy in ("auto", "racg") and racg_eligible(generators):
-        comm = {q for p in map(_commuting_pair, generators) for q in (p, p[::-1])}
+        comm = {q for p in map(commuting_pair, generators) for q in (p, p[::-1])}
         return partial(_racg_member, comm)
     if strategy == "racg":
         raise ValueError("racg strategy requires every generator to read xyxy with x != y")
@@ -508,7 +509,7 @@ def prune_reduced_words(alphabet_size, words, policy):
     auto = policy if policy.strategy == "auto" else policy.replace(strategy="auto")
     for w in words:
         if comm is not None:
-            pair = _commuting_pair(w)
+            pair = commuting_pair(w)
             if pair is not None:
                 if pair not in comm:
                     comm.update((pair, pair[::-1]))

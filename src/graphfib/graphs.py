@@ -15,8 +15,8 @@ glues along a partial injection and ``disjoint_union`` along none.
 Adjacency masks number their cells in one table, ``cell_bits``; the
 relabelled masks of a graph come from one packed column per cell,
 ``_relabel_columns``.  ``canonical_form`` takes their least and the
-first permutation reaching it; ``mask_orbit`` keeps them all, as the
-labelled isomorphism class that the closure of a fibration files at once.
+first permutation reaching it; ``mask_orbit`` returns them all, from which
+the closure of a fibration files a labelled isomorphism class at once.
 
 Vertices of an ``n``-vertex graph are always ``0..n-1``.  Edges are unordered
 pairs stored as ``(u, v)`` tuples with ``u <= v``; a pair ``(v, v)`` is a loop.
@@ -748,25 +748,22 @@ def mask_of(n, edges):
 def mask_edges(n, mask):
     """The cells of the adjacency mask ``mask`` on ``n`` vertices, as sorted
     ``(u, v)`` pairs with ``u <= v``."""
-    return [_cells(n)[i] for i in _bits(mask)]
-
-
-def _relabelled_masks(n, mask):
-    """The adjacency mask ``mask`` on ``n`` vertices under each relabeling, a memoryview in the
-    order of :func:`_relabel_columns`: the OR of its cells' columns.  Refused past ``CANONICAL_VERTEX_BOUND``."""
-    code, size, columns = _relabel_columns(n)
-    packed = 0
-    for c in _bits(mask):
-        packed |= columns[c]
-    return memoryview(packed.to_bytes(size, sys.byteorder)).cast(code)
+    cells = _cells(n)
+    return [cells[i] for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def mask_orbit(n, mask):
-    """Every adjacency mask that a relabeling of the vertices gives the graph on ``n``
-    vertices with adjacency mask ``mask``: its isomorphism class, labelled, all ``n!``
-    relabelings at once, one OR of packed columns per edge cell (:func:`_relabelled_masks`).
-    The least is :func:`canonical_form`'s mask.  Refused above ``CANONICAL_VERTEX_BOUND`` vertices."""
-    return set(_relabelled_masks(n, mask))
+    """The adjacency mask ``mask`` on ``n`` vertices under every relabeling of the
+    vertices, a memoryview of ``n!`` slots in the order of :func:`_relabel_columns`:
+    the OR of its cells' columns.  Its distinct entries are the isomorphism class,
+    labelled, and the least is :func:`canonical_form`'s mask.  Refused above
+    ``CANONICAL_VERTEX_BOUND`` vertices."""
+    code, size, columns = _relabel_columns(n)
+    packed = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            packed |= columns[i]
+    return memoryview(packed.to_bytes(size, sys.byteorder)).cast(code)
 
 
 def canonical_form(g):
@@ -774,7 +771,7 @@ def canonical_form(g):
     relabelings, and the lexicographically least permutation reaching it
     (``perm[v]`` is the new name of vertex ``v``).  Graphs above
     ``CANONICAL_VERTEX_BOUND`` vertices are refused."""
-    masks = _relabelled_masks(g.n, mask_of(g.n, g.edges)).tolist()
+    masks = mask_orbit(g.n, mask_of(g.n, g.edges)).tolist()
     best = min(masks)
     return (g.n, best), next(islice(permutations(range(g.n)), masks.index(best), None))
 

@@ -601,17 +601,28 @@ def test_closure_of_commutator_words_resolves_no_membership_strategy(capsys, mon
     assert run(capsys, "closure", fx("edge_fibration.json")) == want
 
 
-def test_closure_refuses_a_fibre_its_copies_do_not_cover_with_exit_5(capsys, monkeypatch):
-    # a table without the copies on cell (0, 1) is not closed under
+# K2 with xyxy and P3 with xy: from 3 vertices on its copy lists hold words
+# of both kinds, so its fibres' words take the general path, not the xyxy scan
+MIXED_WORD_FIBRATION = {
+    "generators": [K2_GENERATOR, {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "inputs": [], "outputs": [0, 1]}],
+    "max_vertices": 4,
+    "strategy": {"bounded-bfs": {"depth": 1, "max_len": 8}},
+}
+
+
+@pytest.mark.parametrize("words", ["xyxy", "mixed"])
+def test_closure_refuses_a_fibre_its_copies_do_not_cover_with_exit_5(capsys, monkeypatch, tmp_path, words):
+    # a table without the one-edge copies on cell (0, 1) is not closed under
     # relabeling: the closure still reaches the one-edge class through other
     # cells, and its representative, the edge 0-1, has no copy inside it
     real = graphfib.fibrations._copy_table
 
     def broken(fib, n):
-        return [(c, w) for c, w in real(fib, n) if c != 1 << 1]
+        return [(c, w, pair) for c, w, pair in real(fib, n) if c != 1 << 1]
 
     monkeypatch.setattr(graphfib.fibrations, "_copy_table", broken)
-    code, out, err = run(capsys, "closure", fx("edge_fibration.json"))
+    path = fx("edge_fibration.json") if words == "xyxy" else write_json(tmp_path, "mixed.json", MIXED_WORD_FIBRATION)
+    code, out, err = run(capsys, "closure", path)
     assert code == 5 and out == ""
     assert err == "internal invariant broken: a listed fibre must be covered by the generator copies inside it\n"
     assert "Traceback" not in err
@@ -1663,6 +1674,36 @@ def test_a_json_file_that_cannot_be_read_is_named(capsys, tmp_path, content):
     words.write_bytes(content)
     code, out, err = run(capsys, "dim", fx("group_s3.json"), str(words), "1", "1")
     assert (code, out) == (2, "") and err.startswith(f"error: {words}: "), err
+
+
+UNREADABLE_JSON = [
+    (b'{\r\n"generators": [],\r\n}', "Expecting property name enclosed in double quotes: line 3 column 1 (char 20)"),
+    (b'{\r"generators": [],\r}', "Expecting property name enclosed in double quotes: line 3 column 1 (char 20)"),
+    (b'"a\r\nb"', "Invalid control character at: line 1 column 3 (char 2)"),
+    (b"[" + b" " * 9000 + b"\xff]", "'utf-8' codec can't decode byte 0xff in position 9001: invalid start byte"),
+    (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("{}".encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b'["\xc3', "'utf-8' codec can't decode byte 0xc3 in position 2: unexpected end of data"),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"[" * 100000, "JSON nested too deeply"),
+]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    UNREADABLE_JSON,
+    ids=["crlf", "lone-cr", "crlf-in-string", "bad-byte-past-8k", "utf-8-bom", "utf-16", "truncated", "empty", "deep"],
+)
+def test_an_unreadable_json_file_gets_the_message_of_a_text_mode_read(capsys, tmp_path, content, message):
+    # line ends count as in text mode, "\r\n" and a lone "\r" as one "\n";
+    # a bad byte's position counts from the start of the file
+    path = tmp_path / "fibration.json"
+    path.write_bytes(content)
+    assert run(capsys, "closure", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_a_directory_given_as_a_json_file_is_named(capsys, tmp_path):
+    assert run(capsys, "closure", str(tmp_path)) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 MUTATED_COMMANDS = [

@@ -32,6 +32,7 @@ from graphfib.freeprod import (
     Membership,
     MembershipPolicy,
     NormalClosureSpec,
+    commuting_pair,
     member,
     policy_from_json,
     reduce_word,
@@ -295,6 +296,7 @@ BENCHMARK_SHAPES = {
     "P3": path(3),
     "K3": complete(3),
     "K2+K1": Graph(3, [(0, 1)]),
+    "K2-loop": Graph(2, [(0, 1), (0, 0)]),  # skew with xyxy at 4 vertices: the closure benchmark's p90 slot
 }
 # The benchmark's word kinds over the vertices a word visits, and the policy
 # it gives a fibration with a word that is not racg-eligible.
@@ -312,6 +314,10 @@ BENCHMARK_FIBRATIONS = [
     (("E2-loop",), "racg", (0, 1), True, 6),
     (("K2", "P3"), "racg", (0, 1), False, 4),
     (("K2",), "racg", (0, 1), False, 5),
+    (("K2-loop",), "racg", (0, 1), False, 4),
+    (("K2-loop",), "racg", (0, 1), False, 5),
+    (("K2-loop",), "racg", (0, 1), True, 4),
+    (("K2-loop",), "racg", (0, 1), True, 5),
     (("E2",), "finite", (0, 1), False, 4),
     (("P3",), "finite", (0, 1), False, 4),
     (("K2+K1",), "finite", (0, 1), False, 4),
@@ -321,8 +327,16 @@ BENCHMARK_FIBRATIONS = [
 ]
 BENCHMARK_IDS = [
     "skew-K3-5", "skew-E2-6", "skew-E2loop-6", "easy-E2loop-6", "skew-K2+P3-4", "skew-K2-5",
+    "skew-K2loop-4", "skew-K2loop-5", "easy-K2loop-4", "easy-K2loop-5",
     "finite-E2-4", "finite-P3-4", "finite-K2+K1-4", "infinite-P3-4", "infinite-K3-4", "infinite-K2+K1-4",
 ]
+
+
+def assert_closure_matches_the_reference(fib):
+    pairs = closure_pairs(fib)
+    assert [g for g, _ in pairs] == reference_closure(fib)
+    for g, words in pairs:
+        assert words == fiber_generators(fib, g) == reference_fiber_words(fib, g)
 
 
 @pytest.mark.parametrize("shapes, kind, visited, easy, bound", BENCHMARK_FIBRATIONS, ids=BENCHMARK_IDS)
@@ -330,11 +344,58 @@ def test_closure_matches_the_reference_at_benchmark_sizes(shapes, kind, visited,
     word = BENCHMARK_WORDS[kind](visited)
     gens = [BilabelledGraph(BENCHMARK_SHAPES[s], (), word) for s in shapes]
     policy = MembershipPolicy() if kind == "racg" else BENCHMARK_BFS
-    fib = GraphFibration(gens, easy=easy, max_vertices=bound, policy=policy)
-    pairs = closure_pairs(fib)
-    assert [g for g, _ in pairs] == reference_closure(fib)
-    for g, words in pairs:
-        assert words == fiber_generators(fib, g) == reference_fiber_words(fib, g)
+    assert_closure_matches_the_reference(GraphFibration(gens, easy=easy, max_vertices=bound, policy=policy))
+
+
+def word_kinds(fib, n):
+    """Which nonempty words of the copy list on ``n`` vertices read ``xyxy``."""
+    return {pair is not None for _, w, pair in fibrations._copy_table(fib, n) if w}
+
+
+# K2 with xyxy and P3 with xy, under the benchmark's search policy: from 3
+# vertices on, each copy list mixes the two kinds of word
+MIXED_WORD_FIBRATION = GraphFibration(
+    [BilabelledGraph(complete(2), (), (0, 1, 0, 1)), BilabelledGraph(path(3), (), (0, 1))],
+    max_vertices=5,
+    policy=BENCHMARK_BFS,
+)
+XYXY_BFS_FIBRATION = GraphFibration(
+    [BilabelledGraph(BENCHMARK_SHAPES["K2-loop"], (), (0, 1, 0, 1))], max_vertices=4, policy=BENCHMARK_BFS
+)
+
+
+def test_a_closure_whose_copy_lists_mix_word_kinds_matches_the_reference():
+    assert [word_kinds(MIXED_WORD_FIBRATION, n) for n in range(6)] == [set(), set(), {True}] + [{True, False}] * 3
+    assert_closure_matches_the_reference(MIXED_WORD_FIBRATION)
+
+
+@pytest.mark.parametrize("fib", [XYXY_BFS_FIBRATION, MIXED_WORD_FIBRATION], ids=["xyxy", "mixed"])
+def test_the_closure_classifies_each_copy_once_and_makes_one_auto_policy(fib, monkeypatch):
+    # the xyxy test runs once per distinct pair of each vertex count's copy
+    # list, not once per fibre; a list of xyxy words alone never reaches
+    # prune_reduced_words, and the auto policy is made once per closure
+    want = [w for n in range(fib.max_vertices + 1) for _, w, _ in fibrations._copy_table(fib, n)]
+    xyxy = all(word_kinds(fib, n) <= {True} for n in range(fib.max_vertices + 1))
+    classified, replaced, replace = [], [], MembershipPolicy.replace
+
+    def counted_pair(w):
+        classified.append(w)
+        return commuting_pair(w)
+
+    def counted_replace(policy, **changes):
+        replaced.append(changes)
+        return replace(policy, **changes)
+
+    def refuse(*args):
+        raise AssertionError("a list of xyxy words was pruned by prune_reduced_words")
+
+    monkeypatch.setattr(fibrations, "commuting_pair", counted_pair)
+    monkeypatch.setattr(MembershipPolicy, "replace", counted_replace)
+    if xyxy:
+        monkeypatch.setattr(fibrations, "prune_reduced_words", refuse)
+    closure_graphs(fib)
+    assert classified == want
+    assert replaced == [{"strategy": "auto"}]
 
 
 def benchmark_fibration_json(shapes, kind, visited, easy, bound):
@@ -352,20 +413,12 @@ def benchmark_fibration_json(shapes, kind, visited, easy, bound):
 
 with open(os.path.join(os.path.dirname(__file__), "fixtures", "edge_fibration.json"), encoding="utf-8") as fh:
     EDGE_FIBRATION_JSON = json.load(fh)
-# The closure benchmark's largest listings, at its 90th percentile: skew K2
-# with a loop, its word xyxy, at 4 vertices (50 fibres, about 6 kB of JSON).
-K2_LOOP_FIBRATION_JSON = {
-    "generators": [{"graph": {"n": 2, "edges": [[0, 1], [0, 0]]}, "inputs": [], "outputs": [0, 1, 0, 1]}],
-    "easy": False,
-    "max_vertices": 4,
-    "strategy": "auto",
-}
 
 
 @pytest.mark.parametrize(
     "fibration",
-    [benchmark_fibration_json(*params) for params in BENCHMARK_FIBRATIONS] + [EDGE_FIBRATION_JSON, K2_LOOP_FIBRATION_JSON],
-    ids=BENCHMARK_IDS + ["edge-fibration-fixture", "skew-K2loop-4"],
+    [benchmark_fibration_json(*params) for params in BENCHMARK_FIBRATIONS] + [EDGE_FIBRATION_JSON],
+    ids=BENCHMARK_IDS + ["edge-fibration-fixture"],
 )
 def test_the_closure_listing_matches_one_built_from_graphs(fibration, tmp_path, capsys):
     # the listing reads each fibre's edges from its mask; the oracle builds a
@@ -412,7 +465,7 @@ def reference_copy_table(fib, n):
     """The copy table with each map's copy mask from :func:`mask_of` over the
     images of the generator's edges: the distinct ``(mask, reduced word)``
     pairs in the order of their first map, as :func:`fibrations._copy_table`
-    lists them."""
+    lists them, each with the sorted letter pair of a word ``xyxy``."""
     pairs = []
     for d in fib.generators:
         h = d.graph
@@ -423,10 +476,10 @@ def reference_copy_table(fib, n):
             )
             if pair not in pairs:
                 pairs.append(pair)
-    return pairs
+    return [(c, w, tuple(sorted(set(w))) if len(w) == 4 and w[0] != w[1] and w[2:] == w[:2] else None) for c, w in pairs]
 
 
-COPY_SHAPES = dict(BENCHMARK_SHAPES, **{"K2-loop": Graph(2, [(0, 1), (1, 1)]), "C4": cycle(4), "E1": edgeless(1)})
+COPY_SHAPES = dict(BENCHMARK_SHAPES, **{"C4": cycle(4), "E1": edgeless(1)})
 
 
 @pytest.mark.parametrize("easy", [False, True], ids=["skew", "easy"])
@@ -445,8 +498,8 @@ def test_an_easy_map_folding_two_edges_onto_one_cell_sets_that_cell_once():
     fib = GraphFibration([BilabelledGraph(path(3), (), (0, 1, 2, 1))], easy=True, max_vertices=2)
     table = fibrations._copy_table(fib, 2)
     assert table == reference_copy_table(fib, 2)
-    assert [w for c, w in table if c == mask_of(2, [(0, 1)])] == [(0, 1, 0, 1), (1, 0, 1, 0)]
-    assert [w for c, w in table if c == mask_of(2, [(1, 1)])] == [()]
+    assert [w for c, w, _ in table if c == mask_of(2, [(0, 1)])] == [(0, 1, 0, 1), (1, 0, 1, 0)]
+    assert [w for c, w, _ in table if c == mask_of(2, [(1, 1)])] == [()]
 
 
 # ---------------------------------------------------------------------------

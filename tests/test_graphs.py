@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfib import graphs
 from graphfib.errors import CapacityError
 from graphfib.graphs import (
     Graph,
@@ -413,9 +412,10 @@ def test_cell_bits_are_refused_past_the_canonical_bound():
 
 
 def relabelled_masks(n, mask):
-    """The oracle for :func:`mask_orbit`: the mask of each relabeled graph, one permutation at a time."""
+    """The oracle for :func:`mask_orbit`: the mask of each relabeled graph, one permutation at a
+    time, in lexicographic order."""
     g = Graph(n, mask_edges(n, mask))
-    return {mask_of(n, [(perm[u], perm[v]) for u, v in g.edges]) for perm in permutations(range(n))}
+    return [mask_of(n, [(perm[u], perm[v]) for u, v in g.edges]) for perm in permutations(range(n))]
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -423,7 +423,7 @@ def test_the_orbit_of_every_small_mask_is_every_relabelling(n):
     cells = n * (n + 1) // 2  # loops included: 1,024 masks on 4 vertices
     for mask in range(1 << cells):
         orbit = mask_orbit(n, mask)
-        assert orbit == relabelled_masks(n, mask)
+        assert orbit.tolist() == relabelled_masks(n, mask)
         assert min(orbit) == canonical_key(Graph(n, mask_edges(n, mask)))[1]
 
 
@@ -433,7 +433,7 @@ def test_the_orbit_of_a_mask_is_every_relabelling(data):
     n = data.draw(st.integers(min_value=0, max_value=6))
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n * (n + 1) // 2) - 1))
     orbit = mask_orbit(n, mask)
-    assert orbit == relabelled_masks(n, mask)
+    assert orbit.tolist() == relabelled_masks(n, mask)
     assert min(orbit) == canonical_key(Graph(n, mask_edges(n, mask)))[1]
 
 
@@ -464,19 +464,19 @@ AT_THE_BOUND = [
 def test_orbits_and_canonical_forms_at_the_bound_match_one_permutation_at_a_time(g):
     n, mask = g.n, mask_of(g.n, g.edges)
     orbit = mask_orbit(n, mask)
-    assert orbit == relabelled_masks(n, mask)
+    assert orbit.tolist() == relabelled_masks(n, mask)
     masks = {perm: mask_of(n, [(perm[u], perm[v]) for u, v in g.edges]) for perm in permutations(range(n))}
     least = min(masks.values())
     ties = [perm for perm, m in masks.items() if m == least]
     assert canonical_form(g) == ((n, least), ties[0])
     if g is ASYMMETRIC[n]:
-        assert len(orbit) == factorial(n)
+        assert len(set(orbit)) == factorial(n)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_the_relabelings_fill_one_slot_per_permutation_wide_enough_for_every_cell(n):
     cells = n * (n + 1) // 2
-    masks = graphs._relabelled_masks(n, (1 << cells) - 1)
+    masks = mask_orbit(n, (1 << cells) - 1)
     assert masks.itemsize * 8 >= cells
     assert masks.itemsize == (1 if n <= 3 else 2 if n <= 5 else 4 if n <= 7 else 8)  # the narrowest that holds them
     assert len(masks) == factorial(n)
