@@ -18,7 +18,10 @@ count of the distinct copy masks and reduced words of every generator map,
 each word's ``xyxy`` letter pair found once.  Each listed fibre reads its
 words from that list in one ordered scan, with no search, and its edges
 from its own mask.  When every word of the list reads ``xyxy``, that scan
-also prunes the words, keeping the first of each letter pair.
+also prunes the words, keeping the first of each letter pair as the
+``racg`` strategy would; any other list is pruned by
+:func:`prune_reduced_words`, where a bounded search may keep two words of
+one letter pair.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ class GraphFibration(namedtuple("GraphFibration", ("generators", "easy", "max_ve
             raise ValueError(f"easy must be true or false, got {easy!r}")
         if type(max_vertices) is not int or max_vertices < 1:
             raise ValueError(f"max_vertices must be an integer >= 1, got {max_vertices!r}")
+        if not isinstance(policy, MembershipPolicy):
+            raise ValueError(f"policy must be a MembershipPolicy, got {policy!r}")
         return super().__new__(cls, generators, easy, max_vertices, policy)
 
 
@@ -106,9 +111,12 @@ def closure_graphs(fib):
     pair is found once, when the list is made.  When every nonempty word of
     the list reads ``xyxy``, the one scan that finds a fibre's words also
     prunes them: it keeps the first word of each letter pair, which is what
-    :func:`prune_reduced_words` keeps of such words.  Any other list gives
-    each fibre's distinct words to :func:`prune_reduced_words`, the step
-    :func:`prune_words` ends in, under one ``auto`` policy made per closure.
+    :func:`prune_reduced_words` keeps of such words, as the ``racg``
+    strategy answers an ``xyxy`` word YES exactly when its pair is kept.
+    Any other list gives each fibre's distinct words to
+    :func:`prune_reduced_words` under one ``auto`` policy made per closure,
+    keyed by the words themselves: beside other words, a bounded search
+    need not show ``yxyx`` implied by ``xyxy``.
     """
     top = fib.max_vertices
     cell_bits(top)  # refuses a bound past the canonical one before any work

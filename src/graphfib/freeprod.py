@@ -26,9 +26,8 @@ Membership in a normal closure is answered by one of three strategies:
 A spec resolves its strategy on its first query and keeps the verdict
 function, so later queries reuse the commuting pairs, the coset table, or
 the search moves and parity pivots.  :func:`prune_reduced_words` keeps no
-spec: while every word it keeps reads ``xyxy`` it grows one set of commuting
-pairs, and from the first other word kept on it makes one verdict function
-per set of kept words.
+spec: it makes one verdict function per set of kept words, so the ``racg``
+strategy is the one statement of right-angled Coxeter membership.
 """
 
 from __future__ import annotations
@@ -126,12 +125,24 @@ def apply_letter_map(mapping, w):
     return reduce_word(mapping[x] for x in w)
 
 
+_LETTERS = {chr(ord("a") + v): v for v in range(26)}  # letter strings, "a" to "z"
+
+
 def validate_word(letters, alphabet_size):
-    w = tuple(letters)
-    for x in w:
-        if not (0 <= x < alphabet_size):
-            raise ValueError(f"letter {x} out of range for alphabet of {alphabet_size}")
-    return w
+    """The word a list or tuple of letters names, read in one pass.  A letter
+    is an ``int`` or one of ``"a"`` to ``"z"``; the first bad letter is the
+    one reported."""
+    if not isinstance(letters, (list, tuple)):
+        raise ValueError("word JSON must be a list of letters")
+    word = []
+    for x in letters:
+        v = x if type(x) is int else _LETTERS.get(x) if isinstance(x, str) else None
+        if v is None:
+            raise ValueError(f"invalid letter {x!r}")
+        if not 0 <= v < alphabet_size:
+            raise ValueError(f"letter {x!r} out of range for alphabet of {alphabet_size}")
+        word.append(v)
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +157,15 @@ class NormalClosureSpec(namedtuple("NormalClosureSpec", ("alphabet_size", "gener
     A spec is a checked named tuple, equal by its three fields and
     read-only, so the verdict function that :func:`decide` keeps in the
     instance dict as ``_decide`` after the first query cannot go stale.
+    Its generators are the checked, reduced, distinct and nonempty words
+    of ``generators``, in the order of their first appearance.
     """
 
     def __new__(cls, alphabet_size, generators, policy=MembershipPolicy()):
+        if not isinstance(policy, MembershipPolicy):
+            raise ValueError(f"policy must be a MembershipPolicy, got {policy!r}")
         words = (reduce_word(validate_word(g, alphabet_size)) for g in generators)
-        return super().__new__(cls, alphabet_size, tuple(dict.fromkeys(w for w in words if w)), policy)
+        return super().__new__(cls, alphabet_size, tuple(dict.fromkeys(filter(None, words))), policy)
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalClosureSpec is immutable")
@@ -486,10 +501,9 @@ def decide(w, spec):
 
 
 def prune_words(alphabet_size, words, policy):
-    """Check ``words`` against the alphabet, reduce them, and prune the distinct
-    nonempty ones by :func:`prune_reduced_words`."""
-    reduced = (reduce_word(validate_word(w, alphabet_size)) for w in words)
-    return prune_reduced_words(alphabet_size, dict.fromkeys(filter(None, reduced)), policy)
+    """The generators of ``NormalClosureSpec(alphabet_size, words, policy)``,
+    pruned by :func:`prune_reduced_words`."""
+    return prune_reduced_words(alphabet_size, NormalClosureSpec(alphabet_size, words, policy).generators, policy)
 
 
 def prune_reduced_words(alphabet_size, words, policy):
@@ -497,31 +511,17 @@ def prune_reduced_words(alphabet_size, words, policy):
     ``auto`` query under ``policy``'s search bounds answers YES against the words
     kept before it.
 
-    While every kept word reads ``xyxy``, the kept closure is the right-angled
-    Coxeter group of their letter pairs: one growing set of commuting pairs
-    answers, and an ``xyxy`` word is implied exactly when its pair is in the
-    set.  From the first other word kept on, one verdict function of
-    :func:`_decider` serves each kept set.
+    The first word is kept outright, as the closure of no words holds no
+    nonempty reduced word.  Each later word is answered by one verdict
+    function of :func:`_decider` per set of kept words.
     """
     kept, decider = [], None
-    comm = set()  # the kept pairs in both orders; None once a kept word does not read xyxy
     # ``replace`` builds and validates a new policy, so skip it when the policy is ``auto`` already
     auto = policy if policy.strategy == "auto" else policy.replace(strategy="auto")
     for w in words:
-        if comm is not None:
-            pair = commuting_pair(w)
-            if pair is not None:
-                if pair not in comm:
-                    comm.update((pair, pair[::-1]))
-                    kept.append(w)
-                continue
-            if not kept or _racg_member(comm, w) is not Membership.YES:
-                comm = None
-                kept.append(w)
-            continue
-        if decider is None:  # made for the first query after a kept word
+        if kept and decider is None:  # made for the first query after a kept word
             decider = _decider(alphabet_size, tuple(kept), auto)
-        if decider(w) is not Membership.YES:
+        if not kept or decider(w) is not Membership.YES:
             kept.append(w)
             decider = None
     return tuple(kept)
@@ -554,33 +554,13 @@ def check_invariance(maps, closure):
 # serialization
 
 
-_LETTERS = {chr(ord("a") + v): v for v in range(26)}  # JSON letter strings, "a" to "z"
-
-
-def word_from_json(obj, alphabet_size):
-    """The word ``obj`` names, read in one pass.  A letter is an ``int`` or
-    one of ``"a"`` to ``"z"``; the first bad letter is the one reported."""
-    if not isinstance(obj, list):
-        raise ValueError("word JSON must be a list of letters")
-    word = []
-    for x in obj:
-        v = x if type(x) is int else _LETTERS.get(x) if isinstance(x, str) else None
-        if v is None:
-            raise ValueError(f"invalid letter {x!r}")
-        if not 0 <= v < alphabet_size:
-            raise ValueError(f"letter {x!r} out of range for alphabet of {alphabet_size}")
-        word.append(v)
-    return tuple(word)
-
-
 def closure_from_json(obj):
     alphabet, raw_gens = check_json_object(obj, "closure", ("alphabet", "generators"), ("strategy",))
     if type(alphabet) is not int or alphabet < 0:
         raise ValueError(f"closure JSON field 'alphabet' must be an integer >= 0, got {alphabet!r}")
     if not isinstance(raw_gens, list):
         raise ValueError("closure JSON field 'generators' must be a list of words")
-    gens = [word_from_json(g, alphabet) for g in raw_gens]
-    return NormalClosureSpec(alphabet, gens, policy_from_json(obj.get("strategy", "auto")))
+    return NormalClosureSpec(alphabet, raw_gens, policy_from_json(obj.get("strategy", "auto")))
 
 
 def policy_from_json(obj):

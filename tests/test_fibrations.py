@@ -369,6 +369,27 @@ def test_a_closure_whose_copy_lists_mix_word_kinds_matches_the_reference():
     assert_closure_matches_the_reference(MIXED_WORD_FIBRATION)
 
 
+# K2+K1 with (xy)^3 and P3 with xyxy, searched to depth 0: from 3 vertices
+# on, each copy list mixes the two kinds of word, and the search cannot show
+# ``1010`` implied by ``0101`` beside the (xy)^3 words
+SKEW_MIXED_DEPTH_0 = GraphFibration(
+    [
+        BilabelledGraph(disjoint_union(complete(2), edgeless(1)), (), (0, 1) * 3),
+        BilabelledGraph(path(3), (), (0, 1, 0, 1)),
+    ],
+    max_vertices=4,
+    policy=policy_from_json({"bounded-bfs": {"depth": 0}}),
+)
+
+
+def test_a_mixed_word_list_keeps_two_xyxy_words_of_one_letter_pair():
+    fib = SKEW_MIXED_DEPTH_0
+    assert word_kinds(fib, 4) == {True, False}
+    both = [edges for n, edges, words in closure_graphs(fib) if n == 4 and {(0, 1, 0, 1), (1, 0, 1, 0)} <= set(words)]
+    assert both == [[(0, 1), (0, 2), (1, 2)], [(0, 1), (0, 3), (1, 2)]]
+    assert_closure_matches_the_reference(fib)
+
+
 @pytest.mark.parametrize("fib", [XYXY_BFS_FIBRATION, MIXED_WORD_FIBRATION], ids=["xyxy", "mixed"])
 def test_the_closure_classifies_each_copy_once_and_makes_one_auto_policy(fib, monkeypatch):
     # the xyxy test runs once per distinct pair of each vertex count's copy
@@ -759,3 +780,9 @@ def test_fibration_json_rejects_garbage():
     for bad in (5, {"depth": "3"}, {"depth": -1}, {"depth": 3, "width": 2}):
         with pytest.raises(ValueError):
             fibration_from_json({"generators": [], "strategy": {"bounded-bfs": bad}})
+
+
+def test_a_fibration_refuses_a_policy_that_is_not_a_membership_policy():
+    for policy in ("auto", "racg", None, tuple(MembershipPolicy())):
+        with pytest.raises(ValueError, match="policy must be a MembershipPolicy"):
+            GraphFibration([commutator_generator(complete(2))], policy=policy)

@@ -24,7 +24,6 @@ from graphfib.freeprod import (
     racg_eligible,
     reduce_word,
     validate_word,
-    word_from_json,
 )
 from reference import restart_racg_member
 
@@ -532,15 +531,20 @@ def test_pruning_resolves_the_strategy_once_per_kept_set(monkeypatch):
     decider = freeprod._decider
     monkeypatch.setattr(freeprod, "racg_eligible", counting_racg_eligible)
     monkeypatch.setattr(freeprod, "_decider", counting_decider)
-    # every kept word reads xyxy: the commuting pairs answer, and nothing is resolved
+    # the first word is kept with no query, and so is the only word of a list
+    assert prune_words(3, [(0, 1, 0, 1), (0, 0)], MembershipPolicy()) == ((0, 1, 0, 1),)
+    assert deciders == []
+    # every kept word reads xyxy: the racg strategy answers, once per kept set
     words = [(0, 1, 0, 1), (1, 0, 1, 0), (2, 1, 0, 1, 0, 2), (1, 2, 1, 2), (2, 1, 2, 1)]
     assert prune_words(4, words, MembershipPolicy()) == ((0, 1, 0, 1), (1, 2, 1, 2))
-    assert deciders == []
+    assert deciders == [((0, 1, 0, 1),), ((0, 1, 0, 1), (1, 2, 1, 2))]
     assert eligible == deciders
-    # once (0, 1, 2) is kept, two queries against the first kept set, then two against the next
+    # a kept set is resolved for the first word after it, and then answers until a word is kept
+    deciders.clear()
+    eligible.clear()
     words = [(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 2), (1, 2, 1, 2), (0, 2, 0, 2), (2,), (0, 1), (0,)]
     assert prune_words(3, words, MembershipPolicy()) == ((0, 1, 0, 1), (0, 1, 2), (2,), (0,))
-    assert deciders == [((0, 1, 0, 1), (0, 1, 2)), ((0, 1, 0, 1), (0, 1, 2), (2,))]
+    assert deciders == [((0, 1, 0, 1),), ((0, 1, 0, 1), (0, 1, 2)), ((0, 1, 0, 1), (0, 1, 2), (2,))]
     assert eligible == deciders
 
 
@@ -606,6 +610,16 @@ def test_closure_json_rejects_bad_input():
             )
 
 
+# The entries that take a word from a caller: each reads its letters by validate_word.
+LETTER_CHECKS = {
+    "validate_word": lambda w: validate_word(w, 3),
+    "NormalClosureSpec": lambda w: NormalClosureSpec(3, [w]),
+    "member": lambda w: member(w, NormalClosureSpec(3, [])),
+    "prune_words": lambda w: prune_words(3, [w], MembershipPolicy()),
+}
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
 @pytest.mark.parametrize(
     "word, want",
     [
@@ -618,10 +632,17 @@ def test_closure_json_rejects_bad_input():
         (["c", 1], (2, 1)),
     ],
 )
-def test_a_word_reads_int_and_string_letters(word, want):
-    assert word_from_json(word, 3) == want
+def test_a_word_reads_int_and_string_letters(word, want, kind):
+    word = kind(word)
+    assert validate_word(word, 3) == want
+    generators = tuple(filter(None, [reduce_word(want)]))
+    assert NormalClosureSpec(3, [word]).generators == generators
+    assert prune_words(3, [word], MembershipPolicy()) == generators
+    assert member(word, NormalClosureSpec(3, [want])) is Membership.YES
+    assert member(word, NormalClosureSpec(3, [])) is (Membership.NO if generators else Membership.YES)
 
 
+@pytest.mark.parametrize("check", LETTER_CHECKS)
 @pytest.mark.parametrize("place", [0, 1, 2], ids=["first", "middle", "last"])
 @pytest.mark.parametrize(
     "bad, message",
@@ -629,6 +650,7 @@ def test_a_word_reads_int_and_string_letters(word, want):
         (True, "invalid letter True"),
         (False, "invalid letter False"),
         (1.0, "invalid letter 1.0"),
+        (1.5, "invalid letter 1.5"),
         (-1, "letter -1 out of range for alphabet of 3"),
         (3, "letter 3 out of range for alphabet of 3"),
         ("d", "letter 'd' out of range for alphabet of 3"),
@@ -638,12 +660,29 @@ def test_a_word_reads_int_and_string_letters(word, want):
         ([0], "invalid letter [0]"),
     ],
 )
-def test_a_bad_letter_gets_its_message_wherever_it_stands(bad, message, place):
+def test_a_bad_letter_gets_its_message_wherever_it_stands(bad, message, place, check):
     word = [0, "b"]
     word.insert(place, bad)
-    with pytest.raises(ValueError) as got:
-        word_from_json(word, 3)
-    assert str(got.value) == message
+    for kind in (list, tuple):
+        with pytest.raises(ValueError) as got:
+            LETTER_CHECKS[check](kind(word))
+        assert str(got.value) == message
+
+
+@pytest.mark.parametrize("check", LETTER_CHECKS)
+def test_a_word_must_be_a_list_or_a_tuple(check):
+    for word in (5, "ab", range(2), {0: 0}):
+        with pytest.raises(ValueError) as got:
+            LETTER_CHECKS[check](word)
+        assert str(got.value) == "word JSON must be a list of letters"
+
+
+def test_a_spec_refuses_a_policy_that_is_not_a_membership_policy():
+    for policy in ("racg", "auto", None, tuple(MembershipPolicy())):
+        with pytest.raises(ValueError, match="policy must be a MembershipPolicy"):
+            NormalClosureSpec(2, [(0, 1, 0, 1)], policy)
+        with pytest.raises(ValueError, match="policy must be a MembershipPolicy"):
+            prune_words(2, [(0, 1, 0, 1)], policy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The benchmark's smoke run: every workload's answers match their committed
 digests.  Answers only; timings are never checked here."""
 
+import glob
 import os
+import shutil
 import subprocess
 import sys
 
@@ -10,20 +12,59 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_perfbench_smoke_answers_match():
+def assert_smoke_answers_match(python):
     proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--smoke"],
+        [python, os.path.join("perfbench", "run.py"), "--smoke"],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode == 0, python + "\n" + proc.stdout + proc.stderr
     for workload in ("hom", "closure", "dim"):
         line = next(
             (ln for ln in proc.stdout.splitlines() if ln.startswith(f"smoke {workload}:")), ""
         )
-        assert " 0 failed," in line, proc.stdout + proc.stderr
+        assert " 0 failed," in line, python + "\n" + proc.stdout + proc.stderr
+
+
+def test_perfbench_smoke_answers_match():
+    assert_smoke_answers_match(sys.executable)
+
+
+PROBE = "import platform, sys; print(platform.python_implementation(), sys.version_info >= (3, 10), sys.version)"
+
+
+def other_interpreters():
+    """One path per CPython 3.10 or newer, other than the one running the
+    tests, found as ``python3.1x`` on the PATH or as
+    ``$(pyenv root)/versions/3.1*/bin/python3``.  A path that is absent, or
+    that does not start, is passed over."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True, timeout=60).stdout.strip()
+        candidates += sorted(glob.glob(os.path.join(root, "versions", "3.1*", "bin", "python3")))
+    found = {}  # by sys.version, so that each build runs once
+    for path in filter(None, candidates):
+        try:
+            proc = subprocess.run([path, "-c", PROBE], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        implementation, new_enough, version = (proc.stdout.rstrip("\n").split(" ", 2) + ["", ""])[:3]
+        if proc.returncode == 0 and implementation == "CPython" and new_enough == "True" and version != sys.version:
+            found.setdefault(version, path)
+    return list(found.values())
+
+
+def test_perfbench_smoke_answers_match_under_every_other_installed_python():
+    """The benchmark needs the standard library only, from 3.10 on: its
+    smoke answers match under each other CPython installed here."""
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython 3.10 or newer is installed")
+    for python in pythons:
+        assert_smoke_answers_match(python)
 
 
 FULL_RUN = """
