@@ -9,8 +9,9 @@ injective images for a *skew* fibration, arbitrary homomorphic images for an
 Every query about one graph makes one pass over the generator copies inside
 it: the graph is a fibre when their images cover its edges, and a generator
 diagram ``(H, a, b)`` contributes the word ``reverse(a) + b`` pushed through
-each copy of ``H``.  Fibre membership of a word is then normal-closure
-membership over those words, less the words implied by earlier ones.  A
+each copy of ``H``, reduced where the map is met as in the closure's copy
+list.  Those words, less those implied by earlier ones, generate the fibre's
+normal closure, which a query builds once, in :func:`_fibre`.  A
 fibration holds its inputs only: each query recomputes what it reads, and
 finds the copies by a homomorphism search.  The closure of fibres is built
 only to list them, on adjacency masks, from one ordered list per vertex
@@ -38,10 +39,10 @@ from .freeprod import (
     NormalClosureSpec,
     check_invariance,
     commuting_pair,
+    decide,
     member,
     policy_from_json,
     prune_reduced_words,
-    prune_words,
     reduce_word,
 )
 from .graphs import cell_bits, enumerate_homomorphisms, mask_edges, mask_orbit
@@ -216,25 +217,35 @@ def _table_words(scan, m):
 
 
 def _copy_words(fib, g):
-    """The boundary words of the generator copies inside ``g``, in first-seen
-    order, or None when their images do not cover ``g``'s edges.
+    """The distinct nonempty reduced boundary words of the generator copies
+    inside ``g``, in first-map order, or None when their images do not cover
+    ``g``'s edges.
 
     Copies are embeddings for a skew fibration and arbitrary homomorphisms
     for an easy one.  A generator diagram ``(H, a, b)`` gives the word
-    ``reverse(a) + b`` pushed through each copy of ``H``.
+    ``reverse(a) + b`` pushed through each copy of ``H``, reduced where the
+    map is met, as in :func:`_copy_table`.
     """
     if g.n > fib.max_vertices:
         raise CapacityError(
             f"fibre queries are bounded by max_vertices={fib.max_vertices}, graph has {g.n} vertices"
         )
-    words, covered = {}, set()  # a dict keeps each word once, in first-seen order
+    words, covered = {}, set()  # a dict keeps each word once, in first-map order
     for d in fib.generators:
         for phi in enumerate_homomorphisms(d.graph, g, injective=not fib.easy):
-            words[tuple(map(phi.__getitem__, d.inputs[::-1] + d.outputs))] = None
+            words[reduce_word(map(phi.__getitem__, d.inputs[::-1] + d.outputs))] = None
             for u, v in d.graph.edges:
                 a, b = phi[u], phi[v]
                 covered.add((a, b) if a <= b else (b, a))
-    return tuple(words) if covered == g.edges else None
+    return tuple(filter(None, words)) if covered == g.edges else None
+
+
+def _fibre(fib, g, words):
+    """The fibre over ``g``: the normal closure of ``g``'s :func:`_copy_words`, pruned
+    by :func:`prune_reduced_words`; ``ValueError`` when ``g`` is not a fibre."""
+    if words is None:
+        raise ValueError("graph is not a fibre of this fibration")
+    return NormalClosureSpec(g.n, prune_reduced_words(g.n, words, fib.policy), fib.policy)
 
 
 def is_fiber(fib, g):
@@ -243,22 +254,15 @@ def is_fiber(fib, g):
 
 
 def fiber_generators(fib, g):
-    """Generator words of the fibre over ``g``, on ``g``'s own vertex names;
-    ``ValueError`` when ``g`` is not a fibre.
-
-    The boundary words of the generator copies, less each word implied by
-    earlier ones when an exact ``auto`` membership answer says so; an
-    unknown keeps the word.
-    """
-    words = _copy_words(fib, g)
-    if words is None:
-        raise ValueError("graph is not a fibre of this fibration")
-    return prune_words(g.n, words, fib.policy)
+    """Generator words of the fibre over ``g``, on ``g``'s own vertex names: its
+    copies' words, less each one that an exact ``auto`` answer finds implied by
+    earlier ones (an unknown keeps it); ``ValueError`` when ``g`` is not a fibre."""
+    return _fibre(fib, g, _copy_words(fib, g)).generators
 
 
 def fiber_member(fib, g, word):
     """Tri-state membership of a word in the fibre over ``g``."""
-    return member(word, NormalClosureSpec(g.n, fiber_generators(fib, g), fib.policy))
+    return member(word, _fibre(fib, g, _copy_words(fib, g)))
 
 
 def diagram_member(fib, d):
@@ -270,8 +274,7 @@ def diagram_member(fib, d):
     words = _copy_words(fib, d.graph)
     if words is None:
         return Membership.NO
-    n = d.graph.n
-    return member(d.inputs[::-1] + d.outputs, NormalClosureSpec(n, prune_words(n, words, fib.policy), fib.policy))
+    return member(d.inputs[::-1] + d.outputs, _fibre(fib, d.graph, words))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +299,9 @@ def fibration_from_group(g, closure, easy=False, max_vertices=DEFAULT_MAX_VERTIC
         gens, easy=easy, max_vertices=max(max_vertices, g.n), policy=closure.policy
     )
     if closure.generators:  # with none, ``g`` with edges need not be a fibre
-        spec = NormalClosureSpec(g.n, fiber_generators(fib, g), fib.policy)
-        for w in closure.generators:
-            if member(w, spec) is not Membership.YES:
+        spec = _fibre(fib, g, _copy_words(fib, g))
+        for w in closure.generators:  # checked and reduced by the closure's spec
+            if decide(w, spec) is not Membership.YES:
                 raise ValueError(f"generator word {w} is not recovered in its own fibre")
     return fib
 

@@ -27,7 +27,9 @@ A spec resolves its strategy on its first query and keeps the verdict
 function, so later queries reuse the commuting pairs, the coset table, or
 the search moves and parity pivots.  :func:`prune_reduced_words` keeps no
 spec: it makes one verdict function per set of kept words, so the ``racg``
-strategy is the one statement of right-angled Coxeter membership.
+strategy is the one statement of right-angled Coxeter membership, but for
+``fibrations.closure_graphs``' scan of all-``xyxy`` lists by letter pair, which is
+exact: an ``xyxy`` word is a ``racg`` member exactly when its pair is kept.
 """
 
 from __future__ import annotations
@@ -498,12 +500,6 @@ def decide(w, spec):
     if not w:
         return Membership.YES
     return spec._decide(w)
-
-
-def prune_words(alphabet_size, words, policy):
-    """The generators of ``NormalClosureSpec(alphabet_size, words, policy)``,
-    pruned by :func:`prune_reduced_words`."""
-    return prune_reduced_words(alphabet_size, NormalClosureSpec(alphabet_size, words, policy).generators, policy)
 
 
 def prune_reduced_words(alphabet_size, words, policy):

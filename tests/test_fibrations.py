@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfib
-from graphfib import fibrations
+from graphfib import fibrations, freeprod
 from graphfib.cli import main
 from graphfib.diagrams import BilabelledGraph, m_diagram
 from graphfib.errors import CapacityError, IndeterminateError
@@ -339,12 +339,42 @@ def assert_closure_matches_the_reference(fib):
         assert words == fiber_generators(fib, g) == reference_fiber_words(fib, g)
 
 
-@pytest.mark.parametrize("shapes, kind, visited, easy, bound", BENCHMARK_FIBRATIONS, ids=BENCHMARK_IDS)
-def test_closure_matches_the_reference_at_benchmark_sizes(shapes, kind, visited, easy, bound):
+def benchmark_fibration(shapes, kind, visited, easy, bound):
     word = BENCHMARK_WORDS[kind](visited)
     gens = [BilabelledGraph(BENCHMARK_SHAPES[s], (), word) for s in shapes]
     policy = MembershipPolicy() if kind == "racg" else BENCHMARK_BFS
-    assert_closure_matches_the_reference(GraphFibration(gens, easy=easy, max_vertices=bound, policy=policy))
+    return GraphFibration(gens, easy=easy, max_vertices=bound, policy=policy)
+
+
+@pytest.mark.parametrize("params", BENCHMARK_FIBRATIONS, ids=BENCHMARK_IDS)
+def test_closure_matches_the_reference_at_benchmark_sizes(params):
+    assert_closure_matches_the_reference(benchmark_fibration(*params))
+
+
+# Boundary words over four letters: members and non-members of the benchmark
+# fibres, reduced and not, each split into a diagram's inputs and outputs.
+RELATION_WORDS = [(), (0, 1, 0, 1), (1, 0, 1, 0), (0, 1), (0, 1, 1, 0), (0, 2, 0, 2), (2, 1, 0, 1, 0, 1, 2, 1), (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("params", BENCHMARK_FIBRATIONS, ids=BENCHMARK_IDS)
+def test_one_graph_queries_match_a_spec_of_the_fibre_generators(params):
+    # fiber_member and diagram_member build the fibre's closure themselves;
+    # their answers are those of a spec built from fiber_generators
+    fib = benchmark_fibration(*params)
+    for n in range(5):
+        for g in enumerate_graphs(n, loops=True):
+            words = [w for w in RELATION_WORDS if all(x < n for x in w)]
+            if not is_fiber(fib, g):
+                for w in words:
+                    with pytest.raises(ValueError, match="graph is not a fibre"):
+                        fiber_member(fib, g, w)
+                    assert diagram_member(fib, BilabelledGraph(g, w[:2][::-1], w[2:])) is Membership.NO
+                continue
+            spec = NormalClosureSpec(n, fiber_generators(fib, g), fib.policy)
+            for w in words:
+                got = fiber_member(fib, g, w)
+                assert got is member(w, spec)
+                assert diagram_member(fib, BilabelledGraph(g, w[:2][::-1], w[2:])) is got
 
 
 def word_kinds(fib, n):
@@ -604,6 +634,39 @@ def test_diagram_member_enumerates_the_generator_copies_once(monkeypatch):
     calls.clear()
     assert diagram_member(fib, BilabelledGraph(Graph(3, [(0, 1), (1, 1)]), (), ())) is Membership.NO
     assert len(calls) == 1
+
+
+def counting_letter_checks(monkeypatch):
+    """The words ``freeprod.validate_word`` reads from here on, one per call."""
+    calls, validate_word = [], freeprod.validate_word
+
+    def counting(letters, alphabet_size):
+        calls.append(tuple(letters))
+        return validate_word(letters, alphabet_size)
+
+    monkeypatch.setattr(freeprod, "validate_word", counting)
+    return calls
+
+
+def test_a_one_graph_query_reads_each_fibre_word_once(monkeypatch):
+    # the copies' words are reduced where their maps are met, so the fibre's
+    # spec reads each kept word once, and the query reads its own word once
+    fib = edge_fibration(bound=4)
+    calls = counting_letter_checks(monkeypatch)
+    assert diagram_member(fib, BilabelledGraph(cycle(4), (), (0, 1, 0, 1))) is Membership.YES
+    assert len(calls) == 5 and len(set(calls)) == 4
+    calls.clear()
+    assert fiber_member(fib, cycle(4), (0, 1, 0, 1)) is Membership.YES
+    assert len(calls) == 5 and len(set(calls)) == 4
+
+
+def test_the_recovery_check_reads_each_fibre_word_once(monkeypatch):
+    # the closure's own words are checked and reduced already, so only the
+    # fibre's kept words are read
+    closure = NormalClosureSpec(4, [(0, 1, 0, 1), (2, 3, 2, 3)])
+    calls = counting_letter_checks(monkeypatch)
+    fibration_from_group(cycle(4), closure)
+    assert len(calls) == 4 and len(set(calls)) == 4
 
 
 def test_the_capacity_error_names_the_query_bound():

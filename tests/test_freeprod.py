@@ -19,7 +19,6 @@ from graphfib.freeprod import (
     member,
     policy_from_json,
     prune_reduced_words,
-    prune_words,
     quotient_order_if_finite,
     racg_eligible,
     reduce_word,
@@ -471,8 +470,14 @@ def test_a_spec_that_answered_stays_equal_to_a_fresh_one():
 # pruning implied words
 
 
+def pruned(alphabet_size, words, policy):
+    """What :func:`prune_reduced_words` keeps of the words of a spec, as a
+    fibre keeps its copies' words."""
+    return prune_reduced_words(alphabet_size, NormalClosureSpec(alphabet_size, words, policy).generators, policy)
+
+
 def reference_pruned_words(alphabet_size, words, policy):
-    """The words :func:`prune_words` keeps, by a spec of the kept words and a
+    """The words :func:`pruned` keeps, by a spec of the kept words and a
     ``member`` query per candidate, under the policy's bounds with ``auto``."""
     policy = policy.replace(strategy="auto")
     kept = []
@@ -485,24 +490,24 @@ def reference_pruned_words(alphabet_size, words, policy):
 def test_pruning_reduces_deduplicates_and_drops_empty_words():
     shallow = MembershipPolicy("bounded-bfs", bfs_depth=0)
     words = [(), (0, 0), (1, 2, 2), (1,), (0, 1, 1, 2), (0, 2), [1]]
-    assert prune_words(3, words, shallow) == ((1,), (0, 2))
-    assert prune_words(3, [], shallow) == ()
+    assert pruned(3, words, shallow) == ((1,), (0, 2))
+    assert pruned(3, [], shallow) == ()
     with pytest.raises(ValueError, match="out of range"):
-        prune_words(2, [(0, 2)], shallow)
+        pruned(2, [(0, 2)], shallow)
 
 
 def test_pruning_drops_a_word_implied_by_those_kept_before_it():
-    assert prune_words(2, [(0, 1, 0, 1), (1, 0, 1, 0)], MembershipPolicy()) == ((0, 1, 0, 1),)
+    assert pruned(2, [(0, 1, 0, 1), (1, 0, 1, 0)], MembershipPolicy()) == ((0, 1, 0, 1),)
     # (0, 2) lies in <<(0, 1), (1, 2)>>, but not in <<(0, 1)>>: order matters
-    assert prune_words(3, [(0, 1), (1, 2), (0, 2)], MembershipPolicy()) == ((0, 1), (1, 2))
-    assert prune_words(3, [(0, 2), (0, 1), (1, 2)], MembershipPolicy()) == ((0, 2), (0, 1))
+    assert pruned(3, [(0, 1), (1, 2), (0, 2)], MembershipPolicy()) == ((0, 1), (1, 2))
+    assert pruned(3, [(0, 2), (0, 1), (1, 2)], MembershipPolicy()) == ((0, 2), (0, 1))
 
 
 def test_pruning_under_racg_resolves_as_auto():
     words = [(0, 1), (1, 2), (0, 2)]
     with pytest.raises(ValueError, match="racg"):
         member((1, 2), NormalClosureSpec(3, words[:1], MembershipPolicy("racg")))
-    assert prune_words(3, words, MembershipPolicy("racg")) == ((0, 1), (1, 2))
+    assert pruned(3, words, MembershipPolicy("racg")) == ((0, 1), (1, 2))
 
 
 pruning_policies = st.one_of(
@@ -514,7 +519,7 @@ pruning_policies = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(small_words, max_size=6), pruning_policies)
 def test_pruning_agrees_with_a_spec_and_member_loop(words, policy):
-    assert prune_words(3, words, policy) == reference_pruned_words(3, words, policy)
+    assert pruned(3, words, policy) == reference_pruned_words(3, words, policy)
 
 
 def test_pruning_resolves_the_strategy_once_per_kept_set(monkeypatch):
@@ -532,18 +537,18 @@ def test_pruning_resolves_the_strategy_once_per_kept_set(monkeypatch):
     monkeypatch.setattr(freeprod, "racg_eligible", counting_racg_eligible)
     monkeypatch.setattr(freeprod, "_decider", counting_decider)
     # the first word is kept with no query, and so is the only word of a list
-    assert prune_words(3, [(0, 1, 0, 1), (0, 0)], MembershipPolicy()) == ((0, 1, 0, 1),)
+    assert pruned(3, [(0, 1, 0, 1), (0, 0)], MembershipPolicy()) == ((0, 1, 0, 1),)
     assert deciders == []
     # every kept word reads xyxy: the racg strategy answers, once per kept set
     words = [(0, 1, 0, 1), (1, 0, 1, 0), (2, 1, 0, 1, 0, 2), (1, 2, 1, 2), (2, 1, 2, 1)]
-    assert prune_words(4, words, MembershipPolicy()) == ((0, 1, 0, 1), (1, 2, 1, 2))
+    assert pruned(4, words, MembershipPolicy()) == ((0, 1, 0, 1), (1, 2, 1, 2))
     assert deciders == [((0, 1, 0, 1),), ((0, 1, 0, 1), (1, 2, 1, 2))]
     assert eligible == deciders
     # a kept set is resolved for the first word after it, and then answers until a word is kept
     deciders.clear()
     eligible.clear()
     words = [(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 2), (1, 2, 1, 2), (0, 2, 0, 2), (2,), (0, 1), (0,)]
-    assert prune_words(3, words, MembershipPolicy()) == ((0, 1, 0, 1), (0, 1, 2), (2,), (0,))
+    assert pruned(3, words, MembershipPolicy()) == ((0, 1, 0, 1), (0, 1, 2), (2,), (0,))
     assert deciders == [((0, 1, 0, 1),), ((0, 1, 0, 1), (0, 1, 2)), ((0, 1, 0, 1), (0, 1, 2), (2,))]
     assert eligible == deciders
 
@@ -568,7 +573,7 @@ def commutator_heavy_words(draw):
 def test_pruning_commutator_heavy_lists_agrees_with_a_spec_and_member_loop(case, policy):
     n, words = case
     want = reference_pruned_words(n, words, policy)
-    assert prune_words(n, words, policy) == want
+    assert pruned(n, words, policy) == want
     distinct = dict.fromkeys(filter(None, map(reduce_word, words)))
     assert prune_reduced_words(n, distinct, policy) == want
 
@@ -615,7 +620,6 @@ LETTER_CHECKS = {
     "validate_word": lambda w: validate_word(w, 3),
     "NormalClosureSpec": lambda w: NormalClosureSpec(3, [w]),
     "member": lambda w: member(w, NormalClosureSpec(3, [])),
-    "prune_words": lambda w: prune_words(3, [w], MembershipPolicy()),
 }
 
 
@@ -637,7 +641,7 @@ def test_a_word_reads_int_and_string_letters(word, want, kind):
     assert validate_word(word, 3) == want
     generators = tuple(filter(None, [reduce_word(want)]))
     assert NormalClosureSpec(3, [word]).generators == generators
-    assert prune_words(3, [word], MembershipPolicy()) == generators
+    assert pruned(3, [word], MembershipPolicy()) == generators
     assert member(word, NormalClosureSpec(3, [want])) is Membership.YES
     assert member(word, NormalClosureSpec(3, [])) is (Membership.NO if generators else Membership.YES)
 
@@ -681,8 +685,6 @@ def test_a_spec_refuses_a_policy_that_is_not_a_membership_policy():
     for policy in ("racg", "auto", None, tuple(MembershipPolicy())):
         with pytest.raises(ValueError, match="policy must be a MembershipPolicy"):
             NormalClosureSpec(2, [(0, 1, 0, 1)], policy)
-        with pytest.raises(ValueError, match="policy must be a MembershipPolicy"):
-            prune_words(2, [(0, 1, 0, 1)], policy)
 
 
 # ---------------------------------------------------------------------------
