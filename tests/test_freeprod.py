@@ -620,6 +620,7 @@ LETTER_CHECKS = {
     "validate_word": lambda w: validate_word(w, 3),
     "NormalClosureSpec": lambda w: NormalClosureSpec(3, [w]),
     "member": lambda w: member(w, NormalClosureSpec(3, [])),
+    "closure_from_json": lambda w: closure_from_json({"alphabet": 3, "generators": [w]}),
 }
 
 
