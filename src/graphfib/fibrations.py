@@ -45,7 +45,7 @@ from .freeprod import (
     prune_reduced_words,
     reduce_word,
 )
-from .graphs import cell_bits, enumerate_homomorphisms, mask_edges, mask_orbit
+from .graphs import cell_bits, count_homomorphisms, enumerate_homomorphisms, mask_edges, mask_orbit
 from .tensors import power_exceeds
 
 DEFAULT_MAX_VERTICES = 5
@@ -287,12 +287,17 @@ def fibration_from_group(g, closure, easy=False, max_vertices=DEFAULT_MAX_VERTIC
     ``closure`` is a normal-closure description over ``g``'s vertices.  For an
     easy fibration the closure must be preserved by every endomorphism of
     ``g``; this is checked, and an unknown membership during the check is an
-    error.  Construction re-checks that every closure generator is recovered
-    in the fibre over ``g`` itself.
+    error.  The endomorphisms are counted first: more than ``CLOSURE_MAP_BOUND``
+    raise ``CapacityError`` before any is listed.  Construction re-checks that
+    every closure generator is recovered in the fibre over ``g`` itself.
     """
     if closure.alphabet_size != g.n:
         raise ValueError("closure alphabet must match the vertex count")
     if easy:
+        ends = [0]
+        count_homomorphisms(g, g, ends, ())
+        if ends[0] > CLOSURE_MAP_BOUND:
+            raise CapacityError(f"graph on {g.n} vertices has more than {CLOSURE_MAP_BOUND} endomorphisms")
         check_invariance(enumerate_homomorphisms(g, g), closure)
     gens = tuple(BilabelledGraph(g, (), w) for w in closure.generators)
     fib = GraphFibration(

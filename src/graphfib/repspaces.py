@@ -10,12 +10,12 @@ number against Burnside's count; ``orbit_basis`` assembles the basis and
 certifies that its representatives are least in their orbits and increasing,
 so no two share an orbit; ``dim_report`` formats it.
 
-A group given by generators is closed once, coset by coset, when it is
-built; S_n is listed instead, and the kept generators of Aut(g) are replayed
-from its elements on their first read.  The closure's invariance is checked
-on the generators only: a letter map is an automorphism of the free product,
-so if each generator maps ``A`` into itself, so does every product of
-generators.
+One function closes every group given by generators or by elements, coset
+by coset, reading its input to the end; S_n is listed instead, and the kept
+generators of Aut(g) are replayed through it from its elements on their
+first read.  The closure's invariance is checked on the generators only: a
+letter map is an automorphism of the free product, so if each generator
+maps ``A`` into itself, so does every product of generators.
 """
 
 from __future__ import annotations
@@ -44,29 +44,17 @@ THPART_TALLY_BOUND = 10**7  # group elements times kernel tuples one ``thpart`` 
 
 
 class PermutationGroup:
-    """The group of permutations of ``0..degree-1`` generated by ``generators``.
-
-    A generator is kept only if it lies outside the group of those kept before
-    it, so at most log2 of the order are kept, and the group grows by whole right
-    cosets of the group so far (Dimino's algorithm).  Elements are sorted.  The
-    points stored, order times degree, are checked against ``GROUP_POINT_BOUND``
-    before each coset is stored, so a lazy ``generators`` is not read past it.
-    """
+    """The group of permutations of ``0..degree-1`` generated by ``generators``,
+    closed by :func:`_close`, with its elements sorted and the generators it
+    kept.  A group listed instead, as Aut(g) is, replays that closure over its
+    sorted elements when its generators are first read."""
 
     __slots__ = ("degree", "_generators", "elements")
 
     def __init__(self, degree, generators):
         # each generator is checked before it is looked up
-        self._close(degree, map(_permutation, generators, repeat(degree)))
-
-    @classmethod
-    def _greedy(cls, degree, elements, order=None):
-        """The group ``elements`` generate, sorted tuples of ``int``, keeping the
-        generators a greedy pass over them keeps.  Given the ``order`` of that
-        group, the pass stops there."""
-        self = cls.__new__(cls)
-        self._close(degree, elements, order)
-        return self
+        elements, self._generators = _close(degree, map(_permutation, generators, repeat(degree)))
+        self.degree, self.elements = degree, tuple(sorted(elements))
 
     @classmethod
     def _listed(cls, degree, elements, generators=None):
@@ -76,43 +64,12 @@ class PermutationGroup:
         self.degree, self.elements, self._generators = degree, elements, generators
         return self
 
-    def _close(self, degree, generators, order=None):
-        """Dimino's closure, skipping seen elements in C and checking each kept
-        generator is a permutation; it stops at ``order``, if one is given."""
-        _check_degree(degree)
-        _check_room(degree, 1)
-        seen = set()
-        points = list(range(degree))
-        ident = tuple(points)
-        seen.add(ident)
-        kept = []
-        moves = []  # right multiplication by each kept generator: s -> s o h
-        for g in filterfalse(seen.__contains__, generators):
-            if sorted(g) != points:
-                raise ValueError(f"{g!r} is not a permutation of {degree} points")
-            kept.append(g)
-            moves.append(itemgetter(*g))  # a kept generator moves two points or more, so this gives tuples
-            base = list(seen)
-            reps = [ident]  # one element of each coset ``base o r``
-            for r in reps:  # the list grows while it is read: r o s not yet seen starts a coset
-                for move in moves:
-                    t = move(r)
-                    if t not in seen:
-                        _check_room(degree, len(seen) + len(base))
-                        seen.update(map(itemgetter(*t), base))
-                        reps.append(t)
-            if len(seen) == order:
-                break
-        self.degree = degree
-        self._generators = tuple(kept)
-        self.elements = tuple(sorted(seen))
-
     @property
     def generators(self):
-        """The kept generators.  A group built without them, as Aut(g) is, replays
-        the greedy pass over its sorted elements on the first read."""
+        """The kept generators: for a group built without them, those
+        :func:`_close` keeps from its sorted elements, found on the first read."""
         if self._generators is None:
-            self._generators = self._greedy(self.degree, self.elements, len(self.elements)).generators
+            self._generators = _close(self.degree, self.elements)[1]
         return self._generators
 
     def __len__(self):
@@ -120,6 +77,37 @@ class PermutationGroup:
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={len(self.elements)})"
+
+
+def _close(degree, generators):
+    """Dimino's closure: the set of elements ``generators`` generate and the
+    tuple of those kept, each outside the group of those kept before it (so
+    at most log2 of the order) and checked to be a permutation; seen ones are
+    skipped in C.  The group grows by whole right cosets, each checked against
+    ``GROUP_POINT_BOUND`` before it is stored, so a lazy ``generators`` is
+    read to its end or to the bound, no further."""
+    _check_degree(degree)
+    _check_room(degree, 1)
+    points = list(range(degree))
+    ident = tuple(points)
+    seen = {ident}
+    kept = []
+    moves = []  # right multiplication by each kept generator: s -> s o h
+    for g in filterfalse(seen.__contains__, generators):
+        if sorted(g) != points:
+            raise ValueError(f"{g!r} is not a permutation of {degree} points")
+        kept.append(g)
+        moves.append(itemgetter(*g))  # a kept generator moves two points or more, so this gives tuples
+        base = list(seen)
+        reps = [ident]  # one element of each coset ``base o r``
+        for r in reps:  # the list grows while it is read: r o s not yet seen starts a coset
+            for move in moves:
+                t = move(r)
+                if t not in seen:
+                    _check_room(degree, len(seen) + len(base))
+                    seen.update(map(itemgetter(*t), base))
+                    reps.append(t)
+    return seen, tuple(kept)
 
 
 def _check_degree(degree):
@@ -146,12 +134,13 @@ def _permutation(g, degree):
 
 def group_from_elements(degree, elements):
     """The group whose elements are exactly ``elements``, else ``ValueError``.
-    No order is given, so a list that is no group is read to its end."""
+    The list is closed to its end; each element lies in the group the list
+    generates, so the two are equal when their sizes are."""
     elems = sorted({_permutation(e, degree) for e in elements})
-    group = PermutationGroup._greedy(degree, elems)
-    if list(group.elements) != elems:
+    closed, kept = _close(degree, elems)
+    if len(closed) != len(elems):
         raise ValueError("element list is not a permutation group")
-    return group
+    return PermutationGroup._listed(degree, tuple(elems), kept)
 
 
 def symmetric_group(n):

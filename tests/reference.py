@@ -278,6 +278,18 @@ def closed_symmetric_group(n):
     return PermutationGroup(n, swap_and_cycle())
 
 
+def signed_permutation_traces(n):
+    """Traces of all 2^n n! signed permutation matrices, via explicit matrices."""
+    traces = []
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            mat = [[0] * n for _ in range(n)]
+            for i in range(n):
+                mat[perm[i]][i] = signs[i]
+            traces.append(sum(mat[i][i] for i in range(n)))
+    return traces
+
+
 def verify_repcat_tensor(group, a, b, c, d):
     """Product of two orbit tensors re-expands as a sum over translated pairs."""
     lhs = tensor_product(build_That_H(group, a, b), build_That_H(group, c, d))

@@ -10,7 +10,7 @@ diagrams from the orbits of the group it comes from.
 
 import random
 import time
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from graphfib.diagrams import BilabelledGraph
 from graphfib.fibrations import (
@@ -56,7 +56,7 @@ from graphfib.tensors import (
     verify_functor,
     verify_that_sums,
 )
-from reference import canonical_key, closure_pairs, enumerate_graphs, greatest_subgraph
+from reference import canonical_key, closure_pairs, enumerate_graphs, greatest_subgraph, signed_permutation_traces
 
 HOSTS = [complete(2), complete(3), path(3), disjoint_union(complete(2), edgeless(1))]
 EDGE_DIAGRAM = BilabelledGraph(complete(2), (0,), (1,))
@@ -209,17 +209,6 @@ def test_criterion_06_edge_commutator_dimension_table():
                 assert all(v is not Membership.UNKNOWN for _, v in table)
                 report = dim_report(group, closure, k, l)
                 assert report["dim"] == by_m[k + l]
-
-
-def signed_permutation_traces(n):
-    traces = []
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            mat = [[0] * n for _ in range(n)]
-            for i in range(n):
-                mat[perm[i]][i] = signs[i]
-            traces.append(sum(mat[i][i] for i in range(n)))
-    return traces
 
 
 def test_criterion_07_hyperoctahedral_character_sums():

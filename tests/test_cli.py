@@ -379,16 +379,19 @@ def test_dim_with_the_full_filter(capsys):
 
 
 def test_orbits_dim_null_and_thpart_on_aut_g_never_replay_its_generators(capsys, tmp_path, monkeypatch):
-    # only an invariance check reads the greedy generators of an automorphism group
+    # only an invariance check reads the kept generators of an automorphism
+    # group, so each command closes Aut(C6) once, when it builds it, and never again
     group = {"automorphisms_of": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}}
     path = write_json(tmp_path, "group.json", group)
     pair = {"k": 1, "l": 1, "blocks": [[0], [1]]}
     checks = write_json(tmp_path, "checks.json", {"checks": [{"group": group, "partition": pair}]})
     commands = [("orbits", path, "2", "1"), ("dim", path, fx("null.json"), "2", "1"), ("verify", "thpart", checks)]
-    answers = [run(capsys, *argv) for argv in commands]
-    assert all(code == 0 and err == "" for code, _, err in answers)
-    monkeypatch.setattr(repspaces.PermutationGroup, "_greedy", lambda *args: pytest.fail("generators replayed"))
-    assert [run(capsys, *argv) for argv in commands] == answers
+    calls = []  # one entry per closure
+    monkeypatch.setattr(repspaces, "_close", lambda *args, real=repspaces._close: calls.append(args) or real(*args))
+    for argv in commands:
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err, len(calls)) == (0, "", 1)
 
 
 @pytest.mark.parametrize(

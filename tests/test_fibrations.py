@@ -738,20 +738,36 @@ spec = NormalClosureSpec(9, [(0, 1, 0, 1)])
 fib = fibration_from_group(cycle(9), spec)
 print(fib.max_vertices, fiber_member(fib, cycle(9), (0, 1, 0, 1)).value)
 """, "9 yes"),
+    "easy-from-group-edgeless-8": ("""
+try:
+    fibration_from_group(edgeless(8), NormalClosureSpec(8, []), easy=True)
+except CapacityError as exc:
+    print(exc)
+""", "graph on 8 vertices has more than 1000000 endomorphisms"),
+    "easy-from-group-edgeless-7": ("""
+try:
+    fibration_from_group(edgeless(7), NormalClosureSpec(7, [(0, 1, 0, 1)]), easy=True)
+except ValueError as exc:
+    print(exc)
+""", "closure is not invariant: image of (0, 1, 0, 1) under (0, 2, 0, 0, 0, 0, 0) escapes"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FIBRE_QUERIES_WITHOUT_A_CLOSURE))
 def test_fibre_queries_do_not_build_the_closure(case):
     # Listing every fibre on 7 vertices takes tens of seconds, and canonical
-    # forms stop at 8 vertices; a query about one graph needs neither.  The
-    # child process fails the test at its timeout instead of stalling.
+    # forms stop at 8 vertices; a query about one graph needs neither.  An
+    # easy group's fibration counts the endomorphisms it checks before it
+    # lists them: the 8^8 of edgeless 8 are refused, the 7^7 of edgeless 7
+    # are checked.  The child process fails the test at its timeout or its
+    # memory limit instead of stalling.
     query, want = FIBRE_QUERIES_WITHOUT_A_CLOSURE[case]
     script = (
         "from graphfib.diagrams import BilabelledGraph\n"
+        "from graphfib.errors import CapacityError\n"
         "from graphfib.fibrations import GraphFibration, fiber_member, fibration_from_group, is_fiber\n"
         "from graphfib.freeprod import NormalClosureSpec\n"
-        "from graphfib.graphs import complete, cycle\n"
+        "from graphfib.graphs import complete, cycle, edgeless\n"
         + query
     )
     src = os.path.dirname(os.path.dirname(graphfib.__file__))

@@ -6,11 +6,14 @@ class inside a function, which makes a new class on every call, or catches
 for bad input; every public function, class or method of a public class
 has a reader in ``src/`` or a stated reason to stay, and then a reader in
 the tests; every private one has a reader in its own module; every
-``*_from_json`` reader is public and lives outside ``cli``; and the tests'
-oracles in ``reference.py`` import public graphfib names only."""
+``*_from_json`` reader is public and lives outside ``cli``; every
+``:func:``, ``:meth:`` and ``:class:`` reference in a docstring or comment
+names something that exists; and the tests' oracles in ``reference.py``
+import public graphfib names only."""
 
 import ast
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -502,3 +505,73 @@ def test_every_kept_name_is_read_by_a_test():
     attributes = {node.attr for text in sources for node in ast.walk(ast.parse(text)) if is_attribute_read(node)}
     methods = {(module, name) for module, name in KEPT if name.partition(".")[2] in attributes}
     assert sorted(set(KEPT) - names_the_tests_read(sources) - methods) == []
+
+
+REFERENCE = re.compile(r":(?:func|meth|class):`([\w.]+)`")
+
+
+def module_names(tree):
+    """The names a module binds at its top level: definitions, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def stale_references(sources):
+    """``(module, line, name)`` for each ``:func:``, ``:meth:`` or ``:class:``
+    reference in ``sources`` (module name to source text) that names nothing:
+    not a module-level name of its own module, not ``module.name`` for a
+    module-level name of another, and not a method of a class it sits in."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    names = {module: module_names(tree) for module, tree in trees.items()}
+    found = []
+    for module, text in sources.items():
+        classes = [node for node in ast.walk(trees[module]) if isinstance(node, ast.ClassDef)]
+        for match in REFERENCE.finditer(text):
+            line, name = text.count("\n", 0, match.start()) + 1, match.group(1)
+            owner, _, attr = name.rpartition(".")
+            methods = {
+                node.name
+                for cls in classes
+                if cls.lineno <= line <= cls.end_lineno
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+            }
+            if name not in names[module] | methods and attr not in names.get(owner, ()):
+                found.append((module, line, name))
+    return sorted(found)
+
+
+def test_the_scan_finds_references_to_names_that_do_not_exist():
+    sources = {
+        "repspaces": (
+            "from .graphs import kernel\n"
+            "class Group:\n"
+            '    """Closed by :func:`_close`; see :meth:`generators`, not :meth:`_greedy`."""\n'
+            "    def generators(self):\n"
+            '        """Replayed by :func:`_close`, which has no :func:`order`."""\n'
+            "def _close(degree):\n"
+            '    """Reads :func:`kernel`, :func:`graphs.kernel`, :func:`graphs.cells`, :class:`Group`, :meth:`generators`."""\n'
+        ),
+        "graphs": "def kernel(g):\n    pass\n",
+    }
+    assert stale_references(sources) == [
+        ("repspaces", 3, "_greedy"),
+        ("repspaces", 5, "order"),
+        ("repspaces", 7, "generators"),
+        ("repspaces", 7, "graphs.cells"),
+    ]
+
+
+def test_every_docstring_reference_names_something_that_exists():
+    sources = {}
+    for filename in MODULES:
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            sources[filename[:-3]] = fh.read()
+    assert stale_references(sources) == []

@@ -238,18 +238,18 @@ def test_the_listed_symmetric_group_refuses_what_the_closed_one_refuses(n):
     assert str(listed.value) == str(closed.value)
 
 
-def refuse_a_replay(*args):
-    raise RuntimeError("the greedy generators were replayed")
-
-
 def test_aut_g_replays_its_generators_only_when_they_are_read(monkeypatch):
+    calls = []  # one entry per closure
+    monkeypatch.setattr(repspaces, "_close", lambda *args, real=repspaces._close: calls.append(args) or real(*args))
     group = graph_automorphism_group(cycle(6))
-    monkeypatch.setattr(PermutationGroup, "_greedy", refuse_a_replay)
+    assert len(calls) == 1
     assert len(group) == 12 and len(orbits(group, 1, 1)) == 4  # pairs at distance 0 to 3
-    with pytest.raises(RuntimeError, match="replayed"):
-        group.generators
+    assert len(calls) == 1
+    generators = group.generators
+    assert len(calls) == 2 and calls[1] == (6, group.elements)
+    assert group.generators is generators and len(calls) == 2
     monkeypatch.undo()
-    assert group.generators == PermutationGroup(6, automorphisms(cycle(6))).generators
+    assert generators == PermutationGroup(6, automorphisms(cycle(6))).generators
 
 
 def test_act():
@@ -866,35 +866,3 @@ def test_orbit_tensor_product_and_composition_expansions():
     assert verify_repcat_compose(group, (0, 1), (0,), (2,), (1, 1))["ok"]
     with pytest.raises(ValueError):
         verify_repcat_compose(group, (0,), (1,), (0, 1), (2,))
-
-
-# ---------------------------------------------------------------------------
-# the signed-permutation cross-check, small case
-
-
-def signed_permutation_traces(n):
-    """Traces of all 2^n n! signed permutation matrices, via explicit matrices."""
-    traces = []
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            mat = [[0] * n for _ in range(n)]
-            for i in range(n):
-                mat[perm[i]][i] = signs[i]
-            traces.append(sum(mat[i][i] for i in range(n)))
-    return traces
-
-
-def test_hyperoctahedral_two_matches_the_character_sum():
-    group = symmetric_group(2)
-    closure = NormalClosureSpec(2, [(0, 1, 0, 1)], MembershipPolicy("racg"))
-    traces = signed_permutation_traces(2)
-    assert len(traces) == 8
-    for k in range(5):
-        for l in range(5 - k):
-            m = k + l
-            total = sum(t**m for t in traces)
-            assert total % len(traces) == 0
-            expected = total // len(traces)
-            assert dim_report(group, closure, k, l)["dim"] == expected
-    assert sum(t**2 for t in traces) // 8 == 1
-    assert sum(t**4 for t in traces) // 8 == 4
