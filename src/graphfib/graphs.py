@@ -10,8 +10,13 @@ the AND of its candidates and the host rows of its placed neighbours'
 images, and places the second-to-last vertex in an inner loop of its own.
 A host keeps a record of its neighbour lists, loops and rows; past
 ``EAGER_ROWS_BOUND`` vertices, a row is built when a search first reads it.
-``glue`` merges pairs of vertices of two graphs into one graph; ``f_union``
-glues along a partial injection and ``disjoint_union`` along none.
+Up to ``BIT_LIST_BOUND`` vertices the record also holds the set bits of
+every mask of images, one table per vertex count, where the inner loop and
+the consumers after it read a mask's images; a larger host takes them off
+the mask.  ``glue`` merges pairs of vertices of two graphs into one graph,
+pairs that may repeat or share a vertex; ``f_union`` glues along a partial
+injection, numbering the glued vertices itself, and ``disjoint_union``
+along none.
 Adjacency masks number their cells in one table, ``cell_bits``; the
 relabelled masks of a graph come from one packed column per cell,
 ``_relabel_columns``.  ``canonical_form`` takes their least and the
@@ -54,6 +59,10 @@ ROW_BITS_BOUND = 1 << 28
 # Summing out a vertex of degree two walks, for each of its images, every
 # pair of its two neighbours' images: a table is refused past this many.
 SUM_OUT_PAIR_BOUND = 2 * 10**6
+# A search into a host of at most this many vertices reads the set bits of
+# a mask from one table of all 2^n masks, built once per vertex count; a
+# larger host takes the bits off each mask in turn.
+BIT_LIST_BOUND = 12
 
 
 class Graph:
@@ -116,7 +125,7 @@ def add_loops_everywhere(g):
 
 
 def disjoint_union(k, h):
-    return glue(k, h, ())[0]
+    return f_union(k, h, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +189,24 @@ def f_union(k, h, f):
 
     ``f`` is an iterable of pairs ``(u, v)`` meaning vertex ``u`` of ``k`` is
     identified with vertex ``v`` of ``h``; it must be injective in both
-    coordinates.  Returns :func:`glue`'s ``(graph, map_k, map_h)``.  The result
-    has ``k.n + h.n - len(f)`` vertices and never gains a loop that neither
+    coordinates.  Returns :func:`glue`'s ``(graph, map_k, map_h)``, numbered
+    here without its union-find: no two vertices of one side merge, so ``k``
+    keeps its names and each unmatched vertex of ``h`` takes the next fresh
+    one in order, which is the least-member numbering.  The result has
+    ``k.n + h.n - len(f)`` vertices and never gains a loop that neither
     side had.
     """
     f = tuple(f)
-    ks = [u for u, _ in f]
-    hs = [v for _, v in f]
-    if len(set(ks)) != len(f) or len(set(hs)) != len(f):
+    partner = {v: u for u, v in f}
+    if len({u for u, _ in f}) != len(f) or len(partner) != len(f):
         raise ValueError("overlap must be injective in both coordinates")
     for u, v in f:
         if not (0 <= u < k.n and 0 <= v < h.n):
             raise ValueError("overlap pair out of range")
-    return glue(k, h, f)
+    fresh = count(k.n)
+    bh = tuple(partner[v] if v in partner else next(fresh) for v in range(h.n))
+    edges = chain(k.edges, ((bh[u], bh[v]) for u, v in h.edges))
+    return Graph(k.n + h.n - len(f), edges), tuple(range(k.n)), bh
 
 
 def enumerate_overlaps(nk, nh):
@@ -256,7 +270,7 @@ def _rows(adj):
     return rows
 
 
-def _walk(image, order, candidates, checks, injective=False, coef=None):
+def _walk(image, order, candidates, checks, bits, injective=False, coef=None):
     """The one backtracking search.  It places every vertex in ``order`` but
     the last and, for each placing, hands over the images left to the last
     and, given ``coef``, the flat index: ``coef[u] * image[u]`` summed over
@@ -277,7 +291,9 @@ def _walk(image, order, candidates, checks, injective=False, coef=None):
     consumer may stop at any of them.
     The second-to-last vertex takes its images in an inner loop of its own,
     with no level to leave and enter again for each; the stream handed over
-    is the same as a level for it would give.
+    is the same as a level for it would give.  That loop reads a mask's
+    images from ``bits``, the host record's table of set bits
+    (:func:`_bit_lists`), or off the mask when the host has none.
     """
     *above, last = order
     final, ends = candidates[last], checks[last]
@@ -302,15 +318,13 @@ def _walk(image, order, candidates, checks, injective=False, coef=None):
         if i == top:  # the inner loop: each image c of v hands over the images left to the last vertex
             at = index[i]
             if rels:
-                while m:
-                    low = m & -m
-                    m ^= low
-                    image[v] = c = low.bit_length() - 1
+                for c in bits[m] if bits else _bits(m):
+                    image[v] = c
                     x = final
                     for u, rows in ends:
                         x &= rows[image[u]]
                     if drop:
-                        x &= ~(used | low)
+                        x &= ~(used | 1 << c)
                     yield x, at + a * c
             else:
                 for c in m:
@@ -365,19 +379,30 @@ def _bits(m):
         yield low.bit_length() - 1
 
 
-def _search(image, order, candidates, checks, injective=False):
+@lru_cache(maxsize=None)
+def _bit_lists(n):
+    """The set bits of every mask below ``2 ** n``, lowest first:
+    ``lists[m]`` is ``tuple(_bits(m))``.  Each bit doubles the table, the
+    masks with it set following those without."""
+    lists = ((),)
+    for i in range(n):
+        lists += tuple(t + (i,) for t in lists)
+    return lists
+
+
+def _search(image, order, candidates, checks, bits, injective=False):
     """The maps of :func:`_walk`, each handed over as an image tuple when found."""
     if not order:
         yield tuple(image)
         return
     *above, v = order
-    for m, _ in _walk(image, order, candidates, checks, injective):
+    for m, _ in _walk(image, order, candidates, checks, bits, injective):
         placed = {image[u] for u in above} if injective and not checks[v] else ()
-        for image[v] in _bits(m) if checks[v] else (c for c in m if c not in placed):
+        for image[v] in (bits[m] if bits else _bits(m)) if checks[v] else (c for c in m if c not in placed):
             yield tuple(image)
 
 
-def _count(entries, order, candidates, checks, coef, weights, scale, injective=False):
+def _count(entries, order, candidates, checks, bits, coef, weights, scale, injective=False):
     """The maps of :func:`_walk`, each adding its weight into ``entries``, a
     flat tensor, at its flat index under ``coef``.
 
@@ -393,17 +418,15 @@ def _count(entries, order, candidates, checks, coef, weights, scale, injective=F
     image = [0] * (len(checks) + 1)
     *above, v = order
     a, rels = coef[v], checks[v]
-    found = _walk(image, order, candidates, checks, injective, coef)
+    found = _walk(image, order, candidates, checks, bits, injective, coef)
     if rels and not weights:  # the common case: a popcount, or one add per bit, for each placing
         if not a:
             for m, at in found:
                 entries[at] += scale * m.bit_count()
         else:
             for m, at in found:
-                while m:
-                    low = m & -m
-                    m ^= low
-                    entries[at + a * (low.bit_length() - 1)] += scale
+                for c in bits[m] if bits else _bits(m):
+                    entries[at + a * c] += scale
         return
     heavy = [(u, x, t) for u, x, t in weights if x != v]  # weighed once per placing of the others
     ws = [(u, t) for u, x, t in weights if x == v]  # these come from summing out, so the search is not injective
@@ -419,7 +442,7 @@ def _count(entries, order, candidates, checks, coef, weights, scale, injective=F
             entries[at] += w * left
             continue
         placed = {image[u] for u in above} if injective and not rels else ()
-        for c in _bits(m) if rels else m:
+        for c in (bits[m] if bits else _bits(m)) if rels else m:
             if c not in placed:
                 x = w
                 for u, t in ws:
@@ -429,10 +452,11 @@ def _count(entries, order, candidates, checks, coef, weights, scale, injective=F
 
 def _host(g):
     """The record every search into ``g`` reads, built on first use and
-    kept in ``g._host`` at any size: ``(adj, loops, rows)``, the neighbour
-    lists (each edge both ways round, a loop once), the 0/1 vector of loops
-    and the bitmask rows of ``adj`` (:func:`_rows`), a table of weight 1 on
-    the host's arcs."""
+    kept in ``g._host`` at any size: ``(adj, loops, rows, bits)``, the
+    neighbour lists (each edge both ways round, a loop once), the 0/1
+    vector of loops, the bitmask rows of ``adj`` (:func:`_rows`), a table
+    of weight 1 on the host's arcs, and the set bits of every mask of
+    images (:func:`_bit_lists`), or None past ``BIT_LIST_BOUND`` vertices."""
     if g._host is None:
         adj, loops = [[] for _ in range(g.n)], [0] * g.n
         for a, b in g.edges:
@@ -441,7 +465,7 @@ def _host(g):
                 loops[a] = 1
             else:
                 adj[b].append(a)
-        g._host = adj, loops, _rows(adj)
+        g._host = adj, loops, _rows(adj), _bit_lists(g.n) if g.n <= BIT_LIST_BOUND else None
     return g._host
 
 
@@ -453,7 +477,7 @@ def _constraints(k, g):
     becomes the pair factor ``factors[u, v] = host``, and each loop
     ``(v, v)`` the vector ``vectors[v]``, the record's loop vector.
     """
-    _, loops, rows = _host(g)
+    _, loops, rows, _ = _host(g)
     return rows, {e: rows for e in k.edges if e[0] != e[1]}, {u: loops for u, v in k.edges if u == v}
 
 
@@ -508,7 +532,7 @@ def enumerate_homomorphisms(k, g, injective=False):
     """
     _, factors, vectors = _constraints(k, g)
     order = list(range(k.n))  # a list: the search indexes it, and a range indexes slower
-    return list(_search([0] * k.n, order, *_levels(k, g, factors, vectors), injective))
+    return list(_search([0] * k.n, order, *_levels(k, g, factors, vectors), _host(g)[3], injective))
 
 
 def _sum_out(k, g, factors, vectors, keep):
@@ -528,7 +552,7 @@ def _sum_out(k, g, factors, vectors, keep):
     image pairs is refused before it is built.
     """
     n = g.n
-    adj, _, host = _host(g)
+    adj, _, host, _ = _host(g)
     incident = [set() for _ in range(k.n)]  # each vertex's factors, kept up to date
     for e in factors:
         incident[e[0]].add(e)
@@ -619,7 +643,7 @@ def count_homomorphisms(k, g, entries, labels, injective=False):
             if any(w > 1 for row in t for w in row.values()):
                 weights.append((*e, t))
     order = [v for v in range(k.n) if v not in summed]
-    _count(entries, order, *_levels(k, g, factors, vectors), coef, weights, scalar, injective)
+    _count(entries, order, *_levels(k, g, factors, vectors), _host(g)[3], coef, weights, scalar, injective)
 
 
 def automorphisms(g):
@@ -658,7 +682,7 @@ def automorphism_generators(g):
     so none lies in the group they generate.
     """
     n = g.n
-    adj, loops, _ = _host(g)
+    adj, loops, _, bits = _host(g)
     order, rank = _breadth_first(adj), [0] * n
     for i, x in enumerate(order):
         rank[x] = i
@@ -682,7 +706,7 @@ def automorphism_generators(g):
                         tails[key] = _mask(tail) if checks[j] else tail
                     candidates[j] = tails[key]
             candidates[b] = 1 << c if checks[b] else (c,)
-            sigma = next(_search(image, order[i:], candidates, checks, True), None)
+            sigma = next(_search(image, order[i:], candidates, checks, bits, True), None)
             if sigma is None:
                 continue
             found.append(sigma)

@@ -4,6 +4,7 @@ Each lists or re-derives, by a route of its own, what a tested function
 computes.  They import public graphfib names only.
 """
 
+from collections import Counter
 from itertools import permutations, product
 
 from graphfib.diagrams import BilabelledGraph
@@ -114,6 +115,19 @@ def components_partition(n, pairs):
         least.append(min(seen))
     order = sorted(set(least))
     return tuple(order.index(x) for x in least)
+
+
+def brute_force_counts(g, d, injective):
+    """Edge-keeping vertex maps of the diagram ``d`` into ``g`` (given
+    ``injective``, the injective ones), counted by (output images, input
+    images): every vertex map tried, in order."""
+    counts = Counter()
+    for phi in product(range(g.n), repeat=d.graph.n):
+        if injective and len(set(phi)) < len(phi):
+            continue
+        if all(g.has_edge(phi[u], phi[v]) for u, v in d.graph.edges):
+            counts[tuple(phi[v] for v in d.outputs), tuple(phi[v] for v in d.inputs)] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

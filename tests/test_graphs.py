@@ -208,6 +208,16 @@ def test_glue_is_the_quotient_of_the_shifted_union_by_its_pairs(case):
         assert (g, mk, mh) == f_union(k, h, pairs)
 
 
+def test_f_union_numbers_every_small_overlap_as_glue_does():
+    # f_union numbers the glued vertices itself; glue's union-find is the
+    # oracle, on every overlap between graphs of at most 3 vertices
+    graphs = [g for n in range(4) for g in enumerate_graphs(n, loops=True)]
+    for k in graphs:
+        for h in graphs:
+            for f in enumerate_overlaps(k.n, h.n):
+                assert f_union(k, h, f) == glue(k, h, f)
+
+
 def test_enumerate_overlaps_counts():
     assert len(enumerate_overlaps(2, 2)) == 7
     assert len(enumerate_overlaps(3, 3)) == 34

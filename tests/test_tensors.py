@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphfib import tensors
+from graphfib import graphs, tensors
 from graphfib.diagrams import (
     BilabelledGraph,
     bl_f_compose,
@@ -18,8 +18,10 @@ from graphfib.diagrams import (
     rotate_left,
 )
 from graphfib.graphs import (
+    BIT_LIST_BOUND,
     EAGER_ROWS_BOUND,
     Graph,
+    automorphism_generators,
     complete,
     cycle,
     disjoint_union,
@@ -50,7 +52,7 @@ from graphfib.tensors import (
     verify_that_sums,
     zero_tensor,
 )
-from reference import build_partition_T
+from reference import brute_force_counts, build_partition_T
 
 EDGE_DIAGRAM = BilabelledGraph(complete(2), (0,), (1,))
 HOSTS = [complete(2), complete(3), path(3), disjoint_union(complete(2), edgeless(1))]
@@ -347,17 +349,6 @@ def small_diagrams(draw, max_n=3, max_labels=2):
     return BilabelledGraph(g, draw(labels), draw(labels))
 
 
-def brute_force_counts(g, d, injective):
-    """Edge-keeping vertex maps of ``d`` into ``g``, counted by (output images, input images)."""
-    counts = Counter()
-    for phi in product(range(g.n), repeat=d.graph.n):
-        if injective and len(set(phi)) < len(phi):
-            continue
-        if all(g.has_edge(phi[u], phi[v]) for u, v in d.graph.edges):
-            counts[tuple(phi[v] for v in d.outputs), tuple(phi[v] for v in d.inputs)] += 1
-    return counts
-
-
 def assert_builders_match_brute_force(g, d):
     for t, injective in ((build_T(g, d), False), (build_That(g, d), True)):
         counts = brute_force_counts(g, d, injective)
@@ -559,6 +550,81 @@ def test_build_T_matches_the_enumerator_on_corner_cases(g, d):
 @CORNER_CASES
 def test_build_That_matches_the_enumerator_on_corner_cases(g, d):
     assert build_That(g, d) == enumerated_That(g, d)
+
+
+# ---------------------------------------------------------------------------
+# the table of set bits against the bits taken off each mask
+
+
+def with_and_without_the_bit_table(search, host):
+    """``search`` on a fresh copy of ``host``, first with the record's table
+    of set bits, then with ``BIT_LIST_BOUND`` at 0, so that the search takes
+    each mask's images off the mask, as it does past the bound.  Each copy
+    gets a record of its own."""
+    results = []
+    for bound in (BIT_LIST_BOUND, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "BIT_LIST_BOUND", bound)
+            copy = Graph(host.n, host.edges)
+            results.append(search(copy))
+            assert (graphs._host(copy)[3] is None) == (host.n > bound)
+    return results
+
+
+# the examples reach each place a mask is read: a weighted count, a last
+# vertex labelled (an add per image) and unlabelled (a popcount), the inner
+# loop of an injective count, and a last vertex weighted after summing out
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(4, min_n=2), five_vertex_diagrams())
+@example(KITE_HOST, BilabelledGraph(Graph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]), (0,), (1,)))
+@example(complete(4), BilabelledGraph(complete(3), (0,), (2,)))
+@example(complete(4), BilabelledGraph(complete(3), (0,), ()))
+@example(LOOPED_K4, BilabelledGraph(path(4), (0,), (3,)))
+@example(KITE_HOST, BilabelledGraph(path(3), (0,), (1,)))
+def test_counts_read_the_same_images_from_the_bit_table_as_off_each_mask(g, d):
+    table, fallback = with_and_without_the_bit_table(lambda h: (build_T(h, d), build_That(h, d)), g)
+    assert table == fallback
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(4), small_graphs(4, min_n=1), st.booleans())
+@example(path(3), complete(4), True)
+def test_enumeration_lists_the_same_maps_in_order_with_and_without_the_bit_table(k, g, injective):
+    table, fallback = with_and_without_the_bit_table(lambda h: enumerate_homomorphisms(k, h, injective), g)
+    assert table == fallback
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle(6), complete(4), LOOPED_K4, disjoint_union(cycle(3), cycle(3)), path(5), edgeless(3), KITE_HOST,
+     Graph(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)] + [(i, i + 3) for i in range(6)])],
+)
+def test_automorphism_generators_come_in_the_same_order_with_and_without_the_bit_table(g):
+    table, fallback = with_and_without_the_bit_table(lambda h: list(automorphism_generators(h)), g)
+    assert table == fallback
+
+
+# One vertex past the bound the search takes its images off each mask: a
+# circulant on offsets 1 and 3, with two loops.
+PAST_THE_BIT_LIST_BOUND = Graph(
+    BIT_LIST_BOUND + 1,
+    [(i, (i + s) % (BIT_LIST_BOUND + 1)) for i in range(BIT_LIST_BOUND + 1) for s in (1, 3)] + [(0, 0), (5, 5)],
+)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        BilabelledGraph(complete(3), (0,), (2,)),  # a labelled last vertex
+        BilabelledGraph(complete(3), (0,), ()),  # an unlabelled last vertex
+        BilabelledGraph(path(3), (0,), (2,)),  # a table of weights above 1
+        BilabelledGraph(cycle(4), (0,), (2,)),  # two tables multiplied
+        BilabelledGraph(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (3, 3)]), (1,), ()),  # a loop vector
+    ],
+)
+def test_counts_into_a_host_one_past_the_bit_list_bound_match_brute_force(d):
+    assert graphs._host(PAST_THE_BIT_LIST_BOUND)[3] is None
+    assert_builders_match_brute_force(PAST_THE_BIT_LIST_BOUND, d)
 
 
 def test_unlabelled_parts_multiply_the_count():
